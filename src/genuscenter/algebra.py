@@ -189,17 +189,6 @@ def _phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _round_vec(x: list, order: int, denom: int) -> list:
-    out = []
-    for v in x:
-        lifted = v.lift(order) if order % v.order == 0 else v
-        coeffs = {
-            e: Fraction(q).limit_denominator(denom) for e, q in lifted.coeffs.items()
-        }
-        out.append(Cyclotomic(order, {e: q for e, q in coeffs.items() if q}))
-    return out
-
-
 def decompose(alg: AlgebraData, rng_seed: int = 7, working_order: int = 1):
     """(rank, block_dims, idempotents) of a split semisimple algebra.
 
@@ -224,7 +213,6 @@ def decompose(alg: AlgebraData, rng_seed: int = 7, working_order: int = 1):
     # the structure constants (twist content); escalate the working field
     # through small multiples before reporting a genuine splitting failure.
     for mult in (1, 2, 3, 4, 5, 8, 7, 9, 16):
-        order = math.lcm(base_order, mult * base_order // math.gcd(mult, 1))
         order = math.lcm(base_order, mult)
         phi = _phi(order)
         free = max(1, len([a for a in range(1, order + 1) if math.gcd(a, order) == 1]) // 2)
@@ -260,8 +248,9 @@ class _RetrySplit(Exception):
 def _embed_at(v: Cyclotomic, order: int, a: int) -> complex:
     out = 0j
     lifted = v.lift(order)
-    for e, q in lifted.coeffs.items():
-        out += float(q) * np.exp(2j * np.pi * a * e / order)
+    for e, x in enumerate(lifted.num):
+        if x:
+            out += (x / lifted.den) * np.exp(2j * np.pi * a * e / order)
     return out
 
 

@@ -260,6 +260,8 @@ class CarrierMap:
         return CarrierMap(self.spec, other.src, self.tgt, blocks)
 
     def __add__(self, other: "CarrierMap") -> "CarrierMap":
+        if (self.src, self.tgt) != (other.src, other.tgt):
+            raise IllFormedDiagramError("cannot add carrier maps of different shapes")
         blocks = dict(self.blocks)
         for key, m in other.blocks.items():
             blocks[key] = blocks[key] + m if key in blocks else m
@@ -341,16 +343,18 @@ def _apply_gamma(state: CarrierMap, pair: SigmaPair, m: int, pos: int, z: str) -
             key = (t2, si)
             blocks[key] = blocks[key] + new if key in blocks else new
             tgt_words[t2] = new.tgt
-    n_t = len(pair.words)
-    tgt = tuple(tgt_words.get(t, _shift_word(state, pair, t, pos, z)) for t in range(n_t))
+    tgt = tuple(
+        tgt_words[t] if t in tgt_words else _shift_word(state, pair, t, pos, z)
+        for t in range(len(pair.words))
+    )
     return CarrierMap(spec, state.src, tgt, blocks)
 
 
 def _shift_word(state: CarrierMap, pair: SigmaPair, t: int, pos: int, z: str):
-    # Word of an absent summand: carrier word t with z moved past it.
-    any_ti, any_si = next(iter(state.blocks))
-    w = state.tgt[any_ti]
-    pre, post = w[: pos - 1], w[pos - 1 + 1 + len(pair.words[any_ti]) :]
+    # Word of an absent summand: carrier word t with z moved past it.  Every
+    # target word is pre + (z,) + carrier word + post, so summand 0 shows both.
+    w = state.tgt[0]
+    pre, post = w[: pos - 1], w[pos + len(pair.words[0]) :]
     return pre + tuple(pair.words[t]) + (z,) + post
 
 
@@ -496,7 +500,6 @@ def _comm_ok(spec, pair, i, j, case, z1, z2) -> bool:
         st = gam(state, orbit, pos, z)
         # z now right of the block; braid back over the block and forth.
         length = len(pair.words[0])
-        lens = {ti: len(w) for ti, w in enumerate(pair.words)}
         # All carrier words in play have equal length for our carriers.
         for p in range(pos + length - 1, pos - 1, -1):
             st = braid_at(st, p, "over")  # c_{X,z}
@@ -534,16 +537,6 @@ def _comm_ok(spec, pair, i, j, case, z1, z2) -> bool:
 
 # ---------------------------------------------------------------------------
 # leg plumbing: contraction and creation
-
-
-def _tags_word(tags, leg_labels, mid_words, sidx):
-    out = []
-    for kind, val in tags:
-        if kind == "leg":
-            out.append(leg_labels[val])
-        else:
-            out.extend(mid_words[sidx])
-    return tuple(out)
 
 
 def _flip(sense: str) -> str:

@@ -1,18 +1,28 @@
 """Exact arithmetic in cyclotomic fields and exact dense linear algebra.
 
-A ``Cyclotomic`` is an element of Q(zeta_N) held in the power basis
-1, zeta, ..., zeta^(phi(N)-1), reduced modulo the N-th cyclotomic
-polynomial.  Coefficients are ``fractions.Fraction`` so Gaussian
-elimination never loses exactness.  Values of different orders are
-lifted to the lcm order before combining.
+A ``Cyclotomic`` is an element of Q(zeta_N), N = ``order``, held in the
+power basis 1, zeta, ..., zeta^(phi(N)-1) as a tuple ``num`` of phi(N)
+integer numerators over one integer denominator ``den``:
+
+    value = (num[0] + num[1] zeta + ... ) / den.
+
+The form is canonical: ``den > 0`` and gcd(den, *num) == 1, so zero is
+all zeros over 1 and two equal values of one order have equal fields.
+The N-th cyclotomic polynomial is monic, so every power of zeta reduces
+to an integer vector (the cached tables below), and sums, products,
+lifts and Galois maps stay in integers; one gcd per result restores the
+canonical form.  Values of different orders are lifted to the lcm order
+before combining; a rational operand (order 1 or 2) scales or shifts the
+other one directly.  Gaussian elimination over these values never loses
+exactness.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZeroError,
@@ -59,44 +69,94 @@ def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row k: zeta_n^k expressed in the power basis (degree < phi(n))."""
-    phi = len(cyclotomic_polynomial(n)) - 1
-    rows: list[tuple[Fraction, ...]] = []
-    for k in range(phi):
-        rows.append(tuple(Fraction(1) if j == k else Fraction(0) for j in range(phi)))
-    top = cyclotomic_polynomial(n)
-    lead = top[-1]
-    assert lead == 1
-    for k in range(phi, 2 * n + 1):
-        # zeta^k = zeta * zeta^(k-1); shift then reduce the overflow term.
-        prev = rows[k - 1]
-        shifted = [Fraction(0)] + list(prev[:-1])
-        over = prev[-1]
-        if over:
-            for j in range(phi):
-                shifted[j] -= over * top[j]
-        rows.append(tuple(shifted))
-    return tuple(rows)
-
-
 def _phi_degree(n: int) -> int:
+    if n < 1:
+        raise MalformedRationalError(f"cyclotomic order must be >= 1, got {n}")
     return len(cyclotomic_polynomial(n)) - 1
 
 
+@lru_cache(maxsize=None)
+def _overflow(n: int) -> tuple[tuple[int, int], ...]:
+    """zeta_n^phi(n) = sum c_j zeta_n^j, as the nonzero pairs (j, c_j)."""
+    poly = cyclotomic_polynomial(n)
+    return tuple((j, -c) for j, c in enumerate(poly[:-1]) if c)
+
+
+@lru_cache(maxsize=None)
+def _power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row e, 0 <= e < n: zeta_n^e in the power basis, as nonzero (j, c_j)."""
+    phi = _phi_degree(n)
+    dense = [[int(j == k) for j in range(phi)] for k in range(phi)]
+    for _ in range(phi, n):
+        # zeta^k = zeta * zeta^(k-1): shift, then fold the overflow term back.
+        prev = dense[-1]
+        row = [0] + prev[:-1]
+        for j, c in _overflow(n):
+            row[j] += prev[-1] * c
+        dense.append(row)
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in dense[:n])
+
+
+@lru_cache(maxsize=None)
+def _traces(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n^k) over Q for k < phi(n): the sum of its Galois conjugates."""
+    rows = _power_rows(n)
+    units = [a for a in range(n) if gcd(a, n) == 1]
+    return tuple(
+        sum(c for a in units for j, c in rows[a * k % n] if j == 0)
+        for k in range(_phi_degree(n))
+    )
+
+
+_new = object.__new__
+
+
+def _make(order: int, num: tuple, den: int) -> "Cyclotomic":
+    """Wrap fields that are already canonical."""
+    x = _new(Cyclotomic)
+    x.order = order
+    x.num = num
+    x.den = den
+    return x
+
+
+def _canon(order: int, num: list, den: int) -> "Cyclotomic":
+    """Divide integer numerators and a positive denominator by their gcd."""
+    if den == 1:
+        return _make(order, tuple(num), 1)
+    g = gcd(den, *num)
+    if g == 1:
+        return _make(order, tuple(num), den)
+    return _make(order, tuple(v // g for v in num), den // g)
+
+
+def _coerce(other):
+    if isinstance(other, int):
+        return _make(1, (int(other),), 1)
+    if isinstance(other, Fraction):
+        return _make(1, (other.numerator,), other.denominator)
+    return None
+
+
 class Cyclotomic:
-    """An exact element of Q(zeta_order) in canonical power-basis form."""
+    """An exact element of Q(zeta_order): integer numerators ``num`` over ``den``."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coeffs: dict[int, Fraction], *, _reduced: bool = False):
-        if order < 1:
-            raise MalformedRationalError(f"cyclotomic order must be >= 1, got {order}")
+    def __init__(self, order: int, coeffs: dict[int, Fraction]):
+        """Build sum(q * zeta^e for e, q in coeffs) for any integers e."""
+        fracs = [(e, Fraction(q)) for e, q in coeffs.items() if q]
+        den = lcm(*(q.denominator for _, q in fracs))
+        rows = _power_rows(order)
+        num = [0] * _phi_degree(order)
+        for e, q in fracs:
+            c = q.numerator * (den // q.denominator)
+            for j, r in rows[e % order]:
+                num[j] += c * r
+        g = gcd(den, *num)
         self.order = order
-        if _reduced:
-            self.coeffs = coeffs
-        else:
-            self.coeffs = _reduce(order, coeffs)
+        self.num = tuple(v // g for v in num)
+        self.den = den // g
 
     # -- constructors ------------------------------------------------
 
@@ -114,11 +174,11 @@ class Cyclotomic:
 
     @staticmethod
     def zero(order: int = 1) -> "Cyclotomic":
-        return Cyclotomic(order, {}, _reduced=True)
+        return _make(order, (0,) * _phi_degree(order), 1)
 
     @staticmethod
     def one(order: int = 1) -> "Cyclotomic":
-        return Cyclotomic(order, {0: Fraction(1)})
+        return _make(order, (1,) + (0,) * (_phi_degree(order) - 1), 1)
 
     # -- canonical form ----------------------------------------------
 
@@ -128,100 +188,147 @@ class Cyclotomic:
             return self
         if order % self.order:
             raise ValueError(f"cannot lift order {self.order} into order {order}")
-        k = order // self.order
-        return Cyclotomic(order, {e * k: q for e, q in self.coeffs.items()})
+        # Power bases are integral bases and Z[zeta_order] meets Q(zeta_m) in
+        # Z[zeta_m], so the lifted numerators keep gcd 1 with den.
+        step = order // self.order
+        rows = _power_rows(order)
+        out = [0] * _phi_degree(order)
+        for k, x in enumerate(self.num):
+            if x:
+                for j, c in rows[k * step]:
+                    out[j] += x * c
+        return _make(order, tuple(out), self.den)
 
     def terms(self):
         """Canonical serialization: sorted (exponent, numerator, denominator)."""
-        return [(e, q.numerator, q.denominator) for e, q in sorted(self.coeffs.items())]
+        d = self.den
+        out = []
+        for e, x in enumerate(self.num):
+            if x:
+                g = gcd(x, d)
+                out.append((e, x // g, d // g))
+        return out
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(e == 0 for e in self.coeffs)
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs.get(0, Fraction(0))
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
-    def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic(1, {0: Fraction(other)})
-        if not isinstance(other, Cyclotomic):
-            return None, None
-        n = math.lcm(self.order, other.order)
-        return self.lift(n), other.lift(n)
-
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        coeffs = dict(a.coeffs)
-        for e, q in b.coeffs.items():
-            coeffs[e] = coeffs.get(e, Fraction(0)) + q
-        return Cyclotomic(a.order, {e: q for e, q in coeffs.items() if q}, _reduced=True)
+        if type(other) is not Cyclotomic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        n = self.order
+        if other.order != n:
+            n = lcm(n, other.order)
+            if other.order <= 2:
+                return _shift(self, other, n)
+            if self.order <= 2:
+                return _shift(other, self, n)
+            a, b = self.lift(n), other.lift(n)
+        else:
+            a, b = self, other
+        ad, bd = a.den, b.den
+        if ad == bd:
+            num = [x + y for x, y in zip(a.num, b.num)]
+            if ad == 1:
+                return _make(n, tuple(num), 1)
+            return _canon(n, num, ad)
+        return _canon(n, [x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, {e: -q for e, q in self.coeffs.items()}, _reduced=True)
+        return _make(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a + (-b)
+        if type(other) is not Cyclotomic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        if not a.coeffs or not b.coeffs:
-            return Cyclotomic.zero(a.order)
-        prod: dict[int, Fraction] = {}
-        for e1, q1 in a.coeffs.items():
-            for e2, q2 in b.coeffs.items():
-                e = e1 + e2
-                prod[e] = prod.get(e, Fraction(0)) + q1 * q2
-        return Cyclotomic(a.order, prod)
+        if type(other) is not Cyclotomic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        n = self.order
+        if other.order != n:
+            n = lcm(n, other.order)
+            if other.order <= 2:
+                return _scale(self, other, n)
+            if self.order <= 2:
+                return _scale(other, self, n)
+            a, b = self.lift(n), other.lift(n)
+        else:
+            a, b = self, other
+        an, bn = a.num, b.num
+        phi = len(an)
+        if phi == 1:
+            return _canon(n, [an[0] * bn[0]], a.den * b.den)
+        # Integer convolution, then fold degrees >= phi back with Phi_n.
+        conv = [0] * (2 * phi - 1)
+        for i, x in enumerate(an):
+            if x:
+                for k, y in enumerate(bn, i):
+                    conv[k] += x * y
+        over = _overflow(n)
+        for k in range(2 * phi - 2, phi - 1, -1):
+            c = conv[k]
+            if c:
+                base = k - phi
+                for j, p in over:
+                    conv[base + j] += c * p
+        del conv[phi:]
+        return _canon(n, conv, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
         if self.is_zero():
             raise DivisionByZeroError("inverse of zero cyclotomic")
+        n, num = self.order, self.num
         if self.is_rational():
-            return Cyclotomic(self.order, {0: 1 / self.coeffs[0]}, _reduced=True)
-        n = self.order
-        phi = _phi_degree(n)
-        # Solve (self * x) = 1 as a rational linear system in x's coordinates.
-        cols = []
-        for k in range(phi):
-            prod = self * Cyclotomic(n, {k: Fraction(1)}, _reduced=True)
-            cols.append([prod.coeffs.get(j, Fraction(0)) for j in range(phi)])
-        rhs = [Fraction(1 if j == 0 else 0) for j in range(phi)]
-        x = _rational_solve(cols, rhs, phi)
-        if x is None:
-            raise DivisionByZeroError("zero divisor encountered in cyclotomic inverse")
-        return Cyclotomic(n, {k: x[k] for k in range(phi) if x[k]}, _reduced=True)
+            p = num[0]
+            sign = 1 if p > 0 else -1
+            return _make(n, (sign * self.den,) + num[1:], abs(p))
+        # 1/x = prod_{a != 1} sigma_a(x) / N(x), and the norm N(x) is rational.
+        x = _make(n, num, 1)
+        rest = Cyclotomic.one(n)
+        for a in range(2, n):
+            if gcd(a, n) == 1:
+                rest = rest * x.galois(a)
+        norm = (x * rest).num[0]
+        sign = 1 if norm > 0 else -1
+        return _canon(n, [sign * self.den * v for v in rest.num], abs(norm))
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a * b.inverse()
+        if type(other) is not Cyclotomic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return Cyclotomic(1, {0: Fraction(other)}) / self
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -237,41 +344,57 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """The ring automorphism zeta -> zeta^(-1) (complex conjugation)."""
-        n = self.order
-        return Cyclotomic(n, {(n - e) % n: q for e, q in self.coeffs.items()})
+        return self.galois(self.order - 1)
 
     def galois(self, a: int) -> "Cyclotomic":
         """The automorphism zeta -> zeta^a for gcd(a, order) = 1."""
         n = self.order
-        if math.gcd(a, n) != 1:
+        if gcd(a, n) != 1:
             raise ValueError(f"{a} is not coprime to {n}")
-        return Cyclotomic(n, {(e * a) % n: q for e, q in self.coeffs.items()})
+        # An automorphism of Z[zeta]: the numerators keep their gcd with den.
+        rows = _power_rows(n)
+        out = [0] * len(self.num)
+        for k, x in enumerate(self.num):
+            if x:
+                for j, c in rows[k * a % n]:
+                    out[j] += x * c
+        return _make(n, tuple(out), self.den)
 
     # -- comparisons / conversions -------------------------------------
 
     def __eq__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a.coeffs == b.coeffs
+        if type(other) is not Cyclotomic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self, other
+        if a.order != b.order:
+            n = lcm(a.order, b.order)
+            a, b = a.lift(n), b.lift(n)
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        # Hash via a minimal stable invariant: the complex embedding rounded.
-        z = self.embed()
-        return hash((round(z.real, 9), round(z.imag, 9)))
+        # Tr(x) / phi(order) does not change under lift, so values equal
+        # across orders (and equal ints and Fractions) hash alike.
+        tr = sum(x * t for x, t in zip(self.num, _traces(self.order)))
+        return hash(Fraction(tr, len(self.num) * self.den))
 
     def embed(self) -> complex:
         """Numerical embedding zeta_N -> exp(2 pi i / N)."""
         z = 0j
-        for e, q in self.coeffs.items():
-            z += float(q) * cmath.exp(2j * cmath.pi * e / self.order)
+        for e, x in enumerate(self.num):
+            if x:
+                z += (x / self.den) * cmath.exp(2j * cmath.pi * e / self.order)
         return z
 
     def __repr__(self):
         if self.is_zero():
             return "0"
         bits = []
-        for e, q in sorted(self.coeffs.items()):
+        for e, x in enumerate(self.num):
+            if not x:
+                continue
+            q = Fraction(x, self.den)
             if e == 0:
                 bits.append(f"{q}")
             elif q == 1:
@@ -281,60 +404,46 @@ class Cyclotomic:
         return " + ".join(bits)
 
 
-def _reduce(order: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
-    phi = _phi_degree(order)
-    table = _reduction_table(order)
-    out = [Fraction(0)] * phi
-    for e, q in coeffs.items():
-        if not q:
-            continue
-        row = table[e % order]
-        for j in range(phi):
-            if row[j]:
-                out[j] += q * row[j]
-    return {j: out[j] for j in range(phi) if out[j]}
+def _scale(x: Cyclotomic, r: Cyclotomic, order: int) -> Cyclotomic:
+    """x * r for a rational r of order 1 or 2, written in Q(zeta_order)."""
+    x = x.lift(order)
+    p, q = r.num[0], r.den
+    if p == q:
+        return x
+    return _canon(order, [v * p for v in x.num], x.den * q)
 
 
-def _rational_solve(cols, rhs, n):
-    """Solve sum_k x_k * cols[k] = rhs over Q; returns None if singular."""
-    # Augmented system in row-echelon form.
-    mat = [[cols[k][j] for k in range(n)] + [rhs[j]] for j in range(n)]
-    row = 0
-    pivots = []
-    for col in range(n):
-        p = next((r for r in range(row, n) if mat[r][col]), None)
-        if p is None:
-            continue
-        mat[row], mat[p] = mat[p], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(n):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    if row < n and any(all(mat[r][c] == 0 for c in range(n)) and mat[r][n] for r in range(n)):
-        return None
-    if row < n:
-        return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = mat[r][n]
-    return x
+def _shift(x: Cyclotomic, r: Cyclotomic, order: int) -> Cyclotomic:
+    """x + r for a rational r of order 1 or 2, written in Q(zeta_order)."""
+    x = x.lift(order)
+    p, q = r.num[0], r.den
+    if not p:
+        return x
+    num, d = list(x.num), x.den
+    if q == d:
+        num[0] += p
+        return _canon(order, num, d)
+    num = [v * q for v in num]
+    num[0] += p * d
+    return _canon(order, num, d * q)
 
 
 def zeta(order: int, exp: int = 1) -> Cyclotomic:
     """The root of unity zeta_order^exp."""
-    return Cyclotomic(order, {exp % order: Fraction(1)})
+    num = [0] * _phi_degree(order)
+    for j, c in _power_rows(order)[exp % order]:
+        num[j] = c
+    return _make(order, tuple(num), 1)
 
 
 def rational(num, den=1) -> Cyclotomic:
     if den == 0:
         raise MalformedRationalError(f"zero denominator in rational {num}/0")
-    return Cyclotomic(1, {0: Fraction(num, den)})
+    if type(num) is int and type(den) is int:
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        return _make(1, (num // g,), den // g)
+    q = Fraction(num, den)
+    return _make(1, (q.numerator,), q.denominator)
 
 
 def cyc_normalize(order: int, terms) -> Cyclotomic:
@@ -405,13 +514,21 @@ class ExactMatrix:
         )
 
     def __sub__(self, other):
-        return self + other.scale(rational(-1))
-
-    def scale(self, s: Cyclotomic) -> "ExactMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in matrix subtraction")
         return ExactMatrix(
             self.rows,
             self.cols,
-            [[self.data[i][j] * s for j in range(self.cols)] for i in range(self.rows)],
+            [[a + (-b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
+        )
+
+    def scale(self, s: Cyclotomic) -> "ExactMatrix":
+        if s.is_zero():
+            return ExactMatrix(self.rows, self.cols)
+        return ExactMatrix(
+            self.rows,
+            self.cols,
+            [[v if v.is_zero() else v * s for v in row] for row in self.data],
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":

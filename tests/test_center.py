@@ -3,6 +3,7 @@ import random
 import pytest
 
 from genuscenter import catalog, center
+from genuscenter.errors import IllFormedDiagramError
 from genuscenter.algebra import decompose, float_decompose
 from genuscenter.center import (
     CarrierMap,
@@ -95,6 +96,30 @@ class TestInducedPairs:
         sig = Gluing(0, ())
         pair = induced_half_braidings(spec, sig, "t")
         assert pair.braidings == [] and verify_sigma_pair(spec, sig, pair).ok
+
+
+class TestCarrierMaps:
+    def test_add_rejects_different_shapes(self):
+        spec = catalog.builtin("fibonacci")
+        p1 = induced_half_braidings(spec, sig12(), "1")
+        pt = induced_half_braidings(spec, sig12(), "t")
+        elem = carrier_basis(spec, p1.words, pt.words)[0]
+        with pytest.raises(IllFormedDiagramError):
+            CarrierMap.zero(spec, p1.words, p1.words) + elem
+        total = CarrierMap.zero(spec, p1.words, pt.words) + elem
+        assert total == elem and (total.src, total.tgt) == (elem.src, elem.tgt)
+
+    @pytest.mark.parametrize("key", ("fibonacci", "ising"))
+    def test_apply_gamma_on_zero_state(self, key):
+        spec = catalog.builtin(key)
+        pair = induced_half_braidings(spec, sig12(), spec.labels[-1])
+        for z in spec.labels:
+            ident = center._carrier_id_with(spec, pair, (z,), ())
+            zero = CarrierMap.zero(spec, ident.src, ident.tgt)
+            want = center._apply_gamma(ident, pair, 0, 1, z)
+            got = center._apply_gamma(zero, pair, 0, 1, z)
+            assert got.is_zero() and not want.is_zero()
+            assert (got.src, got.tgt) == (want.src, want.tgt)
 
 
 class TestProjection:

@@ -24,6 +24,13 @@ from genuscenter.exactnum import (
 )
 
 
+MIXED_ORDERS = [(3, 4), (5, 8), (2, 10, 16), (1, 20), (4, 6, 12)]
+
+
+def phi_degree(order):
+    return sum(1 for k in range(order) if math.gcd(k, order) == 1)
+
+
 def golden():
     # phi = 1 + z5 + z5^4 is the golden ratio.
     return rational(1) + zeta(5, 1) + zeta(5, 4)
@@ -76,15 +83,22 @@ class TestFieldOps:
         assert zeta(6, 3) == rational(-1)
         assert zeta(4, 2) == zeta(6, 3)
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 12])
+    @pytest.mark.parametrize(
+        "order",
+        [1, 2, 3, 4, 5, 8, 12, 10, 16, 20]
+        + [pytest.param(o, id="+".join(map(str, o))) for o in MIXED_ORDERS],
+    )
     def test_field_axioms_random(self, order):
-        rng = random.Random(order * 7919)
+        # A tuple of orders draws each operand from one of them at random.
+        orders = order if isinstance(order, tuple) else (order,)
+        rng = random.Random(sum(orders) * 7919 + len(orders) - 1)
 
         def rand_cyc():
+            o = rng.choice(orders)
             return Cyclotomic(
-                order,
+                o,
                 {
-                    rng.randrange(order): Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                    rng.randrange(o): Fraction(rng.randint(-4, 4), rng.randint(1, 5))
                     for _ in range(3)
                 },
             )
@@ -95,8 +109,67 @@ class TestFieldOps:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             assert a * b == b * a
+            assert a - b == -(b - a)
+            assert abs((a * b).embed() - a.embed() * b.embed()) < 1e-9
+            assert abs((a + b).embed() - (a.embed() + b.embed())) < 1e-9
             if not a.is_zero():
                 assert a * a.inverse() == rational(1)
+                assert b / a * a == b
+
+    def test_canonical_form(self):
+        rng = random.Random(3)
+        for order in (1, 2, 3, 5, 8, 10, 12, 16, 20):
+            assert Cyclotomic.zero(order).num == (0,) * phi_degree(order)
+            assert Cyclotomic.zero(order).den == 1
+            for _ in range(10):
+                a = cyc_normalize(order, [
+                    (rng.randrange(order), rng.randint(-6, 6), rng.randint(1, 12))
+                    for _ in range(3)
+                ])
+                b = a.lift(2 * order) * zeta(4 * order, rng.randrange(4 * order))
+                for v in (a, b, a * a, a + a, -a, a.galois(order - 1)):
+                    assert len(v.num) == phi_degree(v.order)
+                    assert v.den > 0 and math.gcd(v.den, *v.num) == 1
+                for v in (a - a, b * Cyclotomic.zero(order), (a + 1) - (1 + a)):
+                    assert v.is_zero() and v.num == (0,) * phi_degree(v.order)
+                    assert v.den == 1
+
+    def test_hash_agrees_with_cross_order_equality(self):
+        assert zeta(2) == rational(-1) and hash(zeta(2)) == hash(rational(-1))
+        assert hash(zeta(4, 2)) == hash(zeta(6, 3))
+        assert hash(rational(3, 2)) == hash(Fraction(3, 2))
+        assert hash(rational(5)) == hash(5)
+        assert len({zeta(4, 2), zeta(6, 3), rational(-1), zeta(2)}) == 1
+        for v in (golden(), zeta(8) + zeta(8, 7), zeta(12, 5) * rational(2, 3)):
+            lifted = v.lift(v.order * 6)
+            assert lifted == v and hash(lifted) == hash(v)
+
+    def test_int_and_fraction_operands(self):
+        third = Fraction(1, 3)
+        for x in (golden(), zeta(8) + rational(1, 2), rational(4, 9)):
+            assert x + 2 == 2 + x == x + rational(2)
+            assert x - 2 == -(2 - x) == x - rational(2)
+            assert x * third == third * x == x * rational(1, 3)
+            assert x * 0 == 0 * x == rational(0)
+            assert x / 2 == x * rational(1, 2)
+            assert third / x == rational(1, 3) * x.inverse()
+            assert 2 / x == rational(2) / x
+            assert x + third == third + x == x + rational(1, 3)
+            assert (x + 2).order == (2 * x).order == x.order
+
+    def test_terms_pinned(self):
+        phi = golden()
+        assert phi.terms() == [(2, -1, 1), (3, -1, 1)]
+        assert phi.inverse().terms() == [(0, -1, 1), (2, -1, 1), (3, -1, 1)]
+        sqrt2_inv = (zeta(8) + zeta(8, 7)).inverse()
+        assert (sqrt2_inv.order, sqrt2_inv.terms()) == (8, [(1, 1, 2), (3, -1, 2)])
+        mixed = zeta(10, 3) * rational(3, 4) + zeta(5)
+        assert (mixed.order, mixed.terms()) == (10, [(2, 1, 1), (3, 3, 4)])
+        v16 = (zeta(16, 3) + rational(1, 2)) * zeta(16, 15) / 3
+        assert v16.terms() == [(2, 1, 3), (7, -1, 6)]
+        v20 = zeta(4) * zeta(5, 2) - Fraction(2, 7)
+        assert (v20.order, v20.terms()) == (20, [(0, -2, 7), (3, -1, 1)])
+        assert rational(-6, 4).terms() == [(0, -3, 2)]
 
     def test_embed_matches_float_recompute(self):
         rng = random.Random(11)
