@@ -400,19 +400,6 @@ def _poly_eval_zero(poly, lam) -> bool:
     return acc.is_zero()
 
 
-def _is_exact_eigenvalue(arith, gen, lam) -> bool:
-    from .exactnum import matrix_rank
-
-    r = arith.r
-    m = ExactMatrix(r, r)
-    for j in range(r):
-        ej = [rational(1) if k == j else rational(0) for k in range(r)]
-        col = arith.mul(gen, ej)
-        for i in range(r):
-            m[i, j] = col[i] - (lam if i == j else rational(0))
-    return matrix_rank(m) < r
-
-
 def _eigen_idempotent(arith, gen, lam):
     """The primitive idempotent spanning ker(gen - lam), exactly."""
     from .exactnum import nullspace

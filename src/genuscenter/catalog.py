@@ -11,7 +11,6 @@ hexagon, spherical, and ribbon validators by the test suite.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import GenusCenterError, KeyNotFoundError
 from .exactnum import Cyclotomic, ExactMatrix, nullspace, rational, solve, zeta

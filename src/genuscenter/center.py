@@ -4,11 +4,17 @@ Carriers of sigma-pairs are finite direct sums of tensor words of simple
 labels.  A half-braiding is stored blockwise: for each simple argument Z
 and source summand, the exact morphism (Z, word) -> (word', Z).  The
 induced pair on an object threads the argument strand through the leg
-pair of each orbit via dual fusion/splitting vertices; all leg plumbing
-(migration of a leg across the middle block, marshalling next to it,
-contraction, creation) is built from the same strand-level moves, so the
-adjunction identities and algebra laws below are exact checks of the
-whole construction.
+pair of each orbit via dual fusion/splitting vertices.
+
+Leg plumbing has one mechanism.  A layout lists the legs of the active
+orbits in order around the middle block; ``_move`` turns one leg move
+into a braid word (legs pass in front of legs and behind the block), and
+``_contract_plan`` / ``_create_plan`` chain those moves into the word that
+brings the leg pair of one orbit next to the block or takes a fresh pair
+back to its sorted place.  Each word depends only on (sigma, orbit,
+block width), so contraction and creation are a word, the gamma coupon
+and a cap or cup.  The adjunction identities and algebra laws below are
+exact checks of the whole construction.
 """
 
 from __future__ import annotations
@@ -16,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .algebra import AlgebraData, decompose, float_decompose
+from .algebra import AlgebraData, decompose
 from .errors import GenusCenterError, IllFormedDiagramError
 from .exactnum import Cyclotomic, ExactMatrix, matrix_rank, rational
 from .fusion import CategorySpec, ValidationReport, quantum_dims
-from .gluing import Gluing, comm_case, orbit_info
-from .trees import Morphism, all_trees, hom_dim, trees
+from .gluing import Gluing, comm_case
+from .trees import Morphism, _op_new_word, all_trees, hom_dim, trees
 
 __all__ = [
     "FormalObject",
@@ -130,15 +136,6 @@ class SigmaPair:
     words: tuple  # carrier summand words
     braidings: list  # HalfBraiding per orbit, ascending by low leg
     meta: tuple = ()  # optional provenance of summands
-
-    def carrier_object(self) -> FormalObject:
-        out: dict = {}
-        for w in self.words:
-            for b in self.spec.labels:
-                d = hom_dim(self.spec, w, b)
-                if d:
-                    out[b] = out.get(b, 0) + d
-        return FormalObject.from_dict(out)
 
 
 def _rho(spec, z: str, a: str, b: str, mu: int) -> Morphism:
@@ -271,6 +268,14 @@ class CarrierMap:
         return CarrierMap(
             self.spec, self.src, self.tgt,
             {k: m.scale(s) for k, m in self.blocks.items()},
+        )
+
+    def apply(self, op) -> "CarrierMap":
+        """Post-compose one generator, at the same strands, on every summand."""
+        return CarrierMap(
+            self.spec, self.src,
+            tuple(_op_new_word(self.spec, t, op) for t in self.tgt),
+            {k: m.apply(op) for k, m in self.blocks.items()},
         )
 
     def __eq__(self, other):
@@ -460,11 +465,7 @@ def _carrier_id_with(spec, pair, prefix, suffix) -> CarrierMap:
 
 def _hexagon_ok(spec, pair, m, z1, z2, w, mu) -> bool:
     # LHS: split w -> (z1, z2), then gamma at z2, then gamma at z1.
-    lhs = _carrier_id_with(spec, pair, (w,), ())
-    lhs = CarrierMap(
-        spec, lhs.src, tuple(tuple((z1, z2)) + tuple(x) for x in pair.words),
-        {k: v.apply(("split", 1, z1, z2, mu)) for k, v in lhs.blocks.items()},
-    )
+    lhs = _carrier_id_with(spec, pair, (w,), ()).apply(("split", 1, z1, z2, mu))
     lhs = _apply_gamma(lhs, pair, m, 2, z2)
     lhs = _apply_gamma(lhs, pair, m, 1, z1)
     # RHS: gamma at w, then split the trailing strand.
@@ -481,57 +482,25 @@ def _hexagon_ok(spec, pair, m, z1, z2, w, mu) -> bool:
 
 
 def _comm_ok(spec, pair, i, j, case, z1, z2) -> bool:
-    start = _carrier_id_with(spec, pair, (z2, z1), ())
-
-    def gam(state, orbit, pos, z):
-        return _apply_gamma(state, pair, orbit, pos, z)
-
-    def braid_at(state, pos, sense):
-        return CarrierMap(
-            spec, state.src,
-            tuple(
-                t[: pos - 1] + (t[pos], t[pos - 1]) + t[pos + 1 :] for t in state.tgt
-            ),
-            {k: v.apply(("braid", pos, sense)) for k, v in state.blocks.items()},
-        )
-
-    def gamma_tilde(state, orbit, pos, z):
-        # c_{z,X} c_{X,z} gamma_{orbit,z} : block at strand pos, z to its left.
-        st = gam(state, orbit, pos, z)
-        # z now right of the block; braid back over the block and forth.
-        length = len(pair.words[0])
-        # All carrier words in play have equal length for our carriers.
-        for p in range(pos + length - 1, pos - 1, -1):
-            st = braid_at(st, p, "over")  # c_{X,z}
-        for p in range(pos, pos + length):
-            st = braid_at(st, p, "over")  # c_{z,X}
-        return st
-
     wlen = len(pair.words[0])
     if any(len(w) != wlen for w in pair.words):
         raise GenusCenterError("mixed-length carriers not supported in comm check")
 
-    if case == 1:
-        lhs = gamma_tilde(start, i, 2, z1)
-        lhs = gam(lhs, j, 1, z2)
-        rhs = braid_at(start, 1, "under")
-        rhs = gam(rhs, j, 2, z2)
-        rhs = gamma_tilde(rhs, i, 1, z1)
-        rhs = braid_at(rhs, wlen + 1, "over")
-    elif case == 2:
-        lhs = gam(start, i, 2, z1)
-        lhs = gam(lhs, j, 1, z2)
-        rhs = braid_at(start, 1, "under")
-        rhs = gam(rhs, j, 2, z2)
-        rhs = gam(rhs, i, 1, z1)
-        rhs = braid_at(rhs, wlen + 1, "under")
-    else:
-        lhs = gam(start, i, 2, z1)
-        lhs = gam(lhs, j, 1, z2)
-        rhs = braid_at(start, 1, "under")
-        rhs = gam(rhs, j, 2, z2)
-        rhs = gam(rhs, i, 1, z1)
-        rhs = braid_at(rhs, wlen + 1, "over")
+    def gamma_i(state, pos):
+        st = _apply_gamma(state, pair, i, pos, z1)
+        if case == 1:
+            # c_{z,X} c_{X,z}: z, now right of the block X, braids back over it
+            # and forth again.
+            back = range(pos + wlen - 1, pos - 1, -1)
+            for p in (*back, *range(pos, pos + wlen)):
+                st = st.apply(("braid", p, "over"))
+        return st
+
+    start = _carrier_id_with(spec, pair, (z2, z1), ())
+    lhs = _apply_gamma(gamma_i(start, 2), pair, j, 1, z2)
+    rhs = start.apply(("braid", 1, "under"))
+    rhs = gamma_i(_apply_gamma(rhs, pair, j, 2, z2), 1)
+    rhs = rhs.apply(("braid", wlen + 1, "under" if case == 2 else "over"))
     return lhs == rhs
 
 
@@ -543,116 +512,108 @@ def _flip(sense: str) -> str:
     return "under" if sense == "over" else "over"
 
 
-def _move_strand(state: Morphism, tags, src_idx, dst_idx):
-    """Braid the leg at list index src_idx to dst_idx; update tags.
+def _layout(sigma: Gluing, orbits) -> tuple:
+    """Legs of the given orbits in strand order; None marks the middle block."""
+    legs = sorted(leg for m in orbits for leg in sigma.pairs()[m])
+    return (
+        tuple(x for x in legs if x <= sigma.n) + (None,)
+        + tuple(x for x in legs if x > sigma.n)
+    )
 
-    The mover stays in front of other legs (MOVE_SENSE) and behind the
-    middle block (MIGRATE_SENSE); braid tokens flip with the direction so
+
+def _offset(layout: tuple, width: int, k: int) -> int:
+    """Strand position of layout item k; the middle block is width strands."""
+    return 1 + sum(width if x is None else 1 for x in layout[:k])
+
+
+def _move(layout: tuple, width: int, src, dst: int):
+    """Braid word carrying leg src to layout index dst, and the new layout.
+
+    The mover passes in front of other legs (MOVE_SENSE) and behind the
+    middle block (MIGRATE_SENSE); the senses flip when it moves left, so
     the geometry is the same either way.
     """
-    pos_of = []
-    p = 1
-    for kind, val in tags:
-        pos_of.append(p)
-        p += 1 if kind == "leg" else val
-    # All movements here act on single leg strands.
-    if src_idx < dst_idx:
-        cur = src_idx
-        while cur < dst_idx:
-            nxt = tags[cur + 1]
-            width = 1 if nxt[0] == "leg" else nxt[1]
-            sense = MOVE_SENSE if nxt[0] == "leg" else MIGRATE_SENSE
-            base = pos_of[cur]
-            for _ in range(width):
-                state = state.apply(("braid", base, sense))
-                base += 1
-            tags[cur], tags[cur + 1] = tags[cur + 1], tags[cur]
-            pos_of[cur + 1] = pos_of[cur] + width
-            cur += 1
-    else:
-        cur = src_idx
-        while cur > dst_idx:
-            prv = tags[cur - 1]
-            width = 1 if prv[0] == "leg" else prv[1]
-            sense = _flip(MOVE_SENSE if prv[0] == "leg" else MIGRATE_SENSE)
-            base = pos_of[cur - 1] + width - 1
-            for _ in range(width):
-                state = state.apply(("braid", base, sense))
-                base -= 1
-            tags[cur], tags[cur - 1] = tags[cur - 1], tags[cur]
-            pos_of[cur - 1] = pos_of[cur] - width  # unused afterwards; kept coherent
-            cur -= 1
-    return state
+    layout = list(layout)
+    start = layout.index(src)
+    step = 1 if dst > start else -1
+    word = []
+    for cur in range(start, dst, step):
+        other = layout[cur + step]
+        pos = _offset(layout, width, cur)
+        width_other = width if other is None else 1
+        sense = MIGRATE_SENSE if other is None else MOVE_SENSE
+        if step > 0:
+            word += [("braid", pos + k, sense) for k in range(width_other)]
+        else:
+            word += [("braid", pos - 1 - k, _flip(sense)) for k in range(width_other)]
+        layout[cur], layout[cur + step] = other, src
+    return tuple(word), tuple(layout)
 
 
-def _contract(spec, sigma: Gluing, pair: SigmaPair, states, weighted: bool):
-    """Contract all leg pairs through the carrier.
+def _contract_plan(sigma: Gluing, m: int, width: int):
+    """Braid word that brings orbit m's legs to (lo, [block], hi), plus lo's strand.
 
-    ``states``: dict {(alpha, s): Morphism(src -> legs+word_s+legs)}.
-    Returns dict {s: Morphism(src -> word_s)}.
+    Orbits below m are contracted already.  A leg on the wrong side first
+    migrates past the block; then lo and hi move next to it.
+    """
+    lo, hi = sigma.pairs()[m]
+    layout = _layout(sigma, range(m, sigma.n))
+    moves = [(hi, 0)] if hi <= sigma.n else []
+    moves += [(lo, 0)] if lo > sigma.n else []
+    word: tuple = ()
+    for leg, shift in moves + [(lo, -1), (hi, 1)]:
+        step, layout = _move(layout, width, leg, layout.index(None) + shift)
+        word += step
+    return word, _offset(layout, width, layout.index(lo))
+
+
+def _create_plan(sigma: Gluing, m: int, width: int):
+    """Cup gap for orbit m's fresh legs, and the braid word that sorts them.
+
+    Orbits above m are created already.  The cup opens just left of the
+    block and the gamma coupon weaves the pair to (lo, [block], hi); the
+    word then moves the leg with the smaller (delta, target, leg) first.
+    """
+    lo, hi = sigma.pairs()[m]
+    inner = _layout(sigma, range(m + 1, sigma.n))
+    mid = inner.index(None)
+    layout = inner[:mid] + (lo, None, hi) + inner[mid + 1 :]
+    final = _layout(sigma, range(m, sigma.n))
+    moves = sorted(
+        (final.index(leg) - layout.index(leg), final.index(leg), leg) for leg in (lo, hi)
+    )
+    word: tuple = ()
+    for delta, dst, leg in moves:
+        if delta:
+            step, layout = _move(layout, width, leg, dst)
+            word += step
+    return _offset(inner, width, mid) - 1, word
+
+
+def _contract(
+    spec, sigma: Gluing, pair: SigmaPair, alpha, s: int, state: Morphism, weighted: bool
+):
+    """Contract all leg pairs of the alpha summand through the carrier.
+
+    ``state``: Morphism(src -> legs + word_s + legs).  Returns a dict
+    {s2: Morphism(src -> word_s2)}.
     """
     omega, _ = quantum_dims(spec)
-    orbits = sigma.pairs()
-    n = sigma.n
-    current = states
-    for m in range(n):
-        lo, hi = orbits[m]
+    current = {s: state}
+    for m in range(sigma.n):
+        a = alpha[m]
         nxt: dict = {}
-        for (alpha, s), mor in current.items():
-            a = alpha[m]
-            active = list(range(m, n))
-            legs = []
-            for i in active:
-                legs.extend(sigma.pairs()[i])
-            left = sorted(x for x in legs if x <= n)
-            right = sorted(x for x in legs if x > n)
-            tags = [("leg", x) for x in left] + [("mid", len(pair.words[s]))] + [
-                ("leg", x) for x in right
-            ]
-            mid_idx = len(left)
-            st = mor
-
-            def idx_of(leg):
-                for k, (kind, val) in enumerate(tags):
-                    if kind == "leg" and val == leg:
-                        return k
-                raise AssertionError
-
-            def mid_index():
-                for k, (kind, _) in enumerate(tags):
-                    if kind == "mid":
-                        return k
-                raise AssertionError
-
-            if hi <= n:
-                st = _move_strand(st, tags, idx_of(hi), mid_index())
-            if lo > n:
-                st = _move_strand(st, tags, idx_of(lo), mid_index())
-            st = _move_strand(st, tags, idx_of(lo), mid_index() - 1)
-            st = _move_strand(st, tags, idx_of(hi), mid_index() + 1)
-            # strand layout now: ... a, [mid], dual(a) ...
-            mi = mid_index()
-            pos = 1 + sum(1 for kk in range(mi - 1) if tags[kk][0] == "leg")
-            pos += 0  # legs before are single strands
-            # compute exact strand position of the 'a' leg
-            pos = 0
-            for kk in range(mi - 1):
-                pos += 1 if tags[kk][0] == "leg" else tags[kk][1]
-            a_pos = pos + 1
-            hb = pair.braidings[m]
-            for s2, coup in hb.columns(a, s):
+        for si, mor in current.items():
+            word, a_pos = _contract_plan(sigma, m, len(pair.words[si]))
+            st = mor.apply_all(word)
+            for s2, coup in pair.braidings[m].columns(a, si):
                 st2 = st.apply_coupon(a_pos, coup)
-                cap_pos = a_pos + len(pair.words[s2])
-                st2 = st2.apply(("cap", cap_pos, a, True))
+                st2 = st2.apply(("cap", a_pos + len(pair.words[s2]), a, True))
                 if weighted:
                     st2 = st2.scale(omega.weights[a])
-                key = (alpha, s2)
-                nxt[key] = nxt[key] + st2 if key in nxt else st2
+                nxt[s2] = nxt[s2] + st2 if s2 in nxt else st2
         current = nxt
-    out: dict = {}
-    for (alpha, s), mor in current.items():
-        out[s] = out[s] + mor if s in out else mor
-    return out
+    return current
 
 
 def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism):
@@ -661,77 +622,19 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism):
     ``mor0``: Morphism(src -> word_{s0}).  Returns a dict
     {(alpha, s2): Morphism(src -> legs + word_{s2} + legs)}.
     """
-    orbits = sigma.pairs()
-    n = sigma.n
     current = {((), s0): mor0}
-    for m in range(n - 1, -1, -1):
-        lo, hi = orbits[m]
+    for m in range(sigma.n - 1, -1, -1):
         nxt: dict = {}
         for (alpha_tail, s), mor in current.items():
-            active = list(range(m + 1, n))
-            legs = []
-            for i in active:
-                legs.extend(sigma.pairs()[i])
-            left = sorted(x for x in legs if x <= n)
-            right = sorted(x for x in legs if x > n)
+            gap, word = _create_plan(sigma, m, len(pair.words[s]))
             for a in spec.labels:
-                tags = [("leg", x) for x in left] + [("mid", len(pair.words[s]))] + [
-                    ("leg", x) for x in right
-                ]
-
-                def mid_index():
-                    for k, (kind, _) in enumerate(tags):
-                        if kind == "mid":
-                            return k
-                    raise AssertionError
-
-                mi = mid_index()
-                gap = 0
-                for kk in range(mi):
-                    gap += 1 if tags[kk][0] == "leg" else tags[kk][1]
                 st = mor.apply(("cup", gap, a, False))
-                # strands: ..., a, dual(a), [mid], ...
-                tags.insert(mi, ("leg", hi))
-                tags.insert(mi, ("leg", lo))
-                astar_pos = gap + 2
-                hb = pair.braidings[m]
-                for s2, coup in hb.columns(spec.dual[a], s):
-                    st2 = st.apply_coupon(astar_pos, coup)
-                    # after the weave the order is: ..., lo-leg, [mid], hi-leg, ...
-                    t2 = list(tags)
-                    ai = t2.index(("leg", lo))
-                    hi_tag = t2.pop(ai + 1)
-                    t2.insert(ai + 2, hi_tag)
-
-                    all_lefts = sorted(
-                        x for kind, x in t2 if kind == "leg" and x <= n
-                    )
-                    all_rights = sorted(
-                        x for kind, x in t2 if kind == "leg" and x > n
-                    )
-                    final = [("leg", x) for x in all_lefts]
-                    final.append(next(tv for tv in t2 if tv[0] == "mid"))
-                    final.extend(("leg", x) for x in all_rights)
-
-                    def idx_of(leg, tl):
-                        for k, tv in enumerate(tl):
-                            if tv == ("leg", leg):
-                                return k
-                        raise AssertionError
-
-                    # Only the two fresh legs can be out of place; move the
-                    # left-going one first, then the right-going one.
-                    moves = []
-                    for leg in (lo, hi):
-                        tgt = final.index(("leg", leg))
-                        moves.append((tgt - idx_of(leg, t2), tgt, leg))
-                    for delta, tgt, leg in sorted(moves):
-                        if delta:
-                            st2 = _move_strand(st2, t2, idx_of(leg, t2), tgt)
+                for s2, coup in pair.braidings[m].columns(spec.dual[a], s):
+                    st2 = st.apply_coupon(gap + 2, coup).apply_all(word)
                     key = ((a,) + alpha_tail, s2)
                     nxt[key] = nxt[key] + st2 if key in nxt else st2
         current = nxt
-    return {k: v for k, v in current.items()}
+    return current
 
 
 def _dim_omega_power(spec, n: int) -> Cyclotomic:
@@ -756,7 +659,7 @@ def project_morphism(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, f: Carri
                 if sx2 != sx:
                     continue
                 st = mor.apply_coupon(mid_pos, fb)
-                res = _contract(spec, sigma, py, {(alpha, ty): st}, weighted=True)
+                res = _contract(spec, sigma, py, alpha, ty, st, weighted=True)
                 for ty2, m2 in res.items():
                     key = (ty2, sx0)
                     out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2
@@ -936,6 +839,7 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
             f_trees = all_trees(spec, word_f)
             for k in spec.labels:
                 pk = pairs_cache[k]
+                sidx = {a: ai for ai, (_lab, _c, a) in enumerate(pk.meta)}
                 for alpha_g in assigns:
                     word_g = _word_for(spec, sigma, alpha_g, (k,))
                     g_trees = all_trees(spec, word_g).get(j, [])
@@ -943,11 +847,8 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
                         gm = elem_morphism(j, k, alpha_g, tg)
                         st = Morphism.identity(spec, word_f)
                         st = st.apply_coupon(mid_pos, gm)
-                        sidx = {a: ai for ai, (labx, _c, a) in enumerate(pk.meta)}
                         res = _contract(
-                            spec, sigma, pk,
-                            {(alpha_f, sidx[alpha_g]): st},
-                            weighted=False,
+                            spec, sigma, pk, alpha_f, sidx[alpha_g], st, weighted=False
                         )
                         for s2, mor in res.items():
                             alpha2 = pk.meta[s2][2]
@@ -990,7 +891,3 @@ def center_rank(spec, sigma: Gluing):
     rank, dims, _ = decompose(tube.algebra_data(), working_order=spec.field_order())
     return rank, dims
 
-
-def center_rank_float_oracle(spec, sigma: Gluing):
-    tube = tube_algebra(spec, sigma)
-    return float_decompose(tube.algebra_data())

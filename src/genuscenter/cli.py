@@ -16,7 +16,7 @@ import time
 
 from . import catalog, center, fusion
 from .errors import GenusCenterError
-from .gluing import Gluing, comm_case, enumerate_adm, parse_cycles, surface_type
+from .gluing import comm_case, enumerate_adm, parse_cycles, surface_type
 
 __all__ = ["main"]
 

@@ -30,13 +30,10 @@ from .exactnum import Cyclotomic, ExactMatrix, inverse as matrix_inverse, ration
 from .trees import (
     Morphism,
     all_trees,
-    hom_dim,
-    left_trace,
     loop_value,
     right_trace,
     theta as twist_value,
     hopf_link_value,
-    tensor,
     trees,
 )
 
@@ -126,50 +123,8 @@ class MorphismMatrix:
     def target(self) -> BoundaryWord:
         return BoundaryWord.plus(self.morphism.tgt)
 
-    def basis_src(self) -> HomBasis:
-        w = self.source
-        return hom_basis(self.spec, w, w)
-
-    def basis_tgt(self) -> HomBasis:
-        w = self.target
-        return hom_basis(self.spec, w, w)
-
-    def coefficients(self):
-        """Coefficient vector over hom_basis(source, target), in order."""
-        basis = hom_basis(self.spec, self.source, self.target)
-        out = []
-        for c, s_tree, t_tree in basis.trees:
-            blk = self.morphism.blocks.get(c)
-            if blk is None:
-                out.append(rational(0))
-            else:
-                rows = trees(self.spec, self.morphism.tgt, c)
-                cols = trees(self.spec, self.morphism.src, c)
-                out.append(blk[rows.index(t_tree), cols.index(s_tree)])
-        return out
-
-    def entries(self) -> ExactMatrix:
-        """Block-diagonal matrix over the per-charge tree bases."""
-        m = self.morphism
-        labels = [c for c in self.spec.labels]
-        rows = sum(hom_dim(self.spec, m.tgt, c) for c in labels)
-        cols = sum(hom_dim(self.spec, m.src, c) for c in labels)
-        out = ExactMatrix(rows, cols)
-        r0 = c0 = 0
-        for c in labels:
-            blk = m.block(c)
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    out[r0 + i, c0 + j] = blk[i, j]
-            r0 += blk.rows
-            c0 += blk.cols
-        return out
-
     def compose(self, other: "MorphismMatrix") -> "MorphismMatrix":
         return MorphismMatrix(self.morphism.compose(other.morphism))
-
-    def tensor(self, other: "MorphismMatrix") -> "MorphismMatrix":
-        return MorphismMatrix(tensor(self.morphism, other.morphism))
 
     def __add__(self, other):
         return MorphismMatrix(self.morphism + other.morphism)
@@ -234,6 +189,11 @@ def _resolve(spec, lab: str, orient: str) -> str:
     return lab if orient == "+" else spec.dual[lab]
 
 
+def _need_strands(word, pos: int, count: int, what: str) -> None:
+    if pos + count - 1 > len(word):
+        raise IllFormedDiagramError(f"{what} at strand {pos} runs past the boundary word")
+
+
 def _apply_token(spec, state: Morphism, pos: int, tok) -> tuple[Morphism, int]:
     """Apply one token at strand position ``pos``; return (state, new pos)."""
     word = state.tgt
@@ -249,20 +209,20 @@ def _apply_token(spec, state: Morphism, pos: int, tok) -> tuple[Morphism, int]:
             )
         return state, pos + 1
     if tok in ("x:over", "x:under"):
-        if pos + 1 > len(word):
-            raise IllFormedDiagramError("crossing runs past the boundary word")
+        _need_strands(word, pos, 2, "crossing")
         return state.apply(("braid", pos, tok[2:])), pos + 2
     if tok.startswith("twist:"):
+        _need_strands(word, pos, 1, "twist")
         sign = 1 if tok[-1] == "+" else -1
         return state.apply(("twist", pos, sign)), pos + 1
     if tok.startswith("cup':"):
         return state.apply(("cup", pos - 1, tok[5:], True)), pos + 2
     if tok.startswith("cup:"):
         return state.apply(("cup", pos - 1, tok[4:], False)), pos + 2
-    if tok.startswith("cap':"):
-        return state.apply(("cap", pos, tok[5:], True)), pos
-    if tok.startswith("cap:"):
-        return state.apply(("cap", pos, tok[4:], False)), pos
+    if tok.startswith(("cap:", "cap':")):
+        _need_strands(word, pos, 2, "cap")
+        head, lab = tok.split(":", 1)
+        return state.apply(("cap", pos, lab, head == "cap'")), pos
     if tok.startswith("merge:"):
         body = tok[6:]
         mu = 0
@@ -284,11 +244,12 @@ def _apply_token(spec, state: Morphism, pos: int, tok) -> tuple[Morphism, int]:
             mu = int(mu_s)
         inp, pair = body.split(">")
         a, b = pair.split(",")
+        _need_strands(word, pos, 1, "split")
         if word[pos - 1] != inp:
             raise IllFormedDiagramError(
                 f"split expects {inp!r} at {pos}, found {word[pos-1]!r}"
             )
-        return state.apply(("split", pos, a, b, 0 if mu is None else mu)), pos + 2
+        return state.apply(("split", pos, a, b, mu)), pos + 2
     raise IllFormedDiagramError(f"unknown token {tok!r}")
 
 

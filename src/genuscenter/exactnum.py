@@ -39,7 +39,6 @@ __all__ = [
     "zeta",
     "rational",
     "cyc_normalize",
-    "linear_solve",
     "matrix_rank",
     "nullspace",
     "solve",
@@ -478,9 +477,6 @@ class ExactMatrix:
     def zeros(rows: int, cols: int) -> "ExactMatrix":
         return ExactMatrix(rows, cols)
 
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, self.data)
-
     def __getitem__(self, ij):
         return self.data[ij[0]][ij[1]]
 
@@ -545,12 +541,6 @@ class ExactMatrix:
                     if not b.is_zero():
                         orow[j] = orow[j] + a * b
         return out
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols, self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for row in self.data for v in row)
@@ -628,18 +618,3 @@ def inverse(m: ExactMatrix) -> "ExactMatrix":
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return ExactMatrix(n, n, [row[n:] for row in data[:n]])
-
-
-def linear_solve(m: ExactMatrix, mode: str, rhs=None):
-    """Spec-shaped front end: mode in {rank, nullspace, solve, inverse}."""
-    if mode == "rank":
-        return matrix_rank(m)
-    if mode == "nullspace":
-        return nullspace(m)
-    if mode == "solve":
-        if rhs is None:
-            raise ValueError("solve mode needs rhs")
-        return solve(m, rhs)
-    if mode == "inverse":
-        return inverse(m)
-    raise ValueError(f"unknown mode {mode!r}")

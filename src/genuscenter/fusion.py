@@ -158,9 +158,6 @@ class CategorySpec:
         self._cache[key] = out
         return out
 
-    def r_keys(self, a, b, c):
-        return list(range(self.N(a, b, c)))
-
     def r_block(self, a, b, c):
         """{(nu, mu): Cyclotomic} for c_{a,b} on channel c; identity on unit legs."""
         self.require_braiding()

@@ -120,6 +120,8 @@ class SurfaceType:
 
 def enumerate_adm(n: int) -> list[Gluing]:
     """All fixed-point-free involutions of S_2n; (2n-1)!! of them."""
+    if n < 0:
+        raise GluingFormatError(f"rank must be nonnegative, got {n}")
     out: list[Gluing] = []
 
     def rec(remaining: tuple[int, ...], acc):

@@ -61,10 +61,6 @@ def trees(spec, word: Word, charge: str) -> list[Tree]:
     return all_trees(spec, word).get(charge, [])
 
 
-def tree_charge(spec, tree: Tree) -> str:
-    return tree[0][-1] if tree[0] else spec.unit
-
-
 def hom_dim(spec, word: Word, charge: str) -> int:
     return len(trees(spec, word, charge))
 
@@ -463,12 +459,12 @@ class Morphism:
                     coeff = m[r, ccol]
                     if coeff.is_zero():
                         continue
-                    chain = self._fuse_chain(pos, src_w, s_tree, d)
-                    chain = _split_chain(spec, chain, pos, tgt_w, t_tree, d)
+                    chain = self._fuse_chain(pos, src_w, s_tree)
+                    chain = _split_chain(spec, chain, pos, tgt_w, t_tree)
                     total = total + chain.scale(coeff)
         return total
 
-    def _fuse_chain(self, pos: int, src_w: Word, s_tree: Tree, d: str) -> "Morphism":
+    def _fuse_chain(self, pos: int, src_w: Word, s_tree: Tree) -> "Morphism":
         state = self
         if len(src_w) == 0:
             return state.apply(("unit_insert", pos - 1))
@@ -478,21 +474,13 @@ class Morphism:
         return state
 
 
-def _split_chain(spec, state: Morphism, pos: int, tgt_w: Word, t_tree: Tree, d: str) -> Morphism:
+def _split_chain(spec, state: Morphism, pos: int, tgt_w: Word, t_tree: Tree) -> Morphism:
     if len(tgt_w) == 0:
         return state.apply(("unit_remove", pos))
     es, mus = t_tree
     for k in range(len(tgt_w), 1, -1):
         state = state.apply(("split", pos, es[k - 2], tgt_w[k - 1], mus[k - 2]))
     return state
-
-
-def tensor(f: Morphism, g: Morphism) -> Morphism:
-    """f (x) g via two coupon insertions."""
-    spec = f.spec
-    base = Morphism.identity(spec, f.src + g.src)
-    out = base.apply_coupon(1, f)
-    return out.apply_coupon(len(f.tgt) + 1, g)
 
 
 # ---------------------------------------------------------------------------

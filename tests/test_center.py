@@ -18,9 +18,37 @@ from genuscenter.center import (
     tube_algebra,
     verify_sigma_pair,
 )
-from genuscenter.exactnum import rational
+from genuscenter.exactnum import rational, zeta
 from genuscenter.gluing import Gluing, parse_cycles
 from genuscenter.trees import Morphism, hom_dim
+
+
+N2_GLUINGS = ("(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)")
+
+# Tube products of semion at the n=2 gluings, as pinned values: they depend on
+# crossing conventions of the leg plumbing that no rank detects.  An entry
+# "ab>c:v" says that e_a * e_b has coefficient v at e_c.
+SEMION_N2_PRODUCTS = {
+    "(1 2)(3 4)": (
+        "00>0:1 01>1:1 02>2:1 03>3:1 10>1:1 11>0:1 12>3:1 13>2:1",
+        "20>2:1 21>3:1 22>0:1 23>1:1 30>3:1 31>2:1 32>1:1 33>0:1",
+        "44>4:1 45>5:1 46>6:1 47>7:1 54>5:1 55>4:1 56>7:1 57>6:1",
+        "64>6:1 65>7:1 66>4:1 67>5:1 74>7:1 75>6:1 76>5:1 77>4:1",
+    ),
+    "(1 3)(2 4)": (
+        "00>0:1 01>1:1 02>2:1 03>3:1 10>1:1 11>0:1 12>3:i 13>2:-i",
+        "20>2:1 21>3:-i 22>0:1 23>1:i 30>3:1 31>2:i 32>1:-i 33>0:1",
+        "44>4:1 45>5:1 46>6:1 47>7:1 54>5:1 55>4:-1 56>7:i 57>6:i",
+        "64>6:1 65>7:-i 66>4:-1 67>5:-i 74>7:1 75>6:-i 76>5:i 77>4:1",
+    ),
+    "(1 4)(2 3)": (
+        "00>0:1 01>1:1 02>2:1 03>3:1 10>1:1 11>0:1 12>3:-1 13>2:-1",
+        "20>2:1 21>3:-1 22>0:1 23>1:-1 30>3:1 31>2:-1 32>1:-1 33>0:1",
+        "44>4:1 45>5:1 46>6:1 47>7:1 54>5:1 55>4:-1 56>7:-1 57>6:1",
+        "64>6:1 65>7:-1 66>4:-1 67>5:1 74>7:1 75>6:1 76>5:1 77>4:1",
+    ),
+}
+UNITS = {"1": rational(1), "-1": rational(-1), "i": zeta(4), "-i": -zeta(4)}
 
 
 def sig12():
@@ -124,10 +152,13 @@ class TestCarrierMaps:
 
 class TestProjection:
     def test_identity_is_fixed(self):
-        spec = catalog.builtin("fibonacci")
-        px = induced_half_braidings(spec, sig12(), "1")
-        ident = CarrierMap.identity(spec, px.words)
-        assert project_morphism(spec, sig12(), px, px, ident) == ident
+        cases = [("fibonacci", sig12())]
+        cases += [("semion", parse_cycles(c)) for c in N2_GLUINGS]
+        for key, sig in cases:
+            spec = catalog.builtin(key)
+            px = induced_half_braidings(spec, sig, "1")
+            ident = CarrierMap.identity(spec, px.words)
+            assert project_morphism(spec, sig, px, px, ident) == ident
 
     def test_idempotent_on_random_maps(self):
         spec = catalog.builtin("fibonacci")
@@ -138,6 +169,14 @@ class TestProjection:
             f = rand_map(spec, px, py, rng)
             p1 = project_morphism(spec, sig12(), px, py, f)
             assert project_morphism(spec, sig12(), px, py, p1) == p1
+        # n = 2: semion I(1) -> I(1), where creation moves legs past legs
+        spec = catalog.builtin("semion")
+        for cycles in N2_GLUINGS:
+            sig = parse_cycles(cycles)
+            px = induced_half_braidings(spec, sig, "1")
+            f = rand_map(spec, px, px, rng)
+            p1 = project_morphism(spec, sig, px, px, f)
+            assert p1 != f and project_morphism(spec, sig, px, px, p1) == p1
 
     def test_projected_maps_compose_projectedly(self):
         sig = sig12()
@@ -241,6 +280,19 @@ class TestTubeAlgebra:
         alg = tube_algebra(spec, sig12()).algebra_data()
         assert alg.check_unit()
         assert alg.check_associative()
+
+    @pytest.mark.parametrize("cycles", N2_GLUINGS)
+    def test_semion_n2_products_pinned(self, cycles):
+        # Pins the crossing conventions: flipping MIGRATE_SENSE keeps every
+        # rank but changes these signs (e5 * e4 = -e5 at (1 2)(3 4)).
+        want: dict = {}
+        for tok in " ".join(SEMION_N2_PRODUCTS[cycles]).split():
+            ab, cv = tok.split(">")
+            c, v = cv.split(":")
+            want.setdefault((int(ab[0]), int(ab[1])), {})[int(c)] = UNITS[v]
+        tube = tube_algebra(catalog.builtin("semion"), parse_cycles(cycles))
+        assert tube.dim == 8 and len(want) == 32
+        assert tube.mult_table == want
 
     def test_empty_gluing_tube(self):
         spec = catalog.builtin("fibonacci")

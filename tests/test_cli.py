@@ -24,6 +24,12 @@ class TestGluingCommands:
         assert code == 0
         assert "count: 3" in out
 
+    def test_enum_negative_rank_errors(self, capsys):
+        code = main(["gluing", "enum", "--n", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err and "count" not in captured.out
+
     def test_bad_sigma_is_usage_failure(self, capsys):
         code = main(["gluing", "classify", "--sigma", "(1 2)(2 3)"])
         assert code == 1

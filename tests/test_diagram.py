@@ -99,16 +99,17 @@ class TestEvalDiagram:
 
     def test_slice_mismatch_reports_index(self):
         spec = fib()
-        d = parse_diagram(
-            """
-            src: t+ t+
-            merge:t,t>1
-            x:over
-            """
+        cases = (
+            ("src: t+ t+\nmerge:t,t>1\nx:over\n", "slice 2"),
+            # tokens that need strands past the end of the word
+            ("src: t+\nid:t+ twist:t+\n", "slice 1"),
+            ("src: t+\ncap:t\n", "slice 1"),
+            ("src: t+\nid:t+ split:t>t,t\n", "slice 1"),
         )
-        with pytest.raises(IllFormedDiagramError) as err:
-            eval_diagram(spec, d)
-        assert "slice 2" in str(err.value)
+        for text, where in cases:
+            with pytest.raises(IllFormedDiagramError) as err:
+                eval_diagram(spec, parse_diagram(text))
+            assert where in str(err.value)
 
     def test_stacking_is_composition(self):
         spec = fib()
