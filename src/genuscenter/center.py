@@ -572,19 +572,18 @@ def _create_plan(sigma: Gluing, m: int, width: int):
 
     Orbits above m are created already.  The cup opens just left of the
     block and the gamma coupon weaves the pair to (lo, [block], hi); the
-    word then moves the leg with the smaller (delta, target, leg) first.
+    word then moves each leg to its final index, the leg whose final index
+    is smaller first, so the second move does not shift the first leg.
     """
     lo, hi = sigma.pairs()[m]
     inner = _layout(sigma, range(m + 1, sigma.n))
     mid = inner.index(None)
     layout = inner[:mid] + (lo, None, hi) + inner[mid + 1 :]
     final = _layout(sigma, range(m, sigma.n))
-    moves = sorted(
-        (final.index(leg) - layout.index(leg), final.index(leg), leg) for leg in (lo, hi)
-    )
     word: tuple = ()
-    for delta, dst, leg in moves:
-        if delta:
+    for leg in sorted((lo, hi), key=final.index):
+        dst = final.index(leg)
+        if layout.index(leg) != dst:
             step, layout = _move(layout, width, leg, dst)
             word += step
     return _offset(inner, width, mid) - 1, word

@@ -467,15 +467,24 @@ class ExactMatrix:
             self.data = [list(r) for r in data]
 
     @staticmethod
+    def _adopt(rows: int, cols: int, data: list) -> "ExactMatrix":
+        """Wrap a rows x cols grid of fresh row lists without copying or checking it."""
+        m = _new(ExactMatrix)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
+    @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        m = ExactMatrix(n, n)
+        m = ExactMatrix.zeros(n, n)
         for i in range(n):
             m.data[i][i] = C1
         return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols)
+        return ExactMatrix._adopt(rows, cols, [[C0] * cols for _ in range(rows)])
 
     def __getitem__(self, ij):
         return self.data[ij[0]][ij[1]]
@@ -497,25 +506,22 @@ class ExactMatrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        return ExactMatrix(
+        return ExactMatrix._adopt(
             self.rows,
             self.cols,
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
+            [[v + w for v, w in zip(a, b)] for a, b in zip(self.data, other.data)],
         )
 
     def __neg__(self):
-        return ExactMatrix(self.rows, self.cols, [[-v for v in row] for row in self.data])
+        return ExactMatrix._adopt(self.rows, self.cols, [[-v for v in row] for row in self.data])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s: Cyclotomic) -> "ExactMatrix":
         if s.is_zero():
-            return ExactMatrix(self.rows, self.cols)
-        return ExactMatrix(
+            return ExactMatrix.zeros(self.rows, self.cols)
+        return ExactMatrix._adopt(
             self.rows,
             self.cols,
             [[v if v.is_zero() else v * s for v in row] for row in self.data],

@@ -37,9 +37,13 @@ ONE = rational(1)
 ZERO = rational(0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CategorySpec:
-    """Skeletal premodular (or spherical-fusion-only when R is None) data."""
+    """Skeletal premodular (or spherical-fusion-only when R is None) data.
+
+    Frozen: ``_cache`` holds generator and coupon operators derived from F,
+    R and the pivotal data, so those fields never change after construction.
+    """
 
     name: str
     labels: tuple[str, ...]
@@ -51,6 +55,9 @@ class CategorySpec:
     pivotal: dict[str, Cyclotomic]
     provenance: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    # Specs compare by value but hold dicts, so they are not hashable.
+    __hash__ = None
 
     # -- fusion combinatorics -----------------------------------------
 

@@ -12,6 +12,15 @@ Tree encoding for a word (w_1, ..., w_m): ``(es, mus)`` where
 and ``es[-1]`` is the total charge) and ``mus[k-2]`` indexes the vertex
 ``es[k-1] -> es[k-2] (x) w_k``.
 
+Generators act through cached sparse maps {tree: [(tree', coeff)]} (one
+per word and generator), and ``_push`` moves a block's nonzero rows
+through such a map.  A coupon ``1 (x) f (x) 1`` is linear in f, so it is
+three such passes over the state's rows, for each charge d of f: a cached
+fuse map (the source strands merged to d along each source tree of f),
+f's d block on the source-tree index, and a cached split map (d split
+back along each target tree of f).  The fuse and split maps compose the
+merge or split chain once per word and position.
+
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
 solved from the zig-zag so that bent strands straighten with no scalar.
@@ -22,7 +31,7 @@ evaluate to the quantum dimensions.
 from __future__ import annotations
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
-from .exactnum import Cyclotomic, ExactMatrix, rational
+from .exactnum import C0, Cyclotomic, ExactMatrix, rational
 
 ONE = rational(1)
 
@@ -408,31 +417,11 @@ class Morphism:
         """Post-compose one generator acting on the target word."""
         spec = self.spec
         new_word, mapping = _op_map(spec, self.tgt, op)
-        old_trees = all_trees(spec, self.tgt)
-        new_index = {
-            c: {t: k for k, t in enumerate(ts)}
-            for c, ts in all_trees(spec, new_word).items()
-        }
         blocks = {}
         for c, m in self.blocks.items():
-            rows_old = old_trees.get(c, [])
-            idx = new_index.get(c)
-            if idx is None:
-                continue
-            out = ExactMatrix.zeros(len(idx), m.cols)
-            nonzero = False
-            for r_old, t_old in enumerate(rows_old):
-                for t_new, coeff in mapping[t_old]:
-                    r_new = idx[t_new]
-                    row_src = m.data[r_old]
-                    row_dst = out.data[r_new]
-                    for j in range(m.cols):
-                        v = row_src[j]
-                        if not v.is_zero():
-                            row_dst[j] = row_dst[j] + coeff * v
-                            nonzero = True
-            if nonzero:
-                blocks[c] = out
+            rows = _push(dict(zip(trees(spec, self.tgt, c), m.data)), mapping)
+            if rows:
+                blocks[c] = _assemble(spec, new_word, c, rows, m.cols)
         return Morphism(spec, self.src, new_word, blocks)
 
     def apply_all(self, ops) -> "Morphism":
@@ -442,45 +431,145 @@ class Morphism:
         return out
 
     def apply_coupon(self, pos: int, f: "Morphism") -> "Morphism":
-        """Post-compose ``1 (x) f (x) 1`` with f's source at strand ``pos``."""
+        """Post-compose ``1 (x) f (x) 1`` with f's source at strand ``pos``.
+
+        Three sparse row pushes for each charge d of f: the cached fuse map
+        sends a tree of the target word to keys (source column, fused tree);
+        f's d block sends (scol, t) to (t, r) with coefficient f[r, scol];
+        the cached split map sends (t, r) to trees of the new word.
+        """
         spec = self.spec
         src_w, tgt_w = f.src, f.tgt
+        head, tail = self.tgt[: pos - 1], self.tgt[pos - 1 + len(src_w) :]
         if self.tgt[pos - 1 : pos - 1 + len(src_w)] != src_w:
             raise IllFormedDiagramError(
                 f"coupon source {src_w} does not match strands at {pos} of {self.tgt}"
             )
-        new_tgt = self.tgt[: pos - 1] + tgt_w + self.tgt[pos - 1 + len(src_w) :]
-        total = Morphism.zero(spec, self.src, new_tgt)
-        src_trees = all_trees(spec, src_w)
-        tgt_trees = all_trees(spec, tgt_w)
-        for d, m in f.blocks.items():
-            for r, t_tree in enumerate(tgt_trees.get(d, [])):
-                for ccol, s_tree in enumerate(src_trees.get(d, [])):
-                    coeff = m[r, ccol]
-                    if coeff.is_zero():
-                        continue
-                    chain = self._fuse_chain(pos, src_w, s_tree)
-                    chain = _split_chain(spec, chain, pos, tgt_w, t_tree)
-                    total = total + chain.scale(coeff)
-        return total
+        new_tgt = head + tgt_w + tail
+        fuse = _fuse_map(spec, self.tgt, pos, src_w)
+        passes = []
+        for d, fm in f.blocks.items():
+            if d in fuse:
+                columns = [
+                    [(r, row[scol]) for r, row in enumerate(fm.data) if not row[scol].is_zero()]
+                    for scol in range(fm.cols)
+                ]
+                split = _split_map(spec, head + (d,) + tail, pos, tgt_w)
+                passes.append((fuse[d], columns, split))
+        blocks = {}
+        for c, m in self.blocks.items():
+            rows = dict(zip(trees(spec, self.tgt, c), m.data))
+            out: dict = {}
+            for fuse_d, columns, split in passes:
+                fused = _push(rows, fuse_d)
+                coupon = {key: [((key[1], r), x) for r, x in columns[key[0]]] for key in fused}
+                _push(_push(fused, coupon), split, out)
+            if out:
+                blocks[c] = _assemble(spec, new_tgt, c, out, m.cols)
+        return Morphism(spec, self.src, new_tgt, blocks)
 
-    def _fuse_chain(self, pos: int, src_w: Word, s_tree: Tree) -> "Morphism":
-        state = self
-        if len(src_w) == 0:
-            return state.apply(("unit_insert", pos - 1))
-        es, mus = s_tree
-        for k in range(2, len(src_w) + 1):
-            state = state.apply(("merge", pos, es[k - 1], mus[k - 2]))
-        return state
+
+def _push(rows: dict, mapping: dict, out: dict | None = None) -> dict:
+    """Move rows through a sparse map: out[k2] += coeff * rows[k] for (k2, coeff) in mapping[k].
+
+    Rows are lists of column entries; only their nonzero entries move, and a
+    row with none reaches no key.
+    """
+    if out is None:
+        out = {}
+    for key, row in rows.items():
+        targets = mapping.get(key)
+        if not targets:
+            continue
+        nonzero = [(j, v) for j, v in enumerate(row) if not v.is_zero()]
+        if not nonzero:
+            continue
+        for key2, coeff in targets:
+            dst = out.get(key2)
+            if dst is None:
+                dst = out[key2] = [C0] * len(row)
+            for j, v in nonzero:
+                # A new row holds the shared zero C0: store the first term.
+                w = dst[j]
+                dst[j] = coeff * v if w is C0 else w + coeff * v
+    return out
 
 
-def _split_chain(spec, state: Morphism, pos: int, tgt_w: Word, t_tree: Tree) -> Morphism:
-    if len(tgt_w) == 0:
-        return state.apply(("unit_remove", pos))
-    es, mus = t_tree
-    for k in range(len(tgt_w), 1, -1):
-        state = state.apply(("split", pos, es[k - 2], tgt_w[k - 1], mus[k - 2]))
-    return state
+def _assemble(spec, word: Word, c: str, rows: dict, cols: int) -> ExactMatrix:
+    """The charge-c block over ``word``'s trees from pushed rows {tree: row}."""
+    ts = trees(spec, word, c)
+    return ExactMatrix._adopt(len(ts), cols, [rows.get(t) or [C0] * cols for t in ts])
+
+
+def _chain_map(spec, word: Word, ops) -> dict[Tree, dict[Tree, Cyclotomic]]:
+    """Compose a generator chain on ``word`` into {tree: {tree': coeff}}.
+
+    Each generator acts only on the trees the chain reaches, and those
+    actions are dropped afterwards: the callers cache the composed map.
+    """
+    steps = []
+    w = word
+    for op in ops:
+        steps.append((w, op, {}))
+        w = _op_new_word(spec, w, op)
+    out = {}
+    for ts in all_trees(spec, word).values():
+        for t in ts:
+            vec = {t: ONE}
+            for w, op, images in steps:
+                nxt: dict = {}
+                for t1, c1 in vec.items():
+                    if t1 not in images:
+                        images[t1] = _apply_tree(spec, w, t1, op)
+                    for t2, c2 in images[t1]:
+                        nxt[t2] = nxt[t2] + c1 * c2 if t2 in nxt else c1 * c2
+                vec = {t2: v for t2, v in nxt.items() if not v.is_zero()}
+            out[t] = vec
+    return out
+
+
+def _fuse_map(spec, word: Word, pos: int, src_w: Word) -> dict:
+    """{d: {tree: [((scol, fused tree), coeff)]}}: strands ``src_w`` at ``pos``
+    of ``word`` merged to charge d along source tree scol, or a unit strand
+    inserted when ``src_w`` is empty."""
+    key = ("fusemap", word, pos, src_w)
+    if key in spec._cache:
+        return spec._cache[key]
+    out: dict = {}
+    for d, s_trees in all_trees(spec, src_w).items():
+        per_tree: dict = {}
+        for scol, (es, mus) in enumerate(s_trees):
+            if src_w:
+                ops = [("merge", pos, es[k - 1], mus[k - 2]) for k in range(2, len(src_w) + 1)]
+            else:
+                ops = [("unit_insert", pos - 1)]
+            for t, vec in _chain_map(spec, word, ops).items():
+                per_tree.setdefault(t, []).extend(((scol, t2), v) for t2, v in vec.items())
+        out[d] = per_tree
+    spec._cache[key] = out
+    return out
+
+
+def _split_map(spec, mid_word: Word, pos: int, tgt_w: Word) -> dict:
+    """{(tree, r): [(tree', coeff)]}: strand ``pos`` of ``mid_word`` split into
+    ``tgt_w`` along target tree r, or a unit strand removed when ``tgt_w`` is
+    empty."""
+    key = ("splitmap", mid_word, pos, tgt_w)
+    if key in spec._cache:
+        return spec._cache[key]
+    out: dict = {}
+    for r, (es, mus) in enumerate(trees(spec, tgt_w, mid_word[pos - 1])):
+        if tgt_w:
+            ops = [
+                ("split", pos, es[k - 2], tgt_w[k - 1], mus[k - 2])
+                for k in range(len(tgt_w), 1, -1)
+            ]
+        else:
+            ops = [("unit_remove", pos)]
+        for t, vec in _chain_map(spec, mid_word, ops).items():
+            out[(t, r)] = list(vec.items())
+    spec._cache[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from genuscenter import catalog, fusion
@@ -15,6 +17,14 @@ class TestBuiltin:
         with pytest.raises(KeyNotFoundError) as err:
             catalog.builtin("nope")
         assert "fibonacci" in str(err.value)
+
+    def test_spec_is_frozen(self):
+        spec = catalog.builtin("fibonacci")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.R = None
+        assert spec.R is not None
+        with pytest.raises(TypeError):
+            hash(spec)
 
     def test_rep_z2_shape(self):
         spec = catalog.builtin("rep_z2")

@@ -19,7 +19,7 @@ from genuscenter.center import (
     verify_sigma_pair,
 )
 from genuscenter.exactnum import rational, zeta
-from genuscenter.gluing import Gluing, parse_cycles
+from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles
 from genuscenter.trees import Morphism, hom_dim
 
 
@@ -324,3 +324,43 @@ class TestCenterRank:
         assert sum(m * m for m in dims) == tube_algebra(
             spec, parse_cycles("(1 3)(2 4)")
         ).dim
+
+
+def replay_layout(layout, width, word):
+    """Layout after a braid word: each braid swaps two strands; the block is width strands."""
+    strands = [x for item in layout for x in ([None] * width if item is None else [item])]
+    for _kind, i, _sense in word:
+        strands[i - 1], strands[i] = strands[i], strands[i - 1]
+    out = []
+    for x in strands:
+        if x is not None or not out or out[-1] is not None:
+            out.append(x)
+    assert out.count(None) == 1, f"block strands split apart: {strands}"
+    return tuple(out)
+
+
+class TestLegPlumbing:
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_create_plan_sorts_the_fresh_legs(self, n):
+        for sigma in enumerate_adm(n):
+            for m in range(n):
+                for width in (1, 2, 3):
+                    gap, word = center._create_plan(sigma, m, width)
+                    lo, hi = sigma.pairs()[m]
+                    inner = center._layout(sigma, range(m + 1, n))
+                    mid = inner.index(None)
+                    assert gap == center._offset(inner, width, mid) - 1
+                    start = inner[:mid] + (lo, None, hi) + inner[mid + 1 :]
+                    assert replay_layout(start, width, word) == center._layout(sigma, range(m, n))
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_contract_plan_brings_the_legs_to_the_block(self, n):
+        for sigma in enumerate_adm(n):
+            for m in range(n):
+                for width in (1, 2, 3):
+                    word, lo_pos = center._contract_plan(sigma, m, width)
+                    lo, hi = sigma.pairs()[m]
+                    end = replay_layout(center._layout(sigma, range(m, n)), width, word)
+                    mid = end.index(None)
+                    assert end[mid - 1 : mid + 2] == (lo, None, hi)
+                    assert lo_pos == center._offset(end, width, mid - 1)

@@ -107,6 +107,15 @@ class TestAdjointAndCatalog:
         assert code == 0
         assert "GF=1: True" in out
 
+    def test_adjoint_check_three_orbits(self, capsys):
+        code, out = run(
+            capsys, "adjoint", "check", "--cat", "rep_z2", "--sigma", "(1 2)(3 4)(5 6)", "--json"
+        )
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 4
+        assert all(c["GF=1"] and c["FGF=F"] for c in checks)
+
     def test_catalog_list(self, capsys):
         code, out = run(capsys, "catalog", "list")
         assert code == 0

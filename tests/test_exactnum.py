@@ -189,6 +189,19 @@ class TestLinearSolve:
     def test_identity_rank(self):
         assert matrix_rank(ExactMatrix.identity(3)) == 3
 
+    def test_constructor_copies_and_checks_the_grid(self):
+        with pytest.raises(ValueError):
+            ExactMatrix(2, 2, [[rational(1), rational(2)], [rational(3)]])
+        with pytest.raises(ValueError):
+            ExactMatrix(1, 2, [[rational(1), rational(2)], [rational(3), rational(4)]])
+        grid = [[rational(1), rational(2)], [rational(3), rational(4)]]
+        m = ExactMatrix(2, 2, grid)
+        grid[0][0] = rational(9)
+        grid[1] = [rational(0), rational(0)]
+        grid.append([rational(5), rational(6)])
+        assert m == ExactMatrix(2, 2, [[rational(1), rational(2)], [rational(3), rational(4)]])
+        assert m.rows == 2 and len(m.data) == 2
+
     def test_golden_rank_one(self):
         phi = golden()
         m = ExactMatrix(2, 2, [[rational(1), phi], [phi, phi + rational(1)]])

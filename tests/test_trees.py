@@ -1,0 +1,197 @@
+import random
+import zlib
+from itertools import product
+
+import pytest
+
+from genuscenter import catalog
+from genuscenter.errors import IllFormedDiagramError
+from genuscenter.exactnum import ExactMatrix, rational, zeta
+from genuscenter.trees import Morphism, _op_map, all_trees, hom_dim, trees
+
+ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
+
+
+def dense_apply(state, op):
+    """Reference generator action: each block's rows pushed into a dense zero grid."""
+    spec = state.spec
+    new_word, mapping = _op_map(spec, state.tgt, op)
+    blocks = {}
+    for c, m in state.blocks.items():
+        index = {t: k for k, t in enumerate(trees(spec, new_word, c))}
+        out = ExactMatrix.zeros(len(index), m.cols)
+        for t_old, row in zip(trees(spec, state.tgt, c), m.data):
+            for t_new, coeff in mapping[t_old]:
+                for j, v in enumerate(row):
+                    out[index[t_new], j] = out[index[t_new], j] + coeff * v
+        if not out.is_zero():
+            blocks[c] = out
+    return Morphism(spec, state.src, new_word, blocks)
+
+
+def chain_replay_coupon(state, pos, f):
+    """Reference: for each nonzero entry of f, fuse the source strands along
+    its source tree, split along its target tree, and add the scaled result."""
+    spec = state.spec
+    src_w, tgt_w = f.src, f.tgt
+    new_tgt = state.tgt[: pos - 1] + tgt_w + state.tgt[pos - 1 + len(src_w) :]
+    total = Morphism.zero(spec, state.src, new_tgt)
+    src_trees = all_trees(spec, src_w)
+    tgt_trees = all_trees(spec, tgt_w)
+    for d, m in f.blocks.items():
+        for r, (t_es, t_mus) in enumerate(tgt_trees.get(d, [])):
+            for col, (s_es, s_mus) in enumerate(src_trees.get(d, [])):
+                coeff = m[r, col]
+                if coeff.is_zero():
+                    continue
+                chain = state
+                if not src_w:
+                    chain = dense_apply(chain, ("unit_insert", pos - 1))
+                for k in range(2, len(src_w) + 1):
+                    chain = dense_apply(chain, ("merge", pos, s_es[k - 1], s_mus[k - 2]))
+                if not tgt_w:
+                    chain = dense_apply(chain, ("unit_remove", pos))
+                for k in range(len(tgt_w), 1, -1):
+                    op = ("split", pos, t_es[k - 2], tgt_w[k - 1], t_mus[k - 2])
+                    chain = dense_apply(chain, op)
+                total = total + chain.scale(coeff)
+    return total
+
+
+def rng_for(*parts):
+    return random.Random(zlib.crc32(repr(parts).encode()))
+
+
+def scalars(spec, zero=True):
+    n = spec.field_order()
+    out = [rational(0)] if zero else []
+    out += [rational(1), rational(-2), rational(1, 3)]
+    if n > 2:
+        out += [zeta(n), rational(2) - zeta(n, n - 1)]
+    return out
+
+
+def random_morphism(spec, src, tgt, rng, charges=None, zero=True):
+    pool = scalars(spec, zero)
+    blocks = {}
+    for c in charges if charges is not None else spec.labels:
+        rows, cols = hom_dim(spec, tgt, c), hom_dim(spec, src, c)
+        if rows and cols:
+            blocks[c] = ExactMatrix(
+                rows, cols, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+            )
+    return Morphism(spec, src, tgt, blocks)
+
+
+def random_word(spec, length, rng):
+    return tuple(rng.choice(spec.labels) for _ in range(length))
+
+
+def random_target(spec, src_w, rng):
+    """A word of length 1 or 2 sharing a total charge with src_w."""
+    charges = set(all_trees(spec, src_w))
+    words = [w for k in (1, 2) for w in product(spec.labels, repeat=k)]
+    return rng.choice([w for w in words if charges & set(all_trees(spec, w))])
+
+
+def assert_matches_reference(state, pos, f):
+    got = state.apply_coupon(pos, f)
+    want = chain_replay_coupon(state, pos, f)
+    assert got.tgt == want.tgt
+    assert got == want
+    return got
+
+
+class TestApplyCoupon:
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_matches_chain_replay_at_every_position(self, key):
+        spec = catalog.builtin(key)
+        cases = nonzero = 0
+        for w in range(3 if key in ("vec_z2", "rep_z2", "vec_z3_q") else 2):
+            rng = rng_for(key, w)
+            word = random_word(spec, 4, rng)
+            state = random_morphism(spec, word, word, rng)
+            for pos in range(1, len(word) + 1):
+                for width in range(1, min(3, len(word) - pos + 1) + 1):
+                    src_w = word[pos - 1 : pos - 1 + width]
+                    f = random_morphism(spec, src_w, random_target(spec, src_w, rng), rng)
+                    cases += 1
+                    nonzero += not assert_matches_reference(state, pos, f).is_zero()
+        assert 3 * nonzero >= cases
+
+    @pytest.mark.parametrize("key,label", [("fibonacci", "t"), ("ising", "s"), ("rep_s3", "V")])
+    def test_many_trees_per_charge(self, key, label):
+        # Source and target words with several trees of one charge, so every
+        # column and row index of the coupon blocks matters.
+        spec = catalog.builtin(key)
+        rng = rng_for(key, "dense")
+        word = (label,) * 4
+        state = random_morphism(spec, word, word, rng)
+        shapes = set()
+        nonzero = 0
+        for pos in range(1, 3):
+            for width in (2, 3):
+                for out_len in (2, 3):
+                    src_w = word[pos - 1 : pos - 1 + width]
+                    f = random_morphism(spec, src_w, (label,) * out_len, rng)
+                    shapes |= {(m.rows > 1, m.cols > 1) for m in f.blocks.values()}
+                    nonzero += not assert_matches_reference(state, pos, f).is_zero()
+        assert (True, True) in shapes
+        assert nonzero >= 4
+
+    @pytest.mark.parametrize("key", ("fibonacci", "ising", "rep_s3"))
+    def test_empty_source_and_target_words(self, key):
+        spec = catalog.builtin(key)
+        rng = rng_for(key, "unit")
+        word = random_word(spec, 3, rng)
+        state = random_morphism(spec, word, word, rng)
+        for a in spec.labels:
+            pair = (a, spec.dual[a])
+            for pos in range(1, len(word) + 2):
+                cup = random_morphism(spec, (), pair, rng, zero=False)
+                after = assert_matches_reference(state, pos, cup)
+                assert not after.is_zero()
+                cap = random_morphism(spec, pair, (), rng)
+                assert_matches_reference(after, pos, cap)
+
+    def test_missing_charge_block(self):
+        spec = catalog.builtin("fibonacci")
+        rng = rng_for("missing")
+        word = ("t", "t", "t")
+        state = random_morphism(spec, word, word, rng)
+        for charges in (("1",), ("t",), ()):
+            f = random_morphism(spec, ("t", "t"), ("t", "t"), rng, charges)
+            assert set(f.blocks) == set(charges)
+            for pos in (1, 2):
+                assert_matches_reference(state, pos, f)
+
+    @pytest.mark.parametrize("key", ("fibonacci", "rep_s3"))
+    def test_zero_state(self, key):
+        spec = catalog.builtin(key)
+        rng = rng_for(key, "zero")
+        word = random_word(spec, 3, rng)
+        zero = Morphism.zero(spec, word, word)
+        f = random_morphism(spec, word[1:], random_target(spec, word[1:], rng), rng)
+        assert f.blocks
+        got = zero.apply_coupon(2, f)
+        assert got.is_zero() and got.tgt == word[:1] + f.tgt
+        assert got == chain_replay_coupon(zero, 2, f)
+
+    def test_second_call_adds_no_cache_entries(self):
+        spec = catalog.builtin("ising")
+        rng = rng_for("cache")
+        word = ("s", "s", "f", "s")
+        state = random_morphism(spec, word, word, rng)
+        f = random_morphism(spec, ("s", "f"), ("f", "s"), rng)
+        assert f.blocks
+        first = state.apply_coupon(2, f)
+        size = len(spec._cache)
+        assert state.apply_coupon(2, f) == first
+        assert len(spec._cache) == size
+
+    def test_source_mismatch_raises(self):
+        spec = catalog.builtin("fibonacci")
+        state = Morphism.identity(spec, ("t", "1"))
+        f = Morphism.identity(spec, ("t", "t"))
+        with pytest.raises(IllFormedDiagramError):
+            state.apply_coupon(1, f)
