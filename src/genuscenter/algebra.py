@@ -1,29 +1,52 @@
-"""Exact decomposition of finite-dimensional semisimple algebras.
+"""Semisimple decomposition of a finite-dimensional algebra, certified mod p.
 
-The center is computed by exact commutant refinement.  Primitive central
-idempotents always have rational coordinates on the Q-basis of the
-center obtained by adjoining the zeta-power multiples of a cyclotomic
-basis, so they are recovered by clustering the spectrum of a generic
-central element numerically, rounding the spectral projector applied to
-the unit coordinatewise to rationals, and verifying e*e = e exactly; a
-short exact Newton refinement (x -> 3x^2 - 2x^3) handles seeds that
-round imperfectly.  Block sizes come from exact traces of idempotent
-multiplication operators.  A float-only decomposition of the left
-regular representation is kept as an independent oracle.
+An algebra A over K = Q(zeta_N) is given by structure constants
+e_a e_b = sum_c M[a,b][c] e_c.  ``decompose`` returns its rank r (the
+dimension of its centre, the number of simple blocks over C) and the
+block sizes m_i, with A (x) C = M_{m_1}(C) (+) ... (+) M_{m_r}(C).
+
+Method.  Take a prime p = 1 (mod N) in [2^25, 2^26), p > dim A, and send
+zeta_N to a primitive N-th root w in F_p: a ring map onto F_p from the
+elements of K that are integral at a prime P above p.  Over F_p:
+- t(e_c) = sum_b M[c,b][b] is the regular trace, and the trace form has
+  Gram matrix G_ij = t(e_i e_j) = sum_c M[i,j][c] t(e_c);
+- the centre Z_p solves sum_a z_a (M[a,b][c] - M[b,a][c]) = 0; r = dim Z_p;
+- a random z in Z_p has minimal polynomial mu (from 1, z, ..., z^r), whose
+  roots lambda_i come from gcd(mu, (x + a)^((p-1)/2) - 1);
+- the k_i = m_i^2 solve sum_i k_i lambda_i^k = t(z^k) for k < r.
+The answer at p is accepted only if (a) the unit and all structure
+constants are p-integral, (b) G is nonsingular mod p, (c) deg mu = r and
+x^p = x (mod mu), and (d) each k_i in [1, dim A] is a perfect square and
+sum k_i = dim A.  Otherwise the next prime is tried.
+
+Why it is exact.  By (a) the basis spans an order L over the local ring
+O_P, and by (b) its discriminant det G is a unit, so L is separable:
+Azumaya over an etale centre, whose formation commutes with reduction.
+So dim_K Z(A) = dim Z_p = r, which is also the rank over C.  By (c),
+Z_p = F_p[z] = F_p^r, so by Hensel the centre of L is O_P^r and A splits
+over K_P = Q_p, which contains K, into r blocks.  Each is Azumaya over
+O_P, and Br(O_P) = Br(F_p) = 0, so it is M_{m_i}(Q_p).  With e_i the
+block idempotents mod p, z = sum lambda_i e_i and t(z^k) = sum_i m_i^2
+lambda_i^k.  The m_i^2 < p solve the Vandermonde system, whose solution
+mod p is unique as the lambda_i are distinct, so the k_i are exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from .errors import NonSplitError
-from .exactnum import Cyclotomic, ExactMatrix, cyclotomic_polynomial, rational
+from .exactnum import ExactMatrix, nullspace, rational
 
-__all__ = ["AlgebraData", "center_basis", "decompose", "float_decompose"]
+__all__ = ["AlgebraData", "center_basis", "decompose"]
+
+# Products of two residues stay below 2^52, so int64 arrays can hold them.
+_PRIME_RANGE = (1 << 25, 1 << 26)
+_MAX_PRIMES = 8
+_SEED = 7
 
 
 @dataclass
@@ -73,15 +96,6 @@ class AlgebraData:
                         return False
         return True
 
-    def left_trace(self, x: dict) -> Cyclotomic:
-        """Trace of left multiplication by x."""
-        out = Cyclotomic.zero()
-        for b in range(self.dim):
-            col = self.product(x, {b: rational(1)})
-            if b in col:
-                out = out + col[b]
-        return out
-
     def field_order(self) -> int:
         order = 1
         for row in self.mult.values():
@@ -113,8 +127,6 @@ def center_basis(alg: AlgebraData) -> list[dict]:
             for ci, c in enumerate(coords):
                 if c in r:
                     m[ci, k] = r[c]
-        from .exactnum import nullspace
-
         null = nullspace(m)
         new_basis = []
         for t in null:
@@ -131,406 +143,238 @@ def center_basis(alg: AlgebraData) -> list[dict]:
     return basis
 
 
-class _CenterArith:
-    """Exact arithmetic in the center, in coordinates over the K' basis."""
+def decompose(alg: AlgebraData) -> tuple[int, list[int]]:
+    """(rank, sorted block sizes) of a semisimple algebra over C.
 
-    def __init__(self, alg: AlgebraData, zbasis: list[dict]):
-        self.alg = alg
-        self.z = zbasis
-        self.r = len(zbasis)
-        coords = sorted({c for zz in zbasis for c in zz})
-        self.coords = coords
-        m = ExactMatrix(len(coords), self.r)
-        for j, zz in enumerate(zbasis):
-            for ci, c in enumerate(coords):
-                if c in zz:
-                    m[ci, j] = zz[c]
-        self._solve_mat = m
-        from .exactnum import solve as lin_solve
-
-        self._lin_solve = lin_solve
-        self.table = {}
-        for i in range(self.r):
-            for j in range(i, self.r):
-                prod = alg.product(zbasis[i], zbasis[j])
-                rhs = [prod.get(c, rational(0)) for c in coords]
-                got = lin_solve(m, rhs)
-                self.table[(i, j)] = got
-                self.table[(j, i)] = got
-        unit_rhs = [alg.unit.get(c, rational(0)) for c in coords]
-        self.unit = lin_solve(m, unit_rhs)
-
-    def mul(self, x: list, y: list) -> list:
-        out = [rational(0)] * self.r
-        for i in range(self.r):
-            if x[i].is_zero():
-                continue
-            for j in range(self.r):
-                if y[j].is_zero():
-                    continue
-                coeff = x[i] * y[j]
-                tab = self.table[(i, j)]
-                for k in range(self.r):
-                    if not tab[k].is_zero():
-                        out[k] = out[k] + coeff * tab[k]
-        return out
-
-    def to_algebra(self, x: list) -> dict:
-        vec: dict = {}
-        for j, c in enumerate(x):
-            if c.is_zero():
-                continue
-            for k, v in self.z[j].items():
-                vec[k] = vec.get(k, rational(0)) + c * v
-        return {k: v for k, v in vec.items() if not v.is_zero()}
-
-
-def _phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
-def decompose(alg: AlgebraData, rng_seed: int = 7, working_order: int = 1):
-    """(rank, block_dims, idempotents) of a split semisimple algebra.
-
-    Eigenvalues of a generic central element are located numerically in
-    every complex embedding of the working cyclotomic field, assembled
-    into Galois orbits, and reconstructed as exact field elements; each
-    block then comes from an exact kernel computation.  All acceptance
-    paths end in exact verifications; failures raise NonSplitError.
+    Tries primes p = 1 (mod N) from 2^25 up, smallest first, and returns
+    the first answer whose certificate holds (see the module docstring).
+    Raises NonSplitError naming the part that failed at the last prime.
     """
-    zb = center_basis(alg)
-    r = len(zb)
-    if r == 0:
-        raise NonSplitError("algebra has empty center; not unital?")
-    arith = _CenterArith(alg, zb)
-    base_order = math.lcm(alg.field_order(), working_order)
-    for zz in zb:
-        for v in zz.values():
-            base_order = math.lcm(base_order, v.order)
-    rng = np.random.default_rng(rng_seed)
-    last = "no attempt"
-    # The eigenvalues may generate a slightly larger cyclotomic field than
-    # the structure constants (twist content); escalate the working field
-    # through small multiples before reporting a genuine splitting failure.
-    for mult in (1, 2, 3, 4, 5, 8, 7, 9, 16):
-        order = math.lcm(base_order, mult)
-        phi = _phi(order)
-        free = max(1, len([a for a in range(1, order + 1) if math.gcd(a, order) == 1]) // 2)
-        if r ** max(0, free - 1) > 500_000:
-            continue
-        for _attempt in range(3):
-            spread = 9 * (1 + _attempt) ** 2
-            gen = []
-            for _i in range(r):
-                coeffs = {}
-                for j in range(min(phi, 3)):
-                    exp = (j * max(1, phi // 3)) % max(phi, 1)
-                    coeffs[exp] = coeffs.get(exp, Fraction(0)) + Fraction(
-                        int(rng.integers(-spread, spread + 1))
-                    )
-                gen.append(Cyclotomic(order, {e: q for e, q in coeffs.items() if q}))
-            try:
-                idem = _find_idempotents(arith, gen, order, phi)
-                return _verify_and_measure(alg, arith, idem)
-            except _RetrySplit as exc:
-                last = str(exc)
-                continue
+    order = alg.field_order()
+    rng = random.Random(_SEED)
+    failure = None
+    for p in itertools.islice(_primes(order, alg.dim), _MAX_PRIMES):
+        try:
+            return _decompose_mod(alg, order, p, rng)
+        except NonSplitError as exc:
+            failure = f"p = {p}: {exc}"
     raise NonSplitError(
-        "central idempotent search failed after retries; "
-        f"minimal-polynomial obstruction: {_minpoly_text(arith, base_order)} ({last})"
+        f"no certificate at the first {_MAX_PRIMES} primes = 1 (mod {order}); last, {failure}"
     )
 
 
-class _RetrySplit(Exception):
-    pass
+def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
+    """(rank, block sizes) read from A mod p; NonSplitError names a failed part."""
+    dim = alg.dim
+    mult, unit = _reduce(alg, order, p)
+    trace = [0] * dim
+    for (a, b), row in mult.items():
+        trace[a] += row.get(b, 0)
+    gram = [[0] * dim for _ in range(dim)]
+    for (i, j), row in mult.items():
+        gram[i][j] = sum(v * trace[c] for c, v in row.items()) % p
+    gram_rows = _Echelon(p)
+    if not all(any(gram_rows.add(row)) for row in gram):
+        raise NonSplitError("(b) the trace form is degenerate mod p")
+
+    commutators: dict = {}
+    for (a, b), row in mult.items():
+        for c, v in row.items():
+            left = commutators.setdefault((b, c), {})
+            left[a] = left.get(a, 0) + v
+            right = commutators.setdefault((a, c), {})
+            right[b] = right.get(b, 0) - v
+    system = _Echelon(p)
+    for eq in commutators.values():
+        vec = [0] * dim
+        for a, v in eq.items():
+            vec[a] = v % p
+        system.add(vec)
+    basis = system.kernel(dim)
+    r = len(basis)
+    if not r:
+        raise NonSplitError("algebra has empty center; not unital?")
+
+    coeffs = [rng.randrange(p) for _ in basis]
+    z = [sum(c * v[k] for c, v in zip(coeffs, basis)) % p for k in range(dim)]
+    left_z = [[0] * dim for _ in range(dim)]
+    for (a, b), row in mult.items():
+        if z[a]:
+            for c, v in row.items():
+                left_z[c][b] += z[a] * v
+    powers = [unit]
+    for _ in range(r):
+        x = powers[-1]
+        powers.append([sum(m * y for m, y in zip(mrow, x)) % p for mrow in left_z])
+    mu = _minpoly(powers, p)
+    if len(mu) - 1 != r or _powmod([0, 1], p, mu, p) != _divmod([0, 1], mu, p)[1]:
+        raise NonSplitError(
+            f"(c) a random central element does not have {r} distinct eigenvalues in F_p"
+        )
+
+    traces = [sum(x * t for x, t in zip(zk, trace)) % p for zk in powers[:r]]
+    sizes = []
+    for lam in _roots(mu, p, rng):
+        # Lagrange basis polynomial of lam: its coefficients pick k_i out of the traces.
+        q = _divmod(mu, [-lam % p, 1], p)[0]
+        q_lam = sum(c * pow(lam, k, p) for k, c in enumerate(q)) % p
+        sizes.append(sum(c * s for c, s in zip(q, traces)) * pow(q_lam, -1, p) % p)
+    if sum(sizes) != dim or any(not 1 <= k <= dim or math.isqrt(k) ** 2 != k for k in sizes):
+        raise NonSplitError(f"(d) block dimensions {sorted(sizes)} are not squares adding to {dim}")
+    return r, sorted(math.isqrt(k) for k in sizes)
 
 
-def _embed_at(v: Cyclotomic, order: int, a: int) -> complex:
-    out = 0j
-    lifted = v.lift(order)
-    for e, x in enumerate(lifted.num):
+def _reduce(alg: AlgebraData, order: int, p: int):
+    """The structure constants {(a, b): {c: residue}} and the unit vector, mod p."""
+    w = _root_of_unity(order, p)
+    w_powers = [pow(w, k, p) for k in range(order)]
+
+    def residue(v) -> int:
+        if v.den % p == 0:
+            raise NonSplitError("(a) a structure constant has a denominator divisible by p")
+        step = order // v.order
+        return sum(x * w_powers[e * step] for e, x in enumerate(v.num)) * pow(v.den, -1, p) % p
+
+    mult = {}
+    for ab, row in alg.mult.items():
+        mult[ab] = {c: x for c, v in row.items() if (x := residue(v))}
+    unit = [0] * alg.dim
+    for c, v in alg.unit.items():
+        unit[c] = residue(v)
+    return mult, unit
+
+
+def _primes(order: int, dim: int):
+    """Primes p = 1 (mod order) with p > dim in the range _PRIME_RANGE, smallest first."""
+    lo, hi = _PRIME_RANGE
+    start = max(lo, dim + 1)
+    start += (1 - start) % order
+    return (n for n in range(start, hi, order) if all(n % q for q in range(2, math.isqrt(n) + 1)))
+
+
+def _root_of_unity(order: int, p: int) -> int:
+    """A primitive order-th root of unity mod p, for p = 1 (mod order)."""
+    divisors = [q for q in range(2, order + 1) if order % q == 0]
+    for x in range(2, p):
+        w = pow(x, (p - 1) // order, p)
+        if all(pow(w, order // q, p) != 1 for q in divisors):
+            return w
+    raise ValueError(f"no primitive {order}-th root of unity mod {p}")
+
+
+class _Echelon:
+    """Rows over F_p in reduced echelon form, grown one row at a time.
+
+    ``rows`` maps each pivot column to its row, which holds 1 there and 0
+    at every other pivot column.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: dict[int, list[int]] = {}
+
+    def add(self, vec: list[int]) -> list[int]:
+        """Reduce vec by the rows, keep the remainder if it is nonzero, and return it."""
+        p = self.p
+        for q, row in self.rows.items():
+            f = vec[q]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, row)]
+        q = next((i for i, x in enumerate(vec) if x), None)
+        if q is None:
+            return vec
+        inv = pow(vec[q], -1, p)
+        new = [x * inv % p for x in vec]
+        for k, row in self.rows.items():
+            f = row[q]
+            if f:
+                self.rows[k] = [(x - f * y) % p for x, y in zip(row, new)]
+        self.rows[q] = new
+        return vec
+
+    def kernel(self, ncols: int) -> list[list[int]]:
+        """A basis of the vectors that every row annihilates."""
+        out = []
+        for f in range(ncols):
+            if f not in self.rows:
+                v = [0] * ncols
+                v[f] = 1
+                for q, row in self.rows.items():
+                    v[q] = -row[f] % self.p
+                out.append(v)
+        return out
+
+
+def _minpoly(powers: list[list[int]], p: int) -> list[int]:
+    """Monic minimal polynomial, low degree first, of z given 1, z, z^2, ... mod p."""
+    dim, n = len(powers[0]), len(powers)
+    seen = _Echelon(p)
+    for k, zk in enumerate(powers):
+        # The tail records which powers make up each reduced row.
+        vec = seen.add(zk + [int(j == k) for j in range(n)])
+        if not any(vec[:dim]):
+            return vec[dim : dim + k + 1]
+    raise ValueError("the powers are linearly independent")
+
+
+# -- polynomials over F_p: lists of residues, low degree first, no zero leading term
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _divmod(f: list[int], g: list[int], p: int):
+    """Quotient and remainder of f by a nonzero g."""
+    f = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(len(f) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = f[k + dg] * inv % p
+        q[k] = c
+        if c:
+            for j, gj in enumerate(g):
+                f[k + j] = (f[k + j] - c * gj) % p
+    return _trim(q), _trim(f[:dg])
+
+
+def _mulmod(f: list[int], g: list[int], m: list[int], p: int) -> list[int]:
+    prod = [0] * max(len(f) + len(g) - 1, 0)
+    for i, x in enumerate(f):
         if x:
-            out += (x / lifted.den) * np.exp(2j * np.pi * a * e / order)
+            for j, y in enumerate(g):
+                prod[i + j] += x * y
+    return _divmod([c % p for c in prod], m, p)[1]
+
+
+def _powmod(f: list[int], e: int, m: list[int], p: int) -> list[int]:
+    out, f = [1], _divmod(f, m, p)[1]
+    while e:
+        if e & 1:
+            out = _mulmod(out, f, m, p)
+        f = _mulmod(f, f, m, p)
+        e >>= 1
     return out
 
 
-def _find_idempotents(arith: _CenterArith, gen, order, phi):
-    """Exact primitive central idempotents from a generic element."""
-    r = arith.r
-    units = [a for a in range(1, order + 1) if math.gcd(a, order) == 1]
-    # Left-multiplication matrix of gen in every complex embedding.
-    cols_exact = []
-    for j in range(r):
-        ej = [rational(1) if k == j else rational(0) for k in range(r)]
-        cols_exact.append(arith.mul(gen, ej))
-    eigs = {}
-    for a in units:
-        m = np.array(
-            [[_embed_at(cols_exact[j][i], order, a) for j in range(r)] for i in range(r)]
-        )
-        vals = np.linalg.eigvals(m)
-        eigs[a] = list(vals)
-        if _min_gap(vals) < 1e-7:
-            raise _RetrySplit("generic element has nearly equal eigenvalues")
-    # Pair each embedding with its complex conjugate to halve the search.
-    free_classes = []
-    seen = set()
-    for a in units:
-        if a in seen:
-            continue
-        seen.add(a)
-        seen.add((order - a) % order if order > 1 else a)
-        free_classes.append(a)
-    minpoly = _krylov_minpoly(arith, gen)
-    idempotents = []
-    remaining_anchor = list(range(r))
-    while remaining_anchor:
-        k0 = remaining_anchor[0]
-        lam = _match_orbit(arith, gen, minpoly, eigs, free_classes, order, phi, k0)
-        if lam is None:
-            raise _RetrySplit(
-                f"no exact eigenvalue matches anchor {eigs[1][k0]:.6f}"
-            )
-        vec = _eigen_idempotent(arith, gen, lam)
-        if vec is None:
-            raise _RetrySplit("exact eigen-kernel is not one-dimensional")
-        idempotents.append(vec)
-        # Remove this orbit's floats from the anchor pool.
-        lam_emb = _embed_at(lam, order, 1)
-        remaining_anchor = [
-            k for k in remaining_anchor if abs(eigs[1][k] - lam_emb) > 1e-7
-        ]
-    return idempotents
+def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd of f and g, not both zero."""
+    while g:
+        f, g = g, _divmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
 
 
-def _min_gap(vals) -> float:
-    vs = sorted(vals, key=lambda z: (z.real, z.imag))
-    best = float("inf")
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            best = min(best, abs(vs[i] - vs[j]))
-    return best if vs else float("inf")
-
-
-def _match_orbit(arith, gen, minpoly, eigs, free_classes, order, phi, k0):
-    """Exact eigenvalue of gen whose embedding-1 value is eigs[1][k0]."""
-    import itertools
-
-    anchor = eigs[1][k0]
-    basis_exp = list(range(phi))
-    pools = [(a, eigs[a]) for a in free_classes if a != 1]
-
-    emb_rows = {}
-    for a in [1] + [p[0] for p in pools]:
-        emb_rows[a] = [np.exp(2j * np.pi * a * e / order) for e in basis_exp]
-        ca = (order - a) % order if order > 1 else a
-        emb_rows[ca] = [np.exp(2j * np.pi * ca * e / order) for e in basis_exp]
-
-    def assemble(pairs):
-        rows, rhs = [], []
-        for a, val in pairs:
-            rows.append(emb_rows[a])
-            rhs.append(val)
-            ca = (order - a) % order if order > 1 else a
-            if ca != a:
-                rows.append(emb_rows[ca])
-                rhs.append(np.conj(val))
-        sol, _res, _rank, _sv = np.linalg.lstsq(
-            np.array(rows), np.array(rhs), rcond=None
-        )
-        return sol
-
-    combos = itertools.product(*(pool for _a, pool in pools)) if pools else [()]
-    for choice in combos:
-        pairs = [(1, anchor)] + [(pools[i][0], choice[i]) for i in range(len(pools))]
-        sol = assemble(pairs)
-        if np.max(np.abs(sol.imag)) > 1e-7:
-            continue
-        # Wrong tuples solve to generic reals; true eigenvalue coordinates
-        # are rationals of moderate height, so a tight rounding tolerance
-        # at bounded denominators rejects junk before exact evaluation.
-        for denom in (1, 64, 1 << 13):
-            coeffs = {}
-            bad = False
-            for e, z in zip(basis_exp, sol):
-                q = Fraction(float(z.real)).limit_denominator(denom)
-                if abs(float(q) - z.real) > 1e-9:
-                    bad = True
-                    break
-                if q:
-                    coeffs[e] = q
-            if bad:
-                continue
-            lam = Cyclotomic(order, coeffs)
-            if _poly_eval_zero(minpoly, lam):
-                return lam
-            break  # rounded cleanly but failed exactly: wrong tuple
-    return None
-
-
-def _krylov_minpoly(arith, gen):
-    """Exact monic minimal polynomial of gen acting on the center."""
-    from .exactnum import nullspace
-
-    r = arith.r
-    powers = [list(arith.unit)]
-    cur = list(arith.unit)
-    for _ in range(r):
-        cur = arith.mul(cur, gen)
-        powers.append(list(cur))
-    for deg in range(1, r + 1):
-        m = ExactMatrix(
-            r, deg + 1, [[powers[j][k] for j in range(deg + 1)] for k in range(r)]
-        )
-        null = nullspace(m)
-        if null:
-            rel = null[0]
-            lead = rel[deg]
-            if lead.is_zero():
-                continue
-            inv = lead.inverse()
-            return [c * inv for c in rel]
-    raise _RetrySplit("no minimal polynomial found")
-
-
-def _poly_eval_zero(poly, lam) -> bool:
-    acc = Cyclotomic.zero(lam.order)
-    for c in reversed(poly):
-        acc = acc * lam + c
-    return acc.is_zero()
-
-
-def _eigen_idempotent(arith, gen, lam):
-    """The primitive idempotent spanning ker(gen - lam), exactly."""
-    from .exactnum import nullspace
-
-    r = arith.r
-    m = ExactMatrix(r, r)
-    for j in range(r):
-        ej = [rational(1) if k == j else rational(0) for k in range(r)]
-        col = arith.mul(gen, ej)
-        for i in range(r):
-            m[i, j] = col[i] - (lam if i == j else rational(0))
-    null = nullspace(m)
-    if len(null) != 1:
-        return None
-    w = null[0]
-    sq = arith.mul(w, w)
-    # sq = s*w for a scalar s; find s from the first nonzero coordinate.
-    s = None
-    for k in range(r):
-        if not w[k].is_zero():
-            s = sq[k] / w[k]
-            break
-    if s is None or s.is_zero():
-        return None
-    sinv = s.inverse()
-    e = [v * sinv for v in w]
-    if arith.mul(e, e) != e:
-        return None
-    return e
-
-
-def _verify_and_measure(alg: AlgebraData, arith: _CenterArith, idem):
-    r = arith.r
-    total = [rational(0)] * r
-    for e in idem:
-        for k in range(r):
-            total[k] = total[k] + e[k]
-    if any(not (total[k] - arith.unit[k]).is_zero() for k in range(r)):
-        raise _RetrySplit("idempotents do not sum to the unit")
-    for i in range(len(idem)):
-        for j in range(len(idem)):
-            prod = arith.mul(idem[i], idem[j])
-            want = idem[i] if i == j else [rational(0)] * r
-            if any(not (prod[k] - want[k]).is_zero() for k in range(r)):
-                raise _RetrySplit("idempotents fail orthogonality")
-    block_dims = []
-    idempotents_alg = []
-    for e in idem:
-        vec = arith.to_algebra(e)
-        idempotents_alg.append(vec)
-        tr = alg.left_trace(vec)
-        if not tr.is_rational():
-            raise NonSplitError("idempotent trace is not rational")
-        frac = tr.as_rational()
-        if frac.denominator != 1 or frac.numerator < 0:
-            raise NonSplitError(f"idempotent trace {frac} is not a dimension")
-        rank = int(frac)
-        m = math.isqrt(rank)
-        if m * m != rank:
-            raise NonSplitError(
-                f"block of dimension {rank} is not a perfect square; the "
-                "algebra does not split over the working cyclotomic field"
-            )
-        block_dims.append(m)
-    block_dims.sort()
-    if sum(m * m for m in block_dims) != alg.dim:
-        raise NonSplitError("sum of squared block sizes misses the algebra dimension")
-    return len(block_dims), block_dims, idempotents_alg
-
-
-def _minpoly_text(arith: _CenterArith, order: int) -> str:
-    """Exact minimal polynomial of a deterministic central element."""
-    r = arith.r
-    x = [rational(min(i + 2, 11)) for i in range(r)]
-    powers = [list(arith.unit)]
-    cur = list(arith.unit)
-    for _ in range(r):
-        cur = arith.mul(cur, x)
-        powers.append(list(cur))
-    from .exactnum import nullspace
-
-    m = ExactMatrix(
-        r, len(powers), [[powers[j][k] for j in range(len(powers))] for k in range(r)]
-    )
-    null = nullspace(m)
-    if not null:
-        return "(no relation found)"
-    rel = null[0]
-    terms = [f"({c})*x^{d}" for d, c in enumerate(rel) if not c.is_zero()]
-    return " + ".join(terms)
-
-
-def float_decompose(alg: AlgebraData, rng_seed: int = 11):
-    """Independent numeric oracle: (rank, block_dims) via the regular rep."""
-    n = alg.dim
-    t = np.zeros((n, n, n), dtype=complex)
-    for (a, b), row in alg.mult.items():
-        for c, v in row.items():
-            t[a, b, c] = v.embed()
-    rows = []
-    for b in range(n):
-        lb = t[:, b, :].T  # left mult by e_b
-        rb = t[b, :, :].T  # right mult by e_b
-        rows.append(lb - rb)
-    stack = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stack)
-    tol = max(stack.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
-    null = vh[np.sum(s > max(tol, 1e-9)) :].conj()
-    rank = null.shape[0]
-    rng = np.random.default_rng(rng_seed)
-    coeffs = rng.normal(size=rank)
-    z = coeffs @ null
-    lz = np.einsum("a,abc->cb", z, t)
-    evals = np.linalg.eigvals(lz)
-    evals = sorted(evals, key=lambda w: (round(w.real, 6), round(w.imag, 6)))
-    clusters: list[list[complex]] = []
-    for ev in evals:
-        if clusters and abs(ev - clusters[-1][-1]) < 1e-6:
-            clusters[-1].append(ev)
-        else:
-            clusters.append([ev])
-    dims = []
-    for cl in clusters:
-        m = math.isqrt(len(cl))
-        if m * m != len(cl):
-            raise NonSplitError(
-                f"float oracle: eigenvalue multiplicity {len(cl)} is not a square"
-            )
-        dims.append(m)
-    if len(clusters) != rank:
-        raise NonSplitError(
-            f"float oracle: {len(clusters)} spectral clusters vs center dim {rank}"
-        )
-    return rank, sorted(dims)
+def _roots(f: list[int], p: int, rng: random.Random) -> list[int]:
+    """The roots of a monic f that is a product of distinct linear factors."""
+    if len(f) == 2:
+        return [-f[0] % p]
+    while True:
+        h = _powmod([rng.randrange(p), 1], (p - 1) // 2, f, p) or [0]
+        h[0] = (h[0] - 1) % p
+        g = _gcd(f, _trim(h), p)
+        if 1 < len(g) < len(f):
+            return _roots(g, p, rng) + _roots(_divmod(f, g, p)[0], p, rng)

@@ -11,6 +11,7 @@ hexagon, spherical, and ribbon validators by the test suite.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .errors import GenusCenterError, KeyNotFoundError
 from .exactnum import Cyclotomic, ExactMatrix, nullspace, rational, solve, zeta
@@ -389,7 +390,21 @@ def _cyc_from_json(obj, where: str) -> Cyclotomic:
         raise GenusCenterError(f"{where}: malformed scalar {obj!r}") from exc
     if not isinstance(order, int) or order < 1:
         raise GenusCenterError(f"{where}: scalar order must be a positive integer")
+    for t in terms:
+        if not (isinstance(t, list) and len(t) == 3 and all(isinstance(x, int) for x in t)):
+            raise GenusCenterError(
+                f"{where}: scalar term {t!r} is not [exponent, numerator, denominator]"
+            )
     return Cyclotomic.from_terms(order, [tuple(t) for t in terms])
+
+
+@contextmanager
+def _field(path, name: str):
+    """Turn a field of the wrong shape into a GenusCenterError that names it."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise GenusCenterError(f"{path}: malformed field {name!r} ({exc})") from exc
 
 
 def save_spec(spec: CategorySpec, path) -> None:
@@ -432,34 +447,41 @@ def load_spec(path) -> CategorySpec:
     for fieldname in ("name", "labels", "unit", "dual", "fusion", "F", "pivotal"):
         if fieldname not in doc:
             raise GenusCenterError(f"{path}: missing mandatory field {fieldname!r}")
-    dual = dict(doc["dual"])
+    with _field(path, "dual"):
+        dual = dict(doc["dual"])
     for a, b in dual.items():
         if dual.get(b) != a:
             raise GenusCenterError(f"{path}: dual table is not involutive at {a!r}")
     fusion = {}
-    for rec in doc["fusion"]:
-        a, b, c, n = rec
-        fusion[(a, b, c)] = int(n)
+    with _field(path, "fusion"):
+        for rec in doc["fusion"]:
+            a, b, c, n = rec
+            fusion[(a, b, c)] = int(n)
     F: dict = {}
-    for rec in doc["F"]:
-        a, b, c, d = rec["labels"]
-        e, al, be = rec["row"]
-        f, mu, nu = rec["col"]
-        val = _cyc_from_json(rec["value"], f"{path} F[{a},{b},{c};{d}]")
-        F.setdefault((a, b, c, d), {})[((e, int(al), int(be)), (f, int(mu), int(nu)))] = val
+    with _field(path, "F"):
+        for rec in doc["F"]:
+            a, b, c, d = rec["labels"]
+            e, al, be = rec["row"]
+            f, mu, nu = rec["col"]
+            val = _cyc_from_json(rec["value"], f"{path} F[{a},{b},{c};{d}]")
+            F.setdefault((a, b, c, d), {})[((e, int(al), int(be)), (f, int(mu), int(nu)))] = val
     R = None
     if "R" in doc:
         R = {}
-        for rec in doc["R"]:
-            a, b, c = rec["labels"]
-            val = _cyc_from_json(rec["value"], f"{path} R[{a},{b};{c}]")
-            R.setdefault((a, b, c), {})[(int(rec["row"]), int(rec["col"]))] = val
-    pivotal = {
-        a: _cyc_from_json(v, f"{path} pivotal[{a}]") for a, v in doc["pivotal"].items()
-    }
+        with _field(path, "R"):
+            for rec in doc["R"]:
+                a, b, c = rec["labels"]
+                val = _cyc_from_json(rec["value"], f"{path} R[{a},{b};{c}]")
+                R.setdefault((a, b, c), {})[(int(rec["row"]), int(rec["col"]))] = val
+    with _field(path, "pivotal"):
+        pivotal = {
+            a: _cyc_from_json(v, f"{path} pivotal[{a}]") for a, v in doc["pivotal"].items()
+        }
+    with _field(path, "labels"):
+        labels = tuple(doc["labels"])
     return CategorySpec(
         name=doc["name"],
-        labels=tuple(doc["labels"]),
+        labels=labels,
         unit=doc["unit"],
         dual=dual,
         fusion=fusion,

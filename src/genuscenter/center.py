@@ -886,7 +886,5 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
 
 def center_rank(spec, sigma: Gluing):
     """(rank, block_dims) of the center category, via the tube algebra."""
-    tube = tube_algebra(spec, sigma)
-    rank, dims, _ = decompose(tube.algebra_data(), working_order=spec.field_order())
-    return rank, dims
+    return decompose(tube_algebra(spec, sigma).algebra_data())
 

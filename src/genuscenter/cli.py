@@ -4,6 +4,8 @@ Every subcommand is a thin adapter over the library; no numerical logic
 lives here.  Output is deterministic text or JSON; `--timings` adds a
 runtime field (off by default so identical inputs give identical bytes).
 Exit codes: 0 pass, 1 check failure or computation diagnostic, 2 usage.
+`center` and `adjoint` refuse a catalog file that fails an axiom check of
+`validate`; the built-in catalogs are checked by the test suite instead.
 """
 
 from __future__ import annotations
@@ -21,24 +23,50 @@ from .gluing import comm_case, enumerate_adm, parse_cycles, surface_type
 __all__ = ["main"]
 
 
-def _load_cat(token: str):
+def _load_cat(token: str, check: bool = True):
+    """The catalog of a built-in key or a file; a file must pass the axiom checks if check."""
     if token in catalog.catalog_keys():
         return catalog.builtin(token)
+    spec = catalog.load_spec(_catalog_path(token))
+    if check:
+        for name, result in _axiom_checks(spec):
+            if not result.ok:
+                raise GenusCenterError(
+                    f"catalog {token!r} fails the {name} check "
+                    f"({len(result.entries)} failures; first: {result.entries[0]})"
+                )
+    return spec
+
+
+def _catalog_path(token: str) -> str:
     if os.path.exists(token):
-        return catalog.load_spec(token)
+        return token
     env = os.environ.get("GENUSCENTER_CATALOG_DIR")
     if env:
         for d in env.split(os.pathsep):
             cand = os.path.join(d, token)
             if os.path.exists(cand):
-                return catalog.load_spec(cand)
+                return cand
             cand = os.path.join(d, token + ".json")
             if os.path.exists(cand):
-                return catalog.load_spec(cand)
+                return cand
     raise GenusCenterError(
         f"no catalog entry or file named {token!r}; "
         f"builtin keys: {', '.join(catalog.catalog_keys())}"
     )
+
+
+def _axiom_checks(spec):
+    """(name, report) of each axiom check in turn, up to the first that fails."""
+    checks = [("structure", fusion.validate_structure), ("pentagon", fusion.check_pentagon)]
+    if spec.R is not None:
+        checks.append(("hexagon", fusion.check_hexagon))
+        checks.append(("spherical_ribbon", fusion.check_spherical_ribbon))
+    for name, check in checks:
+        result = check(spec)
+        yield name, result
+        if not result.ok:
+            return
 
 
 def _emit(doc, as_json: bool):
@@ -68,28 +96,15 @@ def _emit_text(doc, indent=0):
 
 
 def _cmd_validate(args) -> int:
-    spec = _load_cat(args.cat)
+    spec = _load_cat(args.cat, check=False)
+    results = dict(_axiom_checks(spec))
     report = {"catalog": spec.name}
-    failed = False
-    structure = fusion.validate_structure(spec)
-    report["structure"] = structure.entries or "ok"
-    failed = failed or not structure.ok
-    if structure.ok:
-        pent = fusion.check_pentagon(spec)
-        report["pentagon"] = pent.entries or "ok"
-        failed = failed or not pent.ok
-        if pent.ok and spec.R is not None:
-            hexr = fusion.check_hexagon(spec)
-            report["hexagon"] = hexr.entries or "ok"
-            failed = failed or not hexr.ok
-            if hexr.ok:
-                sr = fusion.check_spherical_ribbon(spec)
-                report["spherical_ribbon"] = sr.entries or "ok"
-                failed = failed or not sr.ok
-        elif spec.R is None:
-            report["hexagon"] = "skipped (no braiding data)"
+    report.update((name, result.entries or "ok") for name, result in results.items())
+    ok = all(result.ok for result in results.values())
+    if ok and spec.R is None:
+        report["hexagon"] = "skipped (no braiding data)"
     _emit(report, args.json)
-    return 1 if failed else 0
+    return 0 if ok else 1
 
 
 def _cmd_gluing_enum(args) -> int:

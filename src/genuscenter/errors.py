@@ -34,7 +34,7 @@ class PremodularRequiredError(GenusCenterError):
 
 
 class NonSplitError(GenusCenterError):
-    """A semisimple algebra does not split over the working cyclotomic field."""
+    """No prime certified a semisimple decomposition of an algebra."""
 
 
 class KeyNotFoundError(GenusCenterError):

@@ -551,14 +551,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(v.is_zero() for row in self.data for v in row)
 
-    def embed(self):
-        """Complex numpy array (import deferred so core stays numpy-free)."""
-        import numpy as np
-
-        return np.array(
-            [[self.data[i][j].embed() for j in range(self.cols)] for i in range(self.rows)]
-        )
-
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
 
@@ -574,11 +566,14 @@ def _echelon(m: ExactMatrix):
             continue
         data[row], data[p] = data[p], data[row]
         inv = data[row][col].inverse()
-        data[row] = [v * inv for v in data[row]]
+        prow = data[row] = [v * inv for v in data[row]]
+        support = [j for j, w in enumerate(prow) if not w.is_zero()]
         for r in range(m.rows):
             if r != row and not data[r][col].is_zero():
                 f = data[r][col]
-                data[r] = [v - f * w for v, w in zip(data[r], data[row])]
+                target = data[r]
+                for j in support:
+                    target[j] = target[j] - f * prow[j]
         pivots.append(col)
         row += 1
         if row == m.rows:

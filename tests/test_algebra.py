@@ -1,0 +1,92 @@
+import random
+
+import pytest
+
+from genuscenter import catalog
+from genuscenter.algebra import (
+    AlgebraData,
+    _decompose_mod,
+    _primes,
+    center_basis,
+    decompose,
+)
+from genuscenter.center import tube_algebra
+from genuscenter.errors import NonSplitError
+from genuscenter.exactnum import rational
+from genuscenter.gluing import parse_cycles
+
+ONE = rational(1)
+
+
+def two_dim(square):
+    """The algebra with basis 1 = e0, e1 and e1 * e1 = square * e0."""
+    mult = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE}}
+    if square:
+        mult[(1, 1)] = {0: square}
+    return AlgebraData(dim=2, mult=mult, unit={0: ONE})
+
+
+def first_prime():
+    return next(_primes(1, 2))
+
+
+class TestCertificate:
+    def test_dual_numbers_have_a_degenerate_trace_form(self):
+        alg = two_dim(None)  # k[x]/x^2
+        with pytest.raises(NonSplitError, match=r"\(b\)"):
+            _decompose_mod(alg, 1, first_prime(), random.Random(0))
+        with pytest.raises(NonSplitError, match=r"\(b\)"):
+            decompose(alg)
+
+    def test_denominator_divisible_by_the_first_prime_moves_on(self):
+        p = first_prime()
+        # e1 = x / p in Q[x]/(x^2 - 1): e1 * e1 = e0 / p^2.
+        alg = two_dim(rational(1, p * p))
+        with pytest.raises(NonSplitError, match=r"\(a\)"):
+            _decompose_mod(alg, 1, p, random.Random(0))
+        assert decompose(alg) == decompose(two_dim(ONE)) == (2, [1, 1])
+
+    def test_sqrt2_splits_over_c_after_the_first_prime_fails_c(self):
+        # Q(sqrt 2): 2 is not a square mod the first prime, so there the
+        # centre has no eigenvalues in F_p; over C the algebra is C x C.
+        alg = two_dim(rational(2))
+        with pytest.raises(NonSplitError, match=r"\(c\)"):
+            _decompose_mod(alg, 1, first_prime(), random.Random(0))
+        assert decompose(alg) == (2, [1, 1])
+
+    def test_semion_annulus_fails_c_at_the_first_prime(self):
+        # Its structure constants are rational, but its centre needs sqrt(-1).
+        alg = tube_algebra(catalog.builtin("semion"), parse_cycles("(1 2)")).algebra_data()
+        order = alg.field_order()
+        with pytest.raises(NonSplitError, match=r"\(c\)"):
+            _decompose_mod(alg, order, next(_primes(order, alg.dim)), random.Random(7))
+        assert decompose(alg) == (4, [1, 1, 1, 1])
+
+    def test_matrix_algebra_is_one_block(self):
+        # M_2(Q) on the matrix units e_ij, numbered 2 i + j.
+        mult = {
+            (2 * i + j, 2 * j + k): {2 * i + k: ONE}
+            for i in range(2)
+            for j in range(2)
+            for k in range(2)
+        }
+        alg = AlgebraData(dim=4, mult=mult, unit={0: ONE, 3: ONE})
+        assert decompose(alg) == (1, [2])
+
+    def test_empty_algebra(self):
+        with pytest.raises(NonSplitError, match="empty center"):
+            decompose(AlgebraData(dim=0, mult={}, unit={}))
+
+
+@pytest.mark.parametrize(
+    "order,first", [(1, 33554467), (5, 33554501), (8, 33554473), (16, 33554593)]
+)
+def test_first_prime_is_the_smallest_one_mod_the_order_above_2_25(order, first):
+    assert next(_primes(order, 10)) == first
+    assert next(_primes(order, first)) > first  # p > dim
+
+
+@pytest.mark.parametrize("key", catalog.catalog_keys())
+def test_exact_center_matches_the_rank_mod_p(key):
+    alg = tube_algebra(catalog.builtin(key), parse_cycles("(1 2)")).algebra_data()
+    assert len(center_basis(alg)) == decompose(alg)[0]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +129,62 @@ class TestAdjointAndCatalog:
     def test_usage_error_exit_code(self, capsys):
         assert main(["center", "rank", "--cat", "vec_z2"]) == 2
         assert main(["frobnicate"]) == 2
+
+
+def saved_doc(tmp_path, key):
+    path = tmp_path / f"{key}.json"
+    catalog.save_spec(catalog.builtin(key), path)
+    return path, json.loads(path.read_text())
+
+
+COMPUTE_COMMANDS = (
+    ("center", "rank", "--sigma", "(1 2)"),
+    ("center", "verify-induced", "--sigma", "(1 2)", "--object", "t"),
+    ("adjoint", "check", "--sigma", "(1 2)"),
+)
+
+
+class TestCatalogFiles:
+    @pytest.mark.parametrize("command", COMPUTE_COMMANDS, ids=lambda c: c[1])
+    def test_invalid_file_is_refused_before_computing(self, capsys, tmp_path, command):
+        path, doc = saved_doc(tmp_path, "fibonacci")
+        doc["R"][0]["value"] = {"order": 5, "terms": [[1, 7, 1]]}  # R = 7 zeta_5
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--cat", str(path)]) == 1
+        capsys.readouterr()
+        code = main([*command[:2], "--cat", str(path), *command[2:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "error:" in captured.err and "hexagon" in captured.err
+
+    def test_valid_file_still_computes(self, capsys, tmp_path):
+        path, _ = saved_doc(tmp_path, "fibonacci")
+        code, out = run(capsys, "center", "rank", "--cat", str(path), "--sigma", "(1 2)", "--json")
+        assert code == 0 and json.loads(out)["rank"] == 4
+
+    @pytest.mark.parametrize(
+        "field,corrupt",
+        [
+            ("R", lambda doc: doc.update(R=None)),
+            ("F", lambda doc: doc["F"][0]["value"].update(terms=[[1, 7]])),
+        ],
+        ids=["R-null", "scalar-term-pair"],
+    )
+    def test_malformed_field_is_an_error_line(self, capsys, tmp_path, field, corrupt):
+        path, doc = saved_doc(tmp_path, "fibonacci")
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        code = main(["center", "rank", "--cat", str(path), "--sigma", "(1 2)"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+        assert field in err
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, genuscenter.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0 and out.stdout.strip() == "False"
