@@ -12,19 +12,20 @@ into a braid word (legs pass in front of legs and behind the block), and
 ``_contract_plan`` / ``_create_plan`` chain those moves into the word that
 brings the leg pair of one orbit next to the block or takes a fresh pair
 back to its sorted place.  Each word depends only on (sigma, orbit,
-block width), so contraction and creation are a word, the gamma coupon
-and a cap or cup.  The adjunction identities and algebra laws below are
-exact checks of the whole construction.
+block width) and is computed once per key, so contraction and creation
+are a word, the gamma coupon and a cap or cup.  The adjunction identities
+and algebra laws below are exact checks of the whole construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .algebra import AlgebraData, decompose
 from .errors import GenusCenterError, IllFormedDiagramError
-from .exactnum import Cyclotomic, ExactMatrix, matrix_rank, rational
+from .exactnum import Cyclotomic, ExactMatrix, inverse as matrix_inverse, matrix_rank, rational
 from .fusion import CategorySpec, ValidationReport, quantum_dims
 from .gluing import Gluing, comm_case
 from .trees import Morphism, _op_new_word, all_trees, hom_dim, trees
@@ -39,6 +40,7 @@ __all__ = [
     "induced_half_braidings",
     "verify_sigma_pair",
     "project_morphism",
+    "project_morphisms",
     "hom_Z_dim",
     "adjunction_maps",
     "tube_algebra",
@@ -434,11 +436,15 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
 
     # Multiplicativity: gamma respects fusion of the argument.
     for m in range(sigma.n):
+        gamma_at: dict = {}  # w -> gamma_[m] at w on the identity carrier
         for z1 in spec.labels:
             for z2 in spec.labels:
                 for w in spec.channels(z1, z2):
+                    if w not in gamma_at:
+                        ident = _carrier_id_with(spec, pair, (w,), ())
+                        gamma_at[w] = _apply_gamma(ident, pair, m, 1, w)
                     for mu in range(spec.N(z1, z2, w)):
-                        if not _hexagon_ok(spec, pair, m, z1, z2, w, mu):
+                        if not _hexagon_ok(spec, pair, m, z1, z2, w, mu, gamma_at[w]):
                             bad.append(
                                 f"gamma_[{m}] multiplicativity fails at "
                                 f"({z1},{z2};{w},{mu})"
@@ -463,19 +469,18 @@ def _carrier_id_with(spec, pair, prefix, suffix) -> CarrierMap:
     return CarrierMap.identity(spec, words)
 
 
-def _hexagon_ok(spec, pair, m, z1, z2, w, mu) -> bool:
+def _hexagon_ok(spec, pair, m, z1, z2, w, mu, gamma_w: CarrierMap) -> bool:
     # LHS: split w -> (z1, z2), then gamma at z2, then gamma at z1.
     lhs = _carrier_id_with(spec, pair, (w,), ()).apply(("split", 1, z1, z2, mu))
     lhs = _apply_gamma(lhs, pair, m, 2, z2)
     lhs = _apply_gamma(lhs, pair, m, 1, z1)
-    # RHS: gamma at w, then split the trailing strand.
-    rhs = _carrier_id_with(spec, pair, (w,), ())
-    rhs = _apply_gamma(rhs, pair, m, 1, w)
+    # RHS: gamma_w (gamma at w on the identity carrier), then split the
+    # trailing strand.
     rhs = CarrierMap(
-        spec, rhs.src, tuple(tuple(x) + (z1, z2) for x in pair.words),
+        spec, gamma_w.src, tuple(tuple(x) + (z1, z2) for x in pair.words),
         {
             k: v.apply(("split", len(pair.words[k[0]]) + 1, z1, z2, mu))
-            for k, v in rhs.blocks.items()
+            for k, v in gamma_w.blocks.items()
         },
     )
     return lhs == rhs
@@ -550,6 +555,7 @@ def _move(layout: tuple, width: int, src, dst: int):
     return tuple(word), tuple(layout)
 
 
+@lru_cache(maxsize=None)
 def _contract_plan(sigma: Gluing, m: int, width: int):
     """Braid word that brings orbit m's legs to (lo, [block], hi), plus lo's strand.
 
@@ -567,6 +573,7 @@ def _contract_plan(sigma: Gluing, m: int, width: int):
     return word, _offset(layout, width, layout.index(lo))
 
 
+@lru_cache(maxsize=None)
 def _create_plan(sigma: Gluing, m: int, width: int):
     """Cup gap for orbit m's fresh legs, and the braid word that sorts them.
 
@@ -615,20 +622,33 @@ def _contract(
     return current
 
 
-def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism):
+def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need):
     """Create all leg pairs around the carrier, weaving through the pair.
 
     ``mor0``: Morphism(src -> word_{s0}).  Returns a dict
-    {(alpha, s2): Morphism(src -> legs + word_{s2} + legs)}.
+    {(alpha, s2): Morphism(src -> legs + word_{s2} + legs)} over the
+    summands s2 in ``need``.  ``reach[m + 1]`` holds the summands from
+    which orbits m, ..., 0 can still lead into ``need``; a branch outside
+    it is dropped before its cup is applied.
     """
-    current = {((), s0): mor0}
+    reach = [set(need)]
+    for hb in pair.braidings:
+        reach.append({
+            s for s in range(len(pair.words))
+            if any(s2 in reach[-1] for z in spec.labels for s2, _ in hb.columns(z, s))
+        })
+    current = {((), s0): mor0} if s0 in reach[sigma.n] else {}
     for m in range(sigma.n - 1, -1, -1):
         nxt: dict = {}
         for (alpha_tail, s), mor in current.items():
             gap, word = _create_plan(sigma, m, len(pair.words[s]))
             for a in spec.labels:
+                cols = pair.braidings[m].columns(spec.dual[a], s)
+                cols = [(s2, coup) for s2, coup in cols if s2 in reach[m]]
+                if not cols:
+                    continue
                 st = mor.apply(("cup", gap, a, False))
-                for s2, coup in pair.braidings[m].columns(spec.dual[a], s):
+                for s2, coup in cols:
                     st2 = st.apply_coupon(gap + 2, coup).apply_all(word)
                     key = ((a,) + alpha_tail, s2)
                     nxt[key] = nxt[key] + st2 if key in nxt else st2
@@ -644,37 +664,46 @@ def _dim_omega_power(spec, n: int) -> Cyclotomic:
     return out
 
 
+def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> list:
+    """The averaging projection onto sigma-morphisms of each map in fs.
+
+    The leg pairs are created once per source summand of px for the whole
+    batch, and only toward the summands that some map of the batch reads.
+    """
+    if any(f.src != px.words or f.tgt != py.words for f in fs):
+        raise GenusCenterError("morphism shape does not match the pair carriers")
+    need = {sx for f in fs for (_ty, sx) in f.blocks}
+    outs: list = [{} for _ in fs]
+    mid_pos = sigma.n + 1
+    for sx0, w in enumerate(px.words):
+        created = _create(spec, sigma, px, sx0, Morphism.identity(spec, tuple(w)), need)
+        for f, out_blocks in zip(fs, outs):
+            for (alpha, sx), mor in created.items():
+                for (ty, sx2), fb in f.blocks.items():
+                    if sx2 != sx:
+                        continue
+                    st = mor.apply_coupon(mid_pos, fb)
+                    res = _contract(spec, sigma, py, alpha, ty, st, weighted=True)
+                    for ty2, m2 in res.items():
+                        key = (ty2, sx0)
+                        out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2
+    scale = _dim_omega_power(spec, sigma.n).inverse()
+    return [
+        CarrierMap(spec, px.words, py.words, {k: v.scale(scale) for k, v in ob.items()})
+        for ob in outs
+    ]
+
+
 def project_morphism(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, f: CarrierMap) -> CarrierMap:
     """The averaging projection onto sigma-morphisms."""
-    if f.src != px.words or f.tgt != py.words:
-        raise GenusCenterError("morphism shape does not match the pair carriers")
-    out_blocks: dict = {}
-    n = sigma.n
-    mid_pos = n + 1
-    for sx0, w in enumerate(px.words):
-        created = _create(spec, sigma, px, sx0, Morphism.identity(spec, tuple(w)))
-        for (alpha, sx), mor in created.items():
-            for (ty, sx2), fb in f.blocks.items():
-                if sx2 != sx:
-                    continue
-                st = mor.apply_coupon(mid_pos, fb)
-                res = _contract(spec, sigma, py, alpha, ty, st, weighted=True)
-                for ty2, m2 in res.items():
-                    key = (ty2, sx0)
-                    out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2
-    scale = _dim_omega_power(spec, sigma.n).inverse()
-    return CarrierMap(
-        spec, px.words, py.words, {k: v.scale(scale) for k, v in out_blocks.items()}
-    )
+    return project_morphisms(spec, sigma, px, py, [f])[0]
 
 
 def hom_Z_dim(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair) -> int:
     basis = carrier_basis(spec, px.words, py.words)
     if not basis:
         return 0
-    cols = []
-    for b in basis:
-        cols.append(flatten_carrier_map(project_morphism(spec, sigma, px, py, b)))
+    cols = [flatten_carrier_map(p) for p in project_morphisms(spec, sigma, px, py, basis)]
     m = ExactMatrix(len(cols[0]), len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
     return matrix_rank(m)
 
@@ -723,30 +752,24 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
         flat = flatten_carrier_map(phi)
         return [flat[k] for k in slots]
 
-    key = ("adjmaps", tuple(sigma.pairing), lab, py.words)
-    if key in spec._cache:
-        columns, minv = spec._cache[key]
-    else:
-        # Sigma-morphism spanning set: averaging projections of preimages
-        # supported on the all-units summand.
-        strip = _unit_strip(spec, lab, n)
-        columns = []
-        for phi in phis:
-            pre_blocks = {}
-            for (ty, _zero), blk in phi.blocks.items():
-                pre_blocks[(ty, si_all1)] = blk.compose(strip)
-            pre = CarrierMap(spec, ix.words, py.words, pre_blocks)
-            columns.append(project_morphism(spec, sigma, ix, py, pre))
-        m = len(phis)
-        gram = ExactMatrix(m, m)
-        for j, col in enumerate(columns):
-            vec = coords_of(backward(col))
-            for i in range(m):
-                gram[i, j] = vec[i]
-        from .exactnum import inverse as matrix_inverse
-
-        minv = matrix_inverse(gram)
-        spec._cache[key] = (columns, minv)
+    # Sigma-morphism spanning set: averaging projections of preimages
+    # supported on the all-units summand.
+    strip = _unit_strip(spec, lab, n)
+    pres = [
+        CarrierMap(
+            spec, ix.words, py.words,
+            {(ty, si_all1): blk.compose(strip) for (ty, _zero), blk in phi.blocks.items()},
+        )
+        for phi in phis
+    ]
+    columns = project_morphisms(spec, sigma, ix, py, pres)
+    m = len(phis)
+    gram = ExactMatrix(m, m)
+    for j, col in enumerate(columns):
+        vec = coords_of(backward(col))
+        for i in range(m):
+            gram[i, j] = vec[i]
+    minv = matrix_inverse(gram)
 
     def forward(phi: CarrierMap) -> CarrierMap:
         if phi.src != ((lab,),) or phi.tgt != py.words:

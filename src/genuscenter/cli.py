@@ -204,8 +204,9 @@ def _cmd_adjoint_check(args) -> int:
             py = center.induced_half_braidings(spec, sig, y)
             fwd, bwd = center.adjunction_maps(spec, sig, x, py)
             basis = center.carrier_basis(spec, ((x,),), py.words)
-            gf = all(bwd(fwd(phi)) == phi for phi in basis)
-            fgf = all(fwd(bwd(fwd(phi))) == fwd(phi) for phi in basis)
+            images = [fwd(phi) for phi in basis]
+            gf = all(bwd(img) == phi for img, phi in zip(images, basis))
+            fgf = all(fwd(bwd(img)) == img for img in images)
             ok_all = ok_all and gf and fgf
             rows.append(
                 {

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import IncompleteDataError, PremodularRequiredError
 from .exactnum import Cyclotomic, ExactMatrix, matrix_rank, rational
+from .trees import hopf_link_value, loop_value, theta
 
 __all__ = [
     "CategorySpec",
@@ -497,20 +498,18 @@ def quantum_dims(spec: CategorySpec):
     """Loop-evaluated dimensions, curl-evaluated twists, and dim(Omega).
 
     Returns (OmegaColor, twists) where twists maps label -> Cyclotomic.
-    The loop and curl are evaluated by the diagram engine; the ribbon-sum
+    The loop and curl are evaluated by ``trees``; the ribbon-sum
     formula for twists is kept in the test suite as an independent check.
     """
-    from . import diagram as dg
-
     key = "quantum_dims"
     if key in spec._cache:
         return spec._cache[key]
     weights: dict[str, Cyclotomic] = {}
     twists: dict[str, Cyclotomic] = {}
     for a in spec.labels:
-        weights[a] = dg.loop_value(spec, a)
+        weights[a] = loop_value(spec, a)
         if spec.R is not None:
-            twists[a] = dg.twist_value(spec, a)
+            twists[a] = theta(spec, a)
     total = ZERO
     for a in spec.labels:
         total = total + weights[a] * weights[a]
@@ -521,13 +520,11 @@ def quantum_dims(spec: CategorySpec):
 
 def check_spherical_ribbon(spec: CategorySpec) -> ValidationReport:
     """dim(a) = dim(a*) in both trace orders; theta(a) = theta(a*)."""
-    from . import diagram as dg
-
     bad: list[str] = []
     omega, twists = quantum_dims(spec)
     for a in spec.labels:
         right = omega.weights[a]
-        left = dg.loop_value(spec, a, side="left")
+        left = loop_value(spec, a, side="left")
         if right != left:
             bad.append(f"left and right traces differ on {a!r}")
         if right != omega.weights[spec.dual[a]]:
@@ -547,8 +544,6 @@ def check_spherical_ribbon(spec: CategorySpec) -> ValidationReport:
 
 def s_matrix_and_transparency(spec: CategorySpec):
     """Unnormalized S-matrix, transparent labels, and the modular flag."""
-    from . import diagram as dg
-
     spec.require_braiding()
     key = "smatrix"
     if key in spec._cache:
@@ -558,7 +553,7 @@ def s_matrix_and_transparency(spec: CategorySpec):
     s = ExactMatrix(n, n)
     for i, a in enumerate(spec.labels):
         for j, b in enumerate(spec.labels):
-            s[i, j] = dg.hopf_link_value(spec, a, b)
+            s[i, j] = hopf_link_value(spec, a, b)
     transparent = set()
     for j, b in enumerate(spec.labels):
         if all(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import GluingFormatError
 
@@ -68,9 +69,10 @@ class Gluing:
             mapping[b - 1] = a
         return Gluing(len(pairs), tuple(mapping))
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """Orbits as (low, high), sorted by low member."""
-        return sorted((i, self(i)) for i in range(1, 2 * self.n + 1) if i < self(i))
+    @lru_cache(maxsize=None)
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Orbits as (low, high), sorted by low member; memoized, so a tuple."""
+        return tuple(sorted((i, self(i)) for i in range(1, 2 * self.n + 1) if i < self(i)))
 
     def orbits(self) -> list["OrbitInfo"]:
         return [OrbitInfo(low=a, high=b) for a, b in self.pairs()]

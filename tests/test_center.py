@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from genuscenter import catalog, center
-from genuscenter.errors import IllFormedDiagramError
+from genuscenter.errors import GenusCenterError, IllFormedDiagramError
 from genuscenter.center import (
     CarrierMap,
     FormalObject,
@@ -16,6 +16,7 @@ from genuscenter.center import (
     induce_object,
     induced_half_braidings,
     project_morphism,
+    project_morphisms,
     tube_algebra,
     verify_sigma_pair,
 )
@@ -120,6 +121,17 @@ class TestInducedPairs:
         hb.blocks[key] = [(ti, m.scale(rational(-1))) for ti, m in hb.blocks[key]]
         assert not verify_sigma_pair(spec, sig12(), pair).ok
 
+    def test_perturbed_copy_fails_right_after_the_induced_pair_verifies(self):
+        # gamma at w is built once per (orbit, w) inside one verification;
+        # a second call on another pair must not reuse it.
+        spec = catalog.builtin("fibonacci")
+        assert verify_sigma_pair(spec, sig12(), induced_half_braidings(spec, sig12(), "t")).ok
+        pair = induced_half_braidings(spec, sig12(), "t", _cache=False)
+        hb = pair.braidings[0]
+        hb.blocks[("t", 0)] = [(ti, m.scale(rational(2))) for ti, m in hb.blocks[("t", 0)]]
+        report = verify_sigma_pair(spec, sig12(), pair)
+        assert any("multiplicativity" in e for e in report.entries)
+
     def test_empty_gluing_pair(self):
         spec = catalog.builtin("fibonacci")
         sig = Gluing(0, ())
@@ -204,6 +216,44 @@ class TestProjection:
                 # sigma-morphisms are closed under composition
                 assert project_morphism(spec, sig, px, pz, pg.compose(pf)) == pg.compose(pf)
 
+    @pytest.mark.parametrize("key, x, y", (("fibonacci", "1", "t"), ("vec_z3_q", "2", "2")))
+    @pytest.mark.parametrize("cycles", ("(1 2)", "(1 3)(2 4)"))
+    def test_batch_equals_one_by_one(self, key, x, y, cycles):
+        spec = catalog.builtin(key)
+        sig = parse_cycles(cycles)
+        px = induced_half_braidings(spec, sig, x)
+        py = induced_half_braidings(spec, sig, y)
+        basis = carrier_basis(spec, px.words, py.words)
+        if key == "fibonacci" and sig.n == 2:
+            basis = basis[::12]  # 7 of 75 maps, from every source summand
+        batch = [CarrierMap.zero(spec, px.words, py.words)] + basis
+        got = project_morphisms(spec, sig, px, py, batch)
+        assert got[0].is_zero() and not all(g.is_zero() for g in got)
+        assert got == [project_morphism(spec, sig, px, py, f) for f in batch]
+        assert project_morphisms(spec, sig, px, py, []) == []
+
+    def test_batch_rejects_a_misshapen_map(self):
+        spec = catalog.builtin("fibonacci")
+        p1 = induced_half_braidings(spec, sig12(), "1")
+        pt = induced_half_braidings(spec, sig12(), "t")
+        good = carrier_basis(spec, p1.words, pt.words)[0]
+        with pytest.raises(GenusCenterError):
+            project_morphisms(spec, sig12(), p1, pt, [good, CarrierMap.zero(spec, p1.words, p1.words)])
+
+    @pytest.mark.parametrize("cycles", ("(1 2)", "(1 3)(2 4)"))
+    def test_create_keeps_exactly_the_needed_summands(self, cycles):
+        spec = catalog.builtin("fibonacci")
+        sig = parse_cycles(cycles)
+        px = induced_half_braidings(spec, sig, "t")
+        count = len(px.words)
+        for s0, w in enumerate(px.words):
+            mor0 = Morphism.identity(spec, w)
+            full = center._create(spec, sig, px, s0, mor0, set(range(count)))
+            assert {s for _alpha, s in full} == set(range(count))
+            for need in ({0}, {count - 1}, {1, count - 1}, set()):
+                want = {k: v for k, v in full.items() if k[1] in need}
+                assert center._create(spec, sig, px, s0, mor0, need) == want
+
 
 class TestHomZDim:
     def test_n0_dim_is_plain_hom(self):
@@ -248,6 +298,19 @@ class TestAdjunction:
                     img = fwd(phi)
                     assert bwd(img) == phi
                     assert fwd(bwd(img)) == img
+
+    def test_maps_follow_the_half_braidings_of_the_pair(self):
+        # Two pairs on the same carrier words but different half-braidings
+        # must get different maps: nothing is kept between calls.
+        spec = catalog.builtin("fibonacci")
+        sig = sig12()
+        fwd, _bwd = adjunction_maps(spec, sig, "t", induced_half_braidings(spec, sig, "t"))
+        other = induced_half_braidings(spec, sig, "t", _cache=False)
+        hb = other.braidings[0]
+        hb.blocks[("t", 0)] = [(ti, m.scale(rational(2))) for ti, m in hb.blocks[("t", 0)]]
+        fwd2, _bwd2 = adjunction_maps(spec, sig, "t", other)
+        basis = carrier_basis(spec, (("t",),), other.words)
+        assert any(fwd(phi) != fwd2(phi) for phi in basis)
 
     def test_forward_lands_in_sigma_morphisms(self):
         spec = catalog.builtin("fibonacci")
@@ -415,6 +478,14 @@ class TestLegPlumbing:
                     assert gap == center._offset(inner, width, mid) - 1
                     start = inner[:mid] + (lo, None, hi) + inner[mid + 1 :]
                     assert replay_layout(start, width, word) == center._layout(sigma, range(m, n))
+
+    def test_plans_are_memoized_and_immutable(self):
+        sigma = parse_cycles("(1 3)(2 4)")
+        assert sigma.pairs() is sigma.pairs() and isinstance(sigma.pairs(), tuple)
+        for plan in (center._contract_plan, center._create_plan):
+            got = plan(sigma, 0, 2)
+            assert plan(parse_cycles("(1 3)(2 4)"), 0, 2) is got
+            assert isinstance(got, tuple) and all(isinstance(x, (int, tuple)) for x in got)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_contract_plan_brings_the_legs_to_the_block(self, n):

@@ -188,3 +188,17 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+def test_rank_leaves_the_diagram_module_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, genuscenter.cli as cli; "
+        "code = cli.main(['center', 'rank', '--cat', 'fibonacci', '--sigma', '(1 2)']); "
+        "print(code, 'genuscenter.diagram' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0 and out.stdout.strip().splitlines()[-1] == "0 False"

@@ -22,7 +22,7 @@ class TestEnumerate:
 
     def test_n1_is_the_transposition(self):
         (only,) = enumerate_adm(1)
-        assert only.pairs() == [(1, 2)]
+        assert only.pairs() == ((1, 2),)
 
     def test_no_duplicates_and_involutive(self):
         for n in range(5):
@@ -81,9 +81,9 @@ class TestCommCase:
 
 class TestSigmaGK:
     def test_known_values(self):
-        assert sigma_gk(1, 1).pairs() == [(1, 3), (2, 4)]
-        assert sigma_gk(2, 1).pairs() == [(1, 3), (2, 4), (5, 7), (6, 8)]
-        assert sigma_gk(0, 3).pairs() == [(1, 2), (3, 4)]
+        assert sigma_gk(1, 1).pairs() == ((1, 3), (2, 4))
+        assert sigma_gk(2, 1).pairs() == ((1, 3), (2, 4), (5, 7), (6, 8))
+        assert sigma_gk(0, 3).pairs() == ((1, 2), (3, 4))
         assert sigma_gk(0, 1).n == 0
 
     def test_roundtrip(self):
@@ -117,7 +117,7 @@ class TestSurfaceType:
 
 class TestParser:
     def test_whitespace_insensitive(self):
-        assert parse_cycles(" ( 1   3 ) (2,4) ").pairs() == [(1, 3), (2, 4)]
+        assert parse_cycles(" ( 1   3 ) (2,4) ").pairs() == ((1, 3), (2, 4))
 
     def test_rejects_non_involution(self):
         with pytest.raises(GluingFormatError):
