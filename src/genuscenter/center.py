@@ -2,9 +2,15 @@
 
 Carriers of sigma-pairs are finite direct sums of tensor words of simple
 labels.  A half-braiding is stored blockwise: for each simple argument Z
-and source summand, the exact morphism (Z, word) -> (word', Z).  The
-induced pair on an object threads the argument strand through the leg
-pair of each orbit via dual fusion/splitting vertices.
+and source summand, a list of columns (target summand, ``GammaWord``).
+A column of the induced pair is a generator word on (Z, word): braids
+bring Z to the low leg of its orbit, Z and the leg merge, the high leg
+turns into (dual leg, Z) by rotating that vertex (a cup, a split and a
+cap), and braids take Z to the right end.  Columns are applied at any
+strand by shifting the word's positions, so each application is one
+cached composed map (``Morphism.apply_all``); only the verification of
+a pair (``_hb_unit_ok``, ``_hb_matrix``) materializes a column as a
+morphism, by pushing the identity through its word.
 
 Leg plumbing has one mechanism.  A layout lists the legs of the active
 orbits in order around the middle block; ``_move`` turns one leg move
@@ -13,8 +19,9 @@ into a braid word (legs pass in front of legs and behind the block), and
 brings the leg pair of one orbit next to the block or takes a fresh pair
 back to its sorted place.  Each word depends only on (sigma, orbit,
 block width) and is computed once per key, so contraction and creation
-are a word, the gamma coupon and a cap or cup.  The adjunction identities
-and algebra laws below are exact checks of the whole construction.
+are a word, a gamma column and a cap or cup, all applied as composed
+words.  The adjunction identities and algebra laws below are exact
+checks of the whole construction.
 """
 
 from __future__ import annotations
@@ -28,10 +35,11 @@ from .errors import GenusCenterError, IllFormedDiagramError
 from .exactnum import Cyclotomic, ExactMatrix, inverse as matrix_inverse, matrix_rank, rational
 from .fusion import CategorySpec, ValidationReport, quantum_dims
 from .gluing import Gluing, comm_case
-from .trees import Morphism, _op_new_word, all_trees, hom_dim, trees
+from .trees import Morphism, Word, all_trees, hom_dim, trees, word_after
 
 __all__ = [
     "FormalObject",
+    "GammaWord",
     "HalfBraiding",
     "SigmaPair",
     "CarrierMap",
@@ -121,9 +129,36 @@ def induce_object(spec, sigma: Gluing, x) -> FormalObject:
 # sigma-pairs
 
 
+@dataclass(frozen=True)
+class GammaWord:
+    """One half-braiding column: ``coeff`` times a generator word on ``src``.
+
+    The word acts from strand 1 of ``src`` = (Z,) + source word; at strand
+    ``pos`` of a longer word its positions shift by pos - 1.
+    """
+
+    src: Word
+    ops: tuple
+    coeff: Cyclotomic = ONE
+
+    def scale(self, s: Cyclotomic) -> "GammaWord":
+        return GammaWord(self.src, self.ops, self.coeff * s)
+
+    def apply_at(self, mor: Morphism, pos: int, then: tuple = ()) -> Morphism:
+        """Post-compose the column at strand ``pos``, then the word ``then``."""
+        # Every generator's second entry is its strand or gap position.
+        shifted = tuple((op[0], op[1] + pos - 1) + op[2:] for op in self.ops)
+        out = mor.apply_all(shifted + then)
+        return out if self.coeff == ONE else out.scale(self.coeff)
+
+    def morphism(self, spec) -> Morphism:
+        """The column as a morphism src -> (word', Z)."""
+        return self.apply_at(Morphism.identity(spec, self.src), 1)
+
+
 @dataclass
 class HalfBraiding:
-    """Blocks (Z, source summand) -> [(target summand, morphism)]."""
+    """Blocks (Z, source summand) -> [(target summand, GammaWord)]."""
 
     blocks: dict
 
@@ -140,36 +175,25 @@ class SigmaPair:
     meta: tuple = ()  # optional provenance of summands
 
 
-def _rho(spec, z: str, a: str, b: str, mu: int) -> Morphism:
-    """dual(a) -> (dual(b), z): rotation of the splitting vertex b -> (z, a)."""
-    m = Morphism.identity(spec, (spec.dual[a],))
-    m = m.apply(("cup", 0, b, True))
-    m = m.apply(("split", 2, z, a, mu))
-    m = m.apply(("cap", 3, a, True))
-    return m
-
-
 def _induced_gamma_column(spec, sigma, alpha, middle, m, z):
-    """gamma_[m] at argument z on the alpha summand: [(alpha', Morphism)]."""
+    """gamma_[m] at argument z on the alpha summand: [(alpha', GammaWord)]."""
     n = sigma.n
     lo, hi = sigma.pairs()[m]
     word = _word_for(spec, sigma, alpha, middle)
     p = lo if lo <= n else lo + len(middle)
     q = hi if hi <= n else hi + len(middle)
     a = alpha[m]
-    base = Morphism.identity(spec, (z,) + word)
-    for j in range(1, p):
-        base = base.apply(("braid", j, GAMMA_LEFT))
+    to_leg = tuple(("braid", j, GAMMA_LEFT) for j in range(1, p))
+    to_end = tuple(("braid", j, GAMMA_RIGHT) for j in range(q + 1, len(word) + 1))
     out = []
-    total_len = len(word)
     for b in spec.channels(z, a):
         for mu in range(spec.N(z, a, b)):
-            st = base.apply(("merge", p, b, mu))
-            st = st.apply_coupon(q, _rho(spec, z, a, b, mu))
-            for j in range(q + 1, total_len + 1):
-                st = st.apply(("braid", j, GAMMA_RIGHT))
+            # The high leg dual(a) turns into (dual(b), z): a cup opens
+            # (dual(b), b) left of it, b splits to (z, a), and a meets dual(a).
+            rho = (("cup", q - 1, b, True), ("split", q + 1, z, a, mu), ("cap", q + 2, a, True))
+            ops = to_leg + (("merge", p, b, mu),) + rho + to_end
             alpha2 = alpha[:m] + (b,) + alpha[m + 1 :]
-            out.append((alpha2, st))
+            out.append((alpha2, GammaWord((z,) + word, ops)))
     return out
 
 
@@ -192,13 +216,10 @@ def induced_half_braidings(spec, sigma: Gluing, x, _cache=True) -> SigmaPair:
         blocks: dict = {}
         for si, (lab, copy, alpha) in enumerate(meta):
             for z in spec.labels:
-                cols = []
-                for alpha2, mor in _induced_gamma_column(
-                    spec, sigma, alpha, (lab,), m, z
-                ):
-                    ti = index[(lab, copy, alpha2)]
-                    cols.append((ti, mor))
-                blocks[(z, si)] = cols
+                blocks[(z, si)] = [
+                    (index[(lab, copy, alpha2)], col)
+                    for alpha2, col in _induced_gamma_column(spec, sigma, alpha, (lab,), m, z)
+                ]
         braidings.append(HalfBraiding(blocks=blocks))
     pair = SigmaPair(
         spec=spec, sigma=sigma, words=words, braidings=braidings, meta=tuple(meta)
@@ -272,12 +293,11 @@ class CarrierMap:
             {k: m.scale(s) for k, m in self.blocks.items()},
         )
 
-    def apply(self, op) -> "CarrierMap":
-        """Post-compose one generator, at the same strands, on every summand."""
+    def apply_all(self, ops) -> "CarrierMap":
+        """Post-compose a generator word, at the same strands, on every summand."""
         return CarrierMap(
-            self.spec, self.src,
-            tuple(_op_new_word(self.spec, t, op) for t in self.tgt),
-            {k: m.apply(op) for k, m in self.blocks.items()},
+            self.spec, self.src, tuple(word_after(self.spec, t, ops) for t in self.tgt),
+            {k: m.apply_all(ops) for k, m in self.blocks.items()},
         )
 
     def __eq__(self, other):
@@ -345,8 +365,8 @@ def _apply_gamma(state: CarrierMap, pair: SigmaPair, m: int, pos: int, z: str) -
     tgt_words: dict = {}
     hb = pair.braidings[m]
     for (ti, si), mor in state.blocks.items():
-        for t2, coup in hb.columns(z, ti):
-            new = mor.apply_coupon(pos, coup)
+        for t2, col in hb.columns(z, ti):
+            new = col.apply_at(mor, pos)
             key = (t2, si)
             blocks[key] = blocks[key] + new if key in blocks else new
             tgt_words[t2] = new.tgt
@@ -372,9 +392,9 @@ def _hb_unit_ok(pair: SigmaPair) -> bool:
         cols = pair.braidings and [hb.columns(u, si) for hb in pair.braidings] or []
         for col in cols:
             expect = Morphism.identity(spec, (u,) + tuple(w))
-            expect = expect.apply(("unit_remove", 1))
-            expect = expect.apply(("unit_insert", len(w)))
-            for ti, mor in col:
+            expect = expect.apply_all((("unit_remove", 1), ("unit_insert", len(w))))
+            for ti, gw in col:
+                mor = gw.morphism(spec)
                 if ti == si:
                     if mor != expect:
                         return False
@@ -408,8 +428,8 @@ def _hb_matrix(pair: SigmaPair, m: int, z: str):
             off[c] += len(sp.get(c, []))
     hb = pair.braidings[m]
     for si in range(len(pair.words)):
-        for ti, mor in hb.columns(z, si):
-            for c, blk in mor.blocks.items():
+        for ti, col in hb.columns(z, si):
+            for c, blk in col.morphism(spec).blocks.items():
                 for i in range(blk.rows):
                     for j in range(blk.cols):
                         if not blk[i, j].is_zero():
@@ -471,7 +491,7 @@ def _carrier_id_with(spec, pair, prefix, suffix) -> CarrierMap:
 
 def _hexagon_ok(spec, pair, m, z1, z2, w, mu, gamma_w: CarrierMap) -> bool:
     # LHS: split w -> (z1, z2), then gamma at z2, then gamma at z1.
-    lhs = _carrier_id_with(spec, pair, (w,), ()).apply(("split", 1, z1, z2, mu))
+    lhs = _carrier_id_with(spec, pair, (w,), ()).apply_all((("split", 1, z1, z2, mu),))
     lhs = _apply_gamma(lhs, pair, m, 2, z2)
     lhs = _apply_gamma(lhs, pair, m, 1, z1)
     # RHS: gamma_w (gamma at w on the identity carrier), then split the
@@ -497,15 +517,15 @@ def _comm_ok(spec, pair, i, j, case, z1, z2) -> bool:
             # c_{z,X} c_{X,z}: z, now right of the block X, braids back over it
             # and forth again.
             back = range(pos + wlen - 1, pos - 1, -1)
-            for p in (*back, *range(pos, pos + wlen)):
-                st = st.apply(("braid", p, "over"))
+            word = tuple(("braid", p, "over") for p in (*back, *range(pos, pos + wlen)))
+            st = st.apply_all(word)
         return st
 
     start = _carrier_id_with(spec, pair, (z2, z1), ())
     lhs = _apply_gamma(gamma_i(start, 2), pair, j, 1, z2)
-    rhs = start.apply(("braid", 1, "under"))
+    rhs = start.apply_all((("braid", 1, "under"),))
     rhs = gamma_i(_apply_gamma(rhs, pair, j, 2, z2), 1)
-    rhs = rhs.apply(("braid", wlen + 1, "under" if case == 2 else "over"))
+    rhs = rhs.apply_all((("braid", wlen + 1, "under" if case == 2 else "over"),))
     return lhs == rhs
 
 
@@ -612,9 +632,8 @@ def _contract(
         for si, mor in current.items():
             word, a_pos = _contract_plan(sigma, m, len(pair.words[si]))
             st = mor.apply_all(word)
-            for s2, coup in pair.braidings[m].columns(a, si):
-                st2 = st.apply_coupon(a_pos, coup)
-                st2 = st2.apply(("cap", a_pos + len(pair.words[s2]), a, True))
+            for s2, col in pair.braidings[m].columns(a, si):
+                st2 = col.apply_at(st, a_pos, (("cap", a_pos + len(pair.words[s2]), a, True),))
                 if weighted:
                     st2 = st2.scale(omega.weights[a])
                 nxt[s2] = nxt[s2] + st2 if s2 in nxt else st2
@@ -644,12 +663,12 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
             gap, word = _create_plan(sigma, m, len(pair.words[s]))
             for a in spec.labels:
                 cols = pair.braidings[m].columns(spec.dual[a], s)
-                cols = [(s2, coup) for s2, coup in cols if s2 in reach[m]]
+                cols = [(s2, col) for s2, col in cols if s2 in reach[m]]
                 if not cols:
                     continue
                 st = mor.apply(("cup", gap, a, False))
-                for s2, coup in cols:
-                    st2 = st.apply_coupon(gap + 2, coup).apply_all(word)
+                for s2, col in cols:
+                    st2 = col.apply_at(st, gap + 2, word)
                     key = ((a,) + alpha_tail, s2)
                     nxt[key] = nxt[key] + st2 if key in nxt else st2
         current = nxt
@@ -725,11 +744,9 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
     n = sigma.n
     all1 = (spec.unit,) * n
     si_all1 = next(i for i, (_l, _c, alpha) in enumerate(ix.meta) if alpha == all1)
-    inc = Morphism.identity(spec, (lab,))
-    for _ in range(n):
-        inc = inc.apply(("unit_insert", 0))
-    for _ in range(n):
-        inc = inc.apply(("unit_insert", len(inc.tgt)))
+    inc = Morphism.identity(spec, (lab,)).apply_all(
+        (("unit_insert", 0),) * n + tuple(("unit_insert", n + 1 + k) for k in range(n))
+    )
 
     def backward(psi: CarrierMap) -> CarrierMap:
         if psi.src != ix.words or psi.tgt != py.words:
@@ -791,11 +808,7 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
 def _unit_strip(spec, lab: str, n: int) -> Morphism:
     """The canonical map (1^n, lab, 1^n) -> (lab)."""
     m = Morphism.identity(spec, (spec.unit,) * n + (lab,) + (spec.unit,) * n)
-    for _ in range(n):
-        m = m.apply(("unit_remove", 1))
-    for _ in range(n):
-        m = m.apply(("unit_remove", 2))
-    return m
+    return m.apply_all((("unit_remove", 1),) * n + (("unit_remove", 2),) * n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,18 @@ Tree encoding for a word (w_1, ..., w_m): ``(es, mus)`` where
 and ``es[-1]`` is the total charge) and ``mus[k-2]`` indexes the vertex
 ``es[k-1] -> es[k-2] (x) w_k``.
 
-Generators act through cached sparse maps {tree: [(tree', coeff)]} (one
-per word and generator), and ``_push`` moves a block's nonzero rows
-through such a map.  A coupon ``1 (x) f (x) 1`` is linear in f, so it is
-three such passes over the state's rows, for each charge d of f: a cached
-fuse map (the source strands merged to d along each source tree of f),
-f's d block on the source-tree index, and a cached split map (d split
-back along each target tree of f).  The fuse and split maps compose the
-merge or split chain once per word and position.
+A single generator acts through a cached sparse map {tree: [(tree',
+coeff)]} per (word, generator), and ``_push`` moves a block's nonzero
+rows through such a map.  A generator word acts the same way through one
+composed map per (word, ops): ``_chain_map`` multiplies the generator
+actions out once on every tree of the word, and ``apply_all`` pushes the
+state through the result in one pass.  A coupon ``1 (x) f (x) 1`` is
+linear in f, so it is three such passes over the state's rows, for each
+charge d of f: a cached fuse map (the source strands merged to d along
+each source tree of f), f's d block on the source-tree index, and a
+cached split map (d split back along each target tree of f).  The fuse
+and split maps are composed merge or split chains, built by
+``_chain_map`` as well.
 
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
@@ -317,6 +321,13 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
     raise ValueError(f"unknown op {op!r}")
 
 
+def word_after(spec, word: Word, ops) -> Word:
+    """The word that a generator word turns ``word`` into."""
+    for op in ops:
+        word = _op_new_word(spec, word, op)
+    return word
+
+
 def _op_map(spec, word: Word, op):
     """Cached sparse action {tree: [(tree', coeff)]} plus the new word."""
     key = ("opmap", word, op)
@@ -415,20 +426,23 @@ class Morphism:
 
     def apply(self, op) -> "Morphism":
         """Post-compose one generator acting on the target word."""
+        return self._push_through(*_op_map(self.spec, self.tgt, op))
+
+    def apply_all(self, ops) -> "Morphism":
+        """Post-compose a generator word (first op acts first) in one pass."""
+        ops = tuple(ops)
+        if not ops:
+            return self
+        return self._push_through(*_word_map(self.spec, self.tgt, ops))
+
+    def _push_through(self, new_word: Word, mapping: dict) -> "Morphism":
         spec = self.spec
-        new_word, mapping = _op_map(spec, self.tgt, op)
         blocks = {}
         for c, m in self.blocks.items():
             rows = _push(dict(zip(trees(spec, self.tgt, c), m.data)), mapping)
             if rows:
                 blocks[c] = _assemble(spec, new_word, c, rows, m.cols)
         return Morphism(spec, self.src, new_word, blocks)
-
-    def apply_all(self, ops) -> "Morphism":
-        out = self
-        for op in ops:
-            out = out.apply(op)
-        return out
 
     def apply_coupon(self, pos: int, f: "Morphism") -> "Morphism":
         """Post-compose ``1 (x) f (x) 1`` with f's source at strand ``pos``.
@@ -525,6 +539,17 @@ def _chain_map(spec, word: Word, ops) -> dict[Tree, dict[Tree, Cyclotomic]]:
                         nxt[t2] = nxt[t2] + c1 * c2 if t2 in nxt else c1 * c2
                 vec = {t2: v for t2, v in nxt.items() if not v.is_zero()}
             out[t] = vec
+    return out
+
+
+def _word_map(spec, word: Word, ops: tuple):
+    """Cached composed action {tree: [(tree', coeff)]} of a word, plus the new word."""
+    key = ("wordmap", word, ops)
+    if key in spec._cache:
+        return spec._cache[key]
+    mapping = {t: list(vec.items()) for t, vec in _chain_map(spec, word, ops).items() if vec}
+    out = (word_after(spec, word, ops), mapping)
+    spec._cache[key] = out
     return out
 
 

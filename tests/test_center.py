@@ -413,6 +413,74 @@ class TestSurfaceInvariance:
             by_surface.setdefault((st.genus, st.punctures), set()).add((rank, tuple(dims)))
         assert all(len(results) == 1 for results in by_surface.values()), by_surface
 
+    def test_rep_z2_n3_gluings_give_the_dijkgraaf_witten_count(self):
+        # Symmetric pointed C with |A| = 2: every surface of rank n has
+        # |A|^(n+1) simple objects, each with a one-dimensional block.
+        spec = catalog.builtin("rep_z2")
+        for sig in enumerate_adm(3):
+            assert center_rank(spec, sig) == (16, [1] * 16), sig.cycle_string()
+
+
+def dense_gamma_column(spec, sigma, alpha, middle, m, z):
+    """Reference gamma_[m] at z on the alpha summand, built as dense morphisms.
+
+    The argument strand braids to the low leg and merges with it; the high
+    leg turns into (dual(b), z) by a coupon rho built on one strand from a
+    cup, a split and a cap; then the argument braids to the right end.
+    """
+    n = sigma.n
+    lo, hi = sigma.pairs()[m]
+    word = center._word_for(spec, sigma, alpha, middle)
+    p = lo if lo <= n else lo + len(middle)
+    q = hi if hi <= n else hi + len(middle)
+    a = alpha[m]
+    base = Morphism.identity(spec, (z,) + word)
+    for j in range(1, p):
+        base = base.apply(("braid", j, center.GAMMA_LEFT))
+    out = []
+    for b in spec.channels(z, a):
+        for mu in range(spec.N(z, a, b)):
+            rho = Morphism.identity(spec, (spec.dual[a],))
+            for op in (("cup", 0, b, True), ("split", 2, z, a, mu), ("cap", 3, a, True)):
+                rho = rho.apply(op)
+            st = base.apply(("merge", p, b, mu)).apply_coupon(q, rho)
+            for j in range(q + 1, len(word) + 1):
+                st = st.apply(("braid", j, center.GAMMA_RIGHT))
+            out.append((alpha[:m] + (b,) + alpha[m + 1 :], st))
+    return out
+
+
+GAMMA_CASES = [
+    (key, cycles) for key in catalog.catalog_keys() for cycles in ("(1 2)", "(1 3)(2 4)")
+] + [("semion", "(1 3)(2 4)(5 6)"), ("fibonacci", "(1 3)(2 4)(5 6)")]
+
+
+class TestGammaWords:
+    @pytest.mark.parametrize("key,cycles", GAMMA_CASES)
+    def test_columns_equal_the_dense_construction(self, key, cycles):
+        spec = catalog.builtin(key)
+        sig = parse_cycles(cycles)
+        for x in spec.labels:
+            pair = induced_half_braidings(spec, sig, x)
+            for m, hb in enumerate(pair.braidings):
+                for si, (lab, _copy, alpha) in enumerate(pair.meta):
+                    for z in spec.labels:
+                        want = dense_gamma_column(spec, sig, alpha, (lab,), m, z)
+                        got = hb.columns(z, si)
+                        assert [pair.meta[ti][2] for ti, _ in got] == [a2 for a2, _ in want]
+                        for (_ti, col), (_a2, ref) in zip(got, want):
+                            mor = col.morphism(spec)
+                            assert mor.tgt == ref.tgt and mor == ref
+
+    def test_scaled_column_scales_its_action(self):
+        spec = catalog.builtin("fibonacci")
+        pair = induced_half_braidings(spec, sig12(), "t")
+        (_ti, col), *_rest = pair.braidings[0].columns("t", 0)
+        two = rational(2)
+        assert col.scale(two).morphism(spec) == col.morphism(spec).scale(two)
+        state = Morphism.identity(spec, ("1",) + col.src)
+        assert col.scale(two).apply_at(state, 2) == col.apply_at(state, 2).scale(two)
+
 
 def float_decompose(alg, rng_seed=11):
     """Independent numeric oracle: (rank, block_dims) via the regular representation."""

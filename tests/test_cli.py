@@ -8,7 +8,7 @@ import pytest
 
 from genuscenter import catalog, center, fusion
 from genuscenter.cli import main
-from genuscenter.gluing import parse_cycles
+from genuscenter.gluing import MAX_ENUM_RANK, parse_cycles
 
 
 def run(capsys, *argv):
@@ -33,6 +33,15 @@ class TestGluingCommands:
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err and "count" not in captured.out
+
+    @pytest.mark.parametrize("n", (MAX_ENUM_RANK + 1, 10**9))
+    def test_enum_above_the_rank_bound_errors(self, capsys, n):
+        # Refused before any gluing or leg tuple is allocated.
+        code = main(["gluing", "enum", "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: rank {n} has ({2 * n - 1})!! gluings" in captured.err
+        assert "count" not in captured.out
 
     def test_bad_sigma_is_usage_failure(self, capsys):
         code = main(["gluing", "classify", "--sigma", "(1 2)(2 3)"])

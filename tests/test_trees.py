@@ -7,7 +7,7 @@ import pytest
 from genuscenter import catalog
 from genuscenter.errors import IllFormedDiagramError
 from genuscenter.exactnum import ExactMatrix, rational, zeta
-from genuscenter.trees import Morphism, _op_map, all_trees, hom_dim, trees
+from genuscenter.trees import Morphism, _op_map, _op_new_word, all_trees, hom_dim, trees
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
 
@@ -195,3 +195,69 @@ class TestApplyCoupon:
         f = Morphism.identity(spec, ("t", "t"))
         with pytest.raises(IllFormedDiagramError):
             state.apply_coupon(1, f)
+
+
+def random_ops(spec, word, length, rng):
+    """A generator word valid on ``word``: braids, twists, cups, caps, merges, splits."""
+    ops = []
+    while len(ops) < length:
+        n = len(word)
+        kind = rng.choice(("braid", "braid", "twist", "cup", "cap", "merge", "split"))
+        primed = rng.random() < 0.5
+        caps = [i for i in range(1, n) if word[i - 1] == spec.dual[word[i]]]
+        if kind == "braid" and n >= 2:
+            op = ("braid", rng.randint(1, n - 1), rng.choice(("over", "under")))
+        elif kind == "twist" and n >= 1:
+            op = ("twist", rng.randint(1, n), rng.choice((1, -1)))
+        elif kind == "cup":
+            op = ("cup", rng.randint(0, n), rng.choice(spec.labels), primed)
+        elif kind == "cap" and caps:
+            i = rng.choice(caps)
+            op = ("cap", i, word[i - 1] if primed else word[i], primed)
+        elif kind == "merge" and n >= 2:
+            i = rng.randint(1, n - 1)
+            op = ("merge", i, rng.choice(spec.channels(word[i - 1], word[i])), 0)
+        elif kind == "split" and n >= 1:
+            i = rng.randint(1, n)
+            a = rng.choice(spec.labels)
+            op = ("split", i, a, rng.choice([b for b in spec.labels if spec.N(a, b, word[i - 1])]), 0)
+        else:
+            continue
+        ops.append(op)
+        word = _op_new_word(spec, word, op)
+    return tuple(ops)
+
+
+class TestApplyAll:
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_matches_one_generator_at_a_time(self, key):
+        spec = catalog.builtin(key)
+        nonzero = 0
+        for trial in range(6):
+            rng = rng_for(key, "word", trial)
+            word = random_word(spec, 3, rng)
+            state = random_morphism(spec, word, word, rng)
+            ops = random_ops(spec, word, 6, rng)
+            want = state
+            for op in ops:
+                want = want.apply(op)
+            got = state.apply_all(ops)
+            assert got.tgt == want.tgt and got == want
+            nonzero += not got.is_zero()
+        assert nonzero >= 3
+
+    def test_empty_word_is_the_identity(self):
+        spec = catalog.builtin("fibonacci")
+        state = random_morphism(spec, ("t", "t"), ("t", "t"), rng_for("empty"))
+        assert state.apply_all(()) is state
+
+    def test_second_call_adds_no_cache_entries(self):
+        spec = catalog.builtin("ising")
+        rng = rng_for("word cache")
+        word = ("s", "s", "f", "s")
+        state = random_morphism(spec, word, word, rng)
+        ops = random_ops(spec, word, 5, rng)
+        first = state.apply_all(ops)
+        size = len(spec._cache)
+        assert state.apply_all(ops) == first
+        assert len(spec._cache) == size
