@@ -7,10 +7,13 @@ A column of the induced pair is a generator word on (Z, word): braids
 bring Z to the low leg of its orbit, Z and the leg merge, the high leg
 turns into (dual leg, Z) by rotating that vertex (a cup, a split and a
 cap), and braids take Z to the right end.  Columns are applied at any
-strand by shifting the word's positions, so each application is one
-cached composed map (``Morphism.apply_all``); only the verification of
-a pair (``_hb_unit_ok``, ``_hb_matrix``) materializes a column as a
-morphism, by pushing the identity through its word.
+strand by shifting the word's positions.  Every strand action here (a
+column, a braid word of the leg plumbing, a cup or cap, and a coupon,
+which ``Morphism.apply_coupon`` turns into a merge word and a split word
+per nonzero entry) goes through the cached composed word maps of
+``trees``, applied by ``Morphism.apply_all``.  Only the verification of a pair
+(``_hb_unit_ok``, ``_hb_matrix``) materializes a column as a morphism,
+by pushing the identity through its word.
 
 Leg plumbing has one mechanism.  A layout lists the legs of the active
 orbits in order around the middle block; ``_move`` turns one leg move
@@ -197,11 +200,11 @@ def _induced_gamma_column(spec, sigma, alpha, middle, m, z):
     return out
 
 
-def induced_half_braidings(spec, sigma: Gluing, x, _cache=True) -> SigmaPair:
+def induced_half_braidings(spec, sigma: Gluing, x) -> SigmaPair:
     """The induced sigma-pair on x, with explicit half-braiding blocks."""
     fx = _as_formal(spec, x)
     key = ("induced", tuple(sigma.pairing), fx.multiplicities)
-    if _cache and key in spec._cache:
+    if key in spec._cache:
         return spec._cache[key]
     assigns = _assignments(spec, sigma)
     meta = []
@@ -224,8 +227,7 @@ def induced_half_braidings(spec, sigma: Gluing, x, _cache=True) -> SigmaPair:
     pair = SigmaPair(
         spec=spec, sigma=sigma, words=words, braidings=braidings, meta=tuple(meta)
     )
-    if _cache:
-        spec._cache[key] = pair
+    spec._cache[key] = pair
     return pair
 
 

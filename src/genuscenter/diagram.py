@@ -27,20 +27,11 @@ from dataclasses import dataclass
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
 from .exactnum import Cyclotomic, ExactMatrix, inverse as matrix_inverse, rational
-from .trees import (
-    Morphism,
-    all_trees,
-    loop_value,
-    right_trace,
-    theta as twist_value,
-    hopf_link_value,
-    trees,
-)
+from .trees import Morphism, all_trees, right_trace, trees
 
 __all__ = [
     "BoundaryWord",
     "HomBasis",
-    "MorphismMatrix",
     "Diagram",
     "hom_basis",
     "eval_diagram",
@@ -48,9 +39,6 @@ __all__ = [
     "hom_pairing",
     "dual_basis",
     "parse_diagram",
-    "loop_value",
-    "twist_value",
-    "hopf_link_value",
 ]
 
 
@@ -105,48 +93,6 @@ def hom_basis(spec, source: BoundaryWord, target: BoundaryWord) -> HomBasis:
     return HomBasis(source=source, target=target, trees=entries)
 
 
-class MorphismMatrix:
-    """A Hom-space element carried as charge-blocked tree matrices."""
-
-    def __init__(self, morphism: Morphism):
-        self.morphism = morphism
-
-    @property
-    def spec(self):
-        return self.morphism.spec
-
-    @property
-    def source(self) -> BoundaryWord:
-        return BoundaryWord.plus(self.morphism.src)
-
-    @property
-    def target(self) -> BoundaryWord:
-        return BoundaryWord.plus(self.morphism.tgt)
-
-    def compose(self, other: "MorphismMatrix") -> "MorphismMatrix":
-        return MorphismMatrix(self.morphism.compose(other.morphism))
-
-    def __add__(self, other):
-        return MorphismMatrix(self.morphism + other.morphism)
-
-    def scale(self, s) -> "MorphismMatrix":
-        return MorphismMatrix(self.morphism.scale(s))
-
-    def __eq__(self, other):
-        if not isinstance(other, MorphismMatrix):
-            return NotImplemented
-        return self.morphism == other.morphism
-
-    def is_zero(self):
-        return self.morphism.is_zero()
-
-    def scalar(self):
-        return self.morphism.scalar()
-
-    def __repr__(self):
-        return f"MorphismMatrix({self.morphism.src} -> {self.morphism.tgt})"
-
-
 @dataclass
 class Diagram:
     """Slices of generator tokens plus optional in-code coupons."""
@@ -160,7 +106,7 @@ class Diagram:
 
 @dataclass
 class Coupon:
-    value: MorphismMatrix
+    value: Morphism
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -183,9 +129,16 @@ def parse_diagram(text: str) -> Diagram:
     return Diagram(source=src, slices=slices)
 
 
-def _resolve(spec, lab: str, orient: str) -> str:
+def _label(spec, lab: str) -> str:
     if lab not in spec.dual:
         raise IllFormedDiagramError(f"unknown label {lab!r}")
+    return lab
+
+
+def _resolve(spec, lab: str, orient: str) -> str:
+    if orient not in ("+", "-"):
+        raise IllFormedDiagramError(f"bad orientation {orient!r} on {lab!r}")
+    lab = _label(spec, lab)
     return lab if orient == "+" else spec.dual[lab]
 
 
@@ -194,61 +147,61 @@ def _need_strands(word, pos: int, count: int, what: str) -> None:
         raise IllFormedDiagramError(f"{what} at strand {pos} runs past the boundary word")
 
 
+def _expect(word, pos: int, want: tuple, what: str) -> None:
+    """Raise unless the strands from ``pos`` on carry the labels ``want``."""
+    got = word[pos - 1 : pos - 1 + len(want)]
+    if got != want:
+        raise IllFormedDiagramError(f"{what} expects {want} at strand {pos}, found {got}")
+
+
+def _vertex(spec, tok: str, n_in: int, n_out: int):
+    """(a, b, c, m) of ``merge:a,b>c[:m]`` (n_in=2) or ``split:c>a,b[:m]`` (n_out=2)."""
+    parts = tok.split(":")
+    sides = parts[1].split(">")
+    if len(parts) > 3 or len(sides) != 2:
+        raise IllFormedDiagramError(f"malformed vertex token {tok!r}")
+    ins, outs = (tuple(_label(spec, lab) for lab in side.split(",")) for side in sides)
+    if (len(ins), len(outs)) != (n_in, n_out):
+        raise IllFormedDiagramError(f"malformed vertex token {tok!r}")
+    (a, b), (c,) = (ins, outs) if n_in == 2 else (outs, ins)
+    mu = parts[2] if len(parts) == 3 else "0"
+    if not (mu.isdecimal() and int(mu) < spec.N(a, b, c)):
+        raise IllFormedDiagramError(f"{tok!r}: no vertex {mu} of {a} (x) {b} -> {c}")
+    return a, b, c, int(mu)
+
+
 def _apply_token(spec, state: Morphism, pos: int, tok) -> tuple[Morphism, int]:
     """Apply one token at strand position ``pos``; return (state, new pos)."""
     word = state.tgt
     if isinstance(tok, Coupon):
-        f = tok.value.morphism
+        f = tok.value
         return state.apply_coupon(pos, f), pos + len(f.tgt)
     if tok.startswith("id:"):
-        lab = _resolve(spec, tok[3:-1], tok[-1])
-        if pos > len(word) or word[pos - 1] != lab:
-            raise IllFormedDiagramError(
-                f"strand {pos} carries {word[pos-1] if pos <= len(word) else None!r}, "
-                f"token wants {lab!r}"
-            )
+        _expect(word, pos, (_resolve(spec, tok[3:-1], tok[-1]),), "id")
         return state, pos + 1
     if tok in ("x:over", "x:under"):
         _need_strands(word, pos, 2, "crossing")
         return state.apply(("braid", pos, tok[2:])), pos + 2
     if tok.startswith("twist:"):
-        _need_strands(word, pos, 1, "twist")
-        sign = 1 if tok[-1] == "+" else -1
-        return state.apply(("twist", pos, sign)), pos + 1
+        if tok[-1] not in ("+", "-"):
+            raise IllFormedDiagramError(f"twist token {tok!r} needs a sign")
+        _expect(word, pos, (_label(spec, tok[6:-1]),), "twist")
+        return state.apply(("twist", pos, 1 if tok[-1] == "+" else -1)), pos + 1
     if tok.startswith("cup':"):
-        return state.apply(("cup", pos - 1, tok[5:], True)), pos + 2
+        return state.apply(("cup", pos - 1, _label(spec, tok[5:]), True)), pos + 2
     if tok.startswith("cup:"):
-        return state.apply(("cup", pos - 1, tok[4:], False)), pos + 2
+        return state.apply(("cup", pos - 1, _label(spec, tok[4:]), False)), pos + 2
     if tok.startswith(("cap:", "cap':")):
         _need_strands(word, pos, 2, "cap")
         head, lab = tok.split(":", 1)
-        return state.apply(("cap", pos, lab, head == "cap'")), pos
+        return state.apply(("cap", pos, _label(spec, lab), head == "cap'")), pos
     if tok.startswith("merge:"):
-        body = tok[6:]
-        mu = 0
-        if body.count(":"):
-            body, mu_s = body.split(":")
-            mu = int(mu_s)
-        pair, out = body.split(">")
-        a, b = pair.split(",")
-        if word[pos - 1 : pos + 1] != (a, b):
-            raise IllFormedDiagramError(
-                f"merge expects ({a},{b}) at {pos}, found {word[pos-1:pos+1]}"
-            )
-        return state.apply(("merge", pos, out, mu)), pos + 1
+        a, b, c, mu = _vertex(spec, tok, 2, 1)
+        _expect(word, pos, (a, b), "merge")
+        return state.apply(("merge", pos, c, mu)), pos + 1
     if tok.startswith("split:"):
-        body = tok[6:]
-        mu = 0
-        if body.count(":"):
-            body, mu_s = body.split(":")
-            mu = int(mu_s)
-        inp, pair = body.split(">")
-        a, b = pair.split(",")
-        _need_strands(word, pos, 1, "split")
-        if word[pos - 1] != inp:
-            raise IllFormedDiagramError(
-                f"split expects {inp!r} at {pos}, found {word[pos-1]!r}"
-            )
+        a, b, c, mu = _vertex(spec, tok, 1, 2)
+        _expect(word, pos, (c,), "split")
         return state.apply(("split", pos, a, b, mu)), pos + 2
     raise IllFormedDiagramError(f"unknown token {tok!r}")
 
@@ -261,7 +214,7 @@ def _has_omega(d: Diagram) -> bool:
     return False
 
 
-def eval_diagram(spec, d: Diagram) -> MorphismMatrix:
+def eval_diagram(spec, d: Diagram) -> Morphism:
     """Exact morphism of a diagram; Omega markers must be expanded first."""
     if _has_omega(d):
         raise IllFormedDiagramError(
@@ -279,10 +232,10 @@ def eval_diagram(spec, d: Diagram) -> MorphismMatrix:
             raise IllFormedDiagramError(
                 f"slice {k}: consumed {pos - 1} strands of {len(state.tgt)}"
             )
-    return MorphismMatrix(state)
+    return state
 
 
-def omega_expand(spec, d: Diagram) -> MorphismMatrix:
+def omega_expand(spec, d: Diagram) -> Morphism:
     """Expand Omega markers into dimension-weighted sums over the simples."""
     from .fusion import quantum_dims
 
@@ -302,7 +255,7 @@ def omega_expand(spec, d: Diagram) -> MorphismMatrix:
         return eval_diagram(spec, d)
     markers = sorted(markers)
     omega, _ = quantum_dims(spec)
-    total: MorphismMatrix | None = None
+    total: Morphism | None = None
     from itertools import product
 
     for assign in product(spec.labels, repeat=len(markers)):
@@ -337,14 +290,13 @@ def _substitute(tok: str, table: dict) -> str:
     return out
 
 
-def hom_pairing(spec, f: MorphismMatrix, g: MorphismMatrix) -> Cyclotomic:
+def hom_pairing(spec, f: Morphism, g: Morphism) -> Cyclotomic:
     """Nondegenerate pairing: spherical trace of g o f."""
-    comp = g.morphism.compose(f.morphism)
-    return right_trace(spec, comp)
+    return right_trace(spec, g.compose(f))
 
 
 def elementary_basis(spec, source: BoundaryWord, target: BoundaryWord):
-    """Hom-space basis as MorphismMatrix values (unit coefficient each)."""
+    """Hom-space basis as morphisms (unit coefficient each)."""
     src = source.internal(spec)
     tgt = target.internal(spec)
     basis = hom_basis(spec, source, target)
@@ -354,7 +306,7 @@ def elementary_basis(spec, source: BoundaryWord, target: BoundaryWord):
         cols = trees(spec, src, c)
         m = ExactMatrix.zeros(len(rows), len(cols))
         m[rows.index(t_tree), cols.index(s_tree)] = rational(1)
-        out.append(MorphismMatrix(Morphism(spec, src, tgt, {c: m})))
+        out.append(Morphism(spec, src, tgt, {c: m}))
     return out
 
 

@@ -223,11 +223,6 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

@@ -42,8 +42,9 @@ ZERO = rational(0)
 class CategorySpec:
     """Skeletal premodular (or spherical-fusion-only when R is None) data.
 
-    Frozen: ``_cache`` holds generator and coupon operators derived from F,
-    R and the pivotal data, so those fields never change after construction.
+    Frozen: ``_cache`` holds what is derived from F, R and the pivotal data
+    (F blocks, tree lists, one composed map per generator word, induced
+    pairs, tube algebras), so those fields never change after construction.
     """
 
     name: str

@@ -12,18 +12,14 @@ Tree encoding for a word (w_1, ..., w_m): ``(es, mus)`` where
 and ``es[-1]`` is the total charge) and ``mus[k-2]`` indexes the vertex
 ``es[k-1] -> es[k-2] (x) w_k``.
 
-A single generator acts through a cached sparse map {tree: [(tree',
-coeff)]} per (word, generator), and ``_push`` moves a block's nonzero
-rows through such a map.  A generator word acts the same way through one
-composed map per (word, ops): ``_chain_map`` multiplies the generator
-actions out once on every tree of the word, and ``apply_all`` pushes the
-state through the result in one pass.  A coupon ``1 (x) f (x) 1`` is
-linear in f, so it is three such passes over the state's rows, for each
-charge d of f: a cached fuse map (the source strands merged to d along
-each source tree of f), f's d block on the source-tree index, and a
-cached split map (d split back along each target tree of f).  The fuse
-and split maps are composed merge or split chains, built by
-``_chain_map`` as well.
+Every strand action is a generator word acting through one cached
+composed map {tree: [(tree', coeff)]} per (word, ops): ``_chain_map``
+multiplies the generator actions out once on every tree of the word, and
+``apply_all`` pushes a block's nonzero rows through the result in one
+pass (``_push``).  A single generator is a word of length one.  A coupon
+``1 (x) f (x) 1`` is linear in f, so it is a sum over the nonzero entries
+f_d[r, s], each the word that merges the source strands to d along
+source tree s followed by the word that splits d along target tree r.
 
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
@@ -328,21 +324,6 @@ def word_after(spec, word: Word, ops) -> Word:
     return word
 
 
-def _op_map(spec, word: Word, op):
-    """Cached sparse action {tree: [(tree', coeff)]} plus the new word."""
-    key = ("opmap", word, op)
-    if key in spec._cache:
-        return spec._cache[key]
-    new_word = _op_new_word(spec, word, op)
-    mapping: dict[Tree, list] = {}
-    for ts in all_trees(spec, word).values():
-        for t in ts:
-            mapping[t] = _apply_tree(spec, word, t, op)
-    out = (new_word, mapping)
-    spec._cache[key] = out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # morphisms
 
@@ -426,17 +407,15 @@ class Morphism:
 
     def apply(self, op) -> "Morphism":
         """Post-compose one generator acting on the target word."""
-        return self._push_through(*_op_map(self.spec, self.tgt, op))
+        return self.apply_all((op,))
 
     def apply_all(self, ops) -> "Morphism":
         """Post-compose a generator word (first op acts first) in one pass."""
         ops = tuple(ops)
         if not ops:
             return self
-        return self._push_through(*_word_map(self.spec, self.tgt, ops))
-
-    def _push_through(self, new_word: Word, mapping: dict) -> "Morphism":
         spec = self.spec
+        new_word, mapping = _word_map(spec, self.tgt, ops)
         blocks = {}
         for c, m in self.blocks.items():
             rows = _push(dict(zip(trees(spec, self.tgt, c), m.data)), mapping)
@@ -447,50 +426,57 @@ class Morphism:
     def apply_coupon(self, pos: int, f: "Morphism") -> "Morphism":
         """Post-compose ``1 (x) f (x) 1`` with f's source at strand ``pos``.
 
-        Three sparse row pushes for each charge d of f: the cached fuse map
-        sends a tree of the target word to keys (source column, fused tree);
-        f's d block sends (scol, t) to (t, r) with coefficient f[r, scol];
-        the cached split map sends (t, r) to trees of the new word.
+        f is a sum of its nonzero entries f_d[r, s], and each entry acts as
+        two generator words: merge the source strands to d along source tree
+        s, then split d along target tree r.  The merged state is shared by
+        the entries of column s.
         """
         spec = self.spec
         src_w, tgt_w = f.src, f.tgt
-        head, tail = self.tgt[: pos - 1], self.tgt[pos - 1 + len(src_w) :]
         if self.tgt[pos - 1 : pos - 1 + len(src_w)] != src_w:
             raise IllFormedDiagramError(
                 f"coupon source {src_w} does not match strands at {pos} of {self.tgt}"
             )
-        new_tgt = head + tgt_w + tail
-        fuse = _fuse_map(spec, self.tgt, pos, src_w)
-        passes = []
+        new_tgt = self.tgt[: pos - 1] + tgt_w + self.tgt[pos - 1 + len(src_w) :]
+        out = Morphism.zero(spec, self.src, new_tgt)
         for d, fm in f.blocks.items():
-            if d in fuse:
-                columns = [
-                    [(r, row[scol]) for r, row in enumerate(fm.data) if not row[scol].is_zero()]
-                    for scol in range(fm.cols)
-                ]
-                split = _split_map(spec, head + (d,) + tail, pos, tgt_w)
-                passes.append((fuse[d], columns, split))
-        blocks = {}
-        for c, m in self.blocks.items():
-            rows = dict(zip(trees(spec, self.tgt, c), m.data))
-            out: dict = {}
-            for fuse_d, columns, split in passes:
-                fused = _push(rows, fuse_d)
-                coupon = {key: [((key[1], r), x) for r, x in columns[key[0]]] for key in fused}
-                _push(_push(fused, coupon), split, out)
-            if out:
-                blocks[c] = _assemble(spec, new_tgt, c, out, m.cols)
-        return Morphism(spec, self.src, new_tgt, blocks)
+            s_trees, t_trees = trees(spec, src_w, d), trees(spec, tgt_w, d)
+            for s, s_tree in enumerate(s_trees):
+                entries = [(r, row[s]) for r, row in enumerate(fm.data) if not row[s].is_zero()]
+                if not entries:
+                    continue
+                merged = self.apply_all(_merge_word(pos, src_w, s_tree))
+                for r, x in entries:
+                    term = merged.apply_all(_split_word(pos, tgt_w, t_trees[r]))
+                    out = out + (term if x == ONE else term.scale(x))
+        return out
 
 
-def _push(rows: dict, mapping: dict, out: dict | None = None) -> dict:
+def _merge_word(pos: int, src_w: Word, tree: Tree) -> tuple:
+    """Merge strands ``src_w`` at ``pos`` to one along ``tree``; a unit strand if empty."""
+    if not src_w:
+        return (("unit_insert", pos - 1),)
+    es, mus = tree
+    return tuple(("merge", pos, es[k - 1], mus[k - 2]) for k in range(2, len(src_w) + 1))
+
+
+def _split_word(pos: int, tgt_w: Word, tree: Tree) -> tuple:
+    """Split strand ``pos`` into ``tgt_w`` along ``tree``; remove a unit strand if empty."""
+    if not tgt_w:
+        return (("unit_remove", pos),)
+    es, mus = tree
+    return tuple(
+        ("split", pos, es[k - 2], tgt_w[k - 1], mus[k - 2]) for k in range(len(tgt_w), 1, -1)
+    )
+
+
+def _push(rows: dict, mapping: dict) -> dict:
     """Move rows through a sparse map: out[k2] += coeff * rows[k] for (k2, coeff) in mapping[k].
 
     Rows are lists of column entries; only their nonzero entries move, and a
     row with none reaches no key.
     """
-    if out is None:
-        out = {}
+    out: dict = {}
     for key, row in rows.items():
         targets = mapping.get(key)
         if not targets:
@@ -519,7 +505,7 @@ def _chain_map(spec, word: Word, ops) -> dict[Tree, dict[Tree, Cyclotomic]]:
     """Compose a generator chain on ``word`` into {tree: {tree': coeff}}.
 
     Each generator acts only on the trees the chain reaches, and those
-    actions are dropped afterwards: the callers cache the composed map.
+    actions are dropped afterwards: ``_word_map`` caches the composed map.
     """
     steps = []
     w = word
@@ -553,50 +539,6 @@ def _word_map(spec, word: Word, ops: tuple):
     return out
 
 
-def _fuse_map(spec, word: Word, pos: int, src_w: Word) -> dict:
-    """{d: {tree: [((scol, fused tree), coeff)]}}: strands ``src_w`` at ``pos``
-    of ``word`` merged to charge d along source tree scol, or a unit strand
-    inserted when ``src_w`` is empty."""
-    key = ("fusemap", word, pos, src_w)
-    if key in spec._cache:
-        return spec._cache[key]
-    out: dict = {}
-    for d, s_trees in all_trees(spec, src_w).items():
-        per_tree: dict = {}
-        for scol, (es, mus) in enumerate(s_trees):
-            if src_w:
-                ops = [("merge", pos, es[k - 1], mus[k - 2]) for k in range(2, len(src_w) + 1)]
-            else:
-                ops = [("unit_insert", pos - 1)]
-            for t, vec in _chain_map(spec, word, ops).items():
-                per_tree.setdefault(t, []).extend(((scol, t2), v) for t2, v in vec.items())
-        out[d] = per_tree
-    spec._cache[key] = out
-    return out
-
-
-def _split_map(spec, mid_word: Word, pos: int, tgt_w: Word) -> dict:
-    """{(tree, r): [(tree', coeff)]}: strand ``pos`` of ``mid_word`` split into
-    ``tgt_w`` along target tree r, or a unit strand removed when ``tgt_w`` is
-    empty."""
-    key = ("splitmap", mid_word, pos, tgt_w)
-    if key in spec._cache:
-        return spec._cache[key]
-    out: dict = {}
-    for r, (es, mus) in enumerate(trees(spec, tgt_w, mid_word[pos - 1])):
-        if tgt_w:
-            ops = [
-                ("split", pos, es[k - 2], tgt_w[k - 1], mus[k - 2])
-                for k in range(len(tgt_w), 1, -1)
-            ]
-        else:
-            ops = [("unit_remove", pos)]
-        for t, vec in _chain_map(spec, mid_word, ops).items():
-            out[(t, r)] = list(vec.items())
-    spec._cache[key] = out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # traces and closed diagrams
 
@@ -606,13 +548,10 @@ def right_trace(spec, h: Morphism) -> Cyclotomic:
         raise IllFormedDiagramError("trace needs an endomorphism")
     w = h.src
     m = len(w)
-    state = Morphism.identity(spec, ())
-    for k in range(1, m + 1):
-        state = state.apply(("cup", k - 1, w[k - 1], False))
-    state = state.apply_coupon(1, h)
-    for k in range(m, 0, -1):
-        state = state.apply(("cap", k, w[k - 1], True))
-    return state.scalar()
+    cups = tuple(("cup", k - 1, w[k - 1], False) for k in range(1, m + 1))
+    caps = tuple(("cap", k, w[k - 1], True) for k in range(m, 0, -1))
+    state = Morphism.identity(spec, ()).apply_all(cups).apply_coupon(1, h)
+    return state.apply_all(caps).scalar()
 
 
 def left_trace(spec, h: Morphism) -> Cyclotomic:
@@ -620,13 +559,10 @@ def left_trace(spec, h: Morphism) -> Cyclotomic:
         raise IllFormedDiagramError("trace needs an endomorphism")
     w = h.src
     m = len(w)
-    state = Morphism.identity(spec, ())
-    for k in range(m, 0, -1):
-        state = state.apply(("cup", m - k, w[k - 1], True))
-    state = state.apply_coupon(m + 1, h)
-    for k in range(1, m + 1):
-        state = state.apply(("cap", m - k + 1, w[k - 1], False))
-    return state.scalar()
+    cups = tuple(("cup", m - k, w[k - 1], True) for k in range(m, 0, -1))
+    caps = tuple(("cap", m - k + 1, w[k - 1], False) for k in range(1, m + 1))
+    state = Morphism.identity(spec, ()).apply_all(cups).apply_coupon(m + 1, h)
+    return state.apply_all(caps).scalar()
 
 
 def loop_value(spec, a: str, side: str = "right") -> Cyclotomic:
@@ -644,10 +580,9 @@ def theta(spec, a: str) -> Cyclotomic:
     key = ("theta", a)
     if key in spec._cache:
         return spec._cache[key]
-    state = Morphism.identity(spec, (a,))
-    state = state.apply(("cup", 1, a, False))
-    state = state.apply(("braid", 1, "over"))
-    state = state.apply(("cap", 2, a, True))
+    state = Morphism.identity(spec, (a,)).apply_all(
+        (("cup", 1, a, False), ("braid", 1, "over"), ("cap", 2, a, True))
+    )
     blk = state.blocks.get(a)
     val = blk[0, 0] if blk is not None else rational(0)
     spec._cache[key] = val
@@ -656,11 +591,12 @@ def theta(spec, a: str) -> Cyclotomic:
 
 def hopf_link_value(spec, a: str, b: str) -> Cyclotomic:
     """Closed double braiding of an a-loop and a b-loop."""
-    state = Morphism.identity(spec, ())
-    state = state.apply(("cup", 0, a, False))
-    state = state.apply(("cup", 2, b, False))
-    state = state.apply(("braid", 2, "over"))
-    state = state.apply(("braid", 2, "over"))
-    state = state.apply(("cap", 1, a, True))
-    state = state.apply(("cap", 1, b, True))
-    return state.scalar()
+    word = (
+        ("cup", 0, a, False),
+        ("cup", 2, b, False),
+        ("braid", 2, "over"),
+        ("braid", 2, "over"),
+        ("cap", 1, a, True),
+        ("cap", 1, b, True),
+    )
+    return Morphism.identity(spec, ()).apply_all(word).scalar()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -9,6 +10,7 @@ from genuscenter.errors import GenusCenterError, IllFormedDiagramError
 from genuscenter.center import (
     CarrierMap,
     FormalObject,
+    HalfBraiding,
     adjunction_maps,
     carrier_basis,
     center_rank,
@@ -26,6 +28,13 @@ from genuscenter.trees import Morphism, hom_dim
 
 
 N2_GLUINGS = ("(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)")
+
+
+def perturbed(pair, key, s):
+    """A copy of ``pair`` whose first half-braiding has its block ``key`` scaled by s."""
+    blocks = dict(pair.braidings[0].blocks)
+    blocks[key] = [(ti, col.scale(s)) for ti, col in blocks[key]]
+    return dataclasses.replace(pair, braidings=[HalfBraiding(blocks)] + pair.braidings[1:])
 
 # Tube products of semion at the n=2 gluings, as pinned values: they depend on
 # crossing conventions of the leg plumbing that no rank detects.  An entry
@@ -115,20 +124,16 @@ class TestInducedPairs:
 
     def test_perturbed_block_fails(self):
         spec = catalog.builtin("fibonacci")
-        pair = induced_half_braidings(spec, sig12(), "1", _cache=False)
-        hb = pair.braidings[0]
-        key = ("t", 0)
-        hb.blocks[key] = [(ti, m.scale(rational(-1))) for ti, m in hb.blocks[key]]
+        pair = perturbed(induced_half_braidings(spec, sig12(), "1"), ("t", 0), rational(-1))
         assert not verify_sigma_pair(spec, sig12(), pair).ok
 
     def test_perturbed_copy_fails_right_after_the_induced_pair_verifies(self):
         # gamma at w is built once per (orbit, w) inside one verification;
         # a second call on another pair must not reuse it.
         spec = catalog.builtin("fibonacci")
-        assert verify_sigma_pair(spec, sig12(), induced_half_braidings(spec, sig12(), "t")).ok
-        pair = induced_half_braidings(spec, sig12(), "t", _cache=False)
-        hb = pair.braidings[0]
-        hb.blocks[("t", 0)] = [(ti, m.scale(rational(2))) for ti, m in hb.blocks[("t", 0)]]
+        induced = induced_half_braidings(spec, sig12(), "t")
+        assert verify_sigma_pair(spec, sig12(), induced).ok
+        pair = perturbed(induced, ("t", 0), rational(2))
         report = verify_sigma_pair(spec, sig12(), pair)
         assert any("multiplicativity" in e for e in report.entries)
 
@@ -304,10 +309,9 @@ class TestAdjunction:
         # must get different maps: nothing is kept between calls.
         spec = catalog.builtin("fibonacci")
         sig = sig12()
-        fwd, _bwd = adjunction_maps(spec, sig, "t", induced_half_braidings(spec, sig, "t"))
-        other = induced_half_braidings(spec, sig, "t", _cache=False)
-        hb = other.braidings[0]
-        hb.blocks[("t", 0)] = [(ti, m.scale(rational(2))) for ti, m in hb.blocks[("t", 0)]]
+        induced = induced_half_braidings(spec, sig, "t")
+        fwd, _bwd = adjunction_maps(spec, sig, "t", induced)
+        other = perturbed(induced, ("t", 0), rational(2))
         fwd2, _bwd2 = adjunction_maps(spec, sig, "t", other)
         basis = carrier_basis(spec, (("t",),), other.words)
         assert any(fwd(phi) != fwd2(phi) for phi in basis)

@@ -7,7 +7,6 @@ from genuscenter import catalog, diagram, fusion
 from genuscenter.diagram import (
     BoundaryWord,
     Diagram,
-    MorphismMatrix,
     dual_basis,
     elementary_basis,
     eval_diagram,
@@ -70,7 +69,7 @@ class TestEvalDiagram:
             """
         )
         got = eval_diagram(spec, d)
-        ident = MorphismMatrix(Morphism.identity(spec, ("t", "t")))
+        ident = Morphism.identity(spec, ("t", "t"))
         assert got == ident
 
     def test_zigzag_is_identity(self):
@@ -82,7 +81,7 @@ class TestEvalDiagram:
             id:t+ cap:t
             """
         )
-        assert eval_diagram(spec, d) == MorphismMatrix(Morphism.identity(spec, ("t",)))
+        assert eval_diagram(spec, d) == Morphism.identity(spec, ("t",))
 
     def test_twist_loop_matches_quantum_dims(self):
         spec = fib()
@@ -94,7 +93,7 @@ class TestEvalDiagram:
             """
         )
         got = eval_diagram(spec, d)
-        expect = MorphismMatrix(Morphism.identity(spec, ("t",)).scale(twists["t"]))
+        expect = Morphism.identity(spec, ("t",)).scale(twists["t"])
         assert got == expect
 
     def test_slice_mismatch_reports_index(self):
@@ -105,6 +104,19 @@ class TestEvalDiagram:
             ("src: t+\nid:t+ twist:t+\n", "slice 1"),
             ("src: t+\ncap:t\n", "slice 1"),
             ("src: t+\nid:t+ split:t>t,t\n", "slice 1"),
+            # unknown labels, bad multiplicities and mismatched twists
+            ("src: t+\nid:t+ cup:q\n", "slice 1"),
+            ("src: t+\ncup':q id:t+\n", "slice 1"),
+            ("src: t+ t+\ncap:q\n", "slice 1"),
+            ("src: t+ t+\nx:over\ncap':q\n", "slice 2"),
+            ("src: t+ t+\nmerge:t,t>t:x\n", "slice 1"),
+            ("src: t+ t+\nmerge:t,t>q\n", "slice 1"),
+            ("src: t+ t+\nmerge:t,t>t:5\n", "slice 1"),
+            ("src: t+ t+\nmerge:t,t>1:-1\n", "slice 1"),
+            ("src: t+\nsplit:t>t,t:3\n", "slice 1"),
+            ("src: t+\nsplit:t>q,t\n", "slice 1"),
+            ("src: t+\ntwist:q+\n", "slice 1"),
+            ("src: t+\ntwist:1-\n", "slice 1"),
         )
         for text, where in cases:
             with pytest.raises(IllFormedDiagramError) as err:
@@ -170,7 +182,7 @@ class TestOmega:
                 for phi, phi_dual in zip(fwd, dual):
                     term = phi_dual.compose(phi).scale(omega.weights[i])
                     total = term if total is None else total + term
-            ident = MorphismMatrix(Morphism.identity(spec, tuple(w)))
+            ident = Morphism.identity(spec, tuple(w))
             assert total == ident
 
     def test_transparent_label_ring_factors_out(self):
@@ -178,9 +190,7 @@ class TestOmega:
         spec = catalog.builtin("rep_z2")
         omega, _ = fusion.quantum_dims(spec)
         got = _omega_ring(spec, "1", ("over", "under"))
-        expect = MorphismMatrix(
-            Morphism.identity(spec, ("1",)).scale(omega.total)
-        )
+        expect = Morphism.identity(spec, ("1",)).scale(omega.total)
         assert got == expect
 
 
@@ -194,7 +204,7 @@ def _omega_ring(spec, label, senses):
         m = m.apply(("braid", 1, senses[0]))
         m = m.apply(("braid", 2, senses[1]))
         m = m.apply(("cap", 1, a, True))
-        term = MorphismMatrix(m).scale(omega.weights[a])
+        term = m.scale(omega.weights[a])
         total = term if total is None else total + term
     return total
 
@@ -250,7 +260,7 @@ class TestIsotopySuite:
         for b in basis:
             term = b.scale(rational(rng.randint(-3, 3)))
             f = term if f is None else f + term
-        assert left_trace(spec, f.morphism) == right_trace(spec, f.morphism)
+        assert left_trace(spec, f) == right_trace(spec, f)
 
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_sliding_makes_omega_transparent(self, key):

@@ -7,21 +7,22 @@ import pytest
 from genuscenter import catalog
 from genuscenter.errors import IllFormedDiagramError
 from genuscenter.exactnum import ExactMatrix, rational, zeta
-from genuscenter.trees import Morphism, _op_map, _op_new_word, all_trees, hom_dim, trees
+from genuscenter.trees import Morphism, _apply_tree, _op_new_word, all_trees, hom_dim, trees
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
 
 
 def dense_apply(state, op):
-    """Reference generator action: each block's rows pushed into a dense zero grid."""
+    """Reference generator action: each tree's image under the generator,
+    accumulated into a dense zero grid."""
     spec = state.spec
-    new_word, mapping = _op_map(spec, state.tgt, op)
+    new_word = _op_new_word(spec, state.tgt, op)
     blocks = {}
     for c, m in state.blocks.items():
         index = {t: k for k, t in enumerate(trees(spec, new_word, c))}
         out = ExactMatrix.zeros(len(index), m.cols)
         for t_old, row in zip(trees(spec, state.tgt, c), m.data):
-            for t_new, coeff in mapping[t_old]:
+            for t_new, coeff in _apply_tree(spec, state.tgt, t_old, op):
                 for j, v in enumerate(row):
                     out[index[t_new], j] = out[index[t_new], j] + coeff * v
         if not out.is_zero():
@@ -240,7 +241,7 @@ class TestApplyAll:
             ops = random_ops(spec, word, 6, rng)
             want = state
             for op in ops:
-                want = want.apply(op)
+                want = dense_apply(want, op)
             got = state.apply_all(ops)
             assert got.tgt == want.tgt and got == want
             nonzero += not got.is_zero()
