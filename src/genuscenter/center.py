@@ -25,6 +25,14 @@ block width) and is computed once per key, so contraction and creation
 are a word, a gamma column and a cap or cup, all applied as composed
 words.  The adjunction identities and algebra laws below are exact
 checks of the whole construction.
+
+Hom spaces are read and written only through the coordinate map of
+``trees``: ``hom_keys`` lists the (charge, target tree, source tree)
+coordinates, ``Morphism.elementary`` builds a basis map and
+``Morphism.entries`` reads a map's nonzero entries.  ``carrier_basis``
+and ``flatten_carrier_map`` extend them blockwise to sum carriers; the
+tube products and gamma's per-charge matrices are read off by
+``entries``.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .errors import GenusCenterError, IllFormedDiagramError
 from .exactnum import Cyclotomic, ExactMatrix, inverse as matrix_inverse, matrix_rank, rational
 from .fusion import CategorySpec, ValidationReport, quantum_dims
 from .gluing import Gluing, comm_case
-from .trees import Morphism, Word, all_trees, hom_dim, trees, word_after
+from .trees import Morphism, Word, hom_dim, hom_keys, trees, word_after
 
 __all__ = [
     "FormalObject",
@@ -315,44 +323,24 @@ class CarrierMap:
 
 
 def carrier_basis(spec, src_words, tgt_words):
-    """Elementary CarrierMap basis of Hom(sum src, sum tgt)."""
-    out = []
-    for si, sw in enumerate(src_words):
-        st = all_trees(spec, tuple(sw))
-        for ti, tw in enumerate(tgt_words):
-            tt = all_trees(spec, tuple(tw))
-            for c in spec.labels:
-                for scol, s_tree in enumerate(st.get(c, [])):
-                    for trow, t_tree in enumerate(tt.get(c, [])):
-                        m = ExactMatrix.zeros(len(tt[c]), len(st[c]))
-                        m[trow, scol] = ONE
-                        out.append(
-                            CarrierMap(
-                                spec, tuple(map(tuple, src_words)),
-                                tuple(map(tuple, tgt_words)),
-                                {(ti, si): Morphism(spec, tuple(sw), tuple(tw), {c: m})},
-                            )
-                        )
-    return out
+    """Elementary CarrierMap basis of Hom(sum src, sum tgt): blocks in turn, ``hom_keys`` within."""
+    src, tgt = tuple(map(tuple, src_words)), tuple(map(tuple, tgt_words))
+    return [
+        CarrierMap(spec, src, tgt, {(ti, si): Morphism.elementary(spec, sw, tw, key)})
+        for si, sw in enumerate(src)
+        for ti, tw in enumerate(tgt)
+        for key in hom_keys(spec, sw, tw)
+    ]
 
 
 def flatten_carrier_map(f: CarrierMap):
     """Coefficient vector over carrier_basis(src, tgt), in matching order."""
-    spec = f.spec
+    zero = rational(0)
     out = []
     for si, sw in enumerate(f.src):
-        st = all_trees(spec, tuple(sw))
         for ti, tw in enumerate(f.tgt):
-            tt = all_trees(spec, tuple(tw))
-            blk = f.blocks.get((ti, si))
-            for c in spec.labels:
-                ns, nt = len(st.get(c, [])), len(tt.get(c, []))
-                for scol in range(ns):
-                    for trow in range(nt):
-                        if blk is None or c not in blk.blocks:
-                            out.append(rational(0))
-                        else:
-                            out.append(blk.blocks[c][trow, scol])
+            vals = f.block(ti, si).entries()
+            out.extend(vals.get(key, zero) for key in hom_keys(f.spec, sw, tw))
     return out
 
 
@@ -406,36 +394,25 @@ def _hb_unit_ok(pair: SigmaPair) -> bool:
 
 
 def _hb_matrix(pair: SigmaPair, m: int, z: str):
-    """Flattened gamma_[m],z over the tree bases, plus its shape."""
+    """gamma_[m],z as one matrix per charge c.
+
+    Rows are the (target summand, tree) coordinates of charge c over the
+    words w + (z,), columns the (source summand, tree) ones over (z,) + w.
+    """
     spec = pair.spec
-    src_spaces = []
-    tgt_spaces = []
-    for w in pair.words:
-        src_spaces.append(all_trees(spec, (z,) + tuple(w)))
-        tgt_spaces.append(all_trees(spec, tuple(w) + (z,)))
-    rows = {c: sum(len(t.get(c, [])) for t in tgt_spaces) for c in spec.labels}
-    cols = {c: sum(len(t.get(c, [])) for t in src_spaces) for c in spec.labels}
-    mats = {c: ExactMatrix.zeros(rows[c], cols[c]) for c in spec.labels if rows[c] or cols[c]}
-    col_off = {}
-    off = {c: 0 for c in spec.labels}
-    for si, sp in enumerate(src_spaces):
-        for c in spec.labels:
-            col_off[(si, c)] = off[c]
-            off[c] += len(sp.get(c, []))
-    row_off = {}
-    off = {c: 0 for c in spec.labels}
-    for ti, sp in enumerate(tgt_spaces):
-        for c in spec.labels:
-            row_off[(ti, c)] = off[c]
-            off[c] += len(sp.get(c, []))
-    hb = pair.braidings[m]
+
+    def coords(words, c):
+        keys = [(k, t) for k, w in enumerate(words) for t in range(hom_dim(spec, w, c))]
+        return {key: n for n, key in enumerate(keys)}
+
+    rows = {c: coords([tuple(w) + (z,) for w in pair.words], c) for c in spec.labels}
+    cols = {c: coords([(z,) + tuple(w) for w in pair.words], c) for c in spec.labels}
+    mats = {c: ExactMatrix.zeros(len(rows[c]), len(cols[c])) for c in spec.labels if rows[c] or cols[c]}
     for si in range(len(pair.words)):
-        for ti, col in hb.columns(z, si):
-            for c, blk in col.morphism(spec).blocks.items():
-                for i in range(blk.rows):
-                    for j in range(blk.cols):
-                        if not blk[i, j].is_zero():
-                            mats[c][row_off[(ti, c)] + i, col_off[(si, c)] + j] = blk[i, j]
+        for ti, col in pair.braidings[m].columns(z, si):
+            for (c, r, s), v in col.morphism(spec).entries().items():
+                i, j = rows[c][ti, r], cols[c][si, s]
+                mats[c][i, j] = mats[c][i, j] + v
     return mats
 
 
@@ -724,9 +701,8 @@ def hom_Z_dim(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair) -> int:
     basis = carrier_basis(spec, px.words, py.words)
     if not basis:
         return 0
-    cols = [flatten_carrier_map(p) for p in project_morphisms(spec, sigma, px, py, basis)]
-    m = ExactMatrix(len(cols[0]), len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-    return matrix_rank(m)
+    rows = [flatten_carrier_map(p) for p in project_morphisms(spec, sigma, px, py, basis)]
+    return matrix_rank(ExactMatrix(len(rows), len(rows[0]), rows))
 
 
 def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
@@ -760,16 +736,9 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
             out[(ty, 0)] = blk.compose(inc)
         return CarrierMap(spec, ((lab,),), py.words, out)
 
+    # flatten_carrier_map(phis[k]) is the k-th unit vector, so it gives the
+    # coordinates of a map over this basis.
     phis = carrier_basis(spec, ((lab,),), py.words)
-    # Position of the single unit coefficient of each elementary basis map.
-    slots = []
-    for p in phis:
-        flat = flatten_carrier_map(p)
-        slots.append(next(k for k, v in enumerate(flat) if not v.is_zero()))
-
-    def coords_of(phi: CarrierMap) -> list:
-        flat = flatten_carrier_map(phi)
-        return [flat[k] for k in slots]
 
     # Sigma-morphism spanning set: averaging projections of preimages
     # supported on the all-units summand.
@@ -782,23 +751,20 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
         for phi in phis
     ]
     columns = project_morphisms(spec, sigma, ix, py, pres)
+    # Row j holds the coordinates of backward(columns[j]); forward(phi) is
+    # the combination of columns whose rows sum to phi's coordinates.
     m = len(phis)
-    gram = ExactMatrix(m, m)
-    for j, col in enumerate(columns):
-        vec = coords_of(backward(col))
-        for i in range(m):
-            gram[i, j] = vec[i]
-    minv = matrix_inverse(gram)
+    ginv = matrix_inverse(ExactMatrix(m, m, [flatten_carrier_map(backward(col)) for col in columns]))
 
     def forward(phi: CarrierMap) -> CarrierMap:
         if phi.src != ((lab,),) or phi.tgt != py.words:
             raise GenusCenterError("forward map input has wrong shape")
-        coords = coords_of(phi)
+        coords = flatten_carrier_map(phi)
         out = CarrierMap.zero(spec, ix.words, py.words)
         for j, col in enumerate(columns):
             c = rational(0)
-            for i in range(len(coords)):
-                c = c + minv[j, i] * coords[i]
+            for i, v in enumerate(coords):
+                c = c + v * ginv[i, j]
             if c.is_zero():
                 continue
             out = out + col.scale(c)
@@ -849,39 +815,33 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
     n = sigma.n
     assigns = _assignments(spec, sigma)
     basis = []
+    at: dict = {}  # (i, j, alpha, tree index) -> basis index
+    elems: dict = {}  # (i, j, alpha) -> [(basis index, basis map of Hom_C(i, T_alpha(j)))]
     for j in spec.labels:
         for alpha in assigns:
             word = _word_for(spec, sigma, alpha, (j,))
-            ts = all_trees(spec, word)
             for i in spec.labels:
-                for t in ts.get(i, []):
-                    basis.append((i, j, alpha, t))
+                ts = trees(spec, word, i)
+                for coord in hom_keys(spec, (i,), word):
+                    at[i, j, alpha, coord[1]] = len(basis)
+                    elem = Morphism.elementary(spec, (i,), word, coord)
+                    elems.setdefault((i, j, alpha), []).append((len(basis), elem))
+                    basis.append((i, j, alpha, ts[coord[1]]))
     index = {b: k for k, b in enumerate(basis)}
     mult: dict = {}
     mid_pos = n + 1
     pairs_cache = {j: induced_half_braidings(spec, sigma, j) for j in spec.labels}
-
-    def elem_morphism(i, j, alpha, t) -> Morphism:
-        word = _word_for(spec, sigma, alpha, (j,))
-        rows = trees(spec, word, i)
-        m = ExactMatrix.zeros(len(rows), 1)
-        m[rows.index(t), 0] = ONE
-        return Morphism(spec, (i,), word, {i: m})
 
     # Chains depend on g only; the f-tree enters linearly, so evaluate the
     # chain on the identity of each f-word and read off matrix columns.
     for j in spec.labels:
         for alpha_f in assigns:
             word_f = _word_for(spec, sigma, alpha_f, (j,))
-            f_trees = all_trees(spec, word_f)
             for k in spec.labels:
                 pk = pairs_cache[k]
                 sidx = {a: ai for ai, (_lab, _c, a) in enumerate(pk.meta)}
                 for alpha_g in assigns:
-                    word_g = _word_for(spec, sigma, alpha_g, (k,))
-                    g_trees = all_trees(spec, word_g).get(j, [])
-                    for tg in g_trees:
-                        gm = elem_morphism(j, k, alpha_g, tg)
+                    for b_idx, gm in elems.get((j, k, alpha_g), ()):
                         st = Morphism.identity(spec, word_f)
                         st = st.apply_coupon(mid_pos, gm)
                         res = _contract(
@@ -889,32 +849,17 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
                         )
                         for s2, mor in res.items():
                             alpha2 = pk.meta[s2][2]
-                            word2 = _word_for(spec, sigma, alpha2, (k,))
-                            t2s = all_trees(spec, word2)
-                            for i in spec.labels:
-                                rows2 = t2s.get(i, [])
-                                blk = mor.blocks.get(i)
-                                if blk is None:
-                                    continue
-                                cols = f_trees.get(i, [])
-                                for ci, tf in enumerate(cols):
-                                    a_idx = index[(i, j, alpha_f, tf)]
-                                    b_idx = index[(j, k, alpha_g, tg)]
-                                    row = mult.setdefault((a_idx, b_idx), {})
-                                    for ri, t2 in enumerate(rows2):
-                                        v = blk[ri, ci]
-                                        if not v.is_zero():
-                                            c_idx = index[(i, k, alpha2, t2)]
-                                            row[c_idx] = row.get(c_idx, rational(0)) + v
+                            for (i, ri, ci), v in mor.entries().items():
+                                row = mult.setdefault((at[i, j, alpha_f, ci], b_idx), {})
+                                c_idx = at[i, k, alpha2, ri]
+                                row[c_idx] = row.get(c_idx, rational(0)) + v
     mult = {k2: {c: v for c, v in row.items() if not v.is_zero()} for k2, row in mult.items()}
     mult = {k2: row for k2, row in mult.items() if row}
     all1 = (spec.unit,) * n
     unit: dict = {}
     for i in spec.labels:
-        word = _word_for(spec, sigma, all1, (i,))
-        ts = trees(spec, word, i)
-        assert len(ts) == 1
-        unit[index[(i, i, all1, ts[0])]] = ONE
+        assert len(elems.get((i, i, all1), ())) == 1
+        unit[at[i, i, all1, 0]] = ONE
     out = TubeAlgebra(
         spec=spec, sigma=sigma, basis=basis, index=index, mult_table=mult, unit=unit
     )

@@ -1,8 +1,8 @@
 """Command-line surface: validation, gluing combinatorics, center ranks.
 
 Every subcommand is a thin adapter over the library; no numerical logic
-lives here.  Output is deterministic text or JSON; `--timings` adds a
-runtime field (off by default so identical inputs give identical bytes).
+lives here.  Output is deterministic text or JSON, with no timing field,
+so identical inputs give identical bytes.
 Exit codes: 0 pass, 1 check failure or computation diagnostic, 2 usage.
 `center` and `adjoint` refuse a catalog file that fails an axiom check of
 `validate`; the built-in catalogs are checked by the test suite instead.
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import catalog, center, fusion
 from .errors import GenusCenterError
@@ -154,7 +153,6 @@ def _cmd_gluing_classify(args) -> int:
 def _cmd_center_rank(args) -> int:
     spec = _load_cat(args.cat)
     sig = parse_cycles(args.sigma)
-    t0 = time.time()
     tube = center.tube_algebra(spec, sig)
     rank, dims = center.center_rank(spec, sig)
     st = surface_type(sig)
@@ -166,8 +164,6 @@ def _cmd_center_rank(args) -> int:
         "block_dims": dims,
         "total_dim": tube.dim,
     }
-    if args.timings:
-        doc["runtime"] = round(time.time() - t0, 3)
     _emit(doc, args.json)
     return 0
 
@@ -244,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--timings", action="store_true", help="include runtime fields")
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="run category axiom validators", parents=[common])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
 from .exactnum import Cyclotomic, ExactMatrix, inverse as matrix_inverse, rational
-from .trees import Morphism, all_trees, right_trace, trees
+from .trees import Morphism, hom_keys, right_trace, trees
 
 __all__ = [
     "BoundaryWord",
@@ -73,7 +73,7 @@ class HomBasis:
 
     source: BoundaryWord
     target: BoundaryWord
-    trees: list  # (charge, source_tree, target_tree), lexicographic
+    trees: list  # (charge, source_tree, target_tree), in ``hom_keys`` order
 
     @property
     def dim(self) -> int:
@@ -83,13 +83,9 @@ class HomBasis:
 def hom_basis(spec, source: BoundaryWord, target: BoundaryWord) -> HomBasis:
     src = source.internal(spec)
     tgt = target.internal(spec)
-    entries = []
-    src_trees = all_trees(spec, src)
-    tgt_trees = all_trees(spec, tgt)
-    for c in spec.labels:
-        for s in src_trees.get(c, []):
-            for t in tgt_trees.get(c, []):
-                entries.append((c, s, t))
+    entries = [
+        (c, trees(spec, src, c)[s], trees(spec, tgt, c)[r]) for c, r, s in hom_keys(spec, src, tgt)
+    ]
     return HomBasis(source=source, target=target, trees=entries)
 
 
@@ -296,18 +292,10 @@ def hom_pairing(spec, f: Morphism, g: Morphism) -> Cyclotomic:
 
 
 def elementary_basis(spec, source: BoundaryWord, target: BoundaryWord):
-    """Hom-space basis as morphisms (unit coefficient each)."""
+    """Hom-space basis as morphisms (unit coefficient each), in ``hom_basis`` order."""
     src = source.internal(spec)
     tgt = target.internal(spec)
-    basis = hom_basis(spec, source, target)
-    out = []
-    for c, s_tree, t_tree in basis.trees:
-        rows = trees(spec, tgt, c)
-        cols = trees(spec, src, c)
-        m = ExactMatrix.zeros(len(rows), len(cols))
-        m[rows.index(t_tree), cols.index(s_tree)] = rational(1)
-        out.append(Morphism(spec, src, tgt, {c: m}))
-    return out
+    return [Morphism.elementary(spec, src, tgt, key) for key in hom_keys(spec, src, tgt)]
 
 
 def dual_basis(spec, x: BoundaryWord, y: BoundaryWord):

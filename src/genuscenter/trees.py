@@ -21,6 +21,11 @@ pass (``_push``).  A single generator is a word of length one.  A coupon
 f_d[r, s], each the word that merges the source strands to d along
 source tree s followed by the word that splits d along target tree r.
 
+A Hom space has the coordinates (charge, target tree, source tree) that
+``hom_keys`` lists.  Other modules write a map's entries only through
+``Morphism.elementary`` and read them only through ``Morphism.entries``, so
+the block layout is known here alone.
+
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
 solved from the zig-zag so that bent strands straighten with no scalar.
@@ -74,6 +79,21 @@ def hom_dim(spec, word: Word, charge: str) -> int:
     return len(trees(spec, word, charge))
 
 
+def hom_keys(spec, src: Word, tgt: Word) -> list[tuple[str, int, int]]:
+    """Coordinates (charge, target tree, source tree) of Hom(src, tgt).
+
+    Charges come in label order, then source trees, then target trees;
+    ``Morphism.entries`` lists a map's nonzero entries in the same order.
+    Trees are indices into ``trees(spec, word, charge)``.
+    """
+    src, tgt = tuple(src), tuple(tgt)
+    out = []
+    for c in spec.labels:
+        n_tgt = hom_dim(spec, tgt, c)
+        out.extend((c, r, s) for s in range(hom_dim(spec, src, c)) for r in range(n_tgt))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # cap normalization
 
@@ -100,60 +120,28 @@ def ev_coeff(spec, a: str) -> Cyclotomic:
 # tree-level generator actions
 
 
-def _expose(spec, word: Word, tree: Tree, i: int):
-    """Rewrite so strands (i, i+1) meet at their own vertex.
+def _recouple(spec, word: Word, tree: Tree, i: int, inverse: bool = False):
+    """Rewrite the slots of strands (i, i+1) through F, or F^-1 if ``inverse``.
 
-    In the exposed tuple the slot ``es[i-1]`` holds the pair charge f,
-    ``mus[i-2]`` the pair vertex, and ``mus[i-1]`` the spine vertex
-    ``es[i] -> es[i-2] (x) f``.  Position 1 is exposed already.
+    F exposes the pair: in the result the slot ``es[i-1]`` holds the pair
+    charge f, ``mus[i-2]`` the pair vertex, and ``mus[i-1]`` the spine
+    vertex ``es[i] -> es[i-2] (x) f``.  F^-1 turns an exposed tree over the
+    (possibly relabeled) word back into a left-nested one.  Position 1 is
+    exposed already.  Both blocks are keyed (incoming slots, outgoing slots).
     """
     if i == 1:
         return [(tree, ONE)]
     es, mus = tree
     a, d = es[i - 2], es[i]
     b, c = word[i - 1], word[i]
-    _, _, blk = spec.f_block(a, b, c, d)
-    row = (es[i - 1], mus[i - 2], mus[i - 1])
+    _, _, blk = (spec.f_inverse if inverse else spec.f_block)(a, b, c, d)
+    slots = (es[i - 1], mus[i - 2], mus[i - 1])
     out = []
-    for (rk, ck), v in blk.items():
-        if rk != row:
+    for (k, new), v in blk.items():
+        if k != slots:
             continue
-        f, nu, rho = ck
-        out.append(
-            (
-                (
-                    es[: i - 1] + (f,) + es[i:],
-                    mus[: i - 2] + (nu, rho) + mus[i:],
-                ),
-                v,
-            )
-        )
-    return out
-
-
-def _unexpose(spec, word: Word, tree: Tree, i: int):
-    """Inverse of :func:`_expose` on the (possibly relabeled) word."""
-    if i == 1:
-        return [(tree, ONE)]
-    es, mus = tree
-    a, d = es[i - 2], es[i]
-    b, c = word[i - 1], word[i]
-    _, _, blk = spec.f_inverse(a, b, c, d)
-    col = (es[i - 1], mus[i - 2], mus[i - 1])
-    out = []
-    for (ck, rk), v in blk.items():
-        if ck != col:
-            continue
-        e, al, be = rk
-        out.append(
-            (
-                (
-                    es[: i - 1] + (e,) + es[i:],
-                    mus[: i - 2] + (al, be) + mus[i:],
-                ),
-                v,
-            )
-        )
+        e, nu, rho = new
+        out.append(((es[: i - 1] + (e,) + es[i:], mus[: i - 2] + (nu, rho) + mus[i:]), v))
     return out
 
 
@@ -208,7 +196,7 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
         a, b = word[i - 1], word[i]
         new_word = _op_new_word(spec, word, op)
         out = []
-        for exp, v1 in _expose(spec, word, tree, i):
+        for exp, v1 in _recouple(spec, word, tree, i):
             f, nu = _pair_slots(exp, i)
             if direction == "over":
                 rmat = spec.r_matrix(a, b, f)
@@ -223,14 +211,14 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
                     cand = ((new_word[0],) + ees[1:], (nu2,) + mmus[1:])
                 else:
                     cand = (ees, mmus[: i - 2] + (nu2,) + mmus[i - 1 :])
-                for t2, v2 in _unexpose(spec, new_word, cand, i):
+                for t2, v2 in _recouple(spec, new_word, cand, i, inverse=True):
                     out.append((t2, v1 * coeff * v2))
         return out
 
     if kind == "merge":
         _, i, c, nu0 = op
         out = []
-        for exp, v1 in _expose(spec, word, tree, i):
+        for exp, v1 in _recouple(spec, word, tree, i):
             f, nu = _pair_slots(exp, i)
             if f != c or nu != nu0:
                 continue
@@ -251,7 +239,7 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
         if i == 1:
             return [(((a, x) + es[1:], (mu0,) + mus), ONE)]
         exp = (es[: i - 1] + (x,) + es[i - 1 :], mus[: i - 2] + (mu0, mus[i - 2]) + mus[i - 1 :])
-        return _unexpose(spec, new_word, exp, i)
+        return _recouple(spec, new_word, exp, i, inverse=True)
 
     if kind == "cup":
         _, g, a, primed = op
@@ -266,7 +254,7 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
                 return [(((a, u), (0,)), ONE)]
             return [(((a, u) + es, (0, 0) + mus), ONE)]
         exp = (es[:g] + (u, es[g - 1]) + es[g:], mus[: g - 1] + (0, 0) + mus[g - 1 :])
-        return _unexpose(spec, new_word, exp, g + 1)
+        return _recouple(spec, new_word, exp, g + 1, inverse=True)
 
     if kind == "cap":
         _, i, a, primed = op
@@ -283,7 +271,7 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
         lam = ev_coeff(spec, a)
         u = spec.unit
         out = []
-        for exp, v1 in _expose(spec, word, tree, i):
+        for exp, v1 in _recouple(spec, word, tree, i):
             f, _ = _pair_slots(exp, i)
             if f != u:
                 continue
@@ -350,6 +338,28 @@ class Morphism:
     @staticmethod
     def zero(spec, src: Word, tgt: Word) -> "Morphism":
         return Morphism(spec, tuple(src), tuple(tgt), {})
+
+    @staticmethod
+    def elementary(spec, src: Word, tgt: Word, key) -> "Morphism":
+        """The basis map of Hom(src, tgt) with a single 1 at ``key`` (see ``hom_keys``)."""
+        c, r, s = key
+        src, tgt = tuple(src), tuple(tgt)
+        m = ExactMatrix.zeros(hom_dim(spec, tgt, c), hom_dim(spec, src, c))
+        m[r, s] = ONE
+        return Morphism(spec, src, tgt, {c: m})
+
+    def entries(self) -> dict:
+        """The nonzero entries {(charge, target tree, source tree): value}, in ``hom_keys`` order."""
+        out = {}
+        for c in self.spec.labels:
+            m = self.blocks.get(c)
+            if m is None:
+                continue
+            for s in range(m.cols):
+                for r, row in enumerate(m.data):
+                    if not row[s].is_zero():
+                        out[(c, r, s)] = row[s]
+        return out
 
     def block(self, charge: str) -> ExactMatrix:
         got = self.blocks.get(charge)

@@ -14,6 +14,7 @@ from genuscenter.center import (
     adjunction_maps,
     carrier_basis,
     center_rank,
+    flatten_carrier_map,
     hom_Z_dim,
     induce_object,
     induced_half_braidings,
@@ -60,6 +61,31 @@ SEMION_N2_PRODUCTS = {
     ),
 }
 UNITS = {"1": rational(1), "-1": rational(-1), "i": zeta(4), "-i": -zeta(4)}
+
+# Tube products of fibonacci at (1 2), pinned the same way over Q(zeta_5),
+# where p = -(zeta_5^2 + zeta_5^3) is the golden ratio.
+PHI = -(zeta(5, 2) + zeta(5, 3))
+GOLDEN = {
+    "1": rational(1), "-1": rational(-1), "p": PHI, "1-p": rational(1) - PHI,
+    "2-p": rational(2) - PHI, "p-1": PHI - rational(1), "p-2": PHI - rational(2),
+}
+FIBONACCI_N1_PRODUCTS = (
+    "00>0:1 01>1:1 04>4:1 10>1:1 11>0:1 11>1:1 14>4:1-p",
+    "20>2:1 21>2:1-p 24>3:1 24>5:1 24>6:2-p 32>2:1 33>3:1",
+    "35>5:1 36>6:1 42>0:p 42>1:-1 43>4:1 45>4:1 46>4:p-1",
+    "52>2:1 53>5:1 55>3:p-1 55>6:p-1 56>3:1 56>6:1-p 62>2:p-1",
+    "63>6:1 65>3:1 65>6:1-p 66>3:-1 66>5:p 66>6:p-2",
+)
+
+
+def pinned_products(table, values) -> dict:
+    """{(a, b): {c: v}} from tokens "ab>c:v", with v a key of ``values``."""
+    want: dict = {}
+    for tok in " ".join(table).split():
+        ab, cv = tok.split(">")
+        c, v = cv.split(":")
+        want.setdefault((int(ab[0]), int(ab[1])), {})[int(c)] = values[v]
+    return want
 
 
 def sig12():
@@ -290,6 +316,24 @@ class TestHomZDim:
         assert hom_Z_dim(spec, sig, p0, p0) == 2
 
 
+class TestCarrierBasis:
+    @pytest.mark.parametrize(
+        "key,cycles,x,y",
+        [("fibonacci", "(1 2)", "t", "t"), ("rep_s3", "(1 2)", "V", "V"), ("ising", "(1 3)(2 4)", "s", "s")],
+    )
+    def test_flattened_basis_maps_are_unit_vectors(self, key, cycles, x, y):
+        # The fact that lets adjunction_maps read coordinates by flattening.
+        spec = catalog.builtin(key)
+        sig = parse_cycles(cycles)
+        py = induced_half_braidings(spec, sig, y)
+        for src in (((x,),), induced_half_braidings(spec, sig, x).words):
+            basis = carrier_basis(spec, src, py.words)
+            assert basis
+            for k, phi in enumerate(basis):
+                want = [rational(int(i == k)) for i in range(len(basis))]
+                assert flatten_carrier_map(phi) == want
+
+
 class TestAdjunction:
     @pytest.mark.parametrize("key", ("rep_z2", "fibonacci"))
     def test_gf_and_fg_identities(self, key):
@@ -353,13 +397,17 @@ class TestTubeAlgebra:
     def test_semion_n2_products_pinned(self, cycles):
         # Pins the crossing conventions: flipping MIGRATE_SENSE keeps every
         # rank but changes these signs (e5 * e4 = -e5 at (1 2)(3 4)).
-        want: dict = {}
-        for tok in " ".join(SEMION_N2_PRODUCTS[cycles]).split():
-            ab, cv = tok.split(">")
-            c, v = cv.split(":")
-            want.setdefault((int(ab[0]), int(ab[1])), {})[int(c)] = UNITS[v]
+        want = pinned_products(SEMION_N2_PRODUCTS[cycles], UNITS)
         tube = tube_algebra(catalog.builtin("semion"), parse_cycles(cycles))
         assert tube.dim == 8 and len(want) == 32
+        assert tube.mult_table == want
+
+    def test_fibonacci_n1_products_pinned(self):
+        # Pins the read-off of tube products from blocks with several trees
+        # per charge, over a field wider than Q(i).
+        want = pinned_products(FIBONACCI_N1_PRODUCTS, GOLDEN)
+        tube = tube_algebra(catalog.builtin("fibonacci"), sig12())
+        assert tube.dim == 7 and len(want) == 25
         assert tube.mult_table == want
 
     def test_empty_gluing_tube(self):

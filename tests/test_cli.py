@@ -97,6 +97,10 @@ class TestCenterCommands:
         _, out2 = run(capsys, "center", "rank", "--cat", "rep_z2", "--sigma", "(1 2)", "--json")
         assert out1 == out2
 
+    def test_timings_option_is_gone(self, capsys):
+        code = main(["center", "rank", "--cat", "fibonacci", "--sigma", "(1 2)", "--timings"])
+        assert code == 2 and capsys.readouterr().out == ""
+
     def test_verify_induced(self, capsys):
         code, out = run(
             capsys,

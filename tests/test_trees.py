@@ -7,7 +7,15 @@ import pytest
 from genuscenter import catalog
 from genuscenter.errors import IllFormedDiagramError
 from genuscenter.exactnum import ExactMatrix, rational, zeta
-from genuscenter.trees import Morphism, _apply_tree, _op_new_word, all_trees, hom_dim, trees
+from genuscenter.trees import (
+    Morphism,
+    _apply_tree,
+    _op_new_word,
+    all_trees,
+    hom_dim,
+    hom_keys,
+    trees,
+)
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
 
@@ -262,3 +270,40 @@ class TestApplyAll:
         size = len(spec._cache)
         assert state.apply_all(ops) == first
         assert len(spec._cache) == size
+
+
+# Hom spaces with several trees per charge (rep_s3 (V,V,V)), and an empty source word.
+HOM_CASES = (
+    ("fibonacci", ("t", "t", "t"), ("t", "t", "t")),
+    ("rep_s3", ("V", "V", "V"), ("V", "V", "V")),
+    ("fibonacci", (), ("t", "t")),
+)
+
+
+class TestHomKeys:
+    @pytest.mark.parametrize("key,src,tgt", HOM_CASES)
+    def test_keys_cover_the_hom_space_in_order(self, key, src, tgt):
+        spec = catalog.builtin(key)
+        keys = hom_keys(spec, src, tgt)
+        assert len(keys) == sum(hom_dim(spec, src, c) * hom_dim(spec, tgt, c) for c in spec.labels)
+        assert keys == sorted(set(keys), key=lambda k: (spec.labels.index(k[0]), k[2], k[1]))
+
+    @pytest.mark.parametrize("key,src,tgt", HOM_CASES)
+    def test_elementary_map_has_one_entry(self, key, src, tgt):
+        spec = catalog.builtin(key)
+        for k in hom_keys(spec, src, tgt):
+            assert Morphism.elementary(spec, src, tgt, k).entries() == {k: rational(1)}
+
+    @pytest.mark.parametrize("key,src,tgt", HOM_CASES)
+    def test_entries_give_back_the_coefficients(self, key, src, tgt):
+        spec = catalog.builtin(key)
+        rng = rng_for(key, "entries", len(src))
+        keys = hom_keys(spec, src, tgt)
+        coeffs = {k: rational(rng.randint(-2, 2)) for k in keys}
+        total = Morphism.zero(spec, src, tgt)
+        for k, x in coeffs.items():
+            total = total + Morphism.elementary(spec, src, tgt, k).scale(x)
+        want = {k: x for k, x in coeffs.items() if not x.is_zero()}
+        got = total.entries()
+        assert got == want and list(got) == list(want)
+        assert Morphism.zero(spec, src, tgt).entries() == {}
