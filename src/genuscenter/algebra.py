@@ -75,27 +75,6 @@ class AlgebraData:
                     out[c] = val if acc is None else acc + val
         return {c: v for c, v in out.items() if not v.is_zero()}
 
-    def check_unit(self) -> bool:
-        for a in range(self.dim):
-            basis_vec = {a: rational(1)}
-            if self.product(self.unit, basis_vec) != basis_vec:
-                return False
-            if self.product(basis_vec, self.unit) != basis_vec:
-                return False
-        return True
-
-    def check_associative(self) -> bool:
-        for a in range(self.dim):
-            ea = {a: rational(1)}
-            for b in range(self.dim):
-                eb = {b: rational(1)}
-                ab = self.product(ea, eb)
-                for c in range(self.dim):
-                    ec = {c: rational(1)}
-                    if self.product(ab, ec) != self.product(ea, self.product(eb, ec)):
-                        return False
-        return True
-
     def field_order(self) -> int:
         order = 1
         for row in self.mult.values():

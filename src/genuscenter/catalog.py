@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from functools import cache
 
 from .errors import GenusCenterError, KeyNotFoundError
 from .exactnum import Cyclotomic, ExactMatrix, nullspace, rational, solve, zeta
@@ -357,21 +358,17 @@ _BUILDERS = {
     "semion": _semion,
 }
 
-_MEMO: dict[str, CategorySpec] = {}
-
-
 def catalog_keys() -> list[str]:
     return sorted(_BUILDERS)
 
 
+@cache
 def builtin(key: str) -> CategorySpec:
     if key not in _BUILDERS:
         raise KeyNotFoundError(
             f"unknown catalog key {key!r}; available: {', '.join(catalog_keys())}"
         )
-    if key not in _MEMO:
-        _MEMO[key] = _BUILDERS[key]()
-    return _MEMO[key]
+    return _BUILDERS[key]()
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .errors import GenusCenterError, IllFormedDiagramError
 from .exactnum import Cyclotomic, ExactMatrix, inverse as matrix_inverse, matrix_rank, rational
 from .fusion import CategorySpec, ValidationReport, quantum_dims
 from .gluing import Gluing, comm_case
-from .trees import Morphism, Word, hom_dim, hom_keys, trees, word_after
+from .trees import Morphism, Word, cached, hom_dim, hom_keys, trees, word_after
 
 __all__ = [
     "FormalObject",
@@ -210,10 +210,11 @@ def _induced_gamma_column(spec, sigma, alpha, middle, m, z):
 
 def induced_half_braidings(spec, sigma: Gluing, x) -> SigmaPair:
     """The induced sigma-pair on x, with explicit half-braiding blocks."""
-    fx = _as_formal(spec, x)
-    key = ("induced", tuple(sigma.pairing), fx.multiplicities)
-    if key in spec._cache:
-        return spec._cache[key]
+    return _induced(spec, sigma, _as_formal(spec, x))
+
+
+@cached
+def _induced(spec, sigma: Gluing, fx: FormalObject) -> SigmaPair:
     assigns = _assignments(spec, sigma)
     meta = []
     for lab, mult in fx.multiplicities:
@@ -232,11 +233,9 @@ def induced_half_braidings(spec, sigma: Gluing, x) -> SigmaPair:
                     for alpha2, col in _induced_gamma_column(spec, sigma, alpha, (lab,), m, z)
                 ]
         braidings.append(HalfBraiding(blocks=blocks))
-    pair = SigmaPair(
+    return SigmaPair(
         spec=spec, sigma=sigma, words=words, braidings=braidings, meta=tuple(meta)
     )
-    spec._cache[key] = pair
-    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -595,15 +594,12 @@ def _create_plan(sigma: Gluing, m: int, width: int):
     return _offset(inner, width, mid) - 1, word
 
 
-def _contract(
-    spec, sigma: Gluing, pair: SigmaPair, alpha, s: int, state: Morphism, weighted: bool
-):
+def _contract(spec, sigma: Gluing, pair: SigmaPair, alpha, s: int, state: Morphism):
     """Contract all leg pairs of the alpha summand through the carrier.
 
     ``state``: Morphism(src -> legs + word_s + legs).  Returns a dict
     {s2: Morphism(src -> word_s2)}.
     """
-    omega, _ = quantum_dims(spec)
     current = {s: state}
     for m in range(sigma.n):
         a = alpha[m]
@@ -613,8 +609,6 @@ def _contract(
             st = mor.apply_all(word)
             for s2, col in pair.braidings[m].columns(a, si):
                 st2 = col.apply_at(st, a_pos, (("cap", a_pos + len(pair.words[s2]), a, True),))
-                if weighted:
-                    st2 = st2.scale(omega.weights[a])
                 nxt[s2] = nxt[s2] + st2 if s2 in nxt else st2
         current = nxt
     return current
@@ -654,42 +648,37 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
     return current
 
 
-def _dim_omega_power(spec, n: int) -> Cyclotomic:
-    omega, _ = quantum_dims(spec)
-    out = ONE
-    for _ in range(n):
-        out = out * omega.total
-    return out
-
-
 def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> list:
     """The averaging projection onto sigma-morphisms of each map in fs.
 
     The leg pairs are created once per source summand of px for the whole
     batch, and only toward the summands that some map of the batch reads.
+    The contraction of created entry alpha carries the weight
+    prod_m d(alpha_m) / dim(C), with dim(C) = sum_a d(a)^2.
     """
     if any(f.src != px.words or f.tgt != py.words for f in fs):
         raise GenusCenterError("morphism shape does not match the pair carriers")
+    omega, _ = quantum_dims(spec)
+    inv_total = omega.total.inverse()
     need = {sx for f in fs for (_ty, sx) in f.blocks}
     outs: list = [{} for _ in fs]
     mid_pos = sigma.n + 1
     for sx0, w in enumerate(px.words):
         created = _create(spec, sigma, px, sx0, Morphism.identity(spec, tuple(w)), need)
-        for f, out_blocks in zip(fs, outs):
-            for (alpha, sx), mor in created.items():
+        for (alpha, sx), mor in created.items():
+            weight = ONE
+            for a in alpha:
+                weight = weight * omega.weights[a] * inv_total
+            for f, out_blocks in zip(fs, outs):
                 for (ty, sx2), fb in f.blocks.items():
                     if sx2 != sx:
                         continue
                     st = mor.apply_coupon(mid_pos, fb)
-                    res = _contract(spec, sigma, py, alpha, ty, st, weighted=True)
-                    for ty2, m2 in res.items():
+                    for ty2, m2 in _contract(spec, sigma, py, alpha, ty, st).items():
+                        m2 = m2.scale(weight)
                         key = (ty2, sx0)
                         out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2
-    scale = _dim_omega_power(spec, sigma.n).inverse()
-    return [
-        CarrierMap(spec, px.words, py.words, {k: v.scale(scale) for k, v in ob.items()})
-        for ob in outs
-    ]
+    return [CarrierMap(spec, px.words, py.words, ob) for ob in outs]
 
 
 def project_morphism(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, f: CarrierMap) -> CarrierMap:
@@ -806,12 +795,10 @@ class TubeAlgebra:
         return AlgebraData(dim=self.dim, mult=self.mult_table, unit=self.unit)
 
 
+@cached
 def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
     """Blocks Hom_C(i, T(j)) with the transported composition product."""
     spec.require_braiding()
-    key = ("tube", tuple(sigma.pairing))
-    if key in spec._cache:
-        return spec._cache[key]
     n = sigma.n
     assigns = _assignments(spec, sigma)
     basis = []
@@ -844,9 +831,7 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
                     for b_idx, gm in elems.get((j, k, alpha_g), ()):
                         st = Morphism.identity(spec, word_f)
                         st = st.apply_coupon(mid_pos, gm)
-                        res = _contract(
-                            spec, sigma, pk, alpha_f, sidx[alpha_g], st, weighted=False
-                        )
+                        res = _contract(spec, sigma, pk, alpha_f, sidx[alpha_g], st)
                         for s2, mor in res.items():
                             alpha2 = pk.meta[s2][2]
                             for (i, ri, ci), v in mor.entries().items():
@@ -860,11 +845,9 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
     for i in spec.labels:
         assert len(elems.get((i, i, all1), ())) == 1
         unit[at[i, i, all1, 0]] = ONE
-    out = TubeAlgebra(
+    return TubeAlgebra(
         spec=spec, sigma=sigma, basis=basis, index=index, mult_table=mult, unit=unit
     )
-    spec._cache[key] = out
-    return out
 
 
 def center_rank(spec, sigma: Gluing):

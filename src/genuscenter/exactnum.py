@@ -22,7 +22,6 @@ these values never loses exactness.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -376,14 +375,6 @@ class Cyclotomic:
         # across orders (and equal ints and Fractions) hash alike.
         tr = sum(x * t for x, t in zip(self.num, _traces(self.order)))
         return hash(Fraction(tr, len(self.num) * self.den))
-
-    def embed(self) -> complex:
-        """Numerical embedding zeta_N -> exp(2 pi i / N)."""
-        z = 0j
-        for e, x in enumerate(self.num):
-            if x:
-                z += (x / self.den) * cmath.exp(2j * cmath.pi * e / self.order)
-        return z
 
     def __repr__(self):
         if self.is_zero():

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import IncompleteDataError, PremodularRequiredError
-from .exactnum import Cyclotomic, ExactMatrix, matrix_rank, rational
-from .trees import hopf_link_value, loop_value, theta
+from .exactnum import Cyclotomic, ExactMatrix, inverse as minv, matrix_rank, rational
+from .trees import cached, hopf_link_value, loop_value, theta
 
 __all__ = [
     "CategorySpec",
@@ -43,8 +43,9 @@ class CategorySpec:
     """Skeletal premodular (or spherical-fusion-only when R is None) data.
 
     Frozen: ``_cache`` holds what is derived from F, R and the pivotal data
-    (F blocks, tree lists, one composed map per generator word, induced
-    pairs, tube algebras), so those fields never change after construction.
+    (F and R blocks, tree lists, one composed map per generator word,
+    induced pairs, tube algebras), so those fields never change after
+    construction.  It is filled only through ``trees.cached``.
     """
 
     name: str
@@ -99,11 +100,9 @@ class CategorySpec:
                     keys.append((f, mu, nu))
         return keys
 
+    @cached
     def f_block(self, a, b, c, d):
         """The F block as {(row_key, col_key): Cyclotomic}; identity on unit legs."""
-        key = ("F", a, b, c, d)
-        if key in self._cache:
-            return self._cache[key]
         rows = self.f_rows(a, b, c, d)
         cols = self.f_cols(a, b, c, d)
         unit = self.unit
@@ -128,9 +127,7 @@ class CategorySpec:
                         f"({a},{b},{c};{d})"
                     )
                 block = {}
-        out = (rows, cols, block)
-        self._cache[key] = out
-        return out
+        return rows, cols, block
 
     def f_matrix(self, a, b, c, d) -> ExactMatrix:
         rows, cols, block = self.f_block(a, b, c, d)
@@ -142,14 +139,10 @@ class CategorySpec:
                     m[i, j] = v
         return m
 
+    @cached
     def f_inverse(self, a, b, c, d):
         """Inverse block as {(col_key, row_key): Cyclotomic}."""
-        key = ("Finv", a, b, c, d)
-        if key in self._cache:
-            return self._cache[key]
         rows, cols, _ = self.f_block(a, b, c, d)
-        from .exactnum import inverse as minv
-
         m = self.f_matrix(a, b, c, d)
         if m.rows != m.cols:
             raise IncompleteDataError(
@@ -163,9 +156,7 @@ class CategorySpec:
                 for j, rk in enumerate(rows):
                     if not inv[i, j].is_zero():
                         block[(ck, rk)] = inv[i, j]
-        out = (cols, rows, block)
-        self._cache[key] = out
-        return out
+        return cols, rows, block
 
     def r_block(self, a, b, c):
         """{(nu, mu): Cyclotomic} for c_{a,b} on channel c; identity on unit legs."""
@@ -190,16 +181,12 @@ class CategorySpec:
             m[nu, mu] = v
         return m
 
-    def r_inverse_matrix(self, a, b, c) -> ExactMatrix:
-        key = ("Rinv", a, b, c)
-        if key in self._cache:
-            return self._cache[key]
-        from .exactnum import inverse as minv
-
+    @cached
+    def r_inverse(self, a, b, c):
+        """c_{a,b}^-1 on channel c, the inverse of ``r_matrix(a, b, c)``, as {(nu, mu): Cyclotomic}."""
         m = self.r_matrix(a, b, c)
-        out = minv(m) if m.rows else m
-        self._cache[key] = out
-        return out
+        inv = minv(m) if m.rows else m
+        return {(i, j): v for i, row in enumerate(inv.data) for j, v in enumerate(row) if not v.is_zero()}
 
     def pivotal_coeff(self, a: str) -> Cyclotomic:
         return self.pivotal.get(a, ONE)
@@ -438,16 +425,7 @@ def check_hexagon(spec: CategorySpec) -> ValidationReport:
 
 def _r_entries(spec, a, b, c, inverse):
     """R or reverse-braiding entries as {(nu, mu): value} for channel c."""
-    if not inverse:
-        blk = spec.r_block(a, b, c)
-        return dict(blk)
-    m = spec.r_inverse_matrix(b, a, c)
-    return {
-        (i, j): m[i, j]
-        for i in range(m.rows)
-        for j in range(m.cols)
-        if not m[i, j].is_zero()
-    }
+    return spec.r_inverse(b, a, c) if inverse else spec.r_block(a, b, c)
 
 
 def _hexagon_instance(spec, a, b, c, d, inverse) -> bool:
@@ -495,6 +473,7 @@ def _hexagon_instance(spec, a, b, c, d, inverse) -> bool:
     return all((lhs.get(k, ZERO) - rhs.get(k, ZERO)).is_zero() for k in keys)
 
 
+@cached
 def quantum_dims(spec: CategorySpec):
     """Loop-evaluated dimensions, curl-evaluated twists, and dim(Omega).
 
@@ -502,21 +481,16 @@ def quantum_dims(spec: CategorySpec):
     The loop and curl are evaluated by ``trees``; the ribbon-sum
     formula for twists is kept in the test suite as an independent check.
     """
-    key = "quantum_dims"
-    if key in spec._cache:
-        return spec._cache[key]
     weights: dict[str, Cyclotomic] = {}
     twists: dict[str, Cyclotomic] = {}
     for a in spec.labels:
-        weights[a] = loop_value(spec, a)
+        weights[a] = loop_value(spec, a, "right")
         if spec.R is not None:
             twists[a] = theta(spec, a)
     total = ZERO
     for a in spec.labels:
         total = total + weights[a] * weights[a]
-    out = (OmegaColor(weights=weights, total=total), twists)
-    spec._cache[key] = out
-    return out
+    return OmegaColor(weights=weights, total=total), twists
 
 
 def check_spherical_ribbon(spec: CategorySpec) -> ValidationReport:
@@ -525,7 +499,7 @@ def check_spherical_ribbon(spec: CategorySpec) -> ValidationReport:
     omega, twists = quantum_dims(spec)
     for a in spec.labels:
         right = omega.weights[a]
-        left = loop_value(spec, a, side="left")
+        left = loop_value(spec, a, "left")
         if right != left:
             bad.append(f"left and right traces differ on {a!r}")
         if right != omega.weights[spec.dual[a]]:
@@ -543,12 +517,10 @@ def check_spherical_ribbon(spec: CategorySpec) -> ValidationReport:
     return ValidationReport(bad)
 
 
+@cached
 def s_matrix_and_transparency(spec: CategorySpec):
     """Unnormalized S-matrix, transparent labels, and the modular flag."""
     spec.require_braiding()
-    key = "smatrix"
-    if key in spec._cache:
-        return spec._cache[key]
     omega, _ = quantum_dims(spec)
     n = len(spec.labels)
     s = ExactMatrix(n, n)
@@ -563,6 +535,4 @@ def s_matrix_and_transparency(spec: CategorySpec):
         ):
             transparent.add(b)
     modular = matrix_rank(s) == n
-    out = (s, transparent, modular)
-    spec._cache[key] = out
-    return out
+    return s, transparent, modular

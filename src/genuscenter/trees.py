@@ -26,6 +26,10 @@ A Hom space has the coordinates (charge, target tree, source tree) that
 ``Morphism.elementary`` and read them only through ``Morphism.entries``, so
 the block layout is known here alone.
 
+Every table derived once per category (tree lists, F and R blocks, composed
+word maps, twists, induced pairs, tube algebras) is memoized by ``cached``,
+the one reader and writer of ``spec._cache``.
+
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
 solved from the zig-zag so that bent strands straighten with no scalar.
@@ -35,6 +39,8 @@ evaluate to the quantum dimensions.
 
 from __future__ import annotations
 
+from functools import wraps
+
 from .errors import IllFormedDiagramError, InternalInconsistencyError
 from .exactnum import C0, Cyclotomic, ExactMatrix, rational
 
@@ -43,17 +49,34 @@ ONE = rational(1)
 Word = tuple[str, ...]
 Tree = tuple[tuple[str, ...], tuple[int, ...]]
 
+_MISSING = object()
 
+
+def cached(fn):
+    """Memoize ``fn(spec, *args)`` in ``spec._cache`` under ``(fn.__name__, *args)``.
+
+    Arguments after the spec are positional and hashable.  A table computed
+    once stays valid because a spec's F, R and pivotal data never change.
+    """
+    name = fn.__name__
+
+    @wraps(fn)
+    def memo(spec, *args):
+        key = (name, *args)
+        cache = spec._cache
+        out = cache.get(key, _MISSING)
+        if out is _MISSING:
+            out = cache[key] = fn(spec, *args)
+        return out
+
+    return memo
+
+
+@cached
 def all_trees(spec, word: Word) -> dict[str, list[Tree]]:
     """Left-nested splitting trees of ``word``, grouped by total charge."""
-    key = ("trees", word)
-    if key in spec._cache:
-        return spec._cache[key]
-    partial: list[Tree] = []
     if len(word) == 0:
-        out = {spec.unit: [((), ())]}
-        spec._cache[key] = out
-        return out
+        return {spec.unit: [((), ())]}
     partial = [((word[0],), ())]
     for k in range(1, len(word)):
         nxt: list[Tree] = []
@@ -67,7 +90,6 @@ def all_trees(spec, word: Word) -> dict[str, list[Tree]]:
         out.setdefault(t[0][-1], []).append(t)
     for ts in out.values():
         ts.sort()
-    spec._cache[key] = out
     return out
 
 
@@ -98,11 +120,9 @@ def hom_keys(spec, src: Word, tgt: Word) -> list[tuple[str, int, int]]:
 # cap normalization
 
 
+@cached
 def ev_coeff(spec, a: str) -> Cyclotomic:
     """Coefficient of ev_a on the dual fusion vertex, from the zig-zag."""
-    key = ("ev", a)
-    if key in spec._cache:
-        return spec._cache[key]
     astar = spec.dual[a]
     _, _, blk = spec.f_block(a, astar, a, a)
     u = spec.unit
@@ -111,9 +131,7 @@ def ev_coeff(spec, a: str) -> Cyclotomic:
         raise InternalInconsistencyError(
             f"{spec.name}: F[{a},{astar},{a};{a}] unit-unit entry vanishes"
         )
-    val = entry.inverse()
-    spec._cache[key] = val
-    return val
+    return entry.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +216,9 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
         out = []
         for exp, v1 in _recouple(spec, word, tree, i):
             f, nu = _pair_slots(exp, i)
-            if direction == "over":
-                rmat = spec.r_matrix(a, b, f)
-            else:
-                rmat = spec.r_inverse_matrix(b, a, f)
-            for nu2 in range(rmat.rows):
-                coeff = rmat[nu2, nu]
-                if coeff.is_zero():
+            blk = spec.r_block(a, b, f) if direction == "over" else spec.r_inverse(b, a, f)
+            for (nu2, mu), coeff in blk.items():
+                if mu != nu:
                     continue
                 ees, mmus = exp
                 if i == 1:
@@ -538,15 +552,11 @@ def _chain_map(spec, word: Word, ops) -> dict[Tree, dict[Tree, Cyclotomic]]:
     return out
 
 
+@cached
 def _word_map(spec, word: Word, ops: tuple):
-    """Cached composed action {tree: [(tree', coeff)]} of a word, plus the new word."""
-    key = ("wordmap", word, ops)
-    if key in spec._cache:
-        return spec._cache[key]
+    """Composed action {tree: [(tree', coeff)]} of a word, plus the new word."""
     mapping = {t: list(vec.items()) for t, vec in _chain_map(spec, word, ops).items() if vec}
-    out = (word_after(spec, word, ops), mapping)
-    spec._cache[key] = out
-    return out
+    return word_after(spec, word, ops), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -575,28 +585,21 @@ def left_trace(spec, h: Morphism) -> Cyclotomic:
     return state.apply_all(caps).scalar()
 
 
-def loop_value(spec, a: str, side: str = "right") -> Cyclotomic:
-    key = ("loop", a, side)
-    if key in spec._cache:
-        return spec._cache[key]
+@cached
+def loop_value(spec, a: str, side: str) -> Cyclotomic:
+    """Closed a-loop, by the right trace if ``side`` is "right", else the left."""
     h = Morphism.identity(spec, (a,))
-    val = right_trace(spec, h) if side == "right" else left_trace(spec, h)
-    spec._cache[key] = val
-    return val
+    return right_trace(spec, h) if side == "right" else left_trace(spec, h)
 
 
+@cached
 def theta(spec, a: str) -> Cyclotomic:
     """Twist scalar from the right-closed positive curl."""
-    key = ("theta", a)
-    if key in spec._cache:
-        return spec._cache[key]
     state = Morphism.identity(spec, (a,)).apply_all(
         (("cup", 1, a, False), ("braid", 1, "over"), ("cap", 2, a, True))
     )
     blk = state.blocks.get(a)
-    val = blk[0, 0] if blk is not None else rational(0)
-    spec._cache[key] = val
-    return val
+    return blk[0, 0] if blk is not None else rational(0)
 
 
 def hopf_link_value(spec, a: str, b: str) -> Cyclotomic:

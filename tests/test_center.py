@@ -26,6 +26,7 @@ from genuscenter.center import (
 from genuscenter.exactnum import rational, zeta
 from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles, surface_type
 from genuscenter.trees import Morphism, hom_dim
+from test_exactnum import embed
 
 
 N2_GLUINGS = ("(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)")
@@ -371,6 +372,29 @@ class TestAdjunction:
             assert project_morphism(spec, sig, px, py, img) == img
 
 
+def check_unit(alg) -> bool:
+    for a in range(alg.dim):
+        basis_vec = {a: rational(1)}
+        if alg.product(alg.unit, basis_vec) != basis_vec:
+            return False
+        if alg.product(basis_vec, alg.unit) != basis_vec:
+            return False
+    return True
+
+
+def check_associative(alg) -> bool:
+    for a in range(alg.dim):
+        ea = {a: rational(1)}
+        for b in range(alg.dim):
+            eb = {b: rational(1)}
+            ab = alg.product(ea, eb)
+            for c in range(alg.dim):
+                ec = {c: rational(1)}
+                if alg.product(ab, ec) != alg.product(ea, alg.product(eb, ec)):
+                    return False
+    return True
+
+
 class TestTubeAlgebra:
     def test_vec_z2_blocks(self):
         spec = catalog.builtin("vec_z2")
@@ -390,8 +414,8 @@ class TestTubeAlgebra:
     def test_kleisli_laws(self, key):
         spec = catalog.builtin(key)
         alg = tube_algebra(spec, sig12()).algebra_data()
-        assert alg.check_unit()
-        assert alg.check_associative()
+        assert check_unit(alg)
+        assert check_associative(alg)
 
     @pytest.mark.parametrize("cycles", N2_GLUINGS)
     def test_semion_n2_products_pinned(self, cycles):
@@ -540,7 +564,7 @@ def float_decompose(alg, rng_seed=11):
     t = np.zeros((n, n, n), dtype=complex)
     for (a, b), row in alg.mult.items():
         for c, v in row.items():
-            t[a, b, c] = v.embed()
+            t[a, b, c] = embed(v)
     rows = []
     for b in range(n):
         lb = t[:, b, :].T  # left mult by e_b

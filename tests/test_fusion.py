@@ -1,8 +1,10 @@
+from itertools import product
+
 import pytest
 
 from genuscenter import catalog, fusion
 from genuscenter.errors import PremodularRequiredError
-from genuscenter.exactnum import rational, zeta
+from genuscenter.exactnum import ExactMatrix, rational, zeta
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
 
@@ -99,6 +101,18 @@ class TestHexagon:
             pivotal=spec.pivotal,
         )
         assert not fusion.check_hexagon(bad).ok
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_r_inverse_inverts_r_matrix(self, key):
+        spec = catalog.builtin(key)
+        assert spec.R is not None
+        for a, b in product(spec.labels, repeat=2):
+            for c in spec.channels(a, b):
+                n = spec.N(a, b, c)
+                inv = ExactMatrix.zeros(n, n)
+                for (nu, mu), v in spec.r_inverse(a, b, c).items():
+                    inv[nu, mu] = v
+                assert (spec.r_matrix(a, b, c) @ inv - ExactMatrix.identity(n)).is_zero()
 
     def test_missing_braiding_gate(self):
         spec = catalog.builtin("rep_z2")

@@ -1,19 +1,33 @@
+import dataclasses
 import random
 import zlib
 from itertools import product
 
 import pytest
 
-from genuscenter import catalog
-from genuscenter.errors import IllFormedDiagramError
+from genuscenter import catalog, center
+from genuscenter.center import FormalObject, center_rank, induced_half_braidings, tube_algebra
+from genuscenter.errors import GenusCenterError, IllFormedDiagramError
 from genuscenter.exactnum import ExactMatrix, rational, zeta
+from genuscenter.fusion import (
+    CategorySpec,
+    check_hexagon,
+    check_spherical_ribbon,
+    quantum_dims,
+    s_matrix_and_transparency,
+)
+from genuscenter.gluing import parse_cycles
 from genuscenter.trees import (
     Morphism,
     _apply_tree,
     _op_new_word,
+    _word_map,
     all_trees,
+    ev_coeff,
     hom_dim,
     hom_keys,
+    loop_value,
+    theta,
     trees,
 )
 
@@ -307,3 +321,56 @@ class TestHomKeys:
         got = total.entries()
         assert got == want and list(got) == list(want)
         assert Morphism.zero(spec, src, tgt).entries() == {}
+
+
+def fresh(key):
+    """A built-in spec with its own empty cache, not the process-wide one."""
+    return dataclasses.replace(catalog.builtin(key), _cache={})
+
+
+SIG12 = parse_cycles("(1 2)")
+
+# Every table memoized by ``trees.cached``, with arguments valid for fibonacci.
+MEMOIZED = [
+    (all_trees, (("t", "t", "t"),)),
+    (ev_coeff, ("t",)),
+    (_word_map, (("t", "t"), (("braid", 1, "under"), ("cap", 1, "t", True)))),
+    (loop_value, ("t", "left")),
+    (theta, ("t",)),
+    (CategorySpec.f_block, ("t", "t", "t", "t")),
+    (CategorySpec.f_inverse, ("t", "t", "t", "t")),
+    (CategorySpec.r_inverse, ("t", "t", "1")),
+    (quantum_dims, ()),
+    (s_matrix_and_transparency, ()),
+    (center._induced, (SIG12, FormalObject.of("t"))),
+    (tube_algebra, (SIG12,)),
+]
+
+
+class TestCached:
+    @pytest.mark.parametrize("fn,args", MEMOIZED, ids=[fn.__name__ for fn, _ in MEMOIZED])
+    def test_second_call_returns_the_stored_table(self, fn, args):
+        spec = fresh("fibonacci")
+        first = fn(spec, *args)
+        size = len(spec._cache)
+        assert fn(spec, *args) is first
+        assert len(spec._cache) == size
+        assert spec._cache[(fn.__name__, *args)] is first
+
+    def test_every_key_starts_with_its_function_name(self):
+        spec = fresh("fibonacci")
+        assert check_spherical_ribbon(spec).ok and check_hexagon(spec).ok
+        s_matrix_and_transparency(spec)
+        center_rank(spec, SIG12)
+        assert {key[0] for key in spec._cache} == {fn.__name__ for fn, _ in MEMOIZED}
+
+    def test_label_and_formal_object_share_one_induced_pair(self):
+        spec = fresh("fibonacci")
+        pair = induced_half_braidings(spec, SIG12, "t")
+        size = len(spec._cache)
+        assert induced_half_braidings(spec, SIG12, FormalObject.of("t")) is pair
+        assert len(spec._cache) == size
+
+    def test_induced_pair_of_a_non_object_raises(self):
+        with pytest.raises(GenusCenterError):
+            induced_half_braidings(fresh("fibonacci"), SIG12, ["t"])
