@@ -1,25 +1,42 @@
 """Semisimple decomposition of a finite-dimensional algebra, certified mod p.
 
-An algebra A over K = Q(zeta_N) is given by structure constants
-e_a e_b = sum_c M[a,b][c] e_c.  ``decompose`` returns its rank r (the
-dimension of its centre, the number of simple blocks over C) and the
-block sizes m_i, with A (x) C = M_{m_1}(C) (+) ... (+) M_{m_r}(C).
+An algebra A over K = Q(zeta_N) is given by a set S of basis elements
+that generates it, its unit, and the structure constants
+e_a e_g = sum_c M[a,g][c] e_c for every a and every g in S.  ``decompose``
+returns its rank r (the dimension of its centre, the number of simple
+blocks over C) and the block sizes m_i, with
+A (x) C = M_{m_1}(C) (+) ... (+) M_{m_r}(C).
 
 Method.  Take a prime p = 1 (mod N) in [2^25, 2^26), p > dim A, and send
 zeta_N to a primitive N-th root w in F_p: a ring map onto F_p from the
-elements of K that are integral at a prime P above p.  Over F_p:
+elements of K that are integral at a prime P above p.  Over F_p, the span
+of the e_g is closed under right multiplication by S, each new element
+w = w' g coming with its right action e_a w = (e_a w') g; once it spans
+A, each e_b is a combination of the closed elements, which gives the
+whole table M[a,b] mod p (``_close``).  Then:
 - t(e_c) = sum_b M[c,b][b] is the regular trace, and the trace form has
   Gram matrix G_ij = t(e_i e_j) = sum_c M[i,j][c] t(e_c);
 - the centre Z_p solves sum_a z_a (M[a,b][c] - M[b,a][c]) = 0; r = dim Z_p;
 - a random z in Z_p has minimal polynomial mu (from 1, z, ..., z^r), whose
   roots lambda_i come from gcd(mu, (x + a)^((p-1)/2) - 1);
 - the k_i = m_i^2 solve sum_i k_i lambda_i^k = t(z^k) for k < r.
-The answer at p is accepted only if (a) the unit and all structure
-constants are p-integral, (b) G is nonsingular mod p, (c) deg mu = r and
-x^p = x (mod mu), and (d) each k_i in [1, dim A] is a perfect square and
-sum k_i = dim A.  Otherwise the next prime is tried.
+The answer at p is accepted only if (a) the unit and the given structure
+constants are p-integral, (e) the closure reaches dim A mod p, (b) G is
+nonsingular mod p, (c) deg mu = r and x^p = x (mod mu), and (d) each k_i
+in [1, dim A] is a perfect square and sum k_i = dim A.  Otherwise the next
+prime is tried.
 
-Why it is exact.  By (a) the basis spans an order L over the local ring
+Why it is exact.  First, every structure constant is p-integral and
+reduces to the closed table.  Each closed element w_k is a product of
+elements of S, reached as an integral right action R_g on an earlier
+one, so by (a) the matrix W of the coordinates of the e_g and the w_k is
+integral at P, and by (e) det W is a unit.  So they form an O_P-basis of
+the lattice spanned by the basis, and each R_{w_k} is a product of
+integral R_g.  Every e_b is then an O_P-combination of them, its right
+action is integral, and by associativity its reduction is the one that
+``_close`` computes.  When S is the whole basis, (e) holds at once.
+
+By (a) and (e) the basis spans an order L over the local ring
 O_P, and by (b) its discriminant det G is a unit, so L is separable:
 Azumaya over an etale centre, whose formation commutes with reduction.
 So dim_K Z(A) = dim Z_p = r, which is also the rank over C.  By (c),
@@ -38,7 +55,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import NonSplitError
+from .errors import GenusCenterError, NonSplitError
 from .exactnum import ExactMatrix, nullspace, rational
 
 __all__ = ["AlgebraData", "center_basis", "decompose"]
@@ -51,13 +68,20 @@ _SEED = 7
 
 @dataclass
 class AlgebraData:
-    """Structure constants e_a e_b = sum_c mult[(a,b)][c] e_c."""
+    """Structure constants e_a e_g = sum_c mult[(a,g)][c] e_c for g in gens."""
 
     dim: int
-    mult: dict
+    mult: dict  # (a, g) -> {c: coeff}, for every a and every g in gens
     unit: dict  # coordinates of the unit element
+    gens: list | None = None  # right factors of mult, which generate A; None: the whole basis
+
+    def __post_init__(self):
+        if self.gens is None:
+            self.gens = list(range(self.dim))
 
     def product(self, x: dict, y: dict) -> dict:
+        if len(self.gens) != self.dim:
+            raise GenusCenterError("the exact product needs the products by every basis element")
         out: dict = {}
         for a, va in x.items():
             if va.is_zero():
@@ -146,6 +170,7 @@ def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
     """(rank, block sizes) read from A mod p; NonSplitError names a failed part."""
     dim = alg.dim
     mult, unit = _reduce(alg, order, p)
+    mult = _close(mult, alg.gens, dim, p)
     trace = [0] * dim
     for (a, b), row in mult.items():
         trace[a] += row.get(b, 0)
@@ -221,6 +246,110 @@ def _reduce(alg: AlgebraData, order: int, p: int):
     for c, v in alg.unit.items():
         unit[c] = residue(v)
     return mult, unit
+
+
+def _close(mult: dict, gens: list, dim: int, p: int) -> dict:
+    """The whole table mod p from the products e_a e_g, g in gens; part (e).
+
+    The span of the e_g is closed under right multiplication by them, and
+    each new element w = w' g is recorded by its parent w' and its factor
+    g.  The e_g span a coordinate subspace, so a product is reduced only in
+    the coordinates outside gens.  Once the span reaches dim A, each e_b
+    outside gens is a combination of the elements, and e_a e_b is the same
+    combination of the e_a w, which follow from e_a w = (e_a w') g.
+    """
+    gpos = {g: e for e, g in enumerate(gens)}
+    need = dim - len(gpos)
+    if not need:
+        return mult
+    right: dict = {g: {} for g in gens}  # g -> {a: e_a e_g}
+    for (a, g), row in mult.items():
+        right[g][a] = row
+
+    def times(vec: dict, g) -> dict:
+        out: dict = {}
+        rows = right[g]
+        for c, x in vec.items():
+            for d, y in rows.get(c, {}).items():
+                out[d] = out.get(d, 0) + x * y
+        return {d: r for d, v in out.items() if (r := v % p)}
+
+    # Elements: the e_g, numbered as in gens, then each closed w = elems[parent] * g.
+    elems = [{g: 1} for g in gens]
+    steps: list = []  # (parent, g) of each closed element
+    # Reduced echelon rows over the coordinates outside gens, by pivot, each
+    # with its combination {element: coeff} of the elements' coordinates there.
+    echelon: dict = {}
+    k = 0
+    while k < len(elems) and len(echelon) < need:
+        for g in gens:
+            v = times(elems[k], g)
+            row = {c: x for c, x in v.items() if c not in gpos}
+            # Pivot rows are 0 at the other pivots, so these entries stay as read.
+            factors = [(row[q], q) for q in row if q in echelon]
+            for f, q in factors:
+                _axpy(row, -f, echelon[q][0], p)
+            if not row:
+                continue
+            q0 = min(row)
+            inv = pow(row[q0], -1, p)
+            row = {c: x * inv % p for c, x in row.items()}
+            tail = {len(elems): inv}
+            for f, q in factors:
+                _axpy(tail, -f * inv, echelon[q][1], p)
+            for other, otail in echelon.values():
+                if f := other.get(q0):
+                    _axpy(other, -f, row, p)
+                    _axpy(otail, -f, tail, p)
+            echelon[q0] = (row, tail)
+            steps.append((k, g))
+            elems.append(v)
+            if len(echelon) == need:
+                break
+        k += 1
+    if len(echelon) < need:
+        raise NonSplitError(
+            f"(e) the generators close on {dim - need + len(echelon)} of {dim} dimensions mod p"
+        )
+
+    # Every row is now a unit vector e_b (b outside gens) on those coordinates,
+    # so e_b = sum_e t_e elems[e] minus the gens coordinates of that sum.
+    uses: dict = {}  # element -> [(b, coeff of the element in e_b)]
+    for b, (_row, tail) in echelon.items():
+        coeffs = dict(tail)
+        for e, t in tail.items():
+            for c, x in elems[e].items():
+                if c in gpos:
+                    coeffs[gpos[c]] = coeffs.get(gpos[c], 0) - t * x
+        for e, t in coeffs.items():
+            if t % p:
+                uses.setdefault(e, []).append((b, t % p))
+    full = dict(mult)
+    for a in range(dim):
+        prods = [right[g].get(a, {}) for g in gens]  # e_a times each element
+        for parent, g in steps:
+            prods.append(times(prods[parent], g))
+        acc: dict = {}
+        for e, ue in enumerate(prods):
+            if ue:
+                for b, t in uses.get(e, ()):
+                    dst = acc.setdefault(b, {})
+                    for c, y in ue.items():
+                        dst[c] = dst.get(c, 0) + t * y
+        for b, row in acc.items():
+            row = {c: r for c, x in row.items() if (r := x % p)}
+            if row:
+                full[a, b] = row
+    return full
+
+
+def _axpy(x: dict, f: int, y: dict, p: int) -> None:
+    """x += f y mod p, in place, dropping the entries that become 0."""
+    for k, v in y.items():
+        if s := (x.get(k, 0) + f * v) % p:
+            x[k] = s
+        else:
+            x.pop(k, None)
 
 
 def _primes(order: int, dim: int):

@@ -33,6 +33,12 @@ coordinates, ``Morphism.elementary`` builds a basis map and
 and ``flatten_carrier_map`` extend them blockwise to sum carriers; the
 tube products and gamma's per-charge matrices are read off by
 ``entries``.
+
+The tube algebra is given by its generators.  A basis element of
+Hom_C(i, T_alpha(j)) has degree the number of orbits m with alpha_m != 1,
+and those of degree <= 1 (``TubeAlgebra.gens``) generate the algebra.  So
+``tube_algebra`` contracts only the products e_a e_g with the right factor
+g in ``gens``, and ``algebra.decompose`` closes that table mod p.
 """
 
 from __future__ import annotations
@@ -777,8 +783,8 @@ class TubeAlgebra:
     spec: CategorySpec
     sigma: Gluing
     basis: list  # (i, j, alpha, tree)
-    index: dict
-    mult_table: dict  # (a, b) -> dict {c: coeff}
+    gens: list  # basis indices of degree <= 1: the right factors of mult_table
+    mult_table: dict  # (a, g) -> dict {c: coeff}, for every a and every g in gens
     unit: dict  # coordinates of the unit
 
     @property
@@ -792,20 +798,22 @@ class TubeAlgebra:
         return out
 
     def algebra_data(self) -> AlgebraData:
-        return AlgebraData(dim=self.dim, mult=self.mult_table, unit=self.unit)
+        return AlgebraData(dim=self.dim, mult=self.mult_table, unit=self.unit, gens=self.gens)
 
 
 @cached
-def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
-    """Blocks Hom_C(i, T(j)) with the transported composition product."""
-    spec.require_braiding()
-    n = sigma.n
-    assigns = _assignments(spec, sigma)
+def _tube_basis(spec, sigma: Gluing):
+    """The tube basis: blocks Hom_C(i, T_alpha(j)) with one element per tree.
+
+    Returns the list of (i, j, alpha, tree), the index of each
+    (i, j, alpha, tree index), and for each (i, j, alpha) the pairs
+    (basis index, basis map of Hom_C(i, T_alpha(j))).
+    """
     basis = []
-    at: dict = {}  # (i, j, alpha, tree index) -> basis index
-    elems: dict = {}  # (i, j, alpha) -> [(basis index, basis map of Hom_C(i, T_alpha(j)))]
+    at: dict = {}
+    elems: dict = {}
     for j in spec.labels:
-        for alpha in assigns:
+        for alpha in _assignments(spec, sigma):
             word = _word_for(spec, sigma, alpha, (j,))
             for i in spec.labels:
                 ts = trees(spec, word, i)
@@ -814,13 +822,23 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
                     elem = Morphism.elementary(spec, (i,), word, coord)
                     elems.setdefault((i, j, alpha), []).append((len(basis), elem))
                     basis.append((i, j, alpha, ts[coord[1]]))
-    index = {b: k for k, b in enumerate(basis)}
-    mult: dict = {}
-    mid_pos = n + 1
-    pairs_cache = {j: induced_half_braidings(spec, sigma, j) for j in spec.labels}
+    return basis, at, elems
 
-    # Chains depend on g only; the f-tree enters linearly, so evaluate the
-    # chain on the identity of each f-word and read off matrix columns.
+
+def _tube_products(spec, sigma: Gluing, right) -> dict:
+    """The products e_a * e_g for every basis element a and every g in ``right``.
+
+    One contraction per (f-word, g): the chain depends on g only and the
+    f-tree enters linearly, so it is evaluated on the identity of each
+    f-word and the matrix columns are read off.  Returns {(a, g): {c: v}}
+    with the zero entries and rows dropped.
+    """
+    _basis, at, elems = _tube_basis(spec, sigma)
+    assigns = _assignments(spec, sigma)
+    right = set(right)
+    mult: dict = {}
+    mid_pos = sigma.n + 1
+    pairs_cache = {j: induced_half_braidings(spec, sigma, j) for j in spec.labels}
     for j in spec.labels:
         for alpha_f in assigns:
             word_f = _word_for(spec, sigma, alpha_f, (j,))
@@ -829,6 +847,8 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
                 sidx = {a: ai for ai, (_lab, _c, a) in enumerate(pk.meta)}
                 for alpha_g in assigns:
                     for b_idx, gm in elems.get((j, k, alpha_g), ()):
+                        if b_idx not in right:
+                            continue
                         st = Morphism.identity(spec, word_f)
                         st = st.apply_coupon(mid_pos, gm)
                         res = _contract(spec, sigma, pk, alpha_f, sidx[alpha_g], st)
@@ -838,16 +858,27 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
                                 row = mult.setdefault((at[i, j, alpha_f, ci], b_idx), {})
                                 c_idx = at[i, k, alpha2, ri]
                                 row[c_idx] = row.get(c_idx, rational(0)) + v
-    mult = {k2: {c: v for c, v in row.items() if not v.is_zero()} for k2, row in mult.items()}
-    mult = {k2: row for k2, row in mult.items() if row}
-    all1 = (spec.unit,) * n
-    unit: dict = {}
-    for i in spec.labels:
-        assert len(elems.get((i, i, all1), ())) == 1
-        unit[at[i, i, all1, 0]] = ONE
-    return TubeAlgebra(
-        spec=spec, sigma=sigma, basis=basis, index=index, mult_table=mult, unit=unit
-    )
+    mult = {ab: {c: v for c, v in row.items() if not v.is_zero()} for ab, row in mult.items()}
+    return {ab: row for ab, row in mult.items() if row}
+
+
+@cached
+def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
+    """Blocks Hom_C(i, T(j)) with the transported composition product.
+
+    Only the products by the elements of degree <= 1 are computed, where
+    the degree of Hom_C(i, T_alpha(j)) is the number of orbits m with
+    alpha_m != 1.  They generate the algebra, and ``algebra.decompose``
+    closes their table mod p (certificate part (e)).
+    """
+    spec.require_braiding()
+    basis, at, _elems = _tube_basis(spec, sigma)
+    gens = [b for b, (_i, _j, alpha, _t) in enumerate(basis)
+            if sum(a != spec.unit for a in alpha) <= 1]
+    all1 = (spec.unit,) * sigma.n
+    unit = {at[i, i, all1, 0]: ONE for i in spec.labels}
+    return TubeAlgebra(spec=spec, sigma=sigma, basis=basis, gens=gens,
+                       mult_table=_tube_products(spec, sigma, gens), unit=unit)
 
 
 def center_rank(spec, sigma: Gluing):

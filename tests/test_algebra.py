@@ -11,7 +11,7 @@ from genuscenter.algebra import (
     decompose,
 )
 from genuscenter.center import tube_algebra
-from genuscenter.errors import NonSplitError
+from genuscenter.errors import GenusCenterError, NonSplitError
 from genuscenter.exactnum import rational
 from genuscenter.gluing import parse_cycles
 
@@ -62,6 +62,14 @@ class TestCertificate:
             _decompose_mod(alg, order, next(_primes(order, alg.dim)), random.Random(7))
         assert decompose(alg) == (4, [1, 1, 1, 1])
 
+    def test_generators_that_do_not_generate_fail_e(self):
+        # two_dim(ONE) given by e0 = 1 alone: right multiplication by e0 spans only e0.
+        alg = AlgebraData(dim=2, mult={(0, 0): {0: ONE}, (1, 0): {1: ONE}}, unit={0: ONE}, gens=[0])
+        with pytest.raises(NonSplitError, match=r"\(e\)"):
+            _decompose_mod(alg, 1, first_prime(), random.Random(0))
+        with pytest.raises(NonSplitError, match=r"\(e\)"):
+            decompose(alg)
+
     def test_matrix_algebra_is_one_block(self):
         # M_2(Q) on the matrix units e_ij, numbered 2 i + j.
         mult = {
@@ -84,6 +92,12 @@ class TestCertificate:
 def test_first_prime_is_the_smallest_one_mod_the_order_above_2_25(order, first):
     assert next(_primes(order, 10)) == first
     assert next(_primes(order, first)) > first  # p > dim
+
+
+def test_exact_center_refuses_a_table_of_generator_products():
+    alg = tube_algebra(catalog.builtin("semion"), parse_cycles("(1 3)(2 4)")).algebra_data()
+    with pytest.raises(GenusCenterError, match="every basis element"):
+        center_basis(alg)
 
 
 @pytest.mark.parametrize("key", catalog.catalog_keys())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from genuscenter import catalog, center
+from genuscenter.algebra import AlgebraData, _close, _primes, _reduce
 from genuscenter.errors import GenusCenterError, IllFormedDiagramError
 from genuscenter.center import (
     CarrierMap,
@@ -395,6 +396,16 @@ def check_associative(alg) -> bool:
     return True
 
 
+# Gluings at which the table closed from the generators mod p is checked
+# against the exact table of all products.
+CLOSURE_CASES = [
+    *[(key, cycles) for cycles in ("(1 2)", "(1 3)(2 4)") for key in catalog.catalog_keys()],
+    ("semion", "(1 2)(3 4)"),
+    ("ising", "(1 2)(3 4)"),
+    ("rep_z2", "(1 4)(2 5)(3 6)"),
+]
+
+
 class TestTubeAlgebra:
     def test_vec_z2_blocks(self):
         spec = catalog.builtin("vec_z2")
@@ -422,17 +433,32 @@ class TestTubeAlgebra:
         # Pins the crossing conventions: flipping MIGRATE_SENSE keeps every
         # rank but changes these signs (e5 * e4 = -e5 at (1 2)(3 4)).
         want = pinned_products(SEMION_N2_PRODUCTS[cycles], UNITS)
-        tube = tube_algebra(catalog.builtin("semion"), parse_cycles(cycles))
-        assert tube.dim == 8 and len(want) == 32
-        assert tube.mult_table == want
+        spec, sigma = catalog.builtin("semion"), parse_cycles(cycles)
+        table = center._tube_products(spec, sigma, range(8))
+        assert tube_algebra(spec, sigma).dim == 8 and len(want) == 32
+        assert table == want
 
     def test_fibonacci_n1_products_pinned(self):
         # Pins the read-off of tube products from blocks with several trees
         # per charge, over a field wider than Q(i).
         want = pinned_products(FIBONACCI_N1_PRODUCTS, GOLDEN)
-        tube = tube_algebra(catalog.builtin("fibonacci"), sig12())
-        assert tube.dim == 7 and len(want) == 25
-        assert tube.mult_table == want
+        spec = catalog.builtin("fibonacci")
+        table = center._tube_products(spec, sig12(), range(7))
+        assert tube_algebra(spec, sig12()).dim == 7 and len(want) == 25
+        assert table == want
+
+    @pytest.mark.parametrize("key,cycles", CLOSURE_CASES)
+    def test_generators_close_to_the_exact_table_mod_p(self, key, cycles):
+        spec, sigma = catalog.builtin(key), parse_cycles(cycles)
+        tube = tube_algebra(spec, sigma)
+        degrees = [len(alpha) - alpha.count(spec.unit) for _i, _j, alpha, _t in tube.basis]
+        assert tube.gens == [b for b, d in enumerate(degrees) if d <= 1]
+        exact = AlgebraData(tube.dim, center._tube_products(spec, sigma, range(tube.dim)), tube.unit)
+        order = exact.field_order()
+        p = next(_primes(order, tube.dim))
+        want, _unit = _reduce(exact, order, p)
+        got, _unit = _reduce(tube.algebra_data(), order, p)
+        assert _close(got, tube.gens, tube.dim, p) == want
 
     def test_empty_gluing_tube(self):
         spec = catalog.builtin("fibonacci")
@@ -470,24 +496,33 @@ class TestCenterRank:
 SPHERE3_RANKS = {"fibonacci": 8, "ising": 27, "vec_z3_q": 27}
 
 
+def assert_n3_gluings_agree_by_surface(key):
+    """All 15 gluings at n=3 give one (rank, blocks) per surface; a failure names them."""
+    spec = catalog.builtin(key)
+    by_surface: dict = {}
+    for sig in enumerate_adm(3):
+        st = surface_type(sig)
+        rank, dims = center_rank(spec, sig)
+        results = by_surface.setdefault((st.genus, st.punctures), {})
+        results.setdefault((rank, tuple(dims)), []).append(sig.cycle_string())
+    for surface, results in by_surface.items():
+        assert len(results) == 1, f"{key} at (g, k) = {surface}: {results}"
+
+
 class TestSurfaceInvariance:
-    # rep_s3 is left out: one build of its n=2 tube takes several seconds.
-    @pytest.mark.parametrize("key", [k for k in catalog.catalog_keys() if k != "rep_s3"])
+    @pytest.mark.parametrize("key", catalog.catalog_keys())
     def test_both_n2_spheres_agree(self, key):
         spec = catalog.builtin(key)
         first, second = (center_rank(spec, parse_cycles(s)) for s in ("(1 2)(3 4)", "(1 4)(2 3)"))
-        assert first == second
+        assert first == second, f"{key}: (1 2)(3 4) gives {first}, (1 4)(2 3) gives {second}"
         if key in SPHERE3_RANKS:
             assert first[0] == SPHERE3_RANKS[key]
 
     def test_semion_n3_gluings_agree_by_surface(self):
-        spec = catalog.builtin("semion")
-        by_surface: dict = {}
-        for sig in enumerate_adm(3):
-            st = surface_type(sig)
-            rank, dims = center_rank(spec, sig)
-            by_surface.setdefault((st.genus, st.punctures), set()).add((rank, tuple(dims)))
-        assert all(len(results) == 1 for results in by_surface.values()), by_surface
+        assert_n3_gluings_agree_by_surface("semion")
+
+    def test_vec_z2_n3_gluings_agree_by_surface(self):
+        assert_n3_gluings_agree_by_surface("vec_z2")
 
     def test_rep_z2_n3_gluings_give_the_dijkgraaf_witten_count(self):
         # Symmetric pointed C with |A| = 2: every surface of rank n has
@@ -495,6 +530,11 @@ class TestSurfaceInvariance:
         spec = catalog.builtin("rep_z2")
         for sig in enumerate_adm(3):
             assert center_rank(spec, sig) == (16, [1] * 16), sig.cycle_string()
+
+    def test_fibonacci_n3_torus_is_r_to_the_k(self):
+        # Genus 1 with k = 2 punctures: rank r^k = 4 for modular C.
+        rank, dims = center_rank(catalog.builtin("fibonacci"), parse_cycles("(1 3)(2 4)(5 6)"))
+        assert (rank, dims) == (4, [3, 4, 4, 7]), "fibonacci at (1 3)(2 4)(5 6)"
 
 
 def dense_gamma_column(spec, sigma, alpha, middle, m, z):

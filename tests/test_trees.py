@@ -343,6 +343,7 @@ MEMOIZED = [
     (quantum_dims, ()),
     (s_matrix_and_transparency, ()),
     (center._induced, (SIG12, FormalObject.of("t"))),
+    (center._tube_basis, (SIG12,)),
     (tube_algebra, (SIG12,)),
 ]
 
