@@ -16,15 +16,18 @@ A, each e_b is a combination of the closed elements, which gives the
 whole table M[a,b] mod p (``_close``).  Then:
 - t(e_c) = sum_b M[c,b][b] is the regular trace, and the trace form has
   Gram matrix G_ij = t(e_i e_j) = sum_c M[i,j][c] t(e_c);
-- the centre Z_p solves sum_a z_a (M[a,b][c] - M[b,a][c]) = 0; r = dim Z_p;
-- a random z in Z_p has minimal polynomial mu (from 1, z, ..., z^r), whose
-  roots lambda_i come from gcd(mu, (x + a)^((p-1)/2) - 1);
-- the k_i = m_i^2 solve sum_i k_i lambda_i^k = t(z^k) for k < r.
+- the centre Z_p is the commutant of S: it solves
+  sum_a z_a (M[a,g][c] - M[g,a][c]) = 0 for g in S only; r = dim Z_p;
+- a random z in Z_p has minimal polynomial mu = sum_m c_m x^m (from 1, z,
+  ..., z^r); with tau_k = t(z^k), let
+  h(x) = sum_{l<r} x^l sum_{m>l} c_m tau_{m-l-1};
+- the number of blocks of size m is deg gcd(mu, h - m^2 mu'), for
+  m = 1, ..., floor(sqrt(dim A)).
 The answer at p is accepted only if (a) the unit and the given structure
 constants are p-integral, (e) the closure reaches dim A mod p, (b) G is
-nonsingular mod p, (c) deg mu = r and x^p = x (mod mu), and (d) each k_i
-in [1, dim A] is a perfect square and sum k_i = dim A.  Otherwise the next
-prime is tried.
+nonsingular mod p, (c) deg mu = r and x^p = x (mod mu), and (d) the
+counts of blocks add up to r and sum_m m^2 count_m = dim A.  Otherwise
+the next prime is tried.
 
 Why it is exact.  First, every structure constant is p-integral and
 reduces to the closed table.  Each closed element w_k is a product of
@@ -34,7 +37,9 @@ integral at P, and by (e) det W is a unit.  So they form an O_P-basis of
 the lattice spanned by the basis, and each R_{w_k} is a product of
 integral R_g.  Every e_b is then an O_P-combination of them, its right
 action is integral, and by associativity its reduction is the one that
-``_close`` computes.  When S is the whole basis, (e) holds at once.
+``_close`` computes.  When S is the whole basis, (e) holds at once.  By
+(e) the e_g also generate A mod p, so an element that commutes with
+each e_g commutes with all of A mod p: their commutant is Z_p.
 
 By (a) and (e) the basis spans an order L over the local ring
 O_P, and by (b) its discriminant det G is a unit, so L is separable:
@@ -43,9 +48,13 @@ So dim_K Z(A) = dim Z_p = r, which is also the rank over C.  By (c),
 Z_p = F_p[z] = F_p^r, so by Hensel the centre of L is O_P^r and A splits
 over K_P = Q_p, which contains K, into r blocks.  Each is Azumaya over
 O_P, and Br(O_P) = Br(F_p) = 0, so it is M_{m_i}(Q_p).  With e_i the
-block idempotents mod p, z = sum lambda_i e_i and t(z^k) = sum_i m_i^2
-lambda_i^k.  The m_i^2 < p solve the Vandermonde system, whose solution
-mod p is unique as the lambda_i are distinct, so the k_i are exact.
+block idempotents mod p, z = sum lambda_i e_i and tau_k = sum_i k_i
+lambda_i^k with k_i = m_i^2, so h = sum_i k_i mu / (x - lambda_i) and
+h(lambda_i) = k_i mu'(lambda_i), where mu'(lambda_i) != 0 as the lambda_i
+are distinct.  So lambda_i is a root of h - m^2 mu' exactly when
+k_i = m^2 mod p, and since the m^2 <= dim A < p are distinct mod p, the
+gcd for m has one linear factor per block of size m.  By (d) every block
+is counted once, so the block sizes are exact.
 """
 
 from __future__ import annotations
@@ -181,13 +190,16 @@ def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
     if not all(any(gram_rows.add(row)) for row in gram):
         raise NonSplitError("(b) the trace form is degenerate mod p")
 
+    # By (e) the e_g generate A mod p, so the centre is their commutant.
     commutators: dict = {}
-    for (a, b), row in mult.items():
-        for c, v in row.items():
-            left = commutators.setdefault((b, c), {})
-            left[a] = left.get(a, 0) + v
-            right = commutators.setdefault((a, c), {})
-            right[b] = right.get(b, 0) - v
+    for g in alg.gens:
+        for a in range(dim):
+            for c, v in mult.get((a, g), {}).items():
+                eq = commutators.setdefault((g, c), {})
+                eq[a] = eq.get(a, 0) + v
+            for c, v in mult.get((g, a), {}).items():
+                eq = commutators.setdefault((g, c), {})
+                eq[a] = eq.get(a, 0) - v
     system = _Echelon(p)
     for eq in commutators.values():
         vec = [0] * dim
@@ -216,16 +228,23 @@ def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
             f"(c) a random central element does not have {r} distinct eigenvalues in F_p"
         )
 
+    # h = sum_i k_i mu / (x - lambda_i), so h(lambda_i) = k_i mu'(lambda_i), and the
+    # blocks of size m are the roots of gcd(mu, h - m^2 mu').
     traces = [sum(x * t for x, t in zip(zk, trace)) % p for zk in powers[:r]]
-    sizes = []
-    for lam in _roots(mu, p, rng):
-        # Lagrange basis polynomial of lam: its coefficients pick k_i out of the traces.
-        q = _divmod(mu, [-lam % p, 1], p)[0]
-        q_lam = sum(c * pow(lam, k, p) for k, c in enumerate(q)) % p
-        sizes.append(sum(c * s for c, s in zip(q, traces)) * pow(q_lam, -1, p) % p)
-    if sum(sizes) != dim or any(not 1 <= k <= dim or math.isqrt(k) ** 2 != k for k in sizes):
-        raise NonSplitError(f"(d) block dimensions {sorted(sizes)} are not squares adding to {dim}")
-    return r, sorted(math.isqrt(k) for k in sizes)
+    h = [sum(mu[m] * traces[m - l - 1] for m in range(l + 1, r + 1)) % p for l in range(r)]
+    dmu = [k * c % p for k, c in enumerate(mu)][1:]
+    sizes: list = []
+    for m in range(1, math.isqrt(dim) + 1):
+        if len(sizes) == r:
+            break
+        f = _trim([(x - m * m * y) % p for x, y in zip(h, dmu)])
+        sizes += [m] * (len(_gcd(mu, f, p)) - 1)
+    total = sum(m * m for m in sizes)
+    if len(sizes) != r or total != dim:
+        raise NonSplitError(
+            f"(d) {len(sizes)} of {r} blocks found, of dimensions adding to {total} of {dim}"
+        )
+    return r, sizes
 
 
 def _reduce(alg: AlgebraData, order: int, p: int):
@@ -474,15 +493,3 @@ def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
         f, g = g, _divmod(f, g, p)[1]
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
-
-
-def _roots(f: list[int], p: int, rng: random.Random) -> list[int]:
-    """The roots of a monic f that is a product of distinct linear factors."""
-    if len(f) == 2:
-        return [-f[0] % p]
-    while True:
-        h = _powmod([rng.randrange(p), 1], (p - 1) // 2, f, p) or [0]
-        h[0] = (h[0] - 1) % p
-        g = _gcd(f, _trim(h), p)
-        if 1 < len(g) < len(f):
-            return _roots(g, p, rng) + _roots(_divmod(f, g, p)[0], p, rng)

@@ -37,8 +37,11 @@ tube products and gamma's per-charge matrices are read off by
 The tube algebra is given by its generators.  A basis element of
 Hom_C(i, T_alpha(j)) has degree the number of orbits m with alpha_m != 1,
 and those of degree <= 1 (``TubeAlgebra.gens``) generate the algebra.  So
-``tube_algebra`` contracts only the products e_a e_g with the right factor
-g in ``gens``, and ``algebra.decompose`` closes that table mod p.
+``tube_algebra`` gives only the products e_a e_g with the right factor g in
+``gens``, and ``algebra.decompose`` closes that table mod p.  The elements
+of degree 0 are the summands u_j of the unit, so their products are
+written (e_a u_j is e_a when e_a ends at j, else 0) and only the products
+by the elements of degree 1 are contracted.
 """
 
 from __future__ import annotations
@@ -866,19 +869,24 @@ def _tube_products(spec, sigma: Gluing, right) -> dict:
 def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
     """Blocks Hom_C(i, T(j)) with the transported composition product.
 
-    Only the products by the elements of degree <= 1 are computed, where
+    Only the products by the elements of degree <= 1 are given, where
     the degree of Hom_C(i, T_alpha(j)) is the number of orbits m with
     alpha_m != 1.  They generate the algebra, and ``algebra.decompose``
-    closes their table mod p (certificate part (e)).
+    closes their table mod p (certificate part (e)).  The elements of
+    degree 0 are the unit's summands u_j in Hom_C(j, T_1(j)), so e_a u_j
+    is written, not contracted: e_a when a ends at j, else 0.
     """
     spec.require_braiding()
     basis, at, _elems = _tube_basis(spec, sigma)
     gens = [b for b, (_i, _j, alpha, _t) in enumerate(basis)
             if sum(a != spec.unit for a in alpha) <= 1]
     all1 = (spec.unit,) * sigma.n
-    unit = {at[i, i, all1, 0]: ONE for i in spec.labels}
-    return TubeAlgebra(spec=spec, sigma=sigma, basis=basis, gens=gens,
-                       mult_table=_tube_products(spec, sigma, gens), unit=unit)
+    units = {j: at[j, j, all1, 0] for j in spec.labels}
+    mult = _tube_products(spec, sigma, [g for g in gens if g not in units.values()])
+    for a, (_i, j, _alpha, _t) in enumerate(basis):
+        mult[a, units[j]] = {a: ONE}
+    return TubeAlgebra(spec=spec, sigma=sigma, basis=basis, gens=gens, mult_table=mult,
+                       unit={u: ONE for u in units.values()})
 
 
 def center_rank(spec, sigma: Gluing):

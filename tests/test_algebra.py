@@ -10,7 +10,7 @@ from genuscenter.algebra import (
     center_basis,
     decompose,
 )
-from genuscenter.center import tube_algebra
+from genuscenter.center import _tube_products, tube_algebra
 from genuscenter.errors import GenusCenterError, NonSplitError
 from genuscenter.exactnum import rational
 from genuscenter.gluing import parse_cycles
@@ -81,6 +81,24 @@ class TestCertificate:
         alg = AlgebraData(dim=4, mult=mult, unit={0: ONE, 3: ONE})
         assert decompose(alg) == (1, [2])
 
+    def test_blocks_are_counted_from_a_generating_subset(self):
+        # M_1 + M_2 + M_2 + M_3 on its matrix units, given by the unit of M_1
+        # and the units E_{i,i+1}, E_{i+1,i} of the others, so that _close
+        # reaches the rest; the repeated size 2 is a gcd of degree 2.
+        sizes = (1, 2, 2, 3)
+        units = [(b, i, j) for b, m in enumerate(sizes) for i in range(m) for j in range(m)]
+        index = {u: k for k, u in enumerate(units)}
+        gens = [index[b, i, j] for b, i, j in units if abs(i - j) == 1 or sizes[b] == 1]
+        mult = {}
+        for b, i, j in units:
+            for k in range(sizes[b]):
+                if index[b, j, k] in gens:
+                    mult[index[b, i, j], index[b, j, k]] = {index[b, i, k]: ONE}
+        unit = {index[b, i, i]: ONE for b, i, j in units if i == j}
+        alg = AlgebraData(dim=18, mult=mult, unit=unit, gens=gens)
+        assert len(gens) == 9
+        assert decompose(alg) == (4, [1, 2, 2, 3])
+
     def test_empty_algebra(self):
         with pytest.raises(NonSplitError, match="empty center"):
             decompose(AlgebraData(dim=0, mult={}, unit={}))
@@ -104,3 +122,21 @@ def test_exact_center_refuses_a_table_of_generator_products():
 def test_exact_center_matches_the_rank_mod_p(key):
     alg = tube_algebra(catalog.builtin(key), parse_cycles("(1 2)")).algebra_data()
     assert len(center_basis(alg)) == decompose(alg)[0]
+
+
+# Gluings of n = 2, where the generators are a proper subset of the basis.
+PROPER_GENERATOR_CASES = [
+    (key, cycles)
+    for key in ("semion", "rep_z2", "vec_z2")
+    for cycles in ("(1 3)(2 4)", "(1 2)(3 4)")
+]
+
+
+@pytest.mark.parametrize("key,cycles", PROPER_GENERATOR_CASES)
+def test_exact_center_matches_the_commutant_of_the_generators(key, cycles):
+    spec, sigma = catalog.builtin(key), parse_cycles(cycles)
+    tube = tube_algebra(spec, sigma)
+    assert len(tube.gens) < tube.dim
+    exact = AlgebraData(tube.dim, _tube_products(spec, sigma, range(tube.dim)), tube.unit)
+    rank, _blocks = decompose(tube.algebra_data())
+    assert len(center_basis(exact)) == rank, f"{key} at {cycles}"

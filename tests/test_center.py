@@ -423,10 +423,24 @@ class TestTubeAlgebra:
 
     @pytest.mark.parametrize("key", ("vec_z2", "fibonacci", "vec_z3_q"))
     def test_kleisli_laws(self, key):
+        # On the contracted products: tube_algebra writes its right-unit rows.
         spec = catalog.builtin(key)
-        alg = tube_algebra(spec, sig12()).algebra_data()
+        tube = tube_algebra(spec, sig12())
+        alg = AlgebraData(tube.dim, center._tube_products(spec, sig12(), range(tube.dim)), tube.unit)
         assert check_unit(alg)
         assert check_associative(alg)
+
+    @pytest.mark.parametrize("key,cycles", [
+        (key, cycles) for cycles in ("(1 2)", "(1 3)(2 4)") for key in catalog.catalog_keys()
+    ])
+    def test_written_unit_products_are_the_contracted_ones(self, key, cycles):
+        spec, sigma = catalog.builtin(key), parse_cycles(cycles)
+        tube = tube_algebra(spec, sigma)
+        contracted = center._tube_products(spec, sigma, tube.unit)
+        for a in range(tube.dim):
+            for u in tube.unit:
+                got = tube.mult_table.get((a, u))
+                assert contracted.get((a, u)) == got, f"{key} at {cycles}: e_{a} e_{u}"
 
     @pytest.mark.parametrize("cycles", N2_GLUINGS)
     def test_semion_n2_products_pinned(self, cycles):
