@@ -23,6 +23,12 @@ whole table M[a,b] mod p (``_close``).  Then:
   h(x) = sum_{l<r} x^l sum_{m>l} c_m tau_{m-l-1};
 - the number of blocks of size m is deg gcd(mu, h - m^2 mu'), for
   m = 1, ..., floor(sqrt(dim A)).
+Every row reduction over F_p is one sparse reduced echelon, ``_Echelon``,
+whose rows remember which added vectors, by tag, they combine: ``_close``
+adds each new element's coordinates outside S, tagged with its number;
+part (b) adds the Gram rows; the centre adds the commutator equations and
+takes the kernel; and ``_minpoly`` adds z^k tagged with k, so the first
+dependent power gives the coefficients of mu.
 The answer at p is accepted only if (a) the unit and the given structure
 constants are p-integral, (e) the closure reaches dim A mod p, (b) G is
 nonsingular mod p, (c) deg mu = r and x^p = x (mod mu), and (d) the
@@ -69,7 +75,7 @@ from .exactnum import ExactMatrix, nullspace, rational
 
 __all__ = ["AlgebraData", "center_basis", "decompose"]
 
-# Products of two residues stay below 2^52, so int64 arrays can hold them.
+# The primes tried: p in this range with p > dim A and p = 1 (mod N), smallest first.
 _PRIME_RANGE = (1 << 25, 1 << 26)
 _MAX_PRIMES = 8
 _SEED = 7
@@ -183,11 +189,14 @@ def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
     trace = [0] * dim
     for (a, b), row in mult.items():
         trace[a] += row.get(b, 0)
-    gram = [[0] * dim for _ in range(dim)]
+    gram: dict = {}  # i -> {j: G_ij}
     for (i, j), row in mult.items():
-        gram[i][j] = sum(v * trace[c] for c, v in row.items()) % p
-    gram_rows = _Echelon(p)
-    if not all(any(gram_rows.add(row)) for row in gram):
+        if x := sum(v * trace[c] for c, v in row.items()) % p:
+            gram.setdefault(i, {})[j] = x
+    form = _Echelon(p)
+    for row in gram.values():
+        form.add(row)
+    if len(form.rows) != dim:
         raise NonSplitError("(b) the trace form is degenerate mod p")
 
     # By (e) the e_g generate A mod p, so the centre is their commutant.
@@ -202,10 +211,7 @@ def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
                 eq[a] = eq.get(a, 0) - v
     system = _Echelon(p)
     for eq in commutators.values():
-        vec = [0] * dim
-        for a, v in eq.items():
-            vec[a] = v % p
-        system.add(vec)
+        system.add(eq)
     basis = system.kernel(dim)
     r = len(basis)
     if not r:
@@ -213,15 +219,16 @@ def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
 
     coeffs = [rng.randrange(p) for _ in basis]
     z = [sum(c * v[k] for c, v in zip(coeffs, basis)) % p for k in range(dim)]
-    left_z = [[0] * dim for _ in range(dim)]
+    left_z: dict = {}  # b -> z e_b
     for (a, b), row in mult.items():
         if z[a]:
-            for c, v in row.items():
-                left_z[c][b] += z[a] * v
+            _axpy(left_z.setdefault(b, {}), z[a], row, p)
     powers = [unit]
     for _ in range(r):
-        x = powers[-1]
-        powers.append([sum(m * y for m, y in zip(mrow, x)) % p for mrow in left_z])
+        zx: dict = {}
+        for b, x in powers[-1].items():
+            _axpy(zx, x, left_z.get(b, {}), p)
+        powers.append(zx)
     mu = _minpoly(powers, p)
     if len(mu) - 1 != r or _powmod([0, 1], p, mu, p) != _divmod([0, 1], mu, p)[1]:
         raise NonSplitError(
@@ -230,7 +237,7 @@ def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
 
     # h = sum_i k_i mu / (x - lambda_i), so h(lambda_i) = k_i mu'(lambda_i), and the
     # blocks of size m are the roots of gcd(mu, h - m^2 mu').
-    traces = [sum(x * t for x, t in zip(zk, trace)) % p for zk in powers[:r]]
+    traces = [sum(x * trace[c] for c, x in zk.items()) % p for zk in powers[:r]]
     h = [sum(mu[m] * traces[m - l - 1] for m in range(l + 1, r + 1)) % p for l in range(r)]
     dmu = [k * c % p for k, c in enumerate(mu)][1:]
     sizes: list = []
@@ -248,7 +255,7 @@ def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
 
 
 def _reduce(alg: AlgebraData, order: int, p: int):
-    """The structure constants {(a, b): {c: residue}} and the unit vector, mod p."""
+    """The structure constants {(a, b): {c: residue}} and the unit {c: residue}, mod p."""
     w = _root_of_unity(order, p)
     w_powers = [pow(w, k, p) for k in range(order)]
 
@@ -261,9 +268,7 @@ def _reduce(alg: AlgebraData, order: int, p: int):
     mult = {}
     for ab, row in alg.mult.items():
         mult[ab] = {c: x for c, v in row.items() if (x := residue(v))}
-    unit = [0] * alg.dim
-    for c, v in alg.unit.items():
-        unit[c] = residue(v)
+    unit = {c: x for c, v in alg.unit.items() if (x := residue(v))}
     return mult, unit
 
 
@@ -296,45 +301,27 @@ def _close(mult: dict, gens: list, dim: int, p: int) -> dict:
     # Elements: the e_g, numbered as in gens, then each closed w = elems[parent] * g.
     elems = [{g: 1} for g in gens]
     steps: list = []  # (parent, g) of each closed element
-    # Reduced echelon rows over the coordinates outside gens, by pivot, each
-    # with its combination {element: coeff} of the elements' coordinates there.
-    echelon: dict = {}
+    # The elements' coordinates outside gens, each tagged with its number.
+    echelon = _Echelon(p)
     k = 0
-    while k < len(elems) and len(echelon) < need:
+    while k < len(elems) and len(echelon.rows) < need:
         for g in gens:
             v = times(elems[k], g)
-            row = {c: x for c, x in v.items() if c not in gpos}
-            # Pivot rows are 0 at the other pivots, so these entries stay as read.
-            factors = [(row[q], q) for q in row if q in echelon]
-            for f, q in factors:
-                _axpy(row, -f, echelon[q][0], p)
-            if not row:
-                continue
-            q0 = min(row)
-            inv = pow(row[q0], -1, p)
-            row = {c: x * inv % p for c, x in row.items()}
-            tail = {len(elems): inv}
-            for f, q in factors:
-                _axpy(tail, -f * inv, echelon[q][1], p)
-            for other, otail in echelon.values():
-                if f := other.get(q0):
-                    _axpy(other, -f, row, p)
-                    _axpy(otail, -f, tail, p)
-            echelon[q0] = (row, tail)
-            steps.append((k, g))
-            elems.append(v)
-            if len(echelon) == need:
-                break
+            if echelon.add({c: x for c, x in v.items() if c not in gpos}, len(elems)) is None:
+                steps.append((k, g))
+                elems.append(v)
+                if len(echelon.rows) == need:
+                    break
         k += 1
-    if len(echelon) < need:
+    if len(echelon.rows) < need:
         raise NonSplitError(
-            f"(e) the generators close on {dim - need + len(echelon)} of {dim} dimensions mod p"
+            f"(e) the generators close on {len(gpos) + len(echelon.rows)} of {dim} dimensions mod p"
         )
 
     # Every row is now a unit vector e_b (b outside gens) on those coordinates,
     # so e_b = sum_e t_e elems[e] minus the gens coordinates of that sum.
     uses: dict = {}  # element -> [(b, coeff of the element in e_b)]
-    for b, (_row, tail) in echelon.items():
+    for b, (_row, tail) in echelon.rows.items():
         coeffs = dict(tail)
         for e, t in tail.items():
             for c, x in elems[e].items():
@@ -390,34 +377,42 @@ def _root_of_unity(order: int, p: int) -> int:
 
 
 class _Echelon:
-    """Rows over F_p in reduced echelon form, grown one row at a time.
+    """Sparse rows over F_p in reduced echelon form, grown one row at a time.
 
-    ``rows`` maps each pivot column to its row, which holds 1 there and 0
-    at every other pivot column.
+    ``rows`` maps each pivot column to (row, tail): the row {column: residue}
+    holds 1 there and 0 at every other pivot column, and the tail
+    {tag: coeff} is the combination of the tagged added vectors it equals.
     """
 
     def __init__(self, p: int):
         self.p = p
-        self.rows: dict[int, list[int]] = {}
+        self.rows: dict[int, tuple[dict, dict]] = {}
 
-    def add(self, vec: list[int]) -> list[int]:
-        """Reduce vec by the rows, keep the remainder if it is nonzero, and return it."""
-        p = self.p
-        for q, row in self.rows.items():
-            f = vec[q]
-            if f:
-                vec = [(x - f * y) % p for x, y in zip(vec, row)]
-        q = next((i for i, x in enumerate(vec) if x), None)
-        if q is None:
-            return vec
-        inv = pow(vec[q], -1, p)
-        new = [x * inv % p for x in vec]
-        for k, row in self.rows.items():
-            f = row[q]
-            if f:
-                self.rows[k] = [(x - f * y) % p for x, y in zip(row, new)]
-        self.rows[q] = new
-        return vec
+    def add(self, vec: dict, tag=None) -> dict | None:
+        """Keep vec, reduced, and return None if it is independent of the rows.
+
+        Otherwise return the tail {tag: coeff} of a combination of the
+        added vectors that is 0 mod p, with coefficient 1 at vec's own tag.
+        """
+        p, rows = self.p, self.rows
+        row = {c: r for c, x in vec.items() if (r := x % p)}
+        tail = {} if tag is None else {tag: 1}
+        # Pivot rows are 0 at the other pivots, so these entries stay as read.
+        for f, q in [(row[q], q) for q in row if q in rows]:
+            _axpy(row, -f, rows[q][0], p)
+            _axpy(tail, -f, rows[q][1], p)
+        if not row:
+            return tail
+        q0 = min(row)
+        inv = pow(row[q0], -1, p)
+        row = {c: x * inv % p for c, x in row.items()}
+        tail = {t: x * inv % p for t, x in tail.items()}
+        for other, otail in rows.values():
+            if f := other.get(q0):
+                _axpy(other, -f, row, p)
+                _axpy(otail, -f, tail, p)
+        rows[q0] = (row, tail)
+        return None
 
     def kernel(self, ncols: int) -> list[list[int]]:
         """A basis of the vectors that every row annihilates."""
@@ -426,21 +421,19 @@ class _Echelon:
             if f not in self.rows:
                 v = [0] * ncols
                 v[f] = 1
-                for q, row in self.rows.items():
-                    v[q] = -row[f] % self.p
+                for q, (row, _tail) in self.rows.items():
+                    v[q] = -row.get(f, 0) % self.p
                 out.append(v)
         return out
 
 
-def _minpoly(powers: list[list[int]], p: int) -> list[int]:
+def _minpoly(powers: list[dict], p: int) -> list[int]:
     """Monic minimal polynomial, low degree first, of z given 1, z, z^2, ... mod p."""
-    dim, n = len(powers[0]), len(powers)
     seen = _Echelon(p)
     for k, zk in enumerate(powers):
-        # The tail records which powers make up each reduced row.
-        vec = seen.add(zk + [int(j == k) for j in range(n)])
-        if not any(vec[:dim]):
-            return vec[dim : dim + k + 1]
+        tail = seen.add(zk, k)
+        if tail is not None:
+            return [tail.get(j, 0) for j in range(k + 1)]
     raise ValueError("the powers are linearly independent")
 
 

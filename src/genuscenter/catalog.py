@@ -436,11 +436,15 @@ def save_spec(spec: CategorySpec, path) -> None:
 
 
 def load_spec(path) -> CategorySpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GenusCenterError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise GenusCenterError(f"{path}: cannot be read ({exc.strerror or exc})") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise GenusCenterError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise GenusCenterError(f"{path}: the top level is not a JSON object")
     for fieldname in ("name", "labels", "unit", "dual", "fusion", "F", "pivotal"):
         if fieldname not in doc:
             raise GenusCenterError(f"{path}: missing mandatory field {fieldname!r}")
@@ -474,11 +478,12 @@ def load_spec(path) -> CategorySpec:
         pivotal = {
             a: _cyc_from_json(v, f"{path} pivotal[{a}]") for a, v in doc["pivotal"].items()
         }
-    with _field(path, "labels"):
-        labels = tuple(doc["labels"])
+    labels = doc["labels"]
+    if not (isinstance(labels, list) and all(isinstance(a, str) for a in labels)):
+        raise GenusCenterError(f"{path}: malformed field 'labels' (not a list of strings)")
     return CategorySpec(
         name=doc["name"],
-        labels=labels,
+        labels=tuple(labels),
         unit=doc["unit"],
         dual=dual,
         fusion=fusion,

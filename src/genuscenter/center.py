@@ -102,9 +102,6 @@ class FormalObject:
     def as_dict(self) -> dict:
         return dict(self.multiplicities)
 
-    def mult(self, label: str) -> int:
-        return dict(self.multiplicities).get(label, 0)
-
 
 def _as_formal(spec, x) -> FormalObject:
     if isinstance(x, FormalObject):

@@ -6,13 +6,15 @@ from genuscenter import catalog
 from genuscenter.algebra import (
     AlgebraData,
     _decompose_mod,
+    _Echelon,
+    _minpoly,
     _primes,
     center_basis,
     decompose,
 )
 from genuscenter.center import _tube_products, tube_algebra
 from genuscenter.errors import GenusCenterError, NonSplitError
-from genuscenter.exactnum import rational
+from genuscenter.exactnum import ExactMatrix, matrix_rank, rational
 from genuscenter.gluing import parse_cycles
 
 ONE = rational(1)
@@ -140,3 +142,84 @@ def test_exact_center_matches_the_commutant_of_the_generators(key, cycles):
     exact = AlgebraData(tube.dim, _tube_products(spec, sigma, range(tube.dim)), tube.unit)
     rank, _blocks = decompose(tube.algebra_data())
     assert len(center_basis(exact)) == rank, f"{key} at {cycles}"
+
+
+def small_matrix(seed):
+    """Rows of a random small integer matrix, some of them sums of earlier rows."""
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        if rows and rng.random() < 0.4:
+            picks = rng.sample(rows, rng.randint(1, len(rows)))
+            rows.append([sum(col) for col in zip(*picks)])
+        else:
+            rows.append([rng.randint(-3, 3) for _ in range(ncols)])
+    return ncols, rows
+
+
+def sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+class TestEchelon:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kept_rows_are_the_rank_over_q(self, seed):
+        ncols, rows = small_matrix(seed)
+        echelon = _Echelon(first_prime())
+        kept = [echelon.add(sparse(row), k) is None for k, row in enumerate(rows)]
+        exact = ExactMatrix(len(rows), ncols, [[rational(x) for x in row] for row in rows])
+        assert sum(kept) == len(echelon.rows) == matrix_rank(exact)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kernel_is_annihilated_by_every_added_row(self, seed):
+        ncols, rows = small_matrix(seed)
+        p = first_prime()
+        echelon = _Echelon(p)
+        for row in rows:
+            echelon.add(sparse(row))
+        kernel = echelon.kernel(ncols)
+        assert len(kernel) == ncols - len(echelon.rows)
+        for v in kernel:
+            assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in rows)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_tail_is_a_combination_that_vanishes(self, seed):
+        ncols, rows = small_matrix(seed)
+        p = first_prime()
+        echelon = _Echelon(p)
+        for k, row in enumerate(rows):
+            tail = echelon.add(sparse(row), k)
+            if tail is not None:
+                assert tail[k] == 1 and max(tail) == k
+                combo = [sum(t * rows[j][c] for j, t in tail.items()) % p for c in range(ncols)]
+                assert combo == [0] * ncols
+
+    def test_a_dependent_row_returns_its_tail(self):
+        p = first_prime()
+        echelon = _Echelon(p)
+        assert echelon.add({0: 1, 1: 2}, "a") is None
+        assert echelon.add({1: 1}, "b") is None
+        # (2, 7) = 2 (1, 2) + 3 (0, 1)
+        assert echelon.add({0: 2, 1: 7}, "c") == {"a": p - 2, "b": p - 3, "c": 1}
+
+
+@pytest.mark.parametrize(
+    "matrix,mu",
+    [
+        ([[2, 1, 0], [0, 2, 0], [0, 0, 3]], [-12, 16, -7, 1]),  # (x - 2)^2 (x - 3)
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], [6, -5, 1]),  # (x - 2) (x - 3)
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [0, 0, 0, 1]),  # x^3
+    ],
+)
+def test_minpoly_of_a_3_by_3_matrix(matrix, mu):
+    p = first_prime()
+    power = [[int(i == j) for j in range(3)] for i in range(3)]
+    powers = []
+    for _ in range(4):
+        powers.append(sparse([x for row in power for x in row]))
+        power = [
+            [sum(power[i][k] * matrix[k][j] for k in range(3)) % p for j in range(3)]
+            for i in range(3)
+        ]
+    assert _minpoly(powers, p) == [c % p for c in mu]

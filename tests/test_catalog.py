@@ -101,6 +101,31 @@ class TestRoundTrip:
             catalog.load_spec(path)
         assert "missing mandatory field" in str(err.value)
 
+    def test_directory_is_an_error(self, tmp_path):
+        with pytest.raises(GenusCenterError, match="cannot be read"):
+            catalog.load_spec(tmp_path)
+
+    def test_top_level_not_an_object_is_an_error(self, tmp_path):
+        path = tmp_path / "five.json"
+        path.write_text("5")
+        with pytest.raises(GenusCenterError, match="not a JSON object"):
+            catalog.load_spec(path)
+
+    def test_file_not_utf8_is_an_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "\u00e9"}'.encode("latin-1"))
+        with pytest.raises(GenusCenterError, match="not valid JSON"):
+            catalog.load_spec(path)
+
+    def test_labels_given_as_a_string_are_rejected(self, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text(
+            '{"name": "x", "labels": "1", "unit": "1",'
+            ' "dual": {"1": "1"}, "fusion": [], "F": [], "pivotal": {}}'
+        )
+        with pytest.raises(GenusCenterError, match="'labels'"):
+            catalog.load_spec(path)
+
     def test_non_involutive_dual_rejected(self, tmp_path):
         path = tmp_path / "dual.json"
         path.write_text(

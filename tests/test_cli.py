@@ -175,6 +175,12 @@ class TestCatalogFiles:
         code, out = run(capsys, "center", "rank", "--cat", str(path), "--sigma", "(1 2)", "--json")
         assert code == 0 and json.loads(out)["rank"] == 4
 
+    @pytest.mark.parametrize("command", [("validate",), ("center", "rank", "--sigma", "(1 2)")])
+    def test_directory_is_an_error_line(self, capsys, tmp_path, command):
+        code = main([*command[:2], "--cat", str(tmp_path), *command[2:]])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field,corrupt",
         [
