@@ -43,9 +43,12 @@ integral at P, and by (e) det W is a unit.  So they form an O_P-basis of
 the lattice spanned by the basis, and each R_{w_k} is a product of
 integral R_g.  Every e_b is then an O_P-combination of them, its right
 action is integral, and by associativity its reduction is the one that
-``_close`` computes.  When S is the whole basis, (e) holds at once.  By
-(e) the e_g also generate A mod p, so an element that commutes with
-each e_g commutes with all of A mod p: their commutant is Z_p.
+``_close`` computes.  Part (e) holds at once when S is the whole basis.
+A tube's S is smaller at n >= 2, and at n = 1 too when some non-unit
+label is not a handle label (see ``center``); there (e) is a real
+check.  By (e) the e_g also generate A mod p, so an element that
+commutes with each e_g commutes with all of A mod p: their commutant is
+Z_p.
 
 By (a) and (e) the basis spans an order L over the local ring
 O_P, and by (b) its discriminant det G is a unit, so L is separable:

@@ -478,6 +478,8 @@ def load_spec(path) -> CategorySpec:
         pivotal = {
             a: _cyc_from_json(v, f"{path} pivotal[{a}]") for a, v in doc["pivotal"].items()
         }
+    if not isinstance(doc["name"], str):
+        raise GenusCenterError(f"{path}: malformed field 'name' (not a string)")
     labels = doc["labels"]
     if not (isinstance(labels, list) and all(isinstance(a, str) for a in labels)):
         raise GenusCenterError(f"{path}: malformed field 'labels' (not a list of strings)")

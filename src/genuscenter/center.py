@@ -36,12 +36,18 @@ tube products and gamma's per-charge matrices are read off by
 
 The tube algebra is given by its generators.  A basis element of
 Hom_C(i, T_alpha(j)) has degree the number of orbits m with alpha_m != 1,
-and those of degree <= 1 (``TubeAlgebra.gens``) generate the algebra.  So
-``tube_algebra`` gives only the products e_a e_g with the right factor g in
-``gens``, and ``algebra.decompose`` closes that table mod p.  The elements
-of degree 0 are the summands u_j of the unit, so their products are
-written (e_a u_j is e_a when e_a ends at j, else 0) and only the products
-by the elements of degree 1 are contracted.
+and those of degree <= 1 generate the algebra.  Fewer do: on one orbit,
+since C is semisimple, the products of the elements with handle label
+alpha_m = a by those with alpha_m = b span the elements with alpha_m = c
+for every c in a (x) b.  So the elements of degree 1 whose handle label
+lies in a set S whose tensor closure from the unit is every label
+(``_handle_labels``), with those of degree 0, generate the algebra; they
+are ``TubeAlgebra.gens``.  ``tube_algebra`` gives only the products e_a e_g
+with the right factor g in ``gens``, and ``algebra.decompose`` closes that
+table mod p; its certificate part (e) rejects a set that does not
+generate.  The elements of degree 0 are the summands u_j of the unit, so
+their products are written (e_a u_j is e_a when e_a ends at j, else 0)
+and only the products by the elements of degree 1 are contracted.
 """
 
 from __future__ import annotations
@@ -783,7 +789,7 @@ class TubeAlgebra:
     spec: CategorySpec
     sigma: Gluing
     basis: list  # (i, j, alpha, tree)
-    gens: list  # basis indices of degree <= 1: the right factors of mult_table
+    gens: list  # degree 0, and degree 1 with a handle label: the right factors of mult_table
     mult_table: dict  # (a, g) -> dict {c: coeff}, for every a and every g in gens
     unit: dict  # coordinates of the unit
 
@@ -862,21 +868,53 @@ def _tube_products(spec, sigma: Gluing, right) -> dict:
     return {ab: row for ab, row in mult.items() if row}
 
 
+def _handle_labels(spec) -> tuple:
+    """Non-unit labels S whose tensor closure from the unit is every label.
+
+    The closure holds each channel of x (x) s for x in it and s in S.  S is
+    grown greedily by the label that enlarges the closure most, ties going
+    to the first in catalog order.
+    """
+
+    def closure(labels) -> set:
+        reach, todo = {spec.unit}, [spec.unit]
+        while todo:
+            x = todo.pop()
+            for s in labels:
+                for c in spec.channels(x, s):
+                    if c not in reach:
+                        reach.add(c)
+                        todo.append(c)
+        return reach
+
+    chosen: list = []
+    while len(closure(chosen)) < len(spec.labels):
+        rest = [s for s in spec.labels if s != spec.unit and s not in chosen]
+        chosen.append(max(rest, key=lambda s: len(closure(chosen + [s]))))
+    return tuple(chosen)
+
+
 @cached
 def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
     """Blocks Hom_C(i, T(j)) with the transported composition product.
 
-    Only the products by the elements of degree <= 1 are given, where
-    the degree of Hom_C(i, T_alpha(j)) is the number of orbits m with
-    alpha_m != 1.  They generate the algebra, and ``algebra.decompose``
-    closes their table mod p (certificate part (e)).  The elements of
-    degree 0 are the unit's summands u_j in Hom_C(j, T_1(j)), so e_a u_j
-    is written, not contracted: e_a when a ends at j, else 0.
+    Only the products by the generators ``gens`` are given: the elements
+    of degree 0 and those of degree 1 whose handle label is in
+    ``_handle_labels``, where the degree of Hom_C(i, T_alpha(j)) is the
+    number of orbits m with alpha_m != 1 and the handle label is that
+    alpha_m.  They generate the algebra, and ``algebra.decompose`` closes
+    their table mod p (certificate part (e)).  The elements of degree 0
+    are the unit's summands u_j in Hom_C(j, T_1(j)), so e_a u_j is
+    written, not contracted: e_a when a ends at j, else 0.
     """
     spec.require_braiding()
     basis, at, _elems = _tube_basis(spec, sigma)
-    gens = [b for b, (_i, _j, alpha, _t) in enumerate(basis)
-            if sum(a != spec.unit for a in alpha) <= 1]
+    handles = set(_handle_labels(spec))
+    gens = []
+    for b, (_i, _j, alpha, _t) in enumerate(basis):
+        labels = [a for a in alpha if a != spec.unit]
+        if not labels or (len(labels) == 1 and labels[0] in handles):
+            gens.append(b)
     all1 = (spec.unit,) * sigma.n
     units = {j: at[j, j, all1, 0] for j in spec.labels}
     mult = _tube_products(spec, sigma, [g for g in gens if g not in units.values()])

@@ -126,6 +126,15 @@ class TestRoundTrip:
         with pytest.raises(GenusCenterError, match="'labels'"):
             catalog.load_spec(path)
 
+    def test_name_not_a_string_is_rejected(self, tmp_path):
+        path = tmp_path / "name.json"
+        path.write_text(
+            '{"name": 5, "labels": ["1"], "unit": "1",'
+            ' "dual": {"1": "1"}, "fusion": [], "F": [], "pivotal": {}}'
+        )
+        with pytest.raises(GenusCenterError, match="'name'"):
+            catalog.load_spec(path)
+
     def test_non_involutive_dual_rejected(self, tmp_path):
         path = tmp_path / "dual.json"
         path.write_text(

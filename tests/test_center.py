@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from genuscenter import catalog, center
-from genuscenter.algebra import AlgebraData, _close, _primes, _reduce
-from genuscenter.errors import GenusCenterError, IllFormedDiagramError
+from genuscenter.algebra import AlgebraData, _close, _primes, _reduce, decompose
+from genuscenter.errors import GenusCenterError, IllFormedDiagramError, NonSplitError
 from genuscenter.center import (
     CarrierMap,
     FormalObject,
@@ -465,14 +465,41 @@ class TestTubeAlgebra:
     def test_generators_close_to_the_exact_table_mod_p(self, key, cycles):
         spec, sigma = catalog.builtin(key), parse_cycles(cycles)
         tube = tube_algebra(spec, sigma)
-        degrees = [len(alpha) - alpha.count(spec.unit) for _i, _j, alpha, _t in tube.basis]
-        assert tube.gens == [b for b, d in enumerate(degrees) if d <= 1]
+        handles = set(center._handle_labels(spec))
+        labels = [[a for a in alpha if a != spec.unit] for _i, _j, alpha, _t in tube.basis]
+        want = [b for b, ls in enumerate(labels) if len(ls) <= 1 and set(ls) <= handles]
+        assert tube.gens == want
         exact = AlgebraData(tube.dim, center._tube_products(spec, sigma, range(tube.dim)), tube.unit)
         order = exact.field_order()
         p = next(_primes(order, tube.dim))
         want, _unit = _reduce(exact, order, p)
         got, _unit = _reduce(tube.algebra_data(), order, p)
         assert _close(got, tube.gens, tube.dim, p) == want
+
+    @pytest.mark.parametrize("key,want", [
+        ("fibonacci", ("t",)), ("ising", ("s",)), ("rep_s3", ("V",)), ("vec_z3_q", ("1",)),
+        ("semion", ("1",)), ("rep_z2", ("1",)), ("vec_z2", ("1",)),
+    ])
+    def test_handle_labels_generate_every_label(self, key, want):
+        spec = catalog.builtin(key)
+        assert center._handle_labels(spec) == want
+        reach = {spec.unit}
+        for _ in spec.labels:
+            reach |= {c for x in reach for s in want for c in spec.channels(x, s)}
+        assert reach == set(spec.labels)
+
+    @pytest.mark.parametrize("cycles,closed", [("(1 2)", "6 of 12"), ("(1 3)(2 4)", "12 of 48")])
+    def test_handle_label_f_alone_does_not_generate_ising(self, cycles, closed):
+        # f (x) f = 1, so handles labelled f never reach the s-handle elements.
+        spec, sigma = catalog.builtin("ising"), parse_cycles(cycles)
+        tube = tube_algebra(spec, sigma)
+        labels = [[a for a in alpha if a != spec.unit] for _i, _j, alpha, _t in tube.basis]
+        handles = [b for b, ls in enumerate(labels) if ls == ["f"]]
+        mult = center._tube_products(spec, sigma, handles)
+        mult.update({(a, u): row for (a, u), row in tube.mult_table.items() if u in tube.unit})
+        alg = AlgebraData(tube.dim, mult, tube.unit, gens=sorted([*tube.unit, *handles]))
+        with pytest.raises(NonSplitError, match=rf"\(e\) the generators close on {closed} "):
+            decompose(alg)
 
     def test_empty_gluing_tube(self):
         spec = catalog.builtin("fibonacci")
@@ -493,8 +520,9 @@ class TestCenterRank:
         assert rank == want
         tube = tube_algebra(spec, sig12())
         assert sum(m * m for m in dims) == tube.dim
-        # independent float decomposition of the same algebra
-        frank, fdims = float_decompose(tube.algebra_data())
+        # independent float decomposition of the same algebra, from its whole table
+        table = center._tube_products(spec, sig12(), range(tube.dim))
+        frank, fdims = float_decompose(AlgebraData(tube.dim, table, tube.unit))
         assert (frank, fdims) == (rank, dims)
 
     def test_fibonacci_punctured_torus_collapses(self):
@@ -511,7 +539,10 @@ SPHERE3_RANKS = {"fibonacci": 8, "ising": 27, "vec_z3_q": 27}
 
 
 def assert_n3_gluings_agree_by_surface(key):
-    """All 15 gluings at n=3 give one (rank, blocks) per surface; a failure names them."""
+    """All 15 gluings at n=3 give one (rank, blocks) per surface; a failure names them.
+
+    Returns {(g, k): {(rank, blocks): [gluings]}}.
+    """
     spec = catalog.builtin(key)
     by_surface: dict = {}
     for sig in enumerate_adm(3):
@@ -521,6 +552,7 @@ def assert_n3_gluings_agree_by_surface(key):
         results.setdefault((rank, tuple(dims)), []).append(sig.cycle_string())
     for surface, results in by_surface.items():
         assert len(results) == 1, f"{key} at (g, k) = {surface}: {results}"
+    return by_surface
 
 
 class TestSurfaceInvariance:
@@ -537,6 +569,12 @@ class TestSurfaceInvariance:
 
     def test_vec_z2_n3_gluings_agree_by_surface(self):
         assert_n3_gluings_agree_by_surface("vec_z2")
+
+    def test_vec_z3_q_n3_gluings_agree_by_surface_with_rank_3_to_the_k(self):
+        # Modular C with r = 3 simple objects: rank r^k on every surface.
+        for (g, k), results in assert_n3_gluings_agree_by_surface("vec_z3_q").items():
+            for (rank, _dims), gluings in results.items():
+                assert rank == 3**k, f"vec_z3_q at {gluings}, (g, k) = ({g}, {k}): rank {rank}"
 
     def test_rep_z2_n3_gluings_give_the_dijkgraaf_witten_count(self):
         # Symmetric pointed C with |A| = 2: every surface of rank n has

@@ -186,8 +186,9 @@ class TestCatalogFiles:
         [
             ("R", lambda doc: doc.update(R=None)),
             ("F", lambda doc: doc["F"][0]["value"].update(terms=[[1, 7]])),
+            ("name", lambda doc: doc.update(name=5)),
         ],
-        ids=["R-null", "scalar-term-pair"],
+        ids=["R-null", "scalar-term-pair", "name-not-a-string"],
     )
     def test_malformed_field_is_an_error_line(self, capsys, tmp_path, field, corrupt):
         path, doc = saved_doc(tmp_path, "fibonacci")
