@@ -11,20 +11,21 @@ strand by shifting the word's positions.  Every strand action here (a
 column, a braid word of the leg plumbing, a cup or cap, and a coupon,
 which ``Morphism.apply_coupon`` turns into a merge word and a split word
 per nonzero entry) goes through the cached composed word maps of
-``trees``, applied by ``Morphism.apply_all``.  Only the verification of a pair
-(``_hb_unit_ok``, ``_hb_matrix``) materializes a column as a morphism,
-by pushing the identity through its word.
+``trees``, applied by ``Morphism.apply_all``.  Verification reads one
+gamma table: ``verify_sigma_pair`` pushes the identity carrier through
+gamma_[m] at each label once, and the unit law, the invertibility
+matrices (``_hb_matrix``) and the hexagon's right side read that table.
 
 Leg plumbing has one mechanism.  A layout lists the legs of the active
 orbits in order around the middle block; ``_move`` turns one leg move
 into a braid word (legs pass in front of legs and behind the block), and
-``_contract_plan`` / ``_create_plan`` chain those moves into the word that
-brings the leg pair of one orbit next to the block or takes a fresh pair
-back to its sorted place.  Each word depends only on (sigma, orbit,
-block width) and is computed once per key, so contraction and creation
-are a word, a gamma column and a cap or cup, all applied as composed
-words.  The adjunction identities and algebra laws below are exact
-checks of the whole construction.
+``_contract_plan`` chains those moves into the word that brings the leg
+pair of one orbit next to the block.  Creation runs that word backwards,
+each crossing's sense flipped, to take a fresh pair to its sorted place.
+The word depends only on (sigma, orbit, block width) and is computed once
+per key, so contraction and creation are a word, a gamma column and a
+cap or cup, all applied as composed words.  The adjunction identities
+and algebra laws below are exact checks of the whole construction.
 
 Hom spaces are read and written only through the coordinate map of
 ``trees``: ``hom_keys`` lists the (charge, target tree, source tree)
@@ -173,10 +174,6 @@ class GammaWord:
         shifted = tuple((op[0], op[1] + pos - 1) + op[2:] for op in self.ops)
         out = mor.apply_all(shifted + then)
         return out if self.coeff == ONE else out.scale(self.coeff)
-
-    def morphism(self, spec) -> Morphism:
-        """The column as a morphism src -> (word', Z)."""
-        return self.apply_at(Morphism.identity(spec, self.src), 1)
 
 
 @dataclass
@@ -386,75 +383,62 @@ def _shift_word(state: CarrierMap, pair: SigmaPair, t: int, pos: int, z: str):
     return pre + tuple(pair.words[t]) + (z,) + post
 
 
-def _hb_unit_ok(pair: SigmaPair) -> bool:
-    spec = pair.spec
-    u = spec.unit
-    for si, w in enumerate(pair.words):
-        cols = pair.braidings and [hb.columns(u, si) for hb in pair.braidings] or []
-        for col in cols:
-            expect = Morphism.identity(spec, (u,) + tuple(w))
-            expect = expect.apply_all((("unit_remove", 1), ("unit_insert", len(w))))
-            for ti, gw in col:
-                mor = gw.morphism(spec)
-                if ti == si:
-                    if mor != expect:
-                        return False
-                elif not mor.is_zero():
-                    return False
-    return True
-
-
-def _hb_matrix(pair: SigmaPair, m: int, z: str):
-    """gamma_[m],z as one matrix per charge c.
-
-    Rows are the (target summand, tree) coordinates of charge c over the
-    words w + (z,), columns the (source summand, tree) ones over (z,) + w.
-    """
-    spec = pair.spec
+def _hb_matrix(gamma: CarrierMap):
+    """A gamma table entry as one matrix per charge c, over (summand, tree) coordinates."""
+    spec = gamma.spec
 
     def coords(words, c):
         keys = [(k, t) for k, w in enumerate(words) for t in range(hom_dim(spec, w, c))]
         return {key: n for n, key in enumerate(keys)}
 
-    rows = {c: coords([tuple(w) + (z,) for w in pair.words], c) for c in spec.labels}
-    cols = {c: coords([(z,) + tuple(w) for w in pair.words], c) for c in spec.labels}
+    rows = {c: coords(gamma.tgt, c) for c in spec.labels}
+    cols = {c: coords(gamma.src, c) for c in spec.labels}
     mats = {c: ExactMatrix.zeros(len(rows[c]), len(cols[c])) for c in spec.labels if rows[c] or cols[c]}
-    for si in range(len(pair.words)):
-        for ti, col in pair.braidings[m].columns(z, si):
-            for (c, r, s), v in col.morphism(spec).entries().items():
-                i, j = rows[c][ti, r], cols[c][si, s]
-                mats[c][i, j] = mats[c][i, j] + v
+    for (ti, si), mor in gamma.blocks.items():
+        for (c, r, s), v in mor.entries().items():
+            mats[c][rows[c][ti, r], cols[c][si, s]] = v
     return mats
 
 
 def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
-    """Invertibility, unit law, multiplicativity, and :comm, all exact."""
+    """Invertibility, unit law, multiplicativity, and :comm, all exact.
+
+    The unit law, the invertibility matrices and the hexagon's right side
+    read one table: gamma_[m] at z on the identity carrier, for every m, z.
+    """
     bad: list[str] = []
     if len(pair.braidings) != sigma.n:
         return ValidationReport([f"expected {sigma.n} half-braidings"])
     if sigma.n == 0:
         return ValidationReport([])
-    if not _hb_unit_ok(pair):
+    gamma = {
+        (m, z): _apply_gamma(_carrier_id_with(spec, pair, (z,), ()), pair, m, 1, z)
+        for m in range(sigma.n) for z in spec.labels
+    }
+    # At the unit, gamma is the identity with the unit strand moved to the end.
+    ident = _carrier_id_with(spec, pair, (spec.unit,), ())
+    moved = {
+        k: v.apply_all((("unit_remove", 1), ("unit_insert", len(v.src) - 1)))
+        for k, v in ident.blocks.items()
+    }
+    units = [gamma[m, spec.unit] for m in range(sigma.n)]
+    if any(g != CarrierMap(spec, g.src, g.tgt, moved) for g in units):
         bad.append("gamma at the unit is not the identity")
 
     for m in range(sigma.n):
         for z in spec.labels:
-            for c, mat in _hb_matrix(pair, m, z).items():
+            for c, mat in _hb_matrix(gamma[m, z]).items():
                 if mat.rows != mat.cols or matrix_rank(mat) != mat.rows:
                     bad.append(f"gamma_[{m}] at {z} is not invertible (charge {c})")
                     break
 
     # Multiplicativity: gamma respects fusion of the argument.
     for m in range(sigma.n):
-        gamma_at: dict = {}  # w -> gamma_[m] at w on the identity carrier
         for z1 in spec.labels:
             for z2 in spec.labels:
                 for w in spec.channels(z1, z2):
-                    if w not in gamma_at:
-                        ident = _carrier_id_with(spec, pair, (w,), ())
-                        gamma_at[w] = _apply_gamma(ident, pair, m, 1, w)
                     for mu in range(spec.N(z1, z2, w)):
-                        if not _hexagon_ok(spec, pair, m, z1, z2, w, mu, gamma_at[w]):
+                        if not _hexagon_ok(spec, pair, m, z1, z2, w, mu, gamma[m, w]):
                             bad.append(
                                 f"gamma_[{m}] multiplicativity fails at "
                                 f"({z1},{z2};{w},{mu})"
@@ -583,29 +567,6 @@ def _contract_plan(sigma: Gluing, m: int, width: int):
     return word, _offset(layout, width, layout.index(lo))
 
 
-@lru_cache(maxsize=None)
-def _create_plan(sigma: Gluing, m: int, width: int):
-    """Cup gap for orbit m's fresh legs, and the braid word that sorts them.
-
-    Orbits above m are created already.  The cup opens just left of the
-    block and the gamma coupon weaves the pair to (lo, [block], hi); the
-    word then moves each leg to its final index, the leg whose final index
-    is smaller first, so the second move does not shift the first leg.
-    """
-    lo, hi = sigma.pairs()[m]
-    inner = _layout(sigma, range(m + 1, sigma.n))
-    mid = inner.index(None)
-    layout = inner[:mid] + (lo, None, hi) + inner[mid + 1 :]
-    final = _layout(sigma, range(m, sigma.n))
-    word: tuple = ()
-    for leg in sorted((lo, hi), key=final.index):
-        dst = final.index(leg)
-        if layout.index(leg) != dst:
-            step, layout = _move(layout, width, leg, dst)
-            word += step
-    return _offset(inner, width, mid) - 1, word
-
-
 def _contract(spec, sigma: Gluing, pair: SigmaPair, alpha, s: int, state: Morphism):
     """Contract all leg pairs of the alpha summand through the carrier.
 
@@ -629,6 +590,11 @@ def _contract(spec, sigma: Gluing, pair: SigmaPair, alpha, s: int, state: Morphi
 def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need):
     """Create all leg pairs around the carrier, weaving through the pair.
 
+    Creating orbit m runs its contraction (``_contract_plan``) backwards: a
+    cup at gap a_pos - 1, the gamma column at a_pos + 1, then the word
+    reversed with each crossing's sense flipped, at the width of the
+    summand it acts on.
+
     ``mor0``: Morphism(src -> word_{s0}).  Returns a dict
     {(alpha, s2): Morphism(src -> legs + word_{s2} + legs)} over the
     summands s2 in ``need``.  ``reach[m + 1]`` holds the summands from
@@ -645,15 +611,17 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
     for m in range(sigma.n - 1, -1, -1):
         nxt: dict = {}
         for (alpha_tail, s), mor in current.items():
-            gap, word = _create_plan(sigma, m, len(pair.words[s]))
+            a_pos = _contract_plan(sigma, m, len(pair.words[s]))[1]
             for a in spec.labels:
                 cols = pair.braidings[m].columns(spec.dual[a], s)
                 cols = [(s2, col) for s2, col in cols if s2 in reach[m]]
                 if not cols:
                     continue
-                st = mor.apply(("cup", gap, a, False))
+                st = mor.apply(("cup", a_pos - 1, a, False))
                 for s2, col in cols:
-                    st2 = col.apply_at(st, gap + 2, word)
+                    word = _contract_plan(sigma, m, len(pair.words[s2]))[0]
+                    back = tuple(("braid", i, _flip(sense)) for _b, i, sense in reversed(word))
+                    st2 = col.apply_at(st, a_pos + 1, back)
                     key = ((a,) + alpha_tail, s2)
                     nxt[key] = nxt[key] + st2 if key in nxt else st2
         current = nxt

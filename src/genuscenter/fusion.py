@@ -281,19 +281,28 @@ def validate_structure(spec: CategorySpec) -> ValidationReport:
 
     if spec.pivotal_coeff(unit) != ONE:
         bad.append("pivotal coefficient of the unit must be 1")
-    for a in spec.pivotal:
+    for a, v in spec.pivotal.items():
         if a not in labels:
             bad.append(f"pivotal table references unknown label {a!r}")
+        if v.is_zero():
+            bad.append(f"pivotal coefficient of {a!r} is zero")
 
-    for key in spec.F:
-        for x in key:
+    # Every multiplicity index of an entry lies in [0, N) for its vertex.
+    for (a, b, c, d), block in spec.F.items():
+        for x in (a, b, c, d):
             if x not in labels:
                 bad.append(f"F table references unknown label {x!r}")
-    if spec.R:
-        for key in spec.R:
-            for x in key:
-                if x not in labels:
-                    bad.append(f"R table references unknown label {x!r}")
+        for (e, al, be), (f, mu, nu) in block:
+            ns = (spec.N(a, b, e), spec.N(e, c, d), spec.N(b, c, f), spec.N(a, f, d))
+            if not all(0 <= i < n for i, n in zip((al, be, mu, nu), ns)):
+                bad.append(f"F entry ({a},{b},{c};{d}) has a multiplicity index out of range")
+                break
+    for (a, b, c), block in (spec.R or {}).items():
+        for x in (a, b, c):
+            if x not in labels:
+                bad.append(f"R table references unknown label {x!r}")
+        if any(not (0 <= i < spec.N(a, b, c)) for key in block for i in key):
+            bad.append(f"R entry ({a},{b};{c}) has a multiplicity index out of range")
 
     if not bad:
         # F-block invertibility (needs square blocks, hence gated on the above).

@@ -165,6 +165,19 @@ class TestInducedPairs:
         report = verify_sigma_pair(spec, sig12(), pair)
         assert any("multiplicativity" in e for e in report.entries)
 
+    @pytest.mark.parametrize("edit", ("dropped", "doubled"))
+    def test_unit_column_dropped_or_doubled_fails_the_unit_law(self, edit):
+        # Each remaining column is the identity on its own, so only the sum
+        # over the columns of the unit block shows the fault.
+        spec = catalog.builtin("fibonacci")
+        pair = induced_half_braidings(spec, sig12(), "t")
+        blocks = dict(pair.braidings[0].blocks)
+        cols = blocks[spec.unit, 0]
+        blocks[spec.unit, 0] = [] if edit == "dropped" else cols + cols
+        bad = dataclasses.replace(pair, braidings=[HalfBraiding(blocks)])
+        report = verify_sigma_pair(spec, sig12(), bad)
+        assert "gamma at the unit is not the identity" in report.entries
+
     def test_empty_gluing_pair(self):
         spec = catalog.builtin("fibonacci")
         sig = Gluing(0, ())
@@ -637,7 +650,7 @@ class TestGammaWords:
                         got = hb.columns(z, si)
                         assert [pair.meta[ti][2] for ti, _ in got] == [a2 for a2, _ in want]
                         for (_ti, col), (_a2, ref) in zip(got, want):
-                            mor = col.morphism(spec)
+                            mor = col.apply_at(Morphism.identity(spec, col.src), 1)
                             assert mor.tgt == ref.tgt and mor == ref
 
     def test_scaled_column_scales_its_action(self):
@@ -645,7 +658,8 @@ class TestGammaWords:
         pair = induced_half_braidings(spec, sig12(), "t")
         (_ti, col), *_rest = pair.braidings[0].columns("t", 0)
         two = rational(2)
-        assert col.scale(two).morphism(spec) == col.morphism(spec).scale(two)
+        ident = Morphism.identity(spec, col.src)
+        assert col.scale(two).apply_at(ident, 1) == col.apply_at(ident, 1).scale(two)
         state = Morphism.identity(spec, ("1",) + col.src)
         assert col.scale(two).apply_at(state, 2) == col.apply_at(state, 2).scale(two)
 
@@ -702,26 +716,28 @@ def replay_layout(layout, width, word):
 
 
 class TestLegPlumbing:
-    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_create_plan_sorts_the_fresh_legs(self, n):
+        # Creation runs the contraction word backwards from the fresh pair
+        # around the block, opened by a cup just left of the block.
         for sigma in enumerate_adm(n):
             for m in range(n):
                 for width in (1, 2, 3):
-                    gap, word = center._create_plan(sigma, m, width)
+                    word, a_pos = center._contract_plan(sigma, m, width)
                     lo, hi = sigma.pairs()[m]
                     inner = center._layout(sigma, range(m + 1, n))
                     mid = inner.index(None)
-                    assert gap == center._offset(inner, width, mid) - 1
+                    assert a_pos == center._offset(inner, width, mid)
                     start = inner[:mid] + (lo, None, hi) + inner[mid + 1 :]
-                    assert replay_layout(start, width, word) == center._layout(sigma, range(m, n))
+                    end = replay_layout(start, width, reversed(word))
+                    assert end == center._layout(sigma, range(m, n))
 
     def test_plans_are_memoized_and_immutable(self):
         sigma = parse_cycles("(1 3)(2 4)")
         assert sigma.pairs() is sigma.pairs() and isinstance(sigma.pairs(), tuple)
-        for plan in (center._contract_plan, center._create_plan):
-            got = plan(sigma, 0, 2)
-            assert plan(parse_cycles("(1 3)(2 4)"), 0, 2) is got
-            assert isinstance(got, tuple) and all(isinstance(x, (int, tuple)) for x in got)
+        got = center._contract_plan(sigma, 0, 2)
+        assert center._contract_plan(parse_cycles("(1 3)(2 4)"), 0, 2) is got
+        assert isinstance(got, tuple) and all(isinstance(x, (int, tuple)) for x in got)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_contract_plan_brings_the_legs_to_the_block(self, n):

@@ -187,8 +187,11 @@ class TestCatalogFiles:
             ("R", lambda doc: doc.update(R=None)),
             ("F", lambda doc: doc["F"][0]["value"].update(terms=[[1, 7]])),
             ("name", lambda doc: doc.update(name=5)),
+            ("R", lambda doc: doc["R"][0].update(row=5)),
+            ("pivotal", lambda doc: doc["pivotal"].update(t={"order": 1, "terms": []})),
         ],
-        ids=["R-null", "scalar-term-pair", "name-not-a-string"],
+        ids=["R-null", "scalar-term-pair", "name-not-a-string", "R-index-out-of-range",
+             "pivotal-zero"],
     )
     def test_malformed_field_is_an_error_line(self, capsys, tmp_path, field, corrupt):
         path, doc = saved_doc(tmp_path, "fibonacci")
@@ -198,6 +201,20 @@ class TestCatalogFiles:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and "Traceback" not in err
         assert field in err
+
+
+def test_pinned_bench_outputs_still_hold(capsys):
+    # Each key of bench/expected.json is a command line; its value is the
+    # parsed --json document that command must print.
+    path = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+    for key, want in json.loads(path.read_text()).items():
+        head, *options = key.split(" --")
+        argv = head.split()
+        for opt in options:
+            name, _, value = opt.partition(" ")
+            argv += [f"--{name}"] + ([value] if value else [])
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out) == want, key
 
 
 def test_cli_import_leaves_numpy_out():
