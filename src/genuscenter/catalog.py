@@ -14,13 +14,12 @@ import json
 from contextlib import contextmanager
 from functools import cache
 
-from .errors import GenusCenterError, KeyNotFoundError
+from .errors import GenusCenterError, KeyNotFoundError, MalformedRationalError
 from .exactnum import Cyclotomic, ExactMatrix, nullspace, rational, solve, zeta
 from .fusion import CategorySpec
+from .trees import ONE
 
 __all__ = ["builtin", "catalog_keys", "load_spec", "save_spec"]
-
-ONE = rational(1)
 
 
 def _pointed(name, n, omega, rvals, pivotal, provenance):
@@ -104,7 +103,7 @@ def _semion():
 def _fibonacci():
     # phi = golden ratio, exactly 1 + z5 + z5^4; F in the rational gauge
     # [[1/phi, 1/phi], [1, -1/phi]], an involution since phi^2 = phi + 1.
-    phi = rational(1) + zeta(5) + zeta(5, 4)
+    phi = ONE + zeta(5) + zeta(5, 4)
     phinv = phi.inverse()
     u, t = "1", "t"
     F = {
@@ -392,7 +391,10 @@ def _cyc_from_json(obj, where: str) -> Cyclotomic:
             raise GenusCenterError(
                 f"{where}: scalar term {t!r} is not [exponent, numerator, denominator]"
             )
-    return Cyclotomic.from_terms(order, [tuple(t) for t in terms])
+    try:
+        return Cyclotomic.from_terms(order, [tuple(t) for t in terms])
+    except MalformedRationalError as exc:
+        raise GenusCenterError(f"{where}: {exc}") from exc
 
 
 @contextmanager

@@ -62,7 +62,7 @@ from .errors import GenusCenterError, IllFormedDiagramError
 from .exactnum import Cyclotomic, ExactMatrix, inverse as matrix_inverse, matrix_rank, rational
 from .fusion import CategorySpec, ValidationReport, quantum_dims
 from .gluing import Gluing, comm_case
-from .trees import Morphism, Word, cached, hom_dim, hom_keys, trees, word_after
+from .trees import ONE, Morphism, Word, cached, hom_dim, hom_keys, trees, word_after
 
 __all__ = [
     "FormalObject",
@@ -81,8 +81,6 @@ __all__ = [
     "tube_algebra",
     "center_rank",
 ]
-
-ONE = rational(1)
 
 # Crossing conventions for the strand plumbing, fixed by the exact test
 # battery (hexagon, :comm, adjunction, algebra laws); see tests.

@@ -481,13 +481,7 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            self.data[i][j] == other.data[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import IncompleteDataError, PremodularRequiredError
 from .exactnum import Cyclotomic, ExactMatrix, inverse as minv, matrix_rank, rational
-from .trees import cached, hopf_link_value, loop_value, theta
+from .trees import ONE, cached, hopf_link_value, loop_value, theta
 
 __all__ = [
     "CategorySpec",
@@ -34,7 +34,6 @@ __all__ = [
     "s_matrix_and_transparency",
 ]
 
-ONE = rational(1)
 ZERO = rational(0)
 
 
@@ -43,9 +42,9 @@ class CategorySpec:
     """Skeletal premodular (or spherical-fusion-only when R is None) data.
 
     Frozen: ``_cache`` holds what is derived from F, R and the pivotal data
-    (F and R blocks, tree lists, one composed map per generator word,
-    induced pairs, tube algebras), so those fields never change after
-    construction.  It is filled only through ``trees.cached``.
+    (F and R blocks, tree lists, one composed map per generator word and
+    touched prefix, induced pairs, tube algebras), so those fields never
+    change after construction.  It is filled only through ``trees.cached``.
     """
 
     name: str

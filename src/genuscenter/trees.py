@@ -13,10 +13,18 @@ and ``es[-1]`` is the total charge) and ``mus[k-2]`` indexes the vertex
 ``es[k-1] -> es[k-2] (x) w_k``.
 
 Every strand action is a generator word acting through one cached
-composed map {tree: [(tree', coeff)]} per (word, ops): ``_chain_map``
-multiplies the generator actions out once on every tree of the word, and
-``apply_all`` pushes a block's nonzero rows through the result in one
-pass (``_push``).  A single generator is a word of length one.  A coupon
+composed map {tree: [(tree', coeff)]} per (prefix, ops), where the prefix
+is the shortest one of the target word that holds every strand an op reads
+or writes at every step, and at least one strand (``_active_length``).
+``_chain_map`` multiplies the generator actions out once on every tree of
+the prefix, and ``apply_all`` pushes a block's nonzero rows through the
+result in one pass (``_push``), carrying each tree's tail (es[k:],
+mus[k-1:]) past a k-strand prefix through unchanged.  This is exact: a
+generator reads and rewrites only the charges and vertices at or left of
+the last strand it touches (a braid or cap at i reads es[i], a cup at gap
+g recouples at g+1 over the old es[g-1]), and a morphism keeps the
+prefix's total charge es[k-1], on which the tail's first vertex hangs.
+A single generator is a word of length one.  A coupon
 ``1 (x) f (x) 1`` is linear in f, so it is a sum over the nonzero entries
 f_d[r, s], each the word that merges the source strands to d along
 source tree s followed by the word that splits d along target tree r.
@@ -26,9 +34,10 @@ A Hom space has the coordinates (charge, target tree, source tree) that
 ``Morphism.elementary`` and read them only through ``Morphism.entries``, so
 the block layout is known here alone.
 
-Every table derived once per category (tree lists, F and R blocks, composed
-word maps, twists, induced pairs, tube algebras) is memoized by ``cached``,
-the one reader and writer of ``spec._cache``.
+Every table derived once per category (splitting vertices, tree lists, F
+and R blocks indexed by incoming slots, pivotal inverses, composed word maps,
+twists, induced pairs, tube algebras) is memoized by ``cached``, the one
+reader and writer of ``spec._cache``.
 
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
@@ -39,7 +48,7 @@ evaluate to the quantum dimensions.
 
 from __future__ import annotations
 
-from functools import wraps
+from functools import lru_cache, wraps
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
 from .exactnum import C0, Cyclotomic, ExactMatrix, rational
@@ -73,18 +82,27 @@ def cached(fn):
 
 
 @cached
+def _vertices(spec) -> dict:
+    """{(a, b): [(c, mu), ...]}: the splitting vertices c -> a (x) b, in label order."""
+    labels = spec.labels
+    return {
+        (a, b): [(c, mu) for c in spec.channels(a, b) for mu in range(spec.N(a, b, c))]
+        for a in labels
+        for b in labels
+    }
+
+
+@cached
 def all_trees(spec, word: Word) -> dict[str, list[Tree]]:
     """Left-nested splitting trees of ``word``, grouped by total charge."""
     if len(word) == 0:
         return {spec.unit: [((), ())]}
+    vertices = _vertices(spec)
     partial = [((word[0],), ())]
-    for k in range(1, len(word)):
-        nxt: list[Tree] = []
-        for es, mus in partial:
-            for c in spec.channels(es[-1], word[k]):
-                for mu in range(spec.N(es[-1], word[k], c)):
-                    nxt.append((es + (c,), mus + (mu,)))
-        partial = nxt
+    for x in word[1:]:
+        partial = [
+            (es + (c,), mus + (mu,)) for es, mus in partial for c, mu in vertices.get((es[-1], x), ())
+        ]
     out: dict[str, list[Tree]] = {}
     for t in partial:
         out.setdefault(t[0][-1], []).append(t)
@@ -138,6 +156,16 @@ def ev_coeff(spec, a: str) -> Cyclotomic:
 # tree-level generator actions
 
 
+@cached
+def _f_moves(spec, a: str, b: str, c: str, d: str, inverse: bool) -> dict:
+    """F (or F^-1 if ``inverse``) of (a, b, c; d) as {incoming slots: [(outgoing slots, coeff)]}."""
+    _, _, blk = (spec.f_inverse if inverse else spec.f_block)(a, b, c, d)
+    out: dict = {}
+    for (k, new), v in blk.items():
+        out.setdefault(k, []).append((new, v))
+    return out
+
+
 def _recouple(spec, word: Word, tree: Tree, i: int, inverse: bool = False):
     """Rewrite the slots of strands (i, i+1) through F, or F^-1 if ``inverse``.
 
@@ -145,22 +173,16 @@ def _recouple(spec, word: Word, tree: Tree, i: int, inverse: bool = False):
     charge f, ``mus[i-2]`` the pair vertex, and ``mus[i-1]`` the spine
     vertex ``es[i] -> es[i-2] (x) f``.  F^-1 turns an exposed tree over the
     (possibly relabeled) word back into a left-nested one.  Position 1 is
-    exposed already.  Both blocks are keyed (incoming slots, outgoing slots).
+    exposed already.
     """
     if i == 1:
         return [(tree, ONE)]
     es, mus = tree
-    a, d = es[i - 2], es[i]
-    b, c = word[i - 1], word[i]
-    _, _, blk = (spec.f_inverse if inverse else spec.f_block)(a, b, c, d)
-    slots = (es[i - 1], mus[i - 2], mus[i - 1])
-    out = []
-    for (k, new), v in blk.items():
-        if k != slots:
-            continue
-        e, nu, rho = new
-        out.append(((es[: i - 1] + (e,) + es[i:], mus[: i - 2] + (nu, rho) + mus[i:]), v))
-    return out
+    moves = _f_moves(spec, es[i - 2], word[i - 1], word[i], es[i], inverse)
+    return [
+        ((es[: i - 1] + (e,) + es[i:], mus[: i - 2] + (nu, rho) + mus[i:]), v)
+        for (e, nu, rho), v in moves.get((es[i - 1], mus[i - 2], mus[i - 1]), ())
+    ]
 
 
 def _pair_slots(tree: Tree, i: int):
@@ -258,7 +280,7 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
     if kind == "cup":
         _, g, a, primed = op
         if primed:
-            scale = spec.pivotal_coeff(a).inverse()
+            scale = _pivotal_inverse(spec, a)
             inner = ("cup", g, spec.dual[a], False)
             return [(t, scale * v) for t, v in _apply_tree(spec, word, tree, inner)]
         new_word = _op_new_word(spec, word, op)
@@ -317,6 +339,11 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
         return [((es[: i - 1] + es[i:], mus[: i - 2] + mus[i - 1 :]), ONE)]
 
     raise ValueError(f"unknown op {op!r}")
+
+
+@cached
+def _pivotal_inverse(spec, a: str) -> Cyclotomic:
+    return spec.pivotal_coeff(a).inverse()
 
 
 def word_after(spec, word: Word, ops) -> Word:
@@ -414,10 +441,7 @@ class Morphism:
             return NotImplemented
         if (self.src, self.tgt) != (other.src, other.tgt):
             return False
-        for c in set(self.blocks) | set(other.blocks):
-            if not (self.block(c) - other.block(c)).is_zero():
-                return False
-        return True
+        return all(self.block(c) == other.block(c) for c in set(self.blocks) | set(other.blocks))
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks.values())
@@ -434,15 +458,22 @@ class Morphism:
         return self.apply_all((op,))
 
     def apply_all(self, ops) -> "Morphism":
-        """Post-compose a generator word (first op acts first) in one pass."""
+        """Post-compose a generator word (first op acts first) in one pass.
+
+        The word acts inside the first k strands of the target
+        (``_active_length``): its map is composed on that prefix alone, and
+        every tree carries its tail past the prefix through unchanged.
+        """
         ops = tuple(ops)
         if not ops:
             return self
         spec = self.spec
-        new_word, mapping = _word_map(spec, self.tgt, ops)
+        k = _active_length(len(self.tgt), ops)
+        head, mapping = _word_map(spec, self.tgt[:k], ops)
+        new_word = head + self.tgt[k:]
         blocks = {}
         for c, m in self.blocks.items():
-            rows = _push(dict(zip(trees(spec, self.tgt, c), m.data)), mapping)
+            rows = _push(zip(trees(spec, self.tgt, c), m.data), mapping, k)
             if rows:
                 blocks[c] = _assemble(spec, new_word, c, rows, m.cols)
         return Morphism(spec, self.src, new_word, blocks)
@@ -494,21 +525,25 @@ def _split_word(pos: int, tgt_w: Word, tree: Tree) -> tuple:
     )
 
 
-def _push(rows: dict, mapping: dict) -> dict:
-    """Move rows through a sparse map: out[k2] += coeff * rows[k] for (k2, coeff) in mapping[k].
+def _push(rows, mapping: dict, k: int) -> dict:
+    """Move (tree, row) pairs through a sparse map on the trees' first k strands.
 
-    Rows are lists of column entries; only their nonzero entries move, and a
-    row with none reaches no key.
+    A tree (es, mus) is its head (es[:k], mus[:k-1]) and its tail
+    (es[k:], mus[k-1:]): out[head' + tail] += coeff * row for (head', coeff)
+    in mapping[head].  Rows are lists of column entries; only their nonzero
+    entries move, and a row with none reaches no key.
     """
     out: dict = {}
-    for key, row in rows.items():
-        targets = mapping.get(key)
+    for (es, mus), row in rows:
+        targets = mapping.get((es[:k], mus[: k - 1]))
         if not targets:
             continue
         nonzero = [(j, v) for j, v in enumerate(row) if not v.is_zero()]
         if not nonzero:
             continue
-        for key2, coeff in targets:
+        tail_es, tail_mus = es[k:], mus[k - 1 :]
+        for (es2, mus2), coeff in targets:
+            key2 = (es2 + tail_es, mus2 + tail_mus)
             dst = out.get(key2)
             if dst is None:
                 dst = out[key2] = [C0] * len(row)
@@ -546,10 +581,34 @@ def _chain_map(spec, word: Word, ops) -> dict[Tree, dict[Tree, Cyclotomic]]:
                     if t1 not in images:
                         images[t1] = _apply_tree(spec, w, t1, op)
                     for t2, c2 in images[t1]:
-                        nxt[t2] = nxt[t2] + c1 * c2 if t2 in nxt else c1 * c2
+                        v = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+                        nxt[t2] = nxt[t2] + v if t2 in nxt else v
                 vec = {t2: v for t2, v in nxt.items() if not v.is_zero()}
             out[t] = vec
     return out
+
+
+@lru_cache(maxsize=None)
+def _active_length(n: int, ops: tuple) -> int:
+    """Length k of the shortest prefix of an n-strand word that ``ops`` acts inside.
+
+    At every step, before and after the op, the prefix holds the last strand
+    the op touches and at least one strand; the tail keeps its length.
+    """
+    length, tail = n, n - 1
+    for op in ops:
+        kind, p = op[0], op[1]
+        # The last strand touched before and after the op; their difference
+        # is the change in the word's length.
+        before, after = {
+            "braid": (p + 1, p + 1), "twist": (p, p), "merge": (p + 1, p),
+            "split": (p, p + 1), "cup": (p, p + 2), "cap": (p + 1, p - 1),
+            "unit_insert": (p, p + 1), "unit_remove": (p, p - 1),
+        }[kind]
+        tail = min(tail, length - before)
+        length += after - before
+        tail = min(tail, length - max(after, 1))
+    return n - max(tail, 0)
 
 
 @cached

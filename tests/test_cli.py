@@ -189,9 +189,10 @@ class TestCatalogFiles:
             ("name", lambda doc: doc.update(name=5)),
             ("R", lambda doc: doc["R"][0].update(row=5)),
             ("pivotal", lambda doc: doc["pivotal"].update(t={"order": 1, "terms": []})),
+            ("F[", lambda doc: doc["F"][0]["value"].update(terms=[[0, 1, 0]])),
         ],
         ids=["R-null", "scalar-term-pair", "name-not-a-string", "R-index-out-of-range",
-             "pivotal-zero"],
+             "pivotal-zero", "scalar-zero-denominator"],
     )
     def test_malformed_field_is_an_error_line(self, capsys, tmp_path, field, corrupt):
         path, doc = saved_doc(tmp_path, "fibonacci")

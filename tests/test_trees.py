@@ -19,8 +19,13 @@ from genuscenter.fusion import (
 from genuscenter.gluing import parse_cycles
 from genuscenter.trees import (
     Morphism,
+    _active_length,
     _apply_tree,
+    _chain_map,
+    _f_moves,
     _op_new_word,
+    _pivotal_inverse,
+    _vertices,
     _word_map,
     all_trees,
     ev_coeff,
@@ -29,6 +34,7 @@ from genuscenter.trees import (
     loop_value,
     theta,
     trees,
+    word_after,
 )
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
@@ -286,6 +292,96 @@ class TestApplyAll:
         assert len(spec._cache) == size
 
 
+def full_word_apply(state, ops):
+    """Reference: the map ``_chain_map`` composes on the whole target word, pushed densely."""
+    spec = state.spec
+    chain = _chain_map(spec, state.tgt, ops)
+    new_word = word_after(spec, state.tgt, ops)
+    blocks = {}
+    for c, m in state.blocks.items():
+        index = {t: k for k, t in enumerate(trees(spec, new_word, c))}
+        out = ExactMatrix.zeros(len(index), m.cols)
+        for t_old, row in zip(trees(spec, state.tgt, c), m.data):
+            for t_new, coeff in chain[t_old].items():
+                for j, v in enumerate(row):
+                    out[index[t_new], j] = out[index[t_new], j] + coeff * v
+        if not out.is_zero():
+            blocks[c] = out
+    return Morphism(spec, state.src, new_word, blocks)
+
+
+def ops_at_every_position(spec, word, rng):
+    """One generator of each kind at each position of ``word`` where it applies."""
+    n = len(word)
+    ops = [("braid", i, rng.choice(("over", "under"))) for i in range(1, n)]
+    ops += [("twist", i, rng.choice((1, -1))) for i in range(1, n + 1)]
+    ops += [("merge", i, rng.choice(spec.channels(word[i - 1], word[i])), 0) for i in range(1, n)]
+    for i in range(1, n + 1):
+        a = rng.choice(spec.labels)
+        b = rng.choice([b for b in spec.labels if spec.N(a, b, word[i - 1])])
+        ops.append(("split", i, a, b, 0))
+    ops += [("cup", g, rng.choice(spec.labels), rng.random() < 0.5) for g in range(n + 1)]
+    for i in range(1, n):
+        if word[i - 1] == spec.dual[word[i]]:
+            primed = rng.random() < 0.5
+            ops.append(("cap", i, word[i - 1] if primed else word[i], primed))
+    ops += [("unit_insert", g) for g in range(n + 1)]
+    ops += [("unit_remove", i) for i in range(1, n + 1) if word[i - 1] == spec.unit]
+    return ops
+
+
+class TestTrimmedMaps:
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_trimmed_map_equals_the_full_word_map(self, key):
+        # Words of length 3 to 6 that start with the unit strand and end in a
+        # pair (a*, a), so that unit_remove at 1 and cap at the last pair
+        # apply: one with random labels, one with the label of most channels.
+        spec = catalog.builtin(key)
+        labels = [a for a in spec.labels if a != spec.unit]
+        dense = max(labels, key=lambda a: len(spec.channels(a, a)))
+        trimmed = 0
+        for n in range(3, 7):
+            rng = rng_for(key, "trim", n)
+            for middle in ([rng.choice(labels) for _ in range(n - 2)], [dense] * (n - 2)):
+                word = (spec.unit, *middle[:-1], spec.dual[middle[-1]], middle[-1])
+                state = random_morphism(spec, word, word, rng)
+                for op in ops_at_every_position(spec, word, rng):
+                    ops = (op,) + random_ops(spec, _op_new_word(spec, word, op), 1, rng)
+                    for gens in (ops[:1], ops):
+                        got = state.apply_all(gens)
+                        assert got.tgt == word_after(spec, word, gens)
+                        assert got == full_word_apply(state, gens), gens
+                        trimmed += _active_length(n, gens) < n
+        assert trimmed >= 200
+
+    @pytest.mark.parametrize(
+        "n,ops,k",
+        [
+            (5, (("cup", 0, "t", False),), 1),
+            (5, (("unit_insert", 0),), 1),
+            (5, (("unit_remove", 1),), 2),
+            (5, (("braid", 1, "over"),), 2),
+            (5, (("cap", 1, "t", True),), 3),
+            (5, (("split", 2, "t", "t", 0),), 2),
+            (5, (("merge", 4, "t", 0),), 5),
+            (5, (("cap", 4, "t", False),), 5),
+            (5, (("braid", 4, "under"),), 5),
+            (5, (("twist", 5, 1),), 5),
+            (5, (("cup", 5, "t", False),), 5),
+            (5, (("cup", 0, "t", False), ("cap", 1, "t", True)), 1),
+            (5, (("braid", 1, "over"), ("braid", 2, "over"), ("braid", 3, "over")), 4),
+            (0, (("cup", 0, "t", False),), 0),
+            (0, (("unit_insert", 0), ("unit_remove", 1)), 0),
+        ],
+        ids=["cup-at-0", "unit-insert-at-0", "unit-remove-at-1", "braid-at-1",
+             "cap-at-1", "split-at-2", "merge-last-pair", "cap-last-pair",
+             "braid-last-pair", "twist-last-strand", "cup-at-the-end", "cup-then-cap",
+             "braid-through", "empty-word-cup", "empty-word-unit"],
+    )
+    def test_active_length(self, n, ops, k):
+        assert _active_length(n, ops) == k
+
+
 # Hom spaces with several trees per charge (rep_s3 (V,V,V)), and an empty source word.
 HOM_CASES = (
     ("fibonacci", ("t", "t", "t"), ("t", "t", "t")),
@@ -323,6 +419,17 @@ class TestHomKeys:
         assert Morphism.zero(spec, src, tgt).entries() == {}
 
 
+def test_equality_reads_a_missing_block_as_zero():
+    spec = catalog.builtin("fibonacci")
+    word = ("t", "t")
+    zero = Morphism.zero(spec, word, word)
+    padded = Morphism(spec, word, word, {"1": ExactMatrix.zeros(1, 1)})
+    one = Morphism.identity(spec, word)
+    assert padded == zero and zero == padded
+    assert one != zero and zero != one
+    assert one + padded == one and one.scale(zeta(5)) != one
+
+
 def fresh(key):
     """A built-in spec with its own empty cache, not the process-wide one."""
     return dataclasses.replace(catalog.builtin(key), _cache={})
@@ -332,8 +439,11 @@ SIG12 = parse_cycles("(1 2)")
 
 # Every table memoized by ``trees.cached``, with arguments valid for fibonacci.
 MEMOIZED = [
+    (_vertices, ()),
     (all_trees, (("t", "t", "t"),)),
     (ev_coeff, ("t",)),
+    (_f_moves, ("t", "t", "t", "t", False)),
+    (_pivotal_inverse, ("t",)),
     (_word_map, (("t", "t"), (("braid", 1, "under"), ("cap", 1, "t", True)))),
     (loop_value, ("t", "left")),
     (theta, ("t",)),
