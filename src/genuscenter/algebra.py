@@ -74,7 +74,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import GenusCenterError, NonSplitError
-from .exactnum import ExactMatrix, nullspace, rational
+from .exactnum import C0, C1, ExactMatrix, nullspace
 
 __all__ = ["AlgebraData", "center_basis", "decompose"]
 
@@ -129,16 +129,16 @@ class AlgebraData:
 
 def center_basis(alg: AlgebraData) -> list[dict]:
     """Exact basis of the center, by iterative commutant refinement."""
-    basis = [{a: rational(1)} for a in range(alg.dim)]
+    basis = [{a: C1} for a in range(alg.dim)]
     for b in range(alg.dim):
         if not basis:
             break
-        eb = {b: rational(1)}
+        eb = {b: C1}
         rows = []
         for vec in basis:
             diff_ = alg.product(vec, eb)
             for c, v in alg.product(eb, vec).items():
-                diff_[c] = diff_.get(c, rational(0)) - v
+                diff_[c] = diff_.get(c, C0) - v
             rows.append(diff_)
         coords = sorted({c for r in rows for c in r})
         if not coords:
@@ -156,7 +156,7 @@ def center_basis(alg: AlgebraData) -> list[dict]:
                 if tk.is_zero():
                     continue
                 for c, v in basis[k].items():
-                    vec[c] = vec.get(c, rational(0)) + tk * v
+                    vec[c] = vec.get(c, C0) + tk * v
             vec = {c: v for c, v in vec.items() if not v.is_zero()}
             if vec:
                 new_basis.append(vec)

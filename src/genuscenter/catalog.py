@@ -3,23 +3,30 @@
 Pointed catalogs are generated from group cocycle/bicharacter data; the
 S3 representation catalog is derived at first use from explicit rational
 representation matrices, so its 6j-symbols are rational by construction.
-The golden-ratio and square-root-of-two catalogs carry exact scalars in
-Q(zeta_5) and Q(zeta_16).  Every entry is exercised against the pentagon,
-hexagon, spherical, and ribbon validators by the test suite.
+Fields: vec_z3_q Q(zeta_3), semion Q(zeta_4), ising Q(zeta_16) (written in
+zeta_4, zeta_8, zeta_16), fibonacci Q(zeta_10) = Q(zeta_5) (written in zeta_5
+and zeta_10, stored at order 10); the rest are rational.  The test suite runs
+every entry through the pentagon, hexagon, spherical and ribbon validators.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from functools import cache
 
 from .errors import GenusCenterError, KeyNotFoundError, MalformedRationalError
-from .exactnum import Cyclotomic, ExactMatrix, nullspace, rational, solve, zeta
+from .exactnum import C0, Cyclotomic, ExactMatrix, nullspace, rational, solve, zeta
 from .fusion import CategorySpec
 from .trees import ONE
 
 __all__ = ["builtin", "catalog_keys", "load_spec", "save_spec"]
+
+# The largest field order a catalog file may ask for, for one scalar and for
+# the lcm of them all.  The field tables grow with the square of the order;
+# the largest built-in order is 16.
+MAX_ORDER = 1000
 
 
 def _pointed(name, n, omega, rvals, pivotal, provenance):
@@ -227,7 +234,7 @@ def _s3_intertwiner(a: str, b: str, c: str) -> ExactMatrix | None:
         # (lhs T - T rhs) = 0, unknown T is (da*db) x dc flattened row-major.
         for i in range(da * db):
             for j in range(dc):
-                row = [rational(0)] * (da * db * dc)
+                row = [C0] * (da * db * dc)
                 for k in range(da * db):
                     row[k * dc + j] = row[k * dc + j] + lhs[i, k]
                 for k in range(dc):
@@ -384,10 +391,12 @@ def _cyc_from_json(obj, where: str) -> Cyclotomic:
         terms = obj["terms"]
     except (TypeError, KeyError) as exc:
         raise GenusCenterError(f"{where}: malformed scalar {obj!r}") from exc
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise GenusCenterError(f"{where}: scalar order must be a positive integer")
+    if order > MAX_ORDER:
+        raise GenusCenterError(f"{where}: scalar order {order} is above {MAX_ORDER}")
     for t in terms:
-        if not (isinstance(t, list) and len(t) == 3 and all(isinstance(x, int) for x in t)):
+        if not (isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)):
             raise GenusCenterError(
                 f"{where}: scalar term {t!r} is not [exponent, numerator, denominator]"
             )
@@ -395,6 +404,13 @@ def _cyc_from_json(obj, where: str) -> Cyclotomic:
         return Cyclotomic.from_terms(order, [tuple(t) for t in terms])
     except MalformedRationalError as exc:
         raise GenusCenterError(f"{where}: {exc}") from exc
+
+
+def _int(x) -> int:
+    """A JSON integer; a float, a string or a bool raises TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
 
 
 @contextmanager
@@ -459,27 +475,35 @@ def load_spec(path) -> CategorySpec:
     with _field(path, "fusion"):
         for rec in doc["fusion"]:
             a, b, c, n = rec
-            fusion[(a, b, c)] = int(n)
+            fusion[(a, b, c)] = _int(n)
+    order = 1
+
+    def scalar(obj, where):
+        nonlocal order
+        val = _cyc_from_json(obj, where)
+        order = math.lcm(order, val.order)
+        if order > MAX_ORDER:  # CategorySpec would lift every scalar to this order
+            raise GenusCenterError(f"{where}: the scalars so far need order {order} > {MAX_ORDER}")
+        return val
+
     F: dict = {}
     with _field(path, "F"):
         for rec in doc["F"]:
             a, b, c, d = rec["labels"]
             e, al, be = rec["row"]
             f, mu, nu = rec["col"]
-            val = _cyc_from_json(rec["value"], f"{path} F[{a},{b},{c};{d}]")
-            F.setdefault((a, b, c, d), {})[((e, int(al), int(be)), (f, int(mu), int(nu)))] = val
+            val = scalar(rec["value"], f"{path} F[{a},{b},{c};{d}]")
+            F.setdefault((a, b, c, d), {})[((e, _int(al), _int(be)), (f, _int(mu), _int(nu)))] = val
     R = None
     if "R" in doc:
         R = {}
         with _field(path, "R"):
             for rec in doc["R"]:
                 a, b, c = rec["labels"]
-                val = _cyc_from_json(rec["value"], f"{path} R[{a},{b};{c}]")
-                R.setdefault((a, b, c), {})[(int(rec["row"]), int(rec["col"]))] = val
+                val = scalar(rec["value"], f"{path} R[{a},{b};{c}]")
+                R.setdefault((a, b, c), {})[(_int(rec["row"]), _int(rec["col"]))] = val
     with _field(path, "pivotal"):
-        pivotal = {
-            a: _cyc_from_json(v, f"{path} pivotal[{a}]") for a, v in doc["pivotal"].items()
-        }
+        pivotal = {a: scalar(v, f"{path} pivotal[{a}]") for a, v in doc["pivotal"].items()}
     if not isinstance(doc["name"], str):
         raise GenusCenterError(f"{path}: malformed field 'name' (not a string)")
     labels = doc["labels"]

@@ -59,7 +59,7 @@ from itertools import product as iproduct
 
 from .algebra import AlgebraData, decompose
 from .errors import GenusCenterError, IllFormedDiagramError
-from .exactnum import Cyclotomic, ExactMatrix, inverse as matrix_inverse, matrix_rank, rational
+from .exactnum import C0, Cyclotomic, ExactMatrix, inverse as matrix_inverse, matrix_rank
 from .fusion import CategorySpec, ValidationReport, quantum_dims
 from .gluing import Gluing, comm_case
 from .trees import ONE, Morphism, Word, cached, hom_dim, hom_keys, trees, word_after
@@ -341,12 +341,11 @@ def carrier_basis(spec, src_words, tgt_words):
 
 def flatten_carrier_map(f: CarrierMap):
     """Coefficient vector over carrier_basis(src, tgt), in matching order."""
-    zero = rational(0)
     out = []
     for si, sw in enumerate(f.src):
         for ti, tw in enumerate(f.tgt):
             vals = f.block(ti, si).entries()
-            out.extend(vals.get(key, zero) for key in hom_keys(f.spec, sw, tw))
+            out.extend(vals.get(key, C0) for key in hom_keys(f.spec, sw, tw))
     return out
 
 
@@ -729,7 +728,7 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
         coords = flatten_carrier_map(phi)
         out = CarrierMap.zero(spec, ix.words, py.words)
         for j, col in enumerate(columns):
-            c = rational(0)
+            c = C0
             for i, v in enumerate(coords):
                 c = c + v * ginv[i, j]
             if c.is_zero():
@@ -829,7 +828,7 @@ def _tube_products(spec, sigma: Gluing, right) -> dict:
                             for (i, ri, ci), v in mor.entries().items():
                                 row = mult.setdefault((at[i, j, alpha_f, ci], b_idx), {})
                                 c_idx = at[i, k, alpha2, ri]
-                                row[c_idx] = row.get(c_idx, rational(0)) + v
+                                row[c_idx] = row.get(c_idx, C0) + v
     mult = {ab: {c: v for c, v in row.items() if not v.is_zero()} for ab, row in mult.items()}
     return {ab: row for ab, row in mult.items() if row}
 

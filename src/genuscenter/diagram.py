@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
-from .exactnum import Cyclotomic, ExactMatrix, inverse as matrix_inverse, rational
+from .exactnum import C1, Cyclotomic, ExactMatrix, inverse as matrix_inverse
 from .trees import Morphism, hom_keys, right_trace, trees
 
 __all__ = [
@@ -256,7 +256,7 @@ def omega_expand(spec, d: Diagram) -> Morphism:
 
     for assign in product(spec.labels, repeat=len(markers)):
         table = dict(zip(markers, assign))
-        weight = rational(1)
+        weight = C1
         for m in markers:
             weight = weight * omega.weights[table[m]]
         sub = Diagram(

@@ -11,13 +11,15 @@ all zeros over 1 and two equal values of one order have equal fields.
 The N-th cyclotomic polynomial is monic, so every power of zeta reduces
 to an integer vector (the cached tables below), and sums, products,
 lifts and Galois maps stay in integers; one gcd per result restores the
-canonical form.  Values of different orders are lifted to the lcm order
-before combining, except that an operand of order 1 or 2 (a rational)
-scales or shifts the other one directly: building the Fibonacci and
-Ising tube algebras, 60-70% of all sums and products pair a wider value
-with a rational, most often the order-1 zero that a matrix entry starts
-from, and the rational catalogs compute in Q alone.  Gaussian elimination over
-these values never loses exactness.
+canonical form.  Gaussian elimination over these values never loses
+exactness.
+
+One field per computation: the operands of ``+ - * /`` are of one order
+N, or one of them is rational (order 1 or 2) and scales or shifts the
+other in place; any other pair raises ``ValueError``.  A ``CategorySpec``
+stores its scalars in Q(zeta_N), N = ``field_order()``, so everything
+derived from it stays in that field.  Only ``==``, ``hash`` and ``lift``
+compare or move values across orders.
 """
 
 from __future__ import annotations
@@ -235,17 +237,14 @@ class Cyclotomic:
             return _shift(other, self)
         n = self.order
         if other.order != n:
-            n = lcm(n, other.order)
-            a, b = self.lift(n), other.lift(n)
-        else:
-            a, b = self, other
-        ad, bd = a.den, b.den
+            raise ValueError(f"cannot add order {n} and order {other.order}")
+        ad, bd = self.den, other.den
         if ad == bd:
-            num = [x + y for x, y in zip(a.num, b.num)]
+            num = [x + y for x, y in zip(self.num, other.num)]
             if ad == 1:
                 return _make(n, tuple(num), 1)
             return _canon(n, num, ad)
-        return _canon(n, [x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
+        return _canon(n, [x * bd + y * ad for x, y in zip(self.num, other.num)], ad * bd)
 
     __radd__ = __add__
 
@@ -273,16 +272,13 @@ class Cyclotomic:
             return _scale(other, self)
         n = self.order
         if other.order != n:
-            n = lcm(n, other.order)
-            a, b = self.lift(n), other.lift(n)
-        else:
-            a, b = self, other
-        an = a.num
+            raise ValueError(f"cannot multiply order {n} and order {other.order}")
+        an = self.num
         phi = len(an)
         # Integer convolution over the nonzero entries, then fold degrees
         # >= phi back with Phi_n.
         conv = [0] * (2 * phi - 1)
-        bn = b.num
+        bn = other.num
         for i, x in enumerate(an):
             if x:
                 for k, y in enumerate(bn, i):
@@ -296,7 +292,7 @@ class Cyclotomic:
                 for j, p in over:
                     conv[base + j] += c * p
         del conv[phi:]
-        return _canon(n, conv, a.den * b.den)
+        return _canon(n, conv, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -395,8 +391,6 @@ class Cyclotomic:
 
 def _scale(x: Cyclotomic, r: Cyclotomic) -> Cyclotomic:
     """x * r for r of order 1 or 2, whose value is the rational r.num[0] / r.den."""
-    if x.order % r.order:
-        x = x.lift(2 * x.order)  # lcm(x.order, 2) for an odd x.order
     p, q = r.num[0], r.den
     if p == q:
         return x
@@ -405,8 +399,6 @@ def _scale(x: Cyclotomic, r: Cyclotomic) -> Cyclotomic:
 
 def _shift(x: Cyclotomic, r: Cyclotomic) -> Cyclotomic:
     """x + r for r of order 1 or 2, whose value is the rational r.num[0] / r.den."""
-    if x.order % r.order:
-        x = x.lift(2 * x.order)
     p, q = r.num[0], r.den
     if not p:
         return x

@@ -1,7 +1,7 @@
 """Skeletal premodular category data and exact axiom validators.
 
 A ``CategorySpec`` holds labels, fusion multiplicities N_{ab}^c, F and R
-recoupling data, and pivotal coefficients, all over exact cyclotomics.
+recoupling data, and pivotal coefficients, all in one cyclotomic field.
 The F convention, on splitting trees read top-down, is
 
     (v[e->ab]_alpha (x) 1_c) o v[d->ec]_beta
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import IncompleteDataError, PremodularRequiredError
-from .exactnum import Cyclotomic, ExactMatrix, inverse as minv, matrix_rank, rational
+from .exactnum import C0, Cyclotomic, ExactMatrix, inverse as minv, matrix_rank
 from .trees import ONE, cached, hopf_link_value, loop_value, theta
 
 __all__ = [
@@ -34,12 +34,17 @@ __all__ = [
     "s_matrix_and_transparency",
 ]
 
-ZERO = rational(0)
+ZERO = C0
 
 
 @dataclass(frozen=True)
 class CategorySpec:
     """Skeletal premodular (or spherical-fusion-only when R is None) data.
+
+    A spec holds its scalars in Q(zeta_N), N = ``field_order()``: on
+    construction every F, R and pivotal scalar that is not of order 1 is
+    lifted to order N, so what the engine derives from them is rational
+    or of order N, and no product or sum has to find a common field.
 
     Frozen: ``_cache`` holds what is derived from F, R and the pivotal data
     (F and R blocks, tree lists, one composed map per generator word and
@@ -60,6 +65,17 @@ class CategorySpec:
 
     # Specs compare by value but hold dicts, so they are not hashable.
     __hash__ = None
+
+    def __post_init__(self):
+        n = self.field_order()
+
+        def lifted(block):
+            return {k: v if v.order == 1 else v.lift(n) for k, v in block.items()}
+
+        object.__setattr__(self, "F", {key: lifted(b) for key, b in self.F.items()})
+        if self.R is not None:
+            object.__setattr__(self, "R", {key: lifted(b) for key, b in self.R.items()})
+        object.__setattr__(self, "pivotal", lifted(self.pivotal))
 
     # -- fusion combinatorics -----------------------------------------
 
@@ -192,17 +208,8 @@ class CategorySpec:
 
     def field_order(self) -> int:
         """lcm of the orders of every stored scalar."""
-        order = 1
-        for block in self.F.values():
-            for v in block.values():
-                order = math.lcm(order, v.order)
-        if self.R:
-            for block in self.R.values():
-                for v in block.values():
-                    order = math.lcm(order, v.order)
-        for v in self.pivotal.values():
-            order = math.lcm(order, v.order)
-        return order
+        blocks = [*self.F.values(), *(self.R or {}).values(), self.pivotal]
+        return math.lcm(*(v.order for block in blocks for v in block.values()))
 
 
 @dataclass(frozen=True)

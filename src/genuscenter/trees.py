@@ -51,9 +51,9 @@ from __future__ import annotations
 from functools import lru_cache, wraps
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
-from .exactnum import C0, Cyclotomic, ExactMatrix, rational
+from .exactnum import C0, C1, Cyclotomic, ExactMatrix
 
-ONE = rational(1)
+ONE = C1
 
 Word = tuple[str, ...]
 Tree = tuple[tuple[str, ...], tuple[int, ...]]
@@ -451,7 +451,7 @@ class Morphism:
         if self.src or self.tgt:
             raise IllFormedDiagramError("scalar() needs an empty-word endomorphism")
         m = self.blocks.get(self.spec.unit)
-        return m[0, 0] if m is not None else rational(0)
+        return m[0, 0] if m is not None else C0
 
     def apply(self, op) -> "Morphism":
         """Post-compose one generator acting on the target word."""
@@ -658,7 +658,7 @@ def theta(spec, a: str) -> Cyclotomic:
         (("cup", 1, a, False), ("braid", 1, "over"), ("cap", 2, a, True))
     )
     blk = state.blocks.get(a)
-    return blk[0, 0] if blk is not None else rational(0)
+    return blk[0, 0] if blk is not None else C0
 
 
 def hopf_link_value(spec, a: str, b: str) -> Cyclotomic:

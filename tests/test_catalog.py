@@ -4,7 +4,7 @@ import pytest
 
 from genuscenter import catalog, fusion
 from genuscenter.errors import GenusCenterError, KeyNotFoundError, PremodularRequiredError
-from genuscenter.exactnum import rational
+from genuscenter.exactnum import rational, zeta
 
 
 class TestBuiltin:
@@ -54,6 +54,35 @@ class TestBuiltin:
             spec = catalog.builtin(key)
             _s, transparent, modular = fusion.s_matrix_and_transparency(spec)
             assert transparent == {spec.unit} and modular
+
+
+class TestOneField:
+    @pytest.mark.parametrize("key", catalog.catalog_keys())
+    def test_scalars_live_in_one_field(self, key):
+        spec = catalog.builtin(key)
+        blocks = [*spec.F.values(), *(spec.R or {}).values(), spec.pivotal]
+        assert {v.order for b in blocks for v in b.values()} <= {1, spec.field_order()}
+
+    def test_a_hand_built_spec_stores_order_5_at_order_10(self):
+        fib = catalog.builtin("fibonacci")
+        r5, r10 = zeta(5, 3), zeta(10, 3)
+        spec = fusion.CategorySpec(
+            name="fibonacci by hand",
+            labels=fib.labels,
+            unit=fib.unit,
+            dual=fib.dual,
+            fusion=fib.fusion,
+            F=fib.F,
+            R={("t", "t", "1"): {(0, 0): r5}, ("t", "t", "t"): {(0, 0): r10}},
+            pivotal={"1": rational(1), "t": zeta(5, 0)},
+        )
+        assert spec.field_order() == 10
+        stored = spec.R[("t", "t", "1")][(0, 0)]
+        assert stored.order == 10 and stored == r5
+        assert spec.R[("t", "t", "t")][(0, 0)] is r10
+        assert spec.pivotal["t"].order == 10 and spec.pivotal["t"] == rational(1)
+        assert spec.pivotal["1"].order == 1
+        assert fusion.check_hexagon(spec).ok
 
 
 class TestRoundTrip:

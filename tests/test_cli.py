@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,21 @@ def saved_doc(tmp_path, key):
     return path, json.loads(path.read_text())
 
 
+def set_mult_ttt(doc, n):
+    next(rec for rec in doc["fusion"] if rec[:3] == ["t", "t", "t"])[3] = n
+
+
+def two_field_orders(doc):
+    # Every scalar rational but the two pivotal ones, of orders 997 and 991:
+    # each order is allowed, their lcm 988,027 is not.
+    for rec in doc["F"] + doc["R"]:
+        rec["value"] = {"order": 1, "terms": [[0, 1, 1]]}
+    doc["pivotal"] = {
+        "1": {"order": 997, "terms": [[0, 1, 1]]},
+        "t": {"order": 991, "terms": [[0, 1, 1]]},
+    }
+
+
 COMPUTE_COMMANDS = (
     ("center", "rank", "--sigma", "(1 2)"),
     ("center", "verify-induced", "--sigma", "(1 2)", "--object", "t"),
@@ -190,18 +206,31 @@ class TestCatalogFiles:
             ("R", lambda doc: doc["R"][0].update(row=5)),
             ("pivotal", lambda doc: doc["pivotal"].update(t={"order": 1, "terms": []})),
             ("F[", lambda doc: doc["F"][0]["value"].update(terms=[[0, 1, 0]])),
+            ("F[", lambda doc: doc["F"][0]["value"].update(order=100000)),
+            ("pivotal[t]", two_field_orders),
+            ("fusion", lambda doc: set_mult_ttt(doc, 1.7)),
+            ("fusion", lambda doc: set_mult_ttt(doc, "1")),
+            ("fusion", lambda doc: set_mult_ttt(doc, True)),
+            ("F", lambda doc: doc["F"][0]["row"].__setitem__(1, 0.9)),
+            ("F[", lambda doc: doc["F"][0]["value"]["terms"][0].__setitem__(1, True)),
+            ("F[", lambda doc: doc["F"][0]["value"].update(order=True)),
         ],
         ids=["R-null", "scalar-term-pair", "name-not-a-string", "R-index-out-of-range",
-             "pivotal-zero", "scalar-zero-denominator"],
+             "pivotal-zero", "scalar-zero-denominator", "scalar-order-too-large",
+             "field-order-lcm-too-large", "multiplicity-float", "multiplicity-string",
+             "multiplicity-bool", "F-index-float", "scalar-numerator-bool", "scalar-order-bool"],
     )
     def test_malformed_field_is_an_error_line(self, capsys, tmp_path, field, corrupt):
         path, doc = saved_doc(tmp_path, "fibonacci")
         corrupt(doc)
         path.write_text(json.dumps(doc))
+        start = time.monotonic()
         code = main(["center", "rank", "--cat", str(path), "--sigma", "(1 2)"])
+        elapsed = time.monotonic() - start
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error:") and "Traceback" not in err
         assert field in err
+        assert elapsed < 1.0
 
 
 def test_pinned_bench_outputs_still_hold(capsys):
@@ -226,6 +255,32 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+def test_rank_lifts_no_scalar():
+    # A spec stores its scalars in one field, so once it is built the rank
+    # path never lifts a value into a wider one.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import genuscenter.cli as cli\n"
+        "from genuscenter import catalog\n"
+        "from genuscenter.exactnum import Cyclotomic\n"
+        "keys = ('fibonacci', 'ising')\n"
+        "for key in keys: catalog.builtin(key)\n"
+        "calls, lift = [], Cyclotomic.lift\n"
+        "Cyclotomic.lift = lambda self, order: calls.append(order) or lift(self, order)\n"
+        "for key in keys:\n"
+        "    code = cli.main(['center', 'rank', '--cat', key, '--sigma', '(1 3)(2 4)', '--json'])\n"
+        "    print(key, code, len(calls))\n"
+        "    calls.clear()\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0
+    lines = [line for line in out.stdout.splitlines() if line.startswith(("fibonacci ", "ising "))]
+    assert lines == ["fibonacci 0 0", "ising 0 0"]
 
 
 def test_rank_leaves_the_diagram_module_unloaded():

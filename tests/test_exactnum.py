@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -97,7 +98,8 @@ class TestFieldOps:
         + [pytest.param(o, id="+".join(map(str, o))) for o in MIXED_ORDERS],
     )
     def test_field_axioms_random(self, order):
-        # A tuple of orders draws each operand from one of them at random.
+        # A tuple of orders draws each operand from one of them at random,
+        # then lifts it to their lcm: arithmetic stays in one field.
         orders = order if isinstance(order, tuple) else (order,)
         rng = random.Random(sum(orders) * 7919 + len(orders) - 1)
 
@@ -109,7 +111,7 @@ class TestFieldOps:
                     rng.randrange(o): Fraction(rng.randint(-4, 4), rng.randint(1, 5))
                     for _ in range(3)
                 },
-            )
+            ).lift(math.lcm(*orders))
 
         for _ in range(25):
             a, b, c = rand_cyc(), rand_cyc(), rand_cyc()
@@ -134,13 +136,30 @@ class TestFieldOps:
                     (rng.randrange(order), rng.randint(-6, 6), rng.randint(1, 12))
                     for _ in range(3)
                 ])
-                b = a.lift(2 * order) * zeta(4 * order, rng.randrange(4 * order))
+                b = a.lift(4 * order) * zeta(4 * order, rng.randrange(4 * order))
                 for v in (a, b, a * a, a + a, -a, a.galois(order - 1)):
                     assert len(v.num) == phi_degree(v.order)
                     assert v.den > 0 and math.gcd(v.den, *v.num) == 1
-                for v in (a - a, b * Cyclotomic.zero(order), (a + 1) - (1 + a)):
+                for v in (a - a, b * Cyclotomic.zero(order).lift(4 * order), (a + 1) - (1 + a)):
                     assert v.is_zero() and v.num == (0,) * phi_degree(v.order)
                     assert v.den == 1
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(zeta(5), zeta(10, 3)), (zeta(4), zeta(8)), (golden(), zeta(8) + zeta(8, 7))],
+        ids=["5-10", "4-8", "5-8"],
+    )
+    def test_mixed_orders_raise(self, a, b):
+        # One field per computation: only a rational operand crosses orders.
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValueError) as err:
+                    op(x, y)
+                assert f"order {x.order}" in str(err.value)
+                assert f"order {y.order}" in str(err.value)
+        for r in (zeta(2), rational(-1)):
+            assert a * r == -a and (a * r).order == a.order
+            assert a + r == a - 1 and (a + r).order == a.order
 
     def test_hash_agrees_with_cross_order_equality(self):
         assert zeta(2) == rational(-1) and hash(zeta(2)) == hash(rational(-1))
@@ -171,11 +190,11 @@ class TestFieldOps:
         assert phi.inverse().terms() == [(0, -1, 1), (2, -1, 1), (3, -1, 1)]
         sqrt2_inv = (zeta(8) + zeta(8, 7)).inverse()
         assert (sqrt2_inv.order, sqrt2_inv.terms()) == (8, [(1, 1, 2), (3, -1, 2)])
-        mixed = zeta(10, 3) * rational(3, 4) + zeta(5)
+        mixed = zeta(10, 3) * rational(3, 4) + zeta(5).lift(10)
         assert (mixed.order, mixed.terms()) == (10, [(2, 1, 1), (3, 3, 4)])
         v16 = (zeta(16, 3) + rational(1, 2)) * zeta(16, 15) / 3
         assert v16.terms() == [(2, 1, 3), (7, -1, 6)]
-        v20 = zeta(4) * zeta(5, 2) - Fraction(2, 7)
+        v20 = zeta(4).lift(20) * zeta(5, 2).lift(20) - Fraction(2, 7)
         assert (v20.order, v20.terms()) == (20, [(0, -2, 7), (3, -1, 1)])
         assert rational(-6, 4).terms() == [(0, -3, 2)]
 
@@ -229,7 +248,7 @@ class TestLinearSolve:
 
     def test_inverse_roundtrip(self):
         m = ExactMatrix(
-            2, 2, [[zeta(4), rational(1)], [rational(0), zeta(8) + zeta(8, 7)]]
+            2, 2, [[zeta(4).lift(8), rational(1)], [rational(0), zeta(8) + zeta(8, 7)]]
         )
         inv = inverse(m)
         assert (m @ inv) == ExactMatrix.identity(2)
