@@ -47,8 +47,9 @@ class CategorySpec:
     or of order N, and no product or sum has to find a common field.
 
     Frozen: ``_cache`` holds what is derived from F, R and the pivotal data
-    (F and R blocks, tree lists, one composed map per generator word and
-    touched prefix, induced pairs, tube algebras), so those fields never
+    (F and R blocks, tree lists, each generator's action on each window of
+    a tree it meets, one composed map per generator word and window word,
+    induced pairs, tube algebras), so those fields never
     change after construction.  It is filled only through ``trees.cached``.
     """
 

@@ -12,19 +12,26 @@ Tree encoding for a word (w_1, ..., w_m): ``(es, mus)`` where
 and ``es[-1]`` is the total charge) and ``mus[k-2]`` indexes the vertex
 ``es[k-1] -> es[k-2] (x) w_k``.
 
-Every strand action is a generator word acting through one cached
-composed map {tree: [(tree', coeff)]} per (prefix, ops), where the prefix
-is the shortest one of the target word that holds every strand an op reads
-or writes at every step, and at least one strand (``_active_length``).
-``_chain_map`` multiplies the generator actions out once on every tree of
-the prefix, and ``apply_all`` pushes a block's nonzero rows through the
-result in one pass (``_push``), carrying each tree's tail (es[k:],
-mus[k-1:]) past a k-strand prefix through unchanged.  This is exact: a
-generator reads and rewrites only the charges and vertices at or left of
-the last strand it touches (a braid or cap at i reads es[i], a cup at gap
-g recouples at g+1 over the old es[g-1]), and a morphism keeps the
-prefix's total charge es[k-1], on which the tail's first vertex hangs.
-A single generator is a word of length one.  A coupon
+Every strand action is a generator word, and it acts on a window of the
+target word (``_active_window``): a head, the strands 1..s+1 that no op
+reads, which acts as one strand of its charge es[s]; the touched strands
+up to k; and a tail past k.  The window word is (es[s],) + word[s+1:k] and
+the window tree (es[s:k], mus[s:k-1]); the head (es[:s], mus[:s]) and the
+tail (es[k:], mus[k-1:]) pass through unchanged.  This is exact on both
+sides: F at strand i reads only es[i-2], the total charge to its left, so
+no op reads past es[s] into the head; and a generator reads and rewrites
+only the charges and vertices at or left of the last strand it touches (a
+braid or cap at i reads es[i], a cup at gap g recouples at g+1 over the
+old es[g-1]), and keeps the window's total charge es[k-1], on which the
+tail's first vertex hangs.
+
+One rule serves single generators and whole words.  ``_local_moves``
+holds each generator's action on each window it meets, so ``_apply_tree``
+runs once per distinct window per spec; ``_chain_map`` multiplies a word
+out through that table on every tree of the word's window, and
+``_word_map`` caches the result per window word.  ``apply_all`` takes one
+such map per head charge present and moves a block's nonzero rows through
+it in one pass (``_push``), carrying each tree's head and tail.  A coupon
 ``1 (x) f (x) 1`` is linear in f, so it is a sum over the nonzero entries
 f_d[r, s], each the word that merges the source strands to d along
 source tree s followed by the word that splits d along target tree r.
@@ -35,9 +42,9 @@ A Hom space has the coordinates (charge, target tree, source tree) that
 the block layout is known here alone.
 
 Every table derived once per category (splitting vertices, tree lists, F
-and R blocks indexed by incoming slots, pivotal inverses, composed word maps,
-twists, induced pairs, tube algebras) is memoized by ``cached``, the one
-reader and writer of ``spec._cache``.
+and R blocks indexed by incoming slots, pivotal inverses, generator actions
+on windows, composed word maps, twists, induced pairs, tube algebras) is
+memoized by ``cached``, the one reader and writer of ``spec._cache``.
 
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
@@ -193,6 +200,7 @@ def _pair_slots(tree: Tree, i: int):
 
 
 def _op_new_word(spec, word: Word, op) -> Word:
+    """The word after ``op``; a cap or unit_remove must find its strands."""
     kind = op[0]
     if kind == "braid":
         _, i, _ = op
@@ -210,19 +218,30 @@ def _op_new_word(spec, word: Word, op) -> Word:
         pair = (spec.dual[a], a) if primed else (a, spec.dual[a])
         return word[:g] + pair + word[g:]
     if kind == "cap":
-        _, i, _, _ = op
+        _, i, a, primed = op
+        pair = (a, spec.dual[a]) if primed else (spec.dual[a], a)
+        if word[i - 1 : i + 1] != pair:
+            raise IllFormedDiagramError(
+                f"cap({pair[1]}) expects strands ({','.join(pair)}) at position {i}, "
+                f"found ({','.join(word[i - 1 : i + 1])})"
+            )
         return word[: i - 1] + word[i + 1 :]
     if kind == "unit_insert":
         _, g = op
         return word[:g] + (spec.unit,) + word[g:]
     if kind == "unit_remove":
         _, i = op
+        if word[i - 1 : i] != (spec.unit,):
+            raise IllFormedDiagramError(f"strand {i} is not the unit")
         return word[: i - 1] + word[i:]
     raise ValueError(f"unknown op {op!r}")
 
 
 def _apply_tree(spec, word: Word, tree: Tree, op):
-    """Action of a generator on one basis tree: list of (tree', coeff)."""
+    """Action of a generator on one basis tree: list of (tree', coeff).
+
+    ``_op_new_word`` has checked that a cap or unit_remove fits ``word``.
+    """
     kind = op[0]
     es, mus = tree
 
@@ -298,12 +317,6 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
             scale = spec.pivotal_coeff(a)
             inner = ("cap", i, spec.dual[a], False)
             return [(t, scale * v) for t, v in _apply_tree(spec, word, tree, inner)]
-        astar = spec.dual[a]
-        if word[i - 1] != astar or word[i] != a:
-            raise IllFormedDiagramError(
-                f"cap({a}) expects strands ({astar},{a}) at position {i}, "
-                f"found ({word[i-1]},{word[i]})"
-            )
         lam = ev_coeff(spec, a)
         u = spec.unit
         out = []
@@ -332,8 +345,6 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
 
     if kind == "unit_remove":
         _, i = op
-        if word[i - 1] != spec.unit:
-            raise IllFormedDiagramError(f"strand {i} is not the unit")
         if i == 1:
             return [((es[1:], mus[1:]), ONE)]
         return [((es[: i - 1] + es[i:], mus[: i - 2] + mus[i - 1 :]), ONE)]
@@ -460,22 +471,26 @@ class Morphism:
     def apply_all(self, ops) -> "Morphism":
         """Post-compose a generator word (first op acts first) in one pass.
 
-        The word acts inside the first k strands of the target
-        (``_active_length``): its map is composed on that prefix alone, and
-        every tree carries its tail past the prefix through unchanged.
+        The word acts on a window (s, k) of the target (``_active_window``):
+        its map is composed once per head charge es[s] on the window word,
+        and every tree carries its head and tail through unchanged.
         """
         ops = tuple(ops)
         if not ops:
             return self
-        spec = self.spec
-        k = _active_length(len(self.tgt), ops)
-        head, mapping = _word_map(spec, self.tgt[:k], ops)
-        new_word = head + self.tgt[k:]
+        spec, tgt = self.spec, self.tgt
+        s, k = _active_window(len(tgt), ops)
+        local = tuple((op[0], op[1] - s) + op[2:] for op in ops)
+        new_word = word_after(spec, tgt, ops)
+        old, new = all_trees(spec, tgt), all_trees(spec, new_word)
         blocks = {}
         for c, m in self.blocks.items():
-            rows = _push(zip(trees(spec, self.tgt, c), m.data), mapping, k)
+            rows = _push(spec, zip(old.get(c, ()), m.data), tgt[s + 1 : k], s, k, local)
             if rows:
-                blocks[c] = _assemble(spec, new_word, c, rows, m.cols)
+                ts = new.get(c, ())
+                blocks[c] = ExactMatrix._adopt(
+                    len(ts), m.cols, [rows.get(t) or [C0] * m.cols for t in ts]
+                )
         return Morphism(spec, self.src, new_word, blocks)
 
     def apply_coupon(self, pos: int, f: "Morphism") -> "Morphism":
@@ -525,25 +540,31 @@ def _split_word(pos: int, tgt_w: Word, tree: Tree) -> tuple:
     )
 
 
-def _push(rows, mapping: dict, k: int) -> dict:
-    """Move (tree, row) pairs through a sparse map on the trees' first k strands.
+def _push(spec, rows, rest: Word, s: int, k: int, ops: tuple) -> dict:
+    """Move (tree, row) pairs through ``ops`` acting on the window (s, k).
 
-    A tree (es, mus) is its head (es[:k], mus[:k-1]) and its tail
-    (es[k:], mus[k-1:]): out[head' + tail] += coeff * row for (head', coeff)
-    in mapping[head].  Rows are lists of column entries; only their nonzero
-    entries move, and a row with none reaches no key.
+    A tree (es, mus) is its head (es[:s], mus[:s]), its window (es[s:k],
+    mus[s:k-1]) over the word (es[s],) + ``rest``, and its tail (es[k:],
+    mus[k-1:]): out[head + window' + tail] += coeff * row for (window',
+    coeff) in the window word's map.  Rows are lists of column entries; only
+    their nonzero entries move, and a row with none reaches no key.
     """
+    maps: dict = {}
     out: dict = {}
     for (es, mus), row in rows:
-        targets = mapping.get((es[:k], mus[: k - 1]))
+        charge = es[s : s + 1]
+        mapping = maps.get(charge)
+        if mapping is None:
+            mapping = maps[charge] = _word_map(spec, charge + rest, ops)
+        targets = mapping.get((es[s:k], mus[s : k - 1]))
         if not targets:
             continue
         nonzero = [(j, v) for j, v in enumerate(row) if not v.is_zero()]
         if not nonzero:
             continue
-        tail_es, tail_mus = es[k:], mus[k - 1 :]
+        head_es, head_mus, tail_es, tail_mus = es[:s], mus[:s], es[k:], mus[k - 1 :]
         for (es2, mus2), coeff in targets:
-            key2 = (es2 + tail_es, mus2 + tail_mus)
+            key2 = (head_es + es2 + tail_es, head_mus + mus2 + tail_mus)
             dst = out.get(key2)
             if dst is None:
                 dst = out[key2] = [C0] * len(row)
@@ -554,33 +575,38 @@ def _push(rows, mapping: dict, k: int) -> dict:
     return out
 
 
-def _assemble(spec, word: Word, c: str, rows: dict, cols: int) -> ExactMatrix:
-    """The charge-c block over ``word``'s trees from pushed rows {tree: row}."""
-    ts = trees(spec, word, c)
-    return ExactMatrix._adopt(len(ts), cols, [rows.get(t) or [C0] * cols for t in ts])
+@cached
+def _local_moves(spec, word: Word, tree: Tree, op) -> list:
+    """``_apply_tree`` on one window, with equal trees merged and zeros dropped."""
+    out: dict = {}
+    for t, v in _apply_tree(spec, word, tree, op):
+        out[t] = out[t] + v if t in out else v
+    return [(t, v) for t, v in out.items() if not v.is_zero()]
 
 
 def _chain_map(spec, word: Word, ops) -> dict[Tree, dict[Tree, Cyclotomic]]:
     """Compose a generator chain on ``word`` into {tree: {tree': coeff}}.
 
-    Each generator acts only on the trees the chain reaches, and those
-    actions are dropped afterwards: ``_word_map`` caches the composed map.
+    Each generator acts through ``_local_moves`` on its own window
+    (``_active_window``), and each tree carries its head and tail past it.
     """
     steps = []
     w = word
     for op in ops:
-        steps.append((w, op, {}))
+        s, k = _active_window(len(w), (op,))
+        steps.append((w[s + 1 : k], s, k, (op[0], op[1] - s) + op[2:]))
         w = _op_new_word(spec, w, op)
     out = {}
     for ts in all_trees(spec, word).values():
         for t in ts:
             vec = {t: ONE}
-            for w, op, images in steps:
+            for rest, s, k, op in steps:
                 nxt: dict = {}
-                for t1, c1 in vec.items():
-                    if t1 not in images:
-                        images[t1] = _apply_tree(spec, w, t1, op)
-                    for t2, c2 in images[t1]:
+                for (es, mus), c1 in vec.items():
+                    window = (es[s:k], mus[s : k - 1])
+                    head_es, head_mus, tail_es, tail_mus = es[:s], mus[:s], es[k:], mus[k - 1 :]
+                    for (es2, mus2), c2 in _local_moves(spec, es[s : s + 1] + rest, window, op):
+                        t2 = (head_es + es2 + tail_es, head_mus + mus2 + tail_mus)
                         v = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
                         nxt[t2] = nxt[t2] + v if t2 in nxt else v
                 vec = {t2: v for t2, v in nxt.items() if not v.is_zero()}
@@ -589,13 +615,16 @@ def _chain_map(spec, word: Word, ops) -> dict[Tree, dict[Tree, Cyclotomic]]:
 
 
 @lru_cache(maxsize=None)
-def _active_length(n: int, ops: tuple) -> int:
-    """Length k of the shortest prefix of an n-strand word that ``ops`` acts inside.
+def _active_window(n: int, ops: tuple) -> tuple[int, int]:
+    """The window (s, k) of an n-strand word that ``ops`` acts inside.
 
-    At every step, before and after the op, the prefix holds the last strand
-    the op touches and at least one strand; the tail keeps its length.
+    k: at every step, before and after the op, strands 1..k hold the last
+    strand the op touches and at least one strand; the tail keeps its
+    length.  s = max(L - 2, 0) for the first strand L that any op reads (g + 1
+    for a cup or unit_insert at gap g): no op moves or reads strands 1..s+1
+    but through their charge es[s].
     """
-    length, tail = n, n - 1
+    length, tail, first = n, n - 1, n + 1
     for op in ops:
         kind, p = op[0], op[1]
         # The last strand touched before and after the op; their difference
@@ -608,14 +637,14 @@ def _active_length(n: int, ops: tuple) -> int:
         tail = min(tail, length - before)
         length += after - before
         tail = min(tail, length - max(after, 1))
-    return n - max(tail, 0)
+        first = min(first, p + 1 if kind in ("cup", "unit_insert") else p)
+    return max(first - 2, 0), n - max(tail, 0)
 
 
 @cached
-def _word_map(spec, word: Word, ops: tuple):
-    """Composed action {tree: [(tree', coeff)]} of a word, plus the new word."""
-    mapping = {t: list(vec.items()) for t, vec in _chain_map(spec, word, ops).items() if vec}
-    return word_after(spec, word, ops), mapping
+def _word_map(spec, word: Word, ops: tuple) -> dict:
+    """Composed action {tree: [(tree', coeff)]} of a generator word on ``word``."""
+    return {t: list(vec.items()) for t, vec in _chain_map(spec, word, ops).items() if vec}
 
 
 # ---------------------------------------------------------------------------

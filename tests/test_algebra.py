@@ -40,6 +40,14 @@ class TestCertificate:
         with pytest.raises(NonSplitError, match=r"\(b\)"):
             decompose(alg)
 
+    def test_upper_triangular_matrices_fail_b(self):
+        # Basis e11, e12, e22 with unit e11 + e22: both corners are separable,
+        # but e12 spans a radical, on which the trace form vanishes.
+        mult = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 2): {1: ONE}, (2, 2): {2: ONE}}
+        alg = AlgebraData(dim=3, mult=mult, unit={0: ONE, 2: ONE})
+        with pytest.raises(NonSplitError, match=r"\(b\)"):
+            decompose(alg)
+
     def test_denominator_divisible_by_the_first_prime_moves_on(self):
         p = first_prime()
         # e1 = x / p in Q[x]/(x^2 - 1): e1 * e1 = e0 / p^2.

@@ -19,10 +19,10 @@ from genuscenter.fusion import (
 from genuscenter.gluing import parse_cycles
 from genuscenter.trees import (
     Morphism,
-    _active_length,
+    _active_window,
     _apply_tree,
-    _chain_map,
     _f_moves,
+    _local_moves,
     _op_new_word,
     _pivotal_inverse,
     _vertices,
@@ -226,28 +226,31 @@ class TestApplyCoupon:
             state.apply_coupon(1, f)
 
 
-def random_ops(spec, word, length, rng):
-    """A generator word valid on ``word``: braids, twists, cups, caps, merges, splits."""
+def random_ops(spec, word, length, rng, low=1):
+    """A generator word valid on ``word``: braids, twists, cups, caps, merges, splits.
+
+    Every op reads strand ``low`` or later (a cup at gap g reads strand g + 1).
+    """
     ops = []
     while len(ops) < length:
         n = len(word)
         kind = rng.choice(("braid", "braid", "twist", "cup", "cap", "merge", "split"))
         primed = rng.random() < 0.5
-        caps = [i for i in range(1, n) if word[i - 1] == spec.dual[word[i]]]
-        if kind == "braid" and n >= 2:
-            op = ("braid", rng.randint(1, n - 1), rng.choice(("over", "under")))
-        elif kind == "twist" and n >= 1:
-            op = ("twist", rng.randint(1, n), rng.choice((1, -1)))
+        caps = [i for i in range(low, n) if word[i - 1] == spec.dual[word[i]]]
+        if kind == "braid" and n > low:
+            op = ("braid", rng.randint(low, n - 1), rng.choice(("over", "under")))
+        elif kind == "twist" and n >= low:
+            op = ("twist", rng.randint(low, n), rng.choice((1, -1)))
         elif kind == "cup":
-            op = ("cup", rng.randint(0, n), rng.choice(spec.labels), primed)
+            op = ("cup", rng.randint(low - 1, n), rng.choice(spec.labels), primed)
         elif kind == "cap" and caps:
             i = rng.choice(caps)
             op = ("cap", i, word[i - 1] if primed else word[i], primed)
-        elif kind == "merge" and n >= 2:
-            i = rng.randint(1, n - 1)
+        elif kind == "merge" and n > low:
+            i = rng.randint(low, n - 1)
             op = ("merge", i, rng.choice(spec.channels(word[i - 1], word[i])), 0)
-        elif kind == "split" and n >= 1:
-            i = rng.randint(1, n)
+        elif kind == "split" and n >= low:
+            i = rng.randint(low, n)
             a = rng.choice(spec.labels)
             op = ("split", i, a, rng.choice([b for b in spec.labels if spec.N(a, b, word[i - 1])]), 0)
         else:
@@ -255,6 +258,9 @@ def random_ops(spec, word, length, rng):
         ops.append(op)
         word = _op_new_word(spec, word, op)
     return tuple(ops)
+
+
+MISPLACED_CAP = r"cap\(t\) expects strands \(t,t\) at position 3, found \(t,1\)"
 
 
 class TestApplyAll:
@@ -280,6 +286,20 @@ class TestApplyAll:
         state = random_morphism(spec, ("t", "t"), ("t", "t"), rng_for("empty"))
         assert state.apply_all(()) is state
 
+    @pytest.mark.parametrize(
+        "op,message",
+        [
+            (("cap", 3, "t", False), MISPLACED_CAP),
+            (("cap", 3, "t", True), MISPLACED_CAP),
+            (("unit_remove", 3), "strand 3 is not the unit"),
+        ],
+    )
+    def test_a_misplaced_op_names_its_strand_in_the_whole_word(self, op, message):
+        # The op reads strand 3, so it acts at strand 2 of its window.
+        state = Morphism.identity(catalog.builtin("fibonacci"), ("t", "t", "t", "1"))
+        with pytest.raises(IllFormedDiagramError, match=message):
+            state.apply(op)
+
     def test_second_call_adds_no_cache_entries(self):
         spec = catalog.builtin("ising")
         rng = rng_for("word cache")
@@ -293,21 +313,10 @@ class TestApplyAll:
 
 
 def full_word_apply(state, ops):
-    """Reference: the map ``_chain_map`` composes on the whole target word, pushed densely."""
-    spec = state.spec
-    chain = _chain_map(spec, state.tgt, ops)
-    new_word = word_after(spec, state.tgt, ops)
-    blocks = {}
-    for c, m in state.blocks.items():
-        index = {t: k for k, t in enumerate(trees(spec, new_word, c))}
-        out = ExactMatrix.zeros(len(index), m.cols)
-        for t_old, row in zip(trees(spec, state.tgt, c), m.data):
-            for t_new, coeff in chain[t_old].items():
-                for j, v in enumerate(row):
-                    out[index[t_new], j] = out[index[t_new], j] + coeff * v
-        if not out.is_zero():
-            blocks[c] = out
-    return Morphism(spec, state.src, new_word, blocks)
+    """Reference: ``_apply_tree`` replayed one generator at a time on whole trees."""
+    for op in ops:
+        state = dense_apply(state, op)
+    return state
 
 
 def ops_at_every_position(spec, word, rng):
@@ -339,7 +348,7 @@ class TestTrimmedMaps:
         spec = catalog.builtin(key)
         labels = [a for a in spec.labels if a != spec.unit]
         dense = max(labels, key=lambda a: len(spec.channels(a, a)))
-        trimmed = 0
+        trimmed = collapsed = 0
         for n in range(3, 7):
             rng = rng_for(key, "trim", n)
             for middle in ([rng.choice(labels) for _ in range(n - 2)], [dense] * (n - 2)):
@@ -351,35 +360,66 @@ class TestTrimmedMaps:
                         got = state.apply_all(gens)
                         assert got.tgt == word_after(spec, word, gens)
                         assert got == full_word_apply(state, gens), gens
-                        trimmed += _active_length(n, gens) < n
-        assert trimmed >= 200
+                        s, k = _active_window(n, gens)
+                        trimmed += k < n
+                        collapsed += s > 0
+        assert trimmed >= 200 and collapsed >= 150
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_collapsed_head_equals_the_dense_replay(self, key):
+        # Words of ops that all read strand 3 or later, so that the strands
+        # left of them act as one strand of their charge; the same words
+        # after a cap at strand 1 or a cup or unit_insert at gap 0, whose
+        # own windows start at strand 1.
+        spec = catalog.builtin(key)
+        labels = [a for a in spec.labels if a != spec.unit]
+        a = max(labels, key=lambda x: len(spec.channels(x, x)))
+        collapsed = nonzero = 0
+        for n in range(4, 7):
+            rng = rng_for(key, "collapse", n)
+            word = (spec.dual[a], a, *random_word(spec, n - 2, rng))
+            state = random_morphism(spec, word, word, rng, zero=False)
+            cup = ("cup", 0, rng.choice(spec.labels), rng.random() < 0.5)
+            for edge in ((), (("cap", 1, a, False),), (cup,), (("unit_insert", 0),)):
+                for _ in range(3):
+                    ops = edge + random_ops(spec, word_after(spec, word, edge), 3, rng, low=3)
+                    for gens in (ops[: len(edge) + 1], ops):
+                        got = state.apply_all(gens)
+                        assert got.tgt == word_after(spec, word, gens)
+                        assert got == full_word_apply(state, gens), gens
+                        collapsed += _active_window(n, gens)[0] > 0
+                        nonzero += not got.is_zero()
+        assert collapsed >= 18 and nonzero >= 60
 
     @pytest.mark.parametrize(
-        "n,ops,k",
+        "n,ops,s,k",
         [
-            (5, (("cup", 0, "t", False),), 1),
-            (5, (("unit_insert", 0),), 1),
-            (5, (("unit_remove", 1),), 2),
-            (5, (("braid", 1, "over"),), 2),
-            (5, (("cap", 1, "t", True),), 3),
-            (5, (("split", 2, "t", "t", 0),), 2),
-            (5, (("merge", 4, "t", 0),), 5),
-            (5, (("cap", 4, "t", False),), 5),
-            (5, (("braid", 4, "under"),), 5),
-            (5, (("twist", 5, 1),), 5),
-            (5, (("cup", 5, "t", False),), 5),
-            (5, (("cup", 0, "t", False), ("cap", 1, "t", True)), 1),
-            (5, (("braid", 1, "over"), ("braid", 2, "over"), ("braid", 3, "over")), 4),
-            (0, (("cup", 0, "t", False),), 0),
-            (0, (("unit_insert", 0), ("unit_remove", 1)), 0),
+            (5, (("cup", 0, "t", False),), 0, 1),
+            (5, (("unit_insert", 0),), 0, 1),
+            (5, (("unit_remove", 1),), 0, 2),
+            (5, (("braid", 1, "over"),), 0, 2),
+            (5, (("cap", 1, "t", True),), 0, 3),
+            (5, (("split", 2, "t", "t", 0),), 0, 2),
+            (5, (("merge", 4, "t", 0),), 2, 5),
+            (5, (("cap", 4, "t", False),), 2, 5),
+            (5, (("braid", 4, "under"),), 2, 5),
+            (5, (("twist", 5, 1),), 3, 5),
+            (5, (("cup", 5, "t", False),), 4, 5),
+            (5, (("cup", 0, "t", False), ("cap", 1, "t", True)), 0, 1),
+            (5, (("braid", 1, "over"), ("braid", 2, "over"), ("braid", 3, "over")), 0, 4),
+            (5, (("braid", 4, "over"), ("cup", 2, "t", False), ("cap", 4, "t", True)), 1, 5),
+            (0, (("cup", 0, "t", False),), 0, 0),
+            (0, (("unit_insert", 0), ("unit_remove", 1)), 0, 0),
         ],
         ids=["cup-at-0", "unit-insert-at-0", "unit-remove-at-1", "braid-at-1",
              "cap-at-1", "split-at-2", "merge-last-pair", "cap-last-pair",
              "braid-last-pair", "twist-last-strand", "cup-at-the-end", "cup-then-cap",
-             "braid-through", "empty-word-cup", "empty-word-unit"],
+             "braid-through", "leftmost-read-sets-the-head", "empty-word-cup",
+             "empty-word-unit"],
     )
-    def test_active_length(self, n, ops, k):
-        assert _active_length(n, ops) == k
+    def test_active_length(self, n, ops, s, k):
+        # The window (s, k): the head ends at strand s + 1, the tail after k.
+        assert _active_window(n, ops) == (s, k)
 
 
 # Hom spaces with several trees per charge (rep_s3 (V,V,V)), and an empty source word.
@@ -444,6 +484,7 @@ MEMOIZED = [
     (ev_coeff, ("t",)),
     (_f_moves, ("t", "t", "t", "t", False)),
     (_pivotal_inverse, ("t",)),
+    (_local_moves, (("t", "t"), (("t", "1"), (0,)), ("braid", 1, "over"))),
     (_word_map, (("t", "t"), (("braid", 1, "under"), ("cap", 1, "t", True)))),
     (loop_value, ("t", "left")),
     (theta, ("t",)),
