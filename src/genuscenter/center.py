@@ -725,11 +725,11 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
     def forward(phi: CarrierMap) -> CarrierMap:
         if phi.src != ((lab,),) or phi.tgt != py.words:
             raise GenusCenterError("forward map input has wrong shape")
-        coords = flatten_carrier_map(phi)
+        coords = [(i, v) for i, v in enumerate(flatten_carrier_map(phi)) if not v.is_zero()]
         out = CarrierMap.zero(spec, ix.words, py.words)
         for j, col in enumerate(columns):
             c = C0
-            for i, v in enumerate(coords):
+            for i, v in coords:
                 c = c + v * ginv[i, j]
             if c.is_zero():
                 continue

@@ -538,8 +538,10 @@ def _echelon(m: ExactMatrix):
             continue
         data[row], data[p] = data[p], data[row]
         inv = data[row][col].inverse()
-        prow = data[row] = [v * inv for v in data[row]]
+        prow = data[row]
         support = [j for j, w in enumerate(prow) if not w.is_zero()]
+        for j in support:
+            prow[j] = prow[j] * inv
         for r in range(m.rows):
             if r != row and not data[r][col].is_zero():
                 f = data[r][col]

@@ -47,9 +47,11 @@ class CategorySpec:
     or of order N, and no product or sum has to find a common field.
 
     Frozen: ``_cache`` holds what is derived from F, R and the pivotal data
-    (F and R blocks, tree lists, each generator's action on each window of
-    a tree it meets, one composed map per generator word and window word,
-    induced pairs, tube algebras), so those fields never
+    (splitting vertices, tree lists, F and R blocks, F blocks by incoming
+    slots, cap coefficients, pivotal inverses, each generator's action on
+    each window of a tree it meets, one composed map per generator word and
+    window word, loop values, twists, quantum dimensions, the S matrix,
+    induced pairs, tube bases and tube algebras), so those fields never
     change after construction.  It is filled only through ``trees.cached``.
     """
 

@@ -1,11 +1,12 @@
 """Fusion-tree bases and the exact strand-diagram engine.
 
 Morphisms between tensor words of simple labels are stored blockwise:
-for each simple charge c, the matrix of the post-composition action
-Hom(c, source) -> Hom(c, target) on left-nested splitting trees.  Every
-diagram generator (braid, twist, cup, cap, split, merge, coupon) is a
-local rewrite of those trees whose coefficients come from F, R, and the
-pivotal data.
+for each simple charge c, the post-composition action Hom(c, source) ->
+Hom(c, target) on left-nested splitting trees, as sparse rows {target
+tree: {source tree index: value}}.  No zero value, empty row or empty
+block is stored.  Every diagram generator (braid, twist, cup, cap, split,
+merge, coupon) is a local rewrite of those trees whose coefficients come
+from F, R, and the pivotal data.
 
 Tree encoding for a word (w_1, ..., w_m): ``(es, mus)`` where
 ``es[k-1]`` is the charge after absorbing ``w_k`` (so ``es[0] = w_1``
@@ -25,16 +26,23 @@ braid or cap at i reads es[i], a cup at gap g recouples at g+1 over the
 old es[g-1]), and keeps the window's total charge es[k-1], on which the
 tail's first vertex hangs.
 
-One rule serves single generators and whole words.  ``_local_moves``
-holds each generator's action on each window it meets, so ``_apply_tree``
-runs once per distinct window per spec; ``_chain_map`` multiplies a word
-out through that table on every tree of the word's window, and
-``_word_map`` caches the result per window word.  ``apply_all`` takes one
-such map per head charge present and moves a block's nonzero rows through
-it in one pass (``_push``), carrying each tree's head and tail.  A coupon
-``1 (x) f (x) 1`` is linear in f, so it is a sum over the nonzero entries
-f_d[r, s], each the word that merges the source strands to d along
-source tree s followed by the word that splits d along target tree r.
+One row engine, ``_push``, moves sparse rows through a window action and
+carries each tree's head and tail.  ``_local_moves`` holds each
+generator's action on each window it meets, so ``_apply_tree`` runs once
+per distinct window per spec.  ``_chain_map`` pushes a window word's
+identity rows {t: {t: 1}} through that table one generator at a time and
+reads the word's map off by columns; ``_word_map`` caches it per window
+word, and ``apply_all`` pushes each block through one such map per head
+charge.  A coupon ``1 (x) f (x) 1`` is linear in f, so it is a sum over
+the entries f_d[r, s], each the word that merges the source strands to d
+along source tree s followed by the word that splits d along target tree
+r.
+
+Zeros: ``_local_moves`` drops a generator's, once per window.  A product
+of nonzero values is never zero, so past that an entry is deleted only
+where a sum cancels (``_add_row``), with any row or block this empties.
+A coefficient 1 in ``_local_moves`` or a word map is the shared ``ONE``,
+and a row moved by ``ONE`` is copied, not multiplied.
 
 A Hom space has the coordinates (charge, target tree, source tree) that
 ``hom_keys`` lists.  Other modules write a map's entries only through
@@ -58,7 +66,7 @@ from __future__ import annotations
 from functools import lru_cache, wraps
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
-from .exactnum import C0, C1, Cyclotomic, ExactMatrix
+from .exactnum import C0, C1, Cyclotomic
 
 ONE = C1
 
@@ -369,11 +377,15 @@ def word_after(spec, word: Word, ops) -> Word:
 
 
 class Morphism:
-    """Exact morphism between tensor words, stored charge-blockwise."""
+    """Exact morphism between tensor words, stored as sparse charge blocks.
+
+    ``blocks`` is {charge: {target tree: {source tree index: value}}} with no
+    zero value, empty row or empty block, so equal maps have equal blocks.
+    """
 
     __slots__ = ("spec", "src", "tgt", "blocks")
 
-    def __init__(self, spec, src: Word, tgt: Word, blocks: dict[str, ExactMatrix]):
+    def __init__(self, spec, src: Word, tgt: Word, blocks: dict):
         self.spec = spec
         self.src = tuple(src)
         self.tgt = tuple(tgt)
@@ -383,7 +395,7 @@ class Morphism:
     def identity(spec, word: Word) -> "Morphism":
         word = tuple(word)
         blocks = {
-            c: ExactMatrix.identity(len(ts)) for c, ts in all_trees(spec, word).items()
+            c: {t: {i: ONE} for i, t in enumerate(ts)} for c, ts in all_trees(spec, word).items()
         }
         return Morphism(spec, word, word, blocks)
 
@@ -396,30 +408,17 @@ class Morphism:
         """The basis map of Hom(src, tgt) with a single 1 at ``key`` (see ``hom_keys``)."""
         c, r, s = key
         src, tgt = tuple(src), tuple(tgt)
-        m = ExactMatrix.zeros(hom_dim(spec, tgt, c), hom_dim(spec, src, c))
-        m[r, s] = ONE
-        return Morphism(spec, src, tgt, {c: m})
+        return Morphism(spec, src, tgt, {c: {trees(spec, tgt, c)[r]: {s: ONE}}})
 
     def entries(self) -> dict:
         """The nonzero entries {(charge, target tree, source tree): value}, in ``hom_keys`` order."""
         out = {}
         for c in self.spec.labels:
-            m = self.blocks.get(c)
-            if m is None:
-                continue
-            for s in range(m.cols):
-                for r, row in enumerate(m.data):
-                    if not row[s].is_zero():
-                        out[(c, r, s)] = row[s]
+            blk = self.blocks.get(c, {})
+            ts = trees(self.spec, self.tgt, c) if blk else ()
+            cells = sorted((s, r, v) for r, t in enumerate(ts) if t in blk for s, v in blk[t].items())
+            out.update(((c, r, s), v) for s, r, v in cells)
         return out
-
-    def block(self, charge: str) -> ExactMatrix:
-        got = self.blocks.get(charge)
-        if got is not None:
-            return got
-        return ExactMatrix.zeros(
-            hom_dim(self.spec, self.tgt, charge), hom_dim(self.spec, self.src, charge)
-        )
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self o other (other acts first)."""
@@ -428,41 +427,44 @@ class Morphism:
                 f"cannot compose: middle words {other.tgt} vs {self.src}"
             )
         blocks = {}
-        for c in set(self.blocks) & set(other.blocks):
-            m = self.blocks[c] @ other.blocks[c]
-            if not m.is_zero():
-                blocks[c] = m
-        return Morphism(self.spec, other.src, self.tgt, blocks)
+        for c, left in self.blocks.items():
+            right, mid, out = other.blocks.get(c, {}), trees(self.spec, self.src, c), {}
+            for t, row in left.items():
+                for k, x in row.items():
+                    if mid[k] in right:
+                        _add_row(out, t, right[mid[k]], x)
+            blocks[c] = out
+        return Morphism(self.spec, other.src, self.tgt, _pruned(blocks))
 
     def __add__(self, other: "Morphism") -> "Morphism":
         if (self.src, self.tgt) != (other.src, other.tgt):
             raise IllFormedDiagramError("cannot add morphisms of different shapes")
-        blocks = dict(self.blocks)
-        for c, m in other.blocks.items():
-            blocks[c] = blocks[c] + m if c in blocks else m
-        return Morphism(self.spec, self.src, self.tgt, blocks)
+        blocks: dict = {}
+        for m in (self, other):
+            _add_blocks(blocks, m.blocks, ONE)
+        return Morphism(self.spec, self.src, self.tgt, _pruned(blocks))
 
     def scale(self, s: Cyclotomic) -> "Morphism":
-        return Morphism(
-            self.spec, self.src, self.tgt, {c: m.scale(s) for c, m in self.blocks.items()}
-        )
+        blocks = {} if s.is_zero() else {
+            c: {t: {j: v * s for j, v in row.items()} for t, row in blk.items()}
+            for c, blk in self.blocks.items()
+        }
+        return Morphism(self.spec, self.src, self.tgt, blocks)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented
-        if (self.src, self.tgt) != (other.src, other.tgt):
-            return False
-        return all(self.block(c) == other.block(c) for c in set(self.blocks) | set(other.blocks))
+        return (self.src, self.tgt, self.blocks) == (other.src, other.tgt, other.blocks)
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.blocks.values())
+        return not self.blocks
 
     def scalar(self) -> Cyclotomic:
         """Value of an endomorphism of the empty word."""
         if self.src or self.tgt:
             raise IllFormedDiagramError("scalar() needs an empty-word endomorphism")
-        m = self.blocks.get(self.spec.unit)
-        return m[0, 0] if m is not None else C0
+        blk = self.blocks.get(self.spec.unit)
+        return blk[(), ()][0] if blk else C0
 
     def apply(self, op) -> "Morphism":
         """Post-compose one generator acting on the target word."""
@@ -482,24 +484,23 @@ class Morphism:
         s, k = _active_window(len(tgt), ops)
         local = tuple((op[0], op[1] - s) + op[2:] for op in ops)
         new_word = word_after(spec, tgt, ops)
-        old, new = all_trees(spec, tgt), all_trees(spec, new_word)
-        blocks = {}
-        for c, m in self.blocks.items():
-            rows = _push(spec, zip(old.get(c, ()), m.data), tgt[s + 1 : k], s, k, local)
-            if rows:
-                ts = new.get(c, ())
-                blocks[c] = ExactMatrix._adopt(
-                    len(ts), m.cols, [rows.get(t) or [C0] * m.cols for t in ts]
-                )
+        rest, maps = tgt[s + 1 : k], {}
+
+        def moves(charge, window):
+            if charge not in maps:
+                maps[charge] = _word_map(spec, charge + rest, local)
+            return maps[charge].get(window)
+
+        blocks = {c: rows for c, blk in self.blocks.items() if (rows := _push(blk, s, k, moves))}
         return Morphism(spec, self.src, new_word, blocks)
 
     def apply_coupon(self, pos: int, f: "Morphism") -> "Morphism":
         """Post-compose ``1 (x) f (x) 1`` with f's source at strand ``pos``.
 
-        f is a sum of its nonzero entries f_d[r, s], and each entry acts as
-        two generator words: merge the source strands to d along source tree
-        s, then split d along target tree r.  The merged state is shared by
-        the entries of column s.
+        f is a sum of its entries f_d[r, s], and each entry acts as two
+        generator words: merge the source strands to d along source tree s,
+        then split d along target tree r.  The merged state is shared by the
+        entries of column s.
         """
         spec = self.spec
         src_w, tgt_w = f.src, f.tgt
@@ -508,18 +509,16 @@ class Morphism:
                 f"coupon source {src_w} does not match strands at {pos} of {self.tgt}"
             )
         new_tgt = self.tgt[: pos - 1] + tgt_w + self.tgt[pos - 1 + len(src_w) :]
-        out = Morphism.zero(spec, self.src, new_tgt)
-        for d, fm in f.blocks.items():
-            s_trees, t_trees = trees(spec, src_w, d), trees(spec, tgt_w, d)
-            for s, s_tree in enumerate(s_trees):
-                entries = [(r, row[s]) for r, row in enumerate(fm.data) if not row[s].is_zero()]
+        blocks: dict = {}
+        for d, blk in f.blocks.items():
+            for s, s_tree in enumerate(trees(spec, src_w, d)):
+                entries = [(t, row[s]) for t, row in blk.items() if s in row]
                 if not entries:
                     continue
                 merged = self.apply_all(_merge_word(pos, src_w, s_tree))
-                for r, x in entries:
-                    term = merged.apply_all(_split_word(pos, tgt_w, t_trees[r]))
-                    out = out + (term if x == ONE else term.scale(x))
-        return out
+                for t, x in entries:
+                    _add_blocks(blocks, merged.apply_all(_split_word(pos, tgt_w, t)).blocks, x)
+        return Morphism(spec, self.src, new_tgt, _pruned(blocks))
 
 
 def _merge_word(pos: int, src_w: Word, tree: Tree) -> tuple:
@@ -540,77 +539,87 @@ def _split_word(pos: int, tgt_w: Word, tree: Tree) -> tuple:
     )
 
 
-def _push(spec, rows, rest: Word, s: int, k: int, ops: tuple) -> dict:
-    """Move (tree, row) pairs through ``ops`` acting on the window (s, k).
+def _add_row(out: dict, key, row: dict, coeff) -> None:
+    """out[key] += coeff * row, in a row of out's own; a sum that cancels is deleted."""
+    dst = out.get(key)
+    if dst is None:
+        out[key] = dict(row) if coeff is ONE else {j: coeff * v for j, v in row.items()}
+        return
+    for j, v in row.items():
+        if coeff is not ONE:
+            v = coeff * v
+        w = dst.get(j)
+        if w is None:
+            dst[j] = v
+        elif (w := w + v).is_zero():
+            del dst[j]
+        else:
+            dst[j] = w
+
+
+def _add_blocks(out: dict, blocks: dict, coeff) -> None:
+    """out += coeff * blocks, row by row (``_add_row``)."""
+    for c, blk in blocks.items():
+        dst = out.setdefault(c, {})
+        for t, row in blk.items():
+            _add_row(dst, t, row, coeff)
+
+
+def _pruned(blocks: dict) -> dict:
+    """``blocks`` less the rows that sums emptied, and the blocks left empty."""
+    return {c: rows for c, blk in blocks.items() if (rows := {t: r for t, r in blk.items() if r})}
+
+
+def _push(rows: dict, s: int, k: int, moves) -> dict:
+    """Move sparse rows {tree: {column: value}} through a window action.
 
     A tree (es, mus) is its head (es[:s], mus[:s]), its window (es[s:k],
-    mus[s:k-1]) over the word (es[s],) + ``rest``, and its tail (es[k:],
-    mus[k-1:]): out[head + window' + tail] += coeff * row for (window',
-    coeff) in the window word's map.  Rows are lists of column entries; only
-    their nonzero entries move, and a row with none reaches no key.
+    mus[s:k-1]) and its tail (es[k:], mus[k-1:]); ``moves(es[s:s+1],
+    window)`` lists the (window', coeff) it turns into, and out[head +
+    window' + tail] += coeff * row.  Rows that sums emptied are dropped.
     """
-    maps: dict = {}
     out: dict = {}
-    for (es, mus), row in rows:
-        charge = es[s : s + 1]
-        mapping = maps.get(charge)
-        if mapping is None:
-            mapping = maps[charge] = _word_map(spec, charge + rest, ops)
-        targets = mapping.get((es[s:k], mus[s : k - 1]))
+    for (es, mus), row in rows.items():
+        targets = moves(es[s : s + 1], (es[s:k], mus[s : k - 1]))
         if not targets:
-            continue
-        nonzero = [(j, v) for j, v in enumerate(row) if not v.is_zero()]
-        if not nonzero:
             continue
         head_es, head_mus, tail_es, tail_mus = es[:s], mus[:s], es[k:], mus[k - 1 :]
         for (es2, mus2), coeff in targets:
-            key2 = (head_es + es2 + tail_es, head_mus + mus2 + tail_mus)
-            dst = out.get(key2)
-            if dst is None:
-                dst = out[key2] = [C0] * len(row)
-            for j, v in nonzero:
-                # A new row holds the shared zero C0: store the first term.
-                w = dst[j]
-                dst[j] = coeff * v if w is C0 else w + coeff * v
-    return out
+            _add_row(out, (head_es + es2 + tail_es, head_mus + mus2 + tail_mus), row, coeff)
+    return {t: row for t, row in out.items() if row}
+
+
+def _one(v: Cyclotomic) -> Cyclotomic:
+    """``ONE`` if v is 1, else v; read off the fields, as == would lift v across orders."""
+    return ONE if v.den == 1 and v.num[0] == 1 and v.is_rational() else v
 
 
 @cached
 def _local_moves(spec, word: Word, tree: Tree, op) -> list:
-    """``_apply_tree`` on one window, with equal trees merged and zeros dropped."""
+    """``_apply_tree`` on one window: equal trees merged, zeros dropped, 1 as ``ONE``."""
     out: dict = {}
     for t, v in _apply_tree(spec, word, tree, op):
         out[t] = out[t] + v if t in out else v
-    return [(t, v) for t, v in out.items() if not v.is_zero()]
+    return [(t, _one(v)) for t, v in out.items() if not v.is_zero()]
 
 
-def _chain_map(spec, word: Word, ops) -> dict[Tree, dict[Tree, Cyclotomic]]:
-    """Compose a generator chain on ``word`` into {tree: {tree': coeff}}.
+def _chain_map(spec, word: Word, ops) -> dict[Tree, list]:
+    """Compose a generator chain on ``word`` into {tree: [(tree', coeff)]}.
 
-    Each generator acts through ``_local_moves`` on its own window
-    (``_active_window``), and each tree carries its head and tail past it.
+    ``_push`` moves the identity rows {t: {t: ONE}} through each generator's
+    ``_local_moves`` on its own window (``_active_window``); the map is then
+    read off by columns.
     """
-    steps = []
-    w = word
+    rows = {t: {t: ONE} for ts in all_trees(spec, word).values() for t in ts}
     for op in ops:
-        s, k = _active_window(len(w), (op,))
-        steps.append((w[s + 1 : k], s, k, (op[0], op[1] - s) + op[2:]))
-        w = _op_new_word(spec, w, op)
-    out = {}
-    for ts in all_trees(spec, word).values():
-        for t in ts:
-            vec = {t: ONE}
-            for rest, s, k, op in steps:
-                nxt: dict = {}
-                for (es, mus), c1 in vec.items():
-                    window = (es[s:k], mus[s : k - 1])
-                    head_es, head_mus, tail_es, tail_mus = es[:s], mus[:s], es[k:], mus[k - 1 :]
-                    for (es2, mus2), c2 in _local_moves(spec, es[s : s + 1] + rest, window, op):
-                        t2 = (head_es + es2 + tail_es, head_mus + mus2 + tail_mus)
-                        v = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
-                        nxt[t2] = nxt[t2] + v if t2 in nxt else v
-                vec = {t2: v for t2, v in nxt.items() if not v.is_zero()}
-            out[t] = vec
+        s, k = _active_window(len(word), (op,))
+        rest, local = word[s + 1 : k], (op[0], op[1] - s) + op[2:]
+        rows = _push(rows, s, k, lambda c, window: _local_moves(spec, c + rest, window, local))
+        word = _op_new_word(spec, word, op)
+    out: dict = {}
+    for t2, row in rows.items():
+        for t, v in row.items():
+            out.setdefault(t, []).append((t2, _one(v)))
     return out
 
 
@@ -644,7 +653,7 @@ def _active_window(n: int, ops: tuple) -> tuple[int, int]:
 @cached
 def _word_map(spec, word: Word, ops: tuple) -> dict:
     """Composed action {tree: [(tree', coeff)]} of a generator word on ``word``."""
-    return {t: list(vec.items()) for t, vec in _chain_map(spec, word, ops).items() if vec}
+    return _chain_map(spec, word, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +696,7 @@ def theta(spec, a: str) -> Cyclotomic:
         (("cup", 1, a, False), ("braid", 1, "over"), ("cap", 2, a, True))
     )
     blk = state.blocks.get(a)
-    return blk[0, 0] if blk is not None else C0
+    return blk[(a,), ()][0] if blk else C0
 
 
 def hopf_link_value(spec, a: str, b: str) -> Cyclotomic:

@@ -8,7 +8,7 @@ import pytest
 from genuscenter import catalog, center
 from genuscenter.center import FormalObject, center_rank, induced_half_braidings, tube_algebra
 from genuscenter.errors import GenusCenterError, IllFormedDiagramError
-from genuscenter.exactnum import ExactMatrix, rational, zeta
+from genuscenter.exactnum import C0, ExactMatrix, rational, zeta
 from genuscenter.fusion import (
     CategorySpec,
     check_hexagon,
@@ -40,22 +40,49 @@ from genuscenter.trees import (
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
 
 
+def dense(mor, c):
+    """The charge-c block of ``mor`` as a dense matrix: rows are target trees,
+    columns source trees, and a missing row or block reads as zeros."""
+    spec = mor.spec
+    blk = mor.blocks.get(c, {})
+    cols = hom_dim(spec, mor.src, c)
+    return ExactMatrix(
+        hom_dim(spec, mor.tgt, c),
+        cols,
+        [[blk.get(t, {}).get(j, C0) for j in range(cols)] for t in trees(spec, mor.tgt, c)],
+    )
+
+
+def from_dense(spec, src, tgt, mats):
+    """The Morphism whose charge-c block is the dense matrix mats[c]."""
+    blocks = {}
+    for c, m in mats.items():
+        rows = {}
+        for t, row in zip(trees(spec, tgt, c), m.data):
+            nonzero = {j: v for j, v in enumerate(row) if not v.is_zero()}
+            if nonzero:
+                rows[t] = nonzero
+        if rows:
+            blocks[c] = rows
+    return Morphism(spec, tuple(src), tuple(tgt), blocks)
+
+
 def dense_apply(state, op):
     """Reference generator action: each tree's image under the generator,
     accumulated into a dense zero grid."""
     spec = state.spec
     new_word = _op_new_word(spec, state.tgt, op)
-    blocks = {}
-    for c, m in state.blocks.items():
+    mats = {}
+    for c in state.blocks:
+        m = dense(state, c)
         index = {t: k for k, t in enumerate(trees(spec, new_word, c))}
         out = ExactMatrix.zeros(len(index), m.cols)
         for t_old, row in zip(trees(spec, state.tgt, c), m.data):
             for t_new, coeff in _apply_tree(spec, state.tgt, t_old, op):
                 for j, v in enumerate(row):
                     out[index[t_new], j] = out[index[t_new], j] + coeff * v
-        if not out.is_zero():
-            blocks[c] = out
-    return Morphism(spec, state.src, new_word, blocks)
+        mats[c] = out
+    return from_dense(spec, state.src, new_word, mats)
 
 
 def chain_replay_coupon(state, pos, f):
@@ -67,7 +94,8 @@ def chain_replay_coupon(state, pos, f):
     total = Morphism.zero(spec, state.src, new_tgt)
     src_trees = all_trees(spec, src_w)
     tgt_trees = all_trees(spec, tgt_w)
-    for d, m in f.blocks.items():
+    for d in f.blocks:
+        m = dense(f, d)
         for r, (t_es, t_mus) in enumerate(tgt_trees.get(d, [])):
             for col, (s_es, s_mus) in enumerate(src_trees.get(d, [])):
                 coeff = m[r, col]
@@ -102,14 +130,14 @@ def scalars(spec, zero=True):
 
 def random_morphism(spec, src, tgt, rng, charges=None, zero=True):
     pool = scalars(spec, zero)
-    blocks = {}
+    mats = {}
     for c in charges if charges is not None else spec.labels:
         rows, cols = hom_dim(spec, tgt, c), hom_dim(spec, src, c)
         if rows and cols:
-            blocks[c] = ExactMatrix(
+            mats[c] = ExactMatrix(
                 rows, cols, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
             )
-    return Morphism(spec, src, tgt, blocks)
+    return from_dense(spec, src, tgt, mats)
 
 
 def random_word(spec, length, rng):
@@ -163,7 +191,7 @@ class TestApplyCoupon:
                 for out_len in (2, 3):
                     src_w = word[pos - 1 : pos - 1 + width]
                     f = random_morphism(spec, src_w, (label,) * out_len, rng)
-                    shapes |= {(m.rows > 1, m.cols > 1) for m in f.blocks.values()}
+                    shapes |= {(m.rows > 1, m.cols > 1) for m in (dense(f, c) for c in f.blocks)}
                     nonzero += not assert_matches_reference(state, pos, f).is_zero()
         assert (True, True) in shapes
         assert nonzero >= 4
@@ -189,7 +217,9 @@ class TestApplyCoupon:
         word = ("t", "t", "t")
         state = random_morphism(spec, word, word, rng)
         for charges in (("1",), ("t",), ()):
-            f = random_morphism(spec, ("t", "t"), ("t", "t"), rng, charges)
+            # Nonzero entries: a zero block is not stored, and f must hold one
+            # block at each of these charges.
+            f = random_morphism(spec, ("t", "t"), ("t", "t"), rng, charges, zero=False)
             assert set(f.blocks) == set(charges)
             for pos in (1, 2):
                 assert_matches_reference(state, pos, f)
@@ -200,7 +230,7 @@ class TestApplyCoupon:
         rng = rng_for(key, "zero")
         word = random_word(spec, 3, rng)
         zero = Morphism.zero(spec, word, word)
-        f = random_morphism(spec, word[1:], random_target(spec, word[1:], rng), rng)
+        f = random_morphism(spec, word[1:], random_target(spec, word[1:], rng), rng, zero=False)
         assert f.blocks
         got = zero.apply_coupon(2, f)
         assert got.is_zero() and got.tgt == word[:1] + f.tgt
@@ -211,7 +241,7 @@ class TestApplyCoupon:
         rng = rng_for("cache")
         word = ("s", "s", "f", "s")
         state = random_morphism(spec, word, word, rng)
-        f = random_morphism(spec, ("s", "f"), ("f", "s"), rng)
+        f = random_morphism(spec, ("s", "f"), ("f", "s"), rng, zero=False)
         assert f.blocks
         first = state.apply_coupon(2, f)
         size = len(spec._cache)
@@ -463,11 +493,67 @@ def test_equality_reads_a_missing_block_as_zero():
     spec = catalog.builtin("fibonacci")
     word = ("t", "t")
     zero = Morphism.zero(spec, word, word)
-    padded = Morphism(spec, word, word, {"1": ExactMatrix.zeros(1, 1)})
+    padded = from_dense(spec, word, word, {"1": ExactMatrix.zeros(1, 1)})
     one = Morphism.identity(spec, word)
     assert padded == zero and zero == padded
+    assert dense(zero, "1") == ExactMatrix.zeros(1, 1)
     assert one != zero and zero != one
     assert one + padded == one and one.scale(zeta(5)) != one
+
+
+def assert_sparse(mor):
+    """The stored layout: no zero value, no empty row and no empty block."""
+    for blk in mor.blocks.values():
+        assert blk
+        for row in blk.values():
+            assert row and not any(v.is_zero() for v in row.values())
+
+
+@pytest.mark.parametrize("key", catalog.catalog_keys())
+def test_every_operation_keeps_the_sparse_layout(key):
+    # Random values include 0, 1 and -2, so sums cancel in compose, +, the
+    # word maps and the coupons; each result must drop what cancelled.
+    spec = catalog.builtin(key)
+    results = []
+    for trial in range(4):
+        rng = rng_for(key, "sparse", trial)
+        word = random_word(spec, 3, rng)
+        state = random_morphism(spec, word, word, rng)
+        other = random_morphism(spec, word, word, rng)
+        f = random_morphism(spec, word[1:], random_target(spec, word[1:], rng), rng)
+        results += [
+            state,
+            state.apply_all(random_ops(spec, word, 5, rng)),
+            state.compose(other),
+            state + other,
+            state + other.scale(rational(-1)),
+            state.scale(scalars(spec, zero=False)[-1]),
+            state.apply_coupon(2, f),
+        ]
+    assert sum(not m.is_zero() for m in results) >= len(results) // 2
+    for m in results:
+        assert_sparse(m)
+        zero = m + m.scale(rational(-1))
+        assert zero == Morphism.zero(spec, m.src, m.tgt) and zero.blocks == {}
+
+
+def test_a_row_that_cancels_is_dropped():
+    # The braid sends two trees onto one tree t2 with coefficients a and b;
+    # rows holding b and -a cancel on t2, by apply_all and by compose.
+    spec = catalog.builtin("fibonacci")
+    word = ("t", "t", "t")
+    ops = (("braid", 2, "over"),)
+    image = Morphism.identity(spec, word).apply_all(ops)
+    c, t2, row = next(
+        (c, t2, row) for c, blk in image.blocks.items() for t2, row in blk.items() if len(row) > 1
+    )
+    (j1, a), (j2, b) = list(row.items())[:2]
+    ts = trees(spec, word, c)
+    state = Morphism(spec, (c,), word, {c: {ts[j1]: {0: b}, ts[j2]: {0: -a}}})
+    for got in (state.apply_all(ops), image.compose(state)):
+        assert t2 not in got.blocks[c]
+        assert_sparse(got)
+        assert got == full_word_apply(state, ops)
 
 
 def fresh(key):
