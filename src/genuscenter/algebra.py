@@ -1,7 +1,7 @@
 """Semisimple decomposition of a finite-dimensional algebra, certified mod p.
 
-An algebra A over K = Q(zeta_N) is given by a set S of basis elements
-that generates it, its unit, and the structure constants
+An algebra A over K = Q(zeta_N), N = ``order``, is given by a set S of
+basis elements that generates it, its unit, and the structure constants
 e_a e_g = sum_c M[a,g][c] e_c for every a and every g in S.  ``decompose``
 returns its rank r (the dimension of its centre, the number of simple
 blocks over C) and the block sizes m_i, with
@@ -73,10 +73,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import GenusCenterError, NonSplitError
-from .exactnum import C0, C1, ExactMatrix, nullspace
+from .errors import NonSplitError
 
-__all__ = ["AlgebraData", "center_basis", "decompose"]
+__all__ = ["AlgebraData", "decompose"]
 
 # The primes tried: p in this range with p > dim A and p = 1 (mod N), smallest first.
 _PRIME_RANGE = (1 << 25, 1 << 26)
@@ -86,82 +85,17 @@ _SEED = 7
 
 @dataclass
 class AlgebraData:
-    """Structure constants e_a e_g = sum_c mult[(a,g)][c] e_c for g in gens."""
+    """Structure constants e_a e_g = sum_c mult[(a,g)][c] e_c for g in gens, over Q(zeta_order)."""
 
     dim: int
     mult: dict  # (a, g) -> {c: coeff}, for every a and every g in gens
     unit: dict  # coordinates of the unit element
     gens: list | None = None  # right factors of mult, which generate A; None: the whole basis
+    order: int = 1  # N of the field K = Q(zeta_N): each constant's order divides N or is <= 2
 
     def __post_init__(self):
         if self.gens is None:
             self.gens = list(range(self.dim))
-
-    def product(self, x: dict, y: dict) -> dict:
-        if len(self.gens) != self.dim:
-            raise GenusCenterError("the exact product needs the products by every basis element")
-        out: dict = {}
-        for a, va in x.items():
-            if va.is_zero():
-                continue
-            for b, vb in y.items():
-                if vb.is_zero():
-                    continue
-                row = self.mult.get((a, b))
-                if not row:
-                    continue
-                coeff = va * vb
-                for c, w in row.items():
-                    acc = out.get(c)
-                    val = coeff * w
-                    out[c] = val if acc is None else acc + val
-        return {c: v for c, v in out.items() if not v.is_zero()}
-
-    def field_order(self) -> int:
-        order = 1
-        for row in self.mult.values():
-            for v in row.values():
-                order = math.lcm(order, v.order)
-        for v in self.unit.values():
-            order = math.lcm(order, v.order)
-        return order
-
-
-def center_basis(alg: AlgebraData) -> list[dict]:
-    """Exact basis of the center, by iterative commutant refinement."""
-    basis = [{a: C1} for a in range(alg.dim)]
-    for b in range(alg.dim):
-        if not basis:
-            break
-        eb = {b: C1}
-        rows = []
-        for vec in basis:
-            diff_ = alg.product(vec, eb)
-            for c, v in alg.product(eb, vec).items():
-                diff_[c] = diff_.get(c, C0) - v
-            rows.append(diff_)
-        coords = sorted({c for r in rows for c in r})
-        if not coords:
-            continue
-        m = ExactMatrix(len(coords), len(basis))
-        for k, r in enumerate(rows):
-            for ci, c in enumerate(coords):
-                if c in r:
-                    m[ci, k] = r[c]
-        null = nullspace(m)
-        new_basis = []
-        for t in null:
-            vec: dict = {}
-            for k, tk in enumerate(t):
-                if tk.is_zero():
-                    continue
-                for c, v in basis[k].items():
-                    vec[c] = vec.get(c, C0) + tk * v
-            vec = {c: v for c, v in vec.items() if not v.is_zero()}
-            if vec:
-                new_basis.append(vec)
-        basis = new_basis
-    return basis
 
 
 def decompose(alg: AlgebraData) -> tuple[int, list[int]]:
@@ -171,23 +105,22 @@ def decompose(alg: AlgebraData) -> tuple[int, list[int]]:
     the first answer whose certificate holds (see the module docstring).
     Raises NonSplitError naming the part that failed at the last prime.
     """
-    order = alg.field_order()
     rng = random.Random(_SEED)
     failure = None
-    for p in itertools.islice(_primes(order, alg.dim), _MAX_PRIMES):
+    for p in itertools.islice(_primes(alg.order, alg.dim), _MAX_PRIMES):
         try:
-            return _decompose_mod(alg, order, p, rng)
+            return _decompose_mod(alg, p, rng)
         except NonSplitError as exc:
             failure = f"p = {p}: {exc}"
     raise NonSplitError(
-        f"no certificate at the first {_MAX_PRIMES} primes = 1 (mod {order}); last, {failure}"
+        f"no certificate at the first {_MAX_PRIMES} primes = 1 (mod {alg.order}); last, {failure}"
     )
 
 
-def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
+def _decompose_mod(alg: AlgebraData, p: int, rng: random.Random):
     """(rank, block sizes) read from A mod p; NonSplitError names a failed part."""
     dim = alg.dim
-    mult, unit = _reduce(alg, order, p)
+    mult, unit = _reduce(alg, p)
     mult = _close(mult, alg.gens, dim, p)
     trace = [0] * dim
     for (a, b), row in mult.items():
@@ -257,14 +190,17 @@ def _decompose_mod(alg: AlgebraData, order: int, p: int, rng: random.Random):
     return r, sizes
 
 
-def _reduce(alg: AlgebraData, order: int, p: int):
+def _reduce(alg: AlgebraData, p: int):
     """The structure constants {(a, b): {c: residue}} and the unit {c: residue}, mod p."""
+    order = alg.order
     w = _root_of_unity(order, p)
     w_powers = [pow(w, k, p) for k in range(order)]
 
     def residue(v) -> int:
         if v.den % p == 0:
             raise NonSplitError("(a) a structure constant has a denominator divisible by p")
+        if v.order > 2 and order % v.order:
+            raise ValueError(f"a structure constant of order {v.order} is not in Q(zeta_{order})")
         step = order // v.order
         return sum(x * w_powers[e * step] for e, x in enumerate(v.num)) * pow(v.den, -1, p) % p
 

@@ -27,6 +27,12 @@ per key, so contraction and creation are a word, a gamma column and a
 cap or cup, all applied as composed words.  The adjunction identities
 and algebra laws below are exact checks of the whole construction.
 
+The adjunction I -| U needs no linear solve.  Restricting the averaging
+projection of a map on the all-units summand of I(x) back to that
+summand gives D^-n times the map, D = dim(C), so ``adjunction_maps``
+builds forward as D^n times the projection, and the identity
+backward o forward = 1 is checked, not assumed.
+
 Hom spaces are read and written only through the coordinate map of
 ``trees``: ``hom_keys`` lists the (charge, target tree, source tree)
 coordinates, ``Morphism.elementary`` builds a basis map and
@@ -59,7 +65,7 @@ from itertools import product as iproduct
 
 from .algebra import AlgebraData, decompose
 from .errors import GenusCenterError, IllFormedDiagramError
-from .exactnum import C0, Cyclotomic, ExactMatrix, inverse as matrix_inverse, matrix_rank
+from .exactnum import C0, ExactMatrix, matrix_rank
 from .fusion import CategorySpec, ValidationReport, quantum_dims
 from .gluing import Gluing, comm_case
 from .trees import ONE, Morphism, Word, cached, hom_dim, hom_keys, trees, word_after
@@ -74,9 +80,7 @@ __all__ = [
     "induce_object",
     "induced_half_braidings",
     "verify_sigma_pair",
-    "project_morphism",
     "project_morphisms",
-    "hom_Z_dim",
     "adjunction_maps",
     "tube_algebra",
     "center_rank",
@@ -103,9 +107,6 @@ class FormalObject:
     @staticmethod
     def from_dict(d: dict) -> "FormalObject":
         return FormalObject(tuple(sorted((k, v) for k, v in d.items() if v)))
-
-    def as_dict(self) -> dict:
-        return dict(self.multiplicities)
 
 
 def _as_formal(spec, x) -> FormalObject:
@@ -153,7 +154,7 @@ def induce_object(spec, sigma: Gluing, x) -> FormalObject:
 
 @dataclass(frozen=True)
 class GammaWord:
-    """One half-braiding column: ``coeff`` times a generator word on ``src``.
+    """One half-braiding column: a generator word on ``src``.
 
     The word acts from strand 1 of ``src`` = (Z,) + source word; at strand
     ``pos`` of a longer word its positions shift by pos - 1.
@@ -161,17 +162,12 @@ class GammaWord:
 
     src: Word
     ops: tuple
-    coeff: Cyclotomic = ONE
-
-    def scale(self, s: Cyclotomic) -> "GammaWord":
-        return GammaWord(self.src, self.ops, self.coeff * s)
 
     def apply_at(self, mor: Morphism, pos: int, then: tuple = ()) -> Morphism:
         """Post-compose the column at strand ``pos``, then the word ``then``."""
         # Every generator's second entry is its strand or gap position.
         shifted = tuple((op[0], op[1] + pos - 1) + op[2:] for op in self.ops)
-        out = mor.apply_all(shifted + then)
-        return out if self.coeff == ONE else out.scale(self.coeff)
+        return mor.apply_all(shifted + then)
 
 
 @dataclass
@@ -354,30 +350,22 @@ def flatten_carrier_map(f: CarrierMap):
 
 
 def _apply_gamma(state: CarrierMap, pair: SigmaPair, m: int, pos: int, z: str) -> CarrierMap:
-    """Post-compose 1 (x) gamma_[m],z (x) 1 with the carrier at strand pos."""
-    spec = state.spec
+    """Post-compose 1 (x) gamma_[m],z (x) 1 with the carrier at strand pos.
+
+    Source word t is pre + (z,) + carrier word t + post, and target word t
+    is pre + carrier word t + (z,) + post.
+    """
     blocks: dict = {}
-    tgt_words: dict = {}
     hb = pair.braidings[m]
     for (ti, si), mor in state.blocks.items():
         for t2, col in hb.columns(z, ti):
             new = col.apply_at(mor, pos)
             key = (t2, si)
             blocks[key] = blocks[key] + new if key in blocks else new
-            tgt_words[t2] = new.tgt
-    tgt = tuple(
-        tgt_words[t] if t in tgt_words else _shift_word(state, pair, t, pos, z)
-        for t in range(len(pair.words))
-    )
-    return CarrierMap(spec, state.src, tgt, blocks)
-
-
-def _shift_word(state: CarrierMap, pair: SigmaPair, t: int, pos: int, z: str):
-    # Word of an absent summand: carrier word t with z moved past it.  Every
-    # target word is pre + (z,) + carrier word + post, so summand 0 shows both.
     w = state.tgt[0]
     pre, post = w[: pos - 1], w[pos + len(pair.words[0]) :]
-    return pre + tuple(pair.words[t]) + (z,) + post
+    tgt = tuple(pre + tuple(word) + (z,) + post for word in pair.words)
+    return CarrierMap(state.spec, state.src, tgt, blocks)
 
 
 def _hb_matrix(gamma: CarrierMap):
@@ -658,27 +646,20 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
     return [CarrierMap(spec, px.words, py.words, ob) for ob in outs]
 
 
-def project_morphism(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, f: CarrierMap) -> CarrierMap:
-    """The averaging projection onto sigma-morphisms."""
-    return project_morphisms(spec, sigma, px, py, [f])[0]
-
-
-def hom_Z_dim(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair) -> int:
-    basis = carrier_basis(spec, px.words, py.words)
-    if not basis:
-        return 0
-    rows = [flatten_carrier_map(p) for p in project_morphisms(spec, sigma, px, py, basis)]
-    return matrix_rank(ExactMatrix(len(rows), len(rows[0]), rows))
-
-
 def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
     """(forward, backward) between Hom_C(x, Y) and the sigma-morphism space.
 
     backward is restriction to the all-units summand of the induced
-    carrier; forward is its exact inverse, assembled from averaging
-    projections of all-units-supported preimages.  backward o forward is
-    the identity on Hom_C(x, Y), and forward o backward fixes every
-    sigma-morphism, both exactly.
+    carrier.  forward sends phi to D^n P(pre(phi)), linearly over the
+    basis maps: pre(phi) is phi on the all-units summand with its unit legs
+    stripped, P is the averaging projection and D = dim(C).  Of the
+    created entries of P only the all-units one starts and ends on the
+    all-units summand (a created leg a that ends on label 1 needs a = 1).
+    Its weight is d(1)^n / D^n, and its legs act as the identity under two
+    assumptions: the strict unit gauge of ``trees`` and the unit law of
+    the pair.  So backward(P(pre(phi))) = D^-n phi, and backward o forward
+    is the identity on Hom_C(x, Y).  ``adjoint check`` tests that, and
+    that forward o backward fixes every sigma-morphism, both exactly.
     """
     fx = _as_formal(spec, x)
     if len(fx.multiplicities) != 1 or fx.multiplicities[0][1] != 1:
@@ -706,8 +687,8 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
     # coordinates of a map over this basis.
     phis = carrier_basis(spec, ((lab,),), py.words)
 
-    # Sigma-morphism spanning set: averaging projections of preimages
-    # supported on the all-units summand.
+    # columns[k] is the averaging projection of pre(phis[k]): phis[k] on
+    # the all-units summand, its unit legs stripped.
     strip = _unit_strip(spec, lab, n)
     pres = [
         CarrierMap(
@@ -717,23 +698,15 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
         for phi in phis
     ]
     columns = project_morphisms(spec, sigma, ix, py, pres)
-    # Row j holds the coordinates of backward(columns[j]); forward(phi) is
-    # the combination of columns whose rows sum to phi's coordinates.
-    m = len(phis)
-    ginv = matrix_inverse(ExactMatrix(m, m, [flatten_carrier_map(backward(col)) for col in columns]))
+    total_n = quantum_dims(spec)[0].total ** n
 
     def forward(phi: CarrierMap) -> CarrierMap:
         if phi.src != ((lab,),) or phi.tgt != py.words:
             raise GenusCenterError("forward map input has wrong shape")
-        coords = [(i, v) for i, v in enumerate(flatten_carrier_map(phi)) if not v.is_zero()]
         out = CarrierMap.zero(spec, ix.words, py.words)
-        for j, col in enumerate(columns):
-            c = C0
-            for i, v in coords:
-                c = c + v * ginv[i, j]
-            if c.is_zero():
-                continue
-            out = out + col.scale(c)
+        for v, col in zip(flatten_carrier_map(phi), columns):
+            if not v.is_zero():
+                out = out + col.scale(v * total_n)
         return out
 
     return forward, backward
@@ -769,7 +742,8 @@ class TubeAlgebra:
         return out
 
     def algebra_data(self) -> AlgebraData:
-        return AlgebraData(dim=self.dim, mult=self.mult_table, unit=self.unit, gens=self.gens)
+        return AlgebraData(dim=self.dim, mult=self.mult_table, unit=self.unit, gens=self.gens,
+                           order=self.spec.field_order())
 
 
 @cached

@@ -39,7 +39,6 @@ __all__ = [
     "ExactMatrix",
     "zeta",
     "rational",
-    "cyc_normalize",
     "matrix_rank",
     "nullspace",
     "solve",
@@ -339,10 +338,6 @@ class Cyclotomic:
             k >>= 1
         return out
 
-    def conjugate(self) -> "Cyclotomic":
-        """The ring automorphism zeta -> zeta^(-1) (complex conjugation)."""
-        return self.galois(self.order - 1)
-
     def galois(self, a: int) -> "Cyclotomic":
         """The automorphism zeta -> zeta^a for gcd(a, order) = 1."""
         n = self.order
@@ -418,11 +413,6 @@ def rational(num, den=1) -> Cyclotomic:
         raise MalformedRationalError(f"zero denominator in rational {num}/0")
     q = Fraction(num, den)
     return _make(1, (q.numerator,), q.denominator)
-
-
-def cyc_normalize(order: int, terms) -> Cyclotomic:
-    """Canonicalize a raw exponent/rational term list.  Idempotent."""
-    return Cyclotomic.from_terms(order, terms)
 
 
 C0 = Cyclotomic.zero()

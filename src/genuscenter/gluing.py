@@ -83,16 +83,6 @@ class Gluing:
             return "()"
         return "".join(f"({a} {b})" for a, b in self.pairs())
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "pairs": [list(p) for p in self.pairs()]}
-
-    @staticmethod
-    def from_json(obj) -> "Gluing":
-        g = Gluing.from_pairs(obj["pairs"])
-        if g.n != obj.get("n", g.n):
-            raise GluingFormatError("declared rank disagrees with pair list")
-        return g
-
     def __str__(self):
         return self.cycle_string()
 

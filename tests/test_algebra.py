@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,13 +10,14 @@ from genuscenter.algebra import (
     _Echelon,
     _minpoly,
     _primes,
-    center_basis,
     decompose,
 )
 from genuscenter.center import _tube_products, tube_algebra
 from genuscenter.errors import GenusCenterError, NonSplitError
-from genuscenter.exactnum import ExactMatrix, matrix_rank, rational
+from genuscenter.exactnum import ExactMatrix, matrix_rank, rational, zeta
 from genuscenter.gluing import parse_cycles
+
+from exact_oracle import center_basis
 
 ONE = rational(1)
 
@@ -36,7 +38,7 @@ class TestCertificate:
     def test_dual_numbers_have_a_degenerate_trace_form(self):
         alg = two_dim(None)  # k[x]/x^2
         with pytest.raises(NonSplitError, match=r"\(b\)"):
-            _decompose_mod(alg, 1, first_prime(), random.Random(0))
+            _decompose_mod(alg, first_prime(), random.Random(0))
         with pytest.raises(NonSplitError, match=r"\(b\)"):
             decompose(alg)
 
@@ -53,7 +55,7 @@ class TestCertificate:
         # e1 = x / p in Q[x]/(x^2 - 1): e1 * e1 = e0 / p^2.
         alg = two_dim(rational(1, p * p))
         with pytest.raises(NonSplitError, match=r"\(a\)"):
-            _decompose_mod(alg, 1, p, random.Random(0))
+            _decompose_mod(alg, p, random.Random(0))
         assert decompose(alg) == decompose(two_dim(ONE)) == (2, [1, 1])
 
     def test_sqrt2_splits_over_c_after_the_first_prime_fails_c(self):
@@ -61,22 +63,25 @@ class TestCertificate:
         # centre has no eigenvalues in F_p; over C the algebra is C x C.
         alg = two_dim(rational(2))
         with pytest.raises(NonSplitError, match=r"\(c\)"):
-            _decompose_mod(alg, 1, first_prime(), random.Random(0))
+            _decompose_mod(alg, first_prime(), random.Random(0))
         assert decompose(alg) == (2, [1, 1])
 
     def test_semion_annulus_fails_c_at_the_first_prime(self):
-        # Its structure constants are rational, but its centre needs sqrt(-1).
+        # Its structure constants are rational, but its centre needs sqrt(-1),
+        # which F_p lacks at the first prime, 3 mod 4.  Over its spec's field
+        # Q(i) the primes are 1 mod 4, where it is there.
         alg = tube_algebra(catalog.builtin("semion"), parse_cycles("(1 2)")).algebra_data()
-        order = alg.field_order()
+        over_q = dataclasses.replace(alg, order=1)
         with pytest.raises(NonSplitError, match=r"\(c\)"):
-            _decompose_mod(alg, order, next(_primes(order, alg.dim)), random.Random(7))
-        assert decompose(alg) == (4, [1, 1, 1, 1])
+            _decompose_mod(over_q, first_prime(), random.Random(7))
+        assert alg.order == 4 and first_prime() % 4 == 3
+        assert decompose(over_q) == decompose(alg) == (4, [1, 1, 1, 1])
 
     def test_generators_that_do_not_generate_fail_e(self):
         # two_dim(ONE) given by e0 = 1 alone: right multiplication by e0 spans only e0.
         alg = AlgebraData(dim=2, mult={(0, 0): {0: ONE}, (1, 0): {1: ONE}}, unit={0: ONE}, gens=[0])
         with pytest.raises(NonSplitError, match=r"\(e\)"):
-            _decompose_mod(alg, 1, first_prime(), random.Random(0))
+            _decompose_mod(alg, first_prime(), random.Random(0))
         with pytest.raises(NonSplitError, match=r"\(e\)"):
             decompose(alg)
 
@@ -108,6 +113,11 @@ class TestCertificate:
         alg = AlgebraData(dim=18, mult=mult, unit=unit, gens=gens)
         assert len(gens) == 9
         assert decompose(alg) == (4, [1, 2, 2, 3])
+
+    def test_a_constant_outside_the_field_is_refused(self):
+        # two_dim is over Q; zeta_5 is not in it.
+        with pytest.raises(ValueError, match=r"order 5 is not in Q\(zeta_1\)"):
+            decompose(two_dim(zeta(5)))
 
     def test_empty_algebra(self):
         with pytest.raises(NonSplitError, match="empty center"):

@@ -9,6 +9,7 @@ import pytest
 
 from genuscenter import catalog, center, fusion
 from genuscenter.cli import main
+from genuscenter.exactnum import Cyclotomic
 from genuscenter.gluing import MAX_ENUM_RANK, parse_cycles
 
 
@@ -281,6 +282,23 @@ def test_rank_lifts_no_scalar():
     assert out.returncode == 0
     lines = [line for line in out.stdout.splitlines() if line.startswith(("fibonacci ", "ising "))]
     assert lines == ["fibonacci 0 0", "ising 0 0"]
+
+
+def test_adjoint_check_multiplies_by_no_zero(monkeypatch, capsys):
+    # forward sums the projected columns over the nonzero coordinates of a
+    # map, so no scalar product has a zero operand.
+    count = {"all": 0, "zero": 0}
+    mul = Cyclotomic.__mul__
+
+    def counted(self, other):
+        count["all"] += 1
+        count["zero"] += self.is_zero() or (isinstance(other, Cyclotomic) and other.is_zero())
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counted)
+    code, _out = run(capsys, "adjoint", "check", "--cat", "vec_z3_q", "--sigma", "(1 3)(2 4)")
+    assert code == 0 and count["all"] > 0 and count["zero"] == 0, count
 
 
 def test_each_generator_window_is_evaluated_once():

@@ -129,10 +129,5 @@ class TestParser:
         with pytest.raises(GluingFormatError):
             parse_cycles("(1 2 3)")
 
-    def test_json_roundtrip(self):
-        sig = parse_cycles("(1 3)(2 4)")
-        assert Gluing.from_json(sig.to_json()) == sig
-        assert sig.to_json() == {"n": 2, "pairs": [[1, 3], [2, 4]]}
-
     def test_format(self):
         assert parse_cycles("(2 4)(1 3)").cycle_string() == "(1 3)(2 4)"
