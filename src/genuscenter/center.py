@@ -1,4 +1,4 @@
-"""Centers of higher genus: induced pairs, projections, tube algebras.
+"""Centers of higher genus: induced pairs, the adjunction, tube algebras.
 
 Carriers of sigma-pairs are finite direct sums of tensor words of simple
 labels.  A half-braiding is stored blockwise: for each simple argument Z
@@ -20,18 +20,20 @@ Leg plumbing has one mechanism.  A layout lists the legs of the active
 orbits in order around the middle block; ``_move`` turns one leg move
 into a braid word (legs pass in front of legs and behind the block), and
 ``_contract_plan`` chains those moves into the word that brings the leg
-pair of one orbit next to the block.  Creation runs that word backwards,
-each crossing's sense flipped, to take a fresh pair to its sorted place.
-The word depends only on (sigma, orbit, block width) and is computed once
-per key, so contraction and creation are a word, a gamma column and a
-cap or cup, all applied as composed words.  The adjunction identities
-and algebra laws below are exact checks of the whole construction.
+pair of one orbit next to the block.  The word depends only on (sigma,
+orbit, block width) and is computed once per key, so a contraction is a
+word, a gamma column and a cap, all applied as composed words.  The
+adjunction identities and algebra laws below are exact checks of the
+whole construction.
 
-The adjunction I -| U needs no linear solve.  Restricting the averaging
-projection of a map on the all-units summand of I(x) back to that
-summand gives D^-n times the map, D = dim(C), so ``adjunction_maps``
-builds forward as D^n times the projection, and the identity
-backward o forward = 1 is checked, not assumed.
+The adjunction I -| U is one contraction.  ``_forward`` transposes a map
+phi: x -> U(Y) to the sigma-morphism I(x) -> Y: on each summand of I(x),
+phi is a coupon on the middle strand and the legs are contracted through
+Y.  ``adjunction_maps`` builds forward from it, and the tube products are
+forward images, so both read their maps off the same contraction.  No
+linear solve and no averaging projection is run; the projection, which
+creates leg pairs and contracts them, is in ``tests/exact_oracle.py``,
+the reference that forward's images are checked against.
 
 Hom spaces are read and written only through the coordinate map of
 ``trees``: ``hom_keys`` lists the (charge, target tree, source tree)
@@ -66,7 +68,7 @@ from itertools import product as iproduct
 from .algebra import AlgebraData, decompose
 from .errors import GenusCenterError, IllFormedDiagramError
 from .exactnum import C0, ExactMatrix, matrix_rank
-from .fusion import CategorySpec, ValidationReport, quantum_dims
+from .fusion import CategorySpec, ValidationReport
 from .gluing import Gluing, comm_case
 from .trees import ONE, Morphism, Word, cached, hom_dim, hom_keys, trees, word_after
 
@@ -77,10 +79,8 @@ __all__ = [
     "SigmaPair",
     "CarrierMap",
     "TubeAlgebra",
-    "induce_object",
     "induced_half_braidings",
     "verify_sigma_pair",
-    "project_morphisms",
     "adjunction_maps",
     "tube_algebra",
     "center_rank",
@@ -132,20 +132,6 @@ def _word_for(spec, sigma: Gluing, alpha, middle) -> tuple:
     left = tuple(leg[k] for k in range(1, n + 1))
     right = tuple(leg[k] for k in range(n + 1, 2 * n + 1))
     return left + tuple(middle) + right
-
-
-def induce_object(spec, sigma: Gluing, x) -> FormalObject:
-    """Decomposition of the induced object into simples."""
-    fx = _as_formal(spec, x)
-    out: dict = {}
-    for lab, mult in fx.multiplicities:
-        for alpha in _assignments(spec, sigma):
-            word = _word_for(spec, sigma, alpha, (lab,))
-            for b in spec.labels:
-                d = hom_dim(spec, word, b)
-                if d:
-                    out[b] = out.get(b, 0) + mult * d
-    return FormalObject.from_dict(out)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +475,7 @@ def _comm_ok(spec, pair, i, j, case, z1, z2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# leg plumbing: contraction and creation
+# leg plumbing: contraction
 
 
 def _flip(sense: str) -> str:
@@ -572,94 +558,44 @@ def _contract(spec, sigma: Gluing, pair: SigmaPair, alpha, s: int, state: Morphi
     return current
 
 
-def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need):
-    """Create all leg pairs around the carrier, weaving through the pair.
+def _forward(spec, sigma: Gluing, lab: str, py: SigmaPair, phi: CarrierMap) -> CarrierMap:
+    """The adjoint transpose of phi: lab -> U(py), a sigma-morphism I(lab) -> py.
 
-    Creating orbit m runs its contraction (``_contract_plan``) backwards: a
-    cup at gap a_pos - 1, the gamma column at a_pos + 1, then the word
-    reversed with each crossing's sense flipped, at the width of the
-    summand it acts on.
-
-    ``mor0``: Morphism(src -> word_{s0}).  Returns a dict
-    {(alpha, s2): Morphism(src -> legs + word_{s2} + legs)} over the
-    summands s2 in ``need``.  ``reach[m + 1]`` holds the summands from
-    which orbits m, ..., 0 can still lead into ``need``; a branch outside
-    it is dropped before its cup is applied.
+    On the alpha summand of I(lab), each block (ty, 0) of phi is a coupon
+    on the middle strand of the identity of legs + (lab,) + legs, and the
+    legs are contracted through py into the blocks (ty2, alpha).  It is the
+    one contraction read-off: ``adjunction_maps`` and the tube products
+    both read their maps off it.
     """
-    reach = [set(need)]
-    for hb in pair.braidings:
-        reach.append({
-            s for s in range(len(pair.words))
-            if any(s2 in reach[-1] for z in spec.labels for s2, _ in hb.columns(z, s))
-        })
-    current = {((), s0): mor0} if s0 in reach[sigma.n] else {}
-    for m in range(sigma.n - 1, -1, -1):
-        nxt: dict = {}
-        for (alpha_tail, s), mor in current.items():
-            a_pos = _contract_plan(sigma, m, len(pair.words[s]))[1]
-            for a in spec.labels:
-                cols = pair.braidings[m].columns(spec.dual[a], s)
-                cols = [(s2, col) for s2, col in cols if s2 in reach[m]]
-                if not cols:
-                    continue
-                st = mor.apply(("cup", a_pos - 1, a, False))
-                for s2, col in cols:
-                    word = _contract_plan(sigma, m, len(pair.words[s2]))[0]
-                    back = tuple(("braid", i, _flip(sense)) for _b, i, sense in reversed(word))
-                    st2 = col.apply_at(st, a_pos + 1, back)
-                    key = ((a,) + alpha_tail, s2)
-                    nxt[key] = nxt[key] + st2 if key in nxt else st2
-        current = nxt
-    return current
-
-
-def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> list:
-    """The averaging projection onto sigma-morphisms of each map in fs.
-
-    The leg pairs are created once per source summand of px for the whole
-    batch, and only toward the summands that some map of the batch reads.
-    The contraction of created entry alpha carries the weight
-    prod_m d(alpha_m) / dim(C), with dim(C) = sum_a d(a)^2.
-    """
-    if any(f.src != px.words or f.tgt != py.words for f in fs):
-        raise GenusCenterError("morphism shape does not match the pair carriers")
-    omega, _ = quantum_dims(spec)
-    inv_total = omega.total.inverse()
-    need = {sx for f in fs for (_ty, sx) in f.blocks}
-    outs: list = [{} for _ in fs]
-    mid_pos = sigma.n + 1
-    for sx0, w in enumerate(px.words):
-        created = _create(spec, sigma, px, sx0, Morphism.identity(spec, tuple(w)), need)
-        for (alpha, sx), mor in created.items():
-            weight = ONE
-            for a in alpha:
-                weight = weight * omega.weights[a] * inv_total
-            for f, out_blocks in zip(fs, outs):
-                for (ty, sx2), fb in f.blocks.items():
-                    if sx2 != sx:
-                        continue
-                    st = mor.apply_coupon(mid_pos, fb)
-                    for ty2, m2 in _contract(spec, sigma, py, alpha, ty, st).items():
-                        m2 = m2.scale(weight)
-                        key = (ty2, sx0)
-                        out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2
-    return [CarrierMap(spec, px.words, py.words, ob) for ob in outs]
+    ix = induced_half_braidings(spec, sigma, lab)
+    blocks: dict = {}
+    for sx, (word, (_lab, _copy, alpha)) in enumerate(zip(ix.words, ix.meta)):
+        ident = Morphism.identity(spec, word)
+        for (ty, _zero), blk in phi.blocks.items():
+            st = ident.apply_coupon(sigma.n + 1, blk)
+            for ty2, mor in _contract(spec, sigma, py, alpha, ty, st).items():
+                key = (ty2, sx)
+                blocks[key] = blocks[key] + mor if key in blocks else mor
+    return CarrierMap(spec, ix.words, py.words, blocks)
 
 
 def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
     """(forward, backward) between Hom_C(x, Y) and the sigma-morphism space.
 
     backward is restriction to the all-units summand of the induced
-    carrier.  forward sends phi to D^n P(pre(phi)), linearly over the
-    basis maps: pre(phi) is phi on the all-units summand with its unit legs
-    stripped, P is the averaging projection and D = dim(C).  Of the
-    created entries of P only the all-units one starts and ends on the
-    all-units summand (a created leg a that ends on label 1 needs a = 1).
-    Its weight is d(1)^n / D^n, and its legs act as the identity under two
-    assumptions: the strict unit gauge of ``trees`` and the unit law of
-    the pair.  So backward(P(pre(phi))) = D^-n phi, and backward o forward
-    is the identity on Hom_C(x, Y).  ``adjoint check`` tests that, and
-    that forward o backward fixes every sigma-morphism, both exactly.
+    carrier.  forward is ``_forward``, linear over the basis maps, whose
+    images are precomputed once.  On the all-units summand every leg is
+    the unit, so under the strict unit gauge of ``trees`` and the unit law
+    of the pair the contraction gives phi with the unit legs stripped;
+    backward puts them back, so backward o forward is the identity on
+    Hom_C(x, Y).  By the adjunction, backward is injective on
+    sigma-morphisms, so the sigma-morphism with backward image phi is
+    unique: forward(phi) equals D^n P(pre(phi)), the averaging projection
+    P of phi on the all-units summand, scaled by D^n with D = dim(C).
+    ``adjoint check`` tests backward o forward = 1 and forward o backward
+    = 1 on forward's images, both exactly.  The second holds whenever the
+    first does, so it is the tests that check forward's images to be
+    sigma-morphisms, against the projection.
     """
     fx = _as_formal(spec, x)
     if len(fx.multiplicities) != 1 or fx.multiplicities[0][1] != 1:
@@ -686,19 +622,7 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
     # flatten_carrier_map(phis[k]) is the k-th unit vector, so it gives the
     # coordinates of a map over this basis.
     phis = carrier_basis(spec, ((lab,),), py.words)
-
-    # columns[k] is the averaging projection of pre(phis[k]): phis[k] on
-    # the all-units summand, its unit legs stripped.
-    strip = _unit_strip(spec, lab, n)
-    pres = [
-        CarrierMap(
-            spec, ix.words, py.words,
-            {(ty, si_all1): blk.compose(strip) for (ty, _zero), blk in phi.blocks.items()},
-        )
-        for phi in phis
-    ]
-    columns = project_morphisms(spec, sigma, ix, py, pres)
-    total_n = quantum_dims(spec)[0].total ** n
+    columns = [_forward(spec, sigma, lab, py, phi) for phi in phis]
 
     def forward(phi: CarrierMap) -> CarrierMap:
         if phi.src != ((lab,),) or phi.tgt != py.words:
@@ -706,16 +630,10 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
         out = CarrierMap.zero(spec, ix.words, py.words)
         for v, col in zip(flatten_carrier_map(phi), columns):
             if not v.is_zero():
-                out = out + col.scale(v * total_n)
+                out = out + col.scale(v)
         return out
 
     return forward, backward
-
-
-def _unit_strip(spec, lab: str, n: int) -> Morphism:
-    """The canonical map (1^n, lab, 1^n) -> (lab)."""
-    m = Morphism.identity(spec, (spec.unit,) * n + (lab,) + (spec.unit,) * n)
-    return m.apply_all((("unit_remove", 1),) * n + (("unit_remove", 2),) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -773,36 +691,29 @@ def _tube_basis(spec, sigma: Gluing):
 def _tube_products(spec, sigma: Gluing, right) -> dict:
     """The products e_a * e_g for every basis element a and every g in ``right``.
 
-    One contraction per (f-word, g): the chain depends on g only and the
-    f-tree enters linearly, so it is evaluated on the identity of each
-    f-word and the matrix columns are read off.  Returns {(a, g): {c: v}}
-    with the zero entries and rows dropped.
+    For g in Hom_C(j, T_alpha(k)), right multiplication by e_g is the
+    forward image of e_g in Hom_Z(I(j), I(k)) (``_forward``): its block
+    (s2, s) sends the trees of Hom_C(i, T_alpha_s(j)) at charge i, each an
+    e_a, to the coordinates of e_a e_g in Hom_C(i, T_alpha_s2(k)).
+    Returns {(a, g): {c: v}} with the zero entries and rows dropped.
     """
     _basis, at, elems = _tube_basis(spec, sigma)
-    assigns = _assignments(spec, sigma)
     right = set(right)
     mult: dict = {}
-    mid_pos = sigma.n + 1
-    pairs_cache = {j: induced_half_braidings(spec, sigma, j) for j in spec.labels}
-    for j in spec.labels:
-        for alpha_f in assigns:
-            word_f = _word_for(spec, sigma, alpha_f, (j,))
-            for k in spec.labels:
-                pk = pairs_cache[k]
-                sidx = {a: ai for ai, (_lab, _c, a) in enumerate(pk.meta)}
-                for alpha_g in assigns:
-                    for b_idx, gm in elems.get((j, k, alpha_g), ()):
-                        if b_idx not in right:
-                            continue
-                        st = Morphism.identity(spec, word_f)
-                        st = st.apply_coupon(mid_pos, gm)
-                        res = _contract(spec, sigma, pk, alpha_f, sidx[alpha_g], st)
-                        for s2, mor in res.items():
-                            alpha2 = pk.meta[s2][2]
-                            for (i, ri, ci), v in mor.entries().items():
-                                row = mult.setdefault((at[i, j, alpha_f, ci], b_idx), {})
-                                c_idx = at[i, k, alpha2, ri]
-                                row[c_idx] = row.get(c_idx, C0) + v
+    for (j, k, alpha_g), gms in elems.items():
+        pj = induced_half_braidings(spec, sigma, j)
+        pk = induced_half_braidings(spec, sigma, k)
+        ty = [a for _lab, _c, a in pk.meta].index(alpha_g)
+        for g, gm in gms:
+            if g not in right:
+                continue
+            img = _forward(spec, sigma, j, pk, CarrierMap(spec, ((j,),), pk.words, {(ty, 0): gm}))
+            for (s2, s), mor in img.blocks.items():
+                alpha_f, alpha2 = pj.meta[s][2], pk.meta[s2][2]
+                for (i, ri, ci), v in mor.entries().items():
+                    row = mult.setdefault((at[i, j, alpha_f, ci], g), {})
+                    c_idx = at[i, k, alpha2, ri]
+                    row[c_idx] = row.get(c_idx, C0) + v
     mult = {ab: {c: v for c, v in row.items() if not v.is_zero()} for ab, row in mult.items()}
     return {ab: row for ab, row in mult.items() if row}
 

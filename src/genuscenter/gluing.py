@@ -21,9 +21,7 @@ __all__ = [
     "SurfaceType",
     "MAX_ENUM_RANK",
     "enumerate_adm",
-    "orbit_info",
     "comm_case",
-    "sigma_gk",
     "surface_type",
     "parse_cycles",
 ]
@@ -140,13 +138,6 @@ def enumerate_adm(n: int) -> list[Gluing]:
     return out
 
 
-def orbit_info(sigma: Gluing, i: int) -> OrbitInfo:
-    if not 1 <= i <= 2 * sigma.n:
-        raise IndexError(f"index {i} out of range for rank {sigma.n}")
-    j = sigma(i)
-    return OrbitInfo(low=min(i, j), high=max(i, j))
-
-
 def comm_case(sigma: Gluing, oi: OrbitInfo, oj: OrbitInfo) -> int:
     """1 disjoint, 2 interleaved, 3 nested, after ordering by low member."""
     if oi.orbit == oj.orbit:
@@ -157,21 +148,6 @@ def comm_case(sigma: Gluing, oi: OrbitInfo, oj: OrbitInfo) -> int:
     if a.high < b.high:
         return 2
     return 3
-
-
-def sigma_gk(g: int, k: int) -> Gluing:
-    """The standard gluing presenting a genus-g surface with k punctures."""
-    if g < 0 or k < 1:
-        raise ValueError("need g >= 0 and k >= 1")
-    pairs = []
-    for h in range(g):
-        base = 4 * h
-        pairs.append((base + 1, base + 3))
-        pairs.append((base + 2, base + 4))
-    for p in range(k - 1):
-        base = 4 * g + 2 * p
-        pairs.append((base + 1, base + 2))
-    return Gluing.from_pairs(pairs)
 
 
 def surface_type(sigma: Gluing) -> SurfaceType:

@@ -1,19 +1,26 @@
 import pytest
 
 from genuscenter.errors import GluingFormatError
-from genuscenter.gluing import (
-    Gluing,
-    comm_case,
-    enumerate_adm,
-    orbit_info,
-    parse_cycles,
-    sigma_gk,
-    surface_type,
-)
+from genuscenter.gluing import Gluing, comm_case, enumerate_adm, parse_cycles, surface_type
 
 
 def g(text):
     return parse_cycles(text)
+
+
+def sigma_gk(g: int, k: int) -> Gluing:
+    """The standard gluing presenting a genus-g surface with k punctures."""
+    if g < 0 or k < 1:
+        raise ValueError("need g >= 0 and k >= 1")
+    pairs = []
+    for h in range(g):
+        base = 4 * h
+        pairs.append((base + 1, base + 3))
+        pairs.append((base + 2, base + 4))
+    for p in range(k - 1):
+        base = 4 * g + 2 * p
+        pairs.append((base + 1, base + 2))
+    return Gluing.from_pairs(pairs)
 
 
 class TestEnumerate:
@@ -37,31 +44,23 @@ class TestEnumerate:
 
 class TestOrbits:
     def test_orbit_examples(self):
-        sig = g("(1 3)(2 4)")
-        o1 = orbit_info(sig, 1)
+        o1, o2 = g("(1 3)(2 4)").orbits()
         assert o1.orbit == frozenset({1, 3}) and o1.low == 1 and o1.high == 3
-        o4 = orbit_info(sig, 4)
-        assert o4.orbit == frozenset({2, 4}) and o4.low == 2
-        assert orbit_info(g("(1 2)"), 2).orbit == frozenset({1, 2})
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            orbit_info(g("(1 2)"), 3)
+        assert o2.orbit == frozenset({2, 4}) and o2.low == 2
+        assert g("(2 1)").orbits()[0].orbit == frozenset({1, 2})
 
     def test_distinct_orbit_count(self):
         for sig in enumerate_adm(3):
-            orbits = {orbit_info(sig, i).orbit for i in range(1, 7)}
-            assert len(orbits) == 3
+            orbits = sig.orbits()
+            assert len({o.orbit for o in orbits}) == 3
+            assert {leg for o in orbits for leg in o.orbit} == set(range(1, 7))
 
 
 class TestCommCase:
     def test_three_cases(self):
-        sig = g("(1 2)(3 4)")
-        assert comm_case(sig, orbit_info(sig, 1), orbit_info(sig, 3)) == 1
-        sig = g("(1 3)(2 4)")
-        assert comm_case(sig, orbit_info(sig, 1), orbit_info(sig, 2)) == 2
-        sig = g("(1 4)(2 3)")
-        assert comm_case(sig, orbit_info(sig, 1), orbit_info(sig, 2)) == 3
+        for cycles, case in (("(1 2)(3 4)", 1), ("(1 3)(2 4)", 2), ("(1 4)(2 3)", 3)):
+            sig = g(cycles)
+            assert comm_case(sig, *sig.orbits()) == case
 
     def test_symmetric_and_exclusive(self):
         for n in (2, 3, 4):
@@ -75,8 +74,9 @@ class TestCommCase:
 
     def test_identical_orbits_rejected(self):
         sig = g("(1 2)")
+        (orbit,) = sig.orbits()
         with pytest.raises(ValueError):
-            comm_case(sig, orbit_info(sig, 1), orbit_info(sig, 2))
+            comm_case(sig, orbit, orbit)
 
 
 class TestSigmaGK:
