@@ -104,10 +104,6 @@ class FormalObject:
     def of(label: str) -> "FormalObject":
         return FormalObject(multiplicities=((label, 1),))
 
-    @staticmethod
-    def from_dict(d: dict) -> "FormalObject":
-        return FormalObject(tuple(sorted((k, v) for k, v in d.items() if v)))
-
 
 def _as_formal(spec, x) -> FormalObject:
     if isinstance(x, FormalObject):
@@ -261,21 +257,6 @@ class CarrierMap:
         if got is not None:
             return got
         return Morphism.zero(self.spec, self.src[si], self.tgt[ti])
-
-    def compose(self, other: "CarrierMap") -> "CarrierMap":
-        if other.tgt != self.src:
-            raise IllFormedDiagramError("carrier maps not composable")
-        blocks: dict = {}
-        for (ti, ki), m1 in self.blocks.items():
-            for (kj, si), m2 in other.blocks.items():
-                if ki != kj:
-                    continue
-                prod = m1.compose(m2)
-                if prod.is_zero():
-                    continue
-                key = (ti, si)
-                blocks[key] = blocks[key] + prod if key in blocks else prod
-        return CarrierMap(self.spec, other.src, self.tgt, blocks)
 
     def __add__(self, other: "CarrierMap") -> "CarrierMap":
         if (self.src, self.tgt) != (other.src, other.tgt):
@@ -652,12 +633,6 @@ class TubeAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def block_dims(self) -> dict:
-        out: dict = {}
-        for (i, j, _alpha, _t) in self.basis:
-            out[(i, j)] = out.get((i, j), 0) + 1
-        return out
 
     def algebra_data(self) -> AlgebraData:
         return AlgebraData(dim=self.dim, mult=self.mult_table, unit=self.unit, gens=self.gens,

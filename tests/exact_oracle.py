@@ -1,5 +1,5 @@
 """Exact references for the tests: the whole product, the centre, Hom dimensions over K,
-and the averaging projection onto sigma-morphisms.
+the averaging projection onto sigma-morphisms, and the pentagon and hexagon checks.
 
 ``decompose`` works mod p from the products by a generating set, and
 ``center_rank`` never forms a Hom space of sigma-pairs; these compute the
@@ -12,6 +12,12 @@ sense flipped, to take a fresh pair to its sorted place; the created legs
 are then contracted through the target pair by ``center._contract``.
 ``adjunction_maps.forward`` builds sigma-morphisms by contraction alone,
 and the tests check its images against this projection.
+
+The pentagon and hexagon references apply the F and R index convention
+by hand: each recoupling move is a sparse matrix {(row, col): scalar} over
+labelled trees, and the two sides of an instance are products of moves.
+``fusion`` checks the same instances as identities of generator words in
+``trees``, and the tests compare the two reports entry by entry.
 """
 
 from genuscenter.center import (
@@ -25,7 +31,7 @@ from genuscenter.center import (
 )
 from genuscenter.errors import GenusCenterError
 from genuscenter.exactnum import C0, C1, ExactMatrix, matrix_rank, nullspace
-from genuscenter.fusion import quantum_dims
+from genuscenter.fusion import CategorySpec, ValidationReport, quantum_dims
 from genuscenter.gluing import Gluing
 from genuscenter.trees import ONE, Morphism
 
@@ -170,3 +176,166 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
                         key = (ty2, sx0)
                         out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2
     return [CarrierMap(spec, px.words, py.words, ob) for ob in outs]
+
+
+def _compose_sparse(later: dict, earlier: dict) -> dict:
+    """Compose sparse {(row, col): scalar} maps: (later o earlier)."""
+    by_row: dict = {}
+    for (r, c), v in later.items():
+        by_row.setdefault(c, []).append((r, v))
+    out: dict = {}
+    for (mid, col), v in earlier.items():
+        for r, w in by_row.get(mid, ()):
+            key = (r, col)
+            acc = out.get(key)
+            out[key] = w * v if acc is None else acc + w * v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def check_pentagon(spec: CategorySpec) -> ValidationReport:
+    """Every pentagon instance, by hand-built moves; empty report means pass.
+
+    Both recoupling paths from (((ab)c)d -> e) to (a(b(cd)) -> e) are
+    assembled as sparse matrices over labeled-tree bases and compared.
+    """
+    bad: list[str] = []
+    L = spec.labels
+    for a in L:
+        for b in L:
+            for c in L:
+                for d in L:
+                    for e in L:
+                        if not _pentagon_instance(spec, a, b, c, d, e):
+                            bad.append(f"pentagon fails at ({a},{b},{c},{d};{e})")
+    return ValidationReport(bad)
+
+
+def _pentagon_instance(spec, a, b, c, d, e) -> bool:
+    # Basis T1: (x,alpha,beta,gamma) with vertices (ab->x), (xc->y), (yd->e).
+    # Path A: T1 -> T2 -> T3 -> T4; Path B: T1 -> T5 -> T4.
+    move1: dict = {}
+    for x in spec.channels(a, b):
+        for y in spec.channels(x, c):
+            if spec.N(y, d, e) == 0:
+                continue
+            _, _, blk = spec.f_block(a, b, c, y)
+            for ((xx, al, be), (p, mu, nu)), v in blk.items():
+                if xx != x:
+                    continue
+                for ga in range(spec.N(y, d, e)):
+                    move1_key = ((p, mu, y, nu, ga), (x, al, y, be, ga))
+                    move1[move1_key] = move1.get(move1_key, C0) + v
+
+    move2: dict = {}
+    for p in spec.labels:
+        for q in spec.channels(a, p):
+            if spec.N(q, d, e) == 0:
+                continue
+            _, _, blk = spec.f_block(a, p, d, e)
+            for ((qq, nu, ga), (r, rho, tau)), v in blk.items():
+                if qq != q:
+                    continue
+                for mu in range(spec.N(b, c, p)):
+                    key = ((p, mu, r, rho, tau), (p, mu, q, nu, ga))
+                    move2[key] = move2.get(key, C0) + v
+
+    move3: dict = {}
+    for r in spec.labels:
+        if spec.N(a, r, e) == 0:
+            continue
+        _, _, blk = spec.f_block(b, c, d, r)
+        for ((p, mu, rho), (s, sg, ka)), v in blk.items():
+            for tau in range(spec.N(a, r, e)):
+                key = ((s, sg, r, ka, tau), (p, mu, r, rho, tau))
+                move3[key] = move3.get(key, C0) + v
+
+    move4: dict = {}
+    for x in spec.channels(a, b):
+        _, _, blk = spec.f_block(x, c, d, e)
+        for ((y, be, ga), (s, sg, de)), v in blk.items():
+            for al in range(spec.N(a, b, x)):
+                key = ((x, al, s, sg, de), (x, al, y, be, ga))
+                move4[key] = move4.get(key, C0) + v
+
+    move5: dict = {}
+    for s in spec.labels:
+        _, _, blk = spec.f_block(a, b, s, e)
+        for ((x, al, de), (t, ka, tau)), v in blk.items():
+            for sg in range(spec.N(c, d, s)):
+                key = ((s, sg, t, ka, tau), (x, al, s, sg, de))
+                move5[key] = move5.get(key, C0) + v
+
+    path_a = _compose_sparse(move3, _compose_sparse(move2, move1))
+    path_b = _compose_sparse(move5, move4)
+    keys = set(path_a) | set(path_b)
+    return all((path_a.get(k, C0) - path_b.get(k, C0)).is_zero() for k in keys)
+
+
+def check_hexagon(spec: CategorySpec) -> ValidationReport:
+    """Both hexagon families (for c and its reverse), by hand-built moves.
+
+    On the a(bc) basis: braiding a past the fused pair against
+    F^-1, braid (a, b), F, braid (a, c), F^-1.
+    """
+    spec.require_braiding()
+    bad: list[str] = []
+    L = spec.labels
+    for a in L:
+        for b in L:
+            for c in L:
+                for d in L:
+                    if not _hexagon_instance(spec, a, b, c, d, inverse=False):
+                        bad.append(f"hexagon(c) fails at ({a};{b},{c};{d})")
+                    if not _hexagon_instance(spec, a, b, c, d, inverse=True):
+                        bad.append(f"hexagon(c^-1) fails at ({a};{b},{c};{d})")
+    return ValidationReport(bad)
+
+
+def _r_entries(spec, a, b, c, inverse):
+    """R or reverse-braiding entries as {(nu, mu): value} for channel c."""
+    return spec.r_inverse(b, a, c) if inverse else spec.r_block(a, b, c)
+
+
+def _hexagon_instance(spec, a, b, c, d, inverse) -> bool:
+    # LHS: braid a across the fused pair (bc): diagonal R on the a(bc) basis.
+    lhs: dict = {}
+    for p in spec.channels(b, c):
+        ent = _r_entries(spec, a, p, d, inverse)
+        for (nu2, nu), v in ent.items():
+            for mu in range(spec.N(b, c, p)):
+                lhs[((p, mu, nu2), (p, mu, nu))] = v
+
+    # RHS: F^{-1}, braid (a,b), F, braid (a,c), F^{-1}.
+    m1: dict = {}
+    _, _, blk = spec.f_inverse(a, b, c, d)
+    for ((f, mu, nu), (e, al, be)), v in blk.items():
+        m1[((e, al, be), (f, mu, nu))] = v
+
+    m2: dict = {}
+    for e in spec.channels(a, b):
+        ent = _r_entries(spec, a, b, e, inverse)
+        for (al2, al), v in ent.items():
+            for be in range(spec.N(e, c, d)):
+                m2[((e, al2, be), (e, al, be))] = v
+
+    m3: dict = {}
+    for key_pair, v in spec.f_block(b, a, c, d)[2].items():
+        (e, al, be), (g, rho, tau) = key_pair
+        m3[((g, rho, tau), (e, al, be))] = v
+
+    m4: dict = {}
+    for g in spec.channels(a, c):
+        ent = _r_entries(spec, a, c, g, inverse)
+        for (rho2, rho), v in ent.items():
+            for tau in range(spec.N(b, g, d)):
+                m4[((g, rho2, tau), (g, rho, tau))] = v
+
+    m5: dict = {}
+    _, _, blk = spec.f_inverse(b, c, a, d)
+    for (ck, rk), v in blk.items():
+        # ck is the b(ca)-shape key, rk the (bc)a-shape key.
+        m5[(rk, ck)] = v
+
+    rhs = _compose_sparse(m5, _compose_sparse(m4, _compose_sparse(m3, _compose_sparse(m2, m1))))
+    keys = set(lhs) | set(rhs)
+    return all((lhs.get(k, C0) - rhs.get(k, C0)).is_zero() for k in keys)

@@ -108,6 +108,30 @@ def rand_map(spec, px, py, rng):
     return acc
 
 
+def formal(mults: dict) -> FormalObject:
+    """The formal object with the given nonzero multiplicities, in label order."""
+    return FormalObject(tuple(sorted((k, v) for k, v in mults.items() if v)))
+
+
+def compose(g: CarrierMap, f: CarrierMap) -> CarrierMap:
+    """g o f, block by block through the middle summands."""
+    assert f.tgt == g.src
+    out = CarrierMap.zero(g.spec, f.src, g.tgt)
+    for (ti, ki), m1 in g.blocks.items():
+        for (kj, si), m2 in f.blocks.items():
+            if ki == kj:
+                out = out + CarrierMap(g.spec, f.src, g.tgt, {(ti, si): m1.compose(m2)})
+    return out
+
+
+def block_dims(tube) -> dict:
+    """{(i, j): number of tube basis elements from block (i, j)}."""
+    out: dict = {}
+    for i, j, _alpha, _t in tube.basis:
+        out[(i, j)] = out.get((i, j), 0) + 1
+    return out
+
+
 def induce_object(spec, sigma, x) -> dict:
     """Multiplicities of the simples in the carrier of I(x), over its words."""
     out: dict = {}
@@ -129,14 +153,14 @@ class TestInduceObject:
 
     def test_empty_gluing_is_identity(self):
         spec = catalog.builtin("fibonacci")
-        x = FormalObject.from_dict({"t": 2, "1": 1})
+        x = formal({"t": 2, "1": 1})
         assert induce_object(spec, Gluing(0, ()), x) == {"1": 1, "t": 2}
 
     def test_formal_object_additive(self):
         spec = catalog.builtin("fibonacci")
         a = induce_object(spec, sig12(), "1")
         b = induce_object(spec, sig12(), "t")
-        both = induce_object(spec, sig12(), FormalObject.from_dict({"1": 1, "t": 1}))
+        both = induce_object(spec, sig12(), formal({"1": 1, "t": 1}))
         assert both == {k: a.get(k, 0) + b.get(k, 0) for k in set(a) | set(b)}
 
 
@@ -268,12 +292,12 @@ class TestProjection:
                 pf = project_morphisms(spec, sig, px, py, [f])[0]
                 pg = project_morphisms(spec, sig, py, pz, [g])[0]
                 if key == "fibonacci":
-                    assert not pg.compose(pf).is_zero()
+                    assert not compose(pg, pf).is_zero()
                 # mixing a raw morphism with a projected one projects cleanly
-                assert project_morphisms(spec, sig, px, pz, [pg.compose(f)])[0] == pg.compose(pf)
-                assert project_morphisms(spec, sig, px, pz, [g.compose(pf)])[0] == pg.compose(pf)
+                assert project_morphisms(spec, sig, px, pz, [compose(pg, f)])[0] == compose(pg, pf)
+                assert project_morphisms(spec, sig, px, pz, [compose(g, pf)])[0] == compose(pg, pf)
                 # sigma-morphisms are closed under composition
-                assert project_morphisms(spec, sig, px, pz, [pg.compose(pf)])[0] == pg.compose(pf)
+                assert project_morphisms(spec, sig, px, pz, [compose(pg, pf)])[0] == compose(pg, pf)
 
     @pytest.mark.parametrize("key, x, y", (("fibonacci", "1", "t"), ("vec_z3_q", "2", "2")))
     @pytest.mark.parametrize("cycles", ("(1 2)", "(1 3)(2 4)"))
@@ -450,14 +474,14 @@ class TestTubeAlgebra:
         spec = catalog.builtin("vec_z2")
         tube = tube_algebra(spec, sig12())
         assert tube.dim == 4
-        dims = tube.block_dims()
+        dims = block_dims(tube)
         assert dims[("0", "0")] == 2 and dims[("1", "1")] == 2
         assert ("0", "1") not in dims
 
     def test_fibonacci_unit_block(self):
         spec = catalog.builtin("fibonacci")
         tube = tube_algebra(spec, sig12())
-        assert tube.block_dims()[("1", "1")] == 2
+        assert block_dims(tube)[("1", "1")] == 2
         assert tube.dim == 7
 
     @pytest.mark.parametrize("key", ("vec_z2", "fibonacci", "vec_z3_q"))

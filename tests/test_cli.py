@@ -187,6 +187,20 @@ class TestCatalogFiles:
         assert code == 1 and captured.out == ""
         assert "error:" in captured.err and "hexagon" in captured.err
 
+    def test_negated_f_entry_fails_the_pentagon(self, capsys, tmp_path):
+        path, doc = saved_doc(tmp_path, "fibonacci")
+        rec = next(r for r in doc["F"] if r["labels"] == ["t"] * 4 and r["row"] == ["1", 0, 0]
+                   and r["col"] == ["t", 0, 0])
+        rec["value"]["terms"] = [[e, -num, den] for e, num, den in rec["value"]["terms"]]
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", "--cat", str(path), "--json")
+        assert code == 1
+        assert out == (
+            '{\n "catalog": "fibonacci",\n "pentagon": [\n'
+            '  "pentagon fails at (t,t,t,t;1)",\n  "pentagon fails at (t,t,t,t;t)"\n'
+            ' ],\n "structure": "ok"\n}\n'
+        )
+
     def test_valid_file_still_computes(self, capsys, tmp_path):
         path, _ = saved_doc(tmp_path, "fibonacci")
         code, out = run(capsys, "center", "rank", "--cat", str(path), "--sigma", "(1 2)", "--json")

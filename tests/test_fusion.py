@@ -1,9 +1,12 @@
+import dataclasses
+import random
 from itertools import product
 
 import pytest
 
+import exact_oracle
 from genuscenter import catalog, fusion
-from genuscenter.errors import PremodularRequiredError
+from genuscenter.errors import PremodularRequiredError, SingularMatrixError
 from genuscenter.exactnum import ExactMatrix, rational, zeta
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
@@ -128,6 +131,46 @@ class TestHexagon:
         )
         with pytest.raises(PremodularRequiredError):
             fusion.check_hexagon(gated)
+
+
+def scaled_entry(spec, rng):
+    """A copy of spec with one F or R entry scaled by -1, 2 or zeta_N, N = field_order()."""
+    entries = [("F", key, k) for key, blk in spec.F.items() for k in blk]
+    entries += [("R", key, k) for key, blk in spec.R.items() for k in blk]
+    table, key, k = rng.choice(entries)
+    n = spec.field_order()
+    factor = rng.choice([rational(-1), rational(2)] + ([zeta(n)] if n > 2 else []))
+    data = {key2: dict(blk) for key2, blk in getattr(spec, table).items()}
+    data[key][k] = data[key][k] * factor
+    return dataclasses.replace(spec, _cache={}, **{table: data})
+
+
+def reports(check, spec):
+    """check(spec).entries, or SingularMatrixError if it inverts a singular block."""
+    try:
+        return check(spec).entries
+    except SingularMatrixError:  # a scaled F block may be singular
+        return SingularMatrixError
+
+
+class TestAgainstReference:
+    """The word-identity checks against the hand-built moves of ``exact_oracle``.
+
+    Reports must agree entry by entry and in order, on each catalog and on
+    24 copies of it with one scaled F or R entry (168 copies in all).
+    """
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_reports_match_the_reference(self, key):
+        rng = random.Random(key)
+        specs = [catalog.builtin(key)] + [scaled_entry(catalog.builtin(key), rng) for _ in range(24)]
+        outcomes = []
+        for spec in specs:
+            got = [reports(check, spec) for check in (fusion.check_pentagon, fusion.check_hexagon)]
+            want = [reports(check, spec) for check in (exact_oracle.check_pentagon, exact_oracle.check_hexagon)]
+            assert got == want
+            outcomes.append(got != [[], []])
+        assert not outcomes[0] and sum(outcomes) >= 12  # the scaled copies do break the axioms
 
 
 class TestQuantumDims:
