@@ -23,8 +23,9 @@ whole table M[a,b] mod p (``_close``).  Then:
   h(x) = sum_{l<r} x^l sum_{m>l} c_m tau_{m-l-1};
 - the number of blocks of size m is deg gcd(mu, h - m^2 mu'), for
   m = 1, ..., floor(sqrt(dim A)).
-Every row reduction over F_p is one sparse reduced echelon, ``_Echelon``,
-whose rows remember which added vectors, by tag, they combine: ``_close``
+Every row reduction is ``exactnum.Echelon`` over F_p, the sparse reduced
+echelon that also checks the category data over Q(zeta_N); its rows
+remember which added vectors, by tag, they combine: ``_close``
 adds each new element's coordinates outside S, tagged with its number;
 part (b) adds the Gram rows; the centre adds the commutator equations and
 takes the kernel; and ``_minpoly`` adds z^k tagged with k, so the first
@@ -74,6 +75,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NonSplitError
+from .exactnum import Echelon, PrimeField, rank
 
 __all__ = ["AlgebraData", "decompose"]
 
@@ -120,6 +122,7 @@ def decompose(alg: AlgebraData) -> tuple[int, list[int]]:
 def _decompose_mod(alg: AlgebraData, p: int, rng: random.Random):
     """(rank, block sizes) read from A mod p; NonSplitError names a failed part."""
     dim = alg.dim
+    field = PrimeField(p)
     mult, unit = _reduce(alg, p)
     mult = _close(mult, alg.gens, dim, p)
     trace = [0] * dim
@@ -129,10 +132,7 @@ def _decompose_mod(alg: AlgebraData, p: int, rng: random.Random):
     for (i, j), row in mult.items():
         if x := sum(v * trace[c] for c, v in row.items()) % p:
             gram.setdefault(i, {})[j] = x
-    form = _Echelon(p)
-    for row in gram.values():
-        form.add(row)
-    if len(form.rows) != dim:
+    if rank(gram.values(), field) != dim:
         raise NonSplitError("(b) the trace form is degenerate mod p")
 
     # By (e) the e_g generate A mod p, so the centre is their commutant.
@@ -145,25 +145,23 @@ def _decompose_mod(alg: AlgebraData, p: int, rng: random.Random):
             for c, v in mult.get((g, a), {}).items():
                 eq = commutators.setdefault((g, c), {})
                 eq[a] = eq.get(a, 0) - v
-    system = _Echelon(p)
-    for eq in commutators.values():
-        system.add(eq)
-    basis = system.kernel(dim)
+    basis = Echelon(field, commutators.values()).kernel(dim)
     r = len(basis)
     if not r:
         raise NonSplitError("algebra has empty center; not unital?")
 
-    coeffs = [rng.randrange(p) for _ in basis]
-    z = [sum(c * v[k] for c, v in zip(coeffs, basis)) % p for k in range(dim)]
+    z: dict = {}
+    for v in basis:
+        field.axpy(z, rng.randrange(p), v)
     left_z: dict = {}  # b -> z e_b
     for (a, b), row in mult.items():
-        if z[a]:
-            _axpy(left_z.setdefault(b, {}), z[a], row, p)
+        if x := z.get(a):
+            field.axpy(left_z.setdefault(b, {}), x, row)
     powers = [unit]
     for _ in range(r):
         zx: dict = {}
         for b, x in powers[-1].items():
-            _axpy(zx, x, left_z.get(b, {}), p)
+            field.axpy(zx, x, left_z.get(b, {}))
         powers.append(zx)
     mu = _minpoly(powers, p)
     if len(mu) - 1 != r or _powmod([0, 1], p, mu, p) != _divmod([0, 1], mu, p)[1]:
@@ -241,7 +239,7 @@ def _close(mult: dict, gens: list, dim: int, p: int) -> dict:
     elems = [{g: 1} for g in gens]
     steps: list = []  # (parent, g) of each closed element
     # The elements' coordinates outside gens, each tagged with its number.
-    echelon = _Echelon(p)
+    echelon = Echelon(PrimeField(p))
     k = 0
     while k < len(elems) and len(echelon.rows) < need:
         for g in gens:
@@ -288,15 +286,6 @@ def _close(mult: dict, gens: list, dim: int, p: int) -> dict:
     return full
 
 
-def _axpy(x: dict, f: int, y: dict, p: int) -> None:
-    """x += f y mod p, in place, dropping the entries that become 0."""
-    for k, v in y.items():
-        if s := (x.get(k, 0) + f * v) % p:
-            x[k] = s
-        else:
-            x.pop(k, None)
-
-
 def _primes(order: int, dim: int):
     """Primes p = 1 (mod order) with p > dim in the range _PRIME_RANGE, smallest first."""
     lo, hi = _PRIME_RANGE
@@ -315,60 +304,9 @@ def _root_of_unity(order: int, p: int) -> int:
     raise ValueError(f"no primitive {order}-th root of unity mod {p}")
 
 
-class _Echelon:
-    """Sparse rows over F_p in reduced echelon form, grown one row at a time.
-
-    ``rows`` maps each pivot column to (row, tail): the row {column: residue}
-    holds 1 there and 0 at every other pivot column, and the tail
-    {tag: coeff} is the combination of the tagged added vectors it equals.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[int, tuple[dict, dict]] = {}
-
-    def add(self, vec: dict, tag=None) -> dict | None:
-        """Keep vec, reduced, and return None if it is independent of the rows.
-
-        Otherwise return the tail {tag: coeff} of a combination of the
-        added vectors that is 0 mod p, with coefficient 1 at vec's own tag.
-        """
-        p, rows = self.p, self.rows
-        row = {c: r for c, x in vec.items() if (r := x % p)}
-        tail = {} if tag is None else {tag: 1}
-        # Pivot rows are 0 at the other pivots, so these entries stay as read.
-        for f, q in [(row[q], q) for q in row if q in rows]:
-            _axpy(row, -f, rows[q][0], p)
-            _axpy(tail, -f, rows[q][1], p)
-        if not row:
-            return tail
-        q0 = min(row)
-        inv = pow(row[q0], -1, p)
-        row = {c: x * inv % p for c, x in row.items()}
-        tail = {t: x * inv % p for t, x in tail.items()}
-        for other, otail in rows.values():
-            if f := other.get(q0):
-                _axpy(other, -f, row, p)
-                _axpy(otail, -f, tail, p)
-        rows[q0] = (row, tail)
-        return None
-
-    def kernel(self, ncols: int) -> list[list[int]]:
-        """A basis of the vectors that every row annihilates."""
-        out = []
-        for f in range(ncols):
-            if f not in self.rows:
-                v = [0] * ncols
-                v[f] = 1
-                for q, (row, _tail) in self.rows.items():
-                    v[q] = -row.get(f, 0) % self.p
-                out.append(v)
-        return out
-
-
 def _minpoly(powers: list[dict], p: int) -> list[int]:
     """Monic minimal polynomial, low degree first, of z given 1, z, z^2, ... mod p."""
-    seen = _Echelon(p)
+    seen = Echelon(PrimeField(p))
     for k, zk in enumerate(powers):
         tail = seen.add(zk, k)
         if tail is not None:

@@ -16,8 +16,13 @@ import math
 from contextlib import contextmanager
 from functools import cache
 
-from .errors import GenusCenterError, KeyNotFoundError, MalformedRationalError
-from .exactnum import C0, Cyclotomic, ExactMatrix, nullspace, rational, solve, zeta
+from .errors import (
+    GenusCenterError,
+    InternalInconsistencyError,
+    KeyNotFoundError,
+    MalformedRationalError,
+)
+from .exactnum import C0, CYCLOTOMIC, Cyclotomic, Echelon, rational, zeta
 from .fusion import CategorySpec
 from .trees import ONE
 
@@ -197,22 +202,38 @@ def _ising():
 
 
 # ---------------------------------------------------------------------------
-# Rep(S3), derived from explicit rational representation matrices
+# Rep(S3), derived from explicit rational representation matrices.  A matrix
+# is its sparse rows {i: {j: value}}, and a zero row is absent.
+
+_axpy = CYCLOTOMIC.axpy
 
 
 def _mat(rows):
-    return ExactMatrix(len(rows), len(rows[0]), [[rational(v) for v in r] for r in rows])
+    return {i: {j: rational(v) for j, v in enumerate(r) if v} for i, r in enumerate(rows) if any(r)}
 
 
-def _kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    out = ExactMatrix(a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j].is_zero():
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    out[i * b.rows + k, j * b.cols + l] = a[i, j] * b[k, l]
+def _eye(n: int) -> dict:
+    return {i: {i: ONE} for i in range(n)}
+
+
+def _kron(a: dict, b: dict, b_shape: tuple) -> dict:
+    """a (x) b, for b of shape (rows, columns)."""
+    br, bc = b_shape
+    return {
+        i * br + k: {j * bc + l: x * y for j, x in ra.items() for l, y in rb.items()}
+        for i, ra in a.items()
+        for k, rb in b.items()
+    }
+
+
+def _mul(a: dict, b: dict) -> dict:
+    out = {}
+    for i, ra in a.items():
+        row: dict = {}
+        for k, x in ra.items():
+            _axpy(row, x, b.get(k, {}))
+        if row:
+            out[i] = row
     return out
 
 
@@ -223,45 +244,51 @@ _S3_REPS = {
 }
 
 
-def _s3_intertwiner(a: str, b: str, c: str) -> ExactMatrix | None:
+def _s3_intertwiner(a: str, b: str, c: str) -> dict | None:
     """A basis intertwiner V_c -> V_a (x) V_b over Q, or None if absent."""
     ra, rb, rc = _S3_REPS[a], _S3_REPS[b], _S3_REPS[c]
     da, db, dc = ra["dim"], rb["dim"], rc["dim"]
-    rows = []
+    eqs = []
     for g in ("s", "t"):
-        lhs = _kron(ra[g], rb[g])
+        lhs = _kron(ra[g], rb[g], (db, db))
         rhs = rc[g]
         # (lhs T - T rhs) = 0, unknown T is (da*db) x dc flattened row-major.
         for i in range(da * db):
             for j in range(dc):
-                row = [C0] * (da * db * dc)
-                for k in range(da * db):
-                    row[k * dc + j] = row[k * dc + j] + lhs[i, k]
-                for k in range(dc):
-                    row[i * dc + k] = row[i * dc + k] - rhs[k, j]
-                rows.append(row)
-    basis = nullspace(ExactMatrix(len(rows), da * db * dc, rows))
+                eqs.append({k * dc + j: v for k, v in lhs.get(i, {}).items()})
+                _axpy(eqs[-1], -ONE, {i * dc + k: row[j] for k, row in rhs.items() if j in row})
+    basis = Echelon(vectors=eqs).kernel(da * db * dc)
     if not basis:
         return None
     vec = basis[0]
     # Deterministic scale: first nonzero coordinate = 1.
-    first = next(v for v in vec if not v.is_zero())
-    vec = [v / first for v in vec]
-    T = ExactMatrix(da * db, dc)
-    for i in range(da * db):
-        for j in range(dc):
-            T[i, j] = vec[i * dc + j]
+    first = vec[min(vec)]
+    T: dict = {}
+    for k in sorted(vec):
+        T.setdefault(k // dc, {})[k % dc] = vec[k] / first
     return T
 
 
-def _s3_vertex(a: str, b: str, c: str) -> ExactMatrix | None:
+def _s3_vertex(a: str, b: str, c: str) -> dict | None:
     """Intertwiner with the strict-unit normalization on unit legs."""
-    if a == "1":
-        return ExactMatrix.identity(_S3_REPS[b]["dim"]) if b == c else None
-    if b == "1":
-        return ExactMatrix.identity(_S3_REPS[a]["dim"]) if a == c else None
-    T = _s3_intertwiner(a, b, c)
-    return T
+    if "1" in (a, b):
+        other = b if a == "1" else a
+        return _eye(_S3_REPS[other]["dim"]) if other == c else None
+    return _s3_intertwiner(a, b, c)
+
+
+def _braiding_scalar(lhs: dict, ref: dict, abc: tuple) -> Cyclotomic:
+    """The scalar r with lhs = r ref, for two intertwiners of the channel ``abc``."""
+    i = min(ref)
+    j = min(ref[i])
+    r = lhs.get(i, {}).get(j, C0) / ref[i][j]
+    if lhs != {k: {l: r * v for l, v in row.items()} for k, row in ref.items()}:
+        a, b, c = abc
+        raise InternalInconsistencyError(
+            f"rep_s3: the braided intertwiner of ({a},{b};{c}) is not a nonzero multiple "
+            f"of that of ({b},{a};{c})"
+        )
+    return r
 
 
 def _rep_s3():
@@ -279,10 +306,11 @@ def _rep_s3():
 
     def tree1(a, b, c, d, e):
         # (iota[ab->e] (x) 1_c) o iota[ec->d]
-        return _kron(verts[(a, b, e)], ExactMatrix.identity(dims[c])) @ verts[(e, c, d)]
+        return _mul(_kron(verts[(a, b, e)], _eye(dims[c]), (dims[c], dims[c])), verts[(e, c, d)])
 
     def tree2(a, b, c, d, f):
-        return _kron(ExactMatrix.identity(dims[a]), verts[(b, c, f)]) @ verts[(a, f, d)]
+        shape = (dims[b] * dims[c], dims[f])
+        return _mul(_kron(_eye(dims[a]), verts[(b, c, f)], shape), verts[(a, f, d)])
 
     F = {}
     for a in labels:
@@ -295,22 +323,21 @@ def _rep_s3():
                     fs = [f for f in labels if (b, c, f) in verts and (a, f, d) in verts]
                     if not es:
                         continue
-                    # Solve tree1(e) = sum_f F[e,f] tree2(f) entrywise over Q.
-                    nent = dims[a] * dims[b] * dims[c] * dims[d]
-                    cols = ExactMatrix(nent, len(fs))
-                    for jf, f in enumerate(fs):
-                        m = tree2(a, b, c, d, f)
-                        for i in range(m.rows):
-                            for j in range(m.cols):
-                                cols[i * m.cols + j, jf] = m[i, j]
+                    # Solve tree1(e) = sum_f F[e,f] tree2(f) entrywise over Q: one
+                    # column per f, then one right-hand side column per e.
+                    eqs: dict = {}  # entry -> {column: value}
+                    maps = [tree2(a, b, c, d, f) for f in fs] + [tree1(a, b, c, d, e) for e in es]
+                    for col, m in enumerate(maps):
+                        for i, row in m.items():
+                            for j, v in row.items():
+                                eqs.setdefault((i, j), {})[col] = v
+                    echelon = Echelon(vectors=eqs.values())
                     block = {}
-                    for e in es:
-                        m = tree1(a, b, c, d, e)
-                        rhs = [m[i // m.cols, i % m.cols] for i in range(nent)]
-                        coeffs = solve(cols, rhs)
+                    for k, e in enumerate(es, len(fs)):
+                        x = echelon.solution(k)
                         for jf, f in enumerate(fs):
-                            if not coeffs[jf].is_zero():
-                                block[((e, 0, 0), (f, 0, 0))] = coeffs[jf]
+                            if jf in x:
+                                block[((e, 0, 0), (f, 0, 0))] = x[jf]
                     F[(a, b, c, d)] = block
 
     R = {}
@@ -319,26 +346,11 @@ def _rep_s3():
             if "1" in (a, b):
                 continue
             da, db = dims[a], dims[b]
-            flip = ExactMatrix(db * da, da * db)
-            for u in range(da):
-                for v in range(db):
-                    flip[v * da + u, u * db + v] = ONE
+            flip = {v * da + u: {u * db + v: ONE} for u in range(da) for v in range(db)}
             for c in labels:
-                if (a, b, c) not in verts:
-                    continue
-                lhs = flip @ verts[(a, b, c)]
-                ref = verts[(b, a, c)]
-                # lhs = r * ref for a scalar r.
-                r = None
-                for i in range(lhs.rows):
-                    for j in range(lhs.cols):
-                        if not ref[i, j].is_zero():
-                            r = lhs[i, j] / ref[i, j]
-                            break
-                    if r is not None:
-                        break
-                assert (lhs - ref.scale(r)).is_zero()
-                R[(a, b, c)] = {(0, 0): r}
+                if (a, b, c) in verts:
+                    lhs = _mul(flip, verts[(a, b, c)])
+                    R[(a, b, c)] = {(0, 0): _braiding_scalar(lhs, verts[(b, a, c)], (a, b, c))}
 
     return CategorySpec(
         name="rep_s3",

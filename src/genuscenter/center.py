@@ -14,7 +14,7 @@ per nonzero entry) goes through the cached composed word maps of
 ``trees``, applied by ``Morphism.apply_all``.  Verification reads one
 gamma table: ``verify_sigma_pair`` pushes the identity carrier through
 gamma_[m] at each label once, and the unit law, the invertibility
-matrices (``_hb_matrix``) and the hexagon's right side read that table.
+rows (``_hb_rows``) and the hexagon's right side read that table.
 
 Leg plumbing has one mechanism.  A layout lists the legs of the active
 orbits in order around the middle block; ``_move`` turns one leg move
@@ -67,7 +67,7 @@ from itertools import product as iproduct
 
 from .algebra import AlgebraData, decompose
 from .errors import GenusCenterError, IllFormedDiagramError
-from .exactnum import C0, ExactMatrix, matrix_rank
+from .exactnum import C0, rank
 from .fusion import CategorySpec, ValidationReport
 from .gluing import Gluing, comm_case
 from .trees import ONE, Morphism, Word, cached, hom_dim, hom_keys, trees, word_after
@@ -335,21 +335,19 @@ def _apply_gamma(state: CarrierMap, pair: SigmaPair, m: int, pos: int, z: str) -
     return CarrierMap(state.spec, state.src, tgt, blocks)
 
 
-def _hb_matrix(gamma: CarrierMap):
-    """A gamma table entry as one matrix per charge c, over (summand, tree) coordinates."""
+def _hb_rows(gamma: CarrierMap) -> dict:
+    """A gamma table entry per charge c: row count, column count and sparse rows,
+    over (summand, tree) coordinates."""
     spec = gamma.spec
 
-    def coords(words, c):
-        keys = [(k, t) for k, w in enumerate(words) for t in range(hom_dim(spec, w, c))]
-        return {key: n for n, key in enumerate(keys)}
+    def dim(words, c):
+        return sum(hom_dim(spec, w, c) for w in words)
 
-    rows = {c: coords(gamma.tgt, c) for c in spec.labels}
-    cols = {c: coords(gamma.src, c) for c in spec.labels}
-    mats = {c: ExactMatrix.zeros(len(rows[c]), len(cols[c])) for c in spec.labels if rows[c] or cols[c]}
+    out = {c: (dim(gamma.tgt, c), dim(gamma.src, c), {}) for c in spec.labels}
     for (ti, si), mor in gamma.blocks.items():
         for (c, r, s), v in mor.entries().items():
-            mats[c][rows[c][ti, r], cols[c][si, s]] = v
-    return mats
+            out[c][2].setdefault((ti, r), {})[si, s] = v
+    return {c: m for c, m in out.items() if m[0] or m[1]}
 
 
 def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
@@ -379,8 +377,8 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
 
     for m in range(sigma.n):
         for z in spec.labels:
-            for c, mat in _hb_matrix(gamma[m, z]).items():
-                if mat.rows != mat.cols or matrix_rank(mat) != mat.rows:
+            for c, (nrows, ncols, rows) in _hb_rows(gamma[m, z]).items():
+                if nrows != ncols or rank(rows.values()) != nrows:
                     bad.append(f"gamma_[{m}] at {z} is not invertible (charge {c})")
                     break
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IllFormedDiagramError, InternalInconsistencyError
-from .exactnum import C1, Cyclotomic, ExactMatrix, inverse as matrix_inverse
+from .errors import IllFormedDiagramError, InternalInconsistencyError, SingularMatrixError
+from .exactnum import C1, Cyclotomic, invert
 from .trees import Morphism, hom_keys, right_trace, trees
 
 __all__ = [
@@ -307,21 +307,18 @@ def dual_basis(spec, x: BoundaryWord, y: BoundaryWord):
     n = len(fwd)
     if n == 0:
         return [], []
-    gram = ExactMatrix(n, n)
-    for i, phi in enumerate(fwd):
-        for j, psi in enumerate(bwd):
-            gram[j, i] = hom_pairing(spec, phi, psi)
+    gram = {
+        j: {i: hom_pairing(spec, phi, psi) for i, phi in enumerate(fwd)}
+        for j, psi in enumerate(bwd)
+    }
     try:
-        ginv = matrix_inverse(gram)
-    except Exception as exc:
+        ginv = invert(gram)  # {(i, j): x}
+    except SingularMatrixError as exc:
         raise InternalInconsistencyError(
             f"degenerate Hom pairing between {x} and {y}: {exc}"
         ) from exc
-    duals = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            term = bwd[j].scale(ginv[i, j])
-            acc = term if acc is None else acc + term
-        duals.append(acc)
+    duals = [None] * n
+    for (i, j), v in sorted(ginv.items()):
+        term = bwd[j].scale(v)
+        duals[i] = term if duals[i] is None else duals[i] + term
     return fwd, duals

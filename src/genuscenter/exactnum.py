@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields and exact dense linear algebra.
+"""Exact arithmetic in cyclotomic fields, and one sparse row echelon over a field.
 
 A ``Cyclotomic`` is an element of Q(zeta_N), N = ``order``, held in the
 power basis 1, zeta, ..., zeta^(phi(N)-1) as a tuple ``num`` of phi(N)
@@ -20,6 +20,12 @@ other in place; any other pair raises ``ValueError``.  A ``CategorySpec``
 stores its scalars in Q(zeta_N), N = ``field_order()``, so everything
 derived from it stays in that field.  Only ``==``, ``hash`` and ``lift``
 compare or move values across orders.
+
+``Echelon`` is the package's one row reduction: sparse rows {column: x}
+in reduced echelon form, over Q(zeta_N) (``CYCLOTOMIC``) for the exact
+rank checks and inverses of the category data, and over F_p
+(``PrimeField``) for ``algebra``.  A matrix is given by its rows, and
+the reduced rows store no zero entry.
 """
 
 from __future__ import annotations
@@ -36,13 +42,14 @@ from .errors import (
 
 __all__ = [
     "Cyclotomic",
-    "ExactMatrix",
-    "zeta",
+    "CYCLOTOMIC",
+    "Echelon",
+    "PrimeField",
+    "invert",
+    "rank",
+    "rows_of",
     "rational",
-    "matrix_rank",
-    "nullspace",
-    "solve",
-    "inverse",
+    "zeta",
 ]
 
 
@@ -419,167 +426,144 @@ C0 = Cyclotomic.zero()
 C1 = Cyclotomic.one()
 
 
-class ExactMatrix:
-    """Dense matrix over Cyclotomic with exact Gaussian elimination."""
+class PrimeField:
+    """F_p, p prime, for ``Echelon``: entries are the residues 0 < x < p."""
 
-    __slots__ = ("rows", "cols", "data")
+    one = 1
 
-    def __init__(self, rows: int, cols: int, data=None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [[C0 for _ in range(cols)] for _ in range(rows)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("entry grid does not match declared shape")
-            self.data = [list(r) for r in data]
+    def __init__(self, p: int):
+        self.p = p
 
-    @staticmethod
-    def _adopt(rows: int, cols: int, data: list) -> "ExactMatrix":
-        """Wrap a rows x cols grid of fresh row lists without copying or checking it."""
-        m = _new(ExactMatrix)
-        m.rows = rows
-        m.cols = cols
-        m.data = data
-        return m
+    def axpy(self, x: dict, f, y: dict) -> None:
+        """x += f y mod p, in place, dropping the entries that become 0."""
+        p = self.p
+        for k, v in y.items():
+            if s := (x.get(k, 0) + f * v) % p:
+                x[k] = s
+            else:
+                x.pop(k, None)
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        m = ExactMatrix.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = C1
-        return m
+    def inverse(self, x: int) -> int:
+        return pow(x, -1, self.p)
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix._adopt(rows, cols, [[C0] * cols for _ in range(rows)])
 
-    def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
+class CyclotomicField:
+    """Q(zeta_N), for ``Echelon``: entries are ``Cyclotomic`` and combine by their operators."""
 
-    def __setitem__(self, ij, value):
-        self.data[ij[0]][ij[1]] = value
+    one = C1
 
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+    def axpy(self, x: dict, f: Cyclotomic, y: dict) -> None:
+        """x += f y, in place, dropping the entries that become 0."""
+        for k, v in y.items():
+            old = x.get(k)
+            s = f * v if old is None else old + f * v
+            if s.is_zero():
+                x.pop(k, None)
+            else:
+                x[k] = s
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
-        return ExactMatrix._adopt(
-            self.rows,
-            self.cols,
-            [[v + w for v, w in zip(a, b)] for a, b in zip(self.data, other.data)],
-        )
+    def inverse(self, x: Cyclotomic) -> Cyclotomic:
+        return x.inverse()
 
-    def __neg__(self):
-        return ExactMatrix._adopt(self.rows, self.cols, [[-v for v in row] for row in self.data])
 
-    def __sub__(self, other):
-        return self + (-other)
+CYCLOTOMIC = CyclotomicField()
 
-    def scale(self, s: Cyclotomic) -> "ExactMatrix":
-        if s.is_zero():
-            return ExactMatrix.zeros(self.rows, self.cols)
-        return ExactMatrix._adopt(
-            self.rows,
-            self.cols,
-            [[v if v.is_zero() else v * s for v in row] for row in self.data],
-        )
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch in matrix product: {self.rows}x{self.cols} @ "
-                f"{other.rows}x{other.cols}"
-            )
-        out = ExactMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a.is_zero():
-                    continue
-                brow = other.data[k]
-                orow = out.data[i]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
+class Echelon:
+    """Sparse rows over a field in reduced echelon form, grown one row at a time.
+
+    ``rows`` maps each pivot column to (row, tail): the row {column: x}
+    holds 1 there and 0 at every other pivot column, and the tail
+    {tag: coeff} is the combination of the tagged added vectors it equals.
+    A row's pivot is its least column, so the rows are the reduced echelon
+    form of the span of the added vectors, whatever order they came in.
+    The field (``PrimeField`` or ``CYCLOTOMIC``) supplies ``one``,
+    ``inverse`` and ``axpy``, which also drops the zeros it makes.
+
+    The rank is ``len(rows)``.  The tails of an invertible matrix's rows,
+    each added with its index as tag, are the rows of its inverse
+    (``invert``).  M x = b is solved by adding b as one more column, after
+    every column of M (``solution``).
+    """
+
+    def __init__(self, field=CYCLOTOMIC, vectors=()):
+        self.field = field
+        self.rows: dict = {}
+        for vec in vectors:
+            self.add(vec)
+
+    def _times(self, f, vec: dict) -> dict:
+        """A new dict f vec, without zero entries."""
+        out: dict = {}
+        self.field.axpy(out, f, vec)
         return out
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.data for v in row)
+    def add(self, vec: dict, tag=None) -> dict | None:
+        """Keep vec, reduced, and return None if it is independent of the rows.
 
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
+        Otherwise return the tail {tag: coeff} of a combination of the
+        added vectors that is 0, with coefficient 1 at vec's own tag.
+        """
+        field, rows = self.field, self.rows
+        axpy = field.axpy
+        row = self._times(field.one, vec)
+        tail = {} if tag is None else {tag: field.one}
+        # Pivot rows are 0 at the other pivots, so these entries stay as read.
+        for f, q in [(row[q], q) for q in row if q in rows]:
+            axpy(row, -f, rows[q][0])
+            axpy(tail, -f, rows[q][1])
+        if not row:
+            return tail
+        q0 = min(row)
+        inv = field.inverse(row[q0])
+        row, tail = self._times(inv, row), self._times(inv, tail)
+        for other, otail in rows.values():
+            if f := other.get(q0):
+                axpy(other, -f, row)
+                axpy(otail, -f, tail)
+        rows[q0] = (row, tail)
+        return None
 
+    def solution(self, col) -> dict:
+        """x with M x = b, 0 at free columns: M's rows were added with b as column col.
 
-def _echelon(m: ExactMatrix):
-    """Row-reduce a copy; returns (echelon data, pivot column list)."""
-    data = [list(row) for row in m.data]
-    pivots = []
-    row = 0
-    for col in range(m.cols):
-        p = next((r for r in range(row, m.rows) if not data[r][col].is_zero()), None)
-        if p is None:
-            continue
-        data[row], data[p] = data[p], data[row]
-        inv = data[row][col].inverse()
-        prow = data[row]
-        support = [j for j, w in enumerate(prow) if not w.is_zero()]
-        for j in support:
-            prow[j] = prow[j] * inv
-        for r in range(m.rows):
-            if r != row and not data[r][col].is_zero():
-                f = data[r][col]
-                target = data[r]
-                for j in support:
-                    target[j] = target[j] - f * prow[j]
-        pivots.append(col)
-        row += 1
-        if row == m.rows:
-            break
-    return data, pivots
+        Column col must follow every column of M; raises SingularMatrixError
+        when M x = b has no solution.
+        """
+        if col in self.rows:
+            raise SingularMatrixError("inconsistent linear system")
+        return {q: row[col] for q, (row, _tail) in self.rows.items() if col in row}
 
-
-def matrix_rank(m: ExactMatrix) -> int:
-    return len(_echelon(m)[1])
-
-
-def nullspace(m: ExactMatrix) -> list[list[Cyclotomic]]:
-    """Basis vectors v (length cols) with M v = 0, exactly."""
-    data, pivots = _echelon(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [C0] * m.cols
-        v[fc] = C1
-        for r, pc in enumerate(pivots):
-            v[pc] = -data[r][fc]
-        basis.append(v)
-    return basis
+    def kernel(self, ncols: int) -> list[dict]:
+        """A basis of the vectors {column: x}, on columns 0..ncols-1, that the rows annihilate."""
+        one, out = self.field.one, []
+        for f in range(ncols):
+            if f not in self.rows:
+                v = {q: -row[f] for q, (row, _tail) in self.rows.items() if f in row}
+                out.append(self._times(one, {f: one, **v}))
+        return out
 
 
-def solve(m: ExactMatrix, rhs: list[Cyclotomic]) -> list[Cyclotomic]:
-    """One exact solution of M x = rhs; raises if inconsistent."""
-    aug = ExactMatrix(m.rows, m.cols + 1, [list(m.data[i]) + [rhs[i]] for i in range(m.rows)])
-    data, pivots = _echelon(aug)
-    if m.cols in pivots:
-        raise SingularMatrixError("inconsistent linear system")
-    x = [C0] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = data[r][m.cols]
-    return x
+def rows_of(block: dict, keys) -> dict:
+    """Entries {(row, column): x} as sparse rows {row: {column: x}}, one for each row in keys."""
+    rows: dict = {k: {} for k in keys}
+    for (r, c), x in block.items():
+        rows[r][c] = x
+    return rows
 
-def inverse(m: ExactMatrix) -> "ExactMatrix":
-    if m.rows != m.cols:
-        raise SingularMatrixError("inverse of a non-square matrix")
-    n = m.rows
-    aug = ExactMatrix(n, 2 * n, [list(m.data[i]) + list(ExactMatrix.identity(n).data[i]) for i in range(n)])
-    data, pivots = _echelon(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return ExactMatrix(n, n, [row[n:] for row in data[:n]])
+
+def rank(rows, field=CYCLOTOMIC) -> int:
+    """The rank of the sparse rows {column: x}."""
+    return len(Echelon(field, rows).rows)
+
+
+def invert(rows: dict) -> dict:
+    """The inverse, as entries {(column, tag): x}, of the square matrix with rows {tag: {column: x}}.
+
+    Raises SingularMatrixError when the rows are dependent.
+    """
+    echelon = Echelon()
+    for tag, row in rows.items():
+        if echelon.add(row, tag) is not None:
+            raise SingularMatrixError("matrix is singular")
+    return {(q, t): x for q, (_row, tail) in echelon.rows.items() for t, x in tail.items()}

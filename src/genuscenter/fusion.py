@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import IncompleteDataError, PremodularRequiredError
-from .exactnum import C0, Cyclotomic, ExactMatrix, inverse as minv, matrix_rank
+from .errors import IncompleteDataError, PremodularRequiredError, SingularMatrixError
+from .exactnum import C0, Cyclotomic, invert, rank, rows_of
 from .trees import ONE, Morphism, cached, hopf_link_value, loop_value, theta
 
 __all__ = [
@@ -151,34 +151,21 @@ class CategorySpec:
                 block = {}
         return rows, cols, block
 
-    def f_matrix(self, a, b, c, d) -> ExactMatrix:
-        rows, cols, block = self.f_block(a, b, c, d)
-        m = ExactMatrix(len(rows), len(cols))
-        for i, rk in enumerate(rows):
-            for j, ck in enumerate(cols):
-                v = block.get((rk, ck))
-                if v is not None:
-                    m[i, j] = v
-        return m
-
     @cached
     def f_inverse(self, a, b, c, d):
         """Inverse block as {(col_key, row_key): Cyclotomic}."""
-        rows, cols, _ = self.f_block(a, b, c, d)
-        m = self.f_matrix(a, b, c, d)
-        if m.rows != m.cols:
+        rows, cols, block = self.f_block(a, b, c, d)
+        if len(rows) != len(cols):
             raise IncompleteDataError(
                 f"{self.name}: F block ({a},{b},{c};{d}) is not square "
-                f"({m.rows}x{m.cols}); fusion rules are inconsistent"
+                f"({len(rows)}x{len(cols)}); fusion rules are inconsistent"
             )
-        block = {}
-        if m.rows:
-            inv = minv(m)
-            for i, ck in enumerate(cols):
-                for j, rk in enumerate(rows):
-                    if not inv[i, j].is_zero():
-                        block[(ck, rk)] = inv[i, j]
-        return cols, rows, block
+        try:
+            return cols, rows, invert(rows_of(block, rows))
+        except SingularMatrixError:
+            raise SingularMatrixError(
+                f"{self.name}: F block ({a},{b},{c};{d}) is singular"
+            ) from None
 
     def r_block(self, a, b, c):
         """{(nu, mu): Cyclotomic} for c_{a,b} on channel c; identity on unit legs."""
@@ -195,20 +182,10 @@ class CategorySpec:
             return {}
         return block
 
-    def r_matrix(self, a, b, c) -> ExactMatrix:
-        n = self.N(a, b, c)
-        block = self.r_block(a, b, c)
-        m = ExactMatrix(n, n)
-        for (nu, mu), v in block.items():
-            m[nu, mu] = v
-        return m
-
     @cached
     def r_inverse(self, a, b, c):
-        """c_{a,b}^-1 on channel c, the inverse of ``r_matrix(a, b, c)``, as {(nu, mu): Cyclotomic}."""
-        m = self.r_matrix(a, b, c)
-        inv = minv(m) if m.rows else m
-        return {(i, j): v for i, row in enumerate(inv.data) for j, v in enumerate(row) if not v.is_zero()}
+        """c_{a,b}^-1 on channel c, the inverse of ``r_block``, as {(nu, mu): Cyclotomic}."""
+        return invert(rows_of(self.r_block(a, b, c), range(self.N(a, b, c))))
 
     def pivotal_coeff(self, a: str) -> Cyclotomic:
         return self.pivotal.get(a, ONE)
@@ -320,17 +297,10 @@ def validate_structure(spec: CategorySpec) -> ValidationReport:
     if not bad:
         # F-block invertibility (needs square blocks, hence gated on the above).
         try:
-            for a in spec.labels:
-                for b in spec.labels:
-                    for c in spec.labels:
-                        for d in spec.labels:
-                            rows, _, _ = spec.f_block(a, b, c, d)
-                            if rows:
-                                m = spec.f_matrix(a, b, c, d)
-                                if matrix_rank(m) != m.rows:
-                                    bad.append(
-                                        f"F block ({a},{b},{c};{d}) is singular"
-                                    )
+            for a, b, c, d in product(spec.labels, repeat=4):
+                rows, _cols, block = spec.f_block(a, b, c, d)
+                if rank(rows_of(block, rows).values()) != len(rows):
+                    bad.append(f"F block ({a},{b},{c};{d}) is singular")
         except IncompleteDataError as exc:
             bad.append(str(exc))
     return ValidationReport(bad)
@@ -465,10 +435,11 @@ def s_matrix_and_transparency(spec: CategorySpec):
     spec.require_braiding()
     omega, _ = quantum_dims(spec)
     n = len(spec.labels)
-    s = ExactMatrix(n, n)
-    for i, a in enumerate(spec.labels):
-        for j, b in enumerate(spec.labels):
-            s[i, j] = hopf_link_value(spec, a, b)
+    s = {
+        (i, j): hopf_link_value(spec, a, b)
+        for i, a in enumerate(spec.labels)
+        for j, b in enumerate(spec.labels)
+    }
     transparent = set()
     for j, b in enumerate(spec.labels):
         if all(
@@ -476,5 +447,5 @@ def s_matrix_and_transparency(spec: CategorySpec):
             for i, a in enumerate(spec.labels)
         ):
             transparent.add(b)
-    modular = matrix_rank(s) == n
+    modular = rank(rows_of(s, range(n)).values()) == n
     return s, transparent, modular

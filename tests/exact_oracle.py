@@ -18,6 +18,10 @@ by hand: each recoupling move is a sparse matrix {(row, col): scalar} over
 labelled trees, and the two sides of an instance are products of moves.
 ``fusion`` checks the same instances as identities of generator words in
 ``trees``, and the tests compare the two reports entry by entry.
+
+Dense exact linear algebra over Q(zeta_N), ``ExactMatrix`` and Gaussian
+elimination on a copy of its grid, is the reference for the sparse
+``exactnum.Echelon`` that the package runs.
 """
 
 from genuscenter.center import (
@@ -29,11 +33,142 @@ from genuscenter.center import (
     carrier_basis,
     flatten_carrier_map,
 )
-from genuscenter.errors import GenusCenterError
-from genuscenter.exactnum import C0, C1, ExactMatrix, matrix_rank, nullspace
+from genuscenter.errors import GenusCenterError, SingularMatrixError
+from genuscenter.exactnum import C0, C1
 from genuscenter.fusion import CategorySpec, ValidationReport, quantum_dims
 from genuscenter.gluing import Gluing
 from genuscenter.trees import ONE, Morphism
+
+
+class ExactMatrix:
+    """Dense matrix over Cyclotomic."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data=None):
+        self.rows = rows
+        self.cols = cols
+        if data is None:
+            self.data = [[C0] * cols for _ in range(rows)]
+        else:
+            if len(data) != rows or any(len(r) != cols for r in data):
+                raise ValueError("entry grid does not match declared shape")
+            self.data = [list(r) for r in data]
+
+    @staticmethod
+    def zeros(rows: int, cols: int) -> "ExactMatrix":
+        return ExactMatrix(rows, cols)
+
+    @staticmethod
+    def identity(n: int) -> "ExactMatrix":
+        m = ExactMatrix(n, n)
+        for i in range(n):
+            m.data[i][i] = C1
+        return m
+
+    def __getitem__(self, ij):
+        return self.data[ij[0]][ij[1]]
+
+    def __setitem__(self, ij, value):
+        self.data[ij[0]][ij[1]] = value
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+
+    def __sub__(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in matrix subtraction")
+        data = [[v - w for v, w in zip(a, b)] for a, b in zip(self.data, other.data)]
+        return ExactMatrix(self.rows, self.cols, data)
+
+    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        out = ExactMatrix(self.rows, other.cols)
+        for i, row in enumerate(self.data):
+            for k, a in enumerate(row):
+                if not a.is_zero():
+                    for j, b in enumerate(other.data[k]):
+                        out.data[i][j] = out.data[i][j] + a * b
+        return out
+
+    def is_zero(self) -> bool:
+        return all(v.is_zero() for row in self.data for v in row)
+
+
+def _echelon(m: ExactMatrix):
+    """Row-reduce a copy; returns (echelon data, pivot column list)."""
+    data = [list(row) for row in m.data]
+    pivots = []
+    row = 0
+    for col in range(m.cols):
+        p = next((r for r in range(row, m.rows) if not data[r][col].is_zero()), None)
+        if p is None:
+            continue
+        data[row], data[p] = data[p], data[row]
+        inv = data[row][col].inverse()
+        data[row] = prow = [w * inv for w in data[row]]
+        for r in range(m.rows):
+            if r != row and not data[r][col].is_zero():
+                f = data[r][col]
+                data[r] = [x - f * y for x, y in zip(data[r], prow)]
+        pivots.append(col)
+        row += 1
+        if row == m.rows:
+            break
+    return data, pivots
+
+
+def matrix_rank(m: ExactMatrix) -> int:
+    return len(_echelon(m)[1])
+
+
+def nullspace(m: ExactMatrix) -> list[list]:
+    """Basis vectors v (length cols) with M v = 0, one per free column, in order."""
+    data, pivots = _echelon(m)
+    basis = []
+    for fc in range(m.cols):
+        if fc not in pivots:
+            v = [C0] * m.cols
+            v[fc] = C1
+            for r, pc in enumerate(pivots):
+                v[pc] = -data[r][fc]
+            basis.append(v)
+    return basis
+
+
+def solve(m: ExactMatrix, rhs: list) -> list:
+    """The solution of M x = rhs that is 0 at the free columns; raises if inconsistent."""
+    aug = ExactMatrix(m.rows, m.cols + 1, [row + [b] for row, b in zip(m.data, rhs)])
+    data, pivots = _echelon(aug)
+    if m.cols in pivots:
+        raise SingularMatrixError("inconsistent linear system")
+    x = [C0] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = data[r][m.cols]
+    return x
+
+
+def inverse(m: ExactMatrix) -> ExactMatrix:
+    n = m.rows
+    if m.cols != n:
+        raise SingularMatrixError("inverse of a non-square matrix")
+    eye = ExactMatrix.identity(n).data
+    data, pivots = _echelon(ExactMatrix(n, 2 * n, [r + e for r, e in zip(m.data, eye)]))
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return ExactMatrix(n, n, [row[n:] for row in data[:n]])
+
+
+def r_matrix(spec, a, b, c) -> ExactMatrix:
+    """R[ab;c] as a dense matrix, entry (nu, mu) at row nu and column mu."""
+    n = spec.N(a, b, c)
+    m = ExactMatrix(n, n)
+    for (nu, mu), v in spec.r_block(a, b, c).items():
+        m[nu, mu] = v
+    return m
 
 
 def product(alg, x: dict, y: dict) -> dict:

@@ -3,7 +3,12 @@ import dataclasses
 import pytest
 
 from genuscenter import catalog, fusion
-from genuscenter.errors import GenusCenterError, KeyNotFoundError, PremodularRequiredError
+from genuscenter.errors import (
+    GenusCenterError,
+    InternalInconsistencyError,
+    KeyNotFoundError,
+    PremodularRequiredError,
+)
 from genuscenter.exactnum import rational, zeta
 
 
@@ -54,6 +59,19 @@ class TestBuiltin:
             spec = catalog.builtin(key)
             _s, transparent, modular = fusion.s_matrix_and_transparency(spec)
             assert transparent == {spec.unit} and modular
+
+
+class TestRepS3Builder:
+    def test_braiding_scalar_of_proportional_intertwiners(self):
+        ref = {0: {0: rational(1)}, 2: {1: rational(2)}}
+        lhs = {0: {0: rational(-3)}, 2: {1: rational(-6)}}
+        assert catalog._braiding_scalar(lhs, ref, ("V", "V", "e")) == rational(-3)
+
+    def test_intertwiners_that_are_not_proportional_are_named(self):
+        ref = {0: {0: rational(1)}, 2: {1: rational(2)}}
+        lhs = {0: {0: rational(1)}, 2: {1: rational(3)}}
+        with pytest.raises(InternalInconsistencyError, match=r"\(V,e;V\)"):
+            catalog._braiding_scalar(lhs, ref, ("V", "e", "V"))
 
 
 class TestOneField:

@@ -15,9 +15,11 @@ from genuscenter.diagram import (
     omega_expand,
     parse_diagram,
 )
-from genuscenter.errors import IllFormedDiagramError
+from genuscenter.errors import IllFormedDiagramError, InternalInconsistencyError
 from genuscenter.exactnum import rational, zeta
 from genuscenter.trees import Morphism, left_trace, loop_value, right_trace, theta
+
+from exact_oracle import r_matrix
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
 
@@ -238,8 +240,8 @@ class TestIsotopySuite:
         for a in spec.labels:
             for b in spec.labels:
                 for c in spec.channels(a, b):
-                    rab = spec.r_matrix(a, b, c)
-                    rba = spec.r_matrix(b, a, c)
+                    rab = r_matrix(spec, a, b, c)
+                    rba = r_matrix(spec, b, a, c)
                     prod = rba @ rab
                     n = prod.rows
                     for i in range(n):
@@ -285,6 +287,21 @@ class TestPairing:
         t = BoundaryWord.plus(("t",))
         (idt,) = elementary_basis(spec, t, t)
         assert hom_pairing(spec, idt, idt) == golden()
+
+    def test_zero_pairing_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(diagram, "hom_pairing", lambda spec, f, g: rational(0))
+        x = BoundaryWord.plus(("t", "t"))
+        with pytest.raises(InternalInconsistencyError, match="degenerate Hom pairing"):
+            dual_basis(fib(), x, x)
+
+    def test_other_pairing_errors_are_not_wrapped(self, monkeypatch):
+        def broken(spec, f, g):
+            raise KeyError("no pairing")
+
+        monkeypatch.setattr(diagram, "hom_pairing", broken)
+        x = BoundaryWord.plus(("t", "t"))
+        with pytest.raises(KeyError):
+            dual_basis(fib(), x, x)
 
     def test_dual_basis_orthonormal(self):
         spec = fib()

@@ -12,16 +12,9 @@ from genuscenter.errors import (
     MalformedRationalError,
     SingularMatrixError,
 )
-from genuscenter.exactnum import (
-    Cyclotomic,
-    ExactMatrix,
-    inverse,
-    matrix_rank,
-    nullspace,
-    rational,
-    solve,
-    zeta,
-)
+from genuscenter.exactnum import C0, Cyclotomic, Echelon, invert, rank, rational, zeta
+
+from exact_oracle import ExactMatrix, inverse, matrix_rank, nullspace, solve
 
 
 def embed(v: Cyclotomic) -> complex:
@@ -212,9 +205,33 @@ class TestFieldOps:
                 assert abs(embed(v) - direct) < 1e-9
 
 
+def sparse_rows(m: ExactMatrix) -> list[dict]:
+    """The rows of a dense matrix as {column: x}, without zero entries."""
+    return [{j: v for j, v in enumerate(row) if not v.is_zero()} for row in m.data]
+
+
+def densify(v: dict, n: int) -> list:
+    return [v.get(j, C0) for j in range(n)]
+
+
+def echelon_solution(m: ExactMatrix, rhs: list) -> list:
+    """Solve M x = rhs by adding rhs as one more column, after M's columns."""
+    echelon = Echelon()
+    for row, b in zip(sparse_rows(m), rhs):
+        echelon.add({**row, m.cols: b})
+    return densify(echelon.solution(m.cols), m.cols)
+
+
+def echelon_inverse(m: ExactMatrix) -> ExactMatrix:
+    inv = ExactMatrix.zeros(m.rows, m.rows)
+    for ij, x in invert(dict(enumerate(sparse_rows(m)))).items():
+        inv[ij] = x
+    return inv
+
+
 class TestLinearSolve:
     def test_identity_rank(self):
-        assert matrix_rank(ExactMatrix.identity(3)) == 3
+        assert rank([{i: rational(1)} for i in range(3)]) == 3
 
     def test_constructor_copies_and_checks_the_grid(self):
         with pytest.raises(ValueError):
@@ -231,31 +248,32 @@ class TestLinearSolve:
 
     def test_golden_rank_one(self):
         phi = golden()
-        m = ExactMatrix(2, 2, [[rational(1), phi], [phi, phi + rational(1)]])
-        assert matrix_rank(m) == 1
-        null = nullspace(m)
+        rows = [{0: rational(1), 1: phi}, {0: phi, 1: phi + rational(1)}]
+        echelon = Echelon()
+        for row in rows:
+            echelon.add(row)
+        assert len(echelon.rows) == 1
+        null = echelon.kernel(2)
         assert len(null) == 1
-        for row in m.data:
+        for row in rows:
             acc = Cyclotomic.zero()
-            for a, x in zip(row, null[0]):
-                acc = acc + a * x
+            for j, x in null[0].items():
+                acc = acc + row[j] * x
             assert acc.is_zero()
 
     def test_solve_half(self):
         m = ExactMatrix(1, 1, [[rational(2)]])
-        assert solve(m, [rational(1)]) == [rational(1, 2)]
+        assert echelon_solution(m, [rational(1)]) == [rational(1, 2)]
 
     def test_inverse_roundtrip(self):
         m = ExactMatrix(
             2, 2, [[zeta(4).lift(8), rational(1)], [rational(0), zeta(8) + zeta(8, 7)]]
         )
-        inv = inverse(m)
-        assert (m @ inv) == ExactMatrix.identity(2)
+        assert (m @ echelon_inverse(m)) == ExactMatrix.identity(2)
 
     def test_singular_inverse_raises(self):
-        m = ExactMatrix(2, 2, [[rational(1), rational(1)], [rational(1), rational(1)]])
         with pytest.raises(SingularMatrixError):
-            inverse(m)
+            invert({0: {0: rational(1), 1: rational(1)}, 1: {0: rational(1), 1: rational(1)}})
 
     def test_rank_matches_float(self):
         rng = random.Random(5)
@@ -280,7 +298,104 @@ class TestLinearSolve:
                     row.append(acc)
                 data.append(row)
             m = ExactMatrix(rows, cols, data)
-            exact = matrix_rank(m)
+            exact = rank(sparse_rows(m))
             embedded = np.array([[embed(v) for v in row] for row in data])
             float_rank = np.linalg.matrix_rank(embedded, tol=1e-9)
             assert exact == float_rank
+
+
+def random_scalar(order: int, rng: random.Random) -> Cyclotomic:
+    """A random element of Q(zeta_order), zero about one time in ten."""
+    if rng.random() < 0.1:
+        return Cyclotomic.zero(order)
+    terms = [(rng.randrange(order), rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)]
+    return Cyclotomic.from_terms(order, terms)
+
+
+def planted_matrix(order: int, rows: int, cols: int, rank_target: int, rng) -> ExactMatrix:
+    """Rows that are random combinations of rank_target random rows: rank <= rank_target."""
+    gens = [[random_scalar(order, rng) for _ in range(cols)] for _ in range(rank_target)]
+    data = []
+    for _ in range(rows):
+        coeffs = [random_scalar(order, rng) for _ in gens]
+        row = []
+        for j in range(cols):
+            acc = Cyclotomic.zero(order)
+            for g, c in zip(gens, coeffs):
+                acc = acc + c * g[j]
+            row.append(acc)
+        data.append(row)
+    return ExactMatrix(rows, cols, data)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularMatrixError:
+        return SingularMatrixError
+
+
+ORDERS = (1, 5, 16)  # Q, Q(zeta_5), Q(zeta_16)
+
+
+class TestEchelonAgainstDense:
+    """``Echelon`` over Q(zeta_N) against the dense reference and the float rank."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_rank_and_kernel(self, order, seed):
+        rng = random.Random(f"rank {order} {seed}")
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = planted_matrix(order, rows, cols, rng.randint(1, min(rows, cols)), rng)
+        echelon = Echelon()
+        for row in sparse_rows(m):
+            echelon.add(row)
+        embedded = np.array([[embed(v) for v in row] for row in m.data])
+        assert len(echelon.rows) == matrix_rank(m) == np.linalg.matrix_rank(embedded, tol=1e-9)
+        kernel = [densify(v, cols) for v in echelon.kernel(cols)]
+        assert kernel == nullspace(m)
+        for v in kernel:
+            assert (m @ ExactMatrix(cols, 1, [[x] for x in v])).is_zero()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_solve(self, order, seed):
+        rng = random.Random(f"solve {order} {seed}")
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = planted_matrix(order, rows, cols, rng.randint(1, min(rows, cols)), rng)
+        x0 = ExactMatrix(cols, 1, [[random_scalar(order, rng)] for _ in range(cols)])
+        consistent = [row[0] for row in (m @ x0).data]
+        x = echelon_solution(m, consistent)
+        assert x == solve(m, consistent)
+        column = ExactMatrix(rows, 1, [[b] for b in consistent])
+        assert m @ ExactMatrix(cols, 1, [[v] for v in x]) == column
+        # A random right-hand side is inconsistent when it raises the rank.
+        rhs = [random_scalar(order, rng) for _ in range(rows)]
+        got = outcome(echelon_solution, m, rhs)
+        assert got == outcome(solve, m, rhs)
+        aug = ExactMatrix(rows, cols + 1, [row + [b] for row, b in zip(m.data, rhs)])
+        assert (got is SingularMatrixError) == (matrix_rank(aug) > matrix_rank(m))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_inverse(self, order, seed):
+        rng = random.Random(f"inverse {order} {seed}")
+        n = rng.randint(1, 5)
+        # Seeds 0-2 plant a rank deficiency; the others are almost surely invertible.
+        m = planted_matrix(order, n, n, n - 1 if seed < 3 else n, rng)
+        got = outcome(echelon_inverse, m)
+        want = outcome(inverse, m)
+        assert got == want
+        if got is SingularMatrixError:
+            assert matrix_rank(m) < n
+        else:
+            assert m @ got == ExactMatrix.identity(n)
+
+    def test_add_leaves_its_input_unchanged(self):
+        rows = [{0: rational(2), 1: zeta(5)}, {0: rational(4), 1: zeta(5) * 2, 2: rational(1)}]
+        copies = [dict(row) for row in rows]
+        echelon = Echelon()
+        for row in rows:
+            echelon.add(row)
+        assert rows == copies
+        assert all(row is not stored for row in rows for stored, _tail in echelon.rows.values())

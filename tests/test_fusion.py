@@ -7,7 +7,7 @@ import pytest
 import exact_oracle
 from genuscenter import catalog, fusion
 from genuscenter.errors import PremodularRequiredError, SingularMatrixError
-from genuscenter.exactnum import ExactMatrix, rational, zeta
+from genuscenter.exactnum import rational, zeta
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
 
@@ -20,6 +20,19 @@ class TestStructure:
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_catalogs_structurally_valid(self, key):
         assert fusion.validate_structure(catalog.builtin(key)).ok
+
+    def test_singular_f_block_is_named(self):
+        spec = catalog.builtin("fibonacci")
+        block = spec.F["t", "t", "t", "t"]
+        # Row (t,0,0) becomes a copy of row (1,0,0).
+        copied = {(("t", 0, 0), col): v for (row, col), v in block.items() if row == ("1", 0, 0)}
+        kept = {k: v for k, v in block.items() if k[0] != ("t", 0, 0)}
+        F = {**spec.F, ("t", "t", "t", "t"): {**kept, **copied}}
+        bad = dataclasses.replace(spec, _cache={}, F=F)
+        assert fusion.validate_structure(bad).entries == ["F block (t,t,t;t) is singular"]
+        named = r"^fibonacci: F block \(t,t,t;t\) is singular$"
+        with pytest.raises(SingularMatrixError, match=named):
+            bad.f_inverse("t", "t", "t", "t")
 
     def test_broken_dual_reported(self):
         spec = catalog.builtin("fibonacci")
@@ -112,10 +125,11 @@ class TestHexagon:
         for a, b in product(spec.labels, repeat=2):
             for c in spec.channels(a, b):
                 n = spec.N(a, b, c)
-                inv = ExactMatrix.zeros(n, n)
+                inv = exact_oracle.ExactMatrix.zeros(n, n)
                 for (nu, mu), v in spec.r_inverse(a, b, c).items():
                     inv[nu, mu] = v
-                assert (spec.r_matrix(a, b, c) @ inv - ExactMatrix.identity(n)).is_zero()
+                eye = exact_oracle.ExactMatrix.identity(n)
+                assert (exact_oracle.r_matrix(spec, a, b, c) @ inv - eye).is_zero()
 
     def test_missing_braiding_gate(self):
         spec = catalog.builtin("rep_z2")
@@ -221,7 +235,7 @@ class TestQuantumDims:
         for a in spec.labels:
             acc = rational(0)
             for c in spec.channels(a, a):
-                rm = spec.r_matrix(a, a, c)
+                rm = exact_oracle.r_matrix(spec, a, a, c)
                 tr = rational(0)
                 for i in range(rm.rows):
                     tr = tr + rm[i, i]
