@@ -291,7 +291,19 @@ def _primes(order: int, dim: int):
     lo, hi = _PRIME_RANGE
     start = max(lo, dim + 1)
     start += (1 - start) % order
-    return (n for n in range(start, hi, order) if all(n % q for q in range(2, math.isqrt(n) + 1)))
+    return (n for n in range(start, hi, order) if _is_prime(n))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the bases 2, 3, 5 and 7, which is exact for n < 3,215,031,751."""
+    if n < 11 or n % 2 == 0:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in (2, 3, 5, 7):
+        chain = [pow(a, (n - 1) >> (s - i), n) for i in range(s)]  # a^d, a^2d, ..., a^((n-1)/2)
+        if chain[0] != 1 and n - 1 not in chain:
+            return False
+    return True
 
 
 def _root_of_unity(order: int, p: int) -> int:

@@ -478,8 +478,13 @@ def load_spec(path) -> CategorySpec:
     for fieldname in ("name", "labels", "unit", "dual", "fusion", "F", "pivotal"):
         if fieldname not in doc:
             raise GenusCenterError(f"{path}: missing mandatory field {fieldname!r}")
+    for fieldname in ("name", "unit"):
+        if not isinstance(doc[fieldname], str):
+            raise GenusCenterError(f"{path}: malformed field {fieldname!r} (not a string)")
     with _field(path, "dual"):
         dual = dict(doc["dual"])
+    if not all(isinstance(a, str) for a in (*dual, *dual.values())):
+        raise GenusCenterError(f"{path}: malformed field 'dual' (not a map of strings to strings)")
     for a, b in dual.items():
         if dual.get(b) != a:
             raise GenusCenterError(f"{path}: dual table is not involutive at {a!r}")
@@ -516,8 +521,6 @@ def load_spec(path) -> CategorySpec:
                 R.setdefault((a, b, c), {})[(_int(rec["row"]), _int(rec["col"]))] = val
     with _field(path, "pivotal"):
         pivotal = {a: scalar(v, f"{path} pivotal[{a}]") for a, v in doc["pivotal"].items()}
-    if not isinstance(doc["name"], str):
-        raise GenusCenterError(f"{path}: malformed field 'name' (not a string)")
     labels = doc["labels"]
     if not (isinstance(labels, list) and all(isinstance(a, str) for a in labels)):
         raise GenusCenterError(f"{path}: malformed field 'labels' (not a list of strings)")

@@ -3,17 +3,22 @@
 Every subcommand is a thin adapter over the library; no numerical logic
 lives here.  Output is deterministic text or JSON, with no timing field,
 so identical inputs give identical bytes.
-Exit codes: 0 pass, 1 check failure or computation diagnostic, 2 usage.
+A call is the words of one command of COMMANDS, then its flags in any order,
+each once, as ``--flag value`` or ``--flag=value``; a value may begin with a
+single dash (``--n -1``), and ``--json`` is a switch.  ``-h`` or ``--help``
+prints the usage.
+Exit codes: 0 pass or help, 1 check failure or computation diagnostic, 2 usage
+(the usage and an ``error:`` line on stderr, nothing on stdout).
 `center` and `adjoint` refuse a catalog file that fails an axiom check of
 `validate`; the built-in catalogs are checked by the test suite instead.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import catalog, center, fusion
 from .errors import GenusCenterError
@@ -110,14 +115,8 @@ def _cmd_gluing_enum(args) -> int:
     rows = []
     for sig in enumerate_adm(args.n):
         st = surface_type(sig)
-        rows.append(
-            {
-                "sigma": sig.cycle_string(),
-                "genus": st.genus,
-                "punctures": st.punctures,
-                "euler": st.euler,
-            }
-        )
+        rows.append({"sigma": sig.cycle_string(), "genus": st.genus,
+                     "punctures": st.punctures, "euler": st.euler})
     _emit({"n": args.n, "count": len(rows), "gluings": rows}, args.json)
     return 0
 
@@ -126,18 +125,9 @@ def _cmd_gluing_classify(args) -> int:
     sig = parse_cycles(args.sigma)
     st = surface_type(sig)
     orbits = sig.orbits()
-    table = []
-    for i, o in enumerate(orbits):
-        table.append({"orbit": i + 1, "low": o.low, "high": o.high})
-    cases = []
-    for i in range(len(orbits)):
-        for j in range(i + 1, len(orbits)):
-            cases.append(
-                {
-                    "orbits": [i + 1, j + 1],
-                    "case": comm_case(sig, orbits[i], orbits[j]),
-                }
-            )
+    table = [{"orbit": i + 1, "low": o.low, "high": o.high} for i, o in enumerate(orbits)]
+    cases = [{"orbits": [i + 1, j + 1], "case": comm_case(sig, orbits[i], orbits[j])}
+             for i in range(len(orbits)) for j in range(i + 1, len(orbits))]
     _emit(
         {
             "sigma": sig.cycle_string(),
@@ -221,74 +211,83 @@ def _cmd_catalog_list(args) -> int:
     rows = []
     for key in catalog.catalog_keys():
         spec = catalog.builtin(key)
-        rows.append(
-            {
-                "key": key,
-                "labels": list(spec.labels),
-                "braided": spec.R is not None,
-                "provenance": spec.provenance,
-            }
-        )
+        rows.append({"key": key, "labels": list(spec.labels), "braided": spec.R is not None,
+                     "provenance": spec.provenance})
     _emit({"catalogs": rows}, args.json)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="genuscenter",
-        description="Exact categorical centers of glued surfaces at desk scale.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = p.add_subparsers(dest="command", required=True)
+# Command words -> (handler, {flag: type}, one-line help).  Every flag is
+# required, and every command also takes the switch --json.
+COMMANDS = {
+    ("validate",): (_cmd_validate, {"cat": str}, "run category axiom validators"),
+    ("gluing", "enum"): (_cmd_gluing_enum, {"n": int}, "list admissible gluings of a rank"),
+    ("gluing", "classify"): (_cmd_gluing_classify, {"sigma": str}, "surface type and orbit data"),
+    ("center", "rank"): (_cmd_center_rank, {"cat": str, "sigma": str}, "rank and block dimensions"),
+    ("center", "verify-induced"): (_cmd_center_verify, {"cat": str, "sigma": str, "object": str},
+                                   "verify an induced pair"),
+    ("adjoint", "check"): (_cmd_adjoint_check, {"cat": str, "sigma": str},
+                           "exact GF/FG identity verdicts"),
+    ("catalog", "list"): (_cmd_catalog_list, {}, "list bundled catalogs"),
+}
 
-    v = sub.add_parser("validate", help="run category axiom validators", parents=[common])
-    v.add_argument("--cat", required=True, help="catalog key or file path")
-    v.set_defaults(func=_cmd_validate)
 
-    g = sub.add_parser("gluing", help="gluing combinatorics")
-    gsub = g.add_subparsers(dest="gluing_command", required=True)
-    ge = gsub.add_parser("enum", help="list admissible gluings of a rank", parents=[common])
-    ge.add_argument("--n", type=int, required=True)
-    ge.set_defaults(func=_cmd_gluing_enum)
-    gc = gsub.add_parser("classify", help="surface type and orbit data", parents=[common])
-    gc.add_argument("--sigma", required=True, help='cycles, e.g. "(1 3)(2 4)"')
-    gc.set_defaults(func=_cmd_gluing_classify)
+class _UsageError(Exception):
+    """A command line outside the grammar of COMMANDS."""
 
-    c = sub.add_parser("center", help="center computations")
-    csub = c.add_subparsers(dest="center_command", required=True)
-    cr = csub.add_parser("rank", help="rank and block dimensions", parents=[common])
-    cr.add_argument("--cat", required=True)
-    cr.add_argument("--sigma", required=True)
-    cr.set_defaults(func=_cmd_center_rank)
-    cv = csub.add_parser("verify-induced", help="verify an induced pair", parents=[common])
-    cv.add_argument("--cat", required=True)
-    cv.add_argument("--sigma", required=True)
-    cv.add_argument("--object", required=True)
-    cv.set_defaults(func=_cmd_center_verify)
 
-    a = sub.add_parser("adjoint", help="adjunction checks")
-    asub = a.add_subparsers(dest="adjoint_command", required=True)
-    ac = asub.add_parser("check", help="exact GF/FG identity verdicts", parents=[common])
-    ac.add_argument("--cat", required=True)
-    ac.add_argument("--sigma", required=True)
-    ac.set_defaults(func=_cmd_adjoint_check)
+def _usage() -> str:
+    rows = [(" ".join([*words, *(f"--{f} {f.upper()}" for f in flags)]), text)
+            for words, (_, flags, text) in COMMANDS.items()]
+    width = max(len(call) for call, _ in rows)
+    return "\n".join(["usage: genuscenter COMMAND [--FLAG VALUE ...] [--json]",
+                      "Exact categorical centers of glued surfaces at desk scale.", "",
+                      *(f"  {call:<{width}}  {text}" for call, text in rows)])
 
-    cat = sub.add_parser("catalog", help="catalog inspection")
-    catsub = cat.add_subparsers(dest="catalog_command", required=True)
-    cl = catsub.add_parser("list", help="list bundled catalogs", parents=[common])
-    cl.set_defaults(func=_cmd_catalog_list)
-    return p
+
+def _parse(argv: list):
+    """The handler of argv's command and a namespace of its flag values."""
+    words = next((w for w in COMMANDS if tuple(argv[: len(w)]) == w), None)
+    if words is None:
+        raise _UsageError(f"unknown command {' '.join(argv[:2])!r}" if argv else "no command")
+    handler, flags, _ = COMMANDS[words]
+    values, rest = {}, argv[len(words):]
+    while rest:
+        name, eq, value = rest.pop(0).partition("=")
+        key = name[2:]
+        if name[:2] != "--" or not (key in flags or (key == "json" and not eq)):
+            raise _UsageError(f"unrecognized argument {name!r}")
+        if key in values:
+            raise _UsageError(f"argument {name} given twice")
+        if key == "json":
+            values[key] = True
+            continue
+        if not eq:
+            if not rest or rest[0].startswith("--"):
+                raise _UsageError(f"argument {name} expects a value")
+            value = rest.pop(0)
+        try:
+            values[key] = flags[key](value)
+        except ValueError:
+            raise _UsageError(f"argument {name}: invalid integer {value!r}") from None
+    missing = [f"--{f}" for f in flags if f not in values]
+    if missing:
+        raise _UsageError(f"missing required arguments: {' '.join(missing)}")
+    return handler, SimpleNamespace(json=values.pop("json", False), **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "-h" in argv or "--help" in argv:
+        print(_usage())
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        handler, args = _parse(argv)
+    except _UsageError as exc:
+        print(_usage(), f"error: {exc}", sep="\n", file=sys.stderr)
+        return 2
     try:
-        return args.func(args)
+        return handler(args)
     except GenusCenterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,14 @@
 import dataclasses
+import itertools
+import math
 import random
 
 import pytest
 
 from genuscenter import catalog
-from genuscenter.algebra import AlgebraData, _decompose_mod, _minpoly, _primes, decompose
+from genuscenter.algebra import (
+    _PRIME_RANGE, AlgebraData, _decompose_mod, _is_prime, _minpoly, _primes, decompose,
+)
 from genuscenter.center import _tube_products, tube_algebra
 from genuscenter.errors import GenusCenterError, NonSplitError
 from genuscenter.exactnum import Echelon, PrimeField, rational, zeta
@@ -123,6 +127,32 @@ class TestCertificate:
 def test_first_prime_is_the_smallest_one_mod_the_order_above_2_25(order, first):
     assert next(_primes(order, 10)) == first
     assert next(_primes(order, first)) > first  # p > dim
+
+
+def by_trial_division(n):
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_200000():
+    # The range holds the Carmichael numbers 561, 1105, ... and the base-2
+    # strong pseudoprimes 2047, 3277, 4033, 4681, 8321, ...
+    assert [n for n in range(200_000) if _is_prime(n) != by_trial_division(n)] == []
+    assert not any(map(_is_prime, (561, 1105, 2047, 3277, 4033, 4681, 8321)))
+
+
+def test_is_prime_is_exact_on_the_prime_range():
+    # 3,215,031,751 is the least composite that passes all four bases.
+    assert _PRIME_RANGE[1] < 3_215_031_751
+    assert _is_prime(3_215_031_751) and not by_trial_division(3_215_031_751)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 4, 5, 8, 10, 12, 16, 20, 24))
+@pytest.mark.parametrize("dim", (1, 10, 5_000))
+def test_primes_are_those_of_trial_division(order, dim):
+    lo, hi = _PRIME_RANGE
+    want = (n for n in range(max(lo, dim + 1), hi)
+            if n % order == 1 % order and by_trial_division(n))
+    assert list(itertools.islice(_primes(order, dim), 8)) == list(itertools.islice(want, 8))
 
 
 def test_exact_center_refuses_a_table_of_generator_products():

@@ -141,9 +141,61 @@ class TestAdjointAndCatalog:
         for key in catalog.catalog_keys():
             assert key in out
 
-    def test_usage_error_exit_code(self, capsys):
-        assert main(["center", "rank", "--cat", "vec_z2"]) == 2
-        assert main(["frobnicate"]) == 2
+
+RANK = ["center", "rank", "--cat", "vec_z2", "--sigma", "(1 2)", "--json"]
+
+USAGE_ERRORS = {
+    "missing-flag": ["center", "rank", "--cat", "vec_z2"],
+    "unknown-command": ["frobnicate"],
+    "half-command": ["center", "--cat", "vec_z2"],
+    "no-command": [],
+    "repeated-flag": [*RANK, "--cat", "ising"],
+    "repeated-switch": [*RANK, "--json"],
+    "unknown-flag": [*RANK, "--seed", "1"],
+    "flag-of-another-command": [*RANK, "--object", "1"],
+    "abbreviated-flag": ["center", "rank", "--ca", "vec_z2", "--sigma", "(1 2)"],
+    "single-dash-flag": ["center", "rank", "-cat", "vec_z2", "--sigma", "(1 2)"],
+    "stray-word": [*RANK, "extra"],
+    "flag-without-value": ["center", "rank", "--sigma", "(1 2)", "--cat"],
+    "flag-followed-by-flag": ["center", "rank", "--cat", "--json", "--sigma", "(1 2)"],
+    "switch-with-value": [*RANK[:-1], "--json=1"],
+    "non-integer-n": ["gluing", "enum", "--n", "two"],
+    "float-n": ["gluing", "enum", "--n=2.0"],
+}
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+    def test_usage_error_exit_code(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: genuscenter")
+        assert captured.err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["center", "rank", "--sigma", "(1 2)", "--json", "--cat", "vec_z2"],
+            ["center", "rank", "--json", "--cat=vec_z2", "--sigma=(1 2)"],
+            ["center", "rank", "--cat", "vec_z2", "--sigma=(1 2)", "--json"],
+        ],
+        ids=["any-order", "equals-form", "mixed-forms"],
+    )
+    def test_flag_forms_give_the_same_bytes(self, capsys, argv):
+        assert run(capsys, *argv) == run(capsys, *RANK)
+
+    def test_equals_form_keeps_a_negative_rank(self, capsys):
+        assert main(["gluing", "enum", "--n=-1"]) == 1
+        assert "error: rank must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["center", "rank", "--help"]])
+    def test_help_lists_every_command(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: genuscenter")
+        lines = out.splitlines()
+        for words in ("validate", "gluing enum", "gluing classify", "center rank",
+                      "center verify-induced", "adjoint check", "catalog list"):
+            assert sum(line.startswith(f"  {words} ") for line in lines) == 1, words
 
 
 def saved_doc(tmp_path, key):
@@ -229,11 +281,14 @@ class TestCatalogFiles:
             ("F", lambda doc: doc["F"][0]["row"].__setitem__(1, 0.9)),
             ("F[", lambda doc: doc["F"][0]["value"]["terms"][0].__setitem__(1, True)),
             ("F[", lambda doc: doc["F"][0]["value"].update(order=True)),
+            ("unit", lambda doc: doc.update(unit=[])),
+            ("dual", lambda doc: doc.update(dual={"1": ["x"], "t": "t"})),
         ],
         ids=["R-null", "scalar-term-pair", "name-not-a-string", "R-index-out-of-range",
              "pivotal-zero", "scalar-zero-denominator", "scalar-order-too-large",
              "field-order-lcm-too-large", "multiplicity-float", "multiplicity-string",
-             "multiplicity-bool", "F-index-float", "scalar-numerator-bool", "scalar-order-bool"],
+             "multiplicity-bool", "F-index-float", "scalar-numerator-bool", "scalar-order-bool",
+             "unit-not-a-string", "dual-not-strings"],
     )
     def test_malformed_field_is_an_error_line(self, capsys, tmp_path, field, corrupt):
         path, doc = saved_doc(tmp_path, "fibonacci")
@@ -246,6 +301,16 @@ class TestCatalogFiles:
         assert code == 1 and err.startswith("error:") and "Traceback" not in err
         assert field in err
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("field,value", [("unit", []), ("dual", {"1": ["x"], "t": "t"})])
+    def test_validate_names_a_field_of_the_wrong_type(self, capsys, tmp_path, field, value):
+        path, doc = saved_doc(tmp_path, "fibonacci")
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        code = main(["validate", "--cat", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {path}: malformed field {field!r}")
 
 
 def test_pinned_bench_outputs_still_hold(capsys):
@@ -270,6 +335,22 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+def test_cli_call_imports_no_argparse():
+    # The command table replaces argparse, whose parsers and gettext look-ups
+    # were a fixed cost of every call.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, genuscenter.cli as cli; "
+        "code = cli.main(['center', 'rank', '--cat', 'vec_z2', '--sigma', '(1 2)', '--json']); "
+        "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0 and out.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_rank_lifts_no_scalar():
