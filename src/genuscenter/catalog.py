@@ -478,8 +478,8 @@ def load_spec(path) -> CategorySpec:
     for fieldname in ("name", "labels", "unit", "dual", "fusion", "F", "pivotal"):
         if fieldname not in doc:
             raise GenusCenterError(f"{path}: missing mandatory field {fieldname!r}")
-    for fieldname in ("name", "unit"):
-        if not isinstance(doc[fieldname], str):
+    for fieldname in ("name", "unit", "provenance"):
+        if not isinstance(doc.get(fieldname, ""), str):
             raise GenusCenterError(f"{path}: malformed field {fieldname!r} (not a string)")
     with _field(path, "dual"):
         dual = dict(doc["dual"])

@@ -1,9 +1,10 @@
 """Centers of higher genus: induced pairs, the adjunction, tube algebras.
 
-Carriers of sigma-pairs are finite direct sums of tensor words of simple
-labels.  A half-braiding is stored blockwise: for each simple argument Z
-and source summand, a list of columns (target summand, ``GammaWord``).
-A column of the induced pair is a generator word on (Z, word): braids
+The carrier of the induced pair I(x) of a simple label x is the sum
+over the handle labels alpha of the words legs + (x,) + legs.  A
+half-braiding is a dict: for each simple argument Z and source summand,
+a list of columns (target summand, ``GammaWord``).  A column of the
+induced pair is a generator word on (Z, word): braids
 bring Z to the low leg of its orbit, Z and the leg merge, the high leg
 turns into (dual leg, Z) by rotating that vertex (a cup, a split and a
 cap), and braids take Z to the right end.  Columns are applied at any
@@ -51,10 +52,10 @@ alpha_m = a by those with alpha_m = b span the elements with alpha_m = c
 for every c in a (x) b.  So the elements of degree 1 whose handle label
 lies in a set S whose tensor closure from the unit is every label
 (``_handle_labels``), with those of degree 0, generate the algebra; they
-are ``TubeAlgebra.gens``.  ``tube_algebra`` gives only the products e_a e_g
-with the right factor g in ``gens``, and ``algebra.decompose`` closes that
-table mod p; its certificate part (e) rejects a set that does not
-generate.  The elements of degree 0 are the summands u_j of the unit, so
+are the ``gens`` of the ``AlgebraData`` from ``tube_algebra``.  It gives
+only the products e_a e_g with g in ``gens``, and ``algebra.decompose``
+closes that table mod p; its certificate part (e) rejects a set that
+does not generate.  The elements of degree 0 are the summands u_j of the unit, so
 their products are written (e_a u_j is e_a when e_a ends at j, else 0)
 and only the products by the elements of degree 1 are contracted.
 """
@@ -70,15 +71,12 @@ from .errors import GenusCenterError, IllFormedDiagramError
 from .exactnum import C0, rank
 from .fusion import CategorySpec, ValidationReport
 from .gluing import Gluing, comm_case
-from .trees import ONE, Morphism, Word, cached, hom_dim, hom_keys, trees, word_after
+from .trees import ONE, Morphism, cached, hom_dim, hom_keys, trees, word_after
 
 __all__ = [
-    "FormalObject",
     "GammaWord",
-    "HalfBraiding",
     "SigmaPair",
     "CarrierMap",
-    "TubeAlgebra",
     "induced_half_braidings",
     "verify_sigma_pair",
     "adjunction_maps",
@@ -94,29 +92,8 @@ MOVE_SENSE = "over"      # a travelling leg passes in front of other legs
 MIGRATE_SENSE = "under"  # a travelling leg passes behind the middle block
 
 
-@dataclass(frozen=True)
-class FormalObject:
-    """Nonnegative multiplicities of simple labels."""
-
-    multiplicities: tuple
-
-    @staticmethod
-    def of(label: str) -> "FormalObject":
-        return FormalObject(multiplicities=((label, 1),))
-
-
-def _as_formal(spec, x) -> FormalObject:
-    if isinstance(x, FormalObject):
-        return x
-    if isinstance(x, str):
-        if x not in spec.dual:
-            raise GenusCenterError(f"unknown label {x!r}")
-        return FormalObject.of(x)
-    raise GenusCenterError(f"cannot interpret {x!r} as an object")
-
-
 def _assignments(spec, sigma: Gluing):
-    return list(iproduct(spec.labels, repeat=sigma.n))
+    return tuple(iproduct(spec.labels, repeat=sigma.n))
 
 
 def _word_for(spec, sigma: Gluing, alpha, middle) -> tuple:
@@ -136,13 +113,12 @@ def _word_for(spec, sigma: Gluing, alpha, middle) -> tuple:
 
 @dataclass(frozen=True)
 class GammaWord:
-    """One half-braiding column: a generator word on ``src``.
+    """One half-braiding column: a generator word on (Z,) + source word.
 
-    The word acts from strand 1 of ``src`` = (Z,) + source word; at strand
-    ``pos`` of a longer word its positions shift by pos - 1.
+    The word acts from strand 1; at strand ``pos`` of a longer word its
+    positions shift by pos - 1.
     """
 
-    src: Word
     ops: tuple
 
     def apply_at(self, mor: Morphism, pos: int, then: tuple = ()) -> Morphism:
@@ -153,22 +129,10 @@ class GammaWord:
 
 
 @dataclass
-class HalfBraiding:
-    """Blocks (Z, source summand) -> [(target summand, GammaWord)]."""
-
-    blocks: dict
-
-    def columns(self, z: str, si: int):
-        return self.blocks.get((z, si), [])
-
-
-@dataclass
 class SigmaPair:
-    spec: CategorySpec
-    sigma: Gluing
     words: tuple  # carrier summand words
-    braidings: list  # HalfBraiding per orbit, ascending by low leg
-    meta: tuple = ()  # optional provenance of summands
+    alphas: tuple  # handle labels of each summand
+    braidings: list  # per orbit, ascending by low leg: {(z, si): [(ti, GammaWord)]}
 
 
 def _induced_gamma_column(spec, sigma, alpha, middle, m, z):
@@ -189,38 +153,34 @@ def _induced_gamma_column(spec, sigma, alpha, middle, m, z):
             rho = (("cup", q - 1, b, True), ("split", q + 1, z, a, mu), ("cap", q + 2, a, True))
             ops = to_leg + (("merge", p, b, mu),) + rho + to_end
             alpha2 = alpha[:m] + (b,) + alpha[m + 1 :]
-            out.append((alpha2, GammaWord((z,) + word, ops)))
+            out.append((alpha2, GammaWord(ops)))
     return out
 
 
-def induced_half_braidings(spec, sigma: Gluing, x) -> SigmaPair:
-    """The induced sigma-pair on x, with explicit half-braiding blocks."""
-    return _induced(spec, sigma, _as_formal(spec, x))
+def induced_half_braidings(spec, sigma: Gluing, lab) -> SigmaPair:
+    """The induced sigma-pair I(lab) of a simple label, with explicit half-braiding blocks."""
+    if lab not in spec.labels:
+        raise GenusCenterError(f"unknown label {lab!r}")
+    return _induced(spec, sigma, lab)
 
 
 @cached
-def _induced(spec, sigma: Gluing, fx: FormalObject) -> SigmaPair:
-    assigns = _assignments(spec, sigma)
-    meta = []
-    for lab, mult in fx.multiplicities:
-        for copy in range(mult):
-            for alpha in assigns:
-                meta.append((lab, copy, alpha))
-    words = tuple(_word_for(spec, sigma, alpha, (lab,)) for lab, _, alpha in meta)
-    index = {m: i for i, m in enumerate(meta)}
-    braidings = []
-    for m in range(sigma.n):
-        blocks: dict = {}
-        for si, (lab, copy, alpha) in enumerate(meta):
-            for z in spec.labels:
-                blocks[(z, si)] = [
-                    (index[(lab, copy, alpha2)], col)
-                    for alpha2, col in _induced_gamma_column(spec, sigma, alpha, (lab,), m, z)
-                ]
-        braidings.append(HalfBraiding(blocks=blocks))
-    return SigmaPair(
-        spec=spec, sigma=sigma, words=words, braidings=braidings, meta=tuple(meta)
-    )
+def _induced(spec, sigma: Gluing, lab: str) -> SigmaPair:
+    alphas = _assignments(spec, sigma)
+    words = tuple(_word_for(spec, sigma, alpha, (lab,)) for alpha in alphas)
+    index = {alpha: i for i, alpha in enumerate(alphas)}
+    braidings = [
+        {
+            (z, si): [
+                (index[alpha2], col)
+                for alpha2, col in _induced_gamma_column(spec, sigma, alpha, (lab,), m, z)
+            ]
+            for si, alpha in enumerate(alphas)
+            for z in spec.labels
+        }
+        for m in range(sigma.n)
+    ]
+    return SigmaPair(words, alphas, braidings)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +285,7 @@ def _apply_gamma(state: CarrierMap, pair: SigmaPair, m: int, pos: int, z: str) -
     blocks: dict = {}
     hb = pair.braidings[m]
     for (ti, si), mor in state.blocks.items():
-        for t2, col in hb.columns(z, ti):
+        for t2, col in hb.get((z, ti), ()):
             new = col.apply_at(mor, pos)
             key = (t2, si)
             blocks[key] = blocks[key] + new if key in blocks else new
@@ -394,10 +354,10 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
                                 f"({z1},{z2};{w},{mu})"
                             )
     # Pairwise :comm relations.
-    orbits = sigma.orbits()
+    pairs = sigma.pairs()
     for i in range(sigma.n):
         for j in range(i + 1, sigma.n):
-            case = comm_case(sigma, orbits[i], orbits[j])
+            case = comm_case(pairs[i], pairs[j])
             for z1 in spec.labels:
                 for z2 in spec.labels:
                     if not _comm_ok(spec, pair, i, j, case, z1, z2):
@@ -432,8 +392,6 @@ def _hexagon_ok(spec, pair, m, z1, z2, w, mu, gamma_w: CarrierMap) -> bool:
 
 def _comm_ok(spec, pair, i, j, case, z1, z2) -> bool:
     wlen = len(pair.words[0])
-    if any(len(w) != wlen for w in pair.words):
-        raise GenusCenterError("mixed-length carriers not supported in comm check")
 
     def gamma_i(state, pos):
         st = _apply_gamma(state, pair, i, pos, z1)
@@ -517,7 +475,7 @@ def _contract_plan(sigma: Gluing, m: int, width: int):
     return word, _offset(layout, width, layout.index(lo))
 
 
-def _contract(spec, sigma: Gluing, pair: SigmaPair, alpha, s: int, state: Morphism):
+def _contract(sigma: Gluing, pair: SigmaPair, alpha, s: int, state: Morphism):
     """Contract all leg pairs of the alpha summand through the carrier.
 
     ``state``: Morphism(src -> legs + word_s + legs).  Returns a dict
@@ -530,7 +488,7 @@ def _contract(spec, sigma: Gluing, pair: SigmaPair, alpha, s: int, state: Morphi
         for si, mor in current.items():
             word, a_pos = _contract_plan(sigma, m, len(pair.words[si]))
             st = mor.apply_all(word)
-            for s2, col in pair.braidings[m].columns(a, si):
+            for s2, col in pair.braidings[m].get((a, si), ()):
                 st2 = col.apply_at(st, a_pos, (("cap", a_pos + len(pair.words[s2]), a, True),))
                 nxt[s2] = nxt[s2] + st2 if s2 in nxt else st2
         current = nxt
@@ -548,18 +506,18 @@ def _forward(spec, sigma: Gluing, lab: str, py: SigmaPair, phi: CarrierMap) -> C
     """
     ix = induced_half_braidings(spec, sigma, lab)
     blocks: dict = {}
-    for sx, (word, (_lab, _copy, alpha)) in enumerate(zip(ix.words, ix.meta)):
+    for sx, (word, alpha) in enumerate(zip(ix.words, ix.alphas)):
         ident = Morphism.identity(spec, word)
         for (ty, _zero), blk in phi.blocks.items():
             st = ident.apply_coupon(sigma.n + 1, blk)
-            for ty2, mor in _contract(spec, sigma, py, alpha, ty, st).items():
+            for ty2, mor in _contract(sigma, py, alpha, ty, st).items():
                 key = (ty2, sx)
                 blocks[key] = blocks[key] + mor if key in blocks else mor
     return CarrierMap(spec, ix.words, py.words, blocks)
 
 
-def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
-    """(forward, backward) between Hom_C(x, Y) and the sigma-morphism space.
+def adjunction_maps(spec, sigma: Gluing, lab, py: SigmaPair):
+    """(forward, backward) between Hom_C(lab, Y) and the sigma-morphism space.
 
     backward is restriction to the all-units summand of the induced
     carrier.  forward is ``_forward``, linear over the basis maps, whose
@@ -567,7 +525,7 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
     the unit, so under the strict unit gauge of ``trees`` and the unit law
     of the pair the contraction gives phi with the unit legs stripped;
     backward puts them back, so backward o forward is the identity on
-    Hom_C(x, Y).  By the adjunction, backward is injective on
+    Hom_C(lab, Y).  By the adjunction, backward is injective on
     sigma-morphisms, so the sigma-morphism with backward image phi is
     unique: forward(phi) equals D^n P(pre(phi)), the averaging projection
     P of phi on the all-units summand, scaled by D^n with D = dim(C).
@@ -576,14 +534,9 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
     first does, so it is the tests that check forward's images to be
     sigma-morphisms, against the projection.
     """
-    fx = _as_formal(spec, x)
-    if len(fx.multiplicities) != 1 or fx.multiplicities[0][1] != 1:
-        raise GenusCenterError("adjunction_maps expects a simple object")
-    lab = fx.multiplicities[0][0]
     ix = induced_half_braidings(spec, sigma, lab)
     n = sigma.n
-    all1 = (spec.unit,) * n
-    si_all1 = next(i for i, (_l, _c, alpha) in enumerate(ix.meta) if alpha == all1)
+    si_all1 = ix.alphas.index((spec.unit,) * n)
     inc = Morphism.identity(spec, (lab,)).apply_all(
         (("unit_insert", 0),) * n + tuple(("unit_insert", n + 1 + k) for k in range(n))
     )
@@ -617,24 +570,6 @@ def adjunction_maps(spec, sigma: Gluing, x, py: SigmaPair):
 
 # ---------------------------------------------------------------------------
 # tube algebra
-
-
-@dataclass
-class TubeAlgebra:
-    spec: CategorySpec
-    sigma: Gluing
-    basis: list  # (i, j, alpha, tree)
-    gens: list  # degree 0, and degree 1 with a handle label: the right factors of mult_table
-    mult_table: dict  # (a, g) -> dict {c: coeff}, for every a and every g in gens
-    unit: dict  # coordinates of the unit
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def algebra_data(self) -> AlgebraData:
-        return AlgebraData(dim=self.dim, mult=self.mult_table, unit=self.unit, gens=self.gens,
-                           order=self.spec.field_order())
 
 
 @cached
@@ -676,13 +611,13 @@ def _tube_products(spec, sigma: Gluing, right) -> dict:
     for (j, k, alpha_g), gms in elems.items():
         pj = induced_half_braidings(spec, sigma, j)
         pk = induced_half_braidings(spec, sigma, k)
-        ty = [a for _lab, _c, a in pk.meta].index(alpha_g)
+        ty = pk.alphas.index(alpha_g)
         for g, gm in gms:
             if g not in right:
                 continue
             img = _forward(spec, sigma, j, pk, CarrierMap(spec, ((j,),), pk.words, {(ty, 0): gm}))
             for (s2, s), mor in img.blocks.items():
-                alpha_f, alpha2 = pj.meta[s][2], pk.meta[s2][2]
+                alpha_f, alpha2 = pj.alphas[s], pk.alphas[s2]
                 for (i, ri, ci), v in mor.entries().items():
                     row = mult.setdefault((at[i, j, alpha_f, ci], g), {})
                     c_idx = at[i, k, alpha2, ri]
@@ -718,8 +653,10 @@ def _handle_labels(spec) -> tuple:
 
 
 @cached
-def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
+def tube_algebra(spec, sigma: Gluing) -> AlgebraData:
     """Blocks Hom_C(i, T(j)) with the transported composition product.
+
+    The basis is that of ``_tube_basis``, and the field is the spec's.
 
     Only the products by the generators ``gens`` are given: the elements
     of degree 0 and those of degree 1 whose handle label is in
@@ -743,11 +680,11 @@ def tube_algebra(spec, sigma: Gluing) -> TubeAlgebra:
     mult = _tube_products(spec, sigma, [g for g in gens if g not in units.values()])
     for a, (_i, j, _alpha, _t) in enumerate(basis):
         mult[a, units[j]] = {a: ONE}
-    return TubeAlgebra(spec=spec, sigma=sigma, basis=basis, gens=gens, mult_table=mult,
-                       unit={u: ONE for u in units.values()})
+    return AlgebraData(dim=len(basis), mult=mult, unit={u: ONE for u in units.values()},
+                       gens=gens, order=spec.field_order())
 
 
 def center_rank(spec, sigma: Gluing):
     """(rank, block_dims) of the center category, via the tube algebra."""
-    return decompose(tube_algebra(spec, sigma).algebra_data())
+    return decompose(tube_algebra(spec, sigma))
 

@@ -124,10 +124,10 @@ def _cmd_gluing_enum(args) -> int:
 def _cmd_gluing_classify(args) -> int:
     sig = parse_cycles(args.sigma)
     st = surface_type(sig)
-    orbits = sig.orbits()
-    table = [{"orbit": i + 1, "low": o.low, "high": o.high} for i, o in enumerate(orbits)]
-    cases = [{"orbits": [i + 1, j + 1], "case": comm_case(sig, orbits[i], orbits[j])}
-             for i in range(len(orbits)) for j in range(i + 1, len(orbits))]
+    pairs = sig.pairs()
+    table = [{"orbit": i, "low": lo, "high": hi} for i, (lo, hi) in enumerate(pairs, 1)]
+    cases = [{"orbits": [i + 1, j + 1], "case": comm_case(pairs[i], pairs[j])}
+             for i in range(sig.n) for j in range(i + 1, sig.n)]
     _emit(
         {
             "sigma": sig.cycle_string(),

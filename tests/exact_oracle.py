@@ -257,7 +257,7 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
     for hb in pair.braidings:
         reach.append({
             s for s in range(len(pair.words))
-            if any(s2 in reach[-1] for z in spec.labels for s2, _ in hb.columns(z, s))
+            if any(s2 in reach[-1] for z in spec.labels for s2, _ in hb[z, s])
         })
     current = {((), s0): mor0} if s0 in reach[sigma.n] else {}
     for m in range(sigma.n - 1, -1, -1):
@@ -265,7 +265,7 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
         for (alpha_tail, s), mor in current.items():
             a_pos = _contract_plan(sigma, m, len(pair.words[s]))[1]
             for a in spec.labels:
-                cols = pair.braidings[m].columns(spec.dual[a], s)
+                cols = pair.braidings[m][spec.dual[a], s]
                 cols = [(s2, col) for s2, col in cols if s2 in reach[m]]
                 if not cols:
                     continue
@@ -306,7 +306,7 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
                     if sx2 != sx:
                         continue
                     st = mor.apply_coupon(mid_pos, fb)
-                    for ty2, m2 in _contract(spec, sigma, py, alpha, ty, st).items():
+                    for ty2, m2 in _contract(sigma, py, alpha, ty, st).items():
                         m2 = m2.scale(weight)
                         key = (ty2, sx0)
                         out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2

@@ -67,7 +67,7 @@ class TestCertificate:
         # Its structure constants are rational, but its centre needs sqrt(-1),
         # which F_p lacks at the first prime, 3 mod 4.  Over its spec's field
         # Q(i) the primes are 1 mod 4, where it is there.
-        alg = tube_algebra(catalog.builtin("semion"), parse_cycles("(1 2)")).algebra_data()
+        alg = tube_algebra(catalog.builtin("semion"), parse_cycles("(1 2)"))
         over_q = dataclasses.replace(alg, order=1)
         with pytest.raises(NonSplitError, match=r"\(c\)"):
             _decompose_mod(over_q, first_prime(), random.Random(7))
@@ -156,7 +156,7 @@ def test_primes_are_those_of_trial_division(order, dim):
 
 
 def test_exact_center_refuses_a_table_of_generator_products():
-    alg = tube_algebra(catalog.builtin("semion"), parse_cycles("(1 3)(2 4)")).algebra_data()
+    alg = tube_algebra(catalog.builtin("semion"), parse_cycles("(1 3)(2 4)"))
     with pytest.raises(GenusCenterError, match="every basis element"):
         center_basis(alg)
 
@@ -166,7 +166,7 @@ def test_exact_center_matches_the_rank_mod_p(key):
     spec, sigma = catalog.builtin(key), parse_cycles("(1 2)")
     tube = tube_algebra(spec, sigma)
     exact = AlgebraData(tube.dim, _tube_products(spec, sigma, range(tube.dim)), tube.unit)
-    assert len(center_basis(exact)) == decompose(tube.algebra_data())[0]
+    assert len(center_basis(exact)) == decompose(tube)[0]
 
 
 # Gluings of n = 2, where the generators are a proper subset of the basis.
@@ -183,7 +183,7 @@ def test_exact_center_matches_the_commutant_of_the_generators(key, cycles):
     tube = tube_algebra(spec, sigma)
     assert len(tube.gens) < tube.dim
     exact = AlgebraData(tube.dim, _tube_products(spec, sigma, range(tube.dim)), tube.unit)
-    rank, _blocks = decompose(tube.algebra_data())
+    rank, _blocks = decompose(tube)
     assert len(center_basis(exact)) == rank, f"{key} at {cycles}"
 
 

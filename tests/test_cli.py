@@ -283,12 +283,13 @@ class TestCatalogFiles:
             ("F[", lambda doc: doc["F"][0]["value"].update(order=True)),
             ("unit", lambda doc: doc.update(unit=[])),
             ("dual", lambda doc: doc.update(dual={"1": ["x"], "t": "t"})),
+            ("provenance", lambda doc: doc.update(provenance=5)),
         ],
         ids=["R-null", "scalar-term-pair", "name-not-a-string", "R-index-out-of-range",
              "pivotal-zero", "scalar-zero-denominator", "scalar-order-too-large",
              "field-order-lcm-too-large", "multiplicity-float", "multiplicity-string",
              "multiplicity-bool", "F-index-float", "scalar-numerator-bool", "scalar-order-bool",
-             "unit-not-a-string", "dual-not-strings"],
+             "unit-not-a-string", "dual-not-strings", "provenance-not-a-string"],
     )
     def test_malformed_field_is_an_error_line(self, capsys, tmp_path, field, corrupt):
         path, doc = saved_doc(tmp_path, "fibonacci")
@@ -302,7 +303,9 @@ class TestCatalogFiles:
         assert field in err
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("field,value", [("unit", []), ("dual", {"1": ["x"], "t": "t"})])
+    @pytest.mark.parametrize("field,value", [
+        ("unit", []), ("dual", {"1": ["x"], "t": "t"}), ("provenance", 5), ("provenance", {}),
+    ])
     def test_validate_names_a_field_of_the_wrong_type(self, capsys, tmp_path, field, value):
         path, doc = saved_doc(tmp_path, "fibonacci")
         doc[field] = value

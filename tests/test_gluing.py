@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from genuscenter.errors import GluingFormatError
@@ -44,39 +47,47 @@ class TestEnumerate:
 
 class TestOrbits:
     def test_orbit_examples(self):
-        o1, o2 = g("(1 3)(2 4)").orbits()
-        assert o1.orbit == frozenset({1, 3}) and o1.low == 1 and o1.high == 3
-        assert o2.orbit == frozenset({2, 4}) and o2.low == 2
-        assert g("(2 1)").orbits()[0].orbit == frozenset({1, 2})
+        assert g("(1 3)(2 4)").pairs() == ((1, 3), (2, 4))
+        assert g("(2 4)(3 1)").pairs() == ((1, 3), (2, 4))
+        assert g("(2 1)").pairs() == ((1, 2),)
 
     def test_distinct_orbit_count(self):
         for sig in enumerate_adm(3):
-            orbits = sig.orbits()
-            assert len({o.orbit for o in orbits}) == 3
-            assert {leg for o in orbits for leg in o.orbit} == set(range(1, 7))
+            pairs = sig.pairs()
+            assert len(set(pairs)) == 3 and all(lo < hi for lo, hi in pairs)
+            assert pairs == tuple(sorted(pairs))
+            assert {leg for p in pairs for leg in p} == set(range(1, 7))
+
+    def test_pairs_are_kept_on_the_gluing_and_freed_with_it(self):
+        sig = g("(1 3)(2 4)")
+        assert sig.pairs() is sig.pairs() and isinstance(sig.pairs(), tuple)
+        ref = weakref.ref(sig)
+        sig.cycle_string()
+        del sig
+        gc.collect()
+        assert ref() is None
 
 
 class TestCommCase:
     def test_three_cases(self):
         for cycles, case in (("(1 2)(3 4)", 1), ("(1 3)(2 4)", 2), ("(1 4)(2 3)", 3)):
             sig = g(cycles)
-            assert comm_case(sig, *sig.orbits()) == case
+            assert comm_case(*sig.pairs()) == case
 
     def test_symmetric_and_exclusive(self):
         for n in (2, 3, 4):
             for sig in enumerate_adm(n):
-                orbits = sig.orbits()
-                for a in range(len(orbits)):
-                    for b in range(a + 1, len(orbits)):
-                        c1 = comm_case(sig, orbits[a], orbits[b])
-                        c2 = comm_case(sig, orbits[b], orbits[a])
+                pairs = sig.pairs()
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        c1 = comm_case(pairs[a], pairs[b])
+                        c2 = comm_case(pairs[b], pairs[a])
                         assert c1 == c2 and c1 in (1, 2, 3)
 
     def test_identical_orbits_rejected(self):
-        sig = g("(1 2)")
-        (orbit,) = sig.orbits()
+        (orbit,) = g("(1 2)").pairs()
         with pytest.raises(ValueError):
-            comm_case(sig, orbit, orbit)
+            comm_case(orbit, orbit)
 
 
 class TestSigmaGK:

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from genuscenter import catalog, center
-from genuscenter.center import FormalObject, center_rank, induced_half_braidings, tube_algebra
+from genuscenter.center import adjunction_maps, center_rank, induced_half_braidings, tube_algebra
 from genuscenter.errors import GenusCenterError, IllFormedDiagramError
 from genuscenter.exactnum import C0, rational, zeta
 from genuscenter.fusion import (
@@ -581,7 +581,7 @@ MEMOIZED = [
     (CategorySpec.r_inverse, ("t", "t", "1")),
     (quantum_dims, ()),
     (s_matrix_and_transparency, ()),
-    (center._induced, (SIG12, FormalObject.of("t"))),
+    (center._induced, (SIG12, "t")),
     (center._tube_basis, (SIG12,)),
     (tube_algebra, (SIG12,)),
 ]
@@ -604,13 +604,10 @@ class TestCached:
         center_rank(spec, SIG12)
         assert {key[0] for key in spec._cache} == {fn.__name__ for fn, _ in MEMOIZED}
 
-    def test_label_and_formal_object_share_one_induced_pair(self):
+    @pytest.mark.parametrize("x", (["t"], "q", 3), ids=("list", "unknown-string", "int"))
+    def test_induced_pair_of_a_non_object_raises(self, x):
         spec = fresh("fibonacci")
-        pair = induced_half_braidings(spec, SIG12, "t")
-        size = len(spec._cache)
-        assert induced_half_braidings(spec, SIG12, FormalObject.of("t")) is pair
-        assert len(spec._cache) == size
-
-    def test_induced_pair_of_a_non_object_raises(self):
         with pytest.raises(GenusCenterError):
-            induced_half_braidings(fresh("fibonacci"), SIG12, ["t"])
+            induced_half_braidings(spec, SIG12, x)
+        with pytest.raises(GenusCenterError):
+            adjunction_maps(spec, SIG12, x, induced_half_braidings(spec, SIG12, "t"))
