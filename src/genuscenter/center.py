@@ -22,10 +22,10 @@ orbits in order around the middle block; ``_move`` turns one leg move
 into a braid word (legs pass in front of legs and behind the block), and
 ``_contract_plan`` chains those moves into the word that brings the leg
 pair of one orbit next to the block.  The word depends only on (sigma,
-orbit, block width) and is computed once per key, so a contraction is a
-word, a gamma column and a cap, all applied as composed words.  The
-adjunction identities and algebra laws below are exact checks of the
-whole construction.
+orbit, block width), and ``_forward`` builds the n plans once per call, so
+a contraction is a word, a gamma column and a cap, all applied as composed
+words.  The adjunction identities and algebra laws below are exact checks
+of the whole construction.
 
 The adjunction I -| U is one contraction.  ``_forward`` transposes a map
 phi: x -> U(Y) to the sigma-morphism I(x) -> Y: on each summand of I(x),
@@ -63,7 +63,6 @@ and only the products by the elements of degree 1 are contracted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product as iproduct
 
 from .algebra import AlgebraData, decompose
@@ -322,11 +321,11 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
     if sigma.n == 0:
         return ValidationReport([])
     gamma = {
-        (m, z): _apply_gamma(_carrier_id_with(spec, pair, (z,), ()), pair, m, 1, z)
+        (m, z): _apply_gamma(_carrier_id_with(spec, pair, (z,)), pair, m, 1, z)
         for m in range(sigma.n) for z in spec.labels
     }
     # At the unit, gamma is the identity with the unit strand moved to the end.
-    ident = _carrier_id_with(spec, pair, (spec.unit,), ())
+    ident = _carrier_id_with(spec, pair, (spec.unit,))
     moved = {
         k: v.apply_all((("unit_remove", 1), ("unit_insert", len(v.src) - 1)))
         for k, v in ident.blocks.items()
@@ -368,14 +367,14 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
     return ValidationReport(bad)
 
 
-def _carrier_id_with(spec, pair, prefix, suffix) -> CarrierMap:
-    words = tuple(tuple(prefix) + tuple(w) + tuple(suffix) for w in pair.words)
+def _carrier_id_with(spec, pair, prefix) -> CarrierMap:
+    words = tuple(tuple(prefix) + tuple(w) for w in pair.words)
     return CarrierMap.identity(spec, words)
 
 
 def _hexagon_ok(spec, pair, m, z1, z2, w, mu, gamma_w: CarrierMap) -> bool:
     # LHS: split w -> (z1, z2), then gamma at z2, then gamma at z1.
-    lhs = _carrier_id_with(spec, pair, (w,), ()).apply_all((("split", 1, z1, z2, mu),))
+    lhs = _carrier_id_with(spec, pair, (w,)).apply_all((("split", 1, z1, z2, mu),))
     lhs = _apply_gamma(lhs, pair, m, 2, z2)
     lhs = _apply_gamma(lhs, pair, m, 1, z1)
     # RHS: gamma_w (gamma at w on the identity carrier), then split the
@@ -403,7 +402,7 @@ def _comm_ok(spec, pair, i, j, case, z1, z2) -> bool:
             st = st.apply_all(word)
         return st
 
-    start = _carrier_id_with(spec, pair, (z2, z1), ())
+    start = _carrier_id_with(spec, pair, (z2, z1))
     lhs = _apply_gamma(gamma_i(start, 2), pair, j, 1, z2)
     rhs = start.apply_all((("braid", 1, "under"),))
     rhs = gamma_i(_apply_gamma(rhs, pair, j, 2, z2), 1)
@@ -457,7 +456,6 @@ def _move(layout: tuple, width: int, src, dst: int):
     return tuple(word), tuple(layout)
 
 
-@lru_cache(maxsize=None)
 def _contract_plan(sigma: Gluing, m: int, width: int):
     """Braid word that brings orbit m's legs to (lo, [block], hi), plus lo's strand.
 
@@ -475,44 +473,41 @@ def _contract_plan(sigma: Gluing, m: int, width: int):
     return word, _offset(layout, width, layout.index(lo))
 
 
-def _contract(sigma: Gluing, pair: SigmaPair, alpha, s: int, state: Morphism):
+def _contract(plans, pair: SigmaPair, alpha, s: int, state: Morphism):
     """Contract all leg pairs of the alpha summand through the carrier.
 
-    ``state``: Morphism(src -> legs + word_s + legs).  Returns a dict
-    {s2: Morphism(src -> word_s2)}.
+    ``plans[m]`` is ``_contract_plan`` of orbit m at the width of the
+    pair's words, which all have one length.  ``state``: Morphism(src ->
+    legs + word_s + legs).  Returns a dict {s2: Morphism(src -> word_s2)}.
     """
     current = {s: state}
-    for m in range(sigma.n):
-        a = alpha[m]
+    for a, (word, a_pos), hb in zip(alpha, plans, pair.braidings):
         nxt: dict = {}
         for si, mor in current.items():
-            word, a_pos = _contract_plan(sigma, m, len(pair.words[si]))
             st = mor.apply_all(word)
-            for s2, col in pair.braidings[m].get((a, si), ()):
+            for s2, col in hb.get((a, si), ()):
                 st2 = col.apply_at(st, a_pos, (("cap", a_pos + len(pair.words[s2]), a, True),))
                 nxt[s2] = nxt[s2] + st2 if s2 in nxt else st2
         current = nxt
     return current
 
 
-def _forward(spec, sigma: Gluing, lab: str, py: SigmaPair, phi: CarrierMap) -> CarrierMap:
-    """The adjoint transpose of phi: lab -> U(py), a sigma-morphism I(lab) -> py.
+def _forward(spec, sigma: Gluing, lab: str, py: SigmaPair, ty: int, f: Morphism) -> CarrierMap:
+    """The adjoint transpose of f: lab -> py.words[ty], a sigma-morphism I(lab) -> py.
 
-    On the alpha summand of I(lab), each block (ty, 0) of phi is a coupon
-    on the middle strand of the identity of legs + (lab,) + legs, and the
-    legs are contracted through py into the blocks (ty2, alpha).  It is the
-    one contraction read-off: ``adjunction_maps`` and the tube products
-    both read their maps off it.
+    On the alpha summand of I(lab), f is a coupon on the middle strand of
+    the identity of legs + (lab,) + legs, and the legs are contracted
+    through py into the blocks (ty2, alpha), with the n contraction plans
+    built once per call.  It is the one contraction read-off:
+    ``adjunction_maps`` and the tube products both read their maps off it.
     """
     ix = induced_half_braidings(spec, sigma, lab)
+    plans = [_contract_plan(sigma, m, len(py.words[0])) for m in range(sigma.n)]
     blocks: dict = {}
     for sx, (word, alpha) in enumerate(zip(ix.words, ix.alphas)):
-        ident = Morphism.identity(spec, word)
-        for (ty, _zero), blk in phi.blocks.items():
-            st = ident.apply_coupon(sigma.n + 1, blk)
-            for ty2, mor in _contract(sigma, py, alpha, ty, st).items():
-                key = (ty2, sx)
-                blocks[key] = blocks[key] + mor if key in blocks else mor
+        st = Morphism.identity(spec, word).apply_coupon(sigma.n + 1, f)
+        for ty2, mor in _contract(plans, py, alpha, ty, st).items():
+            blocks[ty2, sx] = mor
     return CarrierMap(spec, ix.words, py.words, blocks)
 
 
@@ -551,10 +546,13 @@ def adjunction_maps(spec, sigma: Gluing, lab, py: SigmaPair):
             out[(ty, 0)] = blk.compose(inc)
         return CarrierMap(spec, ((lab,),), py.words, out)
 
-    # flatten_carrier_map(phis[k]) is the k-th unit vector, so it gives the
-    # coordinates of a map over this basis.
-    phis = carrier_basis(spec, ((lab,),), py.words)
-    columns = [_forward(spec, sigma, lab, py, phi) for phi in phis]
+    # columns[k] is forward of the k-th basis map of ``carrier_basis``, so
+    # flatten_carrier_map(phi) gives phi's coordinates over them.
+    columns = [
+        _forward(spec, sigma, lab, py, ty, Morphism.elementary(spec, (lab,), tw, key))
+        for ty, tw in enumerate(py.words)
+        for key in hom_keys(spec, (lab,), tw)
+    ]
 
     def forward(phi: CarrierMap) -> CarrierMap:
         if phi.src != ((lab,),) or phi.tgt != py.words:
@@ -576,24 +574,19 @@ def adjunction_maps(spec, sigma: Gluing, lab, py: SigmaPair):
 def _tube_basis(spec, sigma: Gluing):
     """The tube basis: blocks Hom_C(i, T_alpha(j)) with one element per tree.
 
-    Returns the list of (i, j, alpha, tree), the index of each
-    (i, j, alpha, tree index), and for each (i, j, alpha) the pairs
-    (basis index, basis map of Hom_C(i, T_alpha(j))).
+    Returns the list of (i, j, alpha, tree), and the index of each
+    (i, j, alpha, tree index).
     """
     basis = []
     at: dict = {}
-    elems: dict = {}
     for j in spec.labels:
         for alpha in _assignments(spec, sigma):
             word = _word_for(spec, sigma, alpha, (j,))
             for i in spec.labels:
-                ts = trees(spec, word, i)
-                for coord in hom_keys(spec, (i,), word):
-                    at[i, j, alpha, coord[1]] = len(basis)
-                    elem = Morphism.elementary(spec, (i,), word, coord)
-                    elems.setdefault((i, j, alpha), []).append((len(basis), elem))
-                    basis.append((i, j, alpha, ts[coord[1]]))
-    return basis, at, elems
+                for r, tree in enumerate(trees(spec, word, i)):
+                    at[i, j, alpha, r] = len(basis)
+                    basis.append((i, j, alpha, tree))
+    return basis, at
 
 
 def _tube_products(spec, sigma: Gluing, right) -> dict:
@@ -603,27 +596,23 @@ def _tube_products(spec, sigma: Gluing, right) -> dict:
     forward image of e_g in Hom_Z(I(j), I(k)) (``_forward``): its block
     (s2, s) sends the trees of Hom_C(i, T_alpha_s(j)) at charge i, each an
     e_a, to the coordinates of e_a e_g in Hom_C(i, T_alpha_s2(k)).
-    Returns {(a, g): {c: v}} with the zero entries and rows dropped.
+    Returns {(a, g): {c: v}}.  Each entry is one nonzero entry of one
+    block, as ``at`` is one to one, so no entry or row is zero.
     """
-    _basis, at, elems = _tube_basis(spec, sigma)
-    right = set(right)
+    _basis, at = _tube_basis(spec, sigma)
+    coords = {b: key for key, b in at.items()}
     mult: dict = {}
-    for (j, k, alpha_g), gms in elems.items():
+    for g in sorted(set(right)):
+        j, k, alpha_g, r = coords[g]
         pj = induced_half_braidings(spec, sigma, j)
         pk = induced_half_braidings(spec, sigma, k)
         ty = pk.alphas.index(alpha_g)
-        for g, gm in gms:
-            if g not in right:
-                continue
-            img = _forward(spec, sigma, j, pk, CarrierMap(spec, ((j,),), pk.words, {(ty, 0): gm}))
-            for (s2, s), mor in img.blocks.items():
-                alpha_f, alpha2 = pj.alphas[s], pk.alphas[s2]
-                for (i, ri, ci), v in mor.entries().items():
-                    row = mult.setdefault((at[i, j, alpha_f, ci], g), {})
-                    c_idx = at[i, k, alpha2, ri]
-                    row[c_idx] = row.get(c_idx, C0) + v
-    mult = {ab: {c: v for c, v in row.items() if not v.is_zero()} for ab, row in mult.items()}
-    return {ab: row for ab, row in mult.items() if row}
+        gm = Morphism.elementary(spec, (j,), pk.words[ty], (j, r, 0))
+        for (s2, s), mor in _forward(spec, sigma, j, pk, ty, gm).blocks.items():
+            alpha_f, alpha2 = pj.alphas[s], pk.alphas[s2]
+            for (i, ri, ci), v in mor.entries().items():
+                mult.setdefault((at[i, j, alpha_f, ci], g), {})[at[i, k, alpha2, ri]] = v
+    return mult
 
 
 def _handle_labels(spec) -> tuple:
@@ -668,7 +657,7 @@ def tube_algebra(spec, sigma: Gluing) -> AlgebraData:
     written, not contracted: e_a when a ends at j, else 0.
     """
     spec.require_braiding()
-    basis, at, _elems = _tube_basis(spec, sigma)
+    basis, at = _tube_basis(spec, sigma)
     handles = set(_handle_labels(spec))
     gens = []
     for b, (_i, _j, alpha, _t) in enumerate(basis):

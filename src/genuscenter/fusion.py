@@ -52,11 +52,12 @@ class CategorySpec:
 
     Frozen: ``_cache`` holds what is derived from F, R and the pivotal data
     (splitting vertices, tree lists, F and R blocks, F blocks by incoming
-    slots, cap coefficients, pivotal inverses, each generator's action on
-    each window of a tree it meets, one composed map per generator word and
-    window word, loop values, twists, quantum dimensions, the S matrix,
-    induced pairs, tube bases and tube algebras), so those fields never
-    change after construction.  It is filled only through ``trees.cached``.
+    slots, cap coefficients, pivotal inverses, the window of each generator
+    word, each generator's action on each window of a tree it meets, one
+    composed map per generator word and window word, loop values, twists,
+    quantum dimensions, the S matrix, induced pairs, tube bases and tube
+    algebras), so those fields never change after construction.  It is
+    filled only through ``trees.cached``.
     """
 
     name: str

@@ -29,14 +29,13 @@ tail's first vertex hangs.
 One row engine, ``_push``, moves sparse rows through a window action and
 carries each tree's head and tail.  ``_local_moves`` holds each
 generator's action on each window it meets, so ``_apply_tree`` runs once
-per distinct window per spec.  ``_chain_map`` pushes a window word's
+per distinct window per spec.  ``_word_map`` pushes a window word's
 identity rows {t: {t: 1}} through that table one generator at a time and
-reads the word's map off by columns; ``_word_map`` caches it per window
-word, and ``apply_all`` pushes each block through one such map per head
-charge.  A coupon ``1 (x) f (x) 1`` is linear in f, so it is a sum over
-the entries f_d[r, s], each the word that merges the source strands to d
-along source tree s followed by the word that splits d along target tree
-r.
+reads the word's map off by columns, once per window word, and
+``apply_all`` pushes each block through one such map per head charge.  A
+coupon ``1 (x) f (x) 1`` is linear in f, so it is a sum over the entries
+f_d[r, s], each the word that merges the source strands to d along source
+tree s followed by the word that splits d along target tree r.
 
 Zeros: ``_local_moves`` drops a generator's, once per window.  A product
 of nonzero values is never zero, so past that an entry is deleted only
@@ -50,9 +49,11 @@ A Hom space has the coordinates (charge, target tree, source tree) that
 the block layout is known here alone.
 
 Every table derived once per category (splitting vertices, tree lists, F
-and R blocks indexed by incoming slots, pivotal inverses, generator actions
-on windows, composed word maps, twists, induced pairs, tube algebras) is
-memoized by ``cached``, the one reader and writer of ``spec._cache``.
+and R blocks indexed by incoming slots, pivotal inverses, the window of
+each generator word, generator actions on windows, composed word maps,
+twists, induced pairs, tube bases and tube algebras) is memoized by
+``cached``, the one reader and writer of ``spec._cache``, so none of them
+outlives its spec.
 
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
@@ -63,7 +64,7 @@ evaluate to the quantum dimensions.
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import wraps
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
 from .exactnum import C0, C1, Cyclotomic
@@ -481,7 +482,7 @@ class Morphism:
         if not ops:
             return self
         spec, tgt = self.spec, self.tgt
-        s, k = _active_window(len(tgt), ops)
+        s, k = _active_window(spec, len(tgt), ops)
         local = tuple((op[0], op[1] - s) + op[2:] for op in ops)
         new_word = word_after(spec, tgt, ops)
         rest, maps = tgt[s + 1 : k], {}
@@ -603,8 +604,9 @@ def _local_moves(spec, word: Word, tree: Tree, op) -> list:
     return [(t, _one(v)) for t, v in out.items() if not v.is_zero()]
 
 
-def _chain_map(spec, word: Word, ops) -> dict[Tree, list]:
-    """Compose a generator chain on ``word`` into {tree: [(tree', coeff)]}.
+@cached
+def _word_map(spec, word: Word, ops: tuple) -> dict[Tree, list]:
+    """Composed action {tree: [(tree', coeff)]} of a generator word on ``word``.
 
     ``_push`` moves the identity rows {t: {t: ONE}} through each generator's
     ``_local_moves`` on its own window (``_active_window``); the map is then
@@ -612,7 +614,7 @@ def _chain_map(spec, word: Word, ops) -> dict[Tree, list]:
     """
     rows = {t: {t: ONE} for ts in all_trees(spec, word).values() for t in ts}
     for op in ops:
-        s, k = _active_window(len(word), (op,))
+        s, k = _active_window(spec, len(word), (op,))
         rest, local = word[s + 1 : k], (op[0], op[1] - s) + op[2:]
         rows = _push(rows, s, k, lambda c, window: _local_moves(spec, c + rest, window, local))
         word = _op_new_word(spec, word, op)
@@ -623,8 +625,8 @@ def _chain_map(spec, word: Word, ops) -> dict[Tree, list]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _active_window(n: int, ops: tuple) -> tuple[int, int]:
+@cached
+def _active_window(spec, n: int, ops: tuple) -> tuple[int, int]:
     """The window (s, k) of an n-strand word that ``ops`` acts inside.
 
     k: at every step, before and after the op, strands 1..k hold the last
@@ -648,12 +650,6 @@ def _active_window(n: int, ops: tuple) -> tuple[int, int]:
         tail = min(tail, length - max(after, 1))
         first = min(first, p + 1 if kind in ("cup", "unit_insert") else p)
     return max(first - 2, 0), n - max(tail, 0)
-
-
-@cached
-def _word_map(spec, word: Word, ops: tuple) -> dict:
-    """Composed action {tree: [(tree', coeff)]} of a generator word on ``word``."""
-    return _chain_map(spec, word, ops)
 
 
 # ---------------------------------------------------------------------------

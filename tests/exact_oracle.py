@@ -245,7 +245,7 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
     Creating orbit m runs its contraction (``_contract_plan``) backwards: a
     cup at gap a_pos - 1, the gamma column at a_pos + 1, then the word
     reversed with each crossing's sense flipped, at the width of the
-    summand it acts on.
+    pair's words, which all have one length; the n plans are built once.
 
     ``mor0``: Morphism(src -> word_{s0}).  Returns a dict
     {(alpha, s2): Morphism(src -> legs + word_{s2} + legs)} over the
@@ -259,11 +259,13 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
             s for s in range(len(pair.words))
             if any(s2 in reach[-1] for z in spec.labels for s2, _ in hb[z, s])
         })
+    plans = [_contract_plan(sigma, m, len(pair.words[0])) for m in range(sigma.n)]
     current = {((), s0): mor0} if s0 in reach[sigma.n] else {}
     for m in range(sigma.n - 1, -1, -1):
+        word, a_pos = plans[m]
+        back = tuple(("braid", i, _flip(sense)) for _b, i, sense in reversed(word))
         nxt: dict = {}
         for (alpha_tail, s), mor in current.items():
-            a_pos = _contract_plan(sigma, m, len(pair.words[s]))[1]
             for a in spec.labels:
                 cols = pair.braidings[m][spec.dual[a], s]
                 cols = [(s2, col) for s2, col in cols if s2 in reach[m]]
@@ -271,8 +273,6 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
                     continue
                 st = mor.apply(("cup", a_pos - 1, a, False))
                 for s2, col in cols:
-                    word = _contract_plan(sigma, m, len(pair.words[s2]))[0]
-                    back = tuple(("braid", i, _flip(sense)) for _b, i, sense in reversed(word))
                     st2 = col.apply_at(st, a_pos + 1, back)
                     key = ((a,) + alpha_tail, s2)
                     nxt[key] = nxt[key] + st2 if key in nxt else st2
@@ -293,6 +293,7 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
     omega, _ = quantum_dims(spec)
     inv_total = omega.total.inverse()
     need = {sx for f in fs for (_ty, sx) in f.blocks}
+    plans = [_contract_plan(sigma, m, len(py.words[0])) for m in range(sigma.n)]
     outs: list = [{} for _ in fs]
     mid_pos = sigma.n + 1
     for sx0, w in enumerate(px.words):
@@ -306,7 +307,7 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
                     if sx2 != sx:
                         continue
                     st = mor.apply_coupon(mid_pos, fb)
-                    for ty2, m2 in _contract(sigma, py, alpha, ty, st).items():
+                    for ty2, m2 in _contract(plans, py, alpha, ty, st).items():
                         m2 = m2.scale(weight)
                         key = (ty2, sx0)
                         out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -225,7 +227,7 @@ class TestCarrierMaps:
         spec = catalog.builtin(key)
         pair = induced_half_braidings(spec, sig12(), spec.labels[-1])
         for z in spec.labels:
-            ident = center._carrier_id_with(spec, pair, (z,), ())
+            ident = center._carrier_id_with(spec, pair, (z,))
             zero = CarrierMap.zero(spec, ident.src, ident.tgt)
             want = center._apply_gamma(ident, pair, 0, 1, z)
             got = center._apply_gamma(zero, pair, 0, 1, z)
@@ -771,11 +773,24 @@ class TestLegPlumbing:
                     end = replay_layout(start, width, reversed(word))
                     assert end == center._layout(sigma, range(m, n))
 
-    def test_plans_are_memoized_and_immutable(self):
+    def test_plans_are_equal_and_immutable(self):
         sigma = parse_cycles("(1 3)(2 4)")
         got = center._contract_plan(sigma, 0, 2)
-        assert center._contract_plan(parse_cycles("(1 3)(2 4)"), 0, 2) is got
+        assert center._contract_plan(parse_cycles("(1 3)(2 4)"), 0, 2) == got
         assert isinstance(got, tuple) and all(isinstance(x, (int, tuple)) for x in got)
+
+    def test_a_dropped_gluing_is_freed(self):
+        # The plans are built per call and every memo of the tube and the
+        # adjunction lives in the spec's cache, so nothing else holds the gluing.
+        spec = dataclasses.replace(catalog.builtin("vec_z2"), _cache={})
+        sigma = parse_cycles("(1 3)(2 4)")
+        center_rank(spec, sigma)
+        lab = spec.labels[-1]
+        adjunction_maps(spec, sigma, lab, induced_half_braidings(spec, sigma, lab))
+        ref = weakref.ref(sigma)
+        del spec, sigma
+        gc.collect()
+        assert ref() is None
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_contract_plan_brings_the_legs_to_the_block(self, n):

@@ -402,14 +402,15 @@ def test_adjoint_check_multiplies_by_no_zero(monkeypatch, capsys):
 def test_each_generator_window_is_evaluated_once():
     # L2 evaluates a generator on a window of a tree once per spec, through
     # the _local_moves table, and composes word maps on windows: 171 and 353
-    # on these jobs, against 243 and 473 on touched prefixes.
+    # on these jobs, against 243 and 473 on touched prefixes.  Each composed
+    # map is one _word_map key of the spec's cache.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (
         "import genuscenter.cli as cli\n"
         "from genuscenter import catalog, trees\n"
-        "count = {'apply': 0, 'depth': 0, 'chain': 0}\n"
-        "apply_tree, chain_map = trees._apply_tree, trees._chain_map\n"
+        "count = {'apply': 0, 'depth': 0}\n"
+        "apply_tree = trees._apply_tree\n"
         "def counted_apply(*args):\n"
         "    count['apply'] += count['depth'] == 0\n"
         "    count['depth'] += 1\n"
@@ -417,17 +418,16 @@ def test_each_generator_window_is_evaluated_once():
         "        return apply_tree(*args)\n"
         "    finally:\n"
         "        count['depth'] -= 1\n"
-        "def counted_chain(*args):\n"
-        "    count['chain'] += 1\n"
-        "    return chain_map(*args)\n"
-        "trees._apply_tree, trees._chain_map = counted_apply, counted_chain\n"
+        "trees._apply_tree = counted_apply\n"
         "jobs = [('ising', ['center', 'rank']), ('rep_s3', ['center', 'verify-induced'])]\n"
         "for key, command in jobs:\n"
         "    extra = ['--object', '1'] if key == 'rep_s3' else []\n"
         "    code = cli.main([*command, '--cat', key, '--sigma', '(1 3)(2 4)', *extra, '--json'])\n"
-        "    windows = sum(k[0] == '_local_moves' for k in catalog.builtin(key)._cache)\n"
-        "    print(key, code, count['apply'], windows, count['chain'])\n"
-        "    count.update(apply=0, chain=0)\n"
+        "    cache = catalog.builtin(key)._cache\n"
+        "    windows = sum(k[0] == '_local_moves' for k in cache)\n"
+        "    maps = sum(k[0] == '_word_map' for k in cache)\n"
+        "    print(key, code, count['apply'], windows, maps)\n"
+        "    count.update(apply=0)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
@@ -436,9 +436,9 @@ def test_each_generator_window_is_evaluated_once():
     lines = out.stdout.splitlines()
     rows = [line.split() for line in lines if line.startswith(("ising ", "rep_s3 "))]
     assert [row[:2] for row in rows] == [["ising", "0"], ["rep_s3", "0"]]
-    for (key, _, applied, windows, chains), bound in zip(rows, (171, 353)):
+    for (key, _, applied, windows, maps), bound in zip(rows, (171, 353)):
         assert int(applied) == int(windows) > 0, key
-        assert int(chains) <= bound, key
+        assert 0 < int(maps) <= bound, key
 
 
 def test_rank_leaves_the_diagram_module_unloaded():

@@ -392,7 +392,7 @@ class TestTrimmedMaps:
                         got = state.apply_all(gens)
                         assert got.tgt == word_after(spec, word, gens)
                         assert got == full_word_apply(state, gens), gens
-                        s, k = _active_window(n, gens)
+                        s, k = _active_window(spec, n, gens)
                         trimmed += k < n
                         collapsed += s > 0
         assert trimmed >= 200 and collapsed >= 150
@@ -419,7 +419,7 @@ class TestTrimmedMaps:
                         got = state.apply_all(gens)
                         assert got.tgt == word_after(spec, word, gens)
                         assert got == full_word_apply(state, gens), gens
-                        collapsed += _active_window(n, gens)[0] > 0
+                        collapsed += _active_window(spec, n, gens)[0] > 0
                         nonzero += not got.is_zero()
         assert collapsed >= 18 and nonzero >= 60
 
@@ -451,7 +451,7 @@ class TestTrimmedMaps:
     )
     def test_active_length(self, n, ops, s, k):
         # The window (s, k): the head ends at strand s + 1, the tail after k.
-        assert _active_window(n, ops) == (s, k)
+        assert _active_window(fresh("fibonacci"), n, ops) == (s, k)
 
 
 # Hom spaces with several trees per charge (rep_s3 (V,V,V)), and an empty source word.
@@ -572,6 +572,7 @@ MEMOIZED = [
     (ev_coeff, ("t",)),
     (_f_moves, ("t", "t", "t", "t", False)),
     (_pivotal_inverse, ("t",)),
+    (_active_window, (2, (("braid", 1, "under"), ("cap", 1, "t", True)))),
     (_local_moves, (("t", "t"), (("t", "1"), (0,)), ("braid", 1, "over"))),
     (_word_map, (("t", "t"), (("braid", 1, "under"), ("cap", 1, "t", True)))),
     (loop_value, ("t", "left")),
