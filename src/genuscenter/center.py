@@ -4,18 +4,20 @@ The carrier of the induced pair I(x) of a simple label x is the sum
 over the handle labels alpha of the words legs + (x,) + legs.  A
 half-braiding is a dict: for each simple argument Z and source summand,
 a list of columns (target summand, ``GammaWord``).  A column of the
-induced pair is a generator word on (Z, word): braids
-bring Z to the low leg of its orbit, Z and the leg merge, the high leg
-turns into (dual leg, Z) by rotating that vertex (a cup, a split and a
-cap), and braids take Z to the right end.  Columns are applied at any
+induced pair is a generator word on (Z, word), "merge, one bend,
+braids": braids bring Z to the low leg of its orbit, Z and the leg
+merge, one bend turns the high leg into (dual leg, Z) by rotating that
+vertex, and braids take Z to the right end.  Columns are applied at any
 strand by shifting the word's positions.  Every strand action here (a
 column, a braid word of the leg plumbing, a cup or cap, and a coupon,
 which ``Morphism.apply_coupon`` turns into a merge word and a split word
 per nonzero entry) goes through the cached composed word maps of
-``trees``, applied by ``Morphism.apply_all``.  Verification reads one
-gamma table: ``verify_sigma_pair`` pushes the identity carrier through
-gamma_[m] at each label once, and the unit law, the invertibility
-rows (``_hb_rows``) and the hexagon's right side read that table.
+``trees``, applied by ``Morphism.apply_all``.  Verification reads two
+gamma tables, each the identity carrier pushed through gamma_[m] once
+per entry: at position 1 for each label, read by the unit law, the
+invertibility rows (``_hb_rows``) and the hexagon's right side; and at
+position 2 for each pair of labels, from which the hexagon's left side
+and both sides of :comm start.
 
 Leg plumbing has one mechanism.  A layout lists the legs of the active
 orbits in order around the middle block; ``_move`` turns one leg move
@@ -40,9 +42,8 @@ Hom spaces are read and written only through the coordinate map of
 ``trees``: ``hom_keys`` lists the (charge, target tree, source tree)
 coordinates, ``Morphism.elementary`` builds a basis map and
 ``Morphism.entries`` reads a map's nonzero entries.  ``carrier_basis``
-and ``flatten_carrier_map`` extend them blockwise to sum carriers; the
-tube products and gamma's per-charge matrices are read off by
-``entries``.
+extends them blockwise to sum carriers; forward's coordinates, the tube
+products and gamma's per-charge matrices are read off by ``entries``.
 
 The tube algebra is given by its generators.  A basis element of
 Hom_C(i, T_alpha(j)) has degree the number of orbits m with alpha_m != 1,
@@ -67,7 +68,7 @@ from itertools import product as iproduct
 
 from .algebra import AlgebraData, decompose
 from .errors import GenusCenterError, IllFormedDiagramError
-from .exactnum import C0, rank
+from .exactnum import rank
 from .fusion import CategorySpec, ValidationReport
 from .gluing import Gluing, comm_case
 from .trees import ONE, Morphism, cached, hom_dim, hom_keys, trees, word_after
@@ -147,10 +148,9 @@ def _induced_gamma_column(spec, sigma, alpha, middle, m, z):
     out = []
     for b in spec.channels(z, a):
         for mu in range(spec.N(z, a, b)):
-            # The high leg dual(a) turns into (dual(b), z): a cup opens
-            # (dual(b), b) left of it, b splits to (z, a), and a meets dual(a).
-            rho = (("cup", q - 1, b, True), ("split", q + 1, z, a, mu), ("cap", q + 2, a, True))
-            ops = to_leg + (("merge", p, b, mu),) + rho + to_end
+            # The high leg dual(a) turns into (dual(b), z) by one bend: the
+            # cup, split and cap that rotate the merge vertex, in one step.
+            ops = to_leg + (("merge", p, b, mu), ("bend", q, a, b, z, mu)) + to_end
             alpha2 = alpha[:m] + (b,) + alpha[m + 1 :]
             out.append((alpha2, GammaWord(ops)))
     return out
@@ -238,6 +238,18 @@ class CarrierMap:
             {k: m.apply_all(ops) for k, m in self.blocks.items()},
         )
 
+    def compose(self, other: "CarrierMap") -> "CarrierMap":
+        """self o other (other acts first), through the middle summands."""
+        if other.tgt != self.src:
+            raise IllFormedDiagramError("cannot compose carrier maps: middle words differ")
+        blocks: dict = {}
+        for (ti, ki), left in self.blocks.items():
+            for (kj, si), right in other.blocks.items():
+                if ki == kj:
+                    new = left.compose(right)
+                    blocks[ti, si] = blocks[ti, si] + new if (ti, si) in blocks else new
+        return CarrierMap(self.spec, other.src, self.tgt, blocks)
+
     def __eq__(self, other):
         if not isinstance(other, CarrierMap):
             return NotImplemented
@@ -259,16 +271,6 @@ def carrier_basis(spec, src_words, tgt_words):
         for ti, tw in enumerate(tgt)
         for key in hom_keys(spec, sw, tw)
     ]
-
-
-def flatten_carrier_map(f: CarrierMap):
-    """Coefficient vector over carrier_basis(src, tgt), in matching order."""
-    out = []
-    for si, sw in enumerate(f.src):
-        for ti, tw in enumerate(f.tgt):
-            vals = f.block(ti, si).entries()
-            out.extend(vals.get(key, C0) for key in hom_keys(f.spec, sw, tw))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +314,10 @@ def _hb_rows(gamma: CarrierMap) -> dict:
 def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
     """Invertibility, unit law, multiplicativity, and :comm, all exact.
 
-    The unit law, the invertibility matrices and the hexagon's right side
-    read one table: gamma_[m] at z on the identity carrier, for every m, z.
+    ``gamma[m, z]`` (gamma_[m] at z on the identity of (z,) + carrier) and
+    ``second[m, a, b]`` (at b on (a, b) + carrier) are the position-1 and
+    position-2 tables of the module docstring.  An entry composed with a
+    map B is exact: post-composing B with a word is (the word on the identity) o B.
     """
     bad: list[str] = []
     if len(pair.braidings) != sigma.n:
@@ -323,6 +327,10 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
     gamma = {
         (m, z): _apply_gamma(_carrier_id_with(spec, pair, (z,)), pair, m, 1, z)
         for m in range(sigma.n) for z in spec.labels
+    }
+    second = {
+        (m, a, b): _apply_gamma(_carrier_id_with(spec, pair, (a, b)), pair, m, 2, b)
+        for m in range(sigma.n) for a in spec.labels for b in spec.labels
     }
     # At the unit, gamma is the identity with the unit strand moved to the end.
     ident = _carrier_id_with(spec, pair, (spec.unit,))
@@ -345,9 +353,11 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
     for m in range(sigma.n):
         for z1 in spec.labels:
             for z2 in spec.labels:
+                # gamma at z2, then at z1, on the identity of (z1, z2) + carrier.
+                both = _apply_gamma(second[m, z1, z2], pair, m, 1, z1)
                 for w in spec.channels(z1, z2):
                     for mu in range(spec.N(z1, z2, w)):
-                        if not _hexagon_ok(spec, pair, m, z1, z2, w, mu, gamma[m, w]):
+                        if not _hexagon_ok(spec, pair, z1, z2, w, mu, both, gamma[m, w]):
                             bad.append(
                                 f"gamma_[{m}] multiplicativity fails at "
                                 f"({z1},{z2};{w},{mu})"
@@ -359,7 +369,7 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
             case = comm_case(pairs[i], pairs[j])
             for z1 in spec.labels:
                 for z2 in spec.labels:
-                    if not _comm_ok(spec, pair, i, j, case, z1, z2):
+                    if not _comm_ok(spec, pair, second, i, j, case, z1, z2):
                         bad.append(
                             f"comm case {case} fails for orbits ({i},{j}) at "
                             f"({z1},{z2})"
@@ -372,11 +382,9 @@ def _carrier_id_with(spec, pair, prefix) -> CarrierMap:
     return CarrierMap.identity(spec, words)
 
 
-def _hexagon_ok(spec, pair, m, z1, z2, w, mu, gamma_w: CarrierMap) -> bool:
-    # LHS: split w -> (z1, z2), then gamma at z2, then gamma at z1.
-    lhs = _carrier_id_with(spec, pair, (w,)).apply_all((("split", 1, z1, z2, mu),))
-    lhs = _apply_gamma(lhs, pair, m, 2, z2)
-    lhs = _apply_gamma(lhs, pair, m, 1, z1)
+def _hexagon_ok(spec, pair, z1, z2, w, mu, both: CarrierMap, gamma_w: CarrierMap) -> bool:
+    # LHS: split w -> (z1, z2), then gamma at z2, then gamma at z1 (``both``).
+    lhs = both.compose(_carrier_id_with(spec, pair, (w,)).apply_all((("split", 1, z1, z2, mu),)))
     # RHS: gamma_w (gamma at w on the identity carrier), then split the
     # trailing strand.
     rhs = CarrierMap(
@@ -389,11 +397,10 @@ def _hexagon_ok(spec, pair, m, z1, z2, w, mu, gamma_w: CarrierMap) -> bool:
     return lhs == rhs
 
 
-def _comm_ok(spec, pair, i, j, case, z1, z2) -> bool:
+def _comm_ok(spec, pair, second, i, j, case, z1, z2) -> bool:
     wlen = len(pair.words[0])
 
-    def gamma_i(state, pos):
-        st = _apply_gamma(state, pair, i, pos, z1)
+    def braid_back(st, pos):
         if case == 1:
             # c_{z,X} c_{X,z}: z, now right of the block X, braids back over it
             # and forth again.
@@ -402,10 +409,12 @@ def _comm_ok(spec, pair, i, j, case, z1, z2) -> bool:
             st = st.apply_all(word)
         return st
 
-    start = _carrier_id_with(spec, pair, (z2, z1))
-    lhs = _apply_gamma(gamma_i(start, 2), pair, j, 1, z2)
-    rhs = start.apply_all((("braid", 1, "under"),))
-    rhs = gamma_i(_apply_gamma(rhs, pair, j, 2, z2), 1)
+    # LHS: gamma_i at z1 at position 2, then gamma_j at z2 at position 1.
+    lhs = _apply_gamma(braid_back(second[i, z2, z1], 2), pair, j, 1, z2)
+    # RHS: swap (z2, z1), gamma_j at z2 at position 2, gamma_i at z1 at
+    # position 1, then swap z1 and z2 back.
+    swap = _carrier_id_with(spec, pair, (z2, z1)).apply_all((("braid", 1, "under"),))
+    rhs = braid_back(_apply_gamma(second[j, z1, z2].compose(swap), pair, i, 1, z1), 1)
     rhs = rhs.apply_all((("braid", wlen + 1, "under" if case == 2 else "over"),))
     return lhs == rhs
 
@@ -546,21 +555,22 @@ def adjunction_maps(spec, sigma: Gluing, lab, py: SigmaPair):
             out[(ty, 0)] = blk.compose(inc)
         return CarrierMap(spec, ((lab,),), py.words, out)
 
-    # columns[k] is forward of the k-th basis map of ``carrier_basis``, so
-    # flatten_carrier_map(phi) gives phi's coordinates over them.
-    columns = [
-        _forward(spec, sigma, lab, py, ty, Morphism.elementary(spec, (lab,), tw, key))
+    # columns[ty, key] is forward of the basis map with a 1 at ``key`` of
+    # the block (ty, 0); forward(phi) sums them over phi's nonzero entries.
+    columns = {
+        (ty, key): _forward(spec, sigma, lab, py, ty, Morphism.elementary(spec, (lab,), tw, key))
         for ty, tw in enumerate(py.words)
         for key in hom_keys(spec, (lab,), tw)
-    ]
+    }
 
     def forward(phi: CarrierMap) -> CarrierMap:
         if phi.src != ((lab,),) or phi.tgt != py.words:
             raise GenusCenterError("forward map input has wrong shape")
         out = CarrierMap.zero(spec, ix.words, py.words)
-        for v, col in zip(flatten_carrier_map(phi), columns):
-            if not v.is_zero():
-                out = out + col.scale(v)
+        for (ty, _), mor in phi.blocks.items():
+            for key, v in mor.entries().items():
+                col = columns[ty, key]
+                out = out + (col if v is ONE else col.scale(v))
         return out
 
     return forward, backward

@@ -5,8 +5,11 @@ for each simple charge c, the post-composition action Hom(c, source) ->
 Hom(c, target) on left-nested splitting trees, as sparse rows {target
 tree: {source tree index: value}}.  No zero value, empty row or empty
 block is stored.  Every diagram generator (braid, twist, cup, cap, split,
-merge, coupon) is a local rewrite of those trees whose coefficients come
-from F, R, and the pivotal data.
+merge, bend, coupon) is a local rewrite of those trees whose coefficients
+come from F, R, and the pivotal data.  A bend ("bend", q, a, b, z, mu)
+turns strand dual(a) at q into (dual(b), z): ``_apply_tree`` composes a
+primed cup, a split and a primed cap on its window, so no word map is
+built over the two strands that the cup adds and the cap removes.
 
 Tree encoding for a word (w_1, ..., w_m): ``(es, mus)`` where
 ``es[k-1]`` is the charge after absorbing ``w_k`` (so ``es[0] = w_1``
@@ -235,6 +238,11 @@ def _op_new_word(spec, word: Word, op) -> Word:
                 f"found ({','.join(word[i - 1 : i + 1])})"
             )
         return word[: i - 1] + word[i + 1 :]
+    if kind == "bend":
+        _, q, a, b, z, _ = op
+        if word[q - 1 : q] != (spec.dual[a],):
+            raise IllFormedDiagramError(f"bend({a}) expects strand {spec.dual[a]} at position {q}")
+        return word[: q - 1] + (spec.dual[b], z) + word[q:]
     if kind == "unit_insert":
         _, g = op
         return word[:g] + (spec.unit,) + word[g:]
@@ -249,7 +257,7 @@ def _op_new_word(spec, word: Word, op) -> Word:
 def _apply_tree(spec, word: Word, tree: Tree, op):
     """Action of a generator on one basis tree: list of (tree', coeff).
 
-    ``_op_new_word`` has checked that a cap or unit_remove fits ``word``.
+    ``_op_new_word`` has checked that a cap, bend or unit_remove fits ``word``.
     """
     kind = op[0]
     es, mus = tree
@@ -341,6 +349,16 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
                     continue
                 t2 = (ees[: i - 1] + ees[i + 1 :], mmus[: i - 2] + mmus[i:])
             out.append((t2, v1 * lam))
+        return out
+
+    if kind == "bend":
+        # A primed cup opens (dual(b), b) left of strand q, b splits to
+        # (z, a) along mu, and a primed cap closes a with dual(a).
+        _, q, a, b, z, mu = op
+        out = [(tree, ONE)]
+        for sub in (("cup", q - 1, b, True), ("split", q + 1, z, a, mu), ("cap", q + 2, a, True)):
+            out = [(t2, v * v2) for t, v in out for t2, v2 in _apply_tree(spec, word, t, sub)]
+            word = _op_new_word(spec, word, sub)
         return out
 
     if kind == "unit_insert":
@@ -642,8 +660,8 @@ def _active_window(spec, n: int, ops: tuple) -> tuple[int, int]:
         # is the change in the word's length.
         before, after = {
             "braid": (p + 1, p + 1), "twist": (p, p), "merge": (p + 1, p),
-            "split": (p, p + 1), "cup": (p, p + 2), "cap": (p + 1, p - 1),
-            "unit_insert": (p, p + 1), "unit_remove": (p, p - 1),
+            "split": (p, p + 1), "bend": (p, p + 1), "cup": (p, p + 2),
+            "cap": (p + 1, p - 1), "unit_insert": (p, p + 1), "unit_remove": (p, p - 1),
         }[kind]
         tail = min(tail, length - before)
         length += after - before

@@ -31,13 +31,12 @@ from genuscenter.center import (
     _contract_plan,
     _flip,
     carrier_basis,
-    flatten_carrier_map,
 )
 from genuscenter.errors import GenusCenterError, SingularMatrixError
 from genuscenter.exactnum import C0, C1
 from genuscenter.fusion import CategorySpec, ValidationReport, quantum_dims
 from genuscenter.gluing import Gluing
-from genuscenter.trees import ONE, Morphism
+from genuscenter.trees import ONE, Morphism, hom_keys
 
 
 class ExactMatrix:
@@ -228,6 +227,16 @@ def center_basis(alg) -> list[dict]:
                 new_basis.append(vec)
         basis = new_basis
     return basis
+
+
+def flatten_carrier_map(f: CarrierMap):
+    """Coefficient vector over carrier_basis(src, tgt), in matching order."""
+    out = []
+    for si, sw in enumerate(f.src):
+        for ti, tw in enumerate(f.tgt):
+            vals = f.block(ti, si).entries()
+            out.extend(vals.get(key, C0) for key in hom_keys(f.spec, sw, tw))
+    return out
 
 
 def hom_Z_dim(spec, sigma, px, py) -> int:

@@ -15,15 +15,14 @@ from genuscenter.center import (
     adjunction_maps,
     carrier_basis,
     center_rank,
-    flatten_carrier_map,
     induced_half_braidings,
     tube_algebra,
     verify_sigma_pair,
 )
 from genuscenter.exactnum import Cyclotomic, rational, zeta
 from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles, surface_type
-from genuscenter.trees import Morphism, hom_dim
-from exact_oracle import _create, hom_Z_dim, product, project_morphisms
+from genuscenter.trees import ONE, Morphism, hom_dim
+from exact_oracle import _create, flatten_carrier_map, hom_Z_dim, product, project_morphisms
 from test_exactnum import embed
 
 
@@ -40,11 +39,12 @@ class ScaledColumn(center.GammaWord):
         return super().apply_at(mor, pos, then).scale(self.factor)
 
 
-def perturbed(pair, key, s):
-    """A copy of ``pair`` whose first half-braiding has its block ``key`` scaled by s."""
-    blocks = dict(pair.braidings[0])
+def perturbed(pair, key, s, m=0):
+    """A copy of ``pair`` whose half-braiding of orbit m has its block ``key`` scaled by s."""
+    braidings = list(pair.braidings)
+    blocks = braidings[m] = dict(braidings[m])
     blocks[key] = [(ti, ScaledColumn(col.ops, s)) for ti, col in blocks[key]]
-    return dataclasses.replace(pair, braidings=[blocks] + pair.braidings[1:])
+    return dataclasses.replace(pair, braidings=braidings)
 
 # Tube products of semion at the n=2 gluings, as pinned values: they depend on
 # crossing conventions of the leg plumbing that no rank detects.  An entry
@@ -108,15 +108,6 @@ def rand_map(spec, px, py, rng):
     return acc
 
 
-def compose(g: CarrierMap, f: CarrierMap) -> CarrierMap:
-    """g o f, block by block through the middle summands."""
-    assert f.tgt == g.src
-    out = CarrierMap.zero(g.spec, f.src, g.tgt)
-    for (ti, ki), m1 in g.blocks.items():
-        for (kj, si), m2 in f.blocks.items():
-            if ki == kj:
-                out = out + CarrierMap(g.spec, f.src, g.tgt, {(ti, si): m1.compose(m2)})
-    return out
 
 
 def block_dims(spec, sigma) -> dict:
@@ -151,6 +142,35 @@ class TestInduceObject:
             spec = catalog.builtin(key)
             for lab in spec.labels:
                 assert induce_object(spec, Gluing(0, ()), lab) == {lab: 1}, f"{key}: {lab}"
+
+
+def _mult(m, *cases):
+    return [f"gamma_[{m}] multiplicativity fails at ({c})" for c in cases]
+
+
+def _comm(case, *args):
+    return [f"comm case {case} fails for orbits (0,1) at ({a})" for a in args]
+
+
+# verify_sigma_pair(...).entries of perturbed induced pairs: (catalog, sigma,
+# label, orbit m, block (z, summand) of gamma_[m] scaled, scale, entries).
+# Between them they reach the invertibility check and all three :comm cases.
+BROKEN_REPORTS = [
+    ("fibonacci", "(1 2)", "t", 0, ("t", 0), 2, _mult(0, "t,t;1,0", "t,t;t,0")),
+    ("fibonacci", "(1 3)(2 4)", "t", 1, ("t", 0), 2,
+     _mult(1, "t,t;1,0", "t,t;t,0") + _comm(2, "t,t")),
+    ("ising", "(1 3)(2 4)", "s", 1, ("s", 0), 2,
+     _mult(1, "s,s;1,0", "s,s;f,0", "s,f;s,0") + _comm(2, "s,s", "f,s")),
+    ("ising", "(1 3)(2 4)", "1", 1, ("f", 1), 2,
+     _mult(1, "s,s;f,0", "s,f;s,0", "f,s;s,0", "f,f;1,0") + _comm(2, "s,f", "f,f")),
+    ("ising", "(1 2)(3 4)", "s", 0, ("s", 0), 2,
+     _mult(0, "s,s;1,0", "s,s;f,0", "s,f;s,0") + _comm(1, "s,s", "s,f")),
+    ("fibonacci", "(1 4)(2 3)", "t", 1, ("t", 0), 2,
+     _mult(1, "t,t;1,0", "t,t;t,0") + _comm(3, "t,t")),
+    ("ising", "(1 3)(2 4)", "s", 1, ("s", 0), 0,
+     ["gamma_[1] at s is not invertible (charge 1)"]
+     + _mult(1, "s,s;1,0", "s,s;f,0", "s,f;s,0") + _comm(2, "s,s", "f,s")),
+]
 
 
 class TestInducedPairs:
@@ -191,6 +211,18 @@ class TestInducedPairs:
         report = verify_sigma_pair(spec, sig12(), pair)
         assert any("multiplicativity" in e for e in report.entries)
 
+    @pytest.mark.parametrize(
+        "key,cycles,lab,m,block,s,want", BROKEN_REPORTS,
+        ids=[f"{c[0]}-{c[1]}-{c[2]}-orbit{c[3]}-x{c[5]}" for c in BROKEN_REPORTS],
+    )
+    def test_broken_pair_reports_are_pinned(self, key, cycles, lab, m, block, s, want):
+        # Every verdict and message, in order, as the checks read them when
+        # each gamma was pushed through its own state, with no shared table.
+        spec = catalog.builtin(key)
+        sig = parse_cycles(cycles)
+        pair = perturbed(induced_half_braidings(spec, sig, lab), block, rational(s), m)
+        assert verify_sigma_pair(spec, sig, pair).entries == want
+
     @pytest.mark.parametrize("edit", ("dropped", "doubled"))
     def test_unit_column_dropped_or_doubled_fails_the_unit_law(self, edit):
         # Each remaining column is the identity on its own, so only the sum
@@ -221,6 +253,15 @@ class TestCarrierMaps:
             CarrierMap.zero(spec, p1.words, p1.words) + elem
         total = CarrierMap.zero(spec, p1.words, pt.words) + elem
         assert total == elem and (total.src, total.tgt) == (elem.src, elem.tgt)
+
+    def test_compose_rejects_a_middle_mismatch(self):
+        spec = catalog.builtin("fibonacci")
+        p1 = induced_half_braidings(spec, sig12(), "1")
+        pt = induced_half_braidings(spec, sig12(), "t")
+        elem = carrier_basis(spec, p1.words, pt.words)[0]
+        with pytest.raises(IllFormedDiagramError):
+            elem.compose(elem)
+        assert CarrierMap.identity(spec, pt.words).compose(elem) == elem
 
     @pytest.mark.parametrize("key", ("fibonacci", "ising"))
     def test_apply_gamma_on_zero_state(self, key):
@@ -281,12 +322,12 @@ class TestProjection:
                 pf = project_morphisms(spec, sig, px, py, [f])[0]
                 pg = project_morphisms(spec, sig, py, pz, [g])[0]
                 if key == "fibonacci":
-                    assert not compose(pg, pf).is_zero()
+                    assert not pg.compose(pf).is_zero()
                 # mixing a raw morphism with a projected one projects cleanly
-                assert project_morphisms(spec, sig, px, pz, [compose(pg, f)])[0] == compose(pg, pf)
-                assert project_morphisms(spec, sig, px, pz, [compose(g, pf)])[0] == compose(pg, pf)
+                assert project_morphisms(spec, sig, px, pz, [pg.compose(f)])[0] == pg.compose(pf)
+                assert project_morphisms(spec, sig, px, pz, [g.compose(pf)])[0] == pg.compose(pf)
                 # sigma-morphisms are closed under composition
-                assert project_morphisms(spec, sig, px, pz, [compose(pg, pf)])[0] == compose(pg, pf)
+                assert project_morphisms(spec, sig, px, pz, [pg.compose(pf)])[0] == pg.compose(pf)
 
     @pytest.mark.parametrize("key, x, y", (("fibonacci", "1", "t"), ("vec_z3_q", "2", "2")))
     @pytest.mark.parametrize("cycles", ("(1 2)", "(1 3)(2 4)"))
@@ -363,7 +404,8 @@ class TestCarrierBasis:
         [("fibonacci", "(1 2)", "t", "t"), ("rep_s3", "(1 2)", "V", "V"), ("ising", "(1 3)(2 4)", "s", "s")],
     )
     def test_flattened_basis_maps_are_unit_vectors(self, key, cycles, x, y):
-        # The fact that lets adjunction_maps read coordinates by flattening.
+        # flatten_carrier_map, the oracle's coordinates for hom_Z_dim, reads
+        # the basis maps of carrier_basis in their own order.
         spec = catalog.builtin(key)
         sig = parse_cycles(cycles)
         py = induced_half_braidings(spec, sig, y)
@@ -395,6 +437,35 @@ class TestAdjunction:
                     img = fwd(phi)
                     assert bwd(img) == phi
                     assert fwd(bwd(img)) == img
+
+    @pytest.mark.parametrize("key,cycles", ADJUNCTION_CASES)
+    def test_forward_is_linear_on_a_map_that_is_not_a_basis_map(self, key, cycles):
+        # forward reads phi's entries: a value 1 that is not the shared ONE
+        # scales its column like any other value.
+        spec = catalog.builtin(key)
+        sig = parse_cycles(cycles)
+        n = spec.field_order()
+        pool = [rational(2), rational(1), rational(-1), zeta(n)]
+        pairs = [(x, induced_half_braidings(spec, sig, y))
+                 for x in spec.labels for y in spec.labels]
+        # The first Hom of dimension 4 or more, so that each value of pool
+        # appears; else the largest.
+        x, py = max(pairs, key=lambda p: min(len(carrier_basis(spec, ((p[0],),), p[1].words)), 4))
+        fwd, bwd = adjunction_maps(spec, sig, x, py)
+        basis = carrier_basis(spec, ((x,),), py.words)
+        assert len(basis) >= 2
+        phi = CarrierMap.zero(spec, ((x,),), py.words)
+        want = CarrierMap.zero(spec, induced_half_braidings(spec, sig, x).words, py.words)
+        for k, b in enumerate(basis):
+            c = pool[k % len(pool)]
+            # 2 * (c / 2): at c = 1 a fresh value 1, where ONE * 1 is ONE.
+            phi = phi + b.scale(rational(2)).scale(c / rational(2))
+            want = want + fwd(b).scale(c)
+        ones = [v for m in phi.blocks.values() for v in m.entries().values() if v == 1]
+        assert ones and all(v is not ONE for v in ones)
+        img = fwd(phi)
+        assert img == want and not img.is_zero()
+        assert bwd(img) == phi
 
     def test_maps_follow_the_half_braidings_of_the_pair(self):
         # Two pairs on the same carrier words but different half-braidings

@@ -441,6 +441,47 @@ def test_each_generator_window_is_evaluated_once():
         assert 0 < int(maps) <= bound, key
 
 
+def test_word_maps_push_few_rows():
+    # A deterministic work guard for L2, beside the window count above: the
+    # rows pushed through _push while _word_map builds composed maps on the
+    # same two jobs.  A gamma column turns the high leg by one bend, so no
+    # map is built over the two strands that a cup, split and cap add: 1,622
+    # and 4,156 rows, against 2,438 and 8,244 with the triple.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import genuscenter.cli as cli\n"
+        "from genuscenter import trees\n"
+        "count = {'rows': 0, 'depth': 0}\n"
+        "push, word_map = trees._push, trees._word_map\n"
+        "def counted_push(rows, *args):\n"
+        "    count['rows'] += len(rows) if count['depth'] else 0\n"
+        "    return push(rows, *args)\n"
+        "def counted_map(*args):\n"
+        "    count['depth'] += 1\n"
+        "    try:\n"
+        "        return word_map(*args)\n"
+        "    finally:\n"
+        "        count['depth'] -= 1\n"
+        "trees._push, trees._word_map = counted_push, counted_map\n"
+        "jobs = [('ising', ['center', 'rank']), ('rep_s3', ['center', 'verify-induced'])]\n"
+        "for key, command in jobs:\n"
+        "    extra = ['--object', '1'] if key == 'rep_s3' else []\n"
+        "    code = cli.main([*command, '--cat', key, '--sigma', '(1 3)(2 4)', *extra, '--json'])\n"
+        "    print(key, code, count['rows'])\n"
+        "    count.update(rows=0)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    rows = [line.split() for line in lines if line.startswith(("ising ", "rep_s3 "))]
+    assert [row[:2] for row in rows] == [["ising", "0"], ["rep_s3", "0"]]
+    for (key, _, pushed), bound in zip(rows, (1700, 4300)):
+        assert 0 < int(pushed) <= bound, key
+
+
 def test_rank_leaves_the_diagram_module_unloaded():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -432,6 +432,7 @@ class TestTrimmedMaps:
             (5, (("braid", 1, "over"),), 0, 2),
             (5, (("cap", 1, "t", True),), 0, 3),
             (5, (("split", 2, "t", "t", 0),), 0, 2),
+            (5, (("bend", 3, "t", "t", "t", 0),), 1, 3),
             (5, (("merge", 4, "t", 0),), 2, 5),
             (5, (("cap", 4, "t", False),), 2, 5),
             (5, (("braid", 4, "under"),), 2, 5),
@@ -444,7 +445,7 @@ class TestTrimmedMaps:
             (0, (("unit_insert", 0), ("unit_remove", 1)), 0, 0),
         ],
         ids=["cup-at-0", "unit-insert-at-0", "unit-remove-at-1", "braid-at-1",
-             "cap-at-1", "split-at-2", "merge-last-pair", "cap-last-pair",
+             "cap-at-1", "split-at-2", "bend-at-3", "merge-last-pair", "cap-last-pair",
              "braid-last-pair", "twist-last-strand", "cup-at-the-end", "cup-then-cap",
              "braid-through", "leftmost-read-sets-the-head", "empty-word-cup",
              "empty-word-unit"],
@@ -460,6 +461,47 @@ HOM_CASES = (
     ("rep_s3", ("V", "V", "V"), ("V", "V", "V")),
     ("fibonacci", (), ("t", "t")),
 )
+
+
+class TestBend:
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_bend_equals_its_triple(self, key):
+        # ("bend", q, a, b, z, mu) turns strand dual(a) at q into (dual(b), z):
+        # a primed cup opens (dual(b), b) left of it, b splits to (z, a) along
+        # mu, and a primed cap closes a with dual(a).
+        spec = catalog.builtin(key)
+        checked = nonzero = 0
+        for a in spec.labels:
+            ad = spec.dual[a]
+            words = [(ad,)] + [(x, ad) for x in spec.labels]
+            words += [(x, ad, y) for x in spec.labels for y in spec.labels]
+            for z in spec.labels:
+                for b in spec.channels(z, a):
+                    for mu in range(spec.N(z, a, b)):
+                        for word in words:
+                            q = min(len(word), 2)
+                            bend = ("bend", q, a, b, z, mu)
+                            triple = (("cup", q - 1, b, True), ("split", q + 1, z, a, mu),
+                                      ("cap", q + 2, a, True))
+                            ident = Morphism.identity(spec, word)
+                            got, want = ident.apply(bend), ident.apply_all(triple)
+                            after = word[: q - 1] + (spec.dual[b], z) + word[q:]
+                            assert word_after(spec, word, (bend,)) == after
+                            assert word_after(spec, word, triple) == after
+                            assert got.tgt == after and got == want, (word, bend)
+                            checked += 1
+                            nonzero += not got.is_zero()
+        assert nonzero == checked > 0
+
+    @pytest.mark.parametrize("word,q", [(("t", "1"), 2), (("1",), 1), (("t",), 2)],
+                             ids=["unit-strand", "only-strand", "past-the-end"])
+    def test_bend_refuses_a_strand_that_is_not_dual_a(self, word, q):
+        spec = catalog.builtin("fibonacci")
+        bend = ("bend", q, "t", "t", "t", 0)
+        with pytest.raises(IllFormedDiagramError, match=r"bend\(t\) expects strand t"):
+            word_after(spec, word, (bend,))
+        with pytest.raises(IllFormedDiagramError, match=rf"at position {q}"):
+            Morphism.identity(spec, word).apply(bend)
 
 
 class TestHomKeys:
