@@ -7,6 +7,18 @@ returns its rank r (the dimension of its centre, the number of simple
 blocks over C) and the block sizes m_i, with
 A (x) C = M_{m_1}(C) (+) ... (+) M_{m_r}(C).
 
+Peirce classes.  When the unit is a sum of elements u_j of S, the table
+shows where each element starts and ends: e_a ends at the u with
+e_a u = e_a, every other e_a u being absent, and g in S starts at the u
+with u e_g = e_g.  Linking start(g) to end(g) for every g in S gives the
+classes J, and A_J is spanned by the e_a that end in J (``_classes``).
+Part (f) checks, exactly, that a nonzero e_a e_g has end(a) = start(g)
+and that its columns end in the class of a.  Each A_J is then decomposed
+on its own, as below, and the ranks and block sizes are joined.  A table
+that does not show the classes (a unit coefficient other than 1, a unit
+summand outside S, an element with no end or two, a generator with no
+start or two) is one class, A itself.
+
 Method.  Take a prime p = 1 (mod N) in [2^25, 2^26), p > dim A, and send
 zeta_N to a primitive N-th root w in F_p: a ring map onto F_p from the
 elements of K that are integral at a prime P above p.  Over F_p, the span
@@ -36,6 +48,15 @@ nonsingular mod p, (c) deg mu = r and x^p = x (mod mu), and (d) the
 counts of blocks add up to r and sum_m m^2 count_m = dim A.  Otherwise
 the next prime is tried.
 
+Why the split is exact.  The u_j are orthogonal idempotents, as their
+own products are in the table.  By (f), e_a e_g = e_a u u' e_g is 0 for
+u = end(a) != u' = start(g), so a product of generators from two classes
+is 0, and right multiplication by a generator of J keeps A_J.  So once
+(e) holds in every class, each A_J is spanned by products of its own
+generators, A_J A_J' = 0 for J != J', and A = (+)_J A_J as algebras,
+with centre, trace form and blocks those of the A_J.  If the generators
+do not generate A, (e) fails in some class.
+
 Why it is exact.  First, every structure constant is p-integral and
 reduces to the closed table.  Each closed element w_k is a product of
 elements of S, reached as an integral right action R_g on an earlier
@@ -64,7 +85,9 @@ h(lambda_i) = k_i mu'(lambda_i), where mu'(lambda_i) != 0 as the lambda_i
 are distinct.  So lambda_i is a root of h - m^2 mu' exactly when
 k_i = m^2 mod p, and since the m^2 <= dim A < p are distinct mod p, the
 gcd for m has one linear factor per block of size m.  By (d) every block
-is counted once, so the block sizes are exact.
+is counted once, so the block sizes are exact.  But when r = dim A, (a),
+(e) and (b) give dim_K Z(A) = dim A: A is commutative and separable over
+K, A (x) C = C^r, and mu, (c) and (d) are skipped.
 """
 
 from __future__ import annotations
@@ -103,20 +126,81 @@ class AlgebraData:
 def decompose(alg: AlgebraData) -> tuple[int, list[int]]:
     """(rank, sorted block sizes) of a semisimple algebra over C.
 
-    Tries primes p = 1 (mod N) from 2^25 up, smallest first, and returns
-    the first answer whose certificate holds (see the module docstring).
-    Raises NonSplitError naming the part that failed at the last prime.
+    For each Peirce class A_J (``_classes``), tries primes p = 1 (mod N)
+    from 2^25 up, smallest first, and takes the first answer whose
+    certificate holds (see the module docstring).  Raises NonSplitError
+    naming the class by its unit summands and the part that failed.
     """
-    rng = random.Random(_SEED)
-    failure = None
-    for p in itertools.islice(_primes(alg.order, alg.dim), _MAX_PRIMES):
-        try:
-            return _decompose_mod(alg, p, rng)
-        except NonSplitError as exc:
-            failure = f"p = {p}: {exc}"
-    raise NonSplitError(
-        f"no certificate at the first {_MAX_PRIMES} primes = 1 (mod {alg.order}); last, {failure}"
-    )
+    rank, sizes = 0, []
+    for units, part in _classes(alg):
+        rng, failure = random.Random(_SEED), None
+        for p in itertools.islice(_primes(part.order, part.dim), _MAX_PRIMES):
+            try:
+                r, blocks = _decompose_mod(part, p, rng)
+                break
+            except NonSplitError as exc:
+                failure = f"p = {p}: {exc}"
+        else:
+            raise NonSplitError(
+                f"no certificate for the class with unit {_name(units)} at the first "
+                f"{_MAX_PRIMES} primes = 1 (mod {alg.order}); last, {failure}"
+            )
+        rank += r
+        sizes += blocks
+    return rank, sorted(sizes)
+
+
+def _name(units) -> str:
+    return " + ".join(f"e_{u}" for u in units) or "0"
+
+
+def _classes(alg: AlgebraData) -> list[tuple[list[int], AlgebraData]]:
+    """[(unit summands of J, A_J renumbered)] for the Peirce classes J of A.
+
+    A itself is the one class when the table does not show the classes or
+    shows one.  Raises NonSplitError when (f) fails; see the module docstring.
+    """
+    whole = [(sorted(alg.unit), alg)]
+    units = set(alg.unit)
+    if any(v != 1 for v in alg.unit.values()) or not units <= set(alg.gens):
+        return whole
+    end: dict = {}  # a -> the u with e_a u = e_a
+    start: dict = {}  # g -> the u with u e_g = e_g
+    for (a, g), row in alg.mult.items():
+        if g in units and (row != {a: 1} or end.setdefault(a, g) != g):
+            return whole
+        if a in units and (row != {g: 1} or start.setdefault(g, a) != a):
+            return whole
+    if len(end) < alg.dim or any(g not in start for g in alg.gens):
+        return whole
+    label = {u: u for u in units}  # unit summand -> its class
+    for g in alg.gens:
+        if (x := label[start[g]]) != (y := label[end[g]]):
+            label = {u: x if j == y else j for u, j in label.items()}
+    members: dict = {}  # class -> its basis, ascending
+    for a in range(alg.dim):
+        members.setdefault(label[end[a]], []).append(a)
+    if len(members) < 2:
+        return whole
+    cls = {a: j for j, basis in members.items() for a in basis}
+    pos = {a: k for basis in members.values() for k, a in enumerate(basis)}
+    summands = {j: sorted(u for u in units if cls[u] == j) for j in members}
+    mults: dict = {j: {} for j in members}
+    for (a, g), row in alg.mult.items():
+        j = cls[a]
+        if end[a] != start[g] and row:
+            raise NonSplitError(
+                f"(f) e_{a} e_{g} is not 0, but e_{a} ends at e_{end[a]} and e_{g} starts "
+                f"at e_{start[g]}, in the class with unit {_name(summands[j])}"
+            )
+        if any(cls[c] != j for c in row):
+            raise NonSplitError(f"(f) e_{a} e_{g} leaves the class with unit {_name(summands[j])}")
+        if row:
+            mults[j][pos[a], pos[g]] = {pos[c]: v for c, v in row.items()}
+    return [(summands[j], AlgebraData(len(basis), mults[j],
+                                      {pos[u]: alg.unit[u] for u in summands[j]},
+                                      [pos[g] for g in alg.gens if cls[g] == j], alg.order))
+            for j, basis in members.items()]
 
 
 def _decompose_mod(alg: AlgebraData, p: int, rng: random.Random):
@@ -149,6 +233,8 @@ def _decompose_mod(alg: AlgebraData, p: int, rng: random.Random):
     r = len(basis)
     if not r:
         raise NonSplitError("algebra has empty center; not unital?")
+    if r == dim:  # commutative: by (a), (e) and (b), A (x) C = C^r
+        return r, [1] * r
 
     z: dict = {}
     for v in basis:

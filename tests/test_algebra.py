@@ -5,14 +5,14 @@ import random
 
 import pytest
 
-from genuscenter import catalog
+from genuscenter import algebra, catalog
 from genuscenter.algebra import (
-    _PRIME_RANGE, AlgebraData, _decompose_mod, _is_prime, _minpoly, _primes, decompose,
+    _PRIME_RANGE, AlgebraData, _classes, _decompose_mod, _is_prime, _minpoly, _primes, decompose,
 )
-from genuscenter.center import _tube_products, tube_algebra
+from genuscenter.center import _tube_products, center_rank, tube_algebra
 from genuscenter.errors import GenusCenterError, NonSplitError
 from genuscenter.exactnum import Echelon, PrimeField, rational, zeta
-from genuscenter.gluing import parse_cycles
+from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles
 
 from exact_oracle import ExactMatrix, center_basis, matrix_rank
 
@@ -25,6 +25,34 @@ def two_dim(square):
     if square:
         mult[(1, 1)] = {0: square}
     return AlgebraData(dim=2, mult=mult, unit={0: ONE})
+
+
+def matrices_over(alg):
+    """M_2(alg) on e_ij (x) b_s, numbered (2 i + j) dim + s, from alg's whole table."""
+    d = alg.dim
+    mult = {
+        ((2 * i + j) * d + s, (2 * j + k) * d + t): {(2 * i + k) * d + c: v for c, v in row.items()}
+        for i, j, k in itertools.product(range(2), repeat=3)
+        for (s, t), row in alg.mult.items()
+    }
+    unit = {3 * i * d + c: v for i in range(2) for c, v in alg.unit.items()}
+    return AlgebraData(4 * d, mult, unit, order=alg.order)
+
+
+def matrix_units(sizes):
+    """M_{m_1} + M_{m_2} + ... on its matrix units E_ij of block b, by their index (b, i, j).
+
+    Returns the index, the whole table and the unit.
+    """
+    index = {(b, i, j): k for k, (b, i, j) in enumerate(
+        (b, i, j) for b, m in enumerate(sizes) for i in range(m) for j in range(m))}
+    mult = {
+        (index[b, i, j], index[b, j, k]): {index[b, i, k]: ONE}
+        for b, i, j in index
+        for k in range(sizes[b])
+    }
+    unit = {index[b, i, i]: ONE for b, i, j in index if i == j}
+    return index, mult, unit
 
 
 def first_prime():
@@ -56,21 +84,28 @@ class TestCertificate:
         assert decompose(alg) == decompose(two_dim(ONE)) == (2, [1, 1])
 
     def test_sqrt2_splits_over_c_after_the_first_prime_fails_c(self):
-        # Q(sqrt 2): 2 is not a square mod the first prime, so there the
-        # centre has no eigenvalues in F_p; over C the algebra is C x C.
-        alg = two_dim(rational(2))
+        # M_2(Q(sqrt 2)): 2 is not a square mod the first prime, so there the
+        # centre Q(sqrt 2) has no eigenvalues in F_p; over C it is M_2 x M_2.
+        # Q(sqrt 2) itself is commutative, so it needs no (c) and passes at once.
+        alg = matrices_over(two_dim(rational(2)))
         with pytest.raises(NonSplitError, match=r"\(c\)"):
             _decompose_mod(alg, first_prime(), random.Random(0))
-        assert decompose(alg) == (2, [1, 1])
+        assert decompose(alg) == (2, [2, 2])
+        sqrt2 = two_dim(rational(2))
+        assert _decompose_mod(sqrt2, first_prime(), random.Random(0)) == (2, [1, 1])
+        assert decompose(sqrt2) == (2, [1, 1])
 
     def test_semion_annulus_fails_c_at_the_first_prime(self):
         # Its structure constants are rational, but its centre needs sqrt(-1),
-        # which F_p lacks at the first prime, 3 mod 4.  Over its spec's field
-        # Q(i) the primes are 1 mod 4, where it is there.
+        # which F_p lacks at the first prime, 3 mod 4.  It is commutative, so
+        # the first prime certifies it without (c); M_2(Q(i)) is not, and fails
+        # (c) there.  Over its spec's field Q(i) the primes are 1 mod 4.
         alg = tube_algebra(catalog.builtin("semion"), parse_cycles("(1 2)"))
         over_q = dataclasses.replace(alg, order=1)
         with pytest.raises(NonSplitError, match=r"\(c\)"):
-            _decompose_mod(over_q, first_prime(), random.Random(7))
+            _decompose_mod(matrices_over(two_dim(rational(-1))), first_prime(), random.Random(7))
+        assert decompose(matrices_over(two_dim(rational(-1)))) == (2, [2, 2])
+        assert _decompose_mod(over_q, first_prime(), random.Random(7)) == (4, [1, 1, 1, 1])
         assert alg.order == 4 and first_prime() % 4 == 3
         assert decompose(over_q) == decompose(alg) == (4, [1, 1, 1, 1])
 
@@ -96,19 +131,15 @@ class TestCertificate:
     def test_blocks_are_counted_from_a_generating_subset(self):
         # M_1 + M_2 + M_2 + M_3 on its matrix units, given by the unit of M_1
         # and the units E_{i,i+1}, E_{i+1,i} of the others, so that _close
-        # reaches the rest; the repeated size 2 is a gcd of degree 2.
+        # reaches the rest; the repeated size 2 is a gcd of degree 2.  The
+        # other diagonal units are not generators, so it is one class.
         sizes = (1, 2, 2, 3)
-        units = [(b, i, j) for b, m in enumerate(sizes) for i in range(m) for j in range(m)]
-        index = {u: k for k, u in enumerate(units)}
-        gens = [index[b, i, j] for b, i, j in units if abs(i - j) == 1 or sizes[b] == 1]
-        mult = {}
-        for b, i, j in units:
-            for k in range(sizes[b]):
-                if index[b, j, k] in gens:
-                    mult[index[b, i, j], index[b, j, k]] = {index[b, i, k]: ONE}
-        unit = {index[b, i, i]: ONE for b, i, j in units if i == j}
+        index, mult, unit = matrix_units(sizes)
+        gens = [index[b, i, j] for b, i, j in index if abs(i - j) == 1 or sizes[b] == 1]
+        mult = {(a, g): row for (a, g), row in mult.items() if g in gens}
         alg = AlgebraData(dim=18, mult=mult, unit=unit, gens=gens)
         assert len(gens) == 9
+        assert [part for _units, part in _classes(alg)] == [alg]
         assert decompose(alg) == (4, [1, 2, 2, 3])
 
     def test_a_constant_outside_the_field_is_refused(self):
@@ -119,6 +150,115 @@ class TestCertificate:
     def test_empty_algebra(self):
         with pytest.raises(NonSplitError, match="empty center"):
             decompose(AlgebraData(dim=0, mult={}, unit={}))
+
+
+def one_class(alg):
+    return [(sorted(alg.unit), alg)]
+
+
+# Every catalog at every gluing of n <= 2, and at n = 3 the sphere and the
+# torus of the catalogs whose n = 3 tubes ``test_center`` builds.
+SPLIT_CASES = [
+    (key, sigma)
+    for key in catalog.catalog_keys()
+    for sigma in [Gluing(0, ()), *(s for n in (1, 2) for s in enumerate_adm(n))]
+] + [
+    (key, parse_cycles(cycles))
+    for key in ("semion", "vec_z2", "vec_z3_q", "rep_z2")
+    for cycles in ("(1 2)(3 4)(5 6)", "(1 3)(2 4)(5 6)")
+] + [("fibonacci", parse_cycles("(1 3)(2 4)(5 6)"))]
+
+
+def unreadable(change):
+    """M_1 + M_2 on its matrix units, its table changed by ``change``."""
+    _index, mult, unit = matrix_units((1, 2))
+    gens = list(range(5))
+    change(mult, unit, gens)
+    return AlgebraData(5, mult, unit, gens=gens)
+
+
+class TestPeirceClasses:
+    @pytest.mark.parametrize("key,cycles,dims", [
+        ("ising", "(1 2)", [8, 4]), ("ising", "(1 3)(2 4)", [32, 16]),
+        ("vec_z3_q", "(1 2)(3 4)", [9, 9, 9]), ("vec_z3_q", "(1 3)(2 4)", [9, 9, 9]),
+        ("semion", "(1 2)", [2, 2]), ("rep_z2", "(1 2)", [2, 2]), ("vec_z2", "(1 2)", [2, 2]),
+        ("fibonacci", "(1 2)", [7]), ("rep_s3", "(1 2)", [17]),
+    ])
+    def test_class_dimensions_of_tubes(self, key, cycles, dims):
+        tube = tube_algebra(catalog.builtin(key), parse_cycles(cycles))
+        assert [part.dim for _units, part in _classes(tube)] == dims
+
+    @pytest.mark.parametrize("key,sigma", SPLIT_CASES,
+                             ids=[f"{key}-{sigma.cycle_string()}" for key, sigma in SPLIT_CASES])
+    def test_split_matches_one_class(self, key, sigma, monkeypatch):
+        tube = tube_algebra(catalog.builtin(key), sigma)
+        split = decompose(tube)
+        monkeypatch.setattr(algebra, "_classes", one_class)
+        assert decompose(tube) == split
+
+    def test_whole_matrix_units_split_by_block(self):
+        _index, mult, unit = matrix_units((1, 2, 2, 3))
+        alg = AlgebraData(18, mult, unit)
+        classes = _classes(alg)
+        assert [units for units, _part in classes] == [[0], [1, 4], [5, 8], [9, 13, 17]]
+        assert [part.dim for _units, part in classes] == [1, 4, 4, 9]
+        assert [part.unit for _units, part in classes][1:3] == [{0: ONE, 3: ONE}] * 2
+        assert decompose(alg) == (4, [1, 2, 2, 3])
+
+    def test_f_refuses_a_product_across_classes(self):
+        # M_2 + M_2: E_01 of the first block times E_01 of the second.
+        index, mult, unit = matrix_units((2, 2))
+        mult[index[0, 0, 1], index[1, 0, 1]] = {index[1, 0, 1]: ONE}
+        with pytest.raises(NonSplitError, match=r"\(f\) e_1 e_5 is not 0, but e_1 ends at e_3 "
+                                                r"and e_5 starts at e_4, in the class with unit "
+                                                r"e_0 \+ e_3$"):
+            decompose(AlgebraData(8, mult, unit))
+
+    def test_f_refuses_a_product_that_leaves_its_class(self):
+        # M_2 + M_2: E_01 E_10 = E_00 of the first block, plus E_00 of the second.
+        index, mult, unit = matrix_units((2, 2))
+        mult[index[0, 0, 1], index[0, 1, 0]][index[1, 0, 0]] = ONE
+        with pytest.raises(NonSplitError, match=r"\(f\) e_1 e_2 leaves the class with unit "
+                                                r"e_0 \+ e_3$"):
+            decompose(AlgebraData(8, mult, unit))
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda mult, unit, gens: unit.update({0: rational(2)}), id="unit-coefficient"),
+        pytest.param(lambda mult, unit, gens: gens.remove(4), id="unit-summand-not-a-generator"),
+        pytest.param(lambda mult, unit, gens: mult.pop((2, 4)), id="no-end"),
+        pytest.param(lambda mult, unit, gens: mult.update({(2, 0): {2: ONE}}), id="two-ends"),
+        pytest.param(lambda mult, unit, gens: mult.update({(2, 4): {2: rational(2)}}),
+                     id="unit-scales"),
+        pytest.param(lambda mult, unit, gens: mult.pop((1, 2)), id="no-start"),
+        pytest.param(lambda mult, unit, gens: mult.update({(0, 2): {2: ONE}}), id="two-starts"),
+    ])
+    def test_a_table_the_split_cannot_read_is_one_class(self, change):
+        assert len(_classes(unreadable(lambda mult, unit, gens: None))) == 2
+        alg = unreadable(change)
+        assert _classes(alg) == one_class(alg) and _classes(alg)[0][1] is alg
+
+    @pytest.mark.parametrize("key,cycles,calls", [
+        ("vec_z3_q", "(1 2)(3 4)", 0), ("ising", "(1 2)", 1),
+    ])
+    def test_minpoly_runs_only_for_a_class_that_is_not_commutative(
+        self, key, cycles, calls, monkeypatch
+    ):
+        seen = []
+
+        def counted(powers, p):
+            seen.append(p)
+            return _minpoly(powers, p)
+
+        monkeypatch.setattr(algebra, "_minpoly", counted)
+        decompose(tube_algebra(catalog.builtin(key), parse_cycles(cycles)))
+        assert len(seen) == calls
+
+    def test_vec_z3_q_five_punctured_sphere(self):
+        # Modular with r = 3 simple objects: rank 3^5, every block of size 1.
+        sigma = parse_cycles("(1 2)(3 4)(5 6)(7 8)")
+        tube = tube_algebra(catalog.builtin("vec_z3_q"), sigma)
+        assert [part.dim for _units, part in _classes(tube)] == [81, 81, 81]
+        assert center_rank(catalog.builtin("vec_z3_q"), sigma) == (243, [1] * 243)
 
 
 @pytest.mark.parametrize(

@@ -612,9 +612,14 @@ class TestTubeAlgebra:
             reach |= {c for x in reach for s in want for c in spec.channels(x, s)}
         assert reach == set(spec.labels)
 
-    @pytest.mark.parametrize("cycles,closed", [("(1 2)", "6 of 12"), ("(1 3)(2 4)", "12 of 48")])
+    @pytest.mark.parametrize("cycles,closed", [
+        pytest.param("(1 2)", "2 of 4", id="(1 2)"),
+        pytest.param("(1 3)(2 4)", "4 of 16", id="(1 3)(2 4)"),
+    ])
     def test_handle_label_f_alone_does_not_generate_ising(self, cycles, closed):
         # f (x) f = 1, so handles labelled f never reach the s-handle elements.
+        # They link no two unit summands, so each summand is its own class,
+        # and (e) fails first in the class of the unit's summand at label 1.
         spec, sigma = catalog.builtin("ising"), parse_cycles(cycles)
         tube = tube_algebra(spec, sigma)
         basis = center._tube_basis(spec, sigma)[0]
@@ -624,7 +629,10 @@ class TestTubeAlgebra:
         mult.update({(a, u): row for (a, u), row in tube.mult.items() if u in tube.unit})
         gens = sorted([*tube.unit, *handles])
         alg = AlgebraData(tube.dim, mult, tube.unit, gens=gens, order=spec.field_order())
-        with pytest.raises(NonSplitError, match=rf"\(e\) the generators close on {closed} "):
+        unit1 = min(tube.unit)
+        assert basis[unit1][:2] == ("1", "1")
+        with pytest.raises(NonSplitError, match=rf"class with unit e_{unit1} at .*"
+                                                rf"\(e\) the generators close on {closed} "):
             decompose(alg)
 
     @pytest.mark.parametrize("key,cycles", [
