@@ -23,11 +23,13 @@ Method.  Take a prime p = 1 (mod N) in [2^25, 2^26), p > dim A, and send
 zeta_N to a primitive N-th root w in F_p: a ring map onto F_p from the
 elements of K that are integral at a prime P above p.  Over F_p, the span
 of the e_g is closed under right multiplication by S, each new element
-w = w' g coming with its right action e_a w = (e_a w') g; once it spans
-A, each e_b is a combination of the closed elements, which gives the
-whole table M[a,b] mod p (``_close``).  Then:
+w = w' g coming with its right action v w = (v w') g; once it spans A,
+each e_b = sum_k t_bk w_k is a combination of the closed elements w_k, so
+each M[a,b] below, e_a e_b = sum_k t_bk e_a w_k, is read from the chain of
+the e_a w_k (``_close``), and no table of every product is stored.  Then:
 - t(e_c) = sum_b M[c,b][b] is the regular trace, and the trace form has
-  Gram matrix G_ij = t(e_i e_j) = sum_c M[i,j][c] t(e_c);
+  Gram matrix G_ij = t(e_i e_j) = sum_c M[i,j][c] t(e_c); with W the
+  coordinates of the e_g and the w_k, (b) reads G W^T, of entries t(e_i w_k);
 - the centre Z_p is the commutant of S: it solves
   sum_a z_a (M[a,g][c] - M[g,a][c]) = 0 for g in S only; r = dim Z_p;
 - a random z in Z_p has minimal polynomial mu = sum_m c_m x^m (from 1, z,
@@ -38,15 +40,15 @@ whole table M[a,b] mod p (``_close``).  Then:
 Every row reduction is ``exactnum.Echelon`` over F_p, the sparse reduced
 echelon that also checks the category data over Q(zeta_N); its rows
 remember which added vectors, by tag, they combine: ``_close``
-adds each new element's coordinates outside S, tagged with its number;
+adds the e_g and then each new element, tagged with its number;
 part (b) adds the Gram rows; the centre adds the commutator equations and
 takes the kernel; and ``_minpoly`` adds z^k tagged with k, so the first
 dependent power gives the coefficients of mu.
 The answer at p is accepted only if (a) the unit and the given structure
-constants are p-integral, (e) the closure reaches dim A mod p, (b) G is
-nonsingular mod p, (c) deg mu = r and x^p = x (mod mu), and (d) the
-counts of blocks add up to r and sum_m m^2 count_m = dim A.  Otherwise
-the next prime is tried.
+constants are p-integral, (e) the closure reaches dim A mod p, (b) G W^T,
+and so G, is nonsingular mod p, (c) deg mu = r and x^p = x (mod mu), and
+(d) the counts of blocks add up to r and sum_m m^2 count_m = dim A.
+Otherwise the next prime is tried.
 
 Why the split is exact.  The u_j are orthogonal idempotents, as their
 own products are in the table.  By (f), e_a e_g = e_a u u' e_g is 0 for
@@ -57,15 +59,18 @@ generators, A_J A_J' = 0 for J != J', and A = (+)_J A_J as algebras,
 with centre, trace form and blocks those of the A_J.  If the generators
 do not generate A, (e) fails in some class.
 
-Why it is exact.  First, every structure constant is p-integral and
-reduces to the closed table.  Each closed element w_k is a product of
-elements of S, reached as an integral right action R_g on an earlier
-one, so by (a) the matrix W of the coordinates of the e_g and the w_k is
-integral at P, and by (e) det W is a unit.  So they form an O_P-basis of
-the lattice spanned by the basis, and each R_{w_k} is a product of
-integral R_g.  Every e_b is then an O_P-combination of them, its right
-action is integral, and by associativity its reduction is the one that
-``_close`` computes.  Part (e) holds at once when S is the whole basis.
+Why it is exact.  First, every product the certificate reads is
+p-integral and reduces to what the closure gives.  Each closed element
+w_k is a product of elements of S, reached as an integral right action
+R_g on an earlier one, so by (a) the matrix W of the coordinates of the
+e_g and the w_k is integral at P, and by (e) det W is a unit.  So they
+form an O_P-basis of the lattice spanned by the basis, and each R_{w_k}
+is a product of integral R_g.  Every e_b is then the same
+O_P-combination sum_k t_bk w_k of them, so by associativity
+v e_b = sum_k t_bk v w_k, and each F_p number read is the reduction of
+the same linear combination that the whole table would give; and
+det G W^T = det G det W is a unit exactly when det G is.  Part (e) holds
+at once when S is the whole basis.
 A tube's S is smaller at n >= 2, and at n = 1 too when some non-unit
 label is not a handle label (see ``center``); there (e) is a real
 check.  By (e) the e_g also generate A mod p, so an element that
@@ -204,31 +209,40 @@ def _classes(alg: AlgebraData) -> list[tuple[list[int], AlgebraData]]:
 
 
 def _decompose_mod(alg: AlgebraData, p: int, rng: random.Random):
-    """(rank, block sizes) read from A mod p; NonSplitError names a failed part."""
+    """(rank, block sizes) read from A mod p; NonSplitError names a failed part.
+
+    v e_b = sum_k t_bk v w_k comes from one chain of v (``_close``): the
+    chain of e_i gives row i of G W^T, t(e_i w_k) for every k, and for i in
+    gens also the commutant's e_i e_a; one chain of z gives z e_b.
+    """
     dim = alg.dim
     field = PrimeField(p)
     mult, unit = _reduce(alg, p)
-    mult = _close(mult, alg.gens, dim, p)
-    trace = [0] * dim
-    for (a, b), row in mult.items():
-        trace[a] += row.get(b, 0)
-    gram: dict = {}  # i -> {j: G_ij}
-    for (i, j), row in mult.items():
-        if x := sum(v * trace[c] for c, v in row.items()) % p:
-            gram.setdefault(i, {})[j] = x
+    chain, uses, trace = _close(mult, alg.gens, dim, p)
+
+    def times_basis(vws: list) -> dict:
+        """{b: v e_b} from the chain [v w_k] of v."""
+        out: dict = {}
+        for k, vw in enumerate(vws):
+            for b, t in uses.get(k, {}).items():
+                field.axpy(out.setdefault(b, {}), t, vw)
+        return out
+
+    gram: dict = {}  # i -> {k: t(e_i w_k)}, the rows of G W^T
+    commutators: dict = {}  # (g, c) -> {a: [e_a e_g - e_g e_a]_c}
+    for i in range(dim):
+        vws = chain({i: 1})
+        gram[i] = {k: x for k, vw in enumerate(vws)
+                   if (x := sum(v * trace[c] for c, v in vw.items()) % p)}
+        if i in alg.gens:  # by (e) the e_g generate A mod p, so the centre is their commutant
+            left = times_basis(vws)  # a -> e_i e_a
+            for a in range(dim):
+                diff = dict(mult.get((a, i), {}))
+                field.axpy(diff, -1, left.get(a, {}))
+                for c, v in diff.items():
+                    commutators.setdefault((i, c), {})[a] = v
     if rank(gram.values(), field) != dim:
         raise NonSplitError("(b) the trace form is degenerate mod p")
-
-    # By (e) the e_g generate A mod p, so the centre is their commutant.
-    commutators: dict = {}
-    for g in alg.gens:
-        for a in range(dim):
-            for c, v in mult.get((a, g), {}).items():
-                eq = commutators.setdefault((g, c), {})
-                eq[a] = eq.get(a, 0) + v
-            for c, v in mult.get((g, a), {}).items():
-                eq = commutators.setdefault((g, c), {})
-                eq[a] = eq.get(a, 0) - v
     basis = Echelon(field, commutators.values()).kernel(dim)
     r = len(basis)
     if not r:
@@ -239,10 +253,7 @@ def _decompose_mod(alg: AlgebraData, p: int, rng: random.Random):
     z: dict = {}
     for v in basis:
         field.axpy(z, rng.randrange(p), v)
-    left_z: dict = {}  # b -> z e_b
-    for (a, b), row in mult.items():
-        if x := z.get(a):
-            field.axpy(left_z.setdefault(b, {}), x, row)
+    left_z = times_basis(chain(z))  # b -> z e_b
     powers = [unit]
     for _ in range(r):
         zx: dict = {}
@@ -295,20 +306,19 @@ def _reduce(alg: AlgebraData, p: int):
     return mult, unit
 
 
-def _close(mult: dict, gens: list, dim: int, p: int) -> dict:
-    """The whole table mod p from the products e_a e_g, g in gens; part (e).
+def _close(mult: dict, gens: list, dim: int, p: int):
+    """(chain, uses, trace): the closure of the e_g, g in gens, mod p; part (e).
 
-    The span of the e_g is closed under right multiplication by them, and
-    each new element w = w' g is recorded by its parent w' and its factor
-    g.  The e_g span a coordinate subspace, so a product is reduced only in
-    the coordinates outside gens.  Once the span reaches dim A, each e_b
-    outside gens is a combination of the elements, and e_a e_b is the same
-    combination of the e_a w, which follow from e_a w = (e_a w') g.
+    The echelon takes the e_g, tagged 0..len(gens)-1, then each new product
+    w_k = w' g of a closed element by a generator, on all coordinates,
+    tagged k.  With dim rows, each row is an e_b whose tail writes
+    e_b = sum_k t w_k, and uses[k] = {b: t}.  chain(v) is [v w_k for every
+    k], from v w = (v w') g.  The regular trace t(e_c) = sum_b [e_c e_b]_b
+    is sum_k <e_c w_k, uses[k]>, and <v g, y> = <v, R_g^T y> for the right
+    action R_g, so one sweep from the last element back, y_k = uses[k] +
+    sum R_g^T y_j over the children w_j = w_k g, gives t = sum_g R_g^T y_(e_g),
+    with no chain per element.
     """
-    gpos = {g: e for e, g in enumerate(gens)}
-    need = dim - len(gpos)
-    if not need:
-        return mult
     right: dict = {g: {} for g in gens}  # g -> {a: e_a e_g}
     for (a, g), row in mult.items():
         right[g][a] = row
@@ -321,55 +331,44 @@ def _close(mult: dict, gens: list, dim: int, p: int) -> dict:
                 out[d] = out.get(d, 0) + x * y
         return {d: r for d, v in out.items() if (r := v % p)}
 
-    # Elements: the e_g, numbered as in gens, then each closed w = elems[parent] * g.
+    # (parent, g) of each closed element: the e_g have no parent, the rest w_parent g.
+    steps: list = [(None, g) for g in gens]
     elems = [{g: 1} for g in gens]
-    steps: list = []  # (parent, g) of each closed element
-    # The elements' coordinates outside gens, each tagged with its number.
     echelon = Echelon(PrimeField(p))
+    for k, e in enumerate(elems):
+        echelon.add(e, k)
     k = 0
-    while k < len(elems) and len(echelon.rows) < need:
+    while k < len(elems) and len(echelon.rows) < dim:
         for g in gens:
             v = times(elems[k], g)
-            if echelon.add({c: x for c, x in v.items() if c not in gpos}, len(elems)) is None:
+            if echelon.add(v, len(elems)) is None:
                 steps.append((k, g))
                 elems.append(v)
-                if len(echelon.rows) == need:
+                if len(echelon.rows) == dim:
                     break
         k += 1
-    if len(echelon.rows) < need:
-        raise NonSplitError(
-            f"(e) the generators close on {len(gpos) + len(echelon.rows)} of {dim} dimensions mod p"
-        )
-
-    # Every row is now a unit vector e_b (b outside gens) on those coordinates,
-    # so e_b = sum_e t_e elems[e] minus the gens coordinates of that sum.
-    uses: dict = {}  # element -> [(b, coeff of the element in e_b)]
+    if (closed := len(echelon.rows)) < dim:
+        raise NonSplitError(f"(e) the generators close on {closed} of {dim} dimensions mod p")
+    uses: dict = {}  # k -> {b: coeff of w_k in e_b}
     for b, (_row, tail) in echelon.rows.items():
-        coeffs = dict(tail)
-        for e, t in tail.items():
-            for c, x in elems[e].items():
-                if c in gpos:
-                    coeffs[gpos[c]] = coeffs.get(gpos[c], 0) - t * x
-        for e, t in coeffs.items():
-            if t % p:
-                uses.setdefault(e, []).append((b, t % p))
-    full = dict(mult)
-    for a in range(dim):
-        prods = [right[g].get(a, {}) for g in gens]  # e_a times each element
+        for k, t in tail.items():
+            uses.setdefault(k, {})[b] = t
+
+    def chain(v: dict) -> list[dict]:
+        out: list = []
         for parent, g in steps:
-            prods.append(times(prods[parent], g))
-        acc: dict = {}
-        for e, ue in enumerate(prods):
-            if ue:
-                for b, t in uses.get(e, ()):
-                    dst = acc.setdefault(b, {})
-                    for c, y in ue.items():
-                        dst[c] = dst.get(c, 0) + t * y
-        for b, row in acc.items():
-            row = {c: r for c, x in row.items() if (r := x % p)}
-            if row:
-                full[a, b] = row
-    return full
+            out.append(times(v if parent is None else out[parent], g))
+        return out
+
+    ys = [dict(uses.get(k, {})) for k in range(len(steps))]
+    trace: dict = {}
+    for parent, g in reversed(steps):  # a parent comes before its children
+        y = {d: r for d, x in ys.pop().items() if (r := x % p)}
+        dst = trace if parent is None else ys[parent]
+        for c, row in right[g].items():
+            if x := sum(v * y[d] for d, v in row.items() if d in y):
+                dst[c] = dst.get(c, 0) + x
+    return chain, uses, [trace.get(c, 0) % p for c in range(dim)]
 
 
 def _primes(order: int, dim: int):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -252,6 +253,21 @@ class TestPeirceClasses:
         monkeypatch.setattr(algebra, "_minpoly", counted)
         decompose(tube_algebra(catalog.builtin(key), parse_cycles(cycles)))
         assert len(seen) == calls
+
+    def test_decompose_stores_no_table_of_every_product(self):
+        # The certificate reads each e_a e_b through the closed elements, so no
+        # dim x dim table is built.  Building the whole table of this tube
+        # (dim 90) took decompose to a peak of about 3.6 MB; it now needs about
+        # 1.3 MB.  tracemalloc traces this process only.
+        tube = tube_algebra(catalog.builtin("fibonacci"), parse_cycles("(1 3)(2 4)(5 6)"))
+        assert tube.dim == 90
+        tracemalloc.start()
+        try:
+            assert decompose(tube) == (4, [3, 4, 4, 7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_vec_z3_q_five_punctured_sphere(self):
         # Modular with r = 3 simple objects: rank 3^5, every block of size 1.

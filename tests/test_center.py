@@ -598,7 +598,21 @@ class TestTubeAlgebra:
         p = next(_primes(order, tube.dim))
         want, _unit = _reduce(exact, p)
         got, _unit = _reduce(tube, p)
-        assert _close(got, tube.gens, tube.dim, p) == want
+        chain, uses, trace = _close(got, tube.gens, tube.dim, p)
+        # e_a e_b = sum_k t e_a w_k over uses[k] = {b: t}, from one chain of e_a.
+        full: dict = {}
+        for a in range(tube.dim):
+            for k, aw in enumerate(chain({a: 1})):
+                for b, t in uses.get(k, {}).items():
+                    row = full.setdefault((a, b), {})
+                    for c, x in aw.items():
+                        row[c] = (row.get(c, 0) + t * x) % p
+        full = {ab: nz for ab, row in full.items() if (nz := {c: x for c, x in row.items() if x})}
+        assert full == {ab: row for ab, row in want.items() if row}
+        regular = [0] * tube.dim
+        for (a, b), row in want.items():
+            regular[a] += row.get(b, 0)
+        assert trace == [x % p for x in regular]
 
     @pytest.mark.parametrize("key,want", [
         ("fibonacci", ("t",)), ("ising", ("s",)), ("rep_s3", ("V",)), ("vec_z3_q", ("1",)),

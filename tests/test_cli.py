@@ -99,6 +99,25 @@ class TestCenterCommands:
         _, out2 = run(capsys, "center", "rank", "--cat", "rep_z2", "--sigma", "(1 2)", "--json")
         assert out1 == out2
 
+    def test_ising_genus_two_one_puncture(self, capsys):
+        """Ising at sigma_{2,1}: three blocks of size 16, as the Verlinde formula says.
+
+        For modular C the simples of the one-punctured surface of genus g are the
+        labels a, and m_a = sum_j dim V(S_{g,2}; a, j*), with
+        dim V(S_{g,m}; b) = sum_x S_0x^(2-2g-m) prod_i S_(b_i x).  At g = 2 the
+        power is -4.  For x = 1, s, f: S_0x = 1/2, sqrt2/2, 1/2, so S_0x^-4 = 16, 4,
+        16, and sum_j S_jx = 1 + sqrt2/2, 0, 1 - sqrt2/2.  So
+        m_a = 16 S_a1 (1 + sqrt2/2) + 16 S_af (1 - sqrt2/2): with S_a1 = S_af = 1/2
+        for a = 1, f it is 8 (2) = 16, and with S_s1 = -S_sf = sqrt2/2 it is
+        8 sqrt2 (sqrt2) = 16.  And 3 x 16^2 = 768 is the dimension of the tube.
+        """
+        code, out = run(
+            capsys, "center", "rank", "--cat", "ising", "--sigma", "(1 3)(2 4)(5 7)(6 8)", "--json"
+        )
+        doc = json.loads(out)
+        assert code == 0 and doc["surface"] == {"g": 2, "k": 1}
+        assert doc["rank"] == 3 and doc["block_dims"] == [16, 16, 16] and doc["total_dim"] == 768
+
     def test_timings_option_is_gone(self, capsys):
         code = main(["center", "rank", "--cat", "fibonacci", "--sigma", "(1 2)", "--timings"])
         assert code == 2 and capsys.readouterr().out == ""
