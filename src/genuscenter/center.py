@@ -333,13 +333,10 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
         for m in range(sigma.n) for a in spec.labels for b in spec.labels
     }
     # At the unit, gamma is the identity with the unit strand moved to the end.
-    ident = _carrier_id_with(spec, pair, (spec.unit,))
-    moved = {
-        k: v.apply_all((("unit_remove", 1), ("unit_insert", len(v.src) - 1)))
-        for k, v in ident.blocks.items()
-    }
-    units = [gamma[m, spec.unit] for m in range(sigma.n)]
-    if any(g != CarrierMap(spec, g.src, g.tgt, moved) for g in units):
+    moved = _carrier_id_with(spec, pair, (spec.unit,)).apply_all(
+        (("unit_remove", 1), ("unit_insert", len(pair.words[0])))
+    )
+    if any(gamma[m, spec.unit] != moved for m in range(sigma.n)):
         bad.append("gamma at the unit is not the identity")
 
     for m in range(sigma.n):
@@ -387,13 +384,7 @@ def _hexagon_ok(spec, pair, z1, z2, w, mu, both: CarrierMap, gamma_w: CarrierMap
     lhs = both.compose(_carrier_id_with(spec, pair, (w,)).apply_all((("split", 1, z1, z2, mu),)))
     # RHS: gamma_w (gamma at w on the identity carrier), then split the
     # trailing strand.
-    rhs = CarrierMap(
-        spec, gamma_w.src, tuple(tuple(x) + (z1, z2) for x in pair.words),
-        {
-            k: v.apply(("split", len(pair.words[k[0]]) + 1, z1, z2, mu))
-            for k, v in gamma_w.blocks.items()
-        },
-    )
+    rhs = gamma_w.apply_all((("split", len(pair.words[0]) + 1, z1, z2, mu),))
     return lhs == rhs
 
 

@@ -36,6 +36,7 @@ from math import gcd, lcm
 
 from .errors import (
     DivisionByZeroError,
+    InternalInconsistencyError,
     MalformedRationalError,
     SingularMatrixError,
 )
@@ -73,7 +74,8 @@ def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
         out[k] = c
         for j, dj in enumerate(den):
             num[k + j] -= c * dj
-    assert all(v == 0 for v in num), "non-exact polynomial division"
+    if any(num):
+        raise InternalInconsistencyError(f"non-exact polynomial division by {den}")
     return out
 
 

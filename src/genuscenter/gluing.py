@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GluingFormatError
+from .errors import GluingFormatError, InternalInconsistencyError
 
 __all__ = [
     "Gluing",
@@ -188,7 +188,7 @@ def surface_type(sigma: Gluing) -> SurfaceType:
     chi = vertices - 3 * n + 1
     genus2 = 2 - punctures - chi
     if genus2 < 0 or genus2 % 2:
-        raise AssertionError(
+        raise InternalInconsistencyError(
             f"inconsistent classification for {sigma}: chi={chi}, k={punctures}"
         )
     return SurfaceType(genus=genus2 // 2, punctures=punctures)

@@ -11,34 +11,35 @@ turns strand dual(a) at q into (dual(b), z): ``_apply_tree`` composes a
 primed cup, a split and a primed cap on its window, so no word map is
 built over the two strands that the cup adds and the cap removes.
 
-Tree encoding for a word (w_1, ..., w_m): ``(es, mus)`` where
-``es[k-1]`` is the charge after absorbing ``w_k`` (so ``es[0] = w_1``
-and ``es[-1]`` is the total charge) and ``mus[k-2]`` indexes the vertex
-``es[k-1] -> es[k-2] (x) w_k``.
+Tree encoding for a word (w_1, ..., w_m) grown from a root charge:
+``(es, mus)`` where ``es[0]`` is the root, ``es[k]`` is the charge after
+absorbing ``w_k`` (so ``es[-1]`` is the total charge) and ``mus[k-1]``
+indexes the vertex ``es[k] -> es[k-1] (x) w_k``.  A whole word grows from
+the unit, so the empty word has the one tree ((unit,), ()).
 
 Every strand action is a generator word, and it acts on a window of the
-target word (``_active_window``): a head, the strands 1..s+1 that no op
-reads, which acts as one strand of its charge es[s]; the touched strands
-up to k; and a tail past k.  The window word is (es[s],) + word[s+1:k] and
-the window tree (es[s:k], mus[s:k-1]); the head (es[:s], mus[:s]) and the
-tail (es[k:], mus[k-1:]) pass through unchanged.  This is exact on both
-sides: F at strand i reads only es[i-2], the total charge to its left, so
-no op reads past es[s] into the head; and a generator reads and rewrites
-only the charges and vertices at or left of the last strand it touches (a
-braid or cap at i reads es[i], a cup at gap g recouples at g+1 over the
-old es[g-1]), and keeps the window's total charge es[k-1], on which the
-tail's first vertex hangs.
+target word (``_active_window``): a head, the strands 1..s that no op
+reads; the touched strands s+1..k; and a tail past k.  The window is a
+tree of word[s:k] grown from the head's charge es[s], namely (es[s:k+1],
+mus[s:k]); the head (es[:s], mus[:s]) and the tail (es[k+1:], mus[k:])
+pass through unchanged.  This is exact on both sides: F at strand i reads
+es[i-1], the total charge to its left, so no op reads past es[s] into the
+head; and a generator reads and rewrites only the charges and vertices at
+or left of the last strand it touches (a braid or cap at i reads es[i+1],
+a cup at gap g recouples at g+1 over es[g]), and keeps the window's total
+charge es[k], on which the tail's first vertex hangs.
 
 One row engine, ``_push``, moves sparse rows through a window action and
 carries each tree's head and tail.  ``_local_moves`` holds each
 generator's action on each window it meets, so ``_apply_tree`` runs once
-per distinct window per spec.  ``_word_map`` pushes a window word's
-identity rows {t: {t: 1}} through that table one generator at a time and
-reads the word's map off by columns, once per window word, and
-``apply_all`` pushes each block through one such map per head charge.  A
-coupon ``1 (x) f (x) 1`` is linear in f, so it is a sum over the entries
-f_d[r, s], each the word that merges the source strands to d along source
-tree s followed by the word that splits d along target tree r.
+per distinct window per spec.  ``_word_map`` pushes the identity rows
+{t: {t: 1}} of a window word's trees from one root through that table one
+generator at a time and reads the map off by columns, once per root and
+window word, and ``apply_all`` pushes each block through one such map per
+head charge.  A coupon ``1 (x) f (x) 1`` is linear in f, so it is a sum
+over the entries f_d[r, s], each the word that merges the source strands to
+d along source tree s followed by the word that splits d along target tree
+r.
 
 Zeros: ``_local_moves`` drops a generator's, once per window.  A product
 of nonzero values is never zero, so past that an entry is deleted only
@@ -67,7 +68,7 @@ evaluate to the quantum dimensions.
 
 from __future__ import annotations
 
-from functools import wraps
+from functools import partial, wraps
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
 from .exactnum import C0, C1, Cyclotomic
@@ -80,13 +81,14 @@ Tree = tuple[tuple[str, ...], tuple[int, ...]]
 _MISSING = object()
 
 
-def cached(fn):
-    """Memoize ``fn(spec, *args)`` in ``spec._cache`` under ``(fn.__name__, *args)``.
+def cached(fn, name: str = ""):
+    """Memoize ``fn(spec, *args)`` in ``spec._cache`` under ``(name, *args)``.
 
-    Arguments after the spec are positional and hashable.  A table computed
-    once stays valid because a spec's F, R and pivotal data never change.
+    The name defaults to ``fn.__name__``.  Arguments after the spec are
+    positional and hashable.  A table computed once stays valid because a
+    spec's F, R and pivotal data never change.
     """
-    name = fn.__name__
+    name = name or fn.__name__
 
     @wraps(fn)
     def memo(spec, *args):
@@ -111,19 +113,27 @@ def _vertices(spec) -> dict:
     }
 
 
-@cached
-def all_trees(spec, word: Word) -> dict[str, list[Tree]]:
-    """Left-nested splitting trees of ``word``, grouped by total charge."""
-    if len(word) == 0:
-        return {spec.unit: [((), ())]}
+def all_trees(spec, word: Word, root: str | None = None) -> dict[str, list[Tree]]:
+    """Left-nested splitting trees of ``word`` grown from ``root``, grouped by total charge.
+
+    The root defaults to the unit, and a unit root is stored as no root, so
+    each (word, root) has one table in ``spec._cache``.
+    """
+    if root is None or root == spec.unit:
+        return _grown_trees(spec, word)
+    return _grown_trees(spec, word, root)
+
+
+@partial(cached, name="all_trees")
+def _grown_trees(spec, word: Word, root: str | None = None) -> dict[str, list[Tree]]:
     vertices = _vertices(spec)
-    partial = [((word[0],), ())]
-    for x in word[1:]:
-        partial = [
-            (es + (c,), mus + (mu,)) for es, mus in partial for c, mu in vertices.get((es[-1], x), ())
+    grown = [((spec.unit if root is None else root,), ())]
+    for x in word:
+        grown = [
+            (es + (c,), mus + (mu,)) for es, mus in grown for c, mu in vertices.get((es[-1], x), ())
         ]
     out: dict[str, list[Tree]] = {}
-    for t in partial:
+    for t in grown:
         out.setdefault(t[0][-1], []).append(t)
     for ts in out.values():
         ts.sort()
@@ -188,27 +198,19 @@ def _f_moves(spec, a: str, b: str, c: str, d: str, inverse: bool) -> dict:
 def _recouple(spec, word: Word, tree: Tree, i: int, inverse: bool = False):
     """Rewrite the slots of strands (i, i+1) through F, or F^-1 if ``inverse``.
 
-    F exposes the pair: in the result the slot ``es[i-1]`` holds the pair
-    charge f, ``mus[i-2]`` the pair vertex, and ``mus[i-1]`` the spine
-    vertex ``es[i] -> es[i-2] (x) f``.  F^-1 turns an exposed tree over the
-    (possibly relabeled) word back into a left-nested one.  Position 1 is
-    exposed already.
+    F[es[i-1], w_i, w_(i+1); es[i+1]] exposes the pair: in the result the
+    slot ``es[i]`` holds the pair charge f, ``mus[i-1]`` the pair vertex,
+    and ``mus[i]`` the spine vertex ``es[i+1] -> es[i-1] (x) f``.  F^-1
+    turns an exposed tree over the (possibly relabeled) word back into a
+    left-nested one.  At a unit root both are the identity (strict-unit
+    gauge).
     """
-    if i == 1:
-        return [(tree, ONE)]
     es, mus = tree
-    moves = _f_moves(spec, es[i - 2], word[i - 1], word[i], es[i], inverse)
+    moves = _f_moves(spec, es[i - 1], word[i - 1], word[i], es[i + 1], inverse)
     return [
-        ((es[: i - 1] + (e,) + es[i:], mus[: i - 2] + (nu, rho) + mus[i:]), v)
-        for (e, nu, rho), v in moves.get((es[i - 1], mus[i - 2], mus[i - 1]), ())
+        ((es[:i] + (e,) + es[i + 1 :], mus[: i - 1] + (nu, rho) + mus[i + 1 :]), v)
+        for (e, nu, rho), v in moves.get((es[i], mus[i - 1], mus[i]), ())
     ]
-
-
-def _pair_slots(tree: Tree, i: int):
-    es, mus = tree
-    if i == 1:
-        return es[1], mus[0]
-    return es[i - 1], mus[i - 2]
 
 
 def _op_new_word(spec, word: Word, op) -> Word:
@@ -272,17 +274,13 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
         a, b = word[i - 1], word[i]
         new_word = _op_new_word(spec, word, op)
         out = []
-        for exp, v1 in _recouple(spec, word, tree, i):
-            f, nu = _pair_slots(exp, i)
+        for (ees, mmus), v1 in _recouple(spec, word, tree, i):
+            f, nu = ees[i], mmus[i - 1]
             blk = spec.r_block(a, b, f) if direction == "over" else spec.r_inverse(b, a, f)
             for (nu2, mu), coeff in blk.items():
                 if mu != nu:
                     continue
-                ees, mmus = exp
-                if i == 1:
-                    cand = ((new_word[0],) + ees[1:], (nu2,) + mmus[1:])
-                else:
-                    cand = (ees, mmus[: i - 2] + (nu2,) + mmus[i - 1 :])
+                cand = (ees, mmus[: i - 1] + (nu2,) + mmus[i:])
                 for t2, v2 in _recouple(spec, new_word, cand, i, inverse=True):
                     out.append((t2, v1 * coeff * v2))
         return out
@@ -290,16 +288,9 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
     if kind == "merge":
         _, i, c, nu0 = op
         out = []
-        for exp, v1 in _recouple(spec, word, tree, i):
-            f, nu = _pair_slots(exp, i)
-            if f != c or nu != nu0:
-                continue
-            ees, mmus = exp
-            if i == 1:
-                t2 = ((c,) + ees[2:], mmus[1:])
-            else:
-                t2 = (ees[: i - 1] + ees[i:], mmus[: i - 2] + (mmus[i - 1],) + mmus[i:])
-            out.append((t2, v1))
+        for (ees, mmus), v1 in _recouple(spec, word, tree, i):
+            if ees[i] == c and mmus[i - 1] == nu0:
+                out.append(((ees[:i] + ees[i + 1 :], mmus[: i - 1] + mmus[i:]), v1))
         return out
 
     if kind == "split":
@@ -308,9 +299,7 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
         if spec.N(a, b, x) <= mu0:
             return []
         new_word = _op_new_word(spec, word, op)
-        if i == 1:
-            return [(((a, x) + es[1:], (mu0,) + mus), ONE)]
-        exp = (es[: i - 1] + (x,) + es[i - 1 :], mus[: i - 2] + (mu0, mus[i - 2]) + mus[i - 1 :])
+        exp = (es[:i] + (x,) + es[i:], mus[: i - 1] + (mu0, mus[i - 1]) + mus[i:])
         return _recouple(spec, new_word, exp, i, inverse=True)
 
     if kind == "cup":
@@ -320,12 +309,7 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
             inner = ("cup", g, spec.dual[a], False)
             return [(t, scale * v) for t, v in _apply_tree(spec, word, tree, inner)]
         new_word = _op_new_word(spec, word, op)
-        u = spec.unit
-        if g == 0:
-            if not es:
-                return [(((a, u), (0,)), ONE)]
-            return [(((a, u) + es, (0, 0) + mus), ONE)]
-        exp = (es[:g] + (u, es[g - 1]) + es[g:], mus[: g - 1] + (0, 0) + mus[g - 1 :])
+        exp = (es[: g + 1] + (spec.unit, es[g]) + es[g + 1 :], mus[:g] + (0, 0) + mus[g:])
         return _recouple(spec, new_word, exp, g + 1, inverse=True)
 
     if kind == "cap":
@@ -335,20 +319,10 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
             inner = ("cap", i, spec.dual[a], False)
             return [(t, scale * v) for t, v in _apply_tree(spec, word, tree, inner)]
         lam = ev_coeff(spec, a)
-        u = spec.unit
         out = []
-        for exp, v1 in _recouple(spec, word, tree, i):
-            f, _ = _pair_slots(exp, i)
-            if f != u:
-                continue
-            ees, mmus = exp
-            if i == 1:
-                t2 = (ees[2:], mmus[2:])
-            else:
-                if ees[i] != ees[i - 2]:
-                    continue
-                t2 = (ees[: i - 1] + ees[i + 1 :], mmus[: i - 2] + mmus[i:])
-            out.append((t2, v1 * lam))
+        for (ees, mmus), v1 in _recouple(spec, word, tree, i):
+            if ees[i] == spec.unit and ees[i + 1] == ees[i - 1]:
+                out.append(((ees[:i] + ees[i + 2 :], mmus[: i - 1] + mmus[i + 1 :]), v1 * lam))
         return out
 
     if kind == "bend":
@@ -363,18 +337,11 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
 
     if kind == "unit_insert":
         _, g = op
-        u = spec.unit
-        if g == 0:
-            if not es:
-                return [(((u,), ()), ONE)]
-            return [(((u,) + es, (0,) + mus), ONE)]
-        return [((es[:g] + (es[g - 1],) + es[g:], mus[: g - 1] + (0,) + mus[g - 1 :]), ONE)]
+        return [((es[: g + 1] + (es[g],) + es[g + 1 :], mus[:g] + (0,) + mus[g:]), ONE)]
 
     if kind == "unit_remove":
         _, i = op
-        if i == 1:
-            return [((es[1:], mus[1:]), ONE)]
-        return [((es[: i - 1] + es[i:], mus[: i - 2] + mus[i - 1 :]), ONE)]
+        return [((es[:i] + es[i + 1 :], mus[: i - 1] + mus[i:]), ONE)]
 
     raise ValueError(f"unknown op {op!r}")
 
@@ -483,7 +450,7 @@ class Morphism:
         if self.src or self.tgt:
             raise IllFormedDiagramError("scalar() needs an empty-word endomorphism")
         blk = self.blocks.get(self.spec.unit)
-        return blk[(), ()][0] if blk else C0
+        return blk[(self.spec.unit,), ()][0] if blk else C0
 
     def apply(self, op) -> "Morphism":
         """Post-compose one generator acting on the target word."""
@@ -493,8 +460,9 @@ class Morphism:
         """Post-compose a generator word (first op acts first) in one pass.
 
         The word acts on a window (s, k) of the target (``_active_window``):
-        its map is composed once per head charge es[s] on the window word,
-        and every tree carries its head and tail through unchanged.
+        its map on the trees of the window word tgt[s:k] is composed once per
+        root, the head charge es[s], and every tree carries its head and
+        tail through unchanged.
         """
         ops = tuple(ops)
         if not ops:
@@ -503,12 +471,12 @@ class Morphism:
         s, k = _active_window(spec, len(tgt), ops)
         local = tuple((op[0], op[1] - s) + op[2:] for op in ops)
         new_word = word_after(spec, tgt, ops)
-        rest, maps = tgt[s + 1 : k], {}
+        window_word, maps = tgt[s:k], {}
 
-        def moves(charge, window):
-            if charge not in maps:
-                maps[charge] = _word_map(spec, charge + rest, local)
-            return maps[charge].get(window)
+        def moves(root, window):
+            if root not in maps:
+                maps[root] = _word_map(spec, root, window_word, local)
+            return maps[root].get(window)
 
         blocks = {c: rows for c, blk in self.blocks.items() if (rows := _push(blk, s, k, moves))}
         return Morphism(spec, self.src, new_word, blocks)
@@ -545,7 +513,7 @@ def _merge_word(pos: int, src_w: Word, tree: Tree) -> tuple:
     if not src_w:
         return (("unit_insert", pos - 1),)
     es, mus = tree
-    return tuple(("merge", pos, es[k - 1], mus[k - 2]) for k in range(2, len(src_w) + 1))
+    return tuple(("merge", pos, es[k], mus[k - 1]) for k in range(2, len(src_w) + 1))
 
 
 def _split_word(pos: int, tgt_w: Word, tree: Tree) -> tuple:
@@ -554,7 +522,7 @@ def _split_word(pos: int, tgt_w: Word, tree: Tree) -> tuple:
         return (("unit_remove", pos),)
     es, mus = tree
     return tuple(
-        ("split", pos, es[k - 2], tgt_w[k - 1], mus[k - 2]) for k in range(len(tgt_w), 1, -1)
+        ("split", pos, es[k - 1], tgt_w[k - 1], mus[k - 1]) for k in range(len(tgt_w), 1, -1)
     )
 
 
@@ -592,17 +560,18 @@ def _pruned(blocks: dict) -> dict:
 def _push(rows: dict, s: int, k: int, moves) -> dict:
     """Move sparse rows {tree: {column: value}} through a window action.
 
-    A tree (es, mus) is its head (es[:s], mus[:s]), its window (es[s:k],
-    mus[s:k-1]) and its tail (es[k:], mus[k-1:]); ``moves(es[s:s+1],
-    window)`` lists the (window', coeff) it turns into, and out[head +
-    window' + tail] += coeff * row.  Rows that sums emptied are dropped.
+    A tree (es, mus) is its head (es[:s], mus[:s]), its window (es[s:k+1],
+    mus[s:k]), which grows strands s+1..k from the root es[s], and its tail
+    (es[k+1:], mus[k:]); ``moves(es[s], window)`` lists the (window', coeff)
+    it turns into, and out[head + window' + tail] += coeff * row.  Rows that
+    sums emptied are dropped.
     """
     out: dict = {}
     for (es, mus), row in rows.items():
-        targets = moves(es[s : s + 1], (es[s:k], mus[s : k - 1]))
+        targets = moves(es[s], (es[s : k + 1], mus[s:k]))
         if not targets:
             continue
-        head_es, head_mus, tail_es, tail_mus = es[:s], mus[:s], es[k:], mus[k - 1 :]
+        head_es, head_mus, tail_es, tail_mus = es[:s], mus[:s], es[k + 1 :], mus[k:]
         for (es2, mus2), coeff in targets:
             _add_row(out, (head_es + es2 + tail_es, head_mus + mus2 + tail_mus), row, coeff)
     return {t: row for t, row in out.items() if row}
@@ -623,18 +592,19 @@ def _local_moves(spec, word: Word, tree: Tree, op) -> list:
 
 
 @cached
-def _word_map(spec, word: Word, ops: tuple) -> dict[Tree, list]:
+def _word_map(spec, root: str, word: Word, ops: tuple) -> dict[Tree, list]:
     """Composed action {tree: [(tree', coeff)]} of a generator word on ``word``.
 
-    ``_push`` moves the identity rows {t: {t: ONE}} through each generator's
+    The trees are those of ``word`` grown from ``root``.  ``_push`` moves
+    their identity rows {t: {t: ONE}} through each generator's
     ``_local_moves`` on its own window (``_active_window``); the map is then
     read off by columns.
     """
-    rows = {t: {t: ONE} for ts in all_trees(spec, word).values() for t in ts}
+    rows = {t: {t: ONE} for ts in all_trees(spec, word, root).values() for t in ts}
     for op in ops:
         s, k = _active_window(spec, len(word), (op,))
-        rest, local = word[s + 1 : k], (op[0], op[1] - s) + op[2:]
-        rows = _push(rows, s, k, lambda c, window: _local_moves(spec, c + rest, window, local))
+        window_word, local = word[s:k], (op[0], op[1] - s) + op[2:]
+        rows = _push(rows, s, k, lambda _, window: _local_moves(spec, window_word, window, local))
         word = _op_new_word(spec, word, op)
     out: dict = {}
     for t2, row in rows.items():
@@ -648,12 +618,12 @@ def _active_window(spec, n: int, ops: tuple) -> tuple[int, int]:
     """The window (s, k) of an n-strand word that ``ops`` acts inside.
 
     k: at every step, before and after the op, strands 1..k hold the last
-    strand the op touches and at least one strand; the tail keeps its
-    length.  s = max(L - 2, 0) for the first strand L that any op reads (g + 1
-    for a cup or unit_insert at gap g): no op moves or reads strands 1..s+1
-    but through their charge es[s].
+    strand the op touches; the tail keeps its length.  s = L - 1 for the
+    first strand L that any op reads (g + 1 for a cup or unit_insert at gap
+    g): no op moves or reads strands 1..s but through their charge es[s],
+    the root of the window.
     """
-    length, tail, first = n, n - 1, n + 1
+    length, tail, first = n, n, n + 1
     for op in ops:
         kind, p = op[0], op[1]
         # The last strand touched before and after the op; their difference
@@ -665,9 +635,9 @@ def _active_window(spec, n: int, ops: tuple) -> tuple[int, int]:
         }[kind]
         tail = min(tail, length - before)
         length += after - before
-        tail = min(tail, length - max(after, 1))
+        tail = min(tail, length - after)
         first = min(first, p + 1 if kind in ("cup", "unit_insert") else p)
-    return max(first - 2, 0), n - max(tail, 0)
+    return first - 1, n - tail
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +680,7 @@ def theta(spec, a: str) -> Cyclotomic:
         (("cup", 1, a, False), ("braid", 1, "over"), ("cap", 2, a, True))
     )
     blk = state.blocks.get(a)
-    return blk[(a,), ()][0] if blk else C0
+    return blk[(spec.unit, a), (0,)][0] if blk else C0
 
 
 def hopf_link_value(spec, a: str, b: str) -> Cyclotomic:

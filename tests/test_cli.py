@@ -420,9 +420,10 @@ def test_adjoint_check_multiplies_by_no_zero(monkeypatch, capsys):
 
 def test_each_generator_window_is_evaluated_once():
     # L2 evaluates a generator on a window of a tree once per spec, through
-    # the _local_moves table, and composes word maps on windows: 171 and 353
-    # on these jobs, against 243 and 473 on touched prefixes.  Each composed
-    # map is one _word_map key of the spec's cache.
+    # the _local_moves table, and composes word maps on windows: 171 and 267
+    # on these jobs (353 for rep_s3 while a window's head posed as a strand),
+    # against 243 and 473 on touched prefixes.  Each composed map is one
+    # _word_map key of the spec's cache.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (
@@ -465,7 +466,7 @@ def test_word_maps_push_few_rows():
     # rows pushed through _push while _word_map builds composed maps on the
     # same two jobs.  A gamma column turns the high leg by one bend, so no
     # map is built over the two strands that a cup, split and cap add: 1,622
-    # and 4,156 rows, against 2,438 and 8,244 with the triple.
+    # and 3,329 rows, against 2,438 and 8,244 with the triple.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (

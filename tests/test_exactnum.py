@@ -9,10 +9,20 @@ import pytest
 
 from genuscenter.errors import (
     DivisionByZeroError,
+    InternalInconsistencyError,
     MalformedRationalError,
     SingularMatrixError,
 )
-from genuscenter.exactnum import C0, Cyclotomic, Echelon, invert, rank, rational, zeta
+from genuscenter.exactnum import (
+    C0,
+    Cyclotomic,
+    Echelon,
+    _int_poly_div,
+    invert,
+    rank,
+    rational,
+    zeta,
+)
 
 from exact_oracle import ExactMatrix, inverse, matrix_rank, nullspace, solve
 
@@ -45,6 +55,14 @@ class TestNormalize:
     def test_zeta6_squared_reduces(self):
         # Phi_6 = x^2 - x + 1, so z6^2 = z6 - 1.
         assert zeta(6) ** 2 == zeta(6) - rational(1)
+
+    def test_non_exact_polynomial_division_raises_a_package_error(self):
+        # (x^2 - 1) / (x + 1) = x - 1, but (x^2 + 1) / (x + 1) leaves the
+        # remainder 2; the check must hold under python -O too, so it is no
+        # assert.
+        assert _int_poly_div([-1, 0, 1], [1, 1]) == [-1, 1]
+        with pytest.raises(InternalInconsistencyError, match="non-exact"):
+            _int_poly_div([1, 0, 1], [1, 1])
 
     def test_golden_ratio_quadratic(self):
         phi = golden()

@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from genuscenter.errors import GluingFormatError
+from genuscenter.errors import GluingFormatError, InternalInconsistencyError
 from genuscenter.gluing import Gluing, comm_case, enumerate_adm, parse_cycles, surface_type
 
 
@@ -117,6 +117,19 @@ class TestSurfaceType:
     def test_disk(self):
         st = surface_type(Gluing(0, ()))
         assert (st.genus, st.punctures, st.euler) == (0, 1, 1)
+
+    def test_inconsistent_classification_raises_a_package_error(self):
+        # sigma(i) = i is no gluing; it slips past the parser as a stub and
+        # walks to k = 1, V = 2, chi = 0, so 2g = 1: the parity check fires
+        # as a GenusCenterError, not as an AssertionError.
+        class Identity:
+            n = 1
+
+            def __call__(self, i):
+                return i
+
+        with pytest.raises(InternalInconsistencyError, match="inconsistent classification"):
+            surface_type(Identity())
 
     def test_euler_consistency_up_to_rank_4(self):
         for n in range(5):

@@ -107,11 +107,11 @@ def chain_replay_coupon(state, pos, f):
                 if not src_w:
                     chain = dense_apply(chain, ("unit_insert", pos - 1))
                 for k in range(2, len(src_w) + 1):
-                    chain = dense_apply(chain, ("merge", pos, s_es[k - 1], s_mus[k - 2]))
+                    chain = dense_apply(chain, ("merge", pos, s_es[k], s_mus[k - 1]))
                 if not tgt_w:
                     chain = dense_apply(chain, ("unit_remove", pos))
                 for k in range(len(tgt_w), 1, -1):
-                    op = ("split", pos, t_es[k - 2], tgt_w[k - 1], t_mus[k - 2])
+                    op = ("split", pos, t_es[k - 1], tgt_w[k - 1], t_mus[k - 1])
                     chain = dense_apply(chain, op)
                 total = total + chain.scale(coeff)
     return total
@@ -400,7 +400,7 @@ class TestTrimmedMaps:
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_collapsed_head_equals_the_dense_replay(self, key):
         # Words of ops that all read strand 3 or later, so that the strands
-        # left of them act as one strand of their charge; the same words
+        # left of them pass as the window's root, their charge; the same words
         # after a cap at strand 1 or a cup or unit_insert at gap 0, whose
         # own windows start at strand 1.
         spec = catalog.builtin(key)
@@ -426,21 +426,21 @@ class TestTrimmedMaps:
     @pytest.mark.parametrize(
         "n,ops,s,k",
         [
-            (5, (("cup", 0, "t", False),), 0, 1),
-            (5, (("unit_insert", 0),), 0, 1),
-            (5, (("unit_remove", 1),), 0, 2),
+            (5, (("cup", 0, "t", False),), 0, 0),
+            (5, (("unit_insert", 0),), 0, 0),
+            (5, (("unit_remove", 1),), 0, 1),
             (5, (("braid", 1, "over"),), 0, 2),
-            (5, (("cap", 1, "t", True),), 0, 3),
-            (5, (("split", 2, "t", "t", 0),), 0, 2),
-            (5, (("bend", 3, "t", "t", "t", 0),), 1, 3),
-            (5, (("merge", 4, "t", 0),), 2, 5),
-            (5, (("cap", 4, "t", False),), 2, 5),
-            (5, (("braid", 4, "under"),), 2, 5),
-            (5, (("twist", 5, 1),), 3, 5),
-            (5, (("cup", 5, "t", False),), 4, 5),
-            (5, (("cup", 0, "t", False), ("cap", 1, "t", True)), 0, 1),
+            (5, (("cap", 1, "t", True),), 0, 2),
+            (5, (("split", 2, "t", "t", 0),), 1, 2),
+            (5, (("bend", 3, "t", "t", "t", 0),), 2, 3),
+            (5, (("merge", 4, "t", 0),), 3, 5),
+            (5, (("cap", 4, "t", False),), 3, 5),
+            (5, (("braid", 4, "under"),), 3, 5),
+            (5, (("twist", 5, 1),), 4, 5),
+            (5, (("cup", 5, "t", False),), 5, 5),
+            (5, (("cup", 0, "t", False), ("cap", 1, "t", True)), 0, 0),
             (5, (("braid", 1, "over"), ("braid", 2, "over"), ("braid", 3, "over")), 0, 4),
-            (5, (("braid", 4, "over"), ("cup", 2, "t", False), ("cap", 4, "t", True)), 1, 5),
+            (5, (("braid", 4, "over"), ("cup", 2, "t", False), ("cap", 4, "t", True)), 2, 5),
             (0, (("cup", 0, "t", False),), 0, 0),
             (0, (("unit_insert", 0), ("unit_remove", 1)), 0, 0),
         ],
@@ -451,8 +451,32 @@ class TestTrimmedMaps:
              "empty-word-unit"],
     )
     def test_active_length(self, n, ops, s, k):
-        # The window (s, k): the head ends at strand s + 1, the tail after k.
+        # The window (s, k): the head ends at strand s, the tail after k.
         assert _active_window(fresh("fibonacci"), n, ops) == (s, k)
+
+
+class TestRootedTrees:
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_rooted_trees_are_unit_trees_less_their_first_strand(self, key):
+        # A tree of ``word`` grown from r is a tree of (r,) + word grown from
+        # the unit with its first charge and vertex dropped.
+        spec = fresh(key)
+        for r in spec.labels:
+            for n in range(4):
+                for word in product(spec.labels, repeat=n):
+                    want = {
+                        c: [(es[1:], mus[1:]) for es, mus in ts]
+                        for c, ts in all_trees(spec, (r,) + word).items()
+                    }
+                    assert all_trees(spec, word, r) == want, (r, word)
+
+    def test_a_unit_root_shares_the_table_of_no_root(self):
+        spec = fresh("rep_s3")
+        table = all_trees(spec, ("V", "V"))
+        size = len(spec._cache)
+        assert all_trees(spec, ("V", "V"), spec.unit) is table
+        assert len(spec._cache) == size
+        assert table["1"] == [(("1", "V", "1"), (0, 0))]
 
 
 # Hom spaces with several trees per charge (rep_s3 (V,V,V)), and an empty source word.
@@ -611,12 +635,13 @@ SIG12 = parse_cycles("(1 2)")
 MEMOIZED = [
     (_vertices, ()),
     (all_trees, (("t", "t", "t"),)),
+    (all_trees, (("t", "t"), "t")),
     (ev_coeff, ("t",)),
     (_f_moves, ("t", "t", "t", "t", False)),
     (_pivotal_inverse, ("t",)),
     (_active_window, (2, (("braid", 1, "under"), ("cap", 1, "t", True)))),
-    (_local_moves, (("t", "t"), (("t", "1"), (0,)), ("braid", 1, "over"))),
-    (_word_map, (("t", "t"), (("braid", 1, "under"), ("cap", 1, "t", True)))),
+    (_local_moves, (("t", "t"), (("1", "t", "1"), (0, 0)), ("braid", 1, "over"))),
+    (_word_map, ("1", ("t", "t"), (("braid", 1, "under"), ("cap", 1, "t", True)))),
     (loop_value, ("t", "left")),
     (theta, ("t",)),
     (CategorySpec.f_block, ("t", "t", "t", "t")),
@@ -631,7 +656,14 @@ MEMOIZED = [
 
 
 class TestCached:
-    @pytest.mark.parametrize("fn,args", MEMOIZED, ids=[fn.__name__ for fn, _ in MEMOIZED])
+    @pytest.mark.parametrize(
+        "fn,args",
+        MEMOIZED,
+        ids=[
+            fn.__name__ + ("-rooted" if fn is all_trees and len(args) > 1 else "")
+            for fn, args in MEMOIZED
+        ],
+    )
     def test_second_call_returns_the_stored_table(self, fn, args):
         spec = fresh("fibonacci")
         first = fn(spec, *args)
