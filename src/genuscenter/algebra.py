@@ -231,7 +231,7 @@ def _decompose_mod(alg: AlgebraData, p: int, rng: random.Random):
     gram: dict = {}  # i -> {k: t(e_i w_k)}, the rows of G W^T
     commutators: dict = {}  # (g, c) -> {a: [e_a e_g - e_g e_a]_c}
     for i in range(dim):
-        vws = chain({i: 1})
+        vws = chain(i)
         gram[i] = {k: x for k, vw in enumerate(vws)
                    if (x := sum(v * trace[c] for c, v in vw.items()) % p)}
         if i in alg.gens:  # by (e) the e_g generate A mod p, so the centre is their commutant
@@ -313,17 +313,18 @@ def _close(mult: dict, gens: list, dim: int, p: int):
     w_k = w' g of a closed element by a generator, on all coordinates,
     tagged k.  With dim rows, each row is an e_b whose tail writes
     e_b = sum_k t w_k, and uses[k] = {b: t}.  chain(v) is [v w_k for every
-    k], from v w = (v w') g.  The regular trace t(e_c) = sum_b [e_c e_b]_b
-    is sum_k <e_c w_k, uses[k]>, and <v g, y> = <v, R_g^T y> for the right
-    action R_g, so one sweep from the last element back, y_k = uses[k] +
-    sum R_g^T y_j over the children w_j = w_k g, gives t = sum_g R_g^T y_(e_g),
-    with no chain per element.
+    k], from v w = (v w') g; chain(i), of e_i, reads e_i e_g off the table.
+    The regular trace t(e_c) = sum_b [e_c e_b]_b is sum_k <e_c w_k, uses[k]>,
+    and <v g, y> = <v, R_g^T y> for the right action R_g, so one sweep from
+    the last element back, y_k = uses[k] + sum R_g^T y_j over the children
+    w_j = w_k g, gives t = sum_g R_g^T y_(e_g), with no chain per element.
     """
     right: dict = {g: {} for g in gens}  # g -> {a: e_a e_g}
     for (a, g), row in mult.items():
         right[g][a] = row
 
     def times(vec: dict, g) -> dict:
+        """vec e_g mod p; not an axpy: the products add up unreduced, then one % p per entry."""
         out: dict = {}
         rows = right[g]
         for c, x in vec.items():
@@ -354,10 +355,10 @@ def _close(mult: dict, gens: list, dim: int, p: int):
         for k, t in tail.items():
             uses.setdefault(k, {})[b] = t
 
-    def chain(v: dict) -> list[dict]:
-        out: list = []
-        for parent, g in steps:
-            out.append(times(v if parent is None else out[parent], g))
+    def chain(v: dict | int) -> list[dict]:
+        out = [right[g].get(v, {}) if type(v) is int else times(v, g) for g in gens]
+        for parent, g in steps[len(gens):]:
+            out.append(times(out[parent], g))
         return out
 
     ys = [dict(uses.get(k, {})) for k in range(len(steps))]

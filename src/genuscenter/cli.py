@@ -7,8 +7,8 @@ A call is the words of one command of COMMANDS, then its flags in any order,
 each once, as ``--flag value`` or ``--flag=value``; a value may begin with a
 single dash (``--n -1``), and ``--json`` is a switch.  ``-h`` or ``--help``
 prints the usage.
-Exit codes: 0 pass or help, 1 check failure or computation diagnostic, 2 usage
-(the usage and an ``error:`` line on stderr, nothing on stdout).
+Exit codes: 0 pass or help, 1 check failure, computation diagnostic or a closed
+stdout, 2 usage (the usage and an ``error:`` line on stderr, nothing on stdout).
 `center` and `adjoint` refuse a catalog file that fails an axiom check of
 `validate`; the built-in catalogs are checked by the test suite instead.
 """
@@ -78,6 +78,7 @@ def _emit(doc, as_json: bool):
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
         _emit_text(doc)
+    sys.stdout.flush()  # a closed stdout raises here, inside main, and not at exit
 
 
 def _emit_text(doc, indent=0):
@@ -278,20 +279,18 @@ def _parse(argv: list):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "-h" in argv or "--help" in argv:
-        print(_usage())
-        return 0
     try:
+        if "-h" in argv or "--help" in argv:
+            print(_usage(), flush=True)
+            return 0
         handler, args = _parse(argv)
+        return handler(args)
     except _UsageError as exc:
         print(_usage(), f"error: {exc}", sep="\n", file=sys.stderr)
         return 2
-    try:
-        return handler(args)
     except GenusCenterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except BrokenPipeError:  # the Python docs' recipe: devnull takes the closed stdout's place
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

@@ -21,11 +21,11 @@ stores its scalars in Q(zeta_N), N = ``field_order()``, so everything
 derived from it stays in that field.  Only ``==``, ``hash`` and ``lift``
 compare or move values across orders.
 
-``Echelon`` is the package's one row reduction: sparse rows {column: x}
-in reduced echelon form, over Q(zeta_N) (``CYCLOTOMIC``) for the exact
-rank checks and inverses of the category data, and over F_p
-(``PrimeField``) for ``algebra``.  A matrix is given by its rows, and
-the reduced rows store no zero entry.
+A field object, ``CYCLOTOMIC`` for Q(zeta_N) or a ``PrimeField``, is the one
+code that adds (``axpy``) and scales (``scaled``) sparse rows {column: x},
+and drops every zero entry; at f = ``C1`` ``CYCLOTOMIC`` adds y's own values.
+``Echelon``, the one row reduction (over Q(zeta_N) for the category data,
+over F_p for ``algebra``), and ``trees`` build their rows through it.
 """
 
 from __future__ import annotations
@@ -428,7 +428,15 @@ C0 = Cyclotomic.zero()
 C1 = Cyclotomic.one()
 
 
-class PrimeField:
+class _Field:
+    def scaled(self, f, y: dict) -> dict:
+        """A new dict f y, without zero entries; y is left as it is."""
+        out: dict = {}
+        self.axpy(out, f, y)
+        return out
+
+
+class PrimeField(_Field):
     """F_p, p prime, for ``Echelon``: entries are the residues 0 < x < p."""
 
     one = 1
@@ -449,20 +457,22 @@ class PrimeField:
         return pow(x, -1, self.p)
 
 
-class CyclotomicField:
-    """Q(zeta_N), for ``Echelon``: entries are ``Cyclotomic`` and combine by their operators."""
+class CyclotomicField(_Field):
+    """Q(zeta_N): entries are ``Cyclotomic`` and combine by their operators."""
 
     one = C1
 
     def axpy(self, x: dict, f: Cyclotomic, y: dict) -> None:
-        """x += f y, in place, dropping the entries that become 0."""
+        """x += f y in place, without zero entries; at f = ``C1`` y's own values are added."""
         for k, v in y.items():
-            old = x.get(k)
-            s = f * v if old is None else old + f * v
-            if s.is_zero():
+            if f is not C1:
+                v = f * v
+            if (old := x.get(k)) is not None:
+                v = old + v
+            if v.is_zero():
                 x.pop(k, None)
             else:
-                x[k] = s
+                x[k] = v
 
     def inverse(self, x: Cyclotomic) -> Cyclotomic:
         return x.inverse()
@@ -479,8 +489,8 @@ class Echelon:
     {tag: coeff} is the combination of the tagged added vectors it equals.
     A row's pivot is its least column, so the rows are the reduced echelon
     form of the span of the added vectors, whatever order they came in.
-    The field (``PrimeField`` or ``CYCLOTOMIC``) supplies ``one``,
-    ``inverse`` and ``axpy``, which also drops the zeros it makes.
+    The field (``PrimeField`` or ``CYCLOTOMIC``) supplies ``one`` and
+    ``inverse``, and its ``axpy`` and ``scaled`` drop every zero entry.
 
     The rank is ``len(rows)``.  The tails of an invertible matrix's rows,
     each added with its index as tag, are the rows of its inverse
@@ -494,12 +504,6 @@ class Echelon:
         for vec in vectors:
             self.add(vec)
 
-    def _times(self, f, vec: dict) -> dict:
-        """A new dict f vec, without zero entries."""
-        out: dict = {}
-        self.field.axpy(out, f, vec)
-        return out
-
     def add(self, vec: dict, tag=None) -> dict | None:
         """Keep vec, reduced, and return None if it is independent of the rows.
 
@@ -508,7 +512,7 @@ class Echelon:
         """
         field, rows = self.field, self.rows
         axpy = field.axpy
-        row = self._times(field.one, vec)
+        row = field.scaled(field.one, vec)
         tail = {} if tag is None else {tag: field.one}
         # Pivot rows are 0 at the other pivots, so these entries stay as read.
         for f, q in [(row[q], q) for q in row if q in rows]:
@@ -518,7 +522,7 @@ class Echelon:
             return tail
         q0 = min(row)
         inv = field.inverse(row[q0])
-        row, tail = self._times(inv, row), self._times(inv, tail)
+        row, tail = field.scaled(inv, row), field.scaled(inv, tail)
         for other, otail in rows.values():
             if f := other.get(q0):
                 axpy(other, -f, row)
@@ -538,11 +542,11 @@ class Echelon:
 
     def kernel(self, ncols: int) -> list[dict]:
         """A basis of the vectors {column: x}, on columns 0..ncols-1, that the rows annihilate."""
-        one, out = self.field.one, []
+        field, out = self.field, []
         for f in range(ncols):
             if f not in self.rows:
                 v = {q: -row[f] for q, (row, _tail) in self.rows.items() if f in row}
-                out.append(self._times(one, {f: one, **v}))
+                out.append(field.scaled(field.one, {f: field.one, **v}))
         return out
 
 

@@ -41,11 +41,11 @@ over the entries f_d[r, s], each the word that merges the source strands to
 d along source tree s followed by the word that splits d along target tree
 r.
 
-Zeros: ``_local_moves`` drops a generator's, once per window.  A product
-of nonzero values is never zero, so past that an entry is deleted only
-where a sum cancels (``_add_row``), with any row or block this empties.
-A coefficient 1 in ``_local_moves`` or a word map is the shared ``ONE``,
-and a row moved by ``ONE`` is copied, not multiplied.
+Zeros: ``_local_moves`` drops a generator's, once per window.  Past that,
+rows are added and scaled only by the field object ``FIELD``, which drops
+every entry that is or becomes 0, and a row or block this empties goes.
+A coefficient 1 in ``_local_moves`` or a word map is the shared ``ONE``:
+a row moved by it is copied, and ``FIELD.axpy`` adds it with no product.
 
 A Hom space has the coordinates (charge, target tree, source tree) that
 ``hom_keys`` lists.  Other modules write a map's entries only through
@@ -71,8 +71,9 @@ from __future__ import annotations
 from functools import partial, wraps
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
-from .exactnum import C0, C1, Cyclotomic
+from .exactnum import C0, C1, CYCLOTOMIC, Cyclotomic
 
+FIELD = CYCLOTOMIC
 ONE = C1
 
 Word = tuple[str, ...]
@@ -431,11 +432,9 @@ class Morphism:
         return Morphism(self.spec, self.src, self.tgt, _pruned(blocks))
 
     def scale(self, s: Cyclotomic) -> "Morphism":
-        blocks = {} if s.is_zero() else {
-            c: {t: {j: v * s for j, v in row.items()} for t, row in blk.items()}
-            for c, blk in self.blocks.items()
-        }
-        return Morphism(self.spec, self.src, self.tgt, blocks)
+        blocks = {c: {t: FIELD.scaled(s, row) for t, row in blk.items()}
+                  for c, blk in self.blocks.items()}
+        return Morphism(self.spec, self.src, self.tgt, _pruned(blocks))
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -527,21 +526,11 @@ def _split_word(pos: int, tgt_w: Word, tree: Tree) -> tuple:
 
 
 def _add_row(out: dict, key, row: dict, coeff) -> None:
-    """out[key] += coeff * row, in a row of out's own; a sum that cancels is deleted."""
-    dst = out.get(key)
-    if dst is None:
-        out[key] = dict(row) if coeff is ONE else {j: coeff * v for j, v in row.items()}
-        return
-    for j, v in row.items():
-        if coeff is not ONE:
-            v = coeff * v
-        w = dst.get(j)
-        if w is None:
-            dst[j] = v
-        elif (w := w + v).is_zero():
-            del dst[j]
-        else:
-            dst[j] = w
+    """out[key] += coeff * row, in a row of out's own (``FIELD.axpy``)."""
+    if coeff is ONE and key not in out:
+        out[key] = dict(row)
+    else:
+        FIELD.axpy(out.setdefault(key, {}), coeff, row)
 
 
 def _add_blocks(out: dict, blocks: dict, coeff) -> None:

@@ -614,6 +614,14 @@ class TestTubeAlgebra:
             regular[a] += row.get(b, 0)
         assert trace == [x % p for x in regular]
 
+    @pytest.mark.parametrize("key,cycles", CLOSURE_CASES[:3] + CLOSURE_CASES[-3:])
+    def test_a_basis_chain_reads_the_table(self, key, cycles):
+        # chain(i) takes e_i e_g from the reduced table, chain({i: 1}) multiplies.
+        tube = tube_algebra(catalog.builtin(key), parse_cycles(cycles))
+        p = next(_primes(tube.order, tube.dim))
+        chain, _uses, _trace = _close(_reduce(tube, p)[0], tube.gens, tube.dim, p)
+        assert all(chain(i) == chain({i: 1}) for i in range(tube.dim))
+
     @pytest.mark.parametrize("key,want", [
         ("fibonacci", ("t",)), ("ising", ("s",)), ("rep_s3", ("V",)), ("vec_z3_q", ("1",)),
         ("semion", ("1",)), ("rep_z2", ("1",)), ("vec_z2", ("1",)),

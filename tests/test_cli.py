@@ -514,3 +514,36 @@ def test_rank_leaves_the_diagram_module_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0 and out.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_a_closed_stdout_ends_quietly_with_code_1():
+    # The read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails with EPIPE.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv in (["catalog", "list", "--json"], ["-h"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-c", "import sys, genuscenter.cli as cli; sys.exit(cli.main())",
+                 *argv], env=env, stdout=write, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (1, b""), argv
+
+
+def test_python_m_runs_the_cli(capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["catalog", "list", "--json"]
+    out = subprocess.run(
+        [sys.executable, "-m", "genuscenter", *argv], env=env, capture_output=True, timeout=60
+    )
+    code, want = run(capsys, *argv)
+    assert (out.returncode, out.stdout, out.stderr) == (code, want.encode(), b"")
+    usage = subprocess.run(
+        [sys.executable, "-m", "genuscenter", "-h"], env=env, capture_output=True, timeout=60
+    )
+    assert usage.returncode == 0 and usage.stdout.startswith(b"usage: genuscenter")

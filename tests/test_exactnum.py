@@ -15,8 +15,11 @@ from genuscenter.errors import (
 )
 from genuscenter.exactnum import (
     C0,
+    C1,
+    CYCLOTOMIC,
     Cyclotomic,
     Echelon,
+    PrimeField,
     _int_poly_div,
     invert,
     rank,
@@ -417,3 +420,29 @@ class TestEchelonAgainstDense:
             echelon.add(row)
         assert rows == copies
         assert all(row is not stored for row in rows for stored, _tail in echelon.rows.values())
+
+
+class TestFieldObject:
+    def test_axpy_by_one_adds_the_values_themselves(self):
+        y = {0: zeta(5), 1: rational(3), 2: zeta(5, 2), 3: rational(3)}
+        x = {1: rational(-3), 2: zeta(5)}
+        CYCLOTOMIC.axpy(x, C1, y)
+        assert x[0] is y[0] and x[3] is y[3]
+        assert 1 not in x
+        assert x[2] == zeta(5) + zeta(5, 2)
+
+    def test_axpy_by_one_drops_the_zeros_of_y(self):
+        x: dict = {}
+        CYCLOTOMIC.axpy(x, C1, {0: C0, 1: Cyclotomic.zero(5), 2: zeta(5)})
+        assert x == {2: zeta(5)}
+
+    @pytest.mark.parametrize("field,f,y,want", [
+        (CYCLOTOMIC, zeta(8), {0: zeta(8, 3), 4: C0, 5: rational(2, 3)},
+         {0: rational(-1), 5: zeta(8) * rational(2, 3)}),
+        (CYCLOTOMIC, C1, {0: zeta(8, 3), 4: C0}, {0: zeta(8, 3)}),
+        (PrimeField(7), 3, {0: 5, 1: 0, 2: 7}, {0: 1}),
+    ], ids=["cyclotomic", "cyclotomic-one", "prime"])
+    def test_scaled_is_a_new_dict_and_leaves_y_unchanged(self, field, f, y, want):
+        copy = dict(y)
+        got = field.scaled(f, y)
+        assert got == want and got is not y and y == copy

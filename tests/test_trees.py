@@ -5,10 +5,10 @@ from itertools import product
 
 import pytest
 
-from genuscenter import catalog, center
+from genuscenter import catalog, center, trees as trees_module
 from genuscenter.center import adjunction_maps, center_rank, induced_half_braidings, tube_algebra
 from genuscenter.errors import GenusCenterError, IllFormedDiagramError
-from genuscenter.exactnum import C0, rational, zeta
+from genuscenter.exactnum import C0, CYCLOTOMIC, CyclotomicField, rational, zeta
 from genuscenter.fusion import (
     CategorySpec,
     check_hexagon,
@@ -622,6 +622,27 @@ def test_a_row_that_cancels_is_dropped():
         assert t2 not in got.blocks[c]
         assert_sparse(got)
         assert got == full_word_apply(state, ops)
+
+
+class CountingField(CyclotomicField):
+    """``CYCLOTOMIC`` that counts its ``axpy`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def axpy(self, x, f, y):
+        self.calls += 1
+        CYCLOTOMIC.axpy(x, f, y)
+
+
+def test_rows_are_added_through_the_module_field(monkeypatch):
+    sigma = parse_cycles("(1 3)(2 4)")
+    want = tube_algebra(fresh("fibonacci"), sigma)
+    field = CountingField()
+    monkeypatch.setattr(trees_module, "FIELD", field)
+    got = tube_algebra(fresh("fibonacci"), sigma)
+    assert field.calls > 0
+    assert (got.dim, got.mult, got.unit, got.gens) == (want.dim, want.mult, want.unit, want.gens)
 
 
 def fresh(key):
