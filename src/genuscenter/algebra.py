@@ -100,7 +100,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import NonSplitError
 from .exactnum import Echelon, PrimeField, rank
@@ -113,19 +112,16 @@ _MAX_PRIMES = 8
 _SEED = 7
 
 
-@dataclass
 class AlgebraData:
     """Structure constants e_a e_g = sum_c mult[(a,g)][c] e_c for g in gens, over Q(zeta_order)."""
 
-    dim: int
-    mult: dict  # (a, g) -> {c: coeff}, for every a and every g in gens
-    unit: dict  # coordinates of the unit element
-    gens: list | None = None  # right factors of mult, which generate A; None: the whole basis
-    order: int = 1  # N of the field K = Q(zeta_N): each constant's order divides N or is <= 2
-
-    def __post_init__(self):
-        if self.gens is None:
-            self.gens = list(range(self.dim))
+    def __init__(self, dim: int, mult: dict, unit: dict, gens: list | None = None, order: int = 1):
+        self.dim = dim
+        self.mult = mult  # (a, g) -> {c: coeff}, for every a and every g in gens
+        self.unit = unit  # coordinates of the unit element
+        # right factors of mult, which generate A; None: the whole basis
+        self.gens = list(range(dim)) if gens is None else gens
+        self.order = order  # N of the field K = Q(zeta_N): each constant's order divides N or is <= 2
 
 
 def decompose(alg: AlgebraData) -> tuple[int, list[int]]:

@@ -63,7 +63,6 @@ and only the products by the elements of degree 1 are contracted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .algebra import AlgebraData, decompose
@@ -111,7 +110,6 @@ def _word_for(spec, sigma: Gluing, alpha, middle) -> tuple:
 # sigma-pairs
 
 
-@dataclass(frozen=True)
 class GammaWord:
     """One half-braiding column: a generator word on (Z,) + source word.
 
@@ -119,7 +117,8 @@ class GammaWord:
     positions shift by pos - 1.
     """
 
-    ops: tuple
+    def __init__(self, ops: tuple):
+        self.ops = ops
 
     def apply_at(self, mor: Morphism, pos: int, then: tuple = ()) -> Morphism:
         """Post-compose the column at strand ``pos``, then the word ``then``."""
@@ -128,11 +127,11 @@ class GammaWord:
         return mor.apply_all(shifted + then)
 
 
-@dataclass
 class SigmaPair:
-    words: tuple  # carrier summand words
-    alphas: tuple  # handle labels of each summand
-    braidings: list  # per orbit, ascending by low leg: {(z, si): [(ti, GammaWord)]}
+    def __init__(self, words: tuple, alphas: tuple, braidings: list):
+        self.words = words  # carrier summand words
+        self.alphas = alphas  # handle labels of each summand
+        self.braidings = braidings  # per orbit, ascending by low leg: {(z, si): [(ti, GammaWord)]}
 
 
 def _induced_gamma_column(spec, sigma, alpha, middle, m, z):
@@ -186,14 +185,14 @@ def _induced(spec, sigma: Gluing, lab: str) -> SigmaPair:
 # maps between sum carriers
 
 
-@dataclass
 class CarrierMap:
     """Morphism between direct sums of words, blockwise."""
 
-    spec: CategorySpec
-    src: tuple
-    tgt: tuple
-    blocks: dict = field(default_factory=dict)  # (ti, si) -> Morphism
+    def __init__(self, spec: CategorySpec, src: tuple, tgt: tuple, blocks: dict | None = None):
+        self.spec = spec
+        self.src = src
+        self.tgt = tgt
+        self.blocks = {} if blocks is None else blocks  # (ti, si) -> Morphism
 
     @staticmethod
     def identity(spec, words) -> "CarrierMap":

@@ -21,7 +21,6 @@ same code that computes with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import IncompleteDataError, PremodularRequiredError, SingularMatrixError
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CategorySpec:
     """Skeletal premodular (or spherical-fusion-only when R is None) data.
 
@@ -57,33 +55,41 @@ class CategorySpec:
     composed map per generator word and window word, loop values, twists,
     quantum dimensions, the S matrix, induced pairs, tube bases and tube
     algebras), so those fields never change after construction.  It is
-    filled only through ``trees.cached``.
+    filled only through ``trees.cached``, and each spec starts with its own.
     """
 
-    name: str
-    labels: tuple[str, ...]
-    unit: str
-    dual: dict[str, str]
-    fusion: dict[tuple[str, str, str], int]
-    F: dict[tuple[str, str, str, str], dict]
-    R: dict[tuple[str, str, str], dict] | None
-    pivotal: dict[str, Cyclotomic]
-    provenance: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    # Specs compare by value but hold dicts, so they are not hashable.
+    # Specs hold dicts, so they are not hashable.
     __hash__ = None
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        labels: tuple[str, ...],
+        unit: str,
+        dual: dict[str, str],
+        fusion: dict[tuple[str, str, str], int],
+        F: dict[tuple[str, str, str, str], dict],
+        R: dict[tuple[str, str, str], dict] | None,
+        pivotal: dict[str, Cyclotomic],
+        provenance: str = "",
+    ):
+        fields = vars(self)
+        fields.update(name=name, labels=labels, unit=unit, dual=dual, fusion=fusion,
+                      F=F, R=R, pivotal=pivotal, provenance=provenance, _cache={})
         n = self.field_order()
 
         def lifted(block):
             return {k: v if v.order == 1 else v.lift(n) for k, v in block.items()}
 
-        object.__setattr__(self, "F", {key: lifted(b) for key, b in self.F.items()})
-        if self.R is not None:
-            object.__setattr__(self, "R", {key: lifted(b) for key, b in self.R.items()})
-        object.__setattr__(self, "pivotal", lifted(self.pivotal))
+        fields["F"] = {key: lifted(b) for key, b in F.items()}
+        if R is not None:
+            fields["R"] = {key: lifted(b) for key, b in R.items()}
+        fields["pivotal"] = lifted(pivotal)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen CategorySpec")
+
+    __delattr__ = __setattr__
 
     # -- fusion combinatorics -----------------------------------------
 
@@ -197,17 +203,17 @@ class CategorySpec:
         return math.lcm(*(v.order for block in blocks for v in block.values()))
 
 
-@dataclass(frozen=True)
 class OmegaColor:
     """Quantum dimensions of the simples and their squared total."""
 
-    weights: dict[str, Cyclotomic]
-    total: Cyclotomic
+    def __init__(self, weights: dict[str, Cyclotomic], total: Cyclotomic):
+        self.weights = weights
+        self.total = total
 
 
-@dataclass
 class ValidationReport:
-    entries: list[str]
+    def __init__(self, entries: list[str]):
+        self.entries = entries
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,6 @@ is removed.  The classification below models the glued disk as a single
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GluingFormatError, InternalInconsistencyError
@@ -26,14 +25,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Gluing:
-    """Fixed-point-free involution on {1, ..., 2n}, stored as a pair map."""
+    """Fixed-point-free involution on {1, ..., 2n}, stored as a pair map.
 
-    n: int
-    pairing: tuple[int, ...]  # pairing[i-1] = sigma(i)
+    Immutable, and equal and hashed by (n, pairing): a spec's cache keys on it.
+    """
 
-    def __post_init__(self):
+    def __init__(self, n: int, pairing: tuple[int, ...]):
+        vars(self).update(n=n, pairing=pairing)  # pairing[i-1] = sigma(i)
         if len(self.pairing) != 2 * self.n:
             raise GluingFormatError(
                 f"pairing has {len(self.pairing)} entries for rank {self.n}"
@@ -46,6 +45,19 @@ class Gluing:
                 raise GluingFormatError(f"sigma fixes {i}")
             if self(j) != i:
                 raise GluingFormatError(f"sigma is not an involution at {i}")
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r} of an immutable Gluing")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, Gluing):
+            return NotImplemented
+        return (self.n, self.pairing) == (other.n, other.pairing)
+
+    def __hash__(self):
+        return hash((self.n, self.pairing))
 
     def __call__(self, i: int) -> int:
         return self.pairing[i - 1]
@@ -84,10 +96,15 @@ class Gluing:
         return self.cycle_string()
 
 
-@dataclass(frozen=True)
 class SurfaceType:
-    genus: int
-    punctures: int
+    def __init__(self, genus: int, punctures: int):
+        self.genus = genus
+        self.punctures = punctures
+
+    def __eq__(self, other):
+        if not isinstance(other, SurfaceType):
+            return NotImplemented
+        return (self.genus, self.punctures) == (other.genus, other.punctures)
 
     @property
     def euler(self) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import random
@@ -12,6 +11,7 @@ from genuscenter.algebra import AlgebraData, _close, _primes, _reduce, decompose
 from genuscenter.errors import GenusCenterError, IllFormedDiagramError, NonSplitError
 from genuscenter.center import (
     CarrierMap,
+    SigmaPair,
     adjunction_maps,
     carrier_basis,
     center_rank,
@@ -24,16 +24,18 @@ from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles, surface_type
 from genuscenter.trees import ONE, Morphism, hom_dim
 from exact_oracle import _create, flatten_carrier_map, hom_Z_dim, product, project_morphisms
 from test_exactnum import embed
+from test_fusion import respec
 
 
 N2_GLUINGS = ("(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)")
 
 
-@dataclasses.dataclass(frozen=True)
 class ScaledColumn(center.GammaWord):
     """A half-braiding column whose action is scaled by ``factor``."""
 
-    factor: Cyclotomic
+    def __init__(self, ops, factor: Cyclotomic):
+        super().__init__(ops)
+        self.factor = factor
 
     def apply_at(self, mor, pos, then=()):
         return super().apply_at(mor, pos, then).scale(self.factor)
@@ -44,7 +46,7 @@ def perturbed(pair, key, s, m=0):
     braidings = list(pair.braidings)
     blocks = braidings[m] = dict(braidings[m])
     blocks[key] = [(ti, ScaledColumn(col.ops, s)) for ti, col in blocks[key]]
-    return dataclasses.replace(pair, braidings=braidings)
+    return SigmaPair(pair.words, pair.alphas, braidings)
 
 # Tube products of semion at the n=2 gluings, as pinned values: they depend on
 # crossing conventions of the leg plumbing that no rank detects.  An entry
@@ -232,7 +234,7 @@ class TestInducedPairs:
         blocks = dict(pair.braidings[0])
         cols = blocks[spec.unit, 0]
         blocks[spec.unit, 0] = [] if edit == "dropped" else cols + cols
-        bad = dataclasses.replace(pair, braidings=[blocks])
+        bad = SigmaPair(pair.words, pair.alphas, [blocks])
         report = verify_sigma_pair(spec, sig12(), bad)
         assert "gamma at the unit is not the identity" in report.entries
 
@@ -883,7 +885,7 @@ class TestLegPlumbing:
     def test_a_dropped_gluing_is_freed(self):
         # The plans are built per call and every memo of the tube and the
         # adjunction lives in the spec's cache, so nothing else holds the gluing.
-        spec = dataclasses.replace(catalog.builtin("vec_z2"), _cache={})
+        spec = respec(catalog.builtin("vec_z2"))
         sigma = parse_cycles("(1 3)(2 4)")
         center_rank(spec, sigma)
         lab = spec.labels[-1]

@@ -361,13 +361,14 @@ def test_cli_import_leaves_numpy_out():
 
 def test_cli_call_imports_no_argparse():
     # The command table replaces argparse, whose parsers and gettext look-ups
-    # were a fixed cost of every call.
+    # were a fixed cost of every call; plain record classes replace
+    # dataclasses, which imports inspect (and with it ast, dis and tokenize).
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (
         "import sys, genuscenter.cli as cli; "
         "code = cli.main(['center', 'rank', '--cat', 'vec_z2', '--sigma', '(1 2)', '--json']); "
-        "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        "print(code, sorted({'argparse', 'gettext', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60

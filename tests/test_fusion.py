@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import product
 
@@ -10,6 +9,22 @@ from genuscenter.errors import PremodularRequiredError, SingularMatrixError
 from genuscenter.exactnum import rational, zeta
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
+
+
+def respec(spec, **changes):
+    """A copy of spec with the given fields changed; the copy starts with its own empty cache."""
+    fields = {name: value for name, value in vars(spec).items() if name != "_cache"}
+    return fusion.CategorySpec(**{**fields, **changes})
+
+
+def test_a_copied_spec_starts_with_its_own_cache():
+    spec = catalog.builtin("fibonacci")
+    spec.f_block("t", "t", "t", "t")
+    copy = respec(spec)
+    assert spec._cache and copy._cache == {}
+    assert (copy.labels, copy.F, copy.R, copy.pivotal) == (spec.labels, spec.F, spec.R, spec.pivotal)
+    copy.f_block("t", "t", "t", "t")
+    assert copy._cache.keys() <= spec._cache.keys() and copy._cache is not spec._cache
 
 
 def golden():
@@ -28,7 +43,7 @@ class TestStructure:
         copied = {(("t", 0, 0), col): v for (row, col), v in block.items() if row == ("1", 0, 0)}
         kept = {k: v for k, v in block.items() if k[0] != ("t", 0, 0)}
         F = {**spec.F, ("t", "t", "t", "t"): {**kept, **copied}}
-        bad = dataclasses.replace(spec, _cache={}, F=F)
+        bad = respec(spec, F=F)
         assert fusion.validate_structure(bad).entries == ["F block (t,t,t;t) is singular"]
         named = r"^fibonacci: F block \(t,t,t;t\) is singular$"
         with pytest.raises(SingularMatrixError, match=named):
@@ -156,7 +171,7 @@ def scaled_entry(spec, rng):
     factor = rng.choice([rational(-1), rational(2)] + ([zeta(n)] if n > 2 else []))
     data = {key2: dict(blk) for key2, blk in getattr(spec, table).items()}
     data[key][k] = data[key][k] * factor
-    return dataclasses.replace(spec, _cache={}, **{table: data})
+    return respec(spec, **{table: data})
 
 
 def reports(check, spec):

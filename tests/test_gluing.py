@@ -3,8 +3,11 @@ import weakref
 
 import pytest
 
+from genuscenter import catalog
+from genuscenter.center import tube_algebra
 from genuscenter.errors import GluingFormatError, InternalInconsistencyError
 from genuscenter.gluing import Gluing, comm_case, enumerate_adm, parse_cycles, surface_type
+from test_fusion import respec
 
 
 def g(text):
@@ -66,6 +69,33 @@ class TestOrbits:
         del sig
         gc.collect()
         assert ref() is None
+
+    def test_equal_gluings_are_one_cache_key(self):
+        # A spec's cache keys on the gluing, so equal gluings built apart must
+        # find one entry, and a gluing must not change under its key.
+        a, b = g("(2 4)(1 3)"), g("(1 3)(2 4)")
+        assert a is not b and a == b and hash(a) == hash(b)
+        spec = respec(catalog.builtin("semion"))
+        assert tube_algebra(spec, a) is tube_algebra(spec, b)
+        assert [key for key in spec._cache if key[0] == "tube_algebra"] == [("tube_algebra", a)]
+        with pytest.raises(AttributeError):
+            a.n = 3
+        with pytest.raises(AttributeError):
+            del a.pairing
+        assert (a.n, a.pairing) == (2, (3, 4, 1, 2))
+
+    @pytest.mark.parametrize(
+        "n, pairing, message",
+        (
+            (2, (2, 1), "pairing has 2 entries for rank 2"),
+            (1, (3, 1), r"sigma\(1\) = 3 out of range"),
+            (1, (1, 2), "sigma fixes 1"),
+            (2, (2, 3, 4, 1), "sigma is not an involution at 1"),
+        ),
+    )
+    def test_constructor_refuses_a_non_gluing(self, n, pairing, message):
+        with pytest.raises(GluingFormatError, match=message):
+            Gluing(n, pairing)
 
 
 class TestCommCase:

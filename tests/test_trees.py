@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import zlib
 from itertools import product
@@ -38,6 +37,7 @@ from genuscenter.trees import (
 )
 
 from exact_oracle import ExactMatrix
+from test_fusion import respec
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
 
@@ -647,7 +647,7 @@ def test_rows_are_added_through_the_module_field(monkeypatch):
 
 def fresh(key):
     """A built-in spec with its own empty cache, not the process-wide one."""
-    return dataclasses.replace(catalog.builtin(key), _cache={})
+    return respec(catalog.builtin(key))
 
 
 SIG12 = parse_cycles("(1 2)")
