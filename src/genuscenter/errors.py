@@ -22,11 +22,22 @@ class IncompleteDataError(GenusCenterError):
 
 
 class IllFormedDiagramError(GenusCenterError):
-    """Adjacent diagram slices have mismatched boundary words."""
+    """A strand map does not fit the word it acts on or the map it meets.
+
+    Raised when a generator word or coupon finds other strands than it
+    needs, when ``compose`` or ``+`` get maps of different shapes, and when
+    a trace or scalar is asked of a map of the wrong shape.
+    """
 
 
 class InternalInconsistencyError(GenusCenterError):
-    """Category data produced a degenerate pairing or similar impossibility."""
+    """An impossibility that consistent category data cannot produce.
+
+    Raised when the F entry of a cap coefficient vanishes (``ev_coeff``),
+    a polynomial division is not exact (``_int_poly_div``), a catalog
+    builder's two braided intertwiners are not multiples of each other, or
+    ``surface_type`` finds a negative or odd 2g.
+    """
 
 
 class PremodularRequiredError(GenusCenterError):

@@ -18,8 +18,8 @@ One field per computation: the operands of ``+ - * /`` are of one order
 N, or one of them is rational (order 1 or 2) and scales or shifts the
 other in place; any other pair raises ``ValueError``.  A ``CategorySpec``
 stores its scalars in Q(zeta_N), N = ``field_order()``, so everything
-derived from it stays in that field.  Only ``==``, ``hash`` and ``lift``
-compare or move values across orders.
+derived from it stays in that field.  Only ``==`` and ``lift`` compare or
+move values across orders.
 
 A field object, ``CYCLOTOMIC`` for Q(zeta_N) or a ``PrimeField``, is the one
 code that adds (``axpy``) and scales (``scaled``) sparse rows {column: x},
@@ -116,17 +116,6 @@ def _combine(phi: int, coeffs, rows) -> tuple[int, ...]:
             for j, r in row:
                 out[j] += c * r
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _traces(n: int) -> tuple[int, ...]:
-    """Tr(zeta_n^k) over Q for k < phi(n): the sum of its Galois conjugates."""
-    rows = _power_rows(n)
-    units = [a for a in range(n) if gcd(a, n) == 1]
-    return tuple(
-        sum(c for a in units for j, c in rows[a * k % n] if j == 0)
-        for k in range(_phi_degree(n))
-    )
 
 
 _new = object.__new__
@@ -369,12 +358,6 @@ class Cyclotomic:
             n = lcm(a.order, b.order)
             a, b = a.lift(n), b.lift(n)
         return a.num == b.num and a.den == b.den
-
-    def __hash__(self):
-        # Tr(x) / phi(order) does not change under lift, so values equal
-        # across orders (and equal ints and Fractions) hash alike.
-        tr = sum(x * t for x, t in zip(self.num, _traces(self.order)))
-        return hash(Fraction(tr, len(self.num) * self.den))
 
     def __repr__(self):
         if self.is_zero():

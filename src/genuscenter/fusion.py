@@ -219,12 +219,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.entries
 
-    def __bool__(self):
-        return self.ok
-
-    def __str__(self):
-        return "ok" if self.ok else "\n".join(self.entries)
-
 
 def validate_structure(spec: CategorySpec) -> ValidationReport:
     """Unit, dual, and fusion-consistency invariants; label hygiene."""

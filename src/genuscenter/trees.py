@@ -451,10 +451,6 @@ class Morphism:
         blk = self.blocks.get(self.spec.unit)
         return blk[(self.spec.unit,), ()][0] if blk else C0
 
-    def apply(self, op) -> "Morphism":
-        """Post-compose one generator acting on the target word."""
-        return self.apply_all((op,))
-
     def apply_all(self, ops) -> "Morphism":
         """Post-compose a generator word (first op acts first) in one pass.
 

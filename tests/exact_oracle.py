@@ -280,7 +280,7 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
                 cols = [(s2, col) for s2, col in cols if s2 in reach[m]]
                 if not cols:
                     continue
-                st = mor.apply(("cup", a_pos - 1, a, False))
+                st = mor.apply_all((("cup", a_pos - 1, a, False),))
                 for s2, col in cols:
                     st2 = col.apply_at(st, a_pos + 1, back)
                     key = ((a,) + alpha_tail, s2)

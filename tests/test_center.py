@@ -770,16 +770,16 @@ def dense_gamma_column(spec, sigma, alpha, middle, m, z):
     a = alpha[m]
     base = Morphism.identity(spec, (z,) + word)
     for j in range(1, p):
-        base = base.apply(("braid", j, center.GAMMA_LEFT))
+        base = base.apply_all((("braid", j, center.GAMMA_LEFT),))
     out = []
     for b in spec.channels(z, a):
         for mu in range(spec.N(z, a, b)):
             rho = Morphism.identity(spec, (spec.dual[a],))
             for op in (("cup", 0, b, True), ("split", 2, z, a, mu), ("cap", 3, a, True)):
-                rho = rho.apply(op)
-            st = base.apply(("merge", p, b, mu)).apply_coupon(q, rho)
+                rho = rho.apply_all((op,))
+            st = base.apply_all((("merge", p, b, mu),)).apply_coupon(q, rho)
             for j in range(q + 1, len(word) + 1):
-                st = st.apply(("braid", j, center.GAMMA_RIGHT))
+                st = st.apply_all((("braid", j, center.GAMMA_RIGHT),))
             out.append((alpha[:m] + (b,) + alpha[m + 1 :], st))
     return out
 

@@ -503,20 +503,6 @@ def test_word_maps_push_few_rows():
         assert 0 < int(pushed) <= bound, key
 
 
-def test_rank_leaves_the_diagram_module_unloaded():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = (
-        "import sys, genuscenter.cli as cli; "
-        "code = cli.main(['center', 'rank', '--cat', 'fibonacci', '--sigma', '(1 2)']); "
-        "print(code, 'genuscenter.diagram' in sys.modules)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert out.returncode == 0 and out.stdout.strip().splitlines()[-1] == "0 False"
-
-
 def test_a_closed_stdout_ends_quietly_with_code_1():
     # The read end of the pipe is closed before the child starts, so its
     # first write to stdout fails with EPIPE.

@@ -30,13 +30,15 @@ from genuscenter.trees import (
     ev_coeff,
     hom_dim,
     hom_keys,
+    left_trace,
     loop_value,
+    right_trace,
     theta,
     trees,
     word_after,
 )
 
-from exact_oracle import ExactMatrix
+from exact_oracle import ExactMatrix, inverse, r_matrix
 from test_fusion import respec
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
@@ -330,7 +332,7 @@ class TestApplyAll:
         # The op reads strand 3, so it acts at strand 2 of its window.
         state = Morphism.identity(catalog.builtin("fibonacci"), ("t", "t", "t", "1"))
         with pytest.raises(IllFormedDiagramError, match=message):
-            state.apply(op)
+            state.apply_all((op,))
 
     def test_second_call_adds_no_cache_entries(self):
         spec = catalog.builtin("ising")
@@ -508,7 +510,7 @@ class TestBend:
                             triple = (("cup", q - 1, b, True), ("split", q + 1, z, a, mu),
                                       ("cap", q + 2, a, True))
                             ident = Morphism.identity(spec, word)
-                            got, want = ident.apply(bend), ident.apply_all(triple)
+                            got, want = ident.apply_all((bend,)), ident.apply_all(triple)
                             after = word[: q - 1] + (spec.dual[b], z) + word[q:]
                             assert word_after(spec, word, (bend,)) == after
                             assert word_after(spec, word, triple) == after
@@ -525,7 +527,187 @@ class TestBend:
         with pytest.raises(IllFormedDiagramError, match=r"bend\(t\) expects strand t"):
             word_after(spec, word, (bend,))
         with pytest.raises(IllFormedDiagramError, match=rf"at position {q}"):
-            Morphism.identity(spec, word).apply(bend)
+            Morphism.identity(spec, word).apply_all((bend,))
+
+
+def omega_ring(spec, label, senses):
+    """The dimension-weighted ring around one ``label`` strand, linked by two braids."""
+    omega, _ = quantum_dims(spec)
+    total = Morphism.zero(spec, (label,), (label,))
+    for a in spec.labels:
+        ring = (("cup", 1, a, False), ("braid", 1, senses[0]), ("braid", 2, senses[1]),
+                ("cap", 1, a, True))
+        total = total + Morphism.identity(spec, (label,)).apply_all(ring).scale(omega.weights[a])
+    return total
+
+
+def trace_dual_bases(spec, x, y):
+    """Bases (phi_i) of Hom(x, y) and (phi^i) of Hom(y, x) with right_trace(phi^j o phi_i) = delta_ij.
+
+    The phi_i are the elementary maps; the phi^i come from the inverse of
+    the trace pairing's Gram matrix.
+    """
+    fwd = [Morphism.elementary(spec, x, y, key) for key in hom_keys(spec, x, y)]
+    bwd = [Morphism.elementary(spec, y, x, key) for key in hom_keys(spec, y, x)]
+    n = len(fwd)
+    gram = ExactMatrix(len(bwd), n, [[right_trace(spec, psi.compose(phi)) for phi in fwd] for psi in bwd])
+    ginv = inverse(gram)
+    duals = []
+    for i in range(n):
+        dual = Morphism.zero(spec, y, x)
+        for j, psi in enumerate(bwd):
+            dual = dual + psi.scale(ginv[i, j])
+        duals.append(dual)
+    return fwd, duals
+
+
+class TestIsotopy:
+    """Ribbon identities of the strand engine, each on a whole generator word."""
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_reidemeister_two(self, key):
+        spec = catalog.builtin(key)
+        for a in spec.labels:
+            for b in spec.labels:
+                ident = Morphism.identity(spec, (a, b))
+                over_under = ident.apply_all((("braid", 1, "over"), ("braid", 1, "under")))
+                under_over = ident.apply_all((("braid", 1, "under"), ("braid", 1, "over")))
+                assert over_under == ident and under_over == ident, (a, b)
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_zigzags_both_chiralities(self, key):
+        spec = catalog.builtin(key)
+        for a in spec.labels:
+            ident = Morphism.identity(spec, (a,))
+            zz1 = ident.apply_all((("cup", 0, a, False), ("cap", 2, a, False)))
+            zz2 = ident.apply_all((("cup", 1, a, True), ("cap", 1, a, True)))
+            assert zz1 == ident and zz2 == ident, a
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_twist_is_theta_times_the_identity(self, key):
+        spec = catalog.builtin(key)
+        _, twists = quantum_dims(spec)
+        for a in spec.labels:
+            ident = Morphism.identity(spec, (a,))
+            assert ident.apply_all((("twist", 1, 1),)) == ident.scale(twists[a])
+            assert ident.apply_all((("twist", 1, -1),)) == ident.scale(twists[a].inverse())
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_twist_multiplicative_on_channels(self, key):
+        # theta_c = theta_a theta_b R[ba;c] R[ab;c] (the double braiding eigenvalue), blockwise.
+        spec = catalog.builtin(key)
+        _, twists = quantum_dims(spec)
+        for a in spec.labels:
+            for b in spec.labels:
+                for c in spec.channels(a, b):
+                    prod = r_matrix(spec, b, a, c) @ r_matrix(spec, a, b, c)
+                    for i in range(prod.rows):
+                        for j in range(prod.cols):
+                            want = twists[c] if i == j else rational(0)
+                            assert prod[i, j] * twists[a] * twists[b] == want, (a, b, c)
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_sphericality_on_random_coupons(self, key):
+        spec = catalog.builtin(key)
+        rng = rng_for("sphericality", key)
+        word = (spec.labels[-1], spec.labels[rng.randrange(len(spec.labels))])
+        f = Morphism.zero(spec, word, word)
+        for hom_key in hom_keys(spec, word, word):
+            f = f + Morphism.elementary(spec, word, word, hom_key).scale(rational(rng.randint(-3, 3)))
+        assert left_trace(spec, f) == right_trace(spec, f)
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_sliding_makes_omega_transparent(self, key):
+        # The linked ring around any strand is independent of which side
+        # of the ring the strand passes on.
+        spec = catalog.builtin(key)
+        for x in spec.labels:
+            assert omega_ring(spec, x, ("over", "under")) == omega_ring(spec, x, ("under", "over"))
+
+    def test_transparent_label_ring_factors_out(self):
+        # In a symmetric catalog the linked ring equals dim(Omega) times id.
+        spec = catalog.builtin("rep_z2")
+        omega, _ = quantum_dims(spec)
+        ident = Morphism.identity(spec, ("1",))
+        assert omega_ring(spec, "1", ("over", "under")) == ident.scale(omega.total)
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_omega_completeness(self, key):
+        # Cut a strand to every simple charge and resum with dim weights.
+        spec = catalog.builtin(key)
+        omega, _ = quantum_dims(spec)
+        for word in [(a,) for a in spec.labels] + [(spec.labels[-1], spec.labels[0])]:
+            total = Morphism.zero(spec, word, word)
+            for i in spec.labels:
+                fwd, duals = trace_dual_bases(spec, word, (i,))
+                for j, phi in enumerate(fwd):
+                    for k, psi in enumerate(duals):
+                        want = rational(1 if j == k else 0)
+                        assert right_trace(spec, psi.compose(phi)) == want
+                    total = total + duals[j].compose(phi).scale(omega.weights[i])
+            assert total == Morphism.identity(spec, word), word
+
+    def test_crossing_inverse_pairs(self):
+        spec = catalog.builtin("fibonacci")
+        ident = Morphism.identity(spec, ("t", "t"))
+        assert ident.apply_all((("braid", 1, "over"), ("braid", 1, "under"))) == ident
+
+    def test_zigzag_is_identity(self):
+        spec = catalog.builtin("fibonacci")
+        ident = Morphism.identity(spec, ("t",))
+        assert ident.apply_all((("cup", 0, "t", False), ("cap", 2, "t", False))) == ident
+
+    def test_closed_omega_loop_is_global_dim(self):
+        # The dimension-weighted sum of closed loops, each a cup then a cap.
+        spec = catalog.builtin("fibonacci")
+        omega, _ = quantum_dims(spec)
+        total = rational(0)
+        for a in spec.labels:
+            loop = Morphism.identity(spec, ()).apply_all((("cup", 0, a, False), ("cap", 1, a, True)))
+            total = total + loop.scalar() * omega.weights[a]
+        assert total == omega.total
+
+    def test_unit_pairing(self):
+        spec = catalog.builtin("fibonacci")
+        (key,) = hom_keys(spec, ("1",), ("1",))
+        assert right_trace(spec, Morphism.elementary(spec, ("1",), ("1",), key)) == rational(1)
+
+    def test_tau_pairing_is_golden(self):
+        spec = catalog.builtin("fibonacci")
+        (key,) = hom_keys(spec, ("t",), ("t",))
+        golden = rational(1) + zeta(5) + zeta(5, 4)
+        assert right_trace(spec, Morphism.elementary(spec, ("t",), ("t",), key)) == golden
+
+    def test_dual_basis_orthonormal(self):
+        spec = catalog.builtin("fibonacci")
+        fwd, duals = trace_dual_bases(spec, ("t", "t"), ("t", "t"))
+        assert len(fwd) == 2
+        for i, phi in enumerate(fwd):
+            for j, psi in enumerate(duals):
+                assert right_trace(spec, psi.compose(phi)) == rational(1 if i == j else 0)
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_merge_then_split_is_idempotent(self, key):
+        spec = catalog.builtin(key)
+        for a in spec.labels:
+            for b in spec.labels:
+                for c in spec.channels(a, b):
+                    for mu in range(spec.N(a, b, c)):
+                        ops = (("merge", 1, c, mu), ("split", 1, a, b, mu))
+                        p = Morphism.identity(spec, (a, b)).apply_all(ops)
+                        assert not p.is_zero() and p.compose(p) == p, (a, b, c, mu)
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_a_concatenated_word_is_the_composite(self, key):
+        spec = catalog.builtin(key)
+        rng = rng_for("concatenation", key)
+        for _ in range(4):
+            word = random_word(spec, 3, rng)
+            w1 = random_ops(spec, word, 3, rng)
+            w2 = random_ops(spec, word_after(spec, word, w1), 3, rng)
+            first = Morphism.identity(spec, word).apply_all(w1)
+            second = Morphism.identity(spec, first.tgt).apply_all(w2)
+            assert Morphism.identity(spec, word).apply_all(w1 + w2) == second.compose(first)
 
 
 class TestHomKeys:
