@@ -19,15 +19,14 @@ invertibility rows (``_hb_rows``) and the hexagon's right side; and at
 position 2 for each pair of labels, from which the hexagon's left side
 and both sides of :comm start.
 
-Leg plumbing has one mechanism.  A layout lists the legs of the active
-orbits in order around the middle block; ``_move`` turns one leg move
-into a braid word (legs pass in front of legs and behind the block), and
-``_contract_plan`` chains those moves into the word that brings the leg
-pair of one orbit next to the block.  The word depends only on (sigma,
-orbit, block width), and ``_forward`` builds the n plans once per call, so
-a contraction is a word, a gamma column and a cap, all applied as composed
-words.  The adjunction identities and algebra laws below are exact checks
-of the whole construction.
+Leg plumbing has one mechanism.  The strands lie in layers, front to
+back the middle strand, then the legs of orbit 0, 1, ..., n - 1, and
+each crossing puts the front strand over.  ``_nest_word`` sorts the legs
+of a carrier word under that rule so that orbit m's pair sits at
+strands n - m and n + 2 + m, nested around the middle; ``_forward``
+applies it before the coupon, so a contraction is a gamma column and a
+cap, both applied as composed words.  The adjunction identities and
+algebra laws below are exact checks of the whole construction.
 
 The adjunction I -| U is one contraction.  ``_forward`` transposes a map
 phi: x -> U(Y) to the sigma-morphism I(x) -> Y: on each summand of I(x),
@@ -84,11 +83,10 @@ __all__ = [
 ]
 
 # Crossing conventions for the strand plumbing, fixed by the exact test
-# battery (hexagon, :comm, adjunction, algebra laws); see tests.
-GAMMA_LEFT = "under"     # argument strand passing legs left of its orbit
-GAMMA_RIGHT = "under"    # argument strand passing legs right of its orbit
-MOVE_SENSE = "over"      # a travelling leg passes in front of other legs
-MIGRATE_SENSE = "under"  # a travelling leg passes behind the middle block
+# battery (hexagon, :comm, adjunction, algebra laws); see tests.  Leg
+# crossings follow the layer rule of ``_nest_word``.
+GAMMA_LEFT = "under"   # argument strand passing legs left of its orbit
+GAMMA_RIGHT = "under"  # argument strand passing legs right of its orbit
 
 
 def _assignments(spec, sigma: Gluing):
@@ -410,82 +408,51 @@ def _comm_ok(spec, pair, second, i, j, case, z1, z2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# leg plumbing: contraction
+# leg plumbing: nesting and contraction
 
 
-def _flip(sense: str) -> str:
-    return "under" if sense == "over" else "over"
+def _nest_word(sigma: Gluing) -> tuple:
+    """Braid word nesting the legs of a carrier word around its middle strand.
 
-
-def _layout(sigma: Gluing, orbits) -> tuple:
-    """Legs of the given orbits in strand order; None marks the middle block."""
-    legs = sorted(leg for m in orbits for leg in sigma.pairs()[m])
-    return (
-        tuple(x for x in legs if x <= sigma.n) + (None,)
-        + tuple(x for x in legs if x > sigma.n)
-    )
-
-
-def _offset(layout: tuple, width: int, k: int) -> int:
-    """Strand position of layout item k; the middle block is width strands."""
-    return 1 + sum(width if x is None else 1 for x in layout[:k])
-
-
-def _move(layout: tuple, width: int, src, dst: int):
-    """Braid word carrying leg src to layout index dst, and the new layout.
-
-    The mover passes in front of other legs (MOVE_SENSE) and behind the
-    middle block (MIGRATE_SENSE); the senses flip when it moves left, so
-    the geometry is the same either way.
+    Orbit m's low and high legs end at strands n - m and n + 2 + m.  The
+    strands lie in layers, front to back the middle strand, then the legs
+    of orbit 0, 1, ..., n - 1, and each crossing puts the front strand
+    over, so any sorting order gives the same braid; this one (a bubble
+    sort) crosses no two strands twice.
     """
-    layout = list(layout)
-    start = layout.index(src)
-    step = 1 if dst > start else -1
+    n = sigma.n
+    place = {}  # leg -> (target strand, layer)
+    for m, (lo, hi) in enumerate(sigma.pairs()):
+        place[lo], place[hi] = (n - m, m + 1), (n + 2 + m, m + 1)
+    strands = [place[k] for k in range(1, n + 1)] + [(n + 1, 0)]
+    strands += [place[k] for k in range(n + 1, 2 * n + 1)]
     word = []
-    for cur in range(start, dst, step):
-        other = layout[cur + step]
-        pos = _offset(layout, width, cur)
-        width_other = width if other is None else 1
-        sense = MIGRATE_SENSE if other is None else MOVE_SENSE
-        if step > 0:
-            word += [("braid", pos + k, sense) for k in range(width_other)]
-        else:
-            word += [("braid", pos - 1 - k, _flip(sense)) for k in range(width_other)]
-        layout[cur], layout[cur + step] = other, src
-    return tuple(word), tuple(layout)
+    for end in range(len(strands) - 1, 0, -1):
+        for i in range(end):
+            left, right = strands[i], strands[i + 1]
+            if left[0] > right[0]:
+                word.append(("braid", i + 1, "over" if left[1] < right[1] else "under"))
+                strands[i], strands[i + 1] = right, left
+    return tuple(word)
 
 
-def _contract_plan(sigma: Gluing, m: int, width: int):
-    """Braid word that brings orbit m's legs to (lo, [block], hi), plus lo's strand.
+def _contract(pair: SigmaPair, alpha, s: int, state: Morphism):
+    """Contract the nested leg pairs of the alpha summand through the carrier.
 
-    Orbits below m are contracted already.  A leg on the wrong side first
-    migrates past the block; then lo and hi move next to it.
+    ``state``: Morphism(src -> legs + word_s + legs), nested as
+    ``_nest_word`` leaves them with word_s for the middle strand: orbit
+    m's low leg at strand n - m, its high leg m + 1 strands right of
+    word_s.  Orbit m, from 0 out, is its gamma column at strand n - m
+    followed by the cap.  Returns a dict {s2: Morphism(src -> word_s2)}.
     """
-    lo, hi = sigma.pairs()[m]
-    layout = _layout(sigma, range(m, sigma.n))
-    moves = [(hi, 0)] if hi <= sigma.n else []
-    moves += [(lo, 0)] if lo > sigma.n else []
-    word: tuple = ()
-    for leg, shift in moves + [(lo, -1), (hi, 1)]:
-        step, layout = _move(layout, width, leg, layout.index(None) + shift)
-        word += step
-    return word, _offset(layout, width, layout.index(lo))
-
-
-def _contract(plans, pair: SigmaPair, alpha, s: int, state: Morphism):
-    """Contract all leg pairs of the alpha summand through the carrier.
-
-    ``plans[m]`` is ``_contract_plan`` of orbit m at the width of the
-    pair's words, which all have one length.  ``state``: Morphism(src ->
-    legs + word_s + legs).  Returns a dict {s2: Morphism(src -> word_s2)}.
-    """
+    n = len(alpha)
     current = {s: state}
-    for a, (word, a_pos), hb in zip(alpha, plans, pair.braidings):
+    for m, (a, hb) in enumerate(zip(alpha, pair.braidings)):
+        a_pos = n - m
         nxt: dict = {}
         for si, mor in current.items():
-            st = mor.apply_all(word)
             for s2, col in hb.get((a, si), ()):
-                st2 = col.apply_at(st, a_pos, (("cap", a_pos + len(pair.words[s2]), a, True),))
+                st2 = col.apply_at(mor, a_pos, (("cap", a_pos + len(pair.words[s2]), a, True),))
                 nxt[s2] = nxt[s2] + st2 if s2 in nxt else st2
         current = nxt
     return current
@@ -494,18 +461,21 @@ def _contract(plans, pair: SigmaPair, alpha, s: int, state: Morphism):
 def _forward(spec, sigma: Gluing, lab: str, py: SigmaPair, ty: int, f: Morphism) -> CarrierMap:
     """The adjoint transpose of f: lab -> py.words[ty], a sigma-morphism I(lab) -> py.
 
-    On the alpha summand of I(lab), f is a coupon on the middle strand of
-    the identity of legs + (lab,) + legs, and the legs are contracted
-    through py into the blocks (ty2, alpha), with the n contraction plans
-    built once per call.  It is the one contraction read-off:
-    ``adjunction_maps`` and the tube products both read their maps off it.
+    On the alpha summand of I(lab), ``_nest_word`` takes the legs of the
+    identity of legs + (lab,) + legs to strands n - m and n + 2 + m, f is
+    a coupon on the middle strand n + 1, and the legs are contracted
+    through py into the blocks (ty2, alpha).  Nesting first is the same
+    as moving each pair behind the coupon and the pairs contracted before
+    it, by naturality of the braiding.  It is the one contraction
+    read-off: ``adjunction_maps`` and the tube products both read their
+    maps off it.
     """
     ix = induced_half_braidings(spec, sigma, lab)
-    plans = [_contract_plan(sigma, m, len(py.words[0])) for m in range(sigma.n)]
+    nest = _nest_word(sigma)
     blocks: dict = {}
     for sx, (word, alpha) in enumerate(zip(ix.words, ix.alphas)):
-        st = Morphism.identity(spec, word).apply_coupon(sigma.n + 1, f)
-        for ty2, mor in _contract(plans, py, alpha, ty, st).items():
+        st = Morphism.identity(spec, word).apply_all(nest).apply_coupon(sigma.n + 1, f)
+        for ty2, mor in _contract(py, alpha, ty, st).items():
             blocks[ty2, sx] = mor
     return CarrierMap(spec, ix.words, py.words, blocks)
 

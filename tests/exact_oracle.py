@@ -6,10 +6,13 @@ the averaging projection onto sigma-morphisms, and the pentagon and hexagon chec
 same quantities exactly, over the field of the structure constants, so
 the tests can compare against them.
 
-The projection averages a map over created leg pairs.  Creation runs the
-contraction word of ``center._contract_plan`` backwards, each crossing's
-sense flipped, to take a fresh pair to its sorted place; the created legs
-are then contracted through the target pair by ``center._contract``.
+The projection averages a map over created leg pairs.  Each pair is
+opened already nested around the carrier, orbit m's legs m + 1 strands
+out on either side, where ``center._contract`` closes it after the
+coupon.  No braid word routes a leg: a word that took the created legs
+to their sorted places behind the carrier would be undone, through the
+coupon by naturality of the braiding, by ``center._nest_word`` before
+the contraction.
 ``adjunction_maps.forward`` builds sigma-morphisms by contraction alone,
 and the tests check its images against this projection.
 
@@ -24,14 +27,7 @@ elimination on a copy of its grid, is the reference for the sparse
 ``exactnum.Echelon`` that the package runs.
 """
 
-from genuscenter.center import (
-    CarrierMap,
-    SigmaPair,
-    _contract,
-    _contract_plan,
-    _flip,
-    carrier_basis,
-)
+from genuscenter.center import CarrierMap, SigmaPair, _contract, carrier_basis
 from genuscenter.errors import GenusCenterError, SingularMatrixError
 from genuscenter.exactnum import C0, C1
 from genuscenter.fusion import CategorySpec, ValidationReport, quantum_dims
@@ -249,12 +245,12 @@ def hom_Z_dim(spec, sigma, px, py) -> int:
 
 
 def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need):
-    """Create all leg pairs around the carrier, weaving through the pair.
+    """Create all leg pairs around the carrier, nested, weaving through the pair.
 
-    Creating orbit m runs its contraction (``_contract_plan``) backwards: a
-    cup at gap a_pos - 1, the gamma column at a_pos + 1, then the word
-    reversed with each crossing's sense flipped, at the width of the
-    pair's words, which all have one length; the n plans are built once.
+    Orbit m, from n - 1 in, opens as a cup at gap n - m - 1 followed by
+    the gamma column at strand n - m + 1, which carries the cup's right
+    leg through the carrier; its legs end m + 1 strands out on either
+    side of the carrier, as ``center._contract`` reads them.
 
     ``mor0``: Morphism(src -> word_{s0}).  Returns a dict
     {(alpha, s2): Morphism(src -> legs + word_{s2} + legs)} over the
@@ -262,17 +258,15 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
     which orbits m, ..., 0 can still lead into ``need``; a branch outside
     it is dropped before its cup is applied.
     """
+    n = sigma.n
     reach = [set(need)]
     for hb in pair.braidings:
         reach.append({
             s for s in range(len(pair.words))
             if any(s2 in reach[-1] for z in spec.labels for s2, _ in hb[z, s])
         })
-    plans = [_contract_plan(sigma, m, len(pair.words[0])) for m in range(sigma.n)]
-    current = {((), s0): mor0} if s0 in reach[sigma.n] else {}
-    for m in range(sigma.n - 1, -1, -1):
-        word, a_pos = plans[m]
-        back = tuple(("braid", i, _flip(sense)) for _b, i, sense in reversed(word))
+    current = {((), s0): mor0} if s0 in reach[n] else {}
+    for m in range(n - 1, -1, -1):
         nxt: dict = {}
         for (alpha_tail, s), mor in current.items():
             for a in spec.labels:
@@ -280,9 +274,9 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
                 cols = [(s2, col) for s2, col in cols if s2 in reach[m]]
                 if not cols:
                     continue
-                st = mor.apply_all((("cup", a_pos - 1, a, False),))
+                st = mor.apply_all((("cup", n - m - 1, a, False),))
                 for s2, col in cols:
-                    st2 = col.apply_at(st, a_pos + 1, back)
+                    st2 = col.apply_at(st, n - m + 1)
                     key = ((a,) + alpha_tail, s2)
                     nxt[key] = nxt[key] + st2 if key in nxt else st2
         current = nxt
@@ -302,7 +296,6 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
     omega, _ = quantum_dims(spec)
     inv_total = omega.total.inverse()
     need = {sx for f in fs for (_ty, sx) in f.blocks}
-    plans = [_contract_plan(sigma, m, len(py.words[0])) for m in range(sigma.n)]
     outs: list = [{} for _ in fs]
     mid_pos = sigma.n + 1
     for sx0, w in enumerate(px.words):
@@ -316,7 +309,7 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
                     if sx2 != sx:
                         continue
                     st = mor.apply_coupon(mid_pos, fb)
-                    for ty2, m2 in _contract(plans, py, alpha, ty, st).items():
+                    for ty2, m2 in _contract(py, alpha, ty, st).items():
                         m2 = m2.scale(weight)
                         key = (ty2, sx0)
                         out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2

@@ -420,7 +420,18 @@ class TestCarrierBasis:
 
 
 ADJUNCTION_CASES = [pytest.param(key, "(1 2)", id=key) for key in catalog.catalog_keys()] + [
-    pytest.param(key, "(1 3)(2 4)", id=f"{key}-(1 3)(2 4)") for key in ("ising", "vec_z3_q")
+    pytest.param(key, cycles, id=f"{key}-{cycles}")
+    for key, cycles in (
+        ("ising", "(1 3)(2 4)"),
+        ("vec_z3_q", "(1 3)(2 4)"),
+        # A leg crosses the middle strand; three orbits nest.
+        ("semion", "(1 2)(3 4)"),
+        ("vec_z3_q", "(1 2)(3 4)"),
+        ("rep_z2", "(1 2)(3 5)(4 6)"),
+        ("rep_z2", "(1 6)(2 5)(3 4)"),
+        ("vec_z2", "(1 2)(3 5)(4 6)"),
+        ("vec_z2", "(1 6)(2 5)(3 4)"),
+    )
 ]
 
 
@@ -568,8 +579,8 @@ class TestTubeAlgebra:
 
     @pytest.mark.parametrize("cycles", N2_GLUINGS)
     def test_semion_n2_products_pinned(self, cycles):
-        # Pins the crossing conventions: flipping MIGRATE_SENSE keeps every
-        # rank but changes these signs (e5 * e4 = -e5 at (1 2)(3 4)).
+        # Pins the layer rule of center._nest_word: with the middle strand
+        # behind the legs instead, e5 * e4 = -e5 at (1 2)(3 4).
         want = pinned_products(SEMION_N2_PRODUCTS[cycles], UNITS)
         spec, sigma = catalog.builtin("semion"), parse_cycles(cycles)
         table = center._tube_products(spec, sigma, range(8))
@@ -859,32 +870,31 @@ def replay_layout(layout, width, word):
 
 
 class TestLegPlumbing:
-    @pytest.mark.parametrize("n", (1, 2, 3, 4))
-    def test_create_plan_sorts_the_fresh_legs(self, n):
-        # Creation in the averaging projection (exact_oracle._create) runs the
-        # contraction word backwards from the fresh pair around the block,
-        # opened by a cup just left of the block.
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 4))
+    def test_nest_word_nests_the_legs_by_layers(self, n):
         for sigma in enumerate_adm(n):
-            for m in range(n):
-                for width in (1, 2, 3):
-                    word, a_pos = center._contract_plan(sigma, m, width)
-                    lo, hi = sigma.pairs()[m]
-                    inner = center._layout(sigma, range(m + 1, n))
-                    mid = inner.index(None)
-                    assert a_pos == center._offset(inner, width, mid)
-                    start = inner[:mid] + (lo, None, hi) + inner[mid + 1 :]
-                    end = replay_layout(start, width, reversed(word))
-                    assert end == center._layout(sigma, range(m, n))
-
-    def test_plans_are_equal_and_immutable(self):
-        sigma = parse_cycles("(1 3)(2 4)")
-        got = center._contract_plan(sigma, 0, 2)
-        assert center._contract_plan(parse_cycles("(1 3)(2 4)"), 0, 2) == got
-        assert isinstance(got, tuple) and all(isinstance(x, (int, tuple)) for x in got)
+            word = center._nest_word(sigma)
+            pairs = sigma.pairs()
+            start = (*range(1, n + 1), None, *range(n + 1, 2 * n + 1))
+            want = tuple(lo for lo, _ in reversed(pairs)) + (None,) + tuple(hi for _, hi in pairs)
+            assert replay_layout(start, 1, word) == want
+            # Front to back: the middle strand, then the legs of orbit 0, 1, ...
+            layer = {leg: m + 1 for m, pair in enumerate(pairs) for leg in pair}
+            layer[None] = 0
+            strands, crossed = list(start), set()
+            for _kind, i, sense in word:
+                left, right = strands[i - 1], strands[i]
+                assert frozenset((left, right)) not in crossed
+                crossed.add(frozenset((left, right)))
+                assert (sense == "over") == (layer[left] < layer[right])
+                strands[i - 1], strands[i] = right, left
+            if n == 0:
+                assert word == ()
 
     def test_a_dropped_gluing_is_freed(self):
-        # The plans are built per call and every memo of the tube and the
-        # adjunction lives in the spec's cache, so nothing else holds the gluing.
+        # The nesting word is built per call and every memo of the tube and
+        # the adjunction lives in the spec's cache, so nothing else holds the
+        # gluing.
         spec = respec(catalog.builtin("vec_z2"))
         sigma = parse_cycles("(1 3)(2 4)")
         center_rank(spec, sigma)
@@ -894,15 +904,3 @@ class TestLegPlumbing:
         del spec, sigma
         gc.collect()
         assert ref() is None
-
-    @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_contract_plan_brings_the_legs_to_the_block(self, n):
-        for sigma in enumerate_adm(n):
-            for m in range(n):
-                for width in (1, 2, 3):
-                    word, lo_pos = center._contract_plan(sigma, m, width)
-                    lo, hi = sigma.pairs()[m]
-                    end = replay_layout(center._layout(sigma, range(m, n)), width, word)
-                    mid = end.index(None)
-                    assert end[mid - 1 : mid + 2] == (lo, None, hi)
-                    assert lo_pos == center._offset(end, width, mid - 1)
