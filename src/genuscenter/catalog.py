@@ -22,9 +22,8 @@ from .errors import (
     KeyNotFoundError,
     MalformedRationalError,
 )
-from .exactnum import C0, CYCLOTOMIC, Cyclotomic, Echelon, rational, zeta
+from .exactnum import C0, C1, CYCLOTOMIC, Cyclotomic, Echelon, rational, zeta
 from .fusion import CategorySpec
-from .trees import ONE
 
 __all__ = ["builtin", "catalog_keys", "load_spec", "save_spec"]
 
@@ -71,9 +70,9 @@ def _pointed(name, n, omega, rvals, pivotal, provenance):
 def _rep_z2():
     return _pointed(
         "rep_z2", 2,
-        omega=lambda a, b, c: ONE,
-        rvals=lambda a, b: ONE,
-        pivotal=lambda a: ONE,
+        omega=lambda a, b, c: C1,
+        rvals=lambda a, b: C1,
+        pivotal=lambda a: C1,
         provenance="Z/2 representations: trivial associator and symmetric braiding.",
     )
 
@@ -81,9 +80,9 @@ def _rep_z2():
 def _vec_z2():
     return _pointed(
         "vec_z2", 2,
-        omega=lambda a, b, c: ONE,
+        omega=lambda a, b, c: C1,
         rvals=lambda a, b: rational(-1),
-        pivotal=lambda a: ONE,
+        pivotal=lambda a: C1,
         provenance="super-vector-space flavor of Z/2: trivial associator, "
         "braiding -1 on the odd-odd channel (symmetric, fermionic twist).",
     )
@@ -93,9 +92,9 @@ def _vec_z3_q():
     z3 = zeta(3)
     return _pointed(
         "vec_z3_q", 3,
-        omega=lambda a, b, c: ONE,
+        omega=lambda a, b, c: C1,
         rvals=lambda a, b: z3 ** (a * b),
-        pivotal=lambda a: ONE,
+        pivotal=lambda a: C1,
         provenance="Z/3 pointed with the nondegenerate quadratic form "
         "q(a) = zeta_3^(a^2); anyonic and modular.",
     )
@@ -106,7 +105,7 @@ def _semion():
         "semion", 2,
         omega=lambda a, b, c: rational(-1),
         rvals=lambda a, b: zeta(4),
-        pivotal=lambda a: rational(-1) if a else ONE,
+        pivotal=lambda a: rational(-1) if a else C1,
         provenance="Z/2 with the nontrivial associator and semionic braiding "
         "R = i; pivotal sign -1 keeps the loop value +1.",
     )
@@ -115,17 +114,17 @@ def _semion():
 def _fibonacci():
     # phi = golden ratio, exactly 1 + z5 + z5^4; F in the rational gauge
     # [[1/phi, 1/phi], [1, -1/phi]], an involution since phi^2 = phi + 1.
-    phi = ONE + zeta(5) + zeta(5, 4)
+    phi = C1 + zeta(5) + zeta(5, 4)
     phinv = phi.inverse()
     u, t = "1", "t"
     F = {
         (t, t, t, t): {
             ((u, 0, 0), (u, 0, 0)): phinv,
             ((u, 0, 0), (t, 0, 0)): phinv,
-            ((t, 0, 0), (u, 0, 0)): ONE,
+            ((t, 0, 0), (u, 0, 0)): C1,
             ((t, 0, 0), (t, 0, 0)): -phinv,
         },
-        (t, t, t, u): {((t, 0, 0), (t, 0, 0)): ONE},
+        (t, t, t, u): {((t, 0, 0), (t, 0, 0)): C1},
     }
     # Hexagon solution found by exact scan over roots of unity: the only
     # solutions in this gauge are (z5^2, z10^7) and its mirror below.
@@ -144,7 +143,7 @@ def _fibonacci():
         },
         F=F,
         R=R,
-        pivotal={u: ONE, t: ONE},
+        pivotal={u: C1, t: C1},
         provenance="golden-ratio fusion rule; F in the rational gauge over "
         "Q(zeta_5), R fixed by exact hexagon solving.",
     )
@@ -163,16 +162,16 @@ def _ising():
             ((f, 0, 0), (u, 0, 0)): s2inv,
             ((f, 0, 0), (f, 0, 0)): -s2inv,
         },
-        (s, s, f, f): {((u, 0, 0), (s, 0, 0)): ONE},
-        (s, s, f, u): {((f, 0, 0), (s, 0, 0)): ONE},
-        (s, f, s, u): {((s, 0, 0), (s, 0, 0)): ONE},
+        (s, s, f, f): {((u, 0, 0), (s, 0, 0)): C1},
+        (s, s, f, u): {((f, 0, 0), (s, 0, 0)): C1},
+        (s, f, s, u): {((s, 0, 0), (s, 0, 0)): C1},
         (s, f, s, f): {((s, 0, 0), (s, 0, 0)): neg},
-        (s, f, f, s): {((s, 0, 0), (u, 0, 0)): ONE},
-        (f, s, s, u): {((s, 0, 0), (f, 0, 0)): ONE},
-        (f, s, s, f): {((s, 0, 0), (u, 0, 0)): ONE},
+        (s, f, f, s): {((s, 0, 0), (u, 0, 0)): C1},
+        (f, s, s, u): {((s, 0, 0), (f, 0, 0)): C1},
+        (f, s, s, f): {((s, 0, 0), (u, 0, 0)): C1},
         (f, s, f, s): {((s, 0, 0), (s, 0, 0)): neg},
-        (f, f, s, s): {((u, 0, 0), (s, 0, 0)): ONE},
-        (f, f, f, f): {((u, 0, 0), (u, 0, 0)): ONE},
+        (f, f, s, s): {((u, 0, 0), (s, 0, 0)): C1},
+        (f, f, f, f): {((u, 0, 0), (u, 0, 0)): C1},
     }
     R = {
         (s, s, u): {(0, 0): zeta(16, 15)},
@@ -195,7 +194,7 @@ def _ising():
         },
         F=F,
         R=R,
-        pivotal={u: ONE, s: ONE, f: ONE},
+        pivotal={u: C1, s: C1, f: C1},
         provenance="square-root-of-2 fusion rules over Q(zeta_16); "
         "R fixed by exact hexagon solving.",
     )
@@ -205,15 +204,12 @@ def _ising():
 # Rep(S3), derived from explicit rational representation matrices.  A matrix
 # is its sparse rows {i: {j: value}}, and a zero row is absent.
 
-_axpy = CYCLOTOMIC.axpy
-
-
 def _mat(rows):
     return {i: {j: rational(v) for j, v in enumerate(r) if v} for i, r in enumerate(rows) if any(r)}
 
 
 def _eye(n: int) -> dict:
-    return {i: {i: ONE} for i in range(n)}
+    return {i: {i: C1} for i in range(n)}
 
 
 def _kron(a: dict, b: dict, b_shape: tuple) -> dict:
@@ -231,7 +227,7 @@ def _mul(a: dict, b: dict) -> dict:
     for i, ra in a.items():
         row: dict = {}
         for k, x in ra.items():
-            _axpy(row, x, b.get(k, {}))
+            CYCLOTOMIC.axpy(row, x, b.get(k, {}))
         if row:
             out[i] = row
     return out
@@ -256,8 +252,9 @@ def _s3_intertwiner(a: str, b: str, c: str) -> dict | None:
         for i in range(da * db):
             for j in range(dc):
                 eqs.append({k * dc + j: v for k, v in lhs.get(i, {}).items()})
-                _axpy(eqs[-1], -ONE, {i * dc + k: row[j] for k, row in rhs.items() if j in row})
-    basis = Echelon(vectors=eqs).kernel(da * db * dc)
+                column = {i * dc + k: row[j] for k, row in rhs.items() if j in row}
+                CYCLOTOMIC.axpy(eqs[-1], -C1, column)
+    basis = Echelon(CYCLOTOMIC, eqs).kernel(da * db * dc)
     if not basis:
         return None
     vec = basis[0]
@@ -331,7 +328,7 @@ def _rep_s3():
                         for i, row in m.items():
                             for j, v in row.items():
                                 eqs.setdefault((i, j), {})[col] = v
-                    echelon = Echelon(vectors=eqs.values())
+                    echelon = Echelon(CYCLOTOMIC, eqs.values())
                     block = {}
                     for k, e in enumerate(es, len(fs)):
                         x = echelon.solution(k)
@@ -346,7 +343,7 @@ def _rep_s3():
             if "1" in (a, b):
                 continue
             da, db = dims[a], dims[b]
-            flip = {v * da + u: {u * db + v: ONE} for u in range(da) for v in range(db)}
+            flip = {v * da + u: {u * db + v: C1} for u in range(da) for v in range(db)}
             for c in labels:
                 if (a, b, c) in verts:
                     lhs = _mul(flip, verts[(a, b, c)])
@@ -360,7 +357,7 @@ def _rep_s3():
         fusion=fusion,
         F=F,
         R=R,
-        pivotal={a: ONE for a in labels},
+        pivotal={a: C1 for a in labels},
         provenance="derived at load from rational S3 representation matrices; "
         "the pentagon holds by construction and is re-checked by the validators.",
     )

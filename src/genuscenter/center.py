@@ -69,7 +69,7 @@ from .errors import GenusCenterError, IllFormedDiagramError
 from .exactnum import rank
 from .fusion import CategorySpec, ValidationReport
 from .gluing import Gluing, comm_case
-from .trees import ONE, Morphism, cached, hom_dim, hom_keys, trees, word_after
+from .trees import Morphism, cached, hom_dim, hom_keys, trees, word_after
 
 __all__ = [
     "GammaWord",
@@ -339,7 +339,7 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
     for m in range(sigma.n):
         for z in spec.labels:
             for c, (nrows, ncols, rows) in _hb_rows(gamma[m, z]).items():
-                if nrows != ncols or rank(rows.values()) != nrows:
+                if nrows != ncols or rank(rows.values(), spec.field) != nrows:
                     bad.append(f"gamma_[{m}] at {z} is not invertible (charge {c})")
                     break
 
@@ -530,7 +530,7 @@ def adjunction_maps(spec, sigma: Gluing, lab, py: SigmaPair):
         for (ty, _), mor in phi.blocks.items():
             for key, v in mor.entries().items():
                 col = columns[ty, key]
-                out = out + (col if v is ONE else col.scale(v))
+                out = out + (col if v is spec.field.one else col.scale(v))
         return out
 
     return forward, backward
@@ -638,8 +638,8 @@ def tube_algebra(spec, sigma: Gluing) -> AlgebraData:
     units = {j: at[j, j, all1, 0] for j in spec.labels}
     mult = _tube_products(spec, sigma, [g for g in gens if g not in units.values()])
     for a, (_i, j, _alpha, _t) in enumerate(basis):
-        mult[a, units[j]] = {a: ONE}
-    return AlgebraData(dim=len(basis), mult=mult, unit={u: ONE for u in units.values()},
+        mult[a, units[j]] = {a: spec.field.one}
+    return AlgebraData(dim=len(basis), mult=mult, unit={u: spec.field.one for u in units.values()},
                        gens=gens, order=spec.field_order())
 
 

@@ -24,8 +24,9 @@ move values across orders.
 A field object, ``CYCLOTOMIC`` for Q(zeta_N) or a ``PrimeField``, is the one
 code that adds (``axpy``) and scales (``scaled``) sparse rows {column: x},
 and drops every zero entry; at f = ``C1`` ``CYCLOTOMIC`` adds y's own values.
-``Echelon``, the one row reduction (over Q(zeta_N) for the category data,
-over F_p for ``algebra``), and ``trees`` build their rows through it.
+``Echelon`` (over Q(zeta_N) for the category data, over F_p for ``algebra``)
+takes ``one`` and ``inverse`` from it; ``trees`` also takes ``zero``, ``add``,
+``mul``, ``is_zero`` and ``canonical`` from ``spec.field``.
 """
 
 from __future__ import annotations
@@ -443,7 +444,14 @@ class PrimeField(_Field):
 class CyclotomicField(_Field):
     """Q(zeta_N): entries are ``Cyclotomic`` and combine by their operators."""
 
-    one = C1
+    zero, one = C0, C1
+    add, mul = staticmethod(Cyclotomic.__add__), staticmethod(Cyclotomic.__mul__)
+    inverse, is_zero = staticmethod(Cyclotomic.inverse), staticmethod(Cyclotomic.is_zero)
+
+    @staticmethod
+    def canonical(v: Cyclotomic) -> Cyclotomic:
+        """``one`` if v is 1, else v; read off the fields, as == would lift v across orders."""
+        return C1 if v.den == 1 and v.num[0] == 1 and v.is_rational() else v
 
     def axpy(self, x: dict, f: Cyclotomic, y: dict) -> None:
         """x += f y in place, without zero entries; at f = ``C1`` y's own values are added."""
@@ -457,9 +465,6 @@ class CyclotomicField(_Field):
             else:
                 x[k] = v
 
-    def inverse(self, x: Cyclotomic) -> Cyclotomic:
-        return x.inverse()
-
 
 CYCLOTOMIC = CyclotomicField()
 
@@ -471,9 +476,8 @@ class Echelon:
     holds 1 there and 0 at every other pivot column, and the tail
     {tag: coeff} is the combination of the tagged added vectors it equals.
     A row's pivot is its least column, so the rows are the reduced echelon
-    form of the span of the added vectors, whatever order they came in.
-    The field (``PrimeField`` or ``CYCLOTOMIC``) supplies ``one`` and
-    ``inverse``, and its ``axpy`` and ``scaled`` drop every zero entry.
+    form of the span of the added vectors, whatever order they came in,
+    over the field object it is given.
 
     The rank is ``len(rows)``.  The tails of an invertible matrix's rows,
     each added with its index as tag, are the rows of its inverse
@@ -481,7 +485,7 @@ class Echelon:
     every column of M (``solution``).
     """
 
-    def __init__(self, field=CYCLOTOMIC, vectors=()):
+    def __init__(self, field, vectors=()):
         self.field = field
         self.rows: dict = {}
         for vec in vectors:
@@ -541,17 +545,17 @@ def rows_of(block: dict, keys) -> dict:
     return rows
 
 
-def rank(rows, field=CYCLOTOMIC) -> int:
+def rank(rows, field) -> int:
     """The rank of the sparse rows {column: x}."""
     return len(Echelon(field, rows).rows)
 
 
-def invert(rows: dict) -> dict:
+def invert(rows: dict, field) -> dict:
     """The inverse, as entries {(column, tag): x}, of the square matrix with rows {tag: {column: x}}.
 
     Raises SingularMatrixError when the rows are dependent.
     """
-    echelon = Echelon()
+    echelon = Echelon(field)
     for tag, row in rows.items():
         if echelon.add(row, tag) is not None:
             raise SingularMatrixError("matrix is singular")

@@ -15,7 +15,8 @@ store only the non-unit blocks.
 Only ``trees`` reads these index conventions: this module stores and
 serves the blocks, and the pentagon and hexagon checks are identities
 between generator words of that engine, so an axiom is checked through the
-same code that computes with it.
+same code that computes with it.  F and R are inverted and ranked over
+the spec's field object, ``CategorySpec.field``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import math
 from itertools import product
 
 from .errors import IncompleteDataError, PremodularRequiredError, SingularMatrixError
-from .exactnum import C0, Cyclotomic, invert, rank, rows_of
-from .trees import ONE, Morphism, cached, hopf_link_value, loop_value, theta
+from .exactnum import C0, CYCLOTOMIC, Cyclotomic, invert, rank, rows_of
+from .trees import Morphism, cached, hopf_link_value, loop_value, theta
 
 __all__ = [
     "CategorySpec",
@@ -46,7 +47,8 @@ class CategorySpec:
     A spec holds its scalars in Q(zeta_N), N = ``field_order()``: on
     construction every F, R and pivotal scalar that is not of order 1 is
     lifted to order N, so what the engine derives from them is rational
-    or of order N, and no product or sum has to find a common field.
+    or of order N, and no product or sum has to find a common field.  The
+    engine combines them through ``field``, a class attribute a spec mod p will override.
 
     Frozen: ``_cache`` holds what is derived from F, R and the pivotal data
     (splitting vertices, tree lists, F and R blocks, F blocks by incoming
@@ -58,6 +60,7 @@ class CategorySpec:
     filled only through ``trees.cached``, and each spec starts with its own.
     """
 
+    field = CYCLOTOMIC
     # Specs hold dicts, so they are not hashable.
     __hash__ = None
 
@@ -146,7 +149,7 @@ class CategorySpec:
             else:
                 pair = {((e, al, be), (f, mu, nu)): al == nu for (e, al, be) in rows
                         for (f, mu, nu) in cols}
-            block = {k: ONE for k, hit in pair.items() if hit}
+            block = {k: self.field.one for k, hit in pair.items() if hit}
         else:
             block = self.F.get((a, b, c, d))
             if block is None:
@@ -168,7 +171,7 @@ class CategorySpec:
                 f"({len(rows)}x{len(cols)}); fusion rules are inconsistent"
             )
         try:
-            return cols, rows, invert(rows_of(block, rows))
+            return cols, rows, invert(rows_of(block, rows), self.field)
         except SingularMatrixError:
             raise SingularMatrixError(
                 f"{self.name}: F block ({a},{b},{c};{d}) is singular"
@@ -179,7 +182,7 @@ class CategorySpec:
         self.require_braiding()
         n = self.N(a, b, c)
         if a == self.unit or b == self.unit:
-            return {(i, i): ONE for i in range(n)}
+            return {(i, i): self.field.one for i in range(n)}
         block = self.R.get((a, b, c))
         if block is None:
             if n:
@@ -192,10 +195,10 @@ class CategorySpec:
     @cached
     def r_inverse(self, a, b, c):
         """c_{a,b}^-1 on channel c, the inverse of ``r_block``, as {(nu, mu): Cyclotomic}."""
-        return invert(rows_of(self.r_block(a, b, c), range(self.N(a, b, c))))
+        return invert(rows_of(self.r_block(a, b, c), range(self.N(a, b, c))), self.field)
 
     def pivotal_coeff(self, a: str) -> Cyclotomic:
-        return self.pivotal.get(a, ONE)
+        return self.pivotal.get(a, self.field.one)
 
     def field_order(self) -> int:
         """lcm of the orders of every stored scalar."""
@@ -270,7 +273,7 @@ def validate_structure(spec: CategorySpec) -> ValidationReport:
                             f"fusion not associative at ({a},{b},{c};{d}): {lhs} != {rhs}"
                         )
 
-    if spec.pivotal_coeff(unit) != ONE:
+    if spec.pivotal_coeff(unit) != spec.field.one:
         bad.append("pivotal coefficient of the unit must be 1")
     for a, v in spec.pivotal.items():
         if a not in labels:
@@ -300,7 +303,7 @@ def validate_structure(spec: CategorySpec) -> ValidationReport:
         try:
             for a, b, c, d in product(spec.labels, repeat=4):
                 rows, _cols, block = spec.f_block(a, b, c, d)
-                if rank(rows_of(block, rows).values()) != len(rows):
+                if rank(rows_of(block, rows).values(), spec.field) != len(rows):
                     bad.append(f"F block ({a},{b},{c};{d}) is singular")
         except IncompleteDataError as exc:
             bad.append(str(exc))
@@ -309,7 +312,7 @@ def validate_structure(spec: CategorySpec) -> ValidationReport:
 
 def _differing_charges(f: Morphism, g: Morphism) -> set:
     """The charges at which the blocks of f and g differ."""
-    return set((f + g.scale(-ONE)).blocks)
+    return set((f + g.scale(-f.spec.field.one)).blocks)
 
 
 def check_pentagon(spec: CategorySpec) -> ValidationReport:
@@ -423,9 +426,9 @@ def check_spherical_ribbon(spec: CategorySpec) -> ValidationReport:
         for a in spec.labels:
             if twists[a] != twists[spec.dual[a]]:
                 bad.append(f"twist({a}) != twist(dual {a})")
-        if twists[spec.unit] != ONE:
+        if twists[spec.unit] != spec.field.one:
             bad.append("twist of the unit is not 1")
-    if omega.weights[spec.unit] != ONE:
+    if omega.weights[spec.unit] != spec.field.one:
         bad.append("dim of the unit is not 1")
     return ValidationReport(bad)
 
@@ -448,5 +451,5 @@ def s_matrix_and_transparency(spec: CategorySpec):
             for i, a in enumerate(spec.labels)
         ):
             transparent.add(b)
-    modular = rank(rows_of(s, range(n)).values()) == n
+    modular = rank(rows_of(s, range(n)).values(), spec.field) == n
     return s, transparent, modular

@@ -42,10 +42,12 @@ d along source tree s followed by the word that splits d along target tree
 r.
 
 Zeros: ``_local_moves`` drops a generator's, once per window.  Past that,
-rows are added and scaled only by the field object ``FIELD``, which drops
-every entry that is or becomes 0, and a row or block this empties goes.
-A coefficient 1 in ``_local_moves`` or a word map is the shared ``ONE``:
-a row moved by it is copied, and ``FIELD.axpy`` adds it with no product.
+rows are added and scaled only by the field object ``spec.field``, which
+drops every entry that is or becomes 0, and a row or block this empties
+goes; every other coefficient operation goes through ``spec.field`` too.
+A coefficient 1 in ``_local_moves`` or a word map is the shared
+``field.one``: a row moved by it is copied, and ``field.axpy`` adds it
+with no product.
 
 A Hom space has the coordinates (charge, target tree, source tree) that
 ``hom_keys`` lists.  Other modules write a map's entries only through
@@ -71,10 +73,6 @@ from __future__ import annotations
 from functools import partial, wraps
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
-from .exactnum import C0, C1, CYCLOTOMIC, Cyclotomic
-
-FIELD = CYCLOTOMIC
-ONE = C1
 
 Word = tuple[str, ...]
 Tree = tuple[tuple[str, ...], tuple[int, ...]]
@@ -169,17 +167,17 @@ def hom_keys(spec, src: Word, tgt: Word) -> list[tuple[str, int, int]]:
 
 
 @cached
-def ev_coeff(spec, a: str) -> Cyclotomic:
+def ev_coeff(spec, a: str):
     """Coefficient of ev_a on the dual fusion vertex, from the zig-zag."""
-    astar = spec.dual[a]
+    astar, field = spec.dual[a], spec.field
     _, _, blk = spec.f_block(a, astar, a, a)
     u = spec.unit
     entry = blk.get(((u, 0, 0), (u, 0, 0)))
-    if entry is None or entry.is_zero():
+    if entry is None or field.is_zero(entry):
         raise InternalInconsistencyError(
             f"{spec.name}: F[{a},{astar},{a};{a}] unit-unit entry vanishes"
         )
-    return entry.inverse()
+    return field.inverse(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +260,13 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
 
     ``_op_new_word`` has checked that a cap, bend or unit_remove fits ``word``.
     """
-    kind = op[0]
+    kind, field, mul = op[0], spec.field, spec.field.mul
     es, mus = tree
 
     if kind == "twist":
         _, i, sign = op
         th = theta(spec, word[i - 1])
-        return [(tree, th if sign > 0 else th.inverse())]
+        return [(tree, th if sign > 0 else field.inverse(th))]
 
     if kind == "braid":
         _, i, direction = op
@@ -283,7 +281,7 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
                     continue
                 cand = (ees, mmus[: i - 1] + (nu2,) + mmus[i:])
                 for t2, v2 in _recouple(spec, new_word, cand, i, inverse=True):
-                    out.append((t2, v1 * coeff * v2))
+                    out.append((t2, mul(mul(v1, coeff), v2)))
         return out
 
     if kind == "merge":
@@ -308,7 +306,7 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
         if primed:
             scale = _pivotal_inverse(spec, a)
             inner = ("cup", g, spec.dual[a], False)
-            return [(t, scale * v) for t, v in _apply_tree(spec, word, tree, inner)]
+            return [(t, mul(scale, v)) for t, v in _apply_tree(spec, word, tree, inner)]
         new_word = _op_new_word(spec, word, op)
         exp = (es[: g + 1] + (spec.unit, es[g]) + es[g + 1 :], mus[:g] + (0, 0) + mus[g:])
         return _recouple(spec, new_word, exp, g + 1, inverse=True)
@@ -318,38 +316,38 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
         if primed:
             scale = spec.pivotal_coeff(a)
             inner = ("cap", i, spec.dual[a], False)
-            return [(t, scale * v) for t, v in _apply_tree(spec, word, tree, inner)]
+            return [(t, mul(scale, v)) for t, v in _apply_tree(spec, word, tree, inner)]
         lam = ev_coeff(spec, a)
         out = []
         for (ees, mmus), v1 in _recouple(spec, word, tree, i):
             if ees[i] == spec.unit and ees[i + 1] == ees[i - 1]:
-                out.append(((ees[:i] + ees[i + 2 :], mmus[: i - 1] + mmus[i + 1 :]), v1 * lam))
+                out.append(((ees[:i] + ees[i + 2 :], mmus[: i - 1] + mmus[i + 1 :]), mul(v1, lam)))
         return out
 
     if kind == "bend":
         # A primed cup opens (dual(b), b) left of strand q, b splits to
         # (z, a) along mu, and a primed cap closes a with dual(a).
         _, q, a, b, z, mu = op
-        out = [(tree, ONE)]
+        out = [(tree, field.one)]
         for sub in (("cup", q - 1, b, True), ("split", q + 1, z, a, mu), ("cap", q + 2, a, True)):
-            out = [(t2, v * v2) for t, v in out for t2, v2 in _apply_tree(spec, word, t, sub)]
+            out = [(t2, mul(v, v2)) for t, v in out for t2, v2 in _apply_tree(spec, word, t, sub)]
             word = _op_new_word(spec, word, sub)
         return out
 
     if kind == "unit_insert":
         _, g = op
-        return [((es[: g + 1] + (es[g],) + es[g + 1 :], mus[:g] + (0,) + mus[g:]), ONE)]
+        return [((es[: g + 1] + (es[g],) + es[g + 1 :], mus[:g] + (0,) + mus[g:]), field.one)]
 
     if kind == "unit_remove":
         _, i = op
-        return [((es[:i] + es[i + 1 :], mus[: i - 1] + mus[i:]), ONE)]
+        return [((es[:i] + es[i + 1 :], mus[: i - 1] + mus[i:]), field.one)]
 
     raise ValueError(f"unknown op {op!r}")
 
 
 @cached
-def _pivotal_inverse(spec, a: str) -> Cyclotomic:
-    return spec.pivotal_coeff(a).inverse()
+def _pivotal_inverse(spec, a: str):
+    return spec.field.inverse(spec.pivotal_coeff(a))
 
 
 def word_after(spec, word: Word, ops) -> Word:
@@ -380,9 +378,9 @@ class Morphism:
 
     @staticmethod
     def identity(spec, word: Word) -> "Morphism":
-        word = tuple(word)
+        word, one = tuple(word), spec.field.one
         blocks = {
-            c: {t: {i: ONE} for i, t in enumerate(ts)} for c, ts in all_trees(spec, word).items()
+            c: {t: {i: one} for i, t in enumerate(ts)} for c, ts in all_trees(spec, word).items()
         }
         return Morphism(spec, word, word, blocks)
 
@@ -395,7 +393,7 @@ class Morphism:
         """The basis map of Hom(src, tgt) with a single 1 at ``key`` (see ``hom_keys``)."""
         c, r, s = key
         src, tgt = tuple(src), tuple(tgt)
-        return Morphism(spec, src, tgt, {c: {trees(spec, tgt, c)[r]: {s: ONE}}})
+        return Morphism(spec, src, tgt, {c: {trees(spec, tgt, c)[r]: {s: spec.field.one}}})
 
     def entries(self) -> dict:
         """The nonzero entries {(charge, target tree, source tree): value}, in ``hom_keys`` order."""
@@ -413,26 +411,26 @@ class Morphism:
             raise IllFormedDiagramError(
                 f"cannot compose: middle words {other.tgt} vs {self.src}"
             )
-        blocks = {}
+        blocks, field = {}, self.spec.field
         for c, left in self.blocks.items():
             right, mid, out = other.blocks.get(c, {}), trees(self.spec, self.src, c), {}
             for t, row in left.items():
                 for k, x in row.items():
                     if mid[k] in right:
-                        _add_row(out, t, right[mid[k]], x)
+                        _add_row(out, t, right[mid[k]], x, field)
             blocks[c] = out
         return Morphism(self.spec, other.src, self.tgt, _pruned(blocks))
 
     def __add__(self, other: "Morphism") -> "Morphism":
         if (self.src, self.tgt) != (other.src, other.tgt):
             raise IllFormedDiagramError("cannot add morphisms of different shapes")
-        blocks: dict = {}
+        blocks, field = {}, self.spec.field
         for m in (self, other):
-            _add_blocks(blocks, m.blocks, ONE)
+            _add_blocks(blocks, m.blocks, field.one, field)
         return Morphism(self.spec, self.src, self.tgt, _pruned(blocks))
 
-    def scale(self, s: Cyclotomic) -> "Morphism":
-        blocks = {c: {t: FIELD.scaled(s, row) for t, row in blk.items()}
+    def scale(self, s) -> "Morphism":
+        blocks = {c: {t: self.spec.field.scaled(s, row) for t, row in blk.items()}
                   for c, blk in self.blocks.items()}
         return Morphism(self.spec, self.src, self.tgt, _pruned(blocks))
 
@@ -444,12 +442,12 @@ class Morphism:
     def is_zero(self) -> bool:
         return not self.blocks
 
-    def scalar(self) -> Cyclotomic:
+    def scalar(self):
         """Value of an endomorphism of the empty word."""
         if self.src or self.tgt:
             raise IllFormedDiagramError("scalar() needs an empty-word endomorphism")
         blk = self.blocks.get(self.spec.unit)
-        return blk[(self.spec.unit,), ()][0] if blk else C0
+        return blk[(self.spec.unit,), ()][0] if blk else self.spec.field.zero
 
     def apply_all(self, ops) -> "Morphism":
         """Post-compose a generator word (first op acts first) in one pass.
@@ -473,7 +471,8 @@ class Morphism:
                 maps[root] = _word_map(spec, root, window_word, local)
             return maps[root].get(window)
 
-        blocks = {c: rows for c, blk in self.blocks.items() if (rows := _push(blk, s, k, moves))}
+        blocks = {c: rows for c, blk in self.blocks.items()
+                  if (rows := _push(blk, s, k, moves, spec.field))}
         return Morphism(spec, self.src, new_word, blocks)
 
     def apply_coupon(self, pos: int, f: "Morphism") -> "Morphism":
@@ -499,7 +498,8 @@ class Morphism:
                     continue
                 merged = self.apply_all(_merge_word(pos, src_w, s_tree))
                 for t, x in entries:
-                    _add_blocks(blocks, merged.apply_all(_split_word(pos, tgt_w, t)).blocks, x)
+                    _add_blocks(blocks, merged.apply_all(_split_word(pos, tgt_w, t)).blocks, x,
+                                spec.field)
         return Morphism(spec, self.src, new_tgt, _pruned(blocks))
 
 
@@ -521,20 +521,20 @@ def _split_word(pos: int, tgt_w: Word, tree: Tree) -> tuple:
     )
 
 
-def _add_row(out: dict, key, row: dict, coeff) -> None:
-    """out[key] += coeff * row, in a row of out's own (``FIELD.axpy``)."""
-    if coeff is ONE and key not in out:
+def _add_row(out: dict, key, row: dict, coeff, field) -> None:
+    """out[key] += coeff * row, in a row of out's own (``field.axpy``)."""
+    if coeff is field.one and key not in out:
         out[key] = dict(row)
     else:
-        FIELD.axpy(out.setdefault(key, {}), coeff, row)
+        field.axpy(out.setdefault(key, {}), coeff, row)
 
 
-def _add_blocks(out: dict, blocks: dict, coeff) -> None:
+def _add_blocks(out: dict, blocks: dict, coeff, field) -> None:
     """out += coeff * blocks, row by row (``_add_row``)."""
     for c, blk in blocks.items():
         dst = out.setdefault(c, {})
         for t, row in blk.items():
-            _add_row(dst, t, row, coeff)
+            _add_row(dst, t, row, coeff, field)
 
 
 def _pruned(blocks: dict) -> dict:
@@ -542,14 +542,14 @@ def _pruned(blocks: dict) -> dict:
     return {c: rows for c, blk in blocks.items() if (rows := {t: r for t, r in blk.items() if r})}
 
 
-def _push(rows: dict, s: int, k: int, moves) -> dict:
+def _push(rows: dict, s: int, k: int, moves, field) -> dict:
     """Move sparse rows {tree: {column: value}} through a window action.
 
     A tree (es, mus) is its head (es[:s], mus[:s]), its window (es[s:k+1],
     mus[s:k]), which grows strands s+1..k from the root es[s], and its tail
     (es[k+1:], mus[k:]); ``moves(es[s], window)`` lists the (window', coeff)
-    it turns into, and out[head + window' + tail] += coeff * row.  Rows that
-    sums emptied are dropped.
+    it turns into, and out[head + window' + tail] += coeff * row in ``field``.
+    Rows that sums emptied are dropped.
     """
     out: dict = {}
     for (es, mus), row in rows.items():
@@ -558,22 +558,17 @@ def _push(rows: dict, s: int, k: int, moves) -> dict:
             continue
         head_es, head_mus, tail_es, tail_mus = es[:s], mus[:s], es[k + 1 :], mus[k:]
         for (es2, mus2), coeff in targets:
-            _add_row(out, (head_es + es2 + tail_es, head_mus + mus2 + tail_mus), row, coeff)
+            _add_row(out, (head_es + es2 + tail_es, head_mus + mus2 + tail_mus), row, coeff, field)
     return {t: row for t, row in out.items() if row}
-
-
-def _one(v: Cyclotomic) -> Cyclotomic:
-    """``ONE`` if v is 1, else v; read off the fields, as == would lift v across orders."""
-    return ONE if v.den == 1 and v.num[0] == 1 and v.is_rational() else v
 
 
 @cached
 def _local_moves(spec, word: Word, tree: Tree, op) -> list:
-    """``_apply_tree`` on one window: equal trees merged, zeros dropped, 1 as ``ONE``."""
-    out: dict = {}
+    """``_apply_tree`` on one window: equal trees merged, zeros dropped, 1 as ``field.one``."""
+    out, field = {}, spec.field
     for t, v in _apply_tree(spec, word, tree, op):
-        out[t] = out[t] + v if t in out else v
-    return [(t, _one(v)) for t, v in out.items() if not v.is_zero()]
+        out[t] = field.add(out[t], v) if t in out else v
+    return [(t, field.canonical(v)) for t, v in out.items() if not field.is_zero(v)]
 
 
 @cached
@@ -581,20 +576,21 @@ def _word_map(spec, root: str, word: Word, ops: tuple) -> dict[Tree, list]:
     """Composed action {tree: [(tree', coeff)]} of a generator word on ``word``.
 
     The trees are those of ``word`` grown from ``root``.  ``_push`` moves
-    their identity rows {t: {t: ONE}} through each generator's
+    their identity rows {t: {t: field.one}} through each generator's
     ``_local_moves`` on its own window (``_active_window``); the map is then
     read off by columns.
     """
-    rows = {t: {t: ONE} for ts in all_trees(spec, word, root).values() for t in ts}
+    rows = {t: {t: spec.field.one} for ts in all_trees(spec, word, root).values() for t in ts}
     for op in ops:
         s, k = _active_window(spec, len(word), (op,))
         window_word, local = word[s:k], (op[0], op[1] - s) + op[2:]
-        rows = _push(rows, s, k, lambda _, window: _local_moves(spec, window_word, window, local))
+        rows = _push(rows, s, k, lambda _, window: _local_moves(spec, window_word, window, local),
+                     spec.field)
         word = _op_new_word(spec, word, op)
     out: dict = {}
     for t2, row in rows.items():
         for t, v in row.items():
-            out.setdefault(t, []).append((t2, _one(v)))
+            out.setdefault(t, []).append((t2, spec.field.canonical(v)))
     return out
 
 
@@ -629,7 +625,7 @@ def _active_window(spec, n: int, ops: tuple) -> tuple[int, int]:
 # traces and closed diagrams
 
 
-def right_trace(spec, h: Morphism) -> Cyclotomic:
+def right_trace(spec, h: Morphism):
     if h.src != h.tgt:
         raise IllFormedDiagramError("trace needs an endomorphism")
     w = h.src
@@ -640,7 +636,7 @@ def right_trace(spec, h: Morphism) -> Cyclotomic:
     return state.apply_all(caps).scalar()
 
 
-def left_trace(spec, h: Morphism) -> Cyclotomic:
+def left_trace(spec, h: Morphism):
     if h.src != h.tgt:
         raise IllFormedDiagramError("trace needs an endomorphism")
     w = h.src
@@ -652,23 +648,23 @@ def left_trace(spec, h: Morphism) -> Cyclotomic:
 
 
 @cached
-def loop_value(spec, a: str, side: str) -> Cyclotomic:
+def loop_value(spec, a: str, side: str):
     """Closed a-loop, by the right trace if ``side`` is "right", else the left."""
     h = Morphism.identity(spec, (a,))
     return right_trace(spec, h) if side == "right" else left_trace(spec, h)
 
 
 @cached
-def theta(spec, a: str) -> Cyclotomic:
+def theta(spec, a: str):
     """Twist scalar from the right-closed positive curl."""
     state = Morphism.identity(spec, (a,)).apply_all(
         (("cup", 1, a, False), ("braid", 1, "over"), ("cap", 2, a, True))
     )
     blk = state.blocks.get(a)
-    return blk[(spec.unit, a), (0,)][0] if blk else C0
+    return blk[(spec.unit, a), (0,)][0] if blk else spec.field.zero
 
 
-def hopf_link_value(spec, a: str, b: str) -> Cyclotomic:
+def hopf_link_value(spec, a: str, b: str):
     """Closed double braiding of an a-loop and a b-loop."""
     word = (
         ("cup", 0, a, False),

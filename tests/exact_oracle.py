@@ -32,7 +32,7 @@ from genuscenter.errors import GenusCenterError, SingularMatrixError
 from genuscenter.exactnum import C0, C1
 from genuscenter.fusion import CategorySpec, ValidationReport, quantum_dims
 from genuscenter.gluing import Gluing
-from genuscenter.trees import ONE, Morphism, hom_keys
+from genuscenter.trees import Morphism, hom_keys
 
 
 class ExactMatrix:
@@ -301,7 +301,7 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
     for sx0, w in enumerate(px.words):
         created = _create(spec, sigma, px, sx0, Morphism.identity(spec, tuple(w)), need)
         for (alpha, sx), mor in created.items():
-            weight = ONE
+            weight = C1
             for a in alpha:
                 weight = weight * omega.weights[a] * inv_total
             for f, out_blocks in zip(fs, outs):

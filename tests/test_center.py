@@ -19,9 +19,9 @@ from genuscenter.center import (
     tube_algebra,
     verify_sigma_pair,
 )
-from genuscenter.exactnum import Cyclotomic, rational, zeta
+from genuscenter.exactnum import C1, Cyclotomic, rational, zeta
 from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles, surface_type
-from genuscenter.trees import ONE, Morphism, hom_dim
+from genuscenter.trees import Morphism, hom_dim
 from exact_oracle import _create, flatten_carrier_map, hom_Z_dim, product, project_morphisms
 from test_exactnum import embed
 from test_fusion import respec
@@ -453,7 +453,7 @@ class TestAdjunction:
 
     @pytest.mark.parametrize("key,cycles", ADJUNCTION_CASES)
     def test_forward_is_linear_on_a_map_that_is_not_a_basis_map(self, key, cycles):
-        # forward reads phi's entries: a value 1 that is not the shared ONE
+        # forward reads phi's entries: a value 1 that is not the shared C1
         # scales its column like any other value.
         spec = catalog.builtin(key)
         sig = parse_cycles(cycles)
@@ -471,11 +471,11 @@ class TestAdjunction:
         want = CarrierMap.zero(spec, induced_half_braidings(spec, sig, x).words, py.words)
         for k, b in enumerate(basis):
             c = pool[k % len(pool)]
-            # 2 * (c / 2): at c = 1 a fresh value 1, where ONE * 1 is ONE.
+            # 2 * (c / 2): at c = 1 a fresh value 1, where C1 * 1 is C1.
             phi = phi + b.scale(rational(2)).scale(c / rational(2))
             want = want + fwd(b).scale(c)
         ones = [v for m in phi.blocks.values() for v in m.entries().values() if v == 1]
-        assert ones and all(v is not ONE for v in ones)
+        assert ones and all(v is not C1 for v in ones)
         img = fwd(phi)
         assert img == want and not img.is_zero()
         assert bwd(img) == phi

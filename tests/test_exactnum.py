@@ -237,7 +237,7 @@ def densify(v: dict, n: int) -> list:
 
 def echelon_solution(m: ExactMatrix, rhs: list) -> list:
     """Solve M x = rhs by adding rhs as one more column, after M's columns."""
-    echelon = Echelon()
+    echelon = Echelon(CYCLOTOMIC)
     for row, b in zip(sparse_rows(m), rhs):
         echelon.add({**row, m.cols: b})
     return densify(echelon.solution(m.cols), m.cols)
@@ -245,14 +245,14 @@ def echelon_solution(m: ExactMatrix, rhs: list) -> list:
 
 def echelon_inverse(m: ExactMatrix) -> ExactMatrix:
     inv = ExactMatrix.zeros(m.rows, m.rows)
-    for ij, x in invert(dict(enumerate(sparse_rows(m)))).items():
+    for ij, x in invert(dict(enumerate(sparse_rows(m))), CYCLOTOMIC).items():
         inv[ij] = x
     return inv
 
 
 class TestLinearSolve:
     def test_identity_rank(self):
-        assert rank([{i: rational(1)} for i in range(3)]) == 3
+        assert rank([{i: rational(1)} for i in range(3)], CYCLOTOMIC) == 3
 
     def test_constructor_copies_and_checks_the_grid(self):
         with pytest.raises(ValueError):
@@ -270,7 +270,7 @@ class TestLinearSolve:
     def test_golden_rank_one(self):
         phi = golden()
         rows = [{0: rational(1), 1: phi}, {0: phi, 1: phi + rational(1)}]
-        echelon = Echelon()
+        echelon = Echelon(CYCLOTOMIC)
         for row in rows:
             echelon.add(row)
         assert len(echelon.rows) == 1
@@ -294,7 +294,8 @@ class TestLinearSolve:
 
     def test_singular_inverse_raises(self):
         with pytest.raises(SingularMatrixError):
-            invert({0: {0: rational(1), 1: rational(1)}, 1: {0: rational(1), 1: rational(1)}})
+            invert({0: {0: rational(1), 1: rational(1)}, 1: {0: rational(1), 1: rational(1)}},
+                   CYCLOTOMIC)
 
     def test_rank_matches_float(self):
         rng = random.Random(5)
@@ -319,7 +320,7 @@ class TestLinearSolve:
                     row.append(acc)
                 data.append(row)
             m = ExactMatrix(rows, cols, data)
-            exact = rank(sparse_rows(m))
+            exact = rank(sparse_rows(m), CYCLOTOMIC)
             embedded = np.array([[embed(v) for v in row] for row in data])
             float_rank = np.linalg.matrix_rank(embedded, tol=1e-9)
             assert exact == float_rank
@@ -368,7 +369,7 @@ class TestEchelonAgainstDense:
         rng = random.Random(f"rank {order} {seed}")
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = planted_matrix(order, rows, cols, rng.randint(1, min(rows, cols)), rng)
-        echelon = Echelon()
+        echelon = Echelon(CYCLOTOMIC)
         for row in sparse_rows(m):
             echelon.add(row)
         embedded = np.array([[embed(v) for v in row] for row in m.data])
@@ -415,7 +416,7 @@ class TestEchelonAgainstDense:
     def test_add_leaves_its_input_unchanged(self):
         rows = [{0: rational(2), 1: zeta(5)}, {0: rational(4), 1: zeta(5) * 2, 2: rational(1)}]
         copies = [dict(row) for row in rows]
-        echelon = Echelon()
+        echelon = Echelon(CYCLOTOMIC)
         for row in rows:
             echelon.add(row)
         assert rows == copies
@@ -423,6 +424,31 @@ class TestEchelonAgainstDense:
 
 
 class TestFieldObject:
+    def test_zero_add_and_mul_are_the_operators(self):
+        x, y = zeta(5), zeta(5, 2) + rational(1, 3)
+        assert CYCLOTOMIC.zero is C0 and CYCLOTOMIC.one is C1
+        assert CYCLOTOMIC.add(x, y) == x + y and CYCLOTOMIC.add(CYCLOTOMIC.zero, x) == x
+        assert CYCLOTOMIC.mul(x, y) == x * y and CYCLOTOMIC.mul(CYCLOTOMIC.one, y) == y
+
+    @pytest.mark.parametrize("x", [rational(-2, 3), zeta(5) + rational(1, 3), zeta(16, 3)],
+                             ids=["rational", "zeta5", "zeta16"])
+    def test_inverse_and_is_zero(self, x):
+        assert CYCLOTOMIC.mul(CYCLOTOMIC.inverse(x), x) == C1
+        assert not CYCLOTOMIC.is_zero(x)
+        assert CYCLOTOMIC.is_zero(CYCLOTOMIC.add(x, -x))
+        assert CYCLOTOMIC.is_zero(C0) and CYCLOTOMIC.is_zero(Cyclotomic.zero(5))
+        with pytest.raises(DivisionByZeroError):
+            CYCLOTOMIC.inverse(Cyclotomic.zero(x.order))
+
+    def test_canonical_one_is_the_shared_one(self):
+        one = zeta(5, 5)
+        assert one == C1 and one is not C1
+        assert CYCLOTOMIC.canonical(one) is C1
+
+    @pytest.mark.parametrize("v", [rational(-1), rational(2), zeta(5)], ids=["-1", "2", "zeta5"])
+    def test_canonical_keeps_every_other_value(self, v):
+        assert CYCLOTOMIC.canonical(v) is v
+
     def test_axpy_by_one_adds_the_values_themselves(self):
         y = {0: zeta(5), 1: rational(3), 2: zeta(5, 2), 3: rational(3)}
         x = {1: rational(-3), 2: zeta(5)}

@@ -1,13 +1,20 @@
 import random
+import sys
 import zlib
 from itertools import product
 
 import pytest
 
 from genuscenter import catalog, center, trees as trees_module
-from genuscenter.center import adjunction_maps, center_rank, induced_half_braidings, tube_algebra
+from genuscenter.center import (
+    adjunction_maps,
+    carrier_basis,
+    center_rank,
+    induced_half_braidings,
+    tube_algebra,
+)
 from genuscenter.errors import GenusCenterError, IllFormedDiagramError
-from genuscenter.exactnum import C0, CYCLOTOMIC, CyclotomicField, rational, zeta
+from genuscenter.exactnum import C0, CYCLOTOMIC, Cyclotomic, CyclotomicField, rational, zeta
 from genuscenter.fusion import (
     CategorySpec,
     check_hexagon,
@@ -806,25 +813,63 @@ def test_a_row_that_cancels_is_dropped():
         assert got == full_word_apply(state, ops)
 
 
+FIELD_OPS = ("axpy", "mul", "add", "inverse", "is_zero")
+
+
 class CountingField(CyclotomicField):
-    """``CYCLOTOMIC`` that counts its ``axpy`` calls."""
+    """``CYCLOTOMIC`` that counts the calls of each of ``FIELD_OPS``."""
 
     def __init__(self):
-        self.calls = 0
+        self.calls = dict.fromkeys(FIELD_OPS, 0)
+        for name in FIELD_OPS:
+            setattr(self, name, self._counted(name, getattr(CYCLOTOMIC, name)))
 
-    def axpy(self, x, f, y):
-        self.calls += 1
-        CYCLOTOMIC.axpy(x, f, y)
+    def _counted(self, name, op):
+        def counted(*args):
+            self.calls[name] += 1
+            return op(*args)
+
+        return counted
 
 
-def test_rows_are_added_through_the_module_field(monkeypatch):
+def test_arithmetic_goes_through_the_spec_field():
     sigma = parse_cycles("(1 3)(2 4)")
     want = tube_algebra(fresh("fibonacci"), sigma)
-    field = CountingField()
-    monkeypatch.setattr(trees_module, "FIELD", field)
-    got = tube_algebra(fresh("fibonacci"), sigma)
-    assert field.calls > 0
+    spec, field = fresh("fibonacci"), CountingField()
+    vars(spec)["field"] = field
+    got = tube_algebra(spec, sigma)
+    assert all(field.calls.values()), field.calls
     assert (got.dim, got.mult, got.unit, got.gens) == (want.dim, want.mult, want.unit, want.gens)
+    # The field is the spec's own: another spec's tube makes no call of it.
+    calls = dict(field.calls)
+    tube_algebra(fresh("fibonacci"), sigma)
+    assert field.calls == calls
+
+
+def test_trees_applies_no_scalar_operator(monkeypatch):
+    # A field's operations are bound when exactnum loads, so a patched
+    # operator sees a caller in trees only where trees applies it directly.
+    direct = set()
+    for name in ("__add__", "__mul__", "__neg__", "inverse", "is_zero", "is_rational"):
+        def spy(*args, op=getattr(Cyclotomic, name), name=name):
+            if sys._getframe(1).f_code.co_filename == trees_module.__file__:
+                direct.add(name)
+            return op(*args)
+
+        monkeypatch.setattr(Cyclotomic, name, spy)
+    sigma = parse_cycles("(1 3)(2 4)")
+    for key in ("fibonacci", "ising", "rep_s3"):
+        spec = fresh(key)
+        tube_algebra(spec, sigma)
+        assert check_spherical_ribbon(spec).ok
+        # What ``adjoint check`` runs.
+        for x in spec.labels:
+            for y in spec.labels:
+                py = induced_half_braidings(spec, sigma, y)
+                fwd, bwd = adjunction_maps(spec, sigma, x, py)
+                for phi in carrier_basis(spec, ((x,),), py.words):
+                    assert bwd(fwd(phi)) == phi
+    assert not direct, sorted(direct)
 
 
 def fresh(key):
