@@ -17,7 +17,10 @@ gamma tables, each the identity carrier pushed through gamma_[m] once
 per entry: at position 1 for each label, read by the unit law, the
 invertibility rows (``_hb_rows``) and the hexagon's right side; and at
 position 2 for each pair of labels, from which the hexagon's left side
-and both sides of :comm start.
+and both sides of :comm start.  The checks at (a, b) read the position-2
+tables at (a, b) and (b, a) only, so those are built one unordered label
+pair at a time, on every orbit, and dropped after its checks: at most 2n
+are alive, not n L^2 for L labels.
 
 Leg plumbing has one mechanism.  The strands lie in layers, front to
 back the middle strand, then the legs of orbit 0, 1, ..., n - 1, and
@@ -62,7 +65,7 @@ and only the products by the elements of degree 1 are contracted.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 
 from .algebra import AlgebraData, decompose
 from .errors import GenusCenterError, IllFormedDiagramError
@@ -315,60 +318,63 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
     ``second[m, a, b]`` (at b on (a, b) + carrier) are the position-1 and
     position-2 tables of the module docstring.  An entry composed with a
     map B is exact: post-composing B with a word is (the word on the identity) o B.
+    ``second`` holds the tables at (a, b) and (b, a) of one unordered label
+    pair on every orbit, all that the checks there read: at most 2n alive.
+    Failures are sorted by their check's key: unit, invertibility by (m, z),
+    multiplicativity by (m, z1, z2), :comm by (i, j, z1, z2).
     """
-    bad: list[str] = []
     if len(pair.braidings) != sigma.n:
         return ValidationReport([f"expected {sigma.n} half-braidings"])
     if sigma.n == 0:
         return ValidationReport([])
+    bad: list = []  # (check key, message)
+    index = {z: k for k, z in enumerate(spec.labels)}
     gamma = {
         (m, z): _apply_gamma(_carrier_id_with(spec, pair, (z,)), pair, m, 1, z)
         for m in range(sigma.n) for z in spec.labels
-    }
-    second = {
-        (m, a, b): _apply_gamma(_carrier_id_with(spec, pair, (a, b)), pair, m, 2, b)
-        for m in range(sigma.n) for a in spec.labels for b in spec.labels
     }
     # At the unit, gamma is the identity with the unit strand moved to the end.
     moved = _carrier_id_with(spec, pair, (spec.unit,)).apply_all(
         (("unit_remove", 1), ("unit_insert", len(pair.words[0])))
     )
     if any(gamma[m, spec.unit] != moved for m in range(sigma.n)):
-        bad.append("gamma at the unit is not the identity")
+        bad.append(((0,), "gamma at the unit is not the identity"))
 
     for m in range(sigma.n):
         for z in spec.labels:
             for c, (nrows, ncols, rows) in _hb_rows(gamma[m, z]).items():
                 if nrows != ncols or rank(rows.values(), spec.field) != nrows:
-                    bad.append(f"gamma_[{m}] at {z} is not invertible (charge {c})")
+                    bad.append(((1, m, index[z]),
+                                f"gamma_[{m}] at {z} is not invertible (charge {c})"))
                     break
 
-    # Multiplicativity: gamma respects fusion of the argument.
-    for m in range(sigma.n):
-        for z1 in spec.labels:
-            for z2 in spec.labels:
-                # gamma at z2, then at z1, on the identity of (z1, z2) + carrier.
-                both = _apply_gamma(second[m, z1, z2], pair, m, 1, z1)
-                for w in spec.channels(z1, z2):
-                    for mu in range(spec.N(z1, z2, w)):
-                        if not _hexagon_ok(spec, pair, z1, z2, w, mu, both, gamma[m, w]):
-                            bad.append(
-                                f"gamma_[{m}] multiplicativity fails at "
-                                f"({z1},{z2};{w},{mu})"
-                            )
-    # Pairwise :comm relations.
     pairs = sigma.pairs()
-    for i in range(sigma.n):
-        for j in range(i + 1, sigma.n):
-            case = comm_case(pairs[i], pairs[j])
-            for z1 in spec.labels:
-                for z2 in spec.labels:
+    for a, b in combinations_with_replacement(spec.labels, 2):
+        args = ((a, b), (b, a)) if a != b else ((a, b),)
+        second = {
+            (m, z1, z2): _apply_gamma(_carrier_id_with(spec, pair, (z1, z2)), pair, m, 2, z2)
+            for m in range(sigma.n) for z1, z2 in args
+        }
+        # Multiplicativity: gamma respects fusion of the argument.
+        for m, z1, z2 in second:
+            # gamma at z2, then at z1, on the identity of (z1, z2) + carrier.
+            both = _apply_gamma(second[m, z1, z2], pair, m, 1, z1)
+            for w in spec.channels(z1, z2):
+                for mu in range(spec.N(z1, z2, w)):
+                    if not _hexagon_ok(spec, pair, z1, z2, w, mu, both, gamma[m, w]):
+                        bad.append(((2, m, index[z1], index[z2]),
+                                    f"gamma_[{m}] multiplicativity fails at ({z1},{z2};{w},{mu})"))
+        # Pairwise :comm relations.
+        for i in range(sigma.n):
+            for j in range(i + 1, sigma.n):
+                case = comm_case(pairs[i], pairs[j])
+                for z1, z2 in args:
                     if not _comm_ok(spec, pair, second, i, j, case, z1, z2):
-                        bad.append(
-                            f"comm case {case} fails for orbits ({i},{j}) at "
-                            f"({z1},{z2})"
-                        )
-    return ValidationReport(bad)
+                        bad.append(((3, i, j, index[z1], index[z2]),
+                                    f"comm case {case} fails for orbits ({i},{j}) at ({z1},{z2})"))
+        del second, both  # before the next pair's tables are built
+    bad.sort(key=lambda entry: entry[0])
+    return ValidationReport([message for _key, message in bad])
 
 
 def _carrier_id_with(spec, pair, prefix) -> CarrierMap:

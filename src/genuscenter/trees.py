@@ -57,9 +57,11 @@ the block layout is known here alone.
 Every table derived once per category (splitting vertices, tree lists, F
 and R blocks indexed by incoming slots, pivotal inverses, the window of
 each generator word, generator actions on windows, composed word maps,
-twists, induced pairs, tube bases and tube algebras) is memoized by
-``cached``, the one reader and writer of ``spec._cache``, so none of them
-outlives its spec.
+the tree registry, twists, induced pairs, tube bases and tube algebras)
+is memoized by ``cached``, the one reader and writer of ``spec._cache``,
+so none of them outlives its spec.  The tree registry interns the output
+trees of the word maps, so an equal tree in two maps is one object; trees
+are compared and hashed by value only, so this changes no result.
 
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
@@ -578,7 +580,7 @@ def _word_map(spec, root: str, word: Word, ops: tuple) -> dict[Tree, list]:
     The trees are those of ``word`` grown from ``root``.  ``_push`` moves
     their identity rows {t: {t: field.one}} through each generator's
     ``_local_moves`` on its own window (``_active_window``); the map is then
-    read off by columns.
+    read off by columns, each output tree stored as its ``_tree_registry`` object.
     """
     rows = {t: {t: spec.field.one} for ts in all_trees(spec, word, root).values() for t in ts}
     for op in ops:
@@ -587,11 +589,18 @@ def _word_map(spec, root: str, word: Word, ops: tuple) -> dict[Tree, list]:
         rows = _push(rows, s, k, lambda _, window: _local_moves(spec, window_word, window, local),
                      spec.field)
         word = _op_new_word(spec, word, op)
-    out: dict = {}
+    out, registry = {}, _tree_registry(spec)
     for t2, row in rows.items():
+        t2 = registry.setdefault(t2, t2)
         for t, v in row.items():
             out.setdefault(t, []).append((t2, spec.field.canonical(v)))
     return out
+
+
+@cached
+def _tree_registry(spec) -> dict[Tree, Tree]:
+    """One object for each distinct tree that a word map outputs, equal trees being one."""
+    return {}
 
 
 @cached

@@ -225,6 +225,49 @@ class TestInducedPairs:
         pair = perturbed(induced_half_braidings(spec, sig, lab), block, rational(s), m)
         assert verify_sigma_pair(spec, sig, pair).entries == want
 
+    def test_failures_found_pair_by_pair_are_reported_in_check_order(self):
+        # Twisted columns on both orbits fail checks that different label
+        # pairs find: (s, s) before (s, f), but the report lists orbit 0's
+        # multiplicativity first, then orbit 1's, then :comm.
+        spec = catalog.builtin("ising")
+        sig = parse_cycles("(1 3)(2 4)")
+        pair = induced_half_braidings(spec, sig, "s")
+        braidings = [dict(blocks) for blocks in pair.braidings]
+        for m, z, sign, summands in ((1, "s", 1, range(len(pair.words))),
+                                     (0, "f", -1, range(0, len(pair.words), 2))):
+            for si in summands:
+                braidings[m][z, si] = [(ti, center.GammaWord((("twist", 1, sign),) + col.ops))
+                                       for ti, col in braidings[m][z, si]]
+        report = verify_sigma_pair(spec, sig, SigmaPair(pair.words, pair.alphas, braidings))
+        assert report.entries == (
+            _mult(0, "s,s;f,0", "s,f;s,0", "f,s;s,0") + _mult(1, "s,s;1,0", "s,s;f,0")
+            + _comm(2, "f,s")
+        )
+
+    def test_at_most_2n_position_2_tables_are_alive(self, monkeypatch):
+        # The position-2 tables are built one unordered label pair at a time
+        # and dropped after its checks: 2n alive at most, of n L^2 built.
+        spec = catalog.builtin("rep_s3")
+        sig = parse_cycles("(1 3)(2 4)")
+        pair = induced_half_braidings(spec, sig, "1")
+        apply_gamma, count = center._apply_gamma, {"live": 0, "built": 0, "peak": 0}
+
+        def dropped():
+            count["live"] -= 1
+
+        def tracked(state, pair, m, pos, z):
+            out = apply_gamma(state, pair, m, pos, z)
+            if pos == 2:
+                count["live"] += 1
+                count["built"] += 1
+                count["peak"] = max(count["peak"], count["live"])
+                weakref.finalize(out, dropped)
+            return out
+
+        monkeypatch.setattr(center, "_apply_gamma", tracked)
+        assert verify_sigma_pair(spec, sig, pair).ok
+        assert count == {"live": 0, "built": sig.n * len(spec.labels) ** 2, "peak": 2 * sig.n}
+
     @pytest.mark.parametrize("edit", ("dropped", "doubled"))
     def test_unit_column_dropped_or_doubled_fails_the_unit_law(self, edit):
         # Each remaining column is the identity on its own, so only the sum

@@ -31,6 +31,7 @@ from genuscenter.trees import (
     _local_moves,
     _op_new_word,
     _pivotal_inverse,
+    _tree_registry,
     _vertices,
     _word_map,
     all_trees,
@@ -890,6 +891,7 @@ MEMOIZED = [
     (_active_window, (2, (("braid", 1, "under"), ("cap", 1, "t", True)))),
     (_local_moves, (("t", "t"), (("1", "t", "1"), (0, 0)), ("braid", 1, "over"))),
     (_word_map, ("1", ("t", "t"), (("braid", 1, "under"), ("cap", 1, "t", True)))),
+    (_tree_registry, ()),
     (loop_value, ("t", "left")),
     (theta, ("t",)),
     (CategorySpec.f_block, ("t", "t", "t", "t")),
@@ -926,6 +928,15 @@ class TestCached:
         s_matrix_and_transparency(spec)
         center_rank(spec, SIG12)
         assert {key[0] for key in spec._cache} == {fn.__name__ for fn, _ in MEMOIZED}
+
+    def test_word_maps_share_the_registry_trees(self):
+        spec = fresh("fibonacci")
+        tube_algebra(spec, parse_cycles("(1 3)(2 4)"))
+        registry = _tree_registry(spec)
+        maps = [out for key, out in spec._cache.items() if key[0] == "_word_map"]
+        outputs = [t2 for out in maps for targets in out.values() for t2, _ in targets]
+        assert maps and outputs and all(registry[t2] is t2 for t2 in outputs)
+        assert _tree_registry(fresh("fibonacci")) == {}
 
     @pytest.mark.parametrize("x", (["t"], "q", 3), ids=("list", "unknown-string", "int"))
     def test_induced_pair_of_a_non_object_raises(self, x):
