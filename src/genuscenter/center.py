@@ -12,15 +12,13 @@ strand by shifting the word's positions.  Every strand action here (a
 column, a braid word of the leg plumbing, a cup or cap, and a coupon,
 which ``Morphism.apply_coupon`` turns into a merge word and a split word
 per nonzero entry) goes through the cached composed word maps of
-``trees``, applied by ``Morphism.apply_all``.  Verification reads two
-gamma tables, each the identity carrier pushed through gamma_[m] once
-per entry: at position 1 for each label, read by the unit law, the
-invertibility rows (``_hb_rows``) and the hexagon's right side; and at
-position 2 for each pair of labels, from which the hexagon's left side
-and both sides of :comm start.  The checks at (a, b) read the position-2
-tables at (a, b) and (b, a) only, so those are built one unordered label
-pair at a time, on every orbit, and dropped after its checks: at most 2n
-are alive, not n L^2 for L labels.
+``trees``, applied by ``Morphism.apply_all``.  Verification keeps one
+gamma table, the identity carrier pushed through gamma_[m] at position 1
+for each label, read by the unit law, the invertibility rows
+(``_hb_rows``) and the hexagon's right side.  The hexagon's left side and
+both sides of :comm apply their gamma words, at position 2 and then at
+position 1, to their own start state, so a state at position 2 lives only
+until the next word is applied to it and no table at position 2 is kept.
 
 Leg plumbing has one mechanism.  The strands lie in layers, front to
 back the middle strand, then the legs of orbit 0, 1, ..., n - 1, and
@@ -65,7 +63,7 @@ and only the products by the elements of degree 1 are contracted.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import product as iproduct
 
 from .algebra import AlgebraData, decompose
 from .errors import GenusCenterError, IllFormedDiagramError
@@ -314,67 +312,56 @@ def _hb_rows(gamma: CarrierMap) -> dict:
 def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
     """Invertibility, unit law, multiplicativity, and :comm, all exact.
 
-    ``gamma[m, z]`` (gamma_[m] at z on the identity of (z,) + carrier) and
-    ``second[m, a, b]`` (at b on (a, b) + carrier) are the position-1 and
-    position-2 tables of the module docstring.  An entry composed with a
-    map B is exact: post-composing B with a word is (the word on the identity) o B.
-    ``second`` holds the tables at (a, b) and (b, a) of one unordered label
-    pair on every orbit, all that the checks there read: at most 2n alive.
-    Failures are sorted by their check's key: unit, invertibility by (m, z),
-    multiplicativity by (m, z1, z2), :comm by (i, j, z1, z2).
+    ``gamma[m, z]`` (gamma_[m] at z on the identity of (z,) + carrier) is
+    the position-1 table.  The other checks apply their gamma words to
+    their own start state, a split or a swap on an identity carrier: as
+    post-composing B with a word is (the word on the identity) o B, no
+    table at position 2 is needed.  Failures come out in loop order: unit,
+    invertibility by (m, z), multiplicativity by (m, z1, z2, w, mu), then
+    :comm by (i, j, z1, z2).
     """
     if len(pair.braidings) != sigma.n:
         return ValidationReport([f"expected {sigma.n} half-braidings"])
-    if sigma.n == 0:
-        return ValidationReport([])
-    bad: list = []  # (check key, message)
-    index = {z: k for k, z in enumerate(spec.labels)}
+    bad: list = []
+    ident = {z: _carrier_id_with(spec, pair, (z,)) for z in spec.labels}
     gamma = {
-        (m, z): _apply_gamma(_carrier_id_with(spec, pair, (z,)), pair, m, 1, z)
+        (m, z): _apply_gamma(ident[z], pair, m, 1, z)
         for m in range(sigma.n) for z in spec.labels
     }
     # At the unit, gamma is the identity with the unit strand moved to the end.
-    moved = _carrier_id_with(spec, pair, (spec.unit,)).apply_all(
-        (("unit_remove", 1), ("unit_insert", len(pair.words[0])))
-    )
+    wlen = len(pair.words[0])
+    moved = ident[spec.unit].apply_all((("unit_remove", 1), ("unit_insert", wlen)))
     if any(gamma[m, spec.unit] != moved for m in range(sigma.n)):
-        bad.append(((0,), "gamma at the unit is not the identity"))
+        bad.append("gamma at the unit is not the identity")
 
     for m in range(sigma.n):
         for z in spec.labels:
             for c, (nrows, ncols, rows) in _hb_rows(gamma[m, z]).items():
                 if nrows != ncols or rank(rows.values(), spec.field) != nrows:
-                    bad.append(((1, m, index[z]),
-                                f"gamma_[{m}] at {z} is not invertible (charge {c})"))
+                    bad.append(f"gamma_[{m}] at {z} is not invertible (charge {c})")
                     break
 
-    pairs = sigma.pairs()
-    for a, b in combinations_with_replacement(spec.labels, 2):
-        args = ((a, b), (b, a)) if a != b else ((a, b),)
-        second = {
-            (m, z1, z2): _apply_gamma(_carrier_id_with(spec, pair, (z1, z2)), pair, m, 2, z2)
-            for m in range(sigma.n) for z1, z2 in args
-        }
-        # Multiplicativity: gamma respects fusion of the argument.
-        for m, z1, z2 in second:
-            # gamma at z2, then at z1, on the identity of (z1, z2) + carrier.
-            both = _apply_gamma(second[m, z1, z2], pair, m, 1, z1)
+    # Multiplicativity: split w into (z1, z2), then gamma at z2 and at z1,
+    # against gamma at w, then split the trailing strand.
+    for m in range(sigma.n):
+        for z1, z2 in iproduct(spec.labels, repeat=2):
             for w in spec.channels(z1, z2):
                 for mu in range(spec.N(z1, z2, w)):
-                    if not _hexagon_ok(spec, pair, z1, z2, w, mu, both, gamma[m, w]):
-                        bad.append(((2, m, index[z1], index[z2]),
-                                    f"gamma_[{m}] multiplicativity fails at ({z1},{z2};{w},{mu})"))
-        # Pairwise :comm relations.
-        for i in range(sigma.n):
-            for j in range(i + 1, sigma.n):
-                case = comm_case(pairs[i], pairs[j])
-                for z1, z2 in args:
-                    if not _comm_ok(spec, pair, second, i, j, case, z1, z2):
-                        bad.append(((3, i, j, index[z1], index[z2]),
-                                    f"comm case {case} fails for orbits ({i},{j}) at ({z1},{z2})"))
-        del second, both  # before the next pair's tables are built
-    bad.sort(key=lambda entry: entry[0])
-    return ValidationReport([message for _key, message in bad])
+                    split = ident[w].apply_all((("split", 1, z1, z2, mu),))
+                    lhs = _apply_gamma(_apply_gamma(split, pair, m, 2, z2), pair, m, 1, z1)
+                    rhs = gamma[m, w].apply_all((("split", wlen + 1, z1, z2, mu),))
+                    if lhs != rhs:
+                        bad.append(f"gamma_[{m}] multiplicativity fails at ({z1},{z2};{w},{mu})")
+
+    # Pairwise :comm relations.
+    pairs = sigma.pairs()
+    for i in range(sigma.n):
+        for j in range(i + 1, sigma.n):
+            case = comm_case(pairs[i], pairs[j])
+            for z1, z2 in iproduct(spec.labels, repeat=2):
+                if not _comm_ok(spec, pair, i, j, case, z1, z2):
+                    bad.append(f"comm case {case} fails for orbits ({i},{j}) at ({z1},{z2})")
+    return ValidationReport(bad)
 
 
 def _carrier_id_with(spec, pair, prefix) -> CarrierMap:
@@ -382,16 +369,7 @@ def _carrier_id_with(spec, pair, prefix) -> CarrierMap:
     return CarrierMap.identity(spec, words)
 
 
-def _hexagon_ok(spec, pair, z1, z2, w, mu, both: CarrierMap, gamma_w: CarrierMap) -> bool:
-    # LHS: split w -> (z1, z2), then gamma at z2, then gamma at z1 (``both``).
-    lhs = both.compose(_carrier_id_with(spec, pair, (w,)).apply_all((("split", 1, z1, z2, mu),)))
-    # RHS: gamma_w (gamma at w on the identity carrier), then split the
-    # trailing strand.
-    rhs = gamma_w.apply_all((("split", len(pair.words[0]) + 1, z1, z2, mu),))
-    return lhs == rhs
-
-
-def _comm_ok(spec, pair, second, i, j, case, z1, z2) -> bool:
+def _comm_ok(spec, pair, i, j, case, z1, z2) -> bool:
     wlen = len(pair.words[0])
 
     def braid_back(st, pos):
@@ -403,12 +381,13 @@ def _comm_ok(spec, pair, second, i, j, case, z1, z2) -> bool:
             st = st.apply_all(word)
         return st
 
+    start = _carrier_id_with(spec, pair, (z2, z1))
     # LHS: gamma_i at z1 at position 2, then gamma_j at z2 at position 1.
-    lhs = _apply_gamma(braid_back(second[i, z2, z1], 2), pair, j, 1, z2)
+    lhs = _apply_gamma(braid_back(_apply_gamma(start, pair, i, 2, z1), 2), pair, j, 1, z2)
     # RHS: swap (z2, z1), gamma_j at z2 at position 2, gamma_i at z1 at
     # position 1, then swap z1 and z2 back.
-    swap = _carrier_id_with(spec, pair, (z2, z1)).apply_all((("braid", 1, "under"),))
-    rhs = braid_back(_apply_gamma(second[j, z1, z2].compose(swap), pair, i, 1, z1), 1)
+    swap = start.apply_all((("braid", 1, "under"),))
+    rhs = braid_back(_apply_gamma(_apply_gamma(swap, pair, j, 2, z2), pair, i, 1, z1), 1)
     rhs = rhs.apply_all((("braid", wlen + 1, "under" if case == 2 else "over"),))
     return lhs == rhs
 

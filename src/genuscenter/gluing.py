@@ -156,9 +156,10 @@ def surface_type(sigma: Gluing) -> SurfaceType:
     """Classify the glued surface via its one-cell CW structure.
 
     The 4n-gon reads L1 G1 L2 G2 ... L2n G2n around the boundary; leg-side
-    Li is identified with L_sigma(i) reversed.  Punctures are traced along
-    gap-sides; the Euler characteristic comes from corner-orbit counting.
-    The two computations are cross-checked against chi = 2 - 2g - k.
+    Li is identified with L_sigma(i) reversed.  Punctures k are traced
+    along gap-sides, and the Euler characteristic is 1 - n.  The genus
+    follows from chi = 2 - 2g - k, so 1 + n - k must be even and
+    non-negative.
     """
     n = sigma.n
     if n == 0:
@@ -179,30 +180,10 @@ def surface_type(sigma: Gluing) -> SurfaceType:
             seen.add(cur)
             cur = next_gap(cur)
 
-    # Corners: 4n of them, c(2i-1) before leg i, c(2i) after leg i (both
-    # endpoints of leg-side i).  Gluing Li to Lj reversed identifies
-    # head(Li) ~ tail(Lj) and tail(Li) ~ head(Lj).
-    parent = list(range(4 * n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for i in range(1, 2 * n + 1):
-        j = sigma(i)
-        tail_i, head_i = 2 * (i - 1), 2 * (i - 1) + 1
-        tail_j, head_j = 2 * (j - 1), 2 * (j - 1) + 1
-        union(head_i, tail_j)
-        union(tail_i, head_j)
-    vertices = len({find(x) for x in range(4 * n)})
-
-    # One face, 2n gap-edges plus n glued leg-edges.
-    chi = vertices - 3 * n + 1
+    # Each orbit (i, sigma(i)) joins its four corners into two vertices and
+    # no two orbits share a corner, so V = 2n: with one face, 2n gap-edges
+    # and n glued leg-edges, chi = 2n - 3n + 1 (n bands on a disk).
+    chi = 1 - n
     genus2 = 2 - punctures - chi
     if genus2 < 0 or genus2 % 2:
         raise InternalInconsistencyError(

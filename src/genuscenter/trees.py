@@ -72,7 +72,7 @@ evaluate to the quantum dimensions.
 
 from __future__ import annotations
 
-from functools import partial, wraps
+from functools import wraps
 
 from .errors import IllFormedDiagramError, InternalInconsistencyError
 
@@ -82,14 +82,13 @@ Tree = tuple[tuple[str, ...], tuple[int, ...]]
 _MISSING = object()
 
 
-def cached(fn, name: str = ""):
-    """Memoize ``fn(spec, *args)`` in ``spec._cache`` under ``(name, *args)``.
+def cached(fn):
+    """Memoize ``fn(spec, *args)`` in ``spec._cache`` under ``(fn.__name__, *args)``.
 
-    The name defaults to ``fn.__name__``.  Arguments after the spec are
-    positional and hashable.  A table computed once stays valid because a
-    spec's F, R and pivotal data never change.
+    Arguments after the spec are positional and hashable.  A table computed
+    once stays valid because a spec's F, R and pivotal data never change.
     """
-    name = name or fn.__name__
+    name = fn.__name__
 
     @wraps(fn)
     def memo(spec, *args):
@@ -125,7 +124,7 @@ def all_trees(spec, word: Word, root: str | None = None) -> dict[str, list[Tree]
     return _grown_trees(spec, word, root)
 
 
-@partial(cached, name="all_trees")
+@cached
 def _grown_trees(spec, word: Word, root: str | None = None) -> dict[str, list[Tree]]:
     vertices = _vertices(spec)
     grown = [((spec.unit if root is None else root,), ())]

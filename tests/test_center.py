@@ -41,6 +41,17 @@ class ScaledColumn(center.GammaWord):
         return super().apply_at(mor, pos, then).scale(self.factor)
 
 
+def twisted(pair, edits):
+    """A copy of ``pair`` with ``("twist", 1, sign)`` prepended to the columns of
+    gamma_[m] at z on the given source summands, for each (m, z, sign, summands)."""
+    braidings = [dict(blocks) for blocks in pair.braidings]
+    for m, z, sign, summands in edits:
+        for si in summands:
+            braidings[m][z, si] = [(ti, center.GammaWord((("twist", 1, sign),) + col.ops))
+                                   for ti, col in braidings[m][z, si]]
+    return SigmaPair(pair.words, pair.alphas, braidings)
+
+
 def perturbed(pair, key, s, m=0):
     """A copy of ``pair`` whose half-braiding of orbit m has its block ``key`` scaled by s."""
     braidings = list(pair.braidings)
@@ -150,8 +161,8 @@ def _mult(m, *cases):
     return [f"gamma_[{m}] multiplicativity fails at ({c})" for c in cases]
 
 
-def _comm(case, *args):
-    return [f"comm case {case} fails for orbits (0,1) at ({a})" for a in args]
+def _comm(case, *args, orbits="0,1"):
+    return [f"comm case {case} fails for orbits ({orbits}) at ({a})" for a in args]
 
 
 # verify_sigma_pair(...).entries of perturbed induced pairs: (catalog, sigma,
@@ -226,30 +237,40 @@ class TestInducedPairs:
         assert verify_sigma_pair(spec, sig, pair).entries == want
 
     def test_failures_found_pair_by_pair_are_reported_in_check_order(self):
-        # Twisted columns on both orbits fail checks that different label
-        # pairs find: (s, s) before (s, f), but the report lists orbit 0's
-        # multiplicativity first, then orbit 1's, then :comm.
+        # Twisted columns on both orbits fail multiplicativity at (s, s) and
+        # at (s, f) on both orbits, and :comm at (f, s); the report lists
+        # orbit 0's multiplicativity first, then orbit 1's, then :comm.
         spec = catalog.builtin("ising")
         sig = parse_cycles("(1 3)(2 4)")
         pair = induced_half_braidings(spec, sig, "s")
-        braidings = [dict(blocks) for blocks in pair.braidings]
-        for m, z, sign, summands in ((1, "s", 1, range(len(pair.words))),
-                                     (0, "f", -1, range(0, len(pair.words), 2))):
-            for si in summands:
-                braidings[m][z, si] = [(ti, center.GammaWord((("twist", 1, sign),) + col.ops))
-                                       for ti, col in braidings[m][z, si]]
-        report = verify_sigma_pair(spec, sig, SigmaPair(pair.words, pair.alphas, braidings))
+        edits = ((1, "s", 1, range(len(pair.words))), (0, "f", -1, range(0, len(pair.words), 2)))
+        report = verify_sigma_pair(spec, sig, twisted(pair, edits))
         assert report.entries == (
             _mult(0, "s,s;f,0", "s,f;s,0", "f,s;s,0") + _mult(1, "s,s;1,0", "s,s;f,0")
             + _comm(2, "f,s")
         )
 
-    def test_at_most_2n_position_2_tables_are_alive(self, monkeypatch):
-        # The position-2 tables are built one unordered label pair at a time
-        # and dropped after its checks: 2n alive at most, of n L^2 built.
-        spec = catalog.builtin("rep_s3")
-        sig = parse_cycles("(1 3)(2 4)")
+    def test_failures_on_three_orbits_are_reported_in_check_order(self):
+        # Failures on two orbits and on all three orbit pairs come out in the
+        # order of the loops over (m, z1, z2, w, mu), then (i, j, z1, z2):
+        # orbits (0,1) at (1,2) before orbits (0,2) at (1,1).
+        spec = catalog.builtin("vec_z3_q")
+        sig = parse_cycles("(1 3)(2 4)(5 6)")
         pair = induced_half_braidings(spec, sig, "1")
+        edits = ((0, "1", 1, range(0, len(pair.words), 2)),
+                 (1, "2", -1, range(0, len(pair.words), 3)))
+        report = verify_sigma_pair(spec, sig, twisted(pair, edits))
+        mult = ("1,1;2,0", "1,2;0,0", "2,1;0,0", "2,2;1,0")
+        assert report.entries == (
+            _mult(0, *mult) + _mult(1, *mult) + _comm(2, "1,1", "1,2")
+            + _comm(1, "1,1", "1,2", orbits="0,2") + _comm(1, "2,1", "2,2", orbits="1,2")
+        )
+
+    def test_at_most_2n_position_2_tables_are_alive(self, monkeypatch):
+        # Each check applies its gamma words to its own start state, so a
+        # state at position 2 is dropped once gamma at position 1 is applied
+        # to it: at most 2 alive for any n.  Built: n sum_{z1,z2,w} N_{z1z2}^w
+        # for multiplicativity and 2 C(n,2) L^2 for :comm, for L labels.
         apply_gamma, count = center._apply_gamma, {"live": 0, "built": 0, "peak": 0}
 
         def dropped():
@@ -265,8 +286,13 @@ class TestInducedPairs:
             return out
 
         monkeypatch.setattr(center, "_apply_gamma", tracked)
-        assert verify_sigma_pair(spec, sig, pair).ok
-        assert count == {"live": 0, "built": sig.n * len(spec.labels) ** 2, "peak": 2 * sig.n}
+        for key, cycles, built in (("rep_s3", "(1 3)(2 4)", 40), ("rep_z2", "(1 3)(2 4)(5 6)", 36),
+                                   ("vec_z3_q", "(1 3)(2 4)(5 6)", 81)):
+            spec, sig = catalog.builtin(key), parse_cycles(cycles)
+            count.update(built=0, peak=0)
+            assert verify_sigma_pair(spec, sig, induced_half_braidings(spec, sig, "1")).ok
+            assert count["live"] == 0 and count["built"] == built, key
+            assert count["peak"] <= 2, key
 
     @pytest.mark.parametrize("edit", ("dropped", "doubled"))
     def test_unit_column_dropped_or_doubled_fails_the_unit_law(self, edit):

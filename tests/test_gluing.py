@@ -150,8 +150,8 @@ class TestSurfaceType:
 
     def test_inconsistent_classification_raises_a_package_error(self):
         # sigma(i) = i is no gluing; it slips past the parser as a stub and
-        # walks to k = 1, V = 2, chi = 0, so 2g = 1: the parity check fires
-        # as a GenusCenterError, not as an AssertionError.
+        # walks to k = 1, with chi = 1 - n = 0, so 2g = 1: the parity check
+        # fires as a GenusCenterError, not as an AssertionError.
         class Identity:
             n = 1
 
@@ -166,6 +166,7 @@ class TestSurfaceType:
             for sig in enumerate_adm(n):
                 st = surface_type(sig)
                 assert st.euler == 2 - 2 * st.genus - st.punctures
+                assert st.euler == 1 - sig.n
                 assert st.genus >= 0 and st.punctures >= 1
 
 

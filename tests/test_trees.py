@@ -28,6 +28,7 @@ from genuscenter.trees import (
     _active_window,
     _apply_tree,
     _f_moves,
+    _grown_trees,
     _local_moves,
     _op_new_word,
     _pivotal_inverse,
@@ -883,8 +884,8 @@ SIG12 = parse_cycles("(1 2)")
 # Every table memoized by ``trees.cached``, with arguments valid for fibonacci.
 MEMOIZED = [
     (_vertices, ()),
-    (all_trees, (("t", "t", "t"),)),
-    (all_trees, (("t", "t"), "t")),
+    (_grown_trees, (("t", "t", "t"),)),
+    (_grown_trees, (("t", "t"), "t")),
     (ev_coeff, ("t",)),
     (_f_moves, ("t", "t", "t", "t", False)),
     (_pivotal_inverse, ("t",)),
@@ -910,7 +911,7 @@ class TestCached:
         "fn,args",
         MEMOIZED,
         ids=[
-            fn.__name__ + ("-rooted" if fn is all_trees and len(args) > 1 else "")
+            fn.__name__ + ("-rooted" if fn is _grown_trees and len(args) > 1 else "")
             for fn, args in MEMOIZED
         ],
     )
