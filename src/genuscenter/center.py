@@ -156,6 +156,7 @@ def _induced_gamma_column(spec, sigma, alpha, middle, m, z):
 
 def induced_half_braidings(spec, sigma: Gluing, lab) -> SigmaPair:
     """The induced sigma-pair I(lab) of a simple label, with explicit half-braiding blocks."""
+    spec.require_braiding()
     if lab not in spec.labels:
         raise GenusCenterError(f"unknown label {lab!r}")
     return _induced(spec, sigma, lab)

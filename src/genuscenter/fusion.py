@@ -51,13 +51,13 @@ class CategorySpec:
     engine combines them through ``field``, a class attribute a spec mod p will override.
 
     Frozen: ``_cache`` holds what is derived from F, R and the pivotal data
-    (splitting vertices, tree lists, F and R blocks, F blocks by incoming
-    slots, cap coefficients, pivotal inverses, the window of each generator
-    word, each generator's action on each window of a tree it meets, one
-    composed map per generator word and window word, loop values, twists,
-    quantum dimensions, the S matrix, induced pairs, tube bases and tube
-    algebras), so those fields never change after construction.  It is
-    filled only through ``trees.cached``, and each spec starts with its own.
+    (splitting vertices, tree lists, F blocks, R inverses, F and F^-1 by
+    incoming slots, cap coefficients, pivotal inverses, the window of each
+    generator word, each generator's action on each window of a tree it
+    meets, one composed map per generator word and window word, the tree
+    registry, loop values, quantum dimensions and twists, the S matrix,
+    induced pairs, tube bases and tube algebras), so those fields never
+    change after construction; only ``trees.cached`` fills it, and each spec has its own.
     """
 
     field = CYCLOTOMIC
@@ -161,7 +161,6 @@ class CategorySpec:
                 block = {}
         return rows, cols, block
 
-    @cached
     def f_inverse(self, a, b, c, d):
         """Inverse block as {(col_key, row_key): Cyclotomic}."""
         rows, cols, block = self.f_block(a, b, c, d)
@@ -299,12 +298,15 @@ def validate_structure(spec: CategorySpec) -> ValidationReport:
             bad.append(f"R entry ({a},{b};{c}) has a multiplicity index out of range")
 
     if not bad:
-        # F-block invertibility (needs square blocks, hence gated on the above).
+        # Invertible F blocks (square, by the checks above), and R at every admissible channel.
         try:
             for a, b, c, d in product(spec.labels, repeat=4):
                 rows, _cols, block = spec.f_block(a, b, c, d)
                 if rank(rows_of(block, rows).values(), spec.field) != len(rows):
                     bad.append(f"F block ({a},{b},{c};{d}) is singular")
+            if spec.R is not None:
+                for a, b, c in product(spec.labels, repeat=3):
+                    spec.r_block(a, b, c)
         except IncompleteDataError as exc:
             bad.append(str(exc))
     return ValidationReport(bad)
@@ -410,17 +412,18 @@ def quantum_dims(spec: CategorySpec):
 
 
 def check_spherical_ribbon(spec: CategorySpec) -> ValidationReport:
-    """dim(a) = dim(a*) in both trace orders; theta(a) = theta(a*)."""
+    """dim(a) = dim(a*) in both trace orders, nonzero, and a fusion character:
+    dim(a) dim(b) = sum_c N_ab^c dim(c); theta(a) = theta(a*)."""
     bad: list[str] = []
     omega, twists = quantum_dims(spec)
+    dim = omega.weights
     for a in spec.labels:
-        right = omega.weights[a]
         left = loop_value(spec, a, "left")
-        if right != left:
+        if dim[a] != left:
             bad.append(f"left and right traces differ on {a!r}")
-        if right != omega.weights[spec.dual[a]]:
+        if dim[a] != dim[spec.dual[a]]:
             bad.append(f"dim({a}) != dim(dual {a})")
-        if right.is_zero():
+        if dim[a].is_zero():
             bad.append(f"dim({a}) is zero")
     if spec.R is not None:
         for a in spec.labels:
@@ -428,8 +431,11 @@ def check_spherical_ribbon(spec: CategorySpec) -> ValidationReport:
                 bad.append(f"twist({a}) != twist(dual {a})")
         if twists[spec.unit] != spec.field.one:
             bad.append("twist of the unit is not 1")
-    if omega.weights[spec.unit] != spec.field.one:
+    if dim[spec.unit] != spec.field.one:
         bad.append("dim of the unit is not 1")
+    for a, b in product(spec.labels, repeat=2):
+        if dim[a] * dim[b] != sum((spec.N(a, b, c) * dim[c] for c in spec.labels), C0):
+            bad.append(f"dim({a}) dim({b}) != sum of N({a},{b};c) dim(c)")
     return ValidationReport(bad)
 
 

@@ -4,12 +4,12 @@ Morphisms between tensor words of simple labels are stored blockwise:
 for each simple charge c, the post-composition action Hom(c, source) ->
 Hom(c, target) on left-nested splitting trees, as sparse rows {target
 tree: {source tree index: value}}.  No zero value, empty row or empty
-block is stored.  Every diagram generator (braid, twist, cup, cap, split,
-merge, bend, coupon) is a local rewrite of those trees whose coefficients
-come from F, R, and the pivotal data.  A bend ("bend", q, a, b, z, mu)
-turns strand dual(a) at q into (dual(b), z): ``_apply_tree`` composes a
-primed cup, a split and a primed cap on its window, so no word map is
-built over the two strands that the cup adds and the cap removes.
+block is stored.  Every diagram generator (braid, merge, split, bend, cup,
+cap, unit_insert, unit_remove, coupon) is a local rewrite of those trees
+whose coefficients come from F, R, and the pivotal data.  A bend ("bend",
+q, a, b, z, mu) turns strand dual(a) at q into (dual(b), z): ``_apply_tree``
+composes a primed cup, a split and a primed cap on its window, so no word
+map is built over the two strands that the cup adds and the cap removes.
 
 Tree encoding for a word (w_1, ..., w_m) grown from a root charge:
 ``(es, mus)`` where ``es[0]`` is the root, ``es[k]`` is the charge after
@@ -55,9 +55,9 @@ A Hom space has the coordinates (charge, target tree, source tree) that
 the block layout is known here alone.
 
 Every table derived once per category (splitting vertices, tree lists, F
-and R blocks indexed by incoming slots, pivotal inverses, the window of
+and F^-1 blocks indexed by incoming slots, pivotal inverses, the window of
 each generator word, generator actions on windows, composed word maps,
-the tree registry, twists, induced pairs, tube bases and tube algebras)
+the tree registry, loop values, induced pairs, tube bases and tube algebras)
 is memoized by ``cached``, the one reader and writer of ``spec._cache``,
 so none of them outlives its spec.  The tree registry interns the output
 trees of the word maps, so an equal tree in two maps is one object; trees
@@ -219,8 +219,6 @@ def _op_new_word(spec, word: Word, op) -> Word:
     if kind == "braid":
         _, i, _ = op
         return word[: i - 1] + (word[i], word[i - 1]) + word[i + 1 :]
-    if kind == "twist":
-        return word
     if kind == "merge":
         _, i, c, _ = op
         return word[: i - 1] + (c,) + word[i + 1 :]
@@ -263,11 +261,6 @@ def _apply_tree(spec, word: Word, tree: Tree, op):
     """
     kind, field, mul = op[0], spec.field, spec.field.mul
     es, mus = tree
-
-    if kind == "twist":
-        _, i, sign = op
-        th = theta(spec, word[i - 1])
-        return [(tree, th if sign > 0 else field.inverse(th))]
 
     if kind == "braid":
         _, i, direction = op
@@ -618,9 +611,9 @@ def _active_window(spec, n: int, ops: tuple) -> tuple[int, int]:
         # The last strand touched before and after the op; their difference
         # is the change in the word's length.
         before, after = {
-            "braid": (p + 1, p + 1), "twist": (p, p), "merge": (p + 1, p),
-            "split": (p, p + 1), "bend": (p, p + 1), "cup": (p, p + 2),
-            "cap": (p + 1, p - 1), "unit_insert": (p, p + 1), "unit_remove": (p, p - 1),
+            "braid": (p + 1, p + 1), "merge": (p + 1, p), "split": (p, p + 1),
+            "bend": (p, p + 1), "cup": (p, p + 2), "cap": (p + 1, p - 1),
+            "unit_insert": (p, p + 1), "unit_remove": (p, p - 1),
         }[kind]
         tail = min(tail, length - before)
         length += after - before
@@ -662,7 +655,6 @@ def loop_value(spec, a: str, side: str):
     return right_trace(spec, h) if side == "right" else left_trace(spec, h)
 
 
-@cached
 def theta(spec, a: str):
     """Twist scalar from the right-closed positive curl."""
     state = Morphism.identity(spec, (a,)).apply_all(

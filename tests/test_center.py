@@ -20,6 +20,7 @@ from genuscenter.center import (
     verify_sigma_pair,
 )
 from genuscenter.exactnum import C1, Cyclotomic, rational, zeta
+from genuscenter.fusion import quantum_dims
 from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles, surface_type
 from genuscenter.trees import Morphism, hom_dim
 from exact_oracle import _create, flatten_carrier_map, hom_Z_dim, product, project_morphisms
@@ -41,13 +42,16 @@ class ScaledColumn(center.GammaWord):
         return super().apply_at(mor, pos, then).scale(self.factor)
 
 
-def twisted(pair, edits):
-    """A copy of ``pair`` with ``("twist", 1, sign)`` prepended to the columns of
-    gamma_[m] at z on the given source summands, for each (m, z, sign, summands)."""
+def twisted(spec, pair, edits):
+    """A copy of ``pair`` whose columns of gamma_[m] at z on the given source
+    summands first twist the argument z: they are scaled by theta_z ** sign,
+    for each (m, z, sign, summands)."""
+    _, twists = quantum_dims(spec)
     braidings = [dict(blocks) for blocks in pair.braidings]
     for m, z, sign, summands in edits:
+        factor = twists[z] if sign > 0 else twists[z].inverse()
         for si in summands:
-            braidings[m][z, si] = [(ti, center.GammaWord((("twist", 1, sign),) + col.ops))
+            braidings[m][z, si] = [(ti, ScaledColumn(col.ops, factor))
                                    for ti, col in braidings[m][z, si]]
     return SigmaPair(pair.words, pair.alphas, braidings)
 
@@ -203,6 +207,13 @@ class TestInducedPairs:
         pair = induced_half_braidings(spec, sig, "1")
         assert verify_sigma_pair(spec, sig, pair).ok
 
+    def test_a_pair_with_the_wrong_number_of_half_braidings_is_refused(self):
+        # An n = 1 pair checked at an n = 2 gluing: one half-braiding for two orbits.
+        spec = catalog.builtin("fibonacci")
+        pair = induced_half_braidings(spec, sig12(), "t")
+        report = verify_sigma_pair(spec, parse_cycles("(1 3)(2 4)"), pair)
+        assert report.entries == ["expected 2 half-braidings"]
+
     def test_single_orbit_has_no_comm_constraints(self):
         spec = catalog.builtin("semion")
         pair = induced_half_braidings(spec, sig12(), "1")
@@ -244,7 +255,7 @@ class TestInducedPairs:
         sig = parse_cycles("(1 3)(2 4)")
         pair = induced_half_braidings(spec, sig, "s")
         edits = ((1, "s", 1, range(len(pair.words))), (0, "f", -1, range(0, len(pair.words), 2)))
-        report = verify_sigma_pair(spec, sig, twisted(pair, edits))
+        report = verify_sigma_pair(spec, sig, twisted(spec, pair, edits))
         assert report.entries == (
             _mult(0, "s,s;f,0", "s,f;s,0", "f,s;s,0") + _mult(1, "s,s;1,0", "s,s;f,0")
             + _comm(2, "f,s")
@@ -259,7 +270,7 @@ class TestInducedPairs:
         pair = induced_half_braidings(spec, sig, "1")
         edits = ((0, "1", 1, range(0, len(pair.words), 2)),
                  (1, "2", -1, range(0, len(pair.words), 3)))
-        report = verify_sigma_pair(spec, sig, twisted(pair, edits))
+        report = verify_sigma_pair(spec, sig, twisted(spec, pair, edits))
         mult = ("1,1;2,0", "1,2;0,0", "2,1;0,0", "2,2;1,0")
         assert report.entries == (
             _mult(0, *mult) + _mult(1, *mult) + _comm(2, "1,1", "1,2")
@@ -548,6 +559,19 @@ class TestAdjunction:
         img = fwd(phi)
         assert img == want and not img.is_zero()
         assert bwd(img) == phi
+
+    def test_a_map_of_the_wrong_shape_is_refused(self):
+        spec = catalog.builtin("fibonacci")
+        sig = sig12()
+        py = induced_half_braidings(spec, sig, "t")
+        fwd, bwd = adjunction_maps(spec, sig, "t", py)
+        # Each direction is given a map from the other's source.
+        phi = carrier_basis(spec, (("t",),), py.words)[0]
+        psi = fwd(phi)
+        with pytest.raises(GenusCenterError, match="forward map input has wrong shape"):
+            fwd(psi)
+        with pytest.raises(GenusCenterError, match="backward map input has wrong shape"):
+            bwd(phi)
 
     def test_maps_follow_the_half_braidings_of_the_pair(self):
         # Two pairs on the same carrier words but different half-braidings

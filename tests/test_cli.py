@@ -25,6 +25,14 @@ class TestGluingCommands:
         assert code == 0
         assert "genus: 1" in out and "punctures: 1" in out
 
+    @pytest.mark.parametrize("sigma", ("()", ""))
+    def test_classify_the_disk(self, capsys, sigma):
+        # n = 0: no orbit, one puncture, and Euler characteristic 1 - n = 1.
+        code, out = run(capsys, "gluing", "classify", "--sigma", sigma, "--json")
+        assert code == 0
+        assert json.loads(out) == {"sigma": "()", "orbits": [], "comm_cases": [],
+                                   "surface": {"genus": 0, "punctures": 1, "euler": 1}}
+
     def test_enum_counts(self, capsys):
         code, out = run(capsys, "gluing", "enum", "--n", "2")
         assert code == 0
@@ -76,6 +84,12 @@ class TestValidate:
         code, _ = run(capsys, "validate", "--cat", "mycat.json")
         assert code == 0
 
+    def test_catalog_dir_env_adds_the_json_suffix(self, capsys, tmp_path, monkeypatch):
+        catalog.save_spec(catalog.builtin("rep_z2"), tmp_path / "mycat.json")
+        monkeypatch.setenv("GENUSCENTER_CATALOG_DIR", os.pathsep.join(["missing", str(tmp_path)]))
+        code, out = run(capsys, "validate", "--cat", "mycat", "--json")
+        assert code == 0 and json.loads(out)["catalog"] == "rep_z2"
+
     def test_unknown_catalog_errors(self, capsys):
         code = main(["validate", "--cat", "missing"])
         assert code == 1
@@ -117,6 +131,15 @@ class TestCenterCommands:
         doc = json.loads(out)
         assert code == 0 and doc["surface"] == {"g": 2, "k": 1}
         assert doc["rank"] == 3 and doc["block_dims"] == [16, 16, 16] and doc["total_dim"] == 768
+
+    @pytest.mark.parametrize("key", ("fibonacci", "ising", "rep_s3"))
+    def test_rank_of_the_disk_is_the_number_of_labels(self, capsys, key):
+        # The disk's centre is C itself: one block of size 1 per simple label.
+        code, out = run(capsys, "center", "rank", "--cat", key, "--sigma", "()", "--json")
+        n = len(catalog.builtin(key).labels)
+        assert code == 0
+        assert json.loads(out) == {"catalog": key, "sigma": "()", "surface": {"g": 0, "k": 1},
+                                   "rank": n, "block_dims": [1] * n, "total_dim": n}
 
     def test_timings_option_is_gone(self, capsys):
         code = main(["center", "rank", "--cat", "fibonacci", "--sigma", "(1 2)", "--timings"])
@@ -238,6 +261,49 @@ def two_field_orders(doc):
     }
 
 
+def one(terms):
+    return {"order": 1, "terms": terms}
+
+
+def out_of_range(table, labels):
+    return f"{table} entry {labels} has a multiplicity index out of range"
+
+
+# (id, corruption of a saved Fibonacci file, the structure entries validate
+# lists for it, or None if only the first is pinned).
+STRUCTURE_FAULTS = [
+    ("duplicate-labels", lambda doc: doc.update(labels=["1", "t", "t"]), None),
+    ("unknown-unit", lambda doc: doc.update(unit="u"), ["unknown unit label 'u'"]),
+    ("dual-unknown-label", lambda doc: doc["dual"].update(x="x"),
+     ["dual table references unknown label in 'x' -> 'x'"]),
+    ("dual-missing", lambda doc: doc["dual"].pop("t"),
+     ["dual missing for label 't'", "dual rule fails: N(t,t;1) = 1"]),
+    ("negative-multiplicity", lambda doc: set_mult_ttt(doc, -1),
+     ["negative multiplicity N(t,t;t)", out_of_range("F", "(t,t,t;1)"),
+      out_of_range("F", "(t,t,t;t)"), out_of_range("R", "(t,t;t)")]),
+    ("fusion-unknown-label", lambda doc: doc["fusion"].append(["t", "t", "x", 1]),
+     ["fusion table references unknown label 'x'"]),
+    ("fusion-not-associative", lambda doc: doc["fusion"].append(["1", "t", "1", 1]),
+     ["dual rule fails: N(1,t;1) = 1", "unit rule fails: N(1,t;1) = 1",
+      *(f"fusion not associative at {at}" for at in
+        ("(1,1,t;1): 1 != 2", "(1,t,t;t): 2 != 1", "(t,1,t;t): 1 != 2", "(t,t,t;1): 2 != 1"))]),
+    ("pivotal-unit-not-1", lambda doc: doc["pivotal"].update({"1": one([[0, -1, 1]])}),
+     ["pivotal coefficient of the unit must be 1"]),
+    ("pivotal-unknown-label", lambda doc: doc["pivotal"].update(x=one([[0, 1, 1]])),
+     ["pivotal table references unknown label 'x'"]),
+    ("F-unknown-label",
+     lambda doc: doc["F"].append({**doc["F"][1], "labels": ["x", "t", "t", "t"]}),
+     ["F table references unknown label 'x'", out_of_range("F", "(x,t,t;t)")]),
+    ("R-unknown-label", lambda doc: doc["R"].append({**doc["R"][1], "labels": ["t", "t", "x"]}),
+     ["R table references unknown label 'x'", out_of_range("R", "(t,t;x)")]),
+    ("F-index-out-of-range", lambda doc: doc["F"][1]["row"].__setitem__(1, 1),
+     [out_of_range("F", "(t,t,t;t)")]),
+    ("F-entry-missing",
+     lambda doc: doc.update(F=[rec for rec in doc["F"] if rec["labels"] != ["t", "t", "t", "1"]]),
+     ["fibonacci: missing F entry for admissible channel (t,t,t;1)"]),
+]
+
+
 COMPUTE_COMMANDS = (
     ("center", "rank", "--sigma", "(1 2)"),
     ("center", "verify-induced", "--sigma", "(1 2)", "--object", "t"),
@@ -333,6 +399,65 @@ class TestCatalogFiles:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"error: {path}: malformed field {field!r}")
+
+    @pytest.mark.parametrize("key,labels", [("fibonacci", ["t", "t", "t"]),
+                                            ("ising", ["s", "f", "s"])], ids=("fibonacci", "ising"))
+    def test_a_missing_r_entry_is_a_structure_failure(self, capsys, tmp_path, key, labels):
+        path, doc = saved_doc(tmp_path, key)
+        doc["R"] = [rec for rec in doc["R"] if rec["labels"] != labels]
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", "--cat", str(path), "--json")
+        a, b, c = labels
+        missing = f"{key}: missing R entry for admissible channel ({a},{b};{c})"
+        assert code == 1 and json.loads(out) == {"catalog": key, "structure": [missing]}
+        code = main(["center", "rank", "--cat", str(path), "--sigma", "(1 2)"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "fails the structure check" in captured.err and missing in captured.err
+
+    @pytest.mark.parametrize(
+        "key,label,report",
+        [("fibonacci", "t", ["dim(t) dim(t) != sum of N(t,t;c) dim(c)"]), ("ising", "s", "ok")],
+        ids=("fibonacci", "ising"),
+    )
+    def test_dimensions_must_be_a_fusion_character(self, capsys, tmp_path, key, label, report):
+        # pivotal(t) = -1 makes Fibonacci's dim(t) = -phi, whose square 1 + phi
+        # is not 1 + dim(t): Fibonacci has one pivotal structure.  Ising's
+        # pivotal(s) = -1 is its other spherical structure, dim(s) = -sqrt 2.
+        path, doc = saved_doc(tmp_path, key)
+        doc["pivotal"][label] = one([[0, -1, 1]])
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", "--cat", str(path), "--json")
+        assert json.loads(out)["spherical_ribbon"] == report
+        assert code == (0 if report == "ok" else 1)
+
+    @pytest.mark.parametrize("sigma", ("()", "(1 2)", "(1 3)(2 4)"))
+    @pytest.mark.parametrize("command", [("center", "rank"), ("adjoint", "check"),
+                                         ("center", "verify-induced", "--object", "t")],
+                             ids=lambda c: c[1])
+    def test_an_induced_pair_needs_a_braiding(self, capsys, tmp_path, command, sigma):
+        path, doc = saved_doc(tmp_path, "fibonacci")
+        del doc["R"]
+        path.write_text(json.dumps(doc))
+        code = main([*command[:2], "--cat", str(path), "--sigma", sigma, *command[2:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: category 'fibonacci' has no braiding data; "
+                                "a premodular spec is required\n")
+
+    @pytest.mark.parametrize("corrupt,entries", [fault[1:] for fault in STRUCTURE_FAULTS],
+                             ids=[fault[0] for fault in STRUCTURE_FAULTS])
+    def test_validate_lists_each_structure_fault(self, capsys, tmp_path, corrupt, entries):
+        path, doc = saved_doc(tmp_path, "fibonacci")
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", "--cat", str(path), "--json")
+        got = json.loads(out)
+        assert code == 1 and set(got) == {"catalog", "structure"}
+        if entries is None:  # a repeated label also breaks every sum over the labels
+            assert got["structure"][0] == "duplicate labels"
+        else:
+            assert got["structure"] == entries
 
 
 def test_pinned_bench_outputs_still_hold(capsys):

@@ -42,7 +42,6 @@ from genuscenter.trees import (
     left_trace,
     loop_value,
     right_trace,
-    theta,
     trees,
     word_after,
 )
@@ -270,20 +269,18 @@ class TestApplyCoupon:
 
 
 def random_ops(spec, word, length, rng, low=1):
-    """A generator word valid on ``word``: braids, twists, cups, caps, merges, splits.
+    """A generator word valid on ``word``: braids, cups, caps, merges, splits.
 
     Every op reads strand ``low`` or later (a cup at gap g reads strand g + 1).
     """
     ops = []
     while len(ops) < length:
         n = len(word)
-        kind = rng.choice(("braid", "braid", "twist", "cup", "cap", "merge", "split"))
+        kind = rng.choice(("braid", "braid", "cup", "cap", "merge", "split"))
         primed = rng.random() < 0.5
         caps = [i for i in range(low, n) if word[i - 1] == spec.dual[word[i]]]
         if kind == "braid" and n > low:
             op = ("braid", rng.randint(low, n - 1), rng.choice(("over", "under")))
-        elif kind == "twist" and n >= low:
-            op = ("twist", rng.randint(low, n), rng.choice((1, -1)))
         elif kind == "cup":
             op = ("cup", rng.randint(low - 1, n), rng.choice(spec.labels), primed)
         elif kind == "cap" and caps:
@@ -301,6 +298,12 @@ def random_ops(spec, word, length, rng, low=1):
         ops.append(op)
         word = _op_new_word(spec, word, op)
     return tuple(ops)
+
+
+def curl(i, a, sign):
+    """The twist of strand ``i`` labelled ``a``: a curl over itself if sign > 0, else under."""
+    sense = "over" if sign > 0 else "under"
+    return (("cup", i, a, False), ("braid", i, sense), ("cap", i + 1, a, True))
 
 
 MISPLACED_CAP = r"cap\(t\) expects strands \(t,t\) at position 3, found \(t,1\)"
@@ -366,7 +369,6 @@ def ops_at_every_position(spec, word, rng):
     """One generator of each kind at each position of ``word`` where it applies."""
     n = len(word)
     ops = [("braid", i, rng.choice(("over", "under"))) for i in range(1, n)]
-    ops += [("twist", i, rng.choice((1, -1))) for i in range(1, n + 1)]
     ops += [("merge", i, rng.choice(spec.channels(word[i - 1], word[i])), 0) for i in range(1, n)]
     for i in range(1, n + 1):
         a = rng.choice(spec.labels)
@@ -447,7 +449,7 @@ class TestTrimmedMaps:
             (5, (("merge", 4, "t", 0),), 3, 5),
             (5, (("cap", 4, "t", False),), 3, 5),
             (5, (("braid", 4, "under"),), 3, 5),
-            (5, (("twist", 5, 1),), 4, 5),
+            (5, curl(5, "t", 1), 4, 5),
             (5, (("cup", 5, "t", False),), 5, 5),
             (5, (("cup", 0, "t", False), ("cap", 1, "t", True)), 0, 0),
             (5, (("braid", 1, "over"), ("braid", 2, "over"), ("braid", 3, "over")), 0, 4),
@@ -598,8 +600,8 @@ class TestIsotopy:
         _, twists = quantum_dims(spec)
         for a in spec.labels:
             ident = Morphism.identity(spec, (a,))
-            assert ident.apply_all((("twist", 1, 1),)) == ident.scale(twists[a])
-            assert ident.apply_all((("twist", 1, -1),)) == ident.scale(twists[a].inverse())
+            assert ident.apply_all(curl(1, a, 1)) == ident.scale(twists[a])
+            assert ident.apply_all(curl(1, a, -1)) == ident.scale(twists[a].inverse())
 
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_twist_multiplicative_on_channels(self, key):
@@ -894,9 +896,7 @@ MEMOIZED = [
     (_word_map, ("1", ("t", "t"), (("braid", 1, "under"), ("cap", 1, "t", True)))),
     (_tree_registry, ()),
     (loop_value, ("t", "left")),
-    (theta, ("t",)),
     (CategorySpec.f_block, ("t", "t", "t", "t")),
-    (CategorySpec.f_inverse, ("t", "t", "t", "t")),
     (CategorySpec.r_inverse, ("t", "t", "1")),
     (quantum_dims, ()),
     (s_matrix_and_transparency, ()),
