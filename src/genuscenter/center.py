@@ -24,19 +24,19 @@ Leg plumbing has one mechanism.  The strands lie in layers, front to
 back the middle strand, then the legs of orbit 0, 1, ..., n - 1, and
 each crossing puts the front strand over.  ``_nest_word`` sorts the legs
 of a carrier word under that rule so that orbit m's pair sits at
-strands n - m and n + 2 + m, nested around the middle; ``_forward``
-applies it before the coupon, so a contraction is a gamma column and a
-cap, both applied as composed words.  The adjunction identities and
-algebra laws below are exact checks of the whole construction.
+strands n - m and n + 2 + m, nested around the middle; ``_nested`` holds
+that identity once per label, and a contraction is a gamma column and a
+cap, applied as composed words, or two unit_remove ops at a unit pair.
+The adjunction identities and algebra laws check the whole construction.
 
-The adjunction I -| U is one contraction.  ``_forward`` transposes a map
-phi: x -> U(Y) to the sigma-morphism I(x) -> Y: on each summand of I(x),
-phi is a coupon on the middle strand and the legs are contracted through
-Y.  ``adjunction_maps`` builds forward from it, and the tube products are
-forward images, so both read their maps off the same contraction.  No
-linear solve and no averaging projection is run; the projection, which
-creates leg pairs and contracts them, is in ``tests/exact_oracle.py``,
-the reference that forward's images are checked against.
+The adjunction I -| U is one contraction.  ``_forward`` transposes a
+basis map phi: x -> U(Y), given by its coordinate, to the sigma-morphism
+I(x) -> Y: on each summand of I(x), phi is a coupon on the middle strand
+(its split word) and the legs are contracted through Y.  ``adjunction_maps``
+builds forward from it, and the tube products are forward images.  No
+linear solve and no averaging projection is run; the projection, in
+``tests/exact_oracle.py``, creates leg pairs and closes each by a gamma
+column and a cap, the reference that forward's images are checked against.
 
 Hom spaces are read and written only through the coordinate map of
 ``trees``: ``hom_keys`` lists the (charge, target tree, source tree)
@@ -429,39 +429,51 @@ def _contract(pair: SigmaPair, alpha, s: int, state: Morphism):
     ``_nest_word`` leaves them with word_s for the middle strand: orbit
     m's low leg at strand n - m, its high leg m + 1 strands right of
     word_s.  Orbit m, from 0 out, is its gamma column at strand n - m
-    followed by the cap.  Returns a dict {s2: Morphism(src -> word_s2)}.
+    followed by the cap; at a unit handle label that is two unit_remove
+    ops on the same summand, as gamma at the unit moves the unit strand
+    (the unit law) and the unit cap is 1 (strict-unit gauge, pivotal(1)
+    = 1).  Returns a dict {s2: Morphism(src -> word_s2)}.
     """
-    n = len(alpha)
+    n, wlen, unit = len(alpha), len(pair.words[0]), state.spec.unit
     current = {s: state}
     for m, (a, hb) in enumerate(zip(alpha, pair.braidings)):
         a_pos = n - m
         nxt: dict = {}
         for si, mor in current.items():
+            if a == unit:
+                nxt[si] = mor.apply_all((("unit_remove", a_pos), ("unit_remove", a_pos + wlen)))
+                continue
             for s2, col in hb.get((a, si), ()):
-                st2 = col.apply_at(mor, a_pos, (("cap", a_pos + len(pair.words[s2]), a, True),))
+                st2 = col.apply_at(mor, a_pos, (("cap", a_pos + wlen, a, True),))
                 nxt[s2] = nxt[s2] + st2 if s2 in nxt else st2
         current = nxt
     return current
 
 
-def _forward(spec, sigma: Gluing, lab: str, py: SigmaPair, ty: int, f: Morphism) -> CarrierMap:
-    """The adjoint transpose of f: lab -> py.words[ty], a sigma-morphism I(lab) -> py.
+@cached
+def _nested(spec, sigma: Gluing, lab: str) -> tuple:
+    """The identity of each summand word of I(lab), its legs nested by ``_nest_word``."""
+    nest, words = _nest_word(sigma), _induced(spec, sigma, lab).words
+    return tuple(Morphism.identity(spec, w).apply_all(nest) for w in words)
 
-    On the alpha summand of I(lab), ``_nest_word`` takes the legs of the
-    identity of legs + (lab,) + legs to strands n - m and n + 2 + m, f is
-    a coupon on the middle strand n + 1, and the legs are contracted
-    through py into the blocks (ty2, alpha).  Nesting first is the same
-    as moving each pair behind the coupon and the pairs contracted before
-    it, by naturality of the braiding.  It is the one contraction
-    read-off: ``adjunction_maps`` and the tube products both read their
-    maps off it.
+
+def _forward(spec, sigma: Gluing, lab: str, py: SigmaPair, ty: int, key) -> CarrierMap:
+    """The adjoint transpose of the basis map at ``key`` = (lab, r, 0) of Hom(lab, py.words[ty]).
+
+    It is a sigma-morphism I(lab) -> py.  On the alpha summand, the map is
+    a coupon on the middle strand n + 1 of ``_nested``, whose legs sit at
+    strands n - m and n + 2 + m (``apply_coupon`` applies it as the split
+    word of target tree r), and the legs are contracted through py into
+    the blocks (ty2, alpha).  Nesting first is the same as moving each
+    pair behind the coupon and the pairs contracted before it, by
+    naturality of the braiding.  ``adjunction_maps`` and the tube products
+    both read their maps off this one contraction.
     """
     ix = induced_half_braidings(spec, sigma, lab)
-    nest = _nest_word(sigma)
+    f = Morphism.elementary(spec, (lab,), py.words[ty], key)
     blocks: dict = {}
-    for sx, (word, alpha) in enumerate(zip(ix.words, ix.alphas)):
-        st = Morphism.identity(spec, word).apply_all(nest).apply_coupon(sigma.n + 1, f)
-        for ty2, mor in _contract(py, alpha, ty, st).items():
+    for sx, (alpha, st) in enumerate(zip(ix.alphas, _nested(spec, sigma, lab))):
+        for ty2, mor in _contract(py, alpha, ty, st.apply_coupon(sigma.n + 1, f)).items():
             blocks[ty2, sx] = mor
     return CarrierMap(spec, ix.words, py.words, blocks)
 
@@ -470,10 +482,10 @@ def adjunction_maps(spec, sigma: Gluing, lab, py: SigmaPair):
     """(forward, backward) between Hom_C(lab, Y) and the sigma-morphism space.
 
     backward is restriction to the all-units summand of the induced
-    carrier.  forward is ``_forward``, linear over the basis maps, whose
-    images are precomputed once.  On the all-units summand every leg is
-    the unit, so under the strict unit gauge of ``trees`` and the unit law
-    of the pair the contraction gives phi with the unit legs stripped;
+    carrier.  forward is linear over the basis maps, each passed to
+    ``_forward`` as its coordinate, and their images are precomputed.  On
+    the all-units summand every leg pair is a unit pair, which
+    ``_contract`` removes by unit_remove, so phi comes out with the legs stripped;
     backward puts them back, so backward o forward is the identity on
     Hom_C(lab, Y).  By the adjunction, backward is injective on
     sigma-morphisms, so the sigma-morphism with backward image phi is
@@ -504,7 +516,7 @@ def adjunction_maps(spec, sigma: Gluing, lab, py: SigmaPair):
     # columns[ty, key] is forward of the basis map with a 1 at ``key`` of
     # the block (ty, 0); forward(phi) sums them over phi's nonzero entries.
     columns = {
-        (ty, key): _forward(spec, sigma, lab, py, ty, Morphism.elementary(spec, (lab,), tw, key))
+        (ty, key): _forward(spec, sigma, lab, py, ty, key)
         for ty, tw in enumerate(py.words)
         for key in hom_keys(spec, (lab,), tw)
     }
@@ -563,8 +575,7 @@ def _tube_products(spec, sigma: Gluing, right) -> dict:
         pj = induced_half_braidings(spec, sigma, j)
         pk = induced_half_braidings(spec, sigma, k)
         ty = pk.alphas.index(alpha_g)
-        gm = Morphism.elementary(spec, (j,), pk.words[ty], (j, r, 0))
-        for (s2, s), mor in _forward(spec, sigma, j, pk, ty, gm).blocks.items():
+        for (s2, s), mor in _forward(spec, sigma, j, pk, ty, (j, r, 0)).blocks.items():
             alpha_f, alpha2 = pj.alphas[s], pk.alphas[s2]
             for (i, ri, ci), v in mor.entries().items():
                 mult.setdefault((at[i, j, alpha_f, ci], g), {})[at[i, k, alpha2, ri]] = v

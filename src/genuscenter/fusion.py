@@ -227,10 +227,9 @@ def validate_structure(spec: CategorySpec) -> ValidationReport:
     bad: list[str] = []
     labels = set(spec.labels)
     if len(labels) != len(spec.labels):
-        bad.append("duplicate labels")
+        return ValidationReport(["duplicate labels"])
     if spec.unit not in labels:
-        bad.append(f"unknown unit label {spec.unit!r}")
-        return ValidationReport(bad)
+        return ValidationReport([f"unknown unit label {spec.unit!r}"])
 
     for a, b in spec.dual.items():
         if a not in labels or b not in labels:
@@ -280,21 +279,19 @@ def validate_structure(spec: CategorySpec) -> ValidationReport:
         if v.is_zero():
             bad.append(f"pivotal coefficient of {a!r} is zero")
 
-    # Every multiplicity index of an entry lies in [0, N) for its vertex.
+    # Every multiplicity index of an entry with known labels lies in [0, N) for its vertex.
     for (a, b, c, d), block in spec.F.items():
-        for x in (a, b, c, d):
-            if x not in labels:
-                bad.append(f"F table references unknown label {x!r}")
-        for (e, al, be), (f, mu, nu) in block:
+        unknown = [x for x in (a, b, c, d) if x not in labels]
+        bad.extend(f"F table references unknown label {x!r}" for x in unknown)
+        for (e, al, be), (f, mu, nu) in () if unknown else block:
             ns = (spec.N(a, b, e), spec.N(e, c, d), spec.N(b, c, f), spec.N(a, f, d))
             if not all(0 <= i < n for i, n in zip((al, be, mu, nu), ns)):
                 bad.append(f"F entry ({a},{b},{c};{d}) has a multiplicity index out of range")
                 break
     for (a, b, c), block in (spec.R or {}).items():
-        for x in (a, b, c):
-            if x not in labels:
-                bad.append(f"R table references unknown label {x!r}")
-        if any(not (0 <= i < spec.N(a, b, c)) for key in block for i in key):
+        unknown = [x for x in (a, b, c) if x not in labels]
+        bad.extend(f"R table references unknown label {x!r}" for x in unknown)
+        if not unknown and any(not (0 <= i < spec.N(a, b, c)) for key in block for i in key):
             bad.append(f"R entry ({a},{b};{c}) has a multiplicity index out of range")
 
     if not bad:

@@ -475,7 +475,8 @@ class Morphism:
         f is a sum of its entries f_d[r, s], and each entry acts as two
         generator words: merge the source strands to d along source tree s,
         then split d along target tree r.  The merged state is shared by the
-        entries of column s.
+        entries of column s, and a basis map (one entry, 1) is its two words
+        applied in one pass.
         """
         spec = self.spec
         src_w, tgt_w = f.src, f.tgt
@@ -483,6 +484,12 @@ class Morphism:
             raise IllFormedDiagramError(
                 f"coupon source {src_w} does not match strands at {pos} of {self.tgt}"
             )
+        cells = [(d, t, s, x) for d, blk in f.blocks.items() for t, row in blk.items()
+                 for s, x in row.items()]
+        if len(cells) == 1 and cells[0][3] is spec.field.one:
+            d, t, s, _ = cells[0]
+            return self.apply_all(_merge_word(pos, src_w, trees(spec, src_w, d)[s])
+                                  + _split_word(pos, tgt_w, t))
         new_tgt = self.tgt[: pos - 1] + tgt_w + self.tgt[pos - 1 + len(src_w) :]
         blocks: dict = {}
         for d, blk in f.blocks.items():

@@ -8,13 +8,15 @@ the tests can compare against them.
 
 The projection averages a map over created leg pairs.  Each pair is
 opened already nested around the carrier, orbit m's legs m + 1 strands
-out on either side, where ``center._contract`` closes it after the
+out on either side, where ``contract_by_columns`` closes it after the
 coupon.  No braid word routes a leg: a word that took the created legs
 to their sorted places behind the carrier would be undone, through the
 coupon by naturality of the braiding, by ``center._nest_word`` before
 the contraction.
 ``adjunction_maps.forward`` builds sigma-morphisms by contraction alone,
-and the tests check its images against this projection.
+and the tests check its images against this projection.  The projection
+closes every pair, a unit pair too, by its gamma column and a cap, so it
+does not share the unit-pair shortcut of ``center._contract``.
 
 The pentagon and hexagon references apply the F and R index convention
 by hand: each recoupling move is a sparse matrix {(row, col): scalar} over
@@ -27,7 +29,7 @@ elimination on a copy of its grid, is the reference for the sparse
 ``exactnum.Echelon`` that the package runs.
 """
 
-from genuscenter.center import CarrierMap, SigmaPair, _contract, carrier_basis
+from genuscenter.center import CarrierMap, SigmaPair, carrier_basis
 from genuscenter.errors import GenusCenterError, SingularMatrixError
 from genuscenter.exactnum import C0, C1
 from genuscenter.fusion import CategorySpec, ValidationReport, quantum_dims
@@ -250,7 +252,7 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
     Orbit m, from n - 1 in, opens as a cup at gap n - m - 1 followed by
     the gamma column at strand n - m + 1, which carries the cup's right
     leg through the carrier; its legs end m + 1 strands out on either
-    side of the carrier, as ``center._contract`` reads them.
+    side of the carrier, as ``contract_by_columns`` reads them.
 
     ``mor0``: Morphism(src -> word_{s0}).  Returns a dict
     {(alpha, s2): Morphism(src -> legs + word_{s2} + legs)} over the
@@ -283,6 +285,27 @@ def _create(spec, sigma: Gluing, pair: SigmaPair, s0: int, mor0: Morphism, need)
     return current
 
 
+def contract_by_columns(pair: SigmaPair, alpha, s: int, state: Morphism) -> dict:
+    """Contract the nested leg pairs of the alpha summand, each by a gamma column and a cap.
+
+    ``state``: Morphism(src -> legs + word_s + legs), orbit m's low leg at
+    strand n - m and its high leg m + 1 strands right of word_s.  Orbit m,
+    from 0 out, is its gamma column at strand n - m followed by the primed
+    cap, whatever its handle label.  Returns {s2: Morphism(src -> word_s2)}.
+    """
+    n = len(alpha)
+    current = {s: state}
+    for m, (a, hb) in enumerate(zip(alpha, pair.braidings)):
+        a_pos = n - m
+        nxt: dict = {}
+        for si, mor in current.items():
+            for s2, col in hb.get((a, si), ()):
+                st2 = col.apply_at(mor, a_pos, (("cap", a_pos + len(pair.words[s2]), a, True),))
+                nxt[s2] = nxt[s2] + st2 if s2 in nxt else st2
+        current = nxt
+    return current
+
+
 def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> list:
     """The averaging projection onto sigma-morphisms of each map in fs.
 
@@ -309,7 +332,7 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
                     if sx2 != sx:
                         continue
                     st = mor.apply_coupon(mid_pos, fb)
-                    for ty2, m2 in _contract(py, alpha, ty, st).items():
+                    for ty2, m2 in contract_by_columns(py, alpha, ty, st).items():
                         m2 = m2.scale(weight)
                         key = (ty2, sx0)
                         out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2

@@ -1,5 +1,6 @@
 import gc
 import math
+from collections import Counter
 import random
 import weakref
 
@@ -22,8 +23,10 @@ from genuscenter.center import (
 from genuscenter.exactnum import C1, Cyclotomic, rational, zeta
 from genuscenter.fusion import quantum_dims
 from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles, surface_type
-from genuscenter.trees import Morphism, hom_dim
-from exact_oracle import _create, flatten_carrier_map, hom_Z_dim, product, project_morphisms
+from genuscenter.trees import Morphism, hom_dim, hom_keys
+from exact_oracle import (
+    _create, contract_by_columns, flatten_carrier_map, hom_Z_dim, product, project_morphisms,
+)
 from test_exactnum import embed
 from test_fusion import respec
 
@@ -962,7 +965,83 @@ def replay_layout(layout, width, word):
     return tuple(out)
 
 
+CONTRACT_CASES = [
+    (key, cycles)
+    for key in catalog.catalog_keys()
+    for cycles in ("(1 2)", "(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)")
+] + [(key, "(1 3)(2 4)(5 6)") for key in ("rep_z2", "vec_z3_q")]
+
+
 class TestLegPlumbing:
+    @pytest.mark.parametrize("key,cycles", CONTRACT_CASES)
+    def test_contract_matches_the_column_and_cap_contraction(self, key, cycles):
+        # ``_contract`` removes a unit pair by two unit_remove ops; the
+        # oracle closes every pair by its gamma column and a cap.  The states
+        # are forward's: each basis map lab -> py.words[ty] as a coupon on
+        # each nested summand of I(lab).
+        spec, sigma = respec(catalog.builtin(key)), parse_cycles(cycles)
+        unit_pairs = 0
+        for lab in spec.labels:
+            alphas = induced_half_braidings(spec, sigma, lab).alphas
+            nested = center._nested(spec, sigma, lab)
+            for y in spec.labels:
+                py = induced_half_braidings(spec, sigma, y)
+                for ty, tw in enumerate(py.words):
+                    for k in hom_keys(spec, (lab,), tw):
+                        f = Morphism.elementary(spec, (lab,), tw, k)
+                        for alpha, st in zip(alphas, nested):
+                            st = st.apply_coupon(sigma.n + 1, f)
+                            got = center._contract(py, alpha, ty, st)
+                            assert got == contract_by_columns(py, alpha, ty, st)
+                            unit_pairs += alpha.count(spec.unit)
+        assert unit_pairs
+
+    def test_each_nested_identity_is_built_once(self, monkeypatch):
+        spec, sigma = respec(catalog.builtin("fibonacci")), parse_cycles("(1 3)(2 4)")
+        nest, apply_all, built = center._nest_word(sigma), Morphism.apply_all, Counter()
+        assert nest
+
+        def counting(self, ops):
+            ops = tuple(ops)
+            if ops == nest:
+                built[self.src] += 1
+            return apply_all(self, ops)
+
+        monkeypatch.setattr(Morphism, "apply_all", counting)
+        center_rank(spec, sigma)
+        # A summand word names its label and its summand, so each is counted once.
+        words = [w for lab in spec.labels for w in induced_half_braidings(spec, sigma, lab).words]
+        assert len(set(words)) == len(words) and built == Counter(words)
+
+    def test_contract_applies_no_gamma_column_at_the_unit(self, monkeypatch):
+        spec, sigma = respec(catalog.builtin("ising")), parse_cycles("(1 2)(3 4)")
+        contract, apply_at = center._contract, center.GammaWord.apply_at
+        inside, applied = [], []
+
+        def tracked_contract(*args):
+            inside.append(True)
+            try:
+                return contract(*args)
+            finally:
+                inside.pop()
+
+        def tracked_apply_at(self, *args):
+            if inside:
+                applied.append(self)
+            return apply_at(self, *args)
+
+        monkeypatch.setattr(center, "_contract", tracked_contract)
+        monkeypatch.setattr(center.GammaWord, "apply_at", tracked_apply_at)
+        center_rank(spec, sigma)
+        at_unit = {
+            id(col)
+            for lab in spec.labels
+            for hb in induced_half_braidings(spec, sigma, lab).braidings
+            for (z, _si), cols in hb.items() if z == spec.unit
+            for _t, col in cols
+        }
+        assert applied and at_unit and not any(id(col) in at_unit for col in applied)
+
     @pytest.mark.parametrize("n", (0, 1, 2, 3, 4))
     def test_nest_word_nests_the_legs_by_layers(self, n):
         for sigma in enumerate_adm(n):

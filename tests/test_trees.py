@@ -901,6 +901,7 @@ MEMOIZED = [
     (quantum_dims, ()),
     (s_matrix_and_transparency, ()),
     (center._induced, (SIG12, "t")),
+    (center._nested, (SIG12, "t")),
     (center._tube_basis, (SIG12,)),
     (tube_algebra, (SIG12,)),
 ]
