@@ -9,9 +9,10 @@ braids": braids bring Z to the low leg of its orbit, Z and the leg
 merge, one bend turns the high leg into (dual leg, Z) by rotating that
 vertex, and braids take Z to the right end.  Columns are applied at any
 strand by shifting the word's positions.  Every strand action here (a
-column, a braid word of the leg plumbing, a cup or cap, and a coupon,
-which ``Morphism.apply_coupon`` turns into a merge word and a split word
-per nonzero entry) goes through the cached composed word maps of
+column, a braid word of the leg plumbing, a cap, the unit_insert and
+unit_remove ops of the unit law and of unit leg pairs, and the coupon of
+a basis map, which ``Morphism.apply_coupon`` turns into its merge word
+and split word) goes through the cached composed word maps of
 ``trees``, applied by ``Morphism.apply_all``.  Verification keeps one
 gamma table, the identity carrier pushed through gamma_[m] at position 1
 for each label, read by the unit law, the invertibility rows
@@ -40,10 +41,12 @@ column and a cap, the reference that forward's images are checked against.
 
 Hom spaces are read and written only through the coordinate map of
 ``trees``: ``hom_keys`` lists the (charge, target tree, source tree)
-coordinates, ``Morphism.elementary`` builds a basis map and
-``Morphism.entries`` reads a map's nonzero entries.  ``carrier_basis``
-extends them blockwise to sum carriers; forward's coordinates, the tube
-products and gamma's per-charge matrices are read off by ``entries``.
+coordinates, ``Morphism.elementary`` builds a basis map,
+``Morphism.apply_coupon`` applies the basis map at a coordinate as a
+coupon, and ``Morphism.entries`` reads a map's nonzero entries.
+``carrier_basis`` extends the basis maps blockwise to sum carriers;
+forward's coordinates, the tube products and gamma's per-charge matrices
+are read off by ``entries``.
 
 The tube algebra is given by its generators.  A basis element of
 Hom_C(i, T_alpha(j)) has degree the number of orbits m with alpha_m != 1,
@@ -462,18 +465,18 @@ def _forward(spec, sigma: Gluing, lab: str, py: SigmaPair, ty: int, key) -> Carr
 
     It is a sigma-morphism I(lab) -> py.  On the alpha summand, the map is
     a coupon on the middle strand n + 1 of ``_nested``, whose legs sit at
-    strands n - m and n + 2 + m (``apply_coupon`` applies it as the split
-    word of target tree r), and the legs are contracted through py into
-    the blocks (ty2, alpha).  Nesting first is the same as moving each
-    pair behind the coupon and the pairs contracted before it, by
-    naturality of the braiding.  ``adjunction_maps`` and the tube products
+    strands n - m and n + 2 + m (``apply_coupon`` at ``key`` applies the
+    split word of target tree r; the one-strand source needs no merge), and
+    the legs are contracted through py into the blocks (ty2, alpha).
+    Nesting first is the same as moving each pair behind the coupon and the
+    pairs contracted before it, by naturality of the braiding.  ``adjunction_maps`` and the tube products
     both read their maps off this one contraction.
     """
-    ix = induced_half_braidings(spec, sigma, lab)
-    f = Morphism.elementary(spec, (lab,), py.words[ty], key)
+    ix, tw = induced_half_braidings(spec, sigma, lab), py.words[ty]
     blocks: dict = {}
     for sx, (alpha, st) in enumerate(zip(ix.alphas, _nested(spec, sigma, lab))):
-        for ty2, mor in _contract(py, alpha, ty, st.apply_coupon(sigma.n + 1, f)).items():
+        st = st.apply_coupon(sigma.n + 1, (lab,), tw, key)
+        for ty2, mor in _contract(py, alpha, ty, st).items():
             blocks[ty2, sx] = mor
     return CarrierMap(spec, ix.words, py.words, blocks)
 

@@ -26,7 +26,8 @@ class IllFormedDiagramError(GenusCenterError):
 
     Raised when a generator word or coupon finds other strands than it
     needs, when ``compose`` or ``+`` get maps of different shapes, and when
-    a trace or scalar is asked of a map of the wrong shape.
+    a scalar is asked of a map that is not an endomorphism of the empty
+    word.
     """
 
 

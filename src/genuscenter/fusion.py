@@ -252,12 +252,13 @@ def validate_structure(spec: CategorySpec) -> ValidationReport:
     for a in spec.labels:
         for b in spec.labels:
             if spec.N(unit, a, b) != (1 if a == b else 0):
-                bad.append(f"unit rule fails: N(1,{a};{b}) = {spec.N(unit, a, b)}")
-            if spec.N(a, unit, b) != (1 if a == b else 0):
-                bad.append(f"unit rule fails: N({a},1;{b}) = {spec.N(a, unit, b)}")
+                bad.append(f"unit rule fails: N({unit},{a};{b}) = {spec.N(unit, a, b)}")
+            # At a = unit the right rule reads the left rule's entry.
+            if a != unit and spec.N(a, unit, b) != (1 if a == b else 0):
+                bad.append(f"unit rule fails: N({a},{unit};{b}) = {spec.N(a, unit, b)}")
             want = 1 if spec.dual.get(a) == b else 0
             if spec.N(a, b, unit) != want:
-                bad.append(f"dual rule fails: N({a},{b};1) = {spec.N(a, b, unit)}")
+                bad.append(f"dual rule fails: N({a},{b};{unit}) = {spec.N(a, b, unit)}")
 
     # Associativity of multiplicities: F blocks must be square.
     for a in spec.labels:

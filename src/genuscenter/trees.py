@@ -5,9 +5,9 @@ for each simple charge c, the post-composition action Hom(c, source) ->
 Hom(c, target) on left-nested splitting trees, as sparse rows {target
 tree: {source tree index: value}}.  No zero value, empty row or empty
 block is stored.  Every diagram generator (braid, merge, split, bend, cup,
-cap, unit_insert, unit_remove, coupon) is a local rewrite of those trees
-whose coefficients come from F, R, and the pivotal data.  A bend ("bend",
-q, a, b, z, mu) turns strand dual(a) at q into (dual(b), z): ``_apply_tree``
+cap, unit_insert, unit_remove) is a local rewrite of those trees whose
+coefficients come from F, R, and the pivotal data.  A bend ("bend", q, a,
+b, z, mu) turns strand dual(a) at q into (dual(b), z): ``_apply_tree``
 composes a primed cup, a split and a primed cap on its window, so no word
 map is built over the two strands that the cup adds and the cap removes.
 
@@ -36,10 +36,10 @@ per distinct window per spec.  ``_word_map`` pushes the identity rows
 {t: {t: 1}} of a window word's trees from one root through that table one
 generator at a time and reads the map off by columns, once per root and
 window word, and ``apply_all`` pushes each block through one such map per
-head charge.  A coupon ``1 (x) f (x) 1`` is linear in f, so it is a sum
-over the entries f_d[r, s], each the word that merges the source strands to
-d along source tree s followed by the word that splits d along target tree
-r.
+head charge.  A coupon ``1 (x) f (x) 1`` of the basis map f at a Hom
+coordinate (d, r, s) is one generator word: merge the source strands to d
+along source tree s, then split d along target tree r.  A coupon is linear
+in f, so that of any map is the sum over its entries, which the tests form.
 
 Zeros: ``_local_moves`` drops a generator's, once per window.  Past that,
 rows are added and scaled only by the field object ``spec.field``, which
@@ -51,17 +51,20 @@ with no product.
 
 A Hom space has the coordinates (charge, target tree, source tree) that
 ``hom_keys`` lists.  Other modules write a map's entries only through
-``Morphism.elementary`` and read them only through ``Morphism.entries``, so
-the block layout is known here alone.
+``Morphism.elementary``, read them only through ``Morphism.entries``, and
+name a coupon by its coordinate (``Morphism.apply_coupon``), so the block
+layout is known here alone.
 
-Every table derived once per category (splitting vertices, tree lists, F
-and F^-1 blocks indexed by incoming slots, pivotal inverses, the window of
-each generator word, generator actions on windows, composed word maps,
-the tree registry, loop values, induced pairs, tube bases and tube algebras)
-is memoized by ``cached``, the one reader and writer of ``spec._cache``,
-so none of them outlives its spec.  The tree registry interns the output
-trees of the word maps, so an equal tree in two maps is one object; trees
-are compared and hashed by value only, so this changes no result.
+Every table derived once per category (splitting vertices, tree lists,
+cap coefficients, F blocks and the F and F^-1 moves indexed by incoming
+slots, R inverses, pivotal inverses, the window of each generator word,
+generator actions on windows, composed word maps, the tree registry, loop
+values, quantum dimensions, the S matrix, induced pairs, nested carrier
+identities, tube bases and tube algebras) is memoized by ``cached``, the
+one reader and writer of ``spec._cache``, so none of them outlives its
+spec.  The tree registry interns the output trees of the word maps, so an
+equal tree in two maps is one object; trees are compared and hashed by
+value only, so this changes no result.
 
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
@@ -420,7 +423,10 @@ class Morphism:
             raise IllFormedDiagramError("cannot add morphisms of different shapes")
         blocks, field = {}, self.spec.field
         for m in (self, other):
-            _add_blocks(blocks, m.blocks, field.one, field)
+            for c, blk in m.blocks.items():
+                dst = blocks.setdefault(c, {})
+                for t, row in blk.items():
+                    _add_row(dst, t, row, field.one, field)
         return Morphism(self.spec, self.src, self.tgt, _pruned(blocks))
 
     def scale(self, s) -> "Morphism":
@@ -469,39 +475,22 @@ class Morphism:
                   if (rows := _push(blk, s, k, moves, spec.field))}
         return Morphism(spec, self.src, new_word, blocks)
 
-    def apply_coupon(self, pos: int, f: "Morphism") -> "Morphism":
+    def apply_coupon(self, pos: int, src_w: Word, tgt_w: Word, key) -> "Morphism":
         """Post-compose ``1 (x) f (x) 1`` with f's source at strand ``pos``.
 
-        f is a sum of its entries f_d[r, s], and each entry acts as two
-        generator words: merge the source strands to d along source tree s,
-        then split d along target tree r.  The merged state is shared by the
-        entries of column s, and a basis map (one entry, 1) is its two words
+        f is the basis map of Hom(src_w, tgt_w) at ``key`` = (d, r, s) (see
+        ``hom_keys``): the word that merges the source strands to d along
+        source tree s, then the word that splits d along target tree r,
         applied in one pass.
         """
-        spec = self.spec
-        src_w, tgt_w = f.src, f.tgt
         if self.tgt[pos - 1 : pos - 1 + len(src_w)] != src_w:
             raise IllFormedDiagramError(
                 f"coupon source {src_w} does not match strands at {pos} of {self.tgt}"
             )
-        cells = [(d, t, s, x) for d, blk in f.blocks.items() for t, row in blk.items()
-                 for s, x in row.items()]
-        if len(cells) == 1 and cells[0][3] is spec.field.one:
-            d, t, s, _ = cells[0]
-            return self.apply_all(_merge_word(pos, src_w, trees(spec, src_w, d)[s])
-                                  + _split_word(pos, tgt_w, t))
-        new_tgt = self.tgt[: pos - 1] + tgt_w + self.tgt[pos - 1 + len(src_w) :]
-        blocks: dict = {}
-        for d, blk in f.blocks.items():
-            for s, s_tree in enumerate(trees(spec, src_w, d)):
-                entries = [(t, row[s]) for t, row in blk.items() if s in row]
-                if not entries:
-                    continue
-                merged = self.apply_all(_merge_word(pos, src_w, s_tree))
-                for t, x in entries:
-                    _add_blocks(blocks, merged.apply_all(_split_word(pos, tgt_w, t)).blocks, x,
-                                spec.field)
-        return Morphism(spec, self.src, new_tgt, _pruned(blocks))
+        d, r, s = key
+        spec = self.spec
+        return self.apply_all(_merge_word(pos, src_w, trees(spec, src_w, d)[s])
+                              + _split_word(pos, tgt_w, trees(spec, tgt_w, d)[r]))
 
 
 def _merge_word(pos: int, src_w: Word, tree: Tree) -> tuple:
@@ -528,14 +517,6 @@ def _add_row(out: dict, key, row: dict, coeff, field) -> None:
         out[key] = dict(row)
     else:
         field.axpy(out.setdefault(key, {}), coeff, row)
-
-
-def _add_blocks(out: dict, blocks: dict, coeff, field) -> None:
-    """out += coeff * blocks, row by row (``_add_row``)."""
-    for c, blk in blocks.items():
-        dst = out.setdefault(c, {})
-        for t, row in blk.items():
-            _add_row(dst, t, row, coeff, field)
 
 
 def _pruned(blocks: dict) -> dict:
@@ -630,36 +611,14 @@ def _active_window(spec, n: int, ops: tuple) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# traces and closed diagrams
-
-
-def right_trace(spec, h: Morphism):
-    if h.src != h.tgt:
-        raise IllFormedDiagramError("trace needs an endomorphism")
-    w = h.src
-    m = len(w)
-    cups = tuple(("cup", k - 1, w[k - 1], False) for k in range(1, m + 1))
-    caps = tuple(("cap", k, w[k - 1], True) for k in range(m, 0, -1))
-    state = Morphism.identity(spec, ()).apply_all(cups).apply_coupon(1, h)
-    return state.apply_all(caps).scalar()
-
-
-def left_trace(spec, h: Morphism):
-    if h.src != h.tgt:
-        raise IllFormedDiagramError("trace needs an endomorphism")
-    w = h.src
-    m = len(w)
-    cups = tuple(("cup", m - k, w[k - 1], True) for k in range(m, 0, -1))
-    caps = tuple(("cap", m - k + 1, w[k - 1], False) for k in range(1, m + 1))
-    state = Morphism.identity(spec, ()).apply_all(cups).apply_coupon(m + 1, h)
-    return state.apply_all(caps).scalar()
+# closed diagrams
 
 
 @cached
 def loop_value(spec, a: str, side: str):
-    """Closed a-loop, by the right trace if ``side`` is "right", else the left."""
-    h = Morphism.identity(spec, (a,))
-    return right_trace(spec, h) if side == "right" else left_trace(spec, h)
+    """Closed a-loop: a cup and a cap, the cap primed if ``side`` is "right", the cup if "left"."""
+    word = (("cup", 0, a, side == "left"), ("cap", 1, a, side == "right"))
+    return Morphism.identity(spec, ()).apply_all(word).scalar()
 
 
 def theta(spec, a: str):

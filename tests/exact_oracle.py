@@ -1,6 +1,11 @@
 """Exact references for the tests: the whole product, the centre, Hom dimensions over K,
 the averaging projection onto sigma-morphisms, and the pentagon and hexagon checks.
 
+The package applies a coupon only for a basis map, by its Hom coordinate;
+``coupon`` takes any map, as the sum over its entries, and the traces
+close an endomorphism through it.  The projection's coupons are general
+maps, and the tests' pairings and sphericality checks are traces.
+
 ``decompose`` works mod p from the products by a generating set, and
 ``center_rank`` never forms a Hom space of sigma-pairs; these compute the
 same quantities exactly, over the field of the structure constants, so
@@ -30,7 +35,7 @@ elimination on a copy of its grid, is the reference for the sparse
 """
 
 from genuscenter.center import CarrierMap, SigmaPair, carrier_basis
-from genuscenter.errors import GenusCenterError, SingularMatrixError
+from genuscenter.errors import GenusCenterError, IllFormedDiagramError, SingularMatrixError
 from genuscenter.exactnum import C0, C1
 from genuscenter.fusion import CategorySpec, ValidationReport, quantum_dims
 from genuscenter.gluing import Gluing
@@ -227,6 +232,43 @@ def center_basis(alg) -> list[dict]:
     return basis
 
 
+def coupon(state: Morphism, pos: int, f: Morphism) -> Morphism:
+    """Post-compose ``1 (x) f (x) 1`` with f's source at strand ``pos``, for any map f.
+
+    A coupon is linear in f: this is the sum over f's entries x at key of
+    x times the coupon of the basis map at key (``Morphism.apply_coupon``).
+    """
+    new_tgt = state.tgt[: pos - 1] + f.tgt + state.tgt[pos - 1 + len(f.src) :]
+    total = Morphism.zero(state.spec, state.src, new_tgt)
+    for key, x in f.entries().items():
+        total = total + state.apply_coupon(pos, f.src, f.tgt, key).scale(x)
+    return total
+
+
+def right_trace(spec, h: Morphism):
+    """The closure of an endomorphism h on the right: cups, h as a coupon, primed caps."""
+    if h.src != h.tgt:
+        raise IllFormedDiagramError("trace needs an endomorphism")
+    w = h.src
+    m = len(w)
+    cups = tuple(("cup", k - 1, w[k - 1], False) for k in range(1, m + 1))
+    caps = tuple(("cap", k, w[k - 1], True) for k in range(m, 0, -1))
+    state = Morphism.identity(spec, ()).apply_all(cups)
+    return coupon(state, 1, h).apply_all(caps).scalar()
+
+
+def left_trace(spec, h: Morphism):
+    """The closure of an endomorphism h on the left: primed cups, h as a coupon, caps."""
+    if h.src != h.tgt:
+        raise IllFormedDiagramError("trace needs an endomorphism")
+    w = h.src
+    m = len(w)
+    cups = tuple(("cup", m - k, w[k - 1], True) for k in range(m, 0, -1))
+    caps = tuple(("cap", m - k + 1, w[k - 1], False) for k in range(1, m + 1))
+    state = Morphism.identity(spec, ()).apply_all(cups)
+    return coupon(state, m + 1, h).apply_all(caps).scalar()
+
+
 def flatten_carrier_map(f: CarrierMap):
     """Coefficient vector over carrier_basis(src, tgt), in matching order."""
     out = []
@@ -331,7 +373,7 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
                 for (ty, sx2), fb in f.blocks.items():
                     if sx2 != sx:
                         continue
-                    st = mor.apply_coupon(mid_pos, fb)
+                    st = coupon(mor, mid_pos, fb)
                     for ty2, m2 in contract_by_columns(py, alpha, ty, st).items():
                         m2 = m2.scale(weight)
                         key = (ty2, sx0)

@@ -25,7 +25,8 @@ from genuscenter.fusion import quantum_dims
 from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles, surface_type
 from genuscenter.trees import Morphism, hom_dim, hom_keys
 from exact_oracle import (
-    _create, contract_by_columns, flatten_carrier_map, hom_Z_dim, product, project_morphisms,
+    _create, contract_by_columns, coupon, flatten_carrier_map, hom_Z_dim, product,
+    project_morphisms,
 )
 from test_exactnum import embed
 from test_fusion import respec
@@ -202,12 +203,16 @@ class TestInducedPairs:
             assert verify_sigma_pair(spec, sig12(), pair).ok
 
     @pytest.mark.parametrize(
-        "cycles", ("(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)")
+        "key,cycles,lab",
+        [("fibonacci", c, "1") for c in ("(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)")]
+        # :comm case 1 with a middle strand other than the unit.
+        + [("ising", "(1 2)(3 4)", "s"), ("rep_s3", "(1 2)(3 4)", "V")],
+        ids=("(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)", "ising-(1 2)(3 4)-s", "rep_s3-(1 2)(3 4)-V"),
     )
-    def test_n2_induced_pairs_verify(self, cycles):
-        spec = catalog.builtin("fibonacci")
+    def test_n2_induced_pairs_verify(self, key, cycles, lab):
+        spec = catalog.builtin(key)
         sig = parse_cycles(cycles)
-        pair = induced_half_braidings(spec, sig, "1")
+        pair = induced_half_braidings(spec, sig, lab)
         assert verify_sigma_pair(spec, sig, pair).ok
 
     def test_a_pair_with_the_wrong_number_of_half_braidings_is_refused(self):
@@ -884,7 +889,7 @@ def dense_gamma_column(spec, sigma, alpha, middle, m, z):
             rho = Morphism.identity(spec, (spec.dual[a],))
             for op in (("cup", 0, b, True), ("split", 2, z, a, mu), ("cap", 3, a, True)):
                 rho = rho.apply_all((op,))
-            st = base.apply_all((("merge", p, b, mu),)).apply_coupon(q, rho)
+            st = coupon(base.apply_all((("merge", p, b, mu),)), q, rho)
             for j in range(q + 1, len(word) + 1):
                 st = st.apply_all((("braid", j, center.GAMMA_RIGHT),))
             out.append((alpha[:m] + (b,) + alpha[m + 1 :], st))
@@ -988,9 +993,8 @@ class TestLegPlumbing:
                 py = induced_half_braidings(spec, sigma, y)
                 for ty, tw in enumerate(py.words):
                     for k in hom_keys(spec, (lab,), tw):
-                        f = Morphism.elementary(spec, (lab,), tw, k)
                         for alpha, st in zip(alphas, nested):
-                            st = st.apply_coupon(sigma.n + 1, f)
+                            st = st.apply_coupon(sigma.n + 1, (lab,), tw, k)
                             got = center._contract(py, alpha, ty, st)
                             assert got == contract_by_columns(py, alpha, ty, st)
                             unit_pairs += alpha.count(spec.unit)
@@ -1012,6 +1016,32 @@ class TestLegPlumbing:
         # A summand word names its label and its summand, so each is counted once.
         words = [w for lab in spec.labels for w in induced_half_braidings(spec, sigma, lab).words]
         assert len(set(words)) == len(words) and built == Counter(words)
+
+    def test_forward_applies_one_keyed_coupon_per_summand(self, monkeypatch):
+        # ``_forward`` names its basis map by the coordinate: it builds no
+        # elementary map and applies one coupon on each summand of I(lab).
+        spec, sigma = respec(catalog.builtin("fibonacci")), parse_cycles("(1 3)(2 4)")
+        forward, apply_coupon = center._forward, Morphism.apply_coupon
+        elementary, calls = Morphism.elementary, Counter()
+
+        def counted_forward(spec, sigma, lab, *args):
+            calls["summands"] += len(induced_half_braidings(spec, sigma, lab).words)
+            return forward(spec, sigma, lab, *args)
+
+        def counted_coupon(self, *args):
+            calls["coupons"] += 1
+            return apply_coupon(self, *args)
+
+        def counted_elementary(*args):
+            calls["elementary"] += 1
+            return elementary(*args)
+
+        monkeypatch.setattr(center, "_forward", counted_forward)
+        monkeypatch.setattr(Morphism, "apply_coupon", counted_coupon)
+        monkeypatch.setattr(Morphism, "elementary", staticmethod(counted_elementary))
+        center_rank(spec, sigma)
+        assert calls["summands"] and calls["coupons"] == calls["summands"]
+        assert calls["elementary"] == 0
 
     def test_contract_applies_no_gamma_column_at_the_unit(self, monkeypatch):
         spec, sigma = respec(catalog.builtin("ising")), parse_cycles("(1 2)(3 4)")

@@ -269,38 +269,52 @@ def out_of_range(table, labels):
     return f"{table} entry {labels} has a multiplicity index out of range"
 
 
-# (id, corruption of a saved Fibonacci file, the structure entries validate
+# (id, catalog, corruption of its saved file, the structure entries validate
 # lists for it).
 STRUCTURE_FAULTS = [
-    ("duplicate-labels", lambda doc: doc.update(labels=["1", "t", "t"]), ["duplicate labels"]),
-    ("unknown-unit", lambda doc: doc.update(unit="u"), ["unknown unit label 'u'"]),
-    ("dual-unknown-label", lambda doc: doc["dual"].update(x="x"),
+    ("duplicate-labels", "fibonacci", lambda doc: doc.update(labels=["1", "t", "t"]),
+     ["duplicate labels"]),
+    ("unknown-unit", "fibonacci", lambda doc: doc.update(unit="u"), ["unknown unit label 'u'"]),
+    ("dual-unknown-label", "fibonacci", lambda doc: doc["dual"].update(x="x"),
      ["dual table references unknown label in 'x' -> 'x'"]),
-    ("dual-missing", lambda doc: doc["dual"].pop("t"),
+    ("dual-missing", "fibonacci", lambda doc: doc["dual"].pop("t"),
      ["dual missing for label 't'", "dual rule fails: N(t,t;1) = 1"]),
-    ("negative-multiplicity", lambda doc: set_mult_ttt(doc, -1),
+    ("negative-multiplicity", "fibonacci", lambda doc: set_mult_ttt(doc, -1),
      ["negative multiplicity N(t,t;t)", out_of_range("F", "(t,t,t;1)"),
       out_of_range("F", "(t,t,t;t)"), out_of_range("R", "(t,t;t)")]),
-    ("fusion-unknown-label", lambda doc: doc["fusion"].append(["t", "t", "x", 1]),
+    ("fusion-unknown-label", "fibonacci", lambda doc: doc["fusion"].append(["t", "t", "x", 1]),
      ["fusion table references unknown label 'x'"]),
-    ("fusion-not-associative", lambda doc: doc["fusion"].append(["1", "t", "1", 1]),
+    ("fusion-not-associative", "fibonacci", lambda doc: doc["fusion"].append(["1", "t", "1", 1]),
      ["dual rule fails: N(1,t;1) = 1", "unit rule fails: N(1,t;1) = 1",
       *(f"fusion not associative at {at}" for at in
         ("(1,1,t;1): 1 != 2", "(1,t,t;t): 2 != 1", "(t,1,t;t): 1 != 2", "(t,t,t;1): 2 != 1"))]),
-    ("pivotal-unit-not-1", lambda doc: doc["pivotal"].update({"1": one([[0, -1, 1]])}),
+    ("pivotal-unit-not-1", "fibonacci",
+     lambda doc: doc["pivotal"].update({"1": one([[0, -1, 1]])}),
      ["pivotal coefficient of the unit must be 1"]),
-    ("pivotal-unknown-label", lambda doc: doc["pivotal"].update(x=one([[0, 1, 1]])),
+    ("pivotal-unknown-label", "fibonacci", lambda doc: doc["pivotal"].update(x=one([[0, 1, 1]])),
      ["pivotal table references unknown label 'x'"]),
-    ("F-unknown-label",
+    ("F-unknown-label", "fibonacci",
      lambda doc: doc["F"].append({**doc["F"][1], "labels": ["x", "t", "t", "t"]}),
      ["F table references unknown label 'x'"]),
-    ("R-unknown-label", lambda doc: doc["R"].append({**doc["R"][1], "labels": ["t", "t", "x"]}),
+    ("R-unknown-label", "fibonacci",
+     lambda doc: doc["R"].append({**doc["R"][1], "labels": ["t", "t", "x"]}),
      ["R table references unknown label 'x'"]),
-    ("F-index-out-of-range", lambda doc: doc["F"][1]["row"].__setitem__(1, 1),
+    ("F-index-out-of-range", "fibonacci", lambda doc: doc["F"][1]["row"].__setitem__(1, 1),
      [out_of_range("F", "(t,t,t;t)")]),
-    ("F-entry-missing",
+    ("F-entry-missing", "fibonacci",
      lambda doc: doc.update(F=[rec for rec in doc["F"] if rec["labels"] != ["t", "t", "t", "1"]]),
      ["fibonacci: missing F entry for admissible channel (t,t,t;1)"]),
+    # Each unit and dual message names the unit, and N(u,u;b) is listed once.
+    ("unit-t", "fibonacci", lambda doc: doc.update(unit="t"),
+     ["unit rule fails: N(t,1;1) = 0", "unit rule fails: N(1,t;1) = 0",
+      "dual rule fails: N(1,1;t) = 0", "unit rule fails: N(t,1;t) = 1",
+      "unit rule fails: N(1,t;t) = 1", "dual rule fails: N(1,t;t) = 1",
+      "unit rule fails: N(t,t;1) = 1", "dual rule fails: N(t,1;t) = 1"]),
+    ("vec_z3_q-unit-rule", "vec_z3_q", lambda doc: doc["fusion"].append(["0", "1", "2", 1]),
+     ["unit rule fails: N(0,1;2) = 1",
+      *(f"fusion not associative at {at}" for at in
+        ("(0,0,1;2): 1 != 2", "(0,1,1;0): 1 != 0", "(0,1,2;1): 1 != 0", "(0,2,2;2): 0 != 1",
+         "(1,0,1;0): 0 != 1", "(1,2,1;2): 1 != 0", "(2,0,1;1): 0 != 1", "(2,1,1;2): 1 != 0"))]),
 ]
 
 
@@ -445,10 +459,10 @@ class TestCatalogFiles:
         assert captured.err == ("error: category 'fibonacci' has no braiding data; "
                                 "a premodular spec is required\n")
 
-    @pytest.mark.parametrize("corrupt,entries", [fault[1:] for fault in STRUCTURE_FAULTS],
+    @pytest.mark.parametrize("key,corrupt,entries", [fault[1:] for fault in STRUCTURE_FAULTS],
                              ids=[fault[0] for fault in STRUCTURE_FAULTS])
-    def test_validate_lists_each_structure_fault(self, capsys, tmp_path, corrupt, entries):
-        path, doc = saved_doc(tmp_path, "fibonacci")
+    def test_validate_lists_each_structure_fault(self, capsys, tmp_path, key, corrupt, entries):
+        path, doc = saved_doc(tmp_path, key)
         corrupt(doc)
         path.write_text(json.dumps(doc))
         code, out = run(capsys, "validate", "--cat", str(path), "--json")

@@ -39,14 +39,12 @@ from genuscenter.trees import (
     ev_coeff,
     hom_dim,
     hom_keys,
-    left_trace,
     loop_value,
-    right_trace,
     trees,
     word_after,
 )
 
-from exact_oracle import ExactMatrix, inverse, r_matrix
+from exact_oracle import ExactMatrix, coupon, inverse, left_trace, r_matrix, right_trace
 from test_fusion import respec
 
 ALL_KEYS = ("fibonacci", "ising", "rep_s3", "rep_z2", "semion", "vec_z2", "vec_z3_q")
@@ -164,7 +162,7 @@ def random_target(spec, src_w, rng):
 
 
 def assert_matches_reference(state, pos, f):
-    got = state.apply_coupon(pos, f)
+    got = coupon(state, pos, f)
     want = chain_replay_coupon(state, pos, f)
     assert got.tgt == want.tgt
     assert got == want
@@ -244,7 +242,7 @@ class TestApplyCoupon:
         zero = Morphism.zero(spec, word, word)
         f = random_morphism(spec, word[1:], random_target(spec, word[1:], rng), rng, zero=False)
         assert f.blocks
-        got = zero.apply_coupon(2, f)
+        got = coupon(zero, 2, f)
         assert got.is_zero() and got.tgt == word[:1] + f.tgt
         assert got == chain_replay_coupon(zero, 2, f)
 
@@ -255,17 +253,44 @@ class TestApplyCoupon:
         state = random_morphism(spec, word, word, rng)
         f = random_morphism(spec, ("s", "f"), ("f", "s"), rng, zero=False)
         assert f.blocks
-        first = state.apply_coupon(2, f)
+        first = coupon(state, 2, f)
         size = len(spec._cache)
-        assert state.apply_coupon(2, f) == first
+        assert coupon(state, 2, f) == first
         assert len(spec._cache) == size
 
     def test_source_mismatch_raises(self):
         spec = catalog.builtin("fibonacci")
         state = Morphism.identity(spec, ("t", "1"))
-        f = Morphism.identity(spec, ("t", "t"))
-        with pytest.raises(IllFormedDiagramError):
-            state.apply_coupon(1, f)
+        word = ("t", "t")
+        for key in hom_keys(spec, word, word):
+            with pytest.raises(IllFormedDiagramError):
+                state.apply_coupon(1, word, word, key)
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_basis_map_at_every_key_matches_chain_replay(self, key):
+        # The coupon of one Hom coordinate, at every position and width, and
+        # with an empty source word (a cup) and an empty target word (a cap).
+        spec = catalog.builtin(key)
+        rng = rng_for(key, "keyed")
+        a = spec.labels[-1]
+        word = (rng.choice(spec.labels), a, spec.dual[a], rng.choice(spec.labels))
+        state = random_morphism(spec, word, word, rng, zero=False)
+        shapes = [(pos, word[pos - 1 : pos - 1 + width])
+                  for pos in range(1, len(word) + 1)
+                  for width in range(1, min(3, len(word) - pos + 1) + 1)]
+        cases = [(pos, src_w, random_target(spec, src_w, rng)) for pos, src_w in shapes]
+        cases += [(pos, (), (b, spec.dual[b])) for pos in range(1, len(word) + 2)
+                  for b in spec.labels]
+        cases += [(2, (a, spec.dual[a]), ())]
+        keys = nonzero = 0
+        for pos, src_w, tgt_w in cases:
+            for k in hom_keys(spec, src_w, tgt_w):
+                got = state.apply_coupon(pos, src_w, tgt_w, k)
+                want = chain_replay_coupon(state, pos, Morphism.elementary(spec, src_w, tgt_w, k))
+                assert got.tgt == want.tgt and got == want, (pos, src_w, tgt_w, k)
+                keys += 1
+                nonzero += not got.is_zero()
+        assert keys >= len(cases) and 2 * nonzero >= keys
 
 
 def random_ops(spec, word, length, rng, low=1):
@@ -628,6 +653,14 @@ class TestIsotopy:
         assert left_trace(spec, f) == right_trace(spec, f)
 
     @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_loop_value_is_the_trace_of_the_identity(self, key):
+        spec = fresh(key)
+        for a in spec.labels:
+            ident = Morphism.identity(spec, (a,))
+            assert loop_value(spec, a, "right") == right_trace(spec, ident), a
+            assert loop_value(spec, a, "left") == left_trace(spec, ident), a
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
     def test_sliding_makes_omega_transparent(self, key):
         # The linked ring around any strand is independent of which side
         # of the ring the strand passes on.
@@ -789,7 +822,7 @@ def test_every_operation_keeps_the_sparse_layout(key):
             state + other,
             state + other.scale(rational(-1)),
             state.scale(scalars(spec, zero=False)[-1]),
-            state.apply_coupon(2, f),
+            coupon(state, 2, f),
         ]
     assert sum(not m.is_zero() for m in results) >= len(results) // 2
     for m in results:
