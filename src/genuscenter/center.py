@@ -71,7 +71,7 @@ from itertools import product as iproduct
 from .algebra import AlgebraData, decompose
 from .errors import GenusCenterError, IllFormedDiagramError
 from .exactnum import rank
-from .fusion import CategorySpec, ValidationReport
+from .fusion import CategorySpec
 from .gluing import Gluing, comm_case
 from .trees import Morphism, cached, hom_dim, hom_keys, trees, word_after
 
@@ -313,19 +313,19 @@ def _hb_rows(gamma: CarrierMap) -> dict:
     return {c: m for c, m in out.items() if m[0] or m[1]}
 
 
-def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
+def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> list[str]:
     """Invertibility, unit law, multiplicativity, and :comm, all exact.
 
     ``gamma[m, z]`` (gamma_[m] at z on the identity of (z,) + carrier) is
     the position-1 table.  The other checks apply their gamma words to
     their own start state, a split or a swap on an identity carrier: as
     post-composing B with a word is (the word on the identity) o B, no
-    table at position 2 is needed.  Failures come out in loop order: unit,
-    invertibility by (m, z), multiplicativity by (m, z1, z2, w, mu), then
-    :comm by (i, j, z1, z2).
+    table at position 2 is needed.  The failures, none on a pass, come in
+    loop order: unit, invertibility by (m, z), multiplicativity by
+    (m, z1, z2, w, mu), then :comm by (i, j, z1, z2).
     """
     if len(pair.braidings) != sigma.n:
-        return ValidationReport([f"expected {sigma.n} half-braidings"])
+        return [f"expected {sigma.n} half-braidings"]
     bad: list = []
     ident = {z: _carrier_id_with(spec, pair, (z,)) for z in spec.labels}
     gamma = {
@@ -365,7 +365,7 @@ def verify_sigma_pair(spec, sigma: Gluing, pair: SigmaPair) -> ValidationReport:
             for z1, z2 in iproduct(spec.labels, repeat=2):
                 if not _comm_ok(spec, pair, i, j, case, z1, z2):
                     bad.append(f"comm case {case} fails for orbits ({i},{j}) at ({z1},{z2})")
-    return ValidationReport(bad)
+    return bad
 
 
 def _carrier_id_with(spec, pair, prefix) -> CarrierMap:

@@ -30,8 +30,6 @@ from .trees import Morphism, cached, hopf_link_value, loop_value, theta
 
 __all__ = [
     "CategorySpec",
-    "OmegaColor",
-    "ValidationReport",
     "validate_structure",
     "check_pentagon",
     "check_hexagon",
@@ -50,14 +48,9 @@ class CategorySpec:
     or of order N, and no product or sum has to find a common field.  The
     engine combines them through ``field``, a class attribute a spec mod p will override.
 
-    Frozen: ``_cache`` holds what is derived from F, R and the pivotal data
-    (splitting vertices, tree lists, F blocks, R inverses, F and F^-1 by
-    incoming slots, cap coefficients, pivotal inverses, the window of each
-    generator word, each generator's action on each window of a tree it
-    meets, one composed map per generator word and window word, the tree
-    registry, loop values, quantum dimensions and twists, the S matrix,
-    induced pairs, tube bases and tube algebras), so those fields never
-    change after construction; only ``trees.cached`` fills it, and each spec has its own.
+    Frozen: ``_cache`` holds the tables derived from F, R and the pivotal
+    data that the ``trees`` docstring lists, so those fields never change
+    after construction; only ``trees.cached`` fills it, and each spec has its own.
     """
 
     field = CYCLOTOMIC
@@ -137,19 +130,10 @@ class CategorySpec:
         """The F block as {(row_key, col_key): Cyclotomic}; identity on unit legs."""
         rows = self.f_rows(a, b, c, d)
         cols = self.f_cols(a, b, c, d)
-        unit = self.unit
-        if a == unit or b == unit or c == unit:
-            # Strict-unit gauge: the recoupling is the obvious relabeling.
-            if a == unit:
-                pair = {((e, al, be), (f, mu, nu)): be == mu for (e, al, be) in rows
-                        for (f, mu, nu) in cols}
-            elif b == unit:
-                pair = {((e, al, be), (f, mu, nu)): be == nu for (e, al, be) in rows
-                        for (f, mu, nu) in cols}
-            else:
-                pair = {((e, al, be), (f, mu, nu)): al == nu for (e, al, be) in rows
-                        for (f, mu, nu) in cols}
-            block = {k: self.field.one for k, hit in pair.items() if hit}
+        if self.unit in (a, b, c):
+            # Strict-unit gauge: rows and columns both enumerate the vertex
+            # space of the two other legs, in the same order.
+            block = {key: self.field.one for key in zip(rows, cols)}
         else:
             block = self.F.get((a, b, c, d))
             if block is None:
@@ -205,31 +189,17 @@ class CategorySpec:
         return math.lcm(*(v.order for block in blocks for v in block.values()))
 
 
-class OmegaColor:
-    """Quantum dimensions of the simples and their squared total."""
+def validate_structure(spec: CategorySpec) -> list[str]:
+    """Unit, dual, and fusion-consistency invariants; label hygiene.
 
-    def __init__(self, weights: dict[str, Cyclotomic], total: Cyclotomic):
-        self.weights = weights
-        self.total = total
-
-
-class ValidationReport:
-    def __init__(self, entries: list[str]):
-        self.entries = entries
-
-    @property
-    def ok(self) -> bool:
-        return not self.entries
-
-
-def validate_structure(spec: CategorySpec) -> ValidationReport:
-    """Unit, dual, and fusion-consistency invariants; label hygiene."""
+    Like every check here, returns its failures; an empty list means pass.
+    """
     bad: list[str] = []
     labels = set(spec.labels)
     if len(labels) != len(spec.labels):
-        return ValidationReport(["duplicate labels"])
+        return ["duplicate labels"]
     if spec.unit not in labels:
-        return ValidationReport([f"unknown unit label {spec.unit!r}"])
+        return [f"unknown unit label {spec.unit!r}"]
 
     for a, b in spec.dual.items():
         if a not in labels or b not in labels:
@@ -307,7 +277,7 @@ def validate_structure(spec: CategorySpec) -> ValidationReport:
                     spec.r_block(a, b, c)
         except IncompleteDataError as exc:
             bad.append(str(exc))
-    return ValidationReport(bad)
+    return bad
 
 
 def _differing_charges(f: Morphism, g: Morphism) -> set:
@@ -315,8 +285,8 @@ def _differing_charges(f: Morphism, g: Morphism) -> set:
     return set((f + g.scale(-f.spec.field.one)).blocks)
 
 
-def check_pentagon(spec: CategorySpec) -> ValidationReport:
-    """Exactly evaluate every pentagon instance; empty report means pass.
+def check_pentagon(spec: CategorySpec) -> list[str]:
+    """Exactly evaluate every pentagon instance.
 
     On the strands (a, b, c, d), merging c d to x along rho and then b x to
     y along sigma must equal the F[bcd;y] combination of the (bc)d merges:
@@ -347,10 +317,10 @@ def check_pentagon(spec: CategorySpec) -> ValidationReport:
                 lhs = one.apply_all((("merge", 3, x, rho), ("merge", 2, y, sigma)))
                 differ |= _differing_charges(lhs, rhs)
         bad.extend(f"pentagon fails at ({a},{b},{c},{d};{e})" for e in L if e in differ)
-    return ValidationReport(bad)
+    return bad
 
 
-def check_hexagon(spec: CategorySpec) -> ValidationReport:
+def check_hexagon(spec: CategorySpec) -> list[str]:
     """Both hexagon families (for c and its reverse), exactly.
 
     On the strands (a, b, c), braiding a past b and then past c must equal
@@ -386,35 +356,26 @@ def check_hexagon(spec: CategorySpec) -> ValidationReport:
                 bad.append(f"hexagon(c) fails at ({a};{b},{c};{d})")
             if d in differ["under"]:
                 bad.append(f"hexagon(c^-1) fails at ({a};{b},{c};{d})")
-    return ValidationReport(bad)
+    return bad
 
 
-@cached
 def quantum_dims(spec: CategorySpec):
-    """Loop-evaluated dimensions, curl-evaluated twists, and dim(Omega).
+    """(dims, twists): loop-evaluated dimensions and curl-evaluated twists by label.
 
-    Returns (OmegaColor, twists) where twists maps label -> Cyclotomic.
-    The loop and curl are evaluated by ``trees``; the ribbon-sum
-    formula for twists is kept in the test suite as an independent check.
+    twists is empty when R is None.  The loop and curl are evaluated by
+    ``trees``; the ribbon-sum formula for twists is kept in the test suite
+    as an independent check.
     """
-    weights: dict[str, Cyclotomic] = {}
-    twists: dict[str, Cyclotomic] = {}
-    for a in spec.labels:
-        weights[a] = loop_value(spec, a, "right")
-        if spec.R is not None:
-            twists[a] = theta(spec, a)
-    total = C0
-    for a in spec.labels:
-        total = total + weights[a] * weights[a]
-    return OmegaColor(weights=weights, total=total), twists
+    dims = {a: loop_value(spec, a, "right") for a in spec.labels}
+    twists = {a: theta(spec, a) for a in spec.labels} if spec.R is not None else {}
+    return dims, twists
 
 
-def check_spherical_ribbon(spec: CategorySpec) -> ValidationReport:
+def check_spherical_ribbon(spec: CategorySpec) -> list[str]:
     """dim(a) = dim(a*) in both trace orders, nonzero, and a fusion character:
     dim(a) dim(b) = sum_c N_ab^c dim(c); theta(a) = theta(a*)."""
     bad: list[str] = []
-    omega, twists = quantum_dims(spec)
-    dim = omega.weights
+    dim, twists = quantum_dims(spec)
     for a in spec.labels:
         left = loop_value(spec, a, "left")
         if dim[a] != left:
@@ -434,14 +395,13 @@ def check_spherical_ribbon(spec: CategorySpec) -> ValidationReport:
     for a, b in product(spec.labels, repeat=2):
         if dim[a] * dim[b] != sum((spec.N(a, b, c) * dim[c] for c in spec.labels), C0):
             bad.append(f"dim({a}) dim({b}) != sum of N({a},{b};c) dim(c)")
-    return ValidationReport(bad)
+    return bad
 
 
-@cached
 def s_matrix_and_transparency(spec: CategorySpec):
     """Unnormalized S-matrix, transparent labels, and the modular flag."""
     spec.require_braiding()
-    omega, _ = quantum_dims(spec)
+    dim, _ = quantum_dims(spec)
     n = len(spec.labels)
     s = {
         (i, j): hopf_link_value(spec, a, b)
@@ -451,7 +411,7 @@ def s_matrix_and_transparency(spec: CategorySpec):
     transparent = set()
     for j, b in enumerate(spec.labels):
         if all(
-            s[i, j] == omega.weights[a] * omega.weights[b]
+            s[i, j] == dim[a] * dim[b]
             for i, a in enumerate(spec.labels)
         ):
             transparent.add(b)

@@ -58,13 +58,12 @@ layout is known here alone.
 Every table derived once per category (splitting vertices, tree lists,
 cap coefficients, F blocks and the F and F^-1 moves indexed by incoming
 slots, R inverses, pivotal inverses, the window of each generator word,
-generator actions on windows, composed word maps, the tree registry, loop
-values, quantum dimensions, the S matrix, induced pairs, nested carrier
-identities, tube bases and tube algebras) is memoized by ``cached``, the
-one reader and writer of ``spec._cache``, so none of them outlives its
-spec.  The tree registry interns the output trees of the word maps, so an
-equal tree in two maps is one object; trees are compared and hashed by
-value only, so this changes no result.
+generator actions on windows, composed word maps, the tree registry,
+induced pairs, nested carrier identities, tube bases and tube algebras)
+is memoized by ``cached``, the one reader and writer of ``spec._cache``,
+so none of them outlives its spec.  The tree registry interns the output
+trees of the word maps, so an equal tree in two maps is one object; trees
+are compared and hashed by value only, so this changes no result.
 
 Duality normalization: fusion vertices are dual to splitting vertices
 (``w o v = id``), cups are plain coevaluations, and cap coefficients are
@@ -614,7 +613,6 @@ def _active_window(spec, n: int, ops: tuple) -> tuple[int, int]:
 # closed diagrams
 
 
-@cached
 def loop_value(spec, a: str, side: str):
     """Closed a-loop: a cup and a cap, the cap primed if ``side`` is "right", the cup if "left"."""
     word = (("cup", 0, a, side == "left"), ("cap", 1, a, side == "right"))

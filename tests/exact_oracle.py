@@ -37,7 +37,7 @@ elimination on a copy of its grid, is the reference for the sparse
 from genuscenter.center import CarrierMap, SigmaPair, carrier_basis
 from genuscenter.errors import GenusCenterError, IllFormedDiagramError, SingularMatrixError
 from genuscenter.exactnum import C0, C1
-from genuscenter.fusion import CategorySpec, ValidationReport, quantum_dims
+from genuscenter.fusion import CategorySpec, quantum_dims
 from genuscenter.gluing import Gluing
 from genuscenter.trees import Morphism, hom_keys
 
@@ -358,8 +358,8 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
     """
     if any(f.src != px.words or f.tgt != py.words for f in fs):
         raise GenusCenterError("morphism shape does not match the pair carriers")
-    omega, _ = quantum_dims(spec)
-    inv_total = omega.total.inverse()
+    dims, _ = quantum_dims(spec)
+    inv_total = sum((d * d for d in dims.values()), C0).inverse()
     need = {sx for f in fs for (_ty, sx) in f.blocks}
     outs: list = [{} for _ in fs]
     mid_pos = sigma.n + 1
@@ -368,7 +368,7 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
         for (alpha, sx), mor in created.items():
             weight = C1
             for a in alpha:
-                weight = weight * omega.weights[a] * inv_total
+                weight = weight * dims[a] * inv_total
             for f, out_blocks in zip(fs, outs):
                 for (ty, sx2), fb in f.blocks.items():
                     if sx2 != sx:
@@ -395,8 +395,8 @@ def _compose_sparse(later: dict, earlier: dict) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def check_pentagon(spec: CategorySpec) -> ValidationReport:
-    """Every pentagon instance, by hand-built moves; empty report means pass.
+def check_pentagon(spec: CategorySpec) -> list[str]:
+    """Every pentagon instance, by hand-built moves; an empty list means pass.
 
     Both recoupling paths from (((ab)c)d -> e) to (a(b(cd)) -> e) are
     assembled as sparse matrices over labeled-tree bases and compared.
@@ -410,7 +410,7 @@ def check_pentagon(spec: CategorySpec) -> ValidationReport:
                     for e in L:
                         if not _pentagon_instance(spec, a, b, c, d, e):
                             bad.append(f"pentagon fails at ({a},{b},{c},{d};{e})")
-    return ValidationReport(bad)
+    return bad
 
 
 def _pentagon_instance(spec, a, b, c, d, e) -> bool:
@@ -474,7 +474,7 @@ def _pentagon_instance(spec, a, b, c, d, e) -> bool:
     return all((path_a.get(k, C0) - path_b.get(k, C0)).is_zero() for k in keys)
 
 
-def check_hexagon(spec: CategorySpec) -> ValidationReport:
+def check_hexagon(spec: CategorySpec) -> list[str]:
     """Both hexagon families (for c and its reverse), by hand-built moves.
 
     On the a(bc) basis: braiding a past the fused pair against
@@ -491,7 +491,7 @@ def check_hexagon(spec: CategorySpec) -> ValidationReport:
                         bad.append(f"hexagon(c) fails at ({a};{b},{c};{d})")
                     if not _hexagon_instance(spec, a, b, c, d, inverse=True):
                         bad.append(f"hexagon(c^-1) fails at ({a};{b},{c};{d})")
-    return ValidationReport(bad)
+    return bad
 
 
 def _r_entries(spec, a, b, c, inverse):

@@ -430,20 +430,37 @@ class TestCatalogFiles:
         assert "fails the structure check" in captured.err and missing in captured.err
 
     @pytest.mark.parametrize(
-        "key,label,report",
-        [("fibonacci", "t", ["dim(t) dim(t) != sum of N(t,t;c) dim(c)"]), ("ising", "s", "ok")],
-        ids=("fibonacci", "ising"),
+        "key,label,braided,report",
+        [("fibonacci", "t", True, ["dim(t) dim(t) != sum of N(t,t;c) dim(c)"]),
+         ("ising", "s", True, "ok"),
+         ("fibonacci", "t", False, ["dim(t) dim(t) != sum of N(t,t;c) dim(c)"]),
+         ("ising", "s", False, "ok"),
+         ("fibonacci", None, False, "ok")],
+        ids=("fibonacci", "ising", "fibonacci-unbraided", "ising-unbraided", "plain-unbraided"),
     )
-    def test_dimensions_must_be_a_fusion_character(self, capsys, tmp_path, key, label, report):
+    def test_dimensions_must_be_a_fusion_character(self, capsys, tmp_path, key, label, braided,
+                                                   report):
         # pivotal(t) = -1 makes Fibonacci's dim(t) = -phi, whose square 1 + phi
         # is not 1 + dim(t): Fibonacci has one pivotal structure.  Ising's
         # pivotal(s) = -1 is its other spherical structure, dim(s) = -sqrt 2.
+        # The dimensions need no braiding, so a file without R is checked too.
         path, doc = saved_doc(tmp_path, key)
-        doc["pivotal"][label] = one([[0, -1, 1]])
+        if label is not None:
+            doc["pivotal"][label] = one([[0, -1, 1]])
+        if not braided:
+            del doc["R"]
         path.write_text(json.dumps(doc))
         code, out = run(capsys, "validate", "--cat", str(path), "--json")
-        assert json.loads(out)["spherical_ribbon"] == report
+        got = json.loads(out)
+        assert got["spherical_ribbon"] == report
         assert code == (0 if report == "ok" else 1)
+        if report == "ok":
+            assert got["hexagon"] == ("ok" if braided else "skipped (no braiding data)")
+            return
+        code = main(["center", "rank", "--cat", str(path), "--sigma", "(1 2)"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "fails the spherical_ribbon check" in captured.err
 
     @pytest.mark.parametrize("sigma", ("()", "(1 2)", "(1 3)(2 4)"))
     @pytest.mark.parametrize("command", [("center", "rank"), ("adjoint", "check"),

@@ -34,7 +34,7 @@ def golden():
 class TestStructure:
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_catalogs_structurally_valid(self, key):
-        assert fusion.validate_structure(catalog.builtin(key)).ok
+        assert fusion.validate_structure(catalog.builtin(key)) == []
 
     def test_singular_f_block_is_named(self):
         spec = catalog.builtin("fibonacci")
@@ -44,7 +44,7 @@ class TestStructure:
         kept = {k: v for k, v in block.items() if k[0] != ("t", 0, 0)}
         F = {**spec.F, ("t", "t", "t", "t"): {**kept, **copied}}
         bad = respec(spec, F=F)
-        assert fusion.validate_structure(bad).entries == ["F block (t,t,t;t) is singular"]
+        assert fusion.validate_structure(bad) == ["F block (t,t,t;t) is singular"]
         named = r"^fibonacci: F block \(t,t,t;t\) is singular$"
         with pytest.raises(SingularMatrixError, match=named):
             bad.f_inverse("t", "t", "t", "t")
@@ -62,8 +62,7 @@ class TestStructure:
             pivotal=spec.pivotal,
         )
         rep = fusion.validate_structure(broken)
-        assert not rep.ok
-        assert any("involutive" in e or "dual rule" in e for e in rep.entries)
+        assert any("involutive" in e or "dual rule" in e for e in rep)
 
     def test_unknown_label_is_report_entry_not_exception(self):
         spec = catalog.builtin("rep_z2")
@@ -78,17 +77,69 @@ class TestStructure:
             pivotal=spec.pivotal,
         )
         rep = fusion.validate_structure(bad)
-        assert any("unknown label" in e for e in rep.entries)
+        assert any("unknown label" in e for e in rep)
 
     def test_vec_z3_group_law_valid(self):
-        assert fusion.validate_structure(catalog.builtin("vec_z3_q")).ok
+        assert fusion.validate_structure(catalog.builtin("vec_z3_q")) == []
+
+
+def rep_a4_ring():
+    """Rep(A4)'s fusion rules, 3 (x) 3 = 1 + a + b + 2 3, with no F or R data."""
+    labels = ("1", "a", "b", "3")
+    power = {"1": 0, "a": 1, "b": 2}
+    fusion_rules = {}
+    for x, y in product(labels, repeat=2):
+        if "3" not in (x, y):
+            fusion_rules[x, y, labels[(power[x] + power[y]) % 3]] = 1
+        elif (x, y) != ("3", "3"):
+            fusion_rules[x, y, "3"] = 1
+    fusion_rules.update({("3", "3", "1"): 1, ("3", "3", "a"): 1, ("3", "3", "b"): 1,
+                         ("3", "3", "3"): 2})
+    return fusion.CategorySpec(name="rep_a4_ring", labels=labels, unit="1",
+                               dual={"1": "1", "a": "b", "b": "a", "3": "3"},
+                               fusion=fusion_rules, F={}, R=None, pivotal={})
+
+
+def slot_rule_block(spec, a, b, c, d):
+    """The strict-unit F block by slot rules: the vertex of the two other legs
+    keeps its index, be = mu at a unit a, be = nu at a unit b, al = nu at a unit c."""
+    if a == spec.unit:
+        hit = lambda row, col: row[2] == col[1]  # noqa: E731
+    elif b == spec.unit:
+        hit = lambda row, col: row[2] == col[2]  # noqa: E731
+    else:
+        hit = lambda row, col: row[1] == col[2]  # noqa: E731
+    return {(row, col): spec.field.one for row in spec.f_rows(a, b, c, d)
+            for col in spec.f_cols(a, b, c, d) if hit(row, col)}
+
+
+class TestUnitLegBlocks:
+    def test_rep_a4_ring_fails_only_for_its_missing_f_data(self):
+        (entry,) = fusion.validate_structure(rep_a4_ring())
+        assert entry.startswith("rep_a4_ring: missing F entry for admissible channel")
+
+    def test_each_unit_leg_block_is_the_slot_rule_identity(self):
+        spec = rep_a4_ring()
+        checked, multiple = 0, []
+        for a, b, c, d in product(spec.labels, repeat=4):
+            if spec.unit not in (a, b, c):
+                continue
+            rows, cols, block = spec.f_block(a, b, c, d)
+            want = slot_rule_block(spec, a, b, c, d)
+            assert list(block.items()) == list(want.items()), (a, b, c, d)
+            assert (rows, cols) == (spec.f_rows(a, b, c, d), spec.f_cols(a, b, c, d))
+            checked += 1
+            if len(block) > 1:
+                multiple.append((a, b, c, d))
+        assert checked == 148
+        assert multiple == [("1", "3", "3", "3"), ("3", "1", "3", "3"), ("3", "3", "1", "3")]
 
 
 class TestPentagon:
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_catalogs_pass_exactly(self, key):
         spec = catalog.builtin(key)
-        assert fusion.check_pentagon(spec).ok
+        assert fusion.check_pentagon(spec) == []
 
     def test_perturbed_entry_fails(self):
         spec = catalog.builtin("fibonacci")
@@ -108,14 +159,14 @@ class TestPentagon:
             R=spec.R,
             pivotal=spec.pivotal,
         )
-        assert not fusion.check_pentagon(bad).ok
+        assert fusion.check_pentagon(bad)
 
 
 class TestHexagon:
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_catalogs_pass_exactly(self, key):
         spec = catalog.builtin(key)
-        assert fusion.check_hexagon(spec).ok
+        assert fusion.check_hexagon(spec) == []
 
     def test_trivialized_braiding_fails_for_fibonacci(self):
         spec = catalog.builtin("fibonacci")
@@ -131,7 +182,7 @@ class TestHexagon:
             R=bad_r,
             pivotal=spec.pivotal,
         )
-        assert not fusion.check_hexagon(bad).ok
+        assert fusion.check_hexagon(bad)
 
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_r_inverse_inverts_r_matrix(self, key):
@@ -175,9 +226,9 @@ def scaled_entry(spec, rng):
 
 
 def reports(check, spec):
-    """check(spec).entries, or SingularMatrixError if it inverts a singular block."""
+    """check(spec), or SingularMatrixError if it inverts a singular block."""
     try:
-        return check(spec).entries
+        return check(spec)
     except SingularMatrixError:  # a scaled F block may be singular
         return SingularMatrixError
 
@@ -202,51 +253,53 @@ class TestAgainstReference:
         assert not outcomes[0] and sum(outcomes) >= 12  # the scaled copies do break the axioms
 
 
+def global_dim(dims):
+    """The sum of d_a^2 over the simples."""
+    return sum((d * d for d in dims.values()), rational(0))
+
+
 class TestQuantumDims:
     def test_vec_z2(self):
-        omega, _ = fusion.quantum_dims(catalog.builtin("vec_z2"))
-        assert omega.weights["0"] == rational(1)
-        assert omega.weights["1"] == rational(1)
-        assert omega.total == rational(2)
+        dims, _ = fusion.quantum_dims(catalog.builtin("vec_z2"))
+        assert dims["0"] == rational(1)
+        assert dims["1"] == rational(1)
+        assert global_dim(dims) == rational(2)
 
     def test_fibonacci_golden(self):
-        omega, twists = fusion.quantum_dims(catalog.builtin("fibonacci"))
+        dims, twists = fusion.quantum_dims(catalog.builtin("fibonacci"))
         phi = golden()
-        assert omega.weights["t"] == phi
-        assert omega.total == phi + rational(2)
+        assert dims["t"] == phi
+        assert global_dim(dims) == phi + rational(2)
         # tau twist is a primitive fifth root squared
         assert twists["t"] == zeta(5, 2)
 
     def test_ising_dims(self):
-        omega, twists = fusion.quantum_dims(catalog.builtin("ising"))
-        assert omega.weights["s"] == zeta(8) + zeta(8, 7)
-        assert omega.weights["f"] == rational(1)
-        assert omega.total == rational(4)
+        dims, twists = fusion.quantum_dims(catalog.builtin("ising"))
+        assert dims["s"] == zeta(8) + zeta(8, 7)
+        assert dims["f"] == rational(1)
+        assert global_dim(dims) == rational(4)
         assert twists["s"] == zeta(16)
         assert twists["f"] == rational(-1)
 
     def test_rep_s3_dims(self):
-        omega, twists = fusion.quantum_dims(catalog.builtin("rep_s3"))
-        assert omega.weights["V"] == rational(2)
-        assert omega.total == rational(6)
+        dims, twists = fusion.quantum_dims(catalog.builtin("rep_s3"))
+        assert dims["V"] == rational(2)
+        assert global_dim(dims) == rational(6)
         assert all(v == rational(1) for v in twists.values())
 
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_unit_normalization(self, key):
         spec = catalog.builtin(key)
-        omega, twists = fusion.quantum_dims(spec)
-        assert omega.weights[spec.unit] == rational(1)
+        dims, twists = fusion.quantum_dims(spec)
+        assert dims[spec.unit] == rational(1)
         assert twists[spec.unit] == rational(1)
-        total = rational(0)
-        for a in spec.labels:
-            total = total + omega.weights[a] * omega.weights[a]
-        assert total == omega.total
+        assert list(dims) == list(twists) == list(spec.labels)
 
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_twist_matches_braid_eigenvalue_sum(self, key):
         # Independent ribbon formula: theta_a = sum_c (d_c/d_a) tr R[aa->c].
         spec = catalog.builtin(key)
-        omega, twists = fusion.quantum_dims(spec)
+        dims, twists = fusion.quantum_dims(spec)
         for a in spec.labels:
             acc = rational(0)
             for c in spec.channels(a, a):
@@ -254,14 +307,14 @@ class TestQuantumDims:
                 tr = rational(0)
                 for i in range(rm.rows):
                     tr = tr + rm[i, i]
-                acc = acc + omega.weights[c] * tr / omega.weights[a]
+                acc = acc + dims[c] * tr / dims[a]
             assert acc == twists[a]
 
 
 class TestSphericalRibbon:
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_catalogs_pass(self, key):
-        assert fusion.check_spherical_ribbon(catalog.builtin(key)).ok
+        assert fusion.check_spherical_ribbon(catalog.builtin(key)) == []
 
     def test_inconsistent_pivotal_fails(self):
         spec = catalog.builtin("vec_z3_q")
@@ -275,7 +328,7 @@ class TestSphericalRibbon:
             R=spec.R,
             pivotal={"0": rational(1), "1": rational(-1), "2": rational(1)},
         )
-        assert not fusion.check_spherical_ribbon(bad).ok
+        assert fusion.check_spherical_ribbon(bad)
 
 
 class TestSMatrix:

@@ -31,7 +31,8 @@ GROUPS = {"rep_z2": tuple(permutations(range(2))), "rep_s3": tuple(permutations(
 S3_TABLE = {3: (1, 1, 2), 1: (1, -1, 0), 0: (1, 1, -1)}
 
 GLUINGS = {
-    "rep_z2": ("(1 2)", "(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)", "(1 3)(2 4)(5 6)", "(1 2)(3 4)(5 6)"),
+    "rep_z2": ("(1 2)", "(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)", "(1 3)(2 4)(5 6)", "(1 2)(3 4)(5 6)",
+               "(1 2)(3 6)(4 5)", "(1 4)(2 3)(5 6)", "(1 6)(2 3)(4 5)", "(1 6)(2 5)(3 4)"),
     # rep_s3 at n = 3 also matches (84 blocks at (1 3)(2 4)(5 6)) but takes about 5 s.
     "rep_s3": ("(1 2)", "(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)"),
 }

@@ -45,6 +45,10 @@ GLUINGS = (
     "(1 4)(2 3)",
     "(1 3)(2 4)(5 6)",
     "(1 2)(3 4)(5 6)",
+    "(1 2)(3 6)(4 5)",
+    "(1 4)(2 3)(5 6)",
+    "(1 6)(2 3)(4 5)",
+    "(1 6)(2 5)(3 4)",
 )
 
 
