@@ -3,6 +3,8 @@
 Pointed catalogs are generated from group cocycle/bicharacter data; the
 S3 representation catalog is derived at first use from explicit rational
 representation matrices, so its 6j-symbols are rational by construction.
+Its F rows and R entries are read off echelon tails, and an F row or R entry
+that is no combination of its basis raises InternalInconsistencyError.
 Fields: vec_z3_q Q(zeta_3), semion Q(zeta_4), ising Q(zeta_16) (written in
 zeta_4, zeta_8, zeta_16), fibonacci Q(zeta_10) = Q(zeta_5) (written in zeta_5
 and zeta_10, stored at order 10); the rest are rational.  The test suite runs
@@ -22,7 +24,7 @@ from .errors import (
     KeyNotFoundError,
     MalformedRationalError,
 )
-from .exactnum import C0, C1, CYCLOTOMIC, Cyclotomic, Echelon, rational, zeta
+from .exactnum import C1, CYCLOTOMIC, Cyclotomic, Echelon, rational, zeta
 from .fusion import CategorySpec
 
 __all__ = ["builtin", "catalog_keys", "load_spec", "save_spec"]
@@ -274,18 +276,12 @@ def _s3_vertex(a: str, b: str, c: str) -> dict | None:
     return _s3_intertwiner(a, b, c)
 
 
-def _braiding_scalar(lhs: dict, ref: dict, abc: tuple) -> Cyclotomic:
-    """The scalar r with lhs = r ref, for two intertwiners of the channel ``abc``."""
-    i = min(ref)
-    j = min(ref[i])
-    r = lhs.get(i, {}).get(j, C0) / ref[i][j]
-    if lhs != {k: {l: r * v for l, v in row.items()} for k, row in ref.items()}:
-        a, b, c = abc
-        raise InternalInconsistencyError(
-            f"rep_s3: the braided intertwiner of ({a},{b};{c}) is not a nonzero multiple "
-            f"of that of ({b},{a};{c})"
-        )
-    return r
+def _coefficients(target: dict, basis: dict) -> dict | None:
+    """{k: x} with target = sum of x basis[k], or None when target is outside their span."""
+    echelon = Echelon(CYCLOTOMIC)
+    for k, m in [*basis.items(), (None, target)]:  # the maps as entrywise vectors
+        tail = echelon.add({(i, j): v for i, row in m.items() for j, v in row.items()}, k)
+    return None if tail is None else {k: -x for k, x in tail.items()}
 
 
 def _rep_s3():
@@ -300,6 +296,23 @@ def _rep_s3():
                 if T is not None:
                     fusion[(a, b, c)] = 1
                     verts[(a, b, c)] = T
+
+    R = {}
+    for a in labels:
+        for b in labels:
+            if "1" in (a, b):
+                continue
+            da, db = dims[a], dims[b]
+            flip = {v * da + u: {u * db + v: C1} for u in range(da) for v in range(db)}
+            for c in labels:
+                if (a, b, c) in verts:
+                    x = _coefficients(_mul(flip, verts[(a, b, c)]), {0: verts[(b, a, c)]})
+                    if not x:
+                        raise InternalInconsistencyError(
+                            f"rep_s3: the braided intertwiner of ({a},{b};{c}) is not a nonzero "
+                            f"multiple of that of ({b},{a};{c})"
+                        )
+                    R[(a, b, c)] = {(0, 0): x[0]}
 
     def tree1(a, b, c, d, e):
         # (iota[ab->e] (x) 1_c) o iota[ec->d]
@@ -320,34 +333,17 @@ def _rep_s3():
                     fs = [f for f in labels if (b, c, f) in verts and (a, f, d) in verts]
                     if not es:
                         continue
-                    # Solve tree1(e) = sum_f F[e,f] tree2(f) entrywise over Q: one
-                    # column per f, then one right-hand side column per e.
-                    eqs: dict = {}  # entry -> {column: value}
-                    maps = [tree2(a, b, c, d, f) for f in fs] + [tree1(a, b, c, d, e) for e in es]
-                    for col, m in enumerate(maps):
-                        for i, row in m.items():
-                            for j, v in row.items():
-                                eqs.setdefault((i, j), {})[col] = v
-                    echelon = Echelon(CYCLOTOMIC, eqs.values())
+                    # tree1(e) = sum_f F[e,f] tree2(f), exactly over Q.
+                    basis = {f: tree2(a, b, c, d, f) for f in fs}
                     block = {}
-                    for k, e in enumerate(es, len(fs)):
-                        x = echelon.solution(k)
-                        for jf, f in enumerate(fs):
-                            if jf in x:
-                                block[((e, 0, 0), (f, 0, 0))] = x[jf]
+                    for e in es:
+                        x = _coefficients(tree1(a, b, c, d, e), basis)
+                        if x is None:
+                            raise InternalInconsistencyError(
+                                f"rep_s3: F block ({a},{b},{c};{d}) is not solvable at row {e}"
+                            )
+                        block.update({((e, 0, 0), (f, 0, 0)): x[f] for f in fs if f in x})
                     F[(a, b, c, d)] = block
-
-    R = {}
-    for a in labels:
-        for b in labels:
-            if "1" in (a, b):
-                continue
-            da, db = dims[a], dims[b]
-            flip = {v * da + u: {u * db + v: C1} for u in range(da) for v in range(db)}
-            for c in labels:
-                if (a, b, c) in verts:
-                    lhs = _mul(flip, verts[(a, b, c)])
-                    R[(a, b, c)] = {(0, 0): _braiding_scalar(lhs, verts[(b, a, c)], (a, b, c))}
 
     return CategorySpec(
         name="rep_s3",

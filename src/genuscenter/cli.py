@@ -117,16 +117,16 @@ def _cmd_validate(args) -> int:
 def _cmd_gluing_enum(args) -> int:
     rows = []
     for sig in enumerate_adm(args.n):
-        st = surface_type(sig)
-        rows.append({"sigma": sig.cycle_string(), "genus": st.genus,
-                     "punctures": st.punctures, "euler": st.euler})
+        g, k = surface_type(sig)
+        rows.append({"sigma": sig.cycle_string(), "genus": g, "punctures": k,
+                     "euler": 2 - 2 * g - k})
     _emit({"n": args.n, "count": len(rows), "gluings": rows}, args.json)
     return 0
 
 
 def _cmd_gluing_classify(args) -> int:
     sig = parse_cycles(args.sigma)
-    st = surface_type(sig)
+    g, k = surface_type(sig)
     pairs = sig.pairs()
     table = [{"orbit": i, "low": lo, "high": hi} for i, (lo, hi) in enumerate(pairs, 1)]
     cases = [{"orbits": [i + 1, j + 1], "case": comm_case(pairs[i], pairs[j])}
@@ -134,7 +134,7 @@ def _cmd_gluing_classify(args) -> int:
     _emit(
         {
             "sigma": sig.cycle_string(),
-            "surface": {"genus": st.genus, "punctures": st.punctures, "euler": st.euler},
+            "surface": {"genus": g, "punctures": k, "euler": 2 - 2 * g - k},
             "orbits": table,
             "comm_cases": cases,
         },
@@ -148,11 +148,11 @@ def _cmd_center_rank(args) -> int:
     sig = parse_cycles(args.sigma)
     tube = center.tube_algebra(spec, sig)
     rank, dims = center.center_rank(spec, sig)
-    st = surface_type(sig)
+    g, k = surface_type(sig)
     doc = {
         "catalog": spec.name,
         "sigma": sig.cycle_string(),
-        "surface": {"g": st.genus, "k": st.punctures},
+        "surface": {"g": g, "k": k},
         "rank": rank,
         "block_dims": dims,
         "total_dim": tube.dim,

@@ -35,9 +35,9 @@ class InternalInconsistencyError(GenusCenterError):
     """An impossibility that consistent category data cannot produce.
 
     Raised when the F entry of a cap coefficient vanishes (``ev_coeff``),
-    a polynomial division is not exact (``_int_poly_div``), a catalog
-    builder's two braided intertwiners are not multiples of each other, or
-    ``surface_type`` finds a negative or odd 2g.
+    a polynomial division is not exact (``_int_poly_div``), a catalog builder's
+    F row or R entry is no combination of its basis, or ``surface_type``
+    finds a negative or odd 2g.
     """
 
 

@@ -479,10 +479,9 @@ class Echelon:
     form of the span of the added vectors, whatever order they came in,
     over the field object it is given.
 
-    The rank is ``len(rows)``.  The tails of an invertible matrix's rows,
-    each added with its index as tag, are the rows of its inverse
-    (``invert``).  M x = b is solved by adding b as one more column, after
-    every column of M (``solution``).
+    The rank is ``len(rows)``.  The tail of a dependent vector writes it in
+    the vectors added before it.  The tails of an invertible matrix's rows,
+    each added with its index as tag, are the rows of its inverse (``invert``).
     """
 
     def __init__(self, field, vectors=()):
@@ -516,16 +515,6 @@ class Echelon:
                 axpy(otail, -f, tail)
         rows[q0] = (row, tail)
         return None
-
-    def solution(self, col) -> dict:
-        """x with M x = b, 0 at free columns: M's rows were added with b as column col.
-
-        Column col must follow every column of M; raises SingularMatrixError
-        when M x = b has no solution.
-        """
-        if col in self.rows:
-            raise SingularMatrixError("inconsistent linear system")
-        return {q: row[col] for q, (row, _tail) in self.rows.items() if col in row}
 
     def kernel(self, ncols: int) -> list[dict]:
         """A basis of the vectors {column: x}, on columns 0..ncols-1, that the rows annihilate."""

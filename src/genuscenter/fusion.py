@@ -270,11 +270,15 @@ def validate_structure(spec: CategorySpec) -> list[str]:
         try:
             for a, b, c, d in product(spec.labels, repeat=4):
                 rows, _cols, block = spec.f_block(a, b, c, d)
+                if spec.F.get((a, b, c, d), block) != block:  # only a unit-leg block differs
+                    bad.append(f"F block ({a},{b},{c};{d}) is on a unit leg but not the identity")
                 if rank(rows_of(block, rows).values(), spec.field) != len(rows):
                     bad.append(f"F block ({a},{b},{c};{d}) is singular")
             if spec.R is not None:
                 for a, b, c in product(spec.labels, repeat=3):
-                    spec.r_block(a, b, c)
+                    block = spec.r_block(a, b, c)
+                    if spec.R.get((a, b, c), block) != block:
+                        bad.append(f"R block ({a},{b};{c}) is on a unit leg but not the identity")
         except IncompleteDataError as exc:
             bad.append(str(exc))
     return bad

@@ -16,7 +16,6 @@ from .errors import GluingFormatError, InternalInconsistencyError
 
 __all__ = [
     "Gluing",
-    "SurfaceType",
     "MAX_ENUM_RANK",
     "enumerate_adm",
     "comm_case",
@@ -96,21 +95,6 @@ class Gluing:
         return self.cycle_string()
 
 
-class SurfaceType:
-    def __init__(self, genus: int, punctures: int):
-        self.genus = genus
-        self.punctures = punctures
-
-    def __eq__(self, other):
-        if not isinstance(other, SurfaceType):
-            return NotImplemented
-        return (self.genus, self.punctures) == (other.genus, other.punctures)
-
-    @property
-    def euler(self) -> int:
-        return 2 - 2 * self.genus - self.punctures
-
-
 # Largest rank that enumerate_adm lists.  `gluing enum --n 7 --json` lists
 # 13!! = 135,135 gluings in about 9 s and 191 MB; rank 8 has 15 times as
 # many, and rank 12 has 23!! = 316,234,143,225.
@@ -152,8 +136,8 @@ def comm_case(oi: tuple[int, int], oj: tuple[int, int]) -> int:
     return 3
 
 
-def surface_type(sigma: Gluing) -> SurfaceType:
-    """Classify the glued surface via its one-cell CW structure.
+def surface_type(sigma: Gluing) -> tuple[int, int]:
+    """(genus, punctures) of the glued surface, via its one-cell CW structure.
 
     The 4n-gon reads L1 G1 L2 G2 ... L2n G2n around the boundary; leg-side
     Li is identified with L_sigma(i) reversed.  Punctures k are traced
@@ -163,7 +147,7 @@ def surface_type(sigma: Gluing) -> SurfaceType:
     """
     n = sigma.n
     if n == 0:
-        return SurfaceType(genus=0, punctures=1)
+        return 0, 1
 
     # Boundary circles: walking gap i, the next gap is sigma(i+1).
     def next_gap(i: int) -> int:
@@ -189,7 +173,7 @@ def surface_type(sigma: Gluing) -> SurfaceType:
         raise InternalInconsistencyError(
             f"inconsistent classification for {sigma}: chi={chi}, k={punctures}"
         )
-    return SurfaceType(genus=genus2 // 2, punctures=punctures)
+    return genus2 // 2, punctures
 
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+)[\s,]+(\d+)\s*\)")

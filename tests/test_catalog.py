@@ -65,13 +65,23 @@ class TestRepS3Builder:
     def test_braiding_scalar_of_proportional_intertwiners(self):
         ref = {0: {0: rational(1)}, 2: {1: rational(2)}}
         lhs = {0: {0: rational(-3)}, 2: {1: rational(-6)}}
-        assert catalog._braiding_scalar(lhs, ref, ("V", "V", "e")) == rational(-3)
+        assert catalog._coefficients(lhs, {0: ref}) == {0: rational(-3)}
 
-    def test_intertwiners_that_are_not_proportional_are_named(self):
+    def test_a_map_outside_the_span_gives_none(self):
         ref = {0: {0: rational(1)}, 2: {1: rational(2)}}
         lhs = {0: {0: rational(1)}, 2: {1: rational(3)}}
+        assert catalog._coefficients(lhs, {0: ref}) is None
+
+    def test_intertwiners_that_are_not_proportional_are_named(self, monkeypatch):
+        # V -> V (x) e replaced by the identity, which intertwines V with V and
+        # not with V (x) e: its flip is no multiple of the vertex (e,V;V).
+        vertex = catalog._s3_vertex
+        perturbed = {0: {0: rational(1)}, 1: {1: rational(1)}}
+        monkeypatch.setattr(catalog, "_s3_vertex",
+                            lambda a, b, c: perturbed if (a, b, c) == ("V", "e", "V")
+                            else vertex(a, b, c))
         with pytest.raises(InternalInconsistencyError, match=r"\(V,e;V\)"):
-            catalog._braiding_scalar(lhs, ref, ("V", "e", "V"))
+            catalog._rep_s3()
 
 
 class TestOneField:

@@ -824,9 +824,8 @@ def assert_n3_gluings_agree_by_surface(key):
     spec = catalog.builtin(key)
     by_surface: dict = {}
     for sig in enumerate_adm(3):
-        st = surface_type(sig)
         rank, dims = center_rank(spec, sig)
-        results = by_surface.setdefault((st.genus, st.punctures), {})
+        results = by_surface.setdefault(surface_type(sig), {})
         results.setdefault((rank, tuple(dims)), []).append(sig.cycle_string())
     for surface, results in by_surface.items():
         assert len(results) == 1, f"{key} at (g, k) = {surface}: {results}"

@@ -476,6 +476,36 @@ class TestCatalogFiles:
         assert captured.err == ("error: category 'fibonacci' has no braiding data; "
                                 "a premodular spec is required\n")
 
+    @pytest.mark.parametrize("table,record,value,message", [
+        ("F", {"labels": ["1", "t", "t", "t"], "row": ["t", 0, 0], "col": ["t", 0, 0]}, 5,
+         "F block (1,t,t;t) is on a unit leg but not the identity"),
+        ("R", {"labels": ["1", "t", "t"], "row": 0, "col": 0}, 3,
+         "R block (1,t;t) is on a unit leg but not the identity"),
+    ], ids=("F", "R"))
+    def test_a_unit_leg_block_must_be_the_identity(self, capsys, tmp_path, table, record, value,
+                                                   message):
+        # The engine reads the identity on a unit leg, whatever the file stores there.
+        path, doc = saved_doc(tmp_path, "fibonacci")
+        doc[table].append({**record, "value": one([[0, value, 1]])})
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", "--cat", str(path), "--json")
+        assert code == 1 and json.loads(out) == {"catalog": "fibonacci", "structure": [message]}
+        code = main(["center", "rank", "--cat", str(path), "--sigma", "(1 2)"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "fails the structure check" in captured.err and message in captured.err
+
+    def test_a_stored_identity_on_a_unit_leg_still_validates(self, capsys, tmp_path):
+        path, doc = saved_doc(tmp_path, "fibonacci")
+        doc["F"].append({"labels": ["1", "t", "t", "t"], "row": ["t", 0, 0], "col": ["t", 0, 0],
+                         "value": one([[0, 1, 1]])})
+        doc["R"].append({"labels": ["1", "t", "t"], "row": 0, "col": 0, "value": one([[0, 1, 1]])})
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", "--cat", str(path), "--json")
+        got = json.loads(out)
+        assert code == 0 and got.pop("catalog") == "fibonacci"
+        assert set(got.values()) == {"ok"} and len(got) == 4
+
     @pytest.mark.parametrize("key,corrupt,entries", [fault[1:] for fault in STRUCTURE_FAULTS],
                              ids=[fault[0] for fault in STRUCTURE_FAULTS])
     def test_validate_lists_each_structure_fault(self, capsys, tmp_path, key, corrupt, entries):
@@ -498,8 +528,12 @@ def test_pinned_bench_outputs_still_hold(capsys):
         for opt in options:
             name, _, value = opt.partition(" ")
             argv += [f"--{name}"] + ([value] if value else [])
-        code, out = run(capsys, *argv)
-        assert code == 0 and json.loads(out) == want, key
+        # First on a cold catalog cache, then warm: no state shared between
+        # runs may change a result.
+        catalog.builtin.cache_clear()
+        for state in ("cold", "warm"):
+            code, out = run(capsys, *argv)
+            assert code == 0 and json.loads(out) == want, (key, state)
 
 
 def test_cli_import_leaves_numpy_out():

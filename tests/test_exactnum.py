@@ -235,14 +235,6 @@ def densify(v: dict, n: int) -> list:
     return [v.get(j, C0) for j in range(n)]
 
 
-def echelon_solution(m: ExactMatrix, rhs: list) -> list:
-    """Solve M x = rhs by adding rhs as one more column, after M's columns."""
-    echelon = Echelon(CYCLOTOMIC)
-    for row, b in zip(sparse_rows(m), rhs):
-        echelon.add({**row, m.cols: b})
-    return densify(echelon.solution(m.cols), m.cols)
-
-
 def echelon_inverse(m: ExactMatrix) -> ExactMatrix:
     inv = ExactMatrix.zeros(m.rows, m.rows)
     for ij, x in invert(dict(enumerate(sparse_rows(m))), CYCLOTOMIC).items():
@@ -283,8 +275,9 @@ class TestLinearSolve:
             assert acc.is_zero()
 
     def test_solve_half(self):
-        m = ExactMatrix(1, 1, [[rational(2)]])
-        assert echelon_solution(m, [rational(1)]) == [rational(1, 2)]
+        echelon = Echelon(CYCLOTOMIC)
+        assert echelon.add({0: rational(2)}, 0) is None
+        assert echelon.add({0: rational(1)}, 1) == {0: rational(-1, 2), 1: C1}
 
     def test_inverse_roundtrip(self):
         m = ExactMatrix(
@@ -385,18 +378,26 @@ class TestEchelonAgainstDense:
         rng = random.Random(f"solve {order} {seed}")
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = planted_matrix(order, rows, cols, rng.randint(1, min(rows, cols)), rng)
-        x0 = ExactMatrix(cols, 1, [[random_scalar(order, rng)] for _ in range(cols)])
-        consistent = [row[0] for row in (m @ x0).data]
-        x = echelon_solution(m, consistent)
-        assert x == solve(m, consistent)
-        column = ExactMatrix(rows, 1, [[b] for b in consistent])
-        assert m @ ExactMatrix(cols, 1, [[v] for v in x]) == column
-        # A random right-hand side is inconsistent when it raises the rank.
-        rhs = [random_scalar(order, rng) for _ in range(rows)]
-        got = outcome(echelon_solution, m, rhs)
-        assert got == outcome(solve, m, rhs)
-        aug = ExactMatrix(rows, cols + 1, [row + [b] for row, b in zip(m.data, rhs)])
-        assert (got is SingularMatrixError) == (matrix_rank(aug) > matrix_rank(m))
+        echelon = Echelon(CYCLOTOMIC)
+        tails = [echelon.add(row, k) for k, row in enumerate(sparse_rows(m))]
+        assert tails.count(None) == matrix_rank(m)
+        for k, tail in enumerate(tails):
+            if tail is not None:
+                assert tail[k] == C1 and max(tail) == k
+                assert (ExactMatrix(1, rows, [densify(tail, rows)]) @ m).is_zero()
+        # Sum x_k B_k over the independent rows B, added last, has the tail
+        # {own: 1, k: -x_k}: its x is the one solution of B^T x = target.
+        kept = [k for k, tail in enumerate(tails) if tail is None]
+        basis = ExactMatrix(cols, len(kept), [[m.data[k][j] for k in kept] for j in range(cols)])
+        x = [random_scalar(order, rng) for _ in kept]
+        target = [row[0] for row in (basis @ ExactMatrix(len(kept), 1, [[v] for v in x])).data]
+        tail = echelon.add({j: v for j, v in enumerate(target) if not v.is_zero()}, rows)
+        assert tail == {rows: C1, **{k: -v for k, v in zip(kept, x) if not v.is_zero()}}
+        assert [-tail.get(k, C0) for k in kept] == x == solve(basis, target)
+        # A random vector is outside the span, and kept, exactly when it raises the rank.
+        vec = [random_scalar(order, rng) for _ in range(cols)]
+        outside = echelon.add({j: v for j, v in enumerate(vec) if not v.is_zero()}) is None
+        assert outside == (matrix_rank(ExactMatrix(rows + 1, cols, m.data + [vec])) > len(kept))
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("order", ORDERS)

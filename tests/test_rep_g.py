@@ -32,7 +32,10 @@ S3_TABLE = {3: (1, 1, 2), 1: (1, -1, 0), 0: (1, 1, -1)}
 
 GLUINGS = {
     "rep_z2": ("(1 2)", "(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)", "(1 3)(2 4)(5 6)", "(1 2)(3 4)(5 6)",
-               "(1 2)(3 6)(4 5)", "(1 4)(2 3)(5 6)", "(1 6)(2 3)(4 5)", "(1 6)(2 5)(3 4)"),
+               "(1 2)(3 6)(4 5)", "(1 4)(2 3)(5 6)", "(1 6)(2 3)(4 5)", "(1 6)(2 5)(3 4)",
+               "(1 2)(3 5)(4 6)", "(1 3)(2 5)(4 6)", "(1 3)(2 6)(4 5)", "(1 4)(2 5)(3 6)",
+               "(1 4)(2 6)(3 5)", "(1 5)(2 3)(4 6)", "(1 5)(2 4)(3 6)", "(1 5)(2 6)(3 4)",
+               "(1 6)(2 4)(3 5)"),
     # rep_s3 at n = 3 also matches (84 blocks at (1 3)(2 4)(5 6)) but takes about 5 s.
     "rep_s3": ("(1 2)", "(1 3)(2 4)", "(1 2)(3 4)", "(1 4)(2 3)"),
 }

@@ -49,6 +49,16 @@ GLUINGS = (
     "(1 4)(2 3)(5 6)",
     "(1 6)(2 3)(4 5)",
     "(1 6)(2 5)(3 4)",
+    # The other nine n = 3 gluings, all of (g, k) = (1, 2).
+    "(1 2)(3 5)(4 6)",
+    "(1 3)(2 5)(4 6)",
+    "(1 3)(2 6)(4 5)",
+    "(1 4)(2 5)(3 6)",
+    "(1 4)(2 6)(3 5)",
+    "(1 5)(2 3)(4 6)",
+    "(1 5)(2 4)(3 6)",
+    "(1 5)(2 6)(3 4)",
+    "(1 6)(2 4)(3 5)",
 )
 
 
