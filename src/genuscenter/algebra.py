@@ -45,10 +45,10 @@ part (b) adds the Gram rows; the centre adds the commutator equations and
 takes the kernel; and ``_minpoly`` adds z^k tagged with k, so the first
 dependent power gives the coefficients of mu.
 The answer at p is accepted only if (a) the unit and the given structure
-constants are p-integral, (e) the closure reaches dim A mod p, (b) G W^T,
-and so G, is nonsingular mod p, (c) deg mu = r and x^p = x (mod mu), and
-(d) the counts of blocks add up to r and sum_m m^2 count_m = dim A.
-Otherwise the next prime is tried.
+constants lie in K and are p-integral, (e) the closure reaches dim A mod p,
+(b) G W^T, and so G, is nonsingular mod p, (c) deg mu = r, and (d) the
+counts of blocks add up to r and sum_m m^2 count_m = dim A.  Otherwise the
+next prime is tried.  F_p need not split the centre.
 
 Why the split is exact.  The u_j are orthogonal idempotents, as their
 own products are in the table.  By (f), e_a e_g = e_a u u' e_g is 0 for
@@ -77,22 +77,29 @@ check.  By (e) the e_g also generate A mod p, so an element that
 commutes with each e_g commutes with all of A mod p: their commutant is
 Z_p.
 
-By (a) and (e) the basis spans an order L over the local ring
-O_P, and by (b) its discriminant det G is a unit, so L is separable:
-Azumaya over an etale centre, whose formation commutes with reduction.
-So dim_K Z(A) = dim Z_p = r, which is also the rank over C.  By (c),
-Z_p = F_p[z] = F_p^r, so by Hensel the centre of L is O_P^r and A splits
-over K_P = Q_p, which contains K, into r blocks.  Each is Azumaya over
-O_P, and Br(O_P) = Br(F_p) = 0, so it is M_{m_i}(Q_p).  With e_i the
-block idempotents mod p, z = sum lambda_i e_i and tau_k = sum_i k_i
-lambda_i^k with k_i = m_i^2, so h = sum_i k_i mu / (x - lambda_i) and
-h(lambda_i) = k_i mu'(lambda_i), where mu'(lambda_i) != 0 as the lambda_i
-are distinct.  So lambda_i is a root of h - m^2 mu' exactly when
-k_i = m^2 mod p, and since the m^2 <= dim A < p are distinct mod p, the
-gcd for m has one linear factor per block of size m.  By (d) every block
-is counted once, so the block sizes are exact.  But when r = dim A, (a),
-(e) and (b) give dim_K Z(A) = dim A: A is commutative and separable over
-K, A (x) C = C^r, and mu, (c) and (d) are skipped.
+By (a) and (e) the basis spans an order L over O_P, the completed local
+ring at P, and by (b) its discriminant det G is a unit, so L is separable:
+Azumaya over an etale centre Z(L), whose formation commutes with reduction.
+So dim_K Z(A) = dim Z_p = r, which is also the rank over C.  By (b) the
+trace form of A_p = L/PL is nondegenerate, so A_p is semisimple, since a
+nilpotent element has trace 0.  So Z_p is a product of finite fields, mu is
+squarefree, and by (c) F_p[z] = Z_p.  Over the algebraic closure F of F_p,
+Z_p (x) F = F^r: with e_i the block idempotents, z = sum lambda_i e_i with
+distinct lambda_i, and t(e_i) = k_i = m_i^2.  So tau_k = sum_i k_i
+lambda_i^k, h = sum_i k_i mu / (x - lambda_i), and h(lambda_i) =
+k_i mu'(lambda_i) with mu'(lambda_i) != 0.  So lambda_i is a root of
+h - m^2 mu' exactly when k_i = m^2 mod p, and since the m^2 <= dim A < p
+are distinct mod p, the gcd for m, of the same degree over F_p as over F,
+has one linear factor per block of size m over F.  By (d) every block is
+counted once.  These are the blocks over C: by Hensel, Z(L) = prod_j O_j,
+one unramified O_j of degree deg q_j over O_P for each irreducible factor
+q_j of mu, and the block L_j over O_j is Azumaya, with
+Br(O_j) = Br(F_{p^deg q_j}) = 0, so L_j = M_{m_j}(O_j).  Over an algebraic
+closure of K_P, as over C, L_j gives deg q_j blocks of size m_j; over F,
+one for each of the deg q_j roots of q_j, each with t(e_i) = m_j^2.  So
+the sizes are exact even when F_p does not split the centre.  But when
+r = dim A, (a), (e) and (b) give dim_K Z(A) = dim A: A is commutative and
+separable over K, A (x) C = C^r, and mu, (c) and (d) are skipped.
 """
 
 from __future__ import annotations
@@ -257,10 +264,8 @@ def _decompose_mod(alg: AlgebraData, p: int, rng: random.Random):
             field.axpy(zx, x, left_z.get(b, {}))
         powers.append(zx)
     mu = _minpoly(powers, p)
-    if len(mu) - 1 != r or _powmod([0, 1], p, mu, p) != _divmod([0, 1], mu, p)[1]:
-        raise NonSplitError(
-            f"(c) a random central element does not have {r} distinct eigenvalues in F_p"
-        )
+    if len(mu) - 1 != r:
+        raise NonSplitError(f"(c) a random central element does not have {r} distinct eigenvalues")
 
     # h = sum_i k_i mu / (x - lambda_i), so h(lambda_i) = k_i mu'(lambda_i), and the
     # blocks of size m are the roots of gcd(mu, h - m^2 mu').
@@ -291,7 +296,9 @@ def _reduce(alg: AlgebraData, p: int):
         if v.den % p == 0:
             raise NonSplitError("(a) a structure constant has a denominator divisible by p")
         if v.order > 2 and order % v.order:
-            raise ValueError(f"a structure constant of order {v.order} is not in Q(zeta_{order})")
+            raise NonSplitError(
+                f"(a) a structure constant of order {v.order} is not in Q(zeta_{order})"
+            )
         step = order // v.order
         return sum(x * w_powers[e * step] for e, x in enumerate(v.num)) * pow(v.den, -1, p) % p
 
@@ -405,7 +412,7 @@ def _minpoly(powers: list[dict], p: int) -> list[int]:
         tail = seen.add(zk, k)
         if tail is not None:
             return [tail.get(j, 0) for j in range(k + 1)]
-    raise ValueError("the powers are linearly independent")
+    raise NonSplitError(f"(c) the {len(powers)} powers of a random central element are independent")
 
 
 # -- polynomials over F_p: lists of residues, low degree first, no zero leading term
@@ -417,43 +424,21 @@ def _trim(f: list[int]) -> list[int]:
     return f
 
 
-def _divmod(f: list[int], g: list[int], p: int):
-    """Quotient and remainder of f by a nonzero g."""
+def _rem(f: list[int], g: list[int], p: int) -> list[int]:
+    """The remainder of f by a nonzero g."""
     f = list(f)
     dg = len(g) - 1
     inv = pow(g[-1], -1, p)
-    q = [0] * max(len(f) - dg, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = f[k + dg] * inv % p
-        q[k] = c
-        if c:
+    for k in range(len(f) - dg - 1, -1, -1):
+        if c := f[k + dg] * inv % p:
             for j, gj in enumerate(g):
                 f[k + j] = (f[k + j] - c * gj) % p
-    return _trim(q), _trim(f[:dg])
-
-
-def _mulmod(f: list[int], g: list[int], m: list[int], p: int) -> list[int]:
-    prod = [0] * max(len(f) + len(g) - 1, 0)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                prod[i + j] += x * y
-    return _divmod([c % p for c in prod], m, p)[1]
-
-
-def _powmod(f: list[int], e: int, m: list[int], p: int) -> list[int]:
-    out, f = [1], _divmod(f, m, p)[1]
-    while e:
-        if e & 1:
-            out = _mulmod(out, f, m, p)
-        f = _mulmod(f, f, m, p)
-        e >>= 1
-    return out
+    return _trim(f[:dg])
 
 
 def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
     """Monic gcd of f and g, not both zero."""
     while g:
-        f, g = g, _divmod(f, g, p)[1]
+        f, g = g, _rem(f, g, p)
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from genuscenter import algebra, catalog
+from genuscenter import algebra, catalog, center
 from genuscenter.algebra import (
     _PRIME_RANGE, AlgebraData, _classes, _decompose_mod, _is_prime, _minpoly, _primes, decompose,
 )
@@ -15,6 +15,7 @@ from genuscenter.exactnum import Echelon, PrimeField, rational, zeta
 from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles
 
 from exact_oracle import ExactMatrix, center_basis, matrix_rank
+from test_fusion import respec
 
 ONE = rational(1)
 
@@ -27,16 +28,34 @@ def two_dim(square):
     return AlgebraData(dim=2, mult=mult, unit={0: ONE})
 
 
-def matrices_over(alg):
-    """M_2(alg) on e_ij (x) b_s, numbered (2 i + j) dim + s, from alg's whole table."""
+def matrices_over(alg, m=2):
+    """M_m(alg) on E_ij (x) b_s, numbered (m i + j) dim + s, from alg's whole table."""
     d = alg.dim
+    _index, units, unit = matrix_units((m,))
     mult = {
-        ((2 * i + j) * d + s, (2 * j + k) * d + t): {(2 * i + k) * d + c: v for c, v in row.items()}
-        for i, j, k in itertools.product(range(2), repeat=3)
+        (x * d + s, y * d + t): {z * d + c: v for c, v in row.items()}
+        for (x, y), prod in units.items() for z in prod
         for (s, t), row in alg.mult.items()
     }
-    unit = {3 * i * d + c: v for i in range(2) for c, v in alg.unit.items()}
-    return AlgebraData(4 * d, mult, unit, order=alg.order)
+    unit = {u * d + c: v for u in unit for c, v in alg.unit.items()}
+    return AlgebraData(m * m * d, mult, unit, order=alg.order)
+
+
+def power_basis(c, n):
+    """Q[x]/(x^n - c) on the powers 1, x, ..., x^(n-1)."""
+    mult = {(i, j): {(i + j) % n: ONE if i + j < n else c} for i in range(n) for j in range(n)}
+    return AlgebraData(dim=n, mult=mult, unit={0: ONE})
+
+
+def direct_sum(*algs):
+    """The product of algebras given by their whole tables, each basis after the last."""
+    mult, unit, shift = {}, {}, 0
+    for alg in algs:
+        mult.update({(a + shift, b + shift): {c + shift: v for c, v in row.items()}
+                     for (a, b), row in alg.mult.items()})
+        unit.update({c + shift: v for c, v in alg.unit.items()})
+        shift += alg.dim
+    return AlgebraData(shift, mult, unit, order=math.lcm(*(alg.order for alg in algs)))
 
 
 def matrix_units(sizes):
@@ -83,31 +102,59 @@ class TestCertificate:
             _decompose_mod(alg, p, random.Random(0))
         assert decompose(alg) == decompose(two_dim(ONE)) == (2, [1, 1])
 
-    def test_sqrt2_splits_over_c_after_the_first_prime_fails_c(self):
+    def test_sqrt2_splits_over_c_at_the_first_prime(self):
         # M_2(Q(sqrt 2)): 2 is not a square mod the first prime, so there the
-        # centre Q(sqrt 2) has no eigenvalues in F_p; over C it is M_2 x M_2.
-        # Q(sqrt 2) itself is commutative, so it needs no (c) and passes at once.
+        # centre Q(sqrt 2) has no eigenvalues in F_p, only in its closure; over
+        # C it is M_2 x M_2.  Q(sqrt 2) itself is commutative and passes as well.
         alg = matrices_over(two_dim(rational(2)))
-        with pytest.raises(NonSplitError, match=r"\(c\)"):
-            _decompose_mod(alg, first_prime(), random.Random(0))
+        assert _decompose_mod(alg, first_prime(), random.Random(0)) == (2, [2, 2])
         assert decompose(alg) == (2, [2, 2])
         sqrt2 = two_dim(rational(2))
         assert _decompose_mod(sqrt2, first_prime(), random.Random(0)) == (2, [1, 1])
         assert decompose(sqrt2) == (2, [1, 1])
 
-    def test_semion_annulus_fails_c_at_the_first_prime(self):
+    def test_semion_annulus_and_m2_of_q_i_pass_at_the_first_prime(self):
         # Its structure constants are rational, but its centre needs sqrt(-1),
-        # which F_p lacks at the first prime, 3 mod 4.  It is commutative, so
-        # the first prime certifies it without (c); M_2(Q(i)) is not, and fails
-        # (c) there.  Over its spec's field Q(i) the primes are 1 mod 4.
+        # which F_p lacks at the first prime, 3 mod 4.  It is commutative, and
+        # M_2(Q(i)) is not; the first prime certifies both.  Over its spec's
+        # field Q(i) the primes are 1 mod 4.
         alg = tube_algebra(catalog.builtin("semion"), parse_cycles("(1 2)"))
         over_q = AlgebraData(alg.dim, alg.mult, alg.unit, alg.gens, order=1)
-        with pytest.raises(NonSplitError, match=r"\(c\)"):
-            _decompose_mod(matrices_over(two_dim(rational(-1))), first_prime(), random.Random(7))
-        assert decompose(matrices_over(two_dim(rational(-1)))) == (2, [2, 2])
+        m2_of_q_i = matrices_over(two_dim(rational(-1)))
+        assert _decompose_mod(m2_of_q_i, first_prime(), random.Random(7)) == (2, [2, 2])
+        assert decompose(m2_of_q_i) == (2, [2, 2])
         assert _decompose_mod(over_q, first_prime(), random.Random(7)) == (4, [1, 1, 1, 1])
         assert alg.order == 4 and first_prime() % 4 == 3
         assert decompose(over_q) == decompose(alg) == (4, [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("cycles,answer", [
+        ("(1 2)", (8, [1] * 5 + [2] * 3)),
+        ("(1 3)(2 4)", (24, [1] * 11 + [2] * 10 + [4] * 3)),
+    ])
+    def test_rep_s3_is_certified_at_each_of_the_first_12_primes(self, cycles, answer):
+        # rep_s3's field is Q, but its centre needs zeta_3 (Z(Rep S3) has twists
+        # of order 6), which F_p lacks at the primes = 2 (mod 3).  Each tube is
+        # one Peirce class.
+        tube = tube_algebra(catalog.builtin("rep_s3"), parse_cycles(cycles))
+        assert _classes(tube) == one_class(tube)
+        primes = list(itertools.islice(_primes(tube.order, tube.dim), 12))
+        assert sorted({p % 3 for p in primes}) == [1, 2]
+        assert [_decompose_mod(tube, p, random.Random(0)) for p in primes] == [answer] * 12
+
+    @pytest.mark.parametrize("alg,answer", [
+        pytest.param(direct_sum(two_dim(rational(2)), matrices_over(power_basis(ONE, 1)),
+                                matrices_over(two_dim(rational(-1)), 3)),
+                     (5, [1, 1, 2, 3, 3]), id="Q(sqrt2)+M2(Q)+M3(Q(i))"),
+        pytest.param(matrices_over(power_basis(rational(2), 3)), (3, [2, 2, 2]),
+                     id="M2(Q[x]/(x^3-2))"),
+        pytest.param(matrices_over(direct_sum(two_dim(rational(-3)), power_basis(rational(5), 3))),
+                     (5, [2, 2, 2, 2, 2]), id="M2(Q(sqrt-3)+Q[x]/(x^3-5))"),
+    ])
+    def test_an_unsplit_centre_is_read_at_each_of_the_first_8_primes(self, alg, answer):
+        # Over F_p the centre is a product of fields F_{p^d}, each of which is
+        # d blocks over C; no prime here needs to split it.
+        primes = list(itertools.islice(_primes(alg.order, alg.dim), 8))
+        assert [_decompose_mod(alg, p, random.Random(0)) for p in primes] == [answer] * 8
 
     def test_generators_that_do_not_generate_fail_e(self):
         # two_dim(ONE) given by e0 = 1 alone: right multiplication by e0 spans only e0.
@@ -144,8 +191,29 @@ class TestCertificate:
 
     def test_a_constant_outside_the_field_is_refused(self):
         # two_dim is over Q; zeta_5 is not in it.
-        with pytest.raises(ValueError, match=r"order 5 is not in Q\(zeta_1\)"):
+        with pytest.raises(NonSplitError, match=r"\(a\) a structure constant of order 5 is not "
+                                                r"in Q\(zeta_1\)$"):
             decompose(two_dim(zeta(5)))
+
+    def test_a_tube_over_too_small_a_field_fails_a(self):
+        # Fibonacci's constants have order 10; read over Q(zeta_5) they fail
+        # (a) at every prime, as a GenusCenterError.
+        tube = tube_algebra(catalog.builtin("fibonacci"), parse_cycles("(1 2)"))
+        assert tube.order == 10
+        small = AlgebraData(tube.dim, tube.mult, tube.unit, tube.gens, order=5)
+        with pytest.raises(NonSplitError, match=r"\(a\) a structure constant of order 10 is not "
+                                                r"in Q\(zeta_5\)$"):
+            decompose(small)
+
+    def test_powers_of_a_faulty_tube_fail_c_not_a_value_error(self, monkeypatch):
+        # With the left crossing of the gamma columns flipped, the commutant
+        # of vec_z3_q's torus tube holds no element whose r + 1 powers are
+        # dependent.  The faulty tables live on a fresh spec only.
+        monkeypatch.setattr(center, "GAMMA_LEFT", "over")
+        tube = tube_algebra(respec(catalog.builtin("vec_z3_q")), parse_cycles("(1 3)(2 4)"))
+        with pytest.raises(NonSplitError, match=r"p = \d+: \(c\) the \d+ powers of a random central "
+                                                r"element are independent$"):
+            decompose(tube)
 
     def test_empty_algebra(self):
         with pytest.raises(NonSplitError, match="empty center"):
