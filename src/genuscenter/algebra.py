@@ -48,7 +48,8 @@ The answer at p is accepted only if (a) the unit and the given structure
 constants lie in K and are p-integral, (e) the closure reaches dim A mod p,
 (b) G W^T, and so G, is nonsingular mod p, (c) deg mu = r, and (d) the
 counts of blocks add up to r and sum_m m^2 count_m = dim A.  Otherwise the
-next prime is tried.  F_p need not split the centre.
+next prime is tried.  F_p need not split the centre.  That the constants lie
+in K is checked once per class, before any prime, as no prime mends it.
 
 Why the split is exact.  The u_j are orthogonal idempotents, as their
 own products are in the table.  By (f), e_a e_g = e_a u u' e_g is 0 for
@@ -137,10 +138,15 @@ def decompose(alg: AlgebraData) -> tuple[int, list[int]]:
     For each Peirce class A_J (``_classes``), tries primes p = 1 (mod N)
     from 2^25 up, smallest first, and takes the first answer whose
     certificate holds (see the module docstring).  Raises NonSplitError
-    naming the class by its unit summands and the part that failed.
+    naming the part that failed, and the class by its unit summands once
+    primes have been tried.
     """
     rank, sizes = 0, []
     for units, part in _classes(alg):
+        for v in (v for row in (*part.mult.values(), part.unit) for v in row.values()):
+            if v.order > 2 and part.order % v.order:
+                raise NonSplitError(f"(a) a structure constant of order {v.order} is not in "
+                                    f"Q(zeta_{part.order})")
         rng, failure = random.Random(_SEED), None
         for p in itertools.islice(_primes(part.order, part.dim), _MAX_PRIMES):
             try:
@@ -295,10 +301,6 @@ def _reduce(alg: AlgebraData, p: int):
     def residue(v) -> int:
         if v.den % p == 0:
             raise NonSplitError("(a) a structure constant has a denominator divisible by p")
-        if v.order > 2 and order % v.order:
-            raise NonSplitError(
-                f"(a) a structure constant of order {v.order} is not in Q(zeta_{order})"
-            )
         step = order // v.order
         return sum(x * w_powers[e * step] for e, x in enumerate(v.num)) * pow(v.den, -1, p) % p
 

@@ -1,5 +1,6 @@
 """Exact references for the tests: the whole product, the centre, Hom dimensions over K,
-the averaging projection onto sigma-morphisms, and the pentagon and hexagon checks.
+the averaging projection onto sigma-morphisms, the composition of carrier maps, the
+sigma-pair checks at every label, and the pentagon and hexagon checks.
 
 The package applies a coupon only for a basis map, by its Hom coordinate;
 ``coupon`` takes any map, as the sum over its entries, and the traces
@@ -23,6 +24,10 @@ and the tests check its images against this projection.  The projection
 closes every pair, a unit pair too, by its gamma column and a cap, so it
 does not share the unit-pair shortcut of ``center._contract``.
 
+``full_sweep`` runs every sigma-pair check at every label pair, where
+``center.verify_sigma_pair`` computes the seeds and derives the rest; the
+tests compare the two failure lists.
+
 The pentagon and hexagon references apply the F and R index convention
 by hand: each recoupling move is a sparse matrix {(row, col): scalar} over
 labelled trees, and the two sides of an instance are products of moves.
@@ -34,11 +39,14 @@ elimination on a copy of its grid, is the reference for the sparse
 ``exactnum.Echelon`` that the package runs.
 """
 
+from itertools import product as iproduct
+
+from genuscenter import center
 from genuscenter.center import CarrierMap, SigmaPair, carrier_basis
 from genuscenter.errors import GenusCenterError, IllFormedDiagramError, SingularMatrixError
-from genuscenter.exactnum import C0, C1
+from genuscenter.exactnum import C0, C1, rank
 from genuscenter.fusion import CategorySpec, quantum_dims
-from genuscenter.gluing import Gluing
+from genuscenter.gluing import Gluing, comm_case
 from genuscenter.trees import Morphism, hom_keys
 
 
@@ -379,6 +387,65 @@ def project_morphisms(spec, sigma: Gluing, px: SigmaPair, py: SigmaPair, fs) -> 
                         key = (ty2, sx0)
                         out_blocks[key] = out_blocks[key] + m2 if key in out_blocks else m2
     return [CarrierMap(spec, px.words, py.words, ob) for ob in outs]
+
+
+def compose(later: CarrierMap, earlier: CarrierMap) -> CarrierMap:
+    """later o earlier (earlier acts first), through the middle summands."""
+    if earlier.tgt != later.src:
+        raise IllFormedDiagramError("cannot compose carrier maps: middle words differ")
+    blocks: dict = {}
+    for (ti, ki), left in later.blocks.items():
+        for (kj, si), right in earlier.blocks.items():
+            if ki == kj:
+                new = left.compose(right)
+                blocks[ti, si] = blocks[ti, si] + new if (ti, si) in blocks else new
+    return CarrierMap(later.spec, earlier.src, later.tgt, blocks)
+
+
+def full_sweep(spec, sigma: Gluing, pair: SigmaPair) -> list[str]:
+    """The failure list of ``center.verify_sigma_pair``, with every check run at every label.
+
+    Invertibility at every z, multiplicativity at every (z1, z2) and :comm
+    at every (z1, z2), each computed, in the order and with the messages
+    of ``verify_sigma_pair``, which derives the checks that its docstring's
+    proofs imply.  The two lists must be equal on every pair.
+    """
+    if len(pair.braidings) != sigma.n:
+        return [f"expected {sigma.n} half-braidings"]
+    bad: list = []
+    ident = {z: center._carrier_id_with(spec, pair, (z,)) for z in spec.labels}
+    gamma = {
+        (m, z): center._apply_gamma(ident[z], pair, m, 1, z)
+        for m in range(sigma.n) for z in spec.labels
+    }
+    wlen = len(pair.words[0])
+    moved = ident[spec.unit].apply_all((("unit_remove", 1), ("unit_insert", wlen)))
+    if any(gamma[m, spec.unit] != moved for m in range(sigma.n)):
+        bad.append("gamma at the unit is not the identity")
+    for m in range(sigma.n):
+        for z in spec.labels:
+            for c, (nrows, ncols, rows) in center._hb_rows(gamma[m, z]).items():
+                if nrows != ncols or rank(rows.values(), spec.field) != nrows:
+                    bad.append(f"gamma_[{m}] at {z} is not invertible (charge {c})")
+                    break
+    for m in range(sigma.n):
+        for z1, z2 in iproduct(spec.labels, repeat=2):
+            for w in spec.channels(z1, z2):
+                for mu in range(spec.N(z1, z2, w)):
+                    split = ident[w].apply_all((("split", 1, z1, z2, mu),))
+                    lhs = center._apply_gamma(center._apply_gamma(split, pair, m, 2, z2),
+                                              pair, m, 1, z1)
+                    rhs = gamma[m, w].apply_all((("split", wlen + 1, z1, z2, mu),))
+                    if lhs != rhs:
+                        bad.append(f"gamma_[{m}] multiplicativity fails at ({z1},{z2};{w},{mu})")
+    pairs = sigma.pairs()
+    for i in range(sigma.n):
+        for j in range(i + 1, sigma.n):
+            case = comm_case(pairs[i], pairs[j])
+            for z1, z2 in iproduct(spec.labels, repeat=2):
+                if not center._comm_ok(spec, pair, i, j, case, z1, z2):
+                    bad.append(f"comm case {case} fails for orbits ({i},{j}) at ({z1},{z2})")
+    return bad
 
 
 def _compose_sparse(later: dict, earlier: dict) -> dict:

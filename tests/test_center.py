@@ -1,4 +1,5 @@
 import gc
+from itertools import product as iproduct
 import math
 from collections import Counter
 import random
@@ -25,8 +26,8 @@ from genuscenter.fusion import quantum_dims
 from genuscenter.gluing import Gluing, enumerate_adm, parse_cycles, surface_type
 from genuscenter.trees import Morphism, hom_dim, hom_keys
 from exact_oracle import (
-    _create, contract_by_columns, coupon, flatten_carrier_map, hom_Z_dim, product,
-    project_morphisms,
+    _create, compose, contract_by_columns, coupon, flatten_carrier_map, full_sweep, hom_Z_dim,
+    product, project_morphisms,
 )
 from test_exactnum import embed
 from test_fusion import respec
@@ -253,7 +254,7 @@ class TestInducedPairs:
         spec = catalog.builtin(key)
         sig = parse_cycles(cycles)
         pair = perturbed(induced_half_braidings(spec, sig, lab), block, rational(s), m)
-        assert verify_sigma_pair(spec, sig, pair) == want
+        assert verify_sigma_pair(spec, sig, pair) == want == full_sweep(spec, sig, pair)
 
     def test_failures_found_pair_by_pair_are_reported_in_check_order(self):
         # Twisted columns on both orbits fail multiplicativity at (s, s) and
@@ -263,8 +264,9 @@ class TestInducedPairs:
         sig = parse_cycles("(1 3)(2 4)")
         pair = induced_half_braidings(spec, sig, "s")
         edits = ((1, "s", 1, range(len(pair.words))), (0, "f", -1, range(0, len(pair.words), 2)))
-        report = verify_sigma_pair(spec, sig, twisted(spec, pair, edits))
-        assert report == (
+        pair = twisted(spec, pair, edits)
+        report = verify_sigma_pair(spec, sig, pair)
+        assert report == full_sweep(spec, sig, pair) == (
             _mult(0, "s,s;f,0", "s,f;s,0", "f,s;s,0") + _mult(1, "s,s;1,0", "s,s;f,0")
             + _comm(2, "f,s")
         )
@@ -278,7 +280,9 @@ class TestInducedPairs:
         pair = induced_half_braidings(spec, sig, "1")
         edits = ((0, "1", 1, range(0, len(pair.words), 2)),
                  (1, "2", -1, range(0, len(pair.words), 3)))
-        report = verify_sigma_pair(spec, sig, twisted(spec, pair, edits))
+        pair = twisted(spec, pair, edits)
+        report = verify_sigma_pair(spec, sig, pair)
+        assert report == full_sweep(spec, sig, pair)
         mult = ("1,1;2,0", "1,2;0,0", "2,1;0,0", "2,2;1,0")
         assert report == (
             _mult(0, *mult) + _mult(1, *mult) + _comm(2, "1,1", "1,2")
@@ -288,8 +292,10 @@ class TestInducedPairs:
     def test_at_most_2n_position_2_tables_are_alive(self, monkeypatch):
         # Each check applies its gamma words to its own start state, so a
         # state at position 2 is dropped once gamma at position 1 is applied
-        # to it: at most 2 alive for any n.  Built: n sum_{z1,z2,w} N_{z1z2}^w
-        # for multiplicativity and 2 C(n,2) L^2 for :comm, for L labels.
+        # to it: at most 2 alive for any n.  On a passing pair only the seeds
+        # are computed.  Built: n sum_{z1 != 1, s in S} sum_w N_{z1 s}^w for
+        # multiplicativity and 2 C(n,2) (L - 1) |S| for :comm, for L labels
+        # and the handle labels S.
         apply_gamma, count = center._apply_gamma, {"live": 0, "built": 0, "peak": 0}
 
         def dropped():
@@ -305,8 +311,9 @@ class TestInducedPairs:
             return out
 
         monkeypatch.setattr(center, "_apply_gamma", tracked)
-        for key, cycles, built in (("rep_s3", "(1 3)(2 4)", 40), ("rep_z2", "(1 3)(2 4)(5 6)", 36),
-                                   ("vec_z3_q", "(1 3)(2 4)(5 6)", 81)):
+        for key, cycles, built in (("rep_s3", "(1 3)(2 4)", 12), ("rep_z2", "(1 3)(2 4)(5 6)", 9),
+                                   ("vec_z3_q", "(1 3)(2 4)(5 6)", 18),
+                                   ("fibonacci", "(1 3)(2 4)", 6), ("ising", "(1 3)(2 4)", 10)):
             spec, sig = catalog.builtin(key), parse_cycles(cycles)
             count.update(built=0, peak=0)
             assert verify_sigma_pair(spec, sig, induced_half_braidings(spec, sig, "1")) == []
@@ -325,6 +332,50 @@ class TestInducedPairs:
         bad = SigmaPair(pair.words, pair.alphas, [blocks])
         report = verify_sigma_pair(spec, sig12(), bad)
         assert "gamma at the unit is not the identity" in report
+        assert report == full_sweep(spec, sig12(), bad)
+
+    @pytest.mark.parametrize("key", catalog.catalog_keys())
+    def test_valid_pairs_match_the_full_sweep(self, key):
+        # Every label at every gluing with n <= 2: the seeds pass, and so
+        # does every check that they imply.
+        spec = catalog.builtin(key)
+        for cycles in ("(1 2)",) + N2_GLUINGS:
+            sig = parse_cycles(cycles)
+            for lab in spec.labels:
+                pair = induced_half_braidings(spec, sig, lab)
+                assert verify_sigma_pair(spec, sig, pair) == full_sweep(spec, sig, pair) == []
+
+    def test_a_failing_multiplicativity_seed_reports_the_whole_orbit(self):
+        # Doubling gamma_[1] at f on one summand fails the seeds (s, s) and
+        # (f, s), and also (s, f) and (f, f), whose z2 = f is not a handle
+        # label: only the sweep at every label pair reports those.
+        spec = catalog.builtin("ising")
+        sig = parse_cycles("(1 3)(2 4)")
+        pair = perturbed(induced_half_braidings(spec, sig, "1"), ("f", 1), rational(2), 1)
+        report = verify_sigma_pair(spec, sig, pair)
+        assert center._handle_labels(spec) == ("s",)
+        assert report == full_sweep(spec, sig, pair)
+        assert _mult(1, "s,f;s,0", "f,f;1,0") == [e for e in report if ",f;" in e]
+
+    def test_crossing_flips_match_the_full_sweep(self, monkeypatch):
+        # With a gamma crossing flipped, :comm fails in 27 of these cases
+        # with multiplicativity passing, at a z2 outside the handle labels
+        # too, so only the fallback to every label pair reports it.
+        outside = 0
+        for left, right in (("under", "over"), ("over", "under"), ("over", "over")):
+            monkeypatch.setattr(center, "GAMMA_LEFT", left)
+            monkeypatch.setattr(center, "GAMMA_RIGHT", right)
+            for key, cycles in iproduct(("ising", "vec_z3_q"), ("(1 3)(2 4)", "(1 4)(2 3)")):
+                spec, sig = respec(catalog.builtin(key)), parse_cycles(cycles)
+                handles = center._handle_labels(spec)
+                for lab in spec.labels:
+                    pair = induced_half_braidings(spec, sig, lab)
+                    report = verify_sigma_pair(spec, sig, pair)
+                    assert report == full_sweep(spec, sig, pair), (left, right, key, cycles, lab)
+                    comm = [e.rsplit(",", 1)[1][:-1] for e in report if e.startswith("comm")]
+                    if comm and not any("multiplicativity" in e for e in report):
+                        outside += bool(set(comm) - set(handles))
+        assert outside == 27
 
     def test_empty_gluing_pair(self):
         spec = catalog.builtin("fibonacci")
@@ -350,8 +401,8 @@ class TestCarrierMaps:
         pt = induced_half_braidings(spec, sig12(), "t")
         elem = carrier_basis(spec, p1.words, pt.words)[0]
         with pytest.raises(IllFormedDiagramError):
-            elem.compose(elem)
-        assert CarrierMap.identity(spec, pt.words).compose(elem) == elem
+            compose(elem, elem)
+        assert compose(CarrierMap.identity(spec, pt.words), elem) == elem
 
     @pytest.mark.parametrize("key", ("fibonacci", "ising"))
     def test_apply_gamma_on_zero_state(self, key):
@@ -412,12 +463,12 @@ class TestProjection:
                 pf = project_morphisms(spec, sig, px, py, [f])[0]
                 pg = project_morphisms(spec, sig, py, pz, [g])[0]
                 if key == "fibonacci":
-                    assert not pg.compose(pf).is_zero()
+                    assert not compose(pg, pf).is_zero()
                 # mixing a raw morphism with a projected one projects cleanly
-                assert project_morphisms(spec, sig, px, pz, [pg.compose(f)])[0] == pg.compose(pf)
-                assert project_morphisms(spec, sig, px, pz, [g.compose(pf)])[0] == pg.compose(pf)
+                assert project_morphisms(spec, sig, px, pz, [compose(pg, f)])[0] == compose(pg, pf)
+                assert project_morphisms(spec, sig, px, pz, [compose(g, pf)])[0] == compose(pg, pf)
                 # sigma-morphisms are closed under composition
-                assert project_morphisms(spec, sig, px, pz, [pg.compose(pf)])[0] == pg.compose(pf)
+                assert project_morphisms(spec, sig, px, pz, [compose(pg, pf)])[0] == compose(pg, pf)
 
     @pytest.mark.parametrize("key, x, y", (("fibonacci", "1", "t"), ("vec_z3_q", "2", "2")))
     @pytest.mark.parametrize("cycles", ("(1 2)", "(1 3)(2 4)"))

@@ -1,10 +1,11 @@
-"""Planted faults: which check catches a fault planted in the engine.
+"""Planted faults: which check catches a fault planted in the engine or its data.
 
 Each case plants one fault and runs the CLI commands in-process through
 ``cli.main``: ``center rank``, ``center verify-induced`` at every label and
 ``adjoint check``.  The outcomes are pinned, including the known gaps, so
-that a change to what a check catches shows here.  The faults live only in
-the memoized built-in specs, which are cleared before and after each case.
+that a change to what a check catches shows here.  The code faults live only
+in the memoized built-in specs, which are cleared before and after each case.
+The data faults live in a saved catalog file.
 """
 
 import json
@@ -72,3 +73,37 @@ def test_a_planted_crossing_fault_ends_in_a_pinned_outcome(capsys, monkeypatch, 
         assert re.search(rf"^error: no certificate .*; last, p = \d+: \({want}\) ", err), err
     assert verdicts == ({0} if (key, sigma) in UNDETECTED else {1})
     assert adjoint == 0
+
+
+def scale(value, s):
+    """Scale a saved scalar by the integer s."""
+    value["terms"] = [[e, s * num, den] for e, num, den in value["terms"]]
+
+
+# One entry of Fibonacci's saved file changed, and the one axiom check that
+# ``validate`` fails for it.  These checks are the precondition of the proofs
+# by which ``center.verify_sigma_pair`` derives most of its checks.
+DATA_FAULTS = {
+    "F-entry-doubled": (lambda doc: scale(next(r for r in doc["F"] if r["labels"] == ["t"] * 4)
+                                          ["value"], 2), "pentagon"),
+    "R-entry-negated": (lambda doc: scale(next(r for r in doc["R"] if r["labels"] == ["t", "t", "1"])
+                                          ["value"], -1), "hexagon"),
+    "pivotal-t-negated": (lambda doc: scale(doc["pivotal"]["t"], -1), "spherical_ribbon"),
+}
+
+
+@pytest.mark.parametrize("fault", DATA_FAULTS)
+def test_a_planted_data_fault_fails_its_axiom_check_and_every_command(capsys, tmp_path, fault):
+    plant, check = DATA_FAULTS[fault]
+    path = tmp_path / "fibonacci.json"
+    catalog.save_spec(catalog.builtin("fibonacci"), path)
+    doc = json.loads(path.read_text())
+    plant(doc)
+    path.write_text(json.dumps(doc))
+    code, out, _err = main_outcome(capsys, "validate", "--cat", str(path), "--json")
+    report = json.loads(out)
+    assert code == 1 and [k for k, v in report.items() if k != "catalog" and v != "ok"] == [check]
+    for command in (("center", "rank"), ("center", "verify-induced", "--object", "t"),
+                    ("adjoint", "check")):
+        code, out, err = main_outcome(capsys, *command, "--cat", str(path), "--sigma", "(1 3)(2 4)")
+        assert (code, out) == (1, "") and f"fails the {check} check" in err, (fault, command)
